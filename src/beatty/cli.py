@@ -2,8 +2,9 @@
 
 Exit codes: 0 answered (value computed / True / witness found), 1 negative
 answer (False / no solution / empty), 2 unknown (a search cap was hit),
-64 usage or parse error.  All numbers print in decimal; --json emits one
-structured object per run with every numeric field as a decimal string.
+64 usage or parse error, 70 internal error (a defect, never an answer).
+All numbers print in decimal, however many digits they have; --json emits
+one structured object per run with every numeric field as a decimal string.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_UNKNOWN = 2
 EXIT_USAGE = 64
+EXIT_SOFTWARE = 70
 
 
 class _UsageError(Exception):
@@ -266,6 +268,18 @@ _HANDLERS = {
 
 
 def run(argv: list[str]) -> int:
+    """Run one command and return its exit code.  Integers convert to and
+    from decimal without the interpreter's digit limit while it runs; the
+    caller's limit is restored afterwards."""
+    digit_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        sys.set_int_max_str_digits(digit_limit)
+
+
+def _run(argv: list[str]) -> int:
     parser = _build_parser()
     started = time.perf_counter()
     try:
@@ -280,6 +294,13 @@ def run(argv: list[str]) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # a defect: report where, never exit as an answer
+        import traceback  # only this path needs it; importing costs set-up time
+
+        where = traceback.extract_tb(exc.__traceback__)[-1]
+        print(f"internal error: {type(exc).__name__}: {exc} "
+              f"({where.filename}:{where.lineno} in {where.name})", file=sys.stderr)
+        return EXIT_SOFTWARE
     elapsed = f"{time.perf_counter() - started:.6f}"
     record = OutputRecord(tuple(argv), result, provenance, elapsed)
     print(record.to_json() if args.json else text)

@@ -9,7 +9,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, count
 from math import floor, gcd
+from operator import itemgetter
 
 from .congruence import (
     DEFAULT_ENUM_CAP,
@@ -31,7 +33,7 @@ __all__ = [
     "Var", "Const", "Add", "Sub", "Scale", "F",
     "Cmp", "Div", "PPred", "Not", "And", "Or", "Implies", "Exists", "Forall",
     "ParseError", "parse", "parse_term", "format_formula", "format_term",
-    "Decision", "EXACT", "BOUNDED", "DEFAULT_EVAL_BOUND",
+    "Decision", "EXACT", "BOUNDED", "DEFAULT_EVAL_BOUND", "MAX_NESTING",
     "evaluate", "free_vars", "nnf",
     "NormalFormQuery", "to_normal_form", "decide_existential_nf", "decide",
     "FamilyResult", "AuditReport", "axiom_audit",
@@ -202,6 +204,16 @@ class ParseError(Exception):
         self.expected = expected
 
 
+class _TooDeep(ParseError):
+    """Nesting past MAX_NESTING; final, never a reason to backtrack."""
+
+
+# Bounds the depth of every tree the parser builds, so that the recursive
+# passes over it (nnf, free_vars, the printer, evaluation) stay far inside
+# the interpreter's recursion limit.
+MAX_NESTING = 100
+
+
 _TOKEN = re.compile(r"->|<=|>=|!=|[()\[\],.+\-*<>=!&|]|\d+|[A-Za-z_][A-Za-z0-9_]*")
 _RELS = ("<", "<=", "=", "!=", ">", ">=")
 
@@ -221,6 +233,26 @@ class _Parser:
             self.tokens.append((m.group(), pos))
             pos = m.end()
         self.i = 0
+        # Nesting: each open ( ! quantifier f( -> and k* counts one level,
+        # and each &, |, + or - one more for everything on its left, since
+        # those chains build left-deep trees.  depth is the nesting at the
+        # current token, peak the deepest reached by the current operand.
+        self.depth = self.peak = 0
+
+    def _enter(self) -> None:
+        """Open a construct at the current token."""
+        self.depth += 1
+        self.peak = max(self.peak, self.depth)
+        if self.depth > MAX_NESTING:
+            raise _TooDeep(f"nesting deeper than {MAX_NESTING}", self._pos())
+
+    def _link(self, left_peak: int, right_peak: int, position: int) -> int:
+        """Nesting reached by a chain node over operands that reached these
+        (each operand is parsed with peak reset to the chain's depth)."""
+        peak = max(left_peak, right_peak) + 1
+        if peak > MAX_NESTING:
+            raise _TooDeep(f"nesting deeper than {MAX_NESTING}", position)
+        return peak
 
     def _peek(self, ahead: int = 0) -> str | None:
         k = self.i + ahead
@@ -249,36 +281,56 @@ class _Parser:
     def parse_formula(self) -> Formula:
         left = self.parse_or()
         if self._peek() == "->":
+            self._enter()
             self._advance()
-            return Implies(left, self.parse_formula())
+            node = Implies(left, self.parse_formula())
+            self.depth -= 1
+            return node
         return left
 
     def parse_or(self) -> Formula:
-        node = self.parse_and()
+        outer, self.peak = self.peak, self.depth
+        node, peak = self.parse_and(), self.peak
         while self._peek() == "|":
+            position = self._pos()
             self._advance()
-            node = Or(node, self.parse_and())
+            self.peak = self.depth
+            right = self.parse_and()
+            peak = self._link(peak, self.peak, position)
+            node = Or(node, right)
+        self.peak = max(outer, peak)
         return node
 
     def parse_and(self) -> Formula:
-        node = self.parse_unary()
+        outer, self.peak = self.peak, self.depth
+        node, peak = self.parse_unary(), self.peak
         while self._peek() == "&":
+            position = self._pos()
             self._advance()
-            node = And(node, self.parse_unary())
+            self.peak = self.depth
+            right = self.parse_unary()
+            peak = self._link(peak, self.peak, position)
+            node = And(node, right)
+        self.peak = max(outer, peak)
         return node
 
     def parse_unary(self) -> Formula:
         tok = self._peek()
         if tok == "!":
+            self._enter()
             self._advance()
-            return Not(self.parse_unary())
-        if tok in ("exists", "forall"):
+            node = Not(self.parse_unary())
+        elif tok in ("exists", "forall"):
+            self._enter()
             self._advance()
             name = self._variable_name()
             self._expect(".")
             body = self.parse_formula()
-            return Exists(name, body) if tok == "exists" else Forall(name, body)
-        return self.parse_atom()
+            node = Exists(name, body) if tok == "exists" else Forall(name, body)
+        else:
+            return self.parse_atom()
+        self.depth -= 1
+        return node
 
     def _variable_name(self) -> str:
         pos = self._pos()
@@ -322,7 +374,7 @@ class _Parser:
             return PPred(nums[0], nums[1], nums[2], nums[3], low, high)
         # Either `term REL term` or a parenthesized formula; a '(' is
         # ambiguous between the two, so try the comparison and backtrack.
-        saved = self.i
+        saved, depth, peak = self.i, self.depth, self.peak
         try:
             left = self.parse_term()
             rel_pos = self._pos()
@@ -335,13 +387,17 @@ class _Parser:
             self._advance()
             right = self.parse_term()
             return _desugar(left, rel, right)
+        except _TooDeep:
+            raise
         except ParseError:
             if self.tokens[saved][0] != "(":
                 raise
-            self.i = saved
+            self.i, self.depth, self.peak = saved, depth, peak
+        self._enter()
         self._expect("(")
         inner = self.parse_formula()
         self._expect(")")
+        self.depth -= 1
         return inner
 
     def _int(self) -> int:
@@ -357,43 +413,47 @@ class _Parser:
 
     # terms; '*' binds tighter than '+'/'-', sums associate left
     def parse_term(self) -> Term:
-        node = self.parse_product()
+        outer, self.peak = self.peak, self.depth
+        node, peak = self.parse_product(), self.peak
         while self._peek() in ("+", "-"):
+            position = self._pos()
             op = self._advance()
+            self.peak = self.depth
             right = self.parse_product()
+            peak = self._link(peak, self.peak, position)
             node = Add(node, right) if op == "+" else Sub(node, right)
+        self.peak = max(outer, peak)
         return node
 
     def parse_product(self) -> Term:
         tok = self._peek()
         if tok is not None and tok.isdigit() and self._peek(1) == "*":
-            self._advance()
-            self._advance()
-            return Scale(int(tok), self.parse_product())
-        if tok == "-" and (nxt := self._peek(1)) is not None and nxt.isdigit():
-            if self._peek(2) == "*":
-                self._advance()
-                self._advance()
-                self._advance()
-                return Scale(-int(nxt), self.parse_product())
-        return self.parse_primary()
+            coeff, width = int(tok), 2
+        elif (tok == "-" and (nxt := self._peek(1)) is not None and nxt.isdigit()
+              and self._peek(2) == "*"):
+            coeff, width = -int(nxt), 3
+        else:
+            return self.parse_primary()
+        self._enter()
+        self.i += width
+        node = Scale(coeff, self.parse_product())
+        self.depth -= 1
+        return node
 
     def parse_primary(self) -> Term:
         pos = self._pos()
         tok = self._peek()
         if tok is None:
             raise ParseError("unexpected end of input", pos)
-        if tok == "(":
+        if tok in ("(", "f"):
+            self._enter()
             self._advance()
+            if tok == "f":
+                self._expect("(")
             inner = self.parse_term()
             self._expect(")")
-            return inner
-        if tok == "f":
-            self._advance()
-            self._expect("(")
-            arg = self.parse_term()
-            self._expect(")")
-            return F(arg)
+            self.depth -= 1
+            return F(inner) if tok == "f" else inner
         if tok.isdigit():
             self._advance()
             return Const(int(tok))
@@ -503,22 +563,8 @@ class Decision:
     reason: str | None = None
 
 
-def eval_term(term: Term, env: dict[str, int]) -> int:
-    if isinstance(term, Var):
-        if term.name not in env:
-            raise ValueError(f"unassigned variable {term.name!r}")
-        return env[term.name]
-    if isinstance(term, Const):
-        return term.value
-    if isinstance(term, Add):
-        return eval_term(term.left, env) + eval_term(term.right, env)
-    if isinstance(term, Sub):
-        return eval_term(term.left, env) - eval_term(term.right, env)
-    if isinstance(term, Scale):
-        return term.coeff * eval_term(term.term, env)
-    if isinstance(term, F):
-        return f_floor(eval_term(term.arg, env))
-    raise TypeError(f"not a term: {term!r}")
+_TRUE = Decision(True)
+_FALSE = Decision(False)
 
 
 def _negate(d: Decision) -> Decision:
@@ -557,81 +603,115 @@ def _or_d(a: Decision, b: Decision) -> Decision:
     return Decision(False, prov, _merge_bound(a, b) if prov == BOUNDED else None)
 
 
-def _scan_order(bound: int):
-    yield 0
-    for v in range(1, bound + 1):
-        yield v
-        yield -v
+def _compile_term(term: Term, scope: dict[str, int]):
+    """env -> int closure; a variable reads its slot of the list env."""
+    if isinstance(term, Var):
+        if term.name not in scope:
+            raise ValueError(f"unassigned variable {term.name!r}")
+        return itemgetter(scope[term.name])
+    if isinstance(term, Const):
+        value = term.value
+        return lambda env: value
+    if isinstance(term, F):
+        # f_floor is read now, not at import, so that a wrapper installed
+        # around it (a call counter) sees every call
+        arg, floor_phi = _compile_term(term.arg, scope), f_floor
+        return lambda env: floor_phi(arg(env))
+    if isinstance(term, Scale):
+        coeff, inner = term.coeff, _compile_term(term.term, scope)
+        return lambda env: coeff * inner(env)
+    if not isinstance(term, (Add, Sub)):
+        raise TypeError(f"not a term: {term!r}")
+    left, right = _compile_term(term.left, scope), _compile_term(term.right, scope)
+    if isinstance(term, Add):
+        return lambda env: left(env) + right(env)
+    return lambda env: left(env) - right(env)
 
 
-_MISSING = object()
-
-
-def _eval(formula: Formula, env: dict[str, int], bound: int, cap: int) -> Decision:
+def _compile(formula: Formula, scope: dict[str, int], slots, bound: int, cap: int):
+    """(True, env -> bool) for a quantifier-free formula without P, else
+    (False, env -> Decision).  Each quantifier takes a fresh slot from
+    slots, so shadowed names never share one."""
     if isinstance(formula, Cmp):
-        lv = eval_term(formula.left, env)
-        rv = eval_term(formula.right, env)
-        return Decision(lv < rv if formula.rel == "<" else lv == rv)
+        left, right = _compile_term(formula.left, scope), _compile_term(formula.right, scope)
+        if formula.rel == "<":
+            return True, lambda env: left(env) < right(env)
+        return True, lambda env: left(env) == right(env)
     if isinstance(formula, Div):
-        return Decision(eval_term(formula.term, env) % formula.modulus == 0)
+        term, modulus = _compile_term(formula.term, scope), formula.modulus
+        return True, lambda env: term(env) % modulus == 0
     if isinstance(formula, PPred):
-        low = eval_term(formula.low, env)
-        high = eval_term(formula.high, env)
-        if low >= high:
-            return Decision(False)
-        system = CongruenceSystem(
-            Congruence(formula.mod_x, formula.res_x),
-            Congruence(formula.mod_fx, formula.res_fx),
-            lower=low, upper=high,
-        )
-        out = solve_system_bounded(system, enum_cap=cap)
-        if out.is_witness:
-            return Decision(True, witness=out.witness)
-        if out.status == "no_solution":
-            return Decision(False)
-        return Decision(None, reason=out.reason)
-    if isinstance(formula, Not):
-        return _negate(_eval(formula.body, env, bound, cap))
-    if isinstance(formula, And):
-        return _and_d(_eval(formula.left, env, bound, cap),
-                      _eval(formula.right, env, bound, cap))
-    if isinstance(formula, Or):
-        return _or_d(_eval(formula.left, env, bound, cap),
-                     _eval(formula.right, env, bound, cap))
+        low, high = _compile_term(formula.low, scope), _compile_term(formula.high, scope)
+        on_x = Congruence(formula.mod_x, formula.res_x)
+        on_fx = Congruence(formula.mod_fx, formula.res_fx)
+
+        def solve(env: list[int]) -> Decision:
+            lo, hi = low(env), high(env)
+            if lo >= hi:
+                return _FALSE
+            out = solve_system_bounded(CongruenceSystem(on_x, on_fx, lo, hi), enum_cap=cap)
+            if out.is_witness:
+                return Decision(True, witness=out.witness)
+            return _FALSE if out.status == "no_solution" else Decision(None, reason=out.reason)
+
+        return False, solve
     if isinstance(formula, Implies):
-        return _or_d(_negate(_eval(formula.left, env, bound, cap)),
-                     _eval(formula.right, env, bound, cap))
+        formula = Or(Not(formula.left), formula.right)
+    if isinstance(formula, Not):
+        is_bool, body = _compile(formula.body, scope, slots, bound, cap)
+        if is_bool:
+            return True, lambda env: not body(env)
+        return False, lambda env: _negate(body(env))
     if isinstance(formula, (Exists, Forall)):
-        existential = isinstance(formula, Exists)
-        saved = env.get(formula.var, _MISSING)
-        unknown_reason = None
-        decisive: Decision | None = None
-        for v in _scan_order(bound):
-            env[formula.var] = v
-            d = _eval(formula.body, env, bound, cap)
-            if existential and d.truth is True:
-                decisive = Decision(True, d.provenance,
-                                    d.bound if d.provenance == BOUNDED else None,
-                                    witness=v)
-                break
-            if not existential and d.truth is False:
-                decisive = Decision(False, d.provenance,
-                                    d.bound if d.provenance == BOUNDED else None,
-                                    counterexample=v)
-                break
-            if d.truth is None and unknown_reason is None:
-                unknown_reason = d.reason or "subformula unknown"
-        if saved is _MISSING:
-            del env[formula.var]
-        else:
-            env[formula.var] = saved
-        if decisive is not None:
-            return decisive
-        if unknown_reason is not None:
-            return Decision(None, reason=unknown_reason)
-        # scan exhausted without a witness (resp. counterexample)
-        return Decision(not existential, BOUNDED, bound=bound)
-    raise TypeError(f"not a formula: {formula!r}")
+        existential, slot = isinstance(formula, Exists), next(slots)
+        is_bool, body = _compile(formula.body, {**scope, formula.var: slot}, slots, bound, cap)
+
+        def scan(env: list[int]) -> Decision:
+            # 0, 1, -1, ..., bound, -bound until the body is decisive; a
+            # boolean body is exact, so its scan only compares
+            unknown_reason = None
+            points = zip(range(1, bound + 1), range(-1, -bound - 1, -1))
+            for v in chain((0,), chain.from_iterable(points)):
+                env[slot] = v
+                d = body(env)
+                if is_bool:
+                    if d != existential:
+                        continue
+                    d = _TRUE
+                elif d.truth is not existential:
+                    if d.truth is None and unknown_reason is None:
+                        unknown_reason = d.reason or "subformula unknown"
+                    continue
+                return Decision(existential, d.provenance, d.bound,
+                                *((v, None) if existential else (None, v)))
+            if unknown_reason is not None:
+                return Decision(None, reason=unknown_reason)
+            return Decision(not existential, BOUNDED, bound=bound)
+
+        return False, scan
+    if not isinstance(formula, (And, Or)):
+        raise TypeError(f"not a formula: {formula!r}")
+    conjunction = isinstance(formula, And)
+    left_bool, left = _compile(formula.left, scope, slots, bound, cap)
+    right_bool, right = _compile(formula.right, scope, slots, bound, cap)
+    if left_bool and right_bool:
+        if conjunction:
+            return True, lambda env: left(env) and right(env)
+        return True, lambda env: left(env) or right(env)
+    left, right = _decisions(left_bool, left), _decisions(right_bool, right)
+    combine, decisive = (_and_d, False) if conjunction else (_or_d, True)
+
+    def connect(env: list[int]) -> Decision:
+        # combine returns an exact decisive left side whatever the right is
+        a = left(env)
+        return a if a.truth is decisive and a.provenance == EXACT else combine(a, right(env))
+
+    return False, connect
+
+
+def _decisions(is_bool: bool, run):
+    """run as an env -> Decision closure."""
+    return (lambda env: _TRUE if run(env) else _FALSE) if is_bool else run
 
 
 def evaluate(
@@ -645,12 +725,13 @@ def evaluate(
 
     Quantifier-free parts are exact; quantifiers scan [-bound, bound], so an
     existential witness (or universal counterexample) is sound, while a
-    completed scan yields a decision tagged "bounded"."""
-    env = dict(assignment or {})
-    missing = free_vars(formula) - set(env)
-    if missing:
-        raise ValueError(f"unassigned variables: {sorted(missing)}")
-    return _eval(formula, env, bound, enum_cap)
+    completed scan yields a decision tagged "bounded".  The formula is
+    compiled once into closures over a list of variable slots."""
+    assignment = assignment or {}
+    slots = count(len(assignment))
+    is_bool, run = _compile(formula, dict(zip(assignment, count())), slots, bound, enum_cap)
+    env = [*assignment.values()] + [0] * (next(slots) - len(assignment))
+    return _decisions(is_bool, run)(env)
 
 
 # --- negation normal form ---------------------------------------------------

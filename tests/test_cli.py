@@ -1,8 +1,12 @@
 import json
+import sys
 
 import pytest
 
+from beatty import cli
 from beatty.cli import run
+from beatty.golden import f_floor
+from beatty.logic import MAX_NESTING
 
 # golden suite: (argv, expected exit code, substring expected on stdout)
 GOLDEN = [
@@ -123,3 +127,54 @@ def test_large_values_print_in_full(capsys):
     out = capsys.readouterr().out.strip()
     assert out.isdigit() and len(out) == 41  # phi * 10^40 has 41 digits
     assert "e" not in out
+
+
+DEEP = {
+    "parentheses": "(" * 3000 + "x < 1" + ")" * 3000,
+    "negations": "!" * 3000 + "0 < 1",
+    "f": "f(" * 3000 + "1" + ")" * 3000 + " < 1",
+    "conjuncts": " & ".join(["0 < 1"] * 3000),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEEP))
+def test_deep_nesting_exits_64(name, capsys):
+    assert run(["decide", DEEP[name]]) == 64
+    assert "nesting deeper than" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    "(" * MAX_NESTING + "0 < 1" + ")" * MAX_NESTING,
+    "!" * MAX_NESTING + "0 < 1",
+    "f(" * MAX_NESTING + "1" + ")" * MAX_NESTING + " > 1",
+    " & ".join(["0 < 1"] * (MAX_NESTING + 1)),
+    " -> ".join(["0 < 1"] * (MAX_NESTING + 1)),
+    "forall x. forall y. (" + " | ".join(["x < y"] * (MAX_NESTING - 2)) + ")",
+], ids=["(", "!", "f(", "&", "->", "quantifiers and |"])
+def test_nesting_at_the_cap_is_decided(text):
+    assert run(["decide", text, "--bound", "3"]) in (0, 1)
+
+
+def test_unexpected_exception_exits_70(monkeypatch, capsys):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._HANDLERS, "f", broken)
+    assert run(["f", "7"]) == 70
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "internal error: RuntimeError: boom" in captured.err
+
+
+def test_witness_beyond_the_digit_limit_prints(capsys):
+    limit = sys.get_int_max_str_digits()
+    assert run(["solve", "--xn", "1", "--xm", "0", "--fn", "200", "--fm", "199"]) == 0
+    assert sys.get_int_max_str_digits() == limit  # the caller's limit is back
+    text = capsys.readouterr().out.split()[-1]
+    assert len(text) > 4300
+    sys.set_int_max_str_digits(0)
+    try:
+        witness = int(text)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert f_floor(witness) % 200 == 199

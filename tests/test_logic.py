@@ -1,21 +1,25 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
-from beatty.congruence import Congruence
+from beatty.congruence import Congruence, CongruenceSystem, solve_system_bounded
 from beatty.golden import f_floor
 from beatty.logic import (
     BOUNDED,
     EXACT,
+    MAX_NESTING,
     Add,
     And,
     Cmp,
     Const,
+    Decision,
     Div,
     Exists,
     F,
     Forall,
+    Implies,
     Not,
     NormalFormQuery,
     Or,
@@ -24,6 +28,9 @@ from beatty.logic import (
     Scale,
     Sub,
     Var,
+    _and_d,
+    _negate,
+    _or_d,
     axiom_audit,
     decide,
     decide_existential_nf,
@@ -92,6 +99,42 @@ def test_parenthesized_term_versus_formula():
     assert parse("(p2(x))") == Div(2, Var("x"))
 
 
+def _nested(construct: str, n: int) -> str:
+    """n levels of one construct around x < 1 (a chain has n + 1 operands)."""
+    return {
+        "(": "(" * n + "x < 1" + ")" * n,
+        "!": "!" * n + "x < 1",
+        "f(": "f(" * n + "x" + ")" * n + " < 1",
+        "exists": "exists x. " * n + "x < 1",
+        "2 *": "2 * " * n + "x < 1",
+        "->": " -> ".join(["x < 1"] * (n + 1)),
+        "&": " & ".join(["x < 1"] * (n + 1)),
+        "|": " | ".join(["x < 1"] * (n + 1)),
+        "+": "x < " + " + ".join(["1"] * (n + 1)),
+        "-": "x < " + " - ".join(["1"] * (n + 1)),
+    }[construct]
+
+
+@pytest.mark.parametrize("construct", ["(", "!", "f(", "exists", "2 *", "->", "&", "|", "+", "-"])
+def test_parse_caps_nesting(construct):
+    parse(_nested(construct, MAX_NESTING))
+    text = _nested(construct, MAX_NESTING + 1)
+    with pytest.raises(ParseError, match="nesting") as err:
+        parse(text)
+    # the offset is that of the construct one past the cap
+    assert text[err.value.position:].startswith(construct)
+
+
+def test_parse_caps_left_operands_of_chains():
+    # a group as the left operand of a chain sits one level deeper per
+    # operator, so nesting groups that each start a chain adds up
+    text = "x < 1"
+    for _ in range(5):
+        text = f"({text})" + " & x < 1" * 20
+    with pytest.raises(ParseError, match="nesting"):
+        parse(text)
+
+
 def test_print_parse_identity_random():
     rng = random.Random(90125)
     for _ in range(300):
@@ -146,6 +189,123 @@ def test_evaluate_unknown_propagates():
     wide = PPred(1, 10**6, 0, 3, Const(0), Const(10**8))
     d = evaluate(wide, enum_cap=10)
     assert d.truth is None and d.reason
+
+
+# --- evaluation against the tree-walking reference ------------------------
+
+def _walk_term(term, env):
+    if isinstance(term, Var):
+        return env[term.name]
+    if isinstance(term, Const):
+        return term.value
+    if isinstance(term, (Add, Sub)):
+        left, right = _walk_term(term.left, env), _walk_term(term.right, env)
+        return left + right if isinstance(term, Add) else left - right
+    if isinstance(term, Scale):
+        return term.coeff * _walk_term(term.term, env)
+    return f_floor(_walk_term(term.arg, env))
+
+
+def _walk(formula, env, bound, cap):
+    """The original evaluator: one Decision per node, both sides of every
+    connective evaluated, quantifiers scanned 0, 1, -1, ..., bound, -bound
+    over a name -> value dict that is restored afterwards."""
+    if isinstance(formula, Cmp):
+        lv, rv = _walk_term(formula.left, env), _walk_term(formula.right, env)
+        return Decision(lv < rv if formula.rel == "<" else lv == rv)
+    if isinstance(formula, Div):
+        return Decision(_walk_term(formula.term, env) % formula.modulus == 0)
+    if isinstance(formula, PPred):
+        low, high = _walk_term(formula.low, env), _walk_term(formula.high, env)
+        if low >= high:
+            return Decision(False)
+        system = CongruenceSystem(Congruence(formula.mod_x, formula.res_x),
+                                  Congruence(formula.mod_fx, formula.res_fx),
+                                  lower=low, upper=high)
+        out = solve_system_bounded(system, enum_cap=cap)
+        if out.is_witness:
+            return Decision(True, witness=out.witness)
+        if out.status == "no_solution":
+            return Decision(False)
+        return Decision(None, reason=out.reason)
+    if isinstance(formula, Not):
+        return _negate(_walk(formula.body, env, bound, cap))
+    if isinstance(formula, And):
+        return _and_d(_walk(formula.left, env, bound, cap), _walk(formula.right, env, bound, cap))
+    if isinstance(formula, Or):
+        return _or_d(_walk(formula.left, env, bound, cap), _walk(formula.right, env, bound, cap))
+    if isinstance(formula, Implies):
+        return _or_d(_negate(_walk(formula.left, env, bound, cap)),
+                     _walk(formula.right, env, bound, cap))
+    existential = isinstance(formula, Exists)
+    saved = env.get(formula.var)
+    unknown_reason = decisive = None
+    for v in [0] + [s * k for k in range(1, bound + 1) for s in (1, -1)]:
+        env[formula.var] = v
+        d = _walk(formula.body, env, bound, cap)
+        if d.truth is existential:
+            found = (v, None) if existential else (None, v)
+            decisive = Decision(existential, d.provenance,
+                                d.bound if d.provenance == BOUNDED else None, *found)
+            break
+        if d.truth is None and unknown_reason is None:
+            unknown_reason = d.reason or "subformula unknown"
+    if saved is None:
+        del env[formula.var]
+    else:
+        env[formula.var] = saved
+    if decisive is not None:
+        return decisive
+    if unknown_reason is not None:
+        return Decision(None, reason=unknown_reason)
+    return Decision(not existential, BOUNDED, bound=bound)
+
+
+def _rename(node, names):
+    """Rename every variable, bound or free, through names; a non-injective
+    map makes quantifiers shadow each other and the assigned variables."""
+    if isinstance(node, Var):
+        return Var(names[node.name])
+    if isinstance(node, (Exists, Forall)):
+        return type(node)(names[node.var], _rename(node.body, names))
+    if not dataclasses.is_dataclass(node):
+        return node
+    return dataclasses.replace(node, **{field.name: _rename(getattr(node, field.name), names)
+                                        for field in dataclasses.fields(node)})
+
+
+def test_evaluate_matches_reference_walker_on_random_formulas():
+    rng = random.Random(2718)
+    seen = set()
+    for _ in range(400):
+        names = {v: rng.choice("xy") for v in ("x", "y", "z", "u", "v", "w", "n0", "n1")}
+        formula = _rename(random_formula(rng, depth=4, variables=["x", "y"]), names)
+        assignment = {"x": rng.randint(-9, 9), "y": rng.randint(-9, 9)}
+        bound = rng.choice([0, 1, 2, 3, 5, 8, 13, 20])
+        cap = rng.choice([3, 10_000_000])
+        got = evaluate(formula, assignment, bound, enum_cap=cap)
+        assert got == _walk(formula, dict(assignment), bound, cap), format_formula(formula)
+        seen.add((got.truth, got.provenance, got.witness is not None,
+                  got.counterexample is not None))
+    # the corpus reaches every kind of outcome the walker can give
+    assert {truth for truth, *_ in seen} == {True, False, None}
+    assert (True, EXACT, True, False) in seen and (False, EXACT, False, True) in seen
+    assert (True, BOUNDED, False, False) in seen and (False, BOUNDED, False, False) in seen
+
+
+@pytest.mark.parametrize("text,assignment", [
+    ("exists x. forall x. f(x) < x + 5", {}),
+    ("exists x. (x = 3 & forall x. (x < 1 | x < f(x) + 1) & f(x) = 4)", {}),
+    ("forall y. (y < x | exists x. f(x) = y + x)", {"x": 4}),
+    ("exists x. (x = y + 1 & forall y. (y < 0 | f(y) < f(y + x) + 1)) & y = 2", {"x": -5, "y": 2}),
+    ("exists x. (P[2,3,1,2](x, x + 20) & !P[4,5,3,0](x - 30, x))", {}),
+    ("forall x. (P[1,1000000,0,3](x, x + 100000000) | x < 3)", {}),
+    ("(exists x. f(x) = 7) -> forall y. exists z. z = y + 1", {}),
+])
+def test_evaluate_matches_reference_walker_on_shadowing_and_p(text, assignment):
+    formula = parse(text)
+    for bound in (0, 4, 20):
+        assert evaluate(formula, assignment, bound, enum_cap=10) == _walk(formula, dict(assignment), bound, 10)
 
 
 # --- normal form ----------------------------------------------------------
