@@ -15,6 +15,7 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .congruence import (
     DEFAULT_ENUM_CAP,
@@ -24,7 +25,15 @@ from .congruence import (
     solve_system_bounded,
 )
 from .golden import f_floor, f_inverse
-from .logic import BOUNDED, DEFAULT_EVAL_BOUND, ParseError, axiom_audit, decide, parse
+from .logic import (
+    BOUNDED,
+    DEFAULT_EVAL_BOUND,
+    MAX_LITERAL_DIGITS,
+    ParseError,
+    axiom_audit,
+    decide,
+    parse,
+)
 from .numeration import c as word_bit
 from .numeration import fib_word_prefix, pisano, zeckendorf
 from .windows import LinearConstraint, solution_window
@@ -47,6 +56,22 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _too_long(text: str) -> bool:
+    """More digits than a formula literal may have: decimal conversion is
+    quadratic in the number of digits, so such arguments are refused."""
+    return len(text) > MAX_LITERAL_DIGITS and sum(map(str.isdigit, text)) > MAX_LITERAL_DIGITS
+
+
+def _integer(text: str) -> int:
+    """Type of every integer argument."""
+    if _too_long(text):
+        raise argparse.ArgumentTypeError(f"integer longer than {MAX_LITERAL_DIGITS} digits")
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 @dataclass(frozen=True)
 class OutputRecord:
     command: tuple[str, ...]
@@ -66,7 +91,9 @@ class OutputRecord:
         )
 
 
+@cache
 def _build_parser() -> _Parser:
+    """Built once, on the first run(), so that importing the module stays cheap."""
     parser = _Parser(prog="beatty", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -76,45 +103,45 @@ def _build_parser() -> _Parser:
         return p
 
     p = add("f", "floor(phi * x)")
-    p.add_argument("x", type=int)
+    p.add_argument("x", type=_integer)
 
     p = add("inv", "the x with floor(phi*x) = y, if any")
-    p.add_argument("y", type=int)
+    p.add_argument("y", type=_integer)
 
     p = add("zeck", "Zeckendorf indices of n")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_integer)
 
     p = add("word", "prefix of the Fibonacci word")
-    p.add_argument("length", type=int)
+    p.add_argument("length", type=_integer)
 
     p = add("c", "n-th Fibonacci-word symbol")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_integer)
 
     p = add("pisano", "period of the Fibonacci sequence mod n")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_integer)
 
     p = add("solve", "solve x = xm (mod xn), f(x) = fm (mod fn) [, lo < x < hi]")
-    p.add_argument("--xn", type=int, required=True)
-    p.add_argument("--xm", type=int, required=True)
-    p.add_argument("--fn", type=int, required=True)
-    p.add_argument("--fm", type=int, required=True)
-    p.add_argument("--lo", type=int, default=None)
-    p.add_argument("--hi", type=int, default=None)
-    p.add_argument("--cap", type=int, default=DEFAULT_ENUM_CAP)
+    p.add_argument("--xn", type=_integer, required=True)
+    p.add_argument("--xm", type=_integer, required=True)
+    p.add_argument("--fn", type=_integer, required=True)
+    p.add_argument("--fm", type=_integer, required=True)
+    p.add_argument("--lo", type=_integer, default=None)
+    p.add_argument("--hi", type=_integer, default=None)
+    p.add_argument("--cap", type=_integer, default=DEFAULT_ENUM_CAP)
 
     p = add("window", "solution set of f(x) <rel> slope*x + k over x >= 1")
     p.add_argument("relation", choices=["<", "=", ">"])
     p.add_argument("slope", help="rational like 3/2 or 2")
-    p.add_argument("offset", type=int)
+    p.add_argument("offset", type=_integer)
 
     p = add("decide", "decide a sentence of the formula language")
     p.add_argument("formula")
-    p.add_argument("--bound", type=int, default=DEFAULT_EVAL_BOUND,
+    p.add_argument("--bound", type=_integer, default=DEFAULT_EVAL_BOUND,
                    help="quantifier scan radius for the bounded fallback")
-    p.add_argument("--cap", type=int, default=DEFAULT_ENUM_CAP)
+    p.add_argument("--cap", type=_integer, default=DEFAULT_ENUM_CAP)
 
     p = add("audit", "check the defining axiom families on [-N, N]")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_integer)
 
     return parser
 
@@ -184,6 +211,8 @@ def _cmd_solve(args) -> tuple[dict, str, str, int]:
 
 def _cmd_window(args) -> tuple[dict, str, str, int]:
     try:
+        if _too_long(args.slope) or "e" in args.slope.lower():  # 10**exponent is unbounded
+            raise ValueError(f"at most {MAX_LITERAL_DIGITS} digits and no exponent")
         slope = Fraction(args.slope)
     except (ValueError, ZeroDivisionError) as exc:
         raise _UsageError(f"bad slope {args.slope!r}: {exc}") from None

@@ -7,6 +7,7 @@ model checking for everything else, and an audit of the defining axioms.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, count
@@ -213,6 +214,10 @@ class _TooDeep(ParseError):
 # the interpreter's recursion limit.
 MAX_NESTING = 100
 
+# Longer integer literals are refused before conversion, which is quadratic
+# in the number of digits.
+MAX_LITERAL_DIGITS = sys.int_info.default_max_str_digits
+
 
 _TOKEN = re.compile(r"->|<=|>=|!=|[()\[\],.+\-*<>=!&|]|\d+|[A-Za-z_][A-Za-z0-9_]*")
 _RELS = ("<", "<=", "=", "!=", ">", ">=")
@@ -230,6 +235,9 @@ class _Parser:
             m = _TOKEN.match(text, pos)
             if not m:
                 raise ParseError(f"unexpected character {text[pos]!r}", pos)
+            literal = m.group().removeprefix("p")  # p<digits> carries a modulus
+            if len(literal) > MAX_LITERAL_DIGITS and literal.isdigit():
+                raise ParseError(f"integer literal longer than {MAX_LITERAL_DIGITS} digits", pos)
             self.tokens.append((m.group(), pos))
             pos = m.end()
         self.i = 0

@@ -1,16 +1,18 @@
 """Convergent ladders toward phi and exact integer solution sets of linear
 constraints f(x) <op> slope*x + offset over x >= 1.
 
-For an integer slope the three solution sets are plain intervals or
-half-lines.  A fractional slope makes the right-hand side land on integers
-only along residue classes of x, so the exact sets are finite unions of
-congruence-restricted intervals; WindowSet carries that general shape.
+As n*f(x) <op> m*x + c0, f(x) = phi*x - {phi*x} settles the comparison outside
+a zone of about 1/|phi - slope| integers: a < or > set is a settled interval
+plus the zone points that hold, as runs, or per residue class of x mod n
+near phi, where that is smaller.  An = set is one residue class.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import ceil, floor, gcd, lcm
 
 from .congruence import Congruence, crt_combine
@@ -18,7 +20,6 @@ from .golden import QuadRat, compare_phi, f_floor, quad_ceil, quad_floor
 from .numeration import fib
 
 __all__ = [
-    "Rational",
     "convergent_d",
     "convergent_u",
     "BracketInfo",
@@ -32,7 +33,9 @@ __all__ = [
     "least_adequate_index",
 ]
 
-Rational = Fraction
+# A < or > set is built per class when its zone has more points than this
+# many per class: measured fastest for deciding near-phi sentences.
+CLASS_CROSSOVER = 8
 
 
 def convergent_d(i: int) -> Fraction:
@@ -98,12 +101,13 @@ class LinearConstraint:
             raise ValueError(f"relation must be one of < = >, got {self.relation!r}")
         object.__setattr__(self, "slope", Fraction(self.slope))
         object.__setattr__(self, "offset", Fraction(self.offset))
-
-    def integer_form(self) -> tuple[int, int, int]:
         n = lcm(self.slope.denominator, self.offset.denominator)
         m = self.slope.numerator * (n // self.slope.denominator)
         c0 = self.offset.numerator * (n // self.offset.denominator)
-        return n, m, c0
+        object.__setattr__(self, "_integer_form", (n, m, c0))
+
+    def integer_form(self) -> tuple[int, int, int]:
+        return self._integer_form
 
     def holds(self, x: int) -> bool:
         n, m, c0 = self.integer_form()
@@ -143,29 +147,53 @@ def _piece_key(p: Piece) -> tuple:
 
 
 def _intersect_pieces(a: Piece, b: Piece) -> Piece | None:
+    lo = max(a.lo, b.lo)
+    hi = b.hi if a.hi is None else a.hi if b.hi is None else min(a.hi, b.hi)
+    if hi is not None and hi < lo:
+        return None
+    if b.mod == 1 and (lo, hi) == (a.lo, a.hi):
+        return a
+    if a.mod == 1 and (lo, hi) == (b.lo, b.hi):
+        return b
+    if a.mod == 1 or b.mod == 1:  # residue 0 mod 1: the other piece's class
+        return _make_piece(lo, hi, a.mod * b.mod, a.res + b.res)
     merged = crt_combine([Congruence(a.mod, a.res), Congruence(b.mod, b.res)])
     if merged is None:
         return None
-    lo = max(a.lo, b.lo)
-    if a.hi is None:
-        hi = b.hi
-    elif b.hi is None:
-        hi = a.hi
-    else:
-        hi = min(a.hi, b.hi)
     return _make_piece(lo, hi, merged.modulus, merged.residue)
+
+
+def _intersect_runs(a: tuple[Piece, ...], b: tuple[Piece, ...]) -> tuple[Piece, ...]:
+    """Overlaps of two sorted lists of maximal runs, in one sweep."""
+    out, i, j = [], 0, 0
+    while i < len(a) and j < len(b):
+        out.append(_intersect_pieces(a[i], b[j]))
+        if b[j].hi is None or (a[i].hi is not None and a[i].hi < b[j].hi):
+            i += 1
+        else:
+            j += 1
+    return tuple(p for p in out if p is not None)
 
 
 @dataclass(frozen=True)
 class WindowSet:
-    """A finite union of congruence-restricted intervals over x >= 1."""
+    """A finite union of congruence-restricted intervals over x >= 1; its runs
+    (modulus-1 pieces) are sorted, disjoint and maximal (see from_pieces)."""
 
     pieces: tuple[Piece, ...]
 
     @classmethod
     def from_pieces(cls, pieces: list[Piece | None]) -> "WindowSet":
-        kept = sorted({p for p in pieces if p is not None}, key=_piece_key)
-        return cls(tuple(kept))
+        runs, classes = [], set()
+        for p in sorted(filter(None, pieces), key=_piece_key):
+            if p.mod > 1:
+                classes.add(p)
+            elif runs and (runs[-1].hi is None or p.lo <= runs[-1].hi + 1):
+                if runs[-1].hi is not None and (p.hi is None or p.hi > runs[-1].hi):
+                    runs[-1] = Piece(runs[-1].lo, p.hi)
+            else:
+                runs.append(p)
+        return cls(tuple(sorted(runs + list(classes), key=_piece_key)))
 
     @classmethod
     def empty(cls) -> "WindowSet":
@@ -206,11 +234,21 @@ class WindowSet:
     def is_empty(self) -> bool:
         return not self.pieces
 
+    @cached_property
+    def _index(self) -> tuple[list[int], list[Piece], dict, set[int]]:
+        classes: dict[tuple[int, int], list[Piece]] = {}
+        for p in self.pieces:
+            classes.setdefault((p.mod, p.res), []).append(p)
+        runs = classes.pop((1, 0), [])
+        return [p.lo for p in runs], runs, classes, {mod for mod, _ in classes}
+
     def __contains__(self, x: int) -> bool:
-        return any(
-            p.lo <= x and (p.hi is None or x <= p.hi) and x % p.mod == p.res
-            for p in self.pieces
-        )
+        starts, runs, classes, moduli = self._index
+        i = bisect_right(starts, x) - 1
+        if i >= 0 and (runs[i].hi is None or x <= runs[i].hi):
+            return True
+        return any(p.lo <= x and (p.hi is None or x <= p.hi)
+                   for mod in moduli for p in classes.get((mod, x % mod), ()))
 
     def min_element(self) -> int | None:
         return min((p.lo for p in self.pieces), default=None)
@@ -233,6 +271,9 @@ class WindowSet:
         return sorted(seen)
 
     def intersect(self, other: "WindowSet") -> "WindowSet":
+        """A linear merge of two run sets; pairwise otherwise."""
+        if all(p.mod == 1 for w in (self, other) for p in w.pieces):
+            return WindowSet(_intersect_runs(self.pieces, other.pieces))
         return WindowSet.from_pieces(
             [_intersect_pieces(a, b) for a in self.pieces for b in other.pieces]
         )
@@ -241,10 +282,7 @@ class WindowSet:
         """Restrict to the open window lower < x < upper (None = unbounded)."""
         lo = 1 if lower is None else max(lower + 1, 1)
         hi = None if upper is None else upper - 1
-        guard = _make_piece(lo, hi)
-        if guard is None:
-            return WindowSet.empty()
-        return self.intersect(WindowSet((guard,)))
+        return self.intersect(WindowSet.from_pieces([_make_piece(lo, hi)]))
 
 
 def _qdiv(t: int, denom: QuadRat) -> QuadRat:
@@ -254,32 +292,30 @@ def _qdiv(t: int, denom: QuadRat) -> QuadRat:
 def solution_window(constraint: LinearConstraint) -> WindowSet:
     """The exact set {x >= 1 : f(x) <relation> slope*x + offset}.
 
-    Derived from the characterization slope*x + offset <= phi*x <
-    slope*x + offset + 1 of equality, worked per residue class of x modulo
-    the cleared denominator; all endpoint floors are exact QuadRat
-    arithmetic.  Boundary membership is re-verified against f_floor.
+    Endpoint floors are exact QuadRat arithmetic, zone points are compared
+    through f_floor, and every piece boundary is re-verified against
+    f_floor.
     """
     n, m, c0 = constraint.integer_form()
     below = compare_phi(m, n) < 0  # slope < phi (a rational never equals phi)
     rel = constraint.relation
     # n*phi - m = (n - 2m + n*sqrt(5)) / 2, positive exactly when slope < phi
     denom = QuadRat(n - 2 * m, n, 2)
+    # The zone c0 < (n*phi - m)*x < c0 + n is [lo, hi].
+    a, b = (c0, c0 + n) if below else (c0 + n, c0)
+    lo, hi = quad_floor(_qdiv(a, denom)) + 1, quad_ceil(_qdiv(b, denom)) - 1
     pieces: list[Piece | None] = []
 
     if rel == "=":
-        # n*f(x) = m*x + c0 needs n | m*x + c0; then the condition is
-        # c0 <= (n*phi - m)*x < c0 + n.
+        # n*f(x) = m*x + c0 at the zone points with n | m*x + c0: one class
         g = gcd(m, n)
         if c0 % g == 0:
             n_cls = n // g
             r0 = 0 if n_cls == 1 else (-(c0 // g) * pow((m // g) % n_cls, -1, n_cls)) % n_cls
-            if below:
-                lo = quad_ceil(_qdiv(c0, denom))
-                hi = quad_ceil(_qdiv(c0 + n, denom)) - 1
-            else:
-                lo = quad_floor(_qdiv(c0 + n, denom)) + 1
-                hi = quad_floor(_qdiv(c0, denom))
             pieces.append(_make_piece(lo, hi, n_cls, r0))
+    elif hi - max(lo, 1) + 1 <= CLASS_CROSSOVER * n:
+        sign = 1 if rel == ">" else -1
+        pieces += _zone_runs(sign * n, sign * m, sign * c0, lo, hi, (rel == "<") == below)
     elif rel == "<":
         # n*f(x) <= m*x + c0 - 1, settled per class r: the threshold is
         # (n*phi - m)*x < c0 + n - 1 - ((m*r + c0 - 1) mod n).
@@ -303,12 +339,26 @@ def solution_window(constraint: LinearConstraint) -> WindowSet:
     return window
 
 
+def _zone_runs(n: int, m: int, c0: int, lo: int, hi: int, before: bool) -> list[Piece | None]:
+    """Maximal runs (None where empty) of {x >= 1 : n*f(x) > m*x + c0}, given
+    that the comparison is `before` on x < lo and the opposite on x > hi."""
+    edges = [1] if before else []  # where runs start and end, alternately
+    for x in range(max(lo, 1), hi + 1):
+        if (n * f_floor(x) > m * x + c0) is not (len(edges) % 2 == 1):
+            edges.append(x)
+    if (len(edges) % 2 == 1) is before:
+        edges.append(max(hi + 1, 1))
+    edges.append(None)
+    return [_make_piece(a, None if b is None else b - 1) for a, b in zip(edges[::2], edges[1::2])]
+
+
 def _verify_boundaries(constraint: LinearConstraint, window: WindowSet) -> None:
+    """Probe every piece end, and the class point past it, in O(P log P)."""
     for p in window.pieces:
-        probes = [(p.lo, True), (p.lo - p.mod, False)]
+        probes = {p.lo: True, p.lo - p.mod: False}
         if p.hi is not None:
-            probes += [(p.hi, True), (p.hi + p.mod, False)]
-        for x, expected in probes:
+            probes |= {p.hi: True, p.hi + p.mod: False}
+        for x, expected in probes.items():
             if x >= 1 and (x in window) is not expected:
                 raise AssertionError(
                     f"window boundary check failed at x={x} for {constraint}"

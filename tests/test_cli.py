@@ -1,5 +1,6 @@
 import json
 import sys
+import time
 
 import pytest
 
@@ -178,3 +179,55 @@ def test_witness_beyond_the_digit_limit_prints(capsys):
     finally:
         sys.set_int_max_str_digits(limit)
     assert f_floor(witness) % 200 == 199
+
+
+def _outcome(argv, capsys):
+    code = run(argv)
+    captured = capsys.readouterr()
+    out = captured.out
+    if "--json" in argv and code != 64:
+        record = json.loads(out)
+        del record["elapsed_s"]
+        out = record
+    return code, out, captured.err
+
+
+def test_cached_parser_matches_fresh_parsers(capsys):
+    sequence = [
+        ["f", "7"], ["f", "7", "--json"], ["window", ">", "3/2", "0", "--json"],
+        ["window", ">", "3/2", "0"], ["f", "x7"], ["f", "7"],
+        ["solve", "--xn", "2", "--xm", "1"], ["zeck", "100", "--json"],
+        ["decide", "exists x. (0 < x & f(x) = x + 1)", "--json"], ["nosuchcommand"],
+        ["decide", "exists x. (0 < x & f(x) = x + 1)"], ["window", "=", "1/0", "3"],
+        ["pisano", "10", "--json"], ["pisano", "10"],
+    ]
+    cached = [_outcome(argv, capsys) for argv in sequence]
+    fresh = []
+    for argv in sequence:
+        cli._build_parser.cache_clear()
+        fresh.append(_outcome(argv, capsys))
+    assert cached == fresh
+    assert [code for code, _, _ in cached] == [0, 0, 0, 0, 64, 0, 64, 0, 0, 64, 0, 64, 0, 0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["f", "1" * 100_000],
+    ["solve", "--xn", "1", "--xm", "0", "--fn", "2", "--fm", "1", "--hi", "9" * 100_000],
+    ["window", ">", "1" * 100_000 + "/3", "0"],
+    ["window", ">", "1e99999", "0"],
+    ["decide", "f(" + "9" * 100_000 + ") > 0"],
+    ["decide", "exists x. p" + "7" * 100_000 + "(x)"],
+], ids=["f", "solve --hi", "window slope", "window exponent", "decide literal",
+        "decide modulus"])
+def test_overlong_decimal_inputs_exit_64_at_once(argv, capsys):
+    started = time.perf_counter()
+    assert run(argv) == 64
+    assert time.perf_counter() - started < 0.05
+    assert f"{sys.int_info.default_max_str_digits} digits" in capsys.readouterr().err
+
+
+def test_decimal_inputs_at_the_digit_limit_still_convert(capsys):
+    digits = sys.int_info.default_max_str_digits
+    assert run(["f", "1" * digits]) == 0
+    assert run(["decide", "f(" + "1" * digits + ") > 0"]) == 0
+    assert run(["window", ">", "1" * (digits - 1) + "/7", "0"]) == 1

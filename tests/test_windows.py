@@ -204,3 +204,152 @@ def test_axiom_v_adequate_index_restricted_form_passes():
             assert index >= bracket.index + 1
             report = axiom_v_check(slope, offset, index, 2000, only_integer_rhs=True)
             assert report.passed, (slope, offset, index, report.counterexamples[:3])
+
+
+# --- the settled-zone representation ------------------------------------------
+
+PHI = (1 + 5 ** 0.5) / 2
+
+
+def _near_phi_constraints(n_values, seed):
+    """n*f(x) <rel> m*x + k with m/n 0.3-5% on either side of phi and k in
+    [-2n, 2n]."""
+    rng = random.Random(seed)
+    for n in n_values:
+        for side in (-1, 1):
+            for dev in (0.003, 0.012, 0.05):
+                slope = Fraction(round(n * PHI * (1 + side * dev)), n)
+                for k in (-2 * n, rng.randint(-2 * n, 2 * n), 2 * n):
+                    for relation in "<=>":
+                        yield LinearConstraint(relation, slope, Fraction(k, n))
+
+
+def _zone_end(constraint):
+    """Past this x the comparison no longer depends on x (the settled side)."""
+    n, m, c0 = constraint.integer_form()
+    return int((abs(c0) + n) / abs(n * PHI - m)) + 2
+
+
+# Near-convergent slopes: their zones outgrow the n residue classes, so these
+# sets are built per class.
+PER_CLASS_SLOPES = [Fraction(13, 8), Fraction(144, 89), Fraction(809, 500)]
+
+
+def test_window_brute_agreement_near_phi():
+    constraints = list(_near_phi_constraints((97, 500, 2000), seed=11))
+    constraints += [LinearConstraint(rel, s, Fraction(k, s.denominator)) for s in PER_CLASS_SLOPES
+                    for k in (-s.denominator, 0, 3) for rel in "<=>"]
+    for constraint in constraints:
+        window = solution_window(constraint)
+        limit = _zone_end(constraint) + 2 * constraint.slope.denominator
+        assert window.members_upto(limit) == _brute_members(constraint, limit), constraint
+
+
+def test_near_phi_membership_far_out():
+    rng = random.Random(12)
+    constraints = list(_near_phi_constraints((97, 2000), seed=13))
+    constraints += [LinearConstraint(rel, s, Fraction(5, s.denominator))
+                    for s in PER_CLASS_SLOPES for rel in "<=>"]
+    for constraint in constraints:
+        window = solution_window(constraint)
+        for x in [rng.randint(1, 10**7) for _ in range(25)]:
+            assert (x in window) == constraint.holds(x), (constraint, x)
+
+
+def test_both_shapes_are_built():
+    runs = solution_window(LinearConstraint(">", Fraction(162, 100), 7))
+    assert all(p.mod == 1 for p in runs.pieces)
+    per_class = solution_window(LinearConstraint(">", Fraction(144, 89), 7))
+    assert per_class.pieces and all(p.mod == 89 for p in per_class.pieces)
+
+
+def _assert_canonical_runs(window):
+    runs = [p for p in window.pieces if p.mod == 1]
+    for a, b in zip(runs, runs[1:]):
+        assert a.hi is not None and a.hi + 1 < b.lo, (a, b)
+
+
+def test_window_far_from_phi_is_one_half_line():
+    window = solution_window(LinearConstraint(">", Fraction(1, 1_000_000), 0))
+    assert window.kind == "half_line_up"
+    assert window == WindowSet.all() == WindowSet.half_line_up(1)
+
+
+def test_equal_sets_have_equal_pieces():
+    window = solution_window(LinearConstraint(">", Fraction(3, 2), 0))
+    _assert_canonical_runs(window)
+    tail = window.pieces[-1].lo
+    points = [WindowSet.finite_interval(x, x) for x in window.members_upto(tail - 1)]
+    rebuilt = WindowSet.from_pieces([p for w in points for p in w.pieces]
+                                    + list(WindowSet.half_line_up(tail).pieces))
+    assert rebuilt == window
+    assert WindowSet.all().intersect(window) == window == window.intersect(window)
+    assert window.clip(None, None) == window
+    split = WindowSet.from_pieces(list(WindowSet.finite_interval(1, 5).pieces)
+                                  + list(WindowSet.finite_interval(6, 9).pieces))
+    assert split == WindowSet.finite_interval(1, 9)
+    assert split.kind == "half_line_down"
+
+
+_run_windows = st.builds(
+    lambda rel, num, offset: solution_window(LinearConstraint(rel, Fraction(num, 100), offset)),
+    st.sampled_from("<>"), st.integers(150, 175), st.integers(-40, 40),
+).filter(lambda w: all(p.mod == 1 for p in w.pieces))  # 8/5 and 81/50 are built per class
+_class_windows = st.builds(
+    lambda rel, slope, offset: solution_window(LinearConstraint(rel, slope, offset)),
+    st.sampled_from("<=>"), st.sampled_from([Fraction(13, 8), Fraction(8, 5), Fraction(21, 13)]),
+    st.integers(-20, 20))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_run_windows, st.one_of(_run_windows, _class_windows), st.integers(1, 3000))
+def test_windowset_intersection_with_runs_is_setwise(runs, other, probe):
+    merged = runs.intersect(other)
+    assert (probe in merged) == ((probe in runs) and (probe in other))
+    assert merged == other.intersect(runs)
+    if all(p.mod == 1 for p in other.pieces):
+        _assert_canonical_runs(merged)
+
+
+def _nf_sentences(seed):
+    """exists x. (0 < x & congruence & first [& second]) with near-phi
+    comparisons.  The first is < below phi or > above it, which bounds the
+    solution set by its zone, so a scan up to the zone end is a complete
+    oracle; it is returned with the sentence."""
+    rng = random.Random(seed)
+    congruences = ["p5(x + 2)", "p7(f(x) + 3)", "p4(f(x) + 1) & p3(x)", "p2(x)"]
+    for i in range(40):
+        side = rng.choice((-1, 1))
+        n = rng.choice([97, 500, 2000])
+        m = round(n * PHI * (1 + side * rng.uniform(0.003, 0.05)))
+        if i % 4 == 0:
+            n, m = 13, 21  # a window built per class
+        rel = "<" if m / n < PHI else ">"
+        k = rng.randint(-2 * n, 2 * n)
+        parts = ["0 < x", rng.choice(congruences), f"{n}*f(x) {rel} {m}*x + {k}"]
+        if i % 2:
+            n2 = rng.choice([8, 97, 300])
+            m2 = round(n2 * PHI * (1 - side * rng.uniform(0.003, 0.05)))
+            parts.append(f"{n2}*f(x) {rng.choice('<>=')} {m2}*x + {rng.randint(-2 * n2, 2 * n2)}")
+        yield "exists x. (" + " & ".join(parts) + ")", LinearConstraint(
+            rel, Fraction(m, n), Fraction(k, n))
+
+
+def test_nf_decider_on_near_phi_windows_agrees_with_a_scan():
+    from beatty.logic import decide, evaluate, parse
+
+    truths = set()
+    for text, first in _nf_sentences(17):
+        sentence = parse(text)
+        decision = decide(sentence)
+        assert decision.provenance == "exact", text
+
+        def holds(x):
+            return evaluate(sentence.body, {sentence.var: x}).truth
+
+        scan = any(holds(x) for x in range(1, _zone_end(first) + 1))
+        assert decision.truth == scan, text
+        if decision.truth:
+            assert holds(decision.witness), (text, decision.witness)
+        truths.add(decision.truth)
+    assert truths == {True, False}
