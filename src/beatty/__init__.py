@@ -6,10 +6,8 @@ from .congruence import (
     CongruenceSystem,
     SolveOutcome,
     crt_combine,
-    find_period_index,
     solve_image,
     solve_system,
-    solve_system_bounded,
 )
 from .golden import (
     QuadRat,

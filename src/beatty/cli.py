@@ -1,8 +1,9 @@
 """Command-line front door.
 
 Exit codes: 0 answered (value computed / True / witness found), 1 negative
-answer (False / no solution / empty), 2 unknown (a search cap was hit),
-64 usage or parse error, 70 internal error (a defect, never an answer).
+answer (False / no solution / empty), 2 unknown (reserved for an evaluation
+budget), 64 usage or parse error, 70 internal error (a defect, never an
+answer).
 All numbers print in decimal, however many digits they have; --json emits
 one structured object per run with every numeric field as a decimal string.
 """
@@ -17,13 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-from .congruence import (
-    DEFAULT_ENUM_CAP,
-    Congruence,
-    CongruenceSystem,
-    solve_system,
-    solve_system_bounded,
-)
+from .congruence import Congruence, CongruenceSystem, solve_system
 from .golden import f_floor, f_inverse
 from .logic import (
     BOUNDED,
@@ -127,7 +122,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--fm", type=_integer, required=True)
     p.add_argument("--lo", type=_integer, default=None)
     p.add_argument("--hi", type=_integer, default=None)
-    p.add_argument("--cap", type=_integer, default=DEFAULT_ENUM_CAP)
 
     p = add("window", "solution set of f(x) <rel> slope*x + k over x >= 1")
     p.add_argument("relation", choices=["<", "=", ">"])
@@ -138,7 +132,6 @@ def _build_parser() -> _Parser:
     p.add_argument("formula")
     p.add_argument("--bound", type=_integer, default=DEFAULT_EVAL_BOUND,
                    help="quantifier scan radius for the bounded fallback")
-    p.add_argument("--cap", type=_integer, default=DEFAULT_ENUM_CAP)
 
     p = add("audit", "check the defining axiom families on [-N, N]")
     p.add_argument("n", type=_integer)
@@ -190,23 +183,11 @@ def _cmd_solve(args) -> tuple[dict, str, str, int]:
         lower=args.lo,
         upper=args.hi,
     )
-    if args.lo is None and args.hi is None:
-        out = solve_system(system, enum_cap=args.cap)
-    else:
-        out = solve_system_bounded(system, enum_cap=args.cap)
+    out = solve_system(system)
     if out.is_witness:
-        result = {"status": "witness", "witness": str(out.witness)}
-        if out.fallback_used:
-            result["fallback_used"] = True
-        return result, f"witness {out.witness}", "exact", EXIT_OK
-    if out.status == "no_solution":
-        return {"status": "no_solution"}, "no solution", "exact", EXIT_NEGATIVE
-    return (
-        {"status": "unknown", "reason": out.reason},
-        f"unknown: {out.reason}",
-        "exact",
-        EXIT_UNKNOWN,
-    )
+        witness = str(out.witness)
+        return {"status": "witness", "witness": witness}, f"witness {witness}", "exact", EXIT_OK
+    return {"status": "no_solution"}, "no solution", "exact", EXIT_NEGATIVE
 
 
 def _cmd_window(args) -> tuple[dict, str, str, int]:
@@ -240,7 +221,7 @@ def _cmd_window(args) -> tuple[dict, str, str, int]:
 
 def _cmd_decide(args) -> tuple[dict, str, str, int]:
     sentence = parse(args.formula)
-    decision = decide(sentence, args.bound, enum_cap=args.cap)
+    decision = decide(sentence, args.bound)
     provenance = decision.provenance
     result: dict = {"truth": {True: "true", False: "false", None: "unknown"}[decision.truth]}
     if decision.bound is not None:

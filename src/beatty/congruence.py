@@ -1,46 +1,34 @@
-"""Congruence solvers for the pair (x mod n, f(x) mod n') with an optional
+"""Congruence solver for the pair (x mod n, f(x) mod n') with an optional
 order window, where f(x) = floor(phi * x).
 
-The constructive strategy: adding fib(j) to x >= 1, for any j at least two
-above every Zeckendorf index of x, adds exactly fib(j+1) to f(x).  Choosing
-j with fib(j) = 0 and fib(j+1) = 1 modulo lcm(n, n') therefore fixes x mod n
-and bumps f(x) mod n' by one per step.
+The solver finds the least witness by convergent substitution: for
+1 <= x < fib(k), f(x) = floor(fib(k+1) * x / fib(k)).  The convergent
+fib(k+1)/fib(k) is within 1/(fib(k) * fib(k+1)) of phi, so phi*x is within
+1/fib(k+1) of fib(k+1)*x/fib(k), which is not an integer and so lies at
+least 1/fib(k) from every integer.  Along the class x = x0 + n*t the
+condition f(x) = m' (mod n') then reads (a*t + b) mod M in [L, L + w], a
+Euclid-style search (the family of floor_sum) solves that for the least t,
+and k grows until the least t lands below fib(k) or fib(k) passes the
+window.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd, lcm
 
-from .golden import f_floor, f_inverse
-from .numeration import c as word_bit
-from .numeration import fib, pisano, zeckendorf
+from .golden import f_floor
+from .numeration import fib
 
 __all__ = [
-    "DEFAULT_ENUM_CAP",
     "Congruence",
     "CongruenceSystem",
     "SolveOutcome",
-    "PeriodIndexNotFound",
-    "SearchExhausted",
     "crt_combine",
     "solve_image",
-    "find_period_index",
     "solve_system",
-    "solve_system_bounded",
     "satisfies",
 ]
-
-DEFAULT_ENUM_CAP = 10_000_000
-
-
-class PeriodIndexNotFound(Exception):
-    """No qualifying Fibonacci index exists above the requested point."""
-
-
-class SearchExhausted(Exception):
-    """Every bounded search strategy ran out of budget."""
 
 
 @dataclass(frozen=True)
@@ -78,22 +66,12 @@ class CongruenceSystem:
 
 @dataclass(frozen=True)
 class SolveOutcome:
-    status: str  # "witness" | "no_solution" | "unknown"
+    status: str  # "witness" | "no_solution"
     witness: int | None = None
-    reason: str | None = None
-    fallback_used: bool = False
 
-    @classmethod
-    def found(cls, x: int, fallback_used: bool = False) -> "SolveOutcome":
-        return cls("witness", witness=x, fallback_used=fallback_used)
-
-    @classmethod
-    def no_solution(cls) -> "SolveOutcome":
-        return cls("no_solution")
-
-    @classmethod
-    def unknown(cls, reason: str) -> "SolveOutcome":
-        return cls("unknown", reason=reason)
+    # There is one search, so no outcome comes from a fallback; the flag
+    # stays only because perfbench/tracing.py reads it.
+    fallback_used = False
 
     @property
     def is_witness(self) -> bool:
@@ -131,196 +109,87 @@ def crt_combine(congruences: list[Congruence]) -> Congruence | None:
     return Congruence(n, m)
 
 
-@lru_cache(maxsize=None)
-def _period_profile(n: int) -> tuple[int, tuple[int, ...]]:
-    """(pisano(n), indices j in [0, 2*pisano(n)) with fib(j) = 0 and
-    fib(j+1) = 1 mod n).  The pattern repeats with period pisano(n), so one
-    double-period scan characterizes all qualifying indices."""
-    pi = pisano(n)
-    qualifying: list[int] = []
-    a, b = 1 % n, 1 % n
-    for j in range(2 * pi):
-        if a == 0 and b == 1 % n:
-            qualifying.append(j)
-        a, b = b, (a + b) % n
-    return pi, tuple(qualifying)
-
-
-def find_period_index(n: int, min_index: int = 0, parity: str = "even") -> int:
-    """Smallest index j > min_index of the requested parity with
-    fib(j) = 0 (mod n) and fib(j+1) = 1 (mod n).
-
-    Qualifying indices recur with period pisano(n); absence within
-    min_index + 4*pisano(n) + 4 therefore means absence everywhere, and
-    raises PeriodIndexNotFound.
-    """
-    if n < 1:
-        raise ValueError(f"modulus must be >= 1, got {n}")
-    if parity not in ("even", "odd", "any"):
-        raise ValueError(f"parity must be 'even', 'odd' or 'any', got {parity!r}")
-    pi, qualifying = _period_profile(n)
-    step = 2 * pi  # even, so stepping preserves parity
-    best: int | None = None
-    for q in qualifying:
-        if parity == "even" and q % 2 == 1:
-            continue
-        if parity == "odd" and q % 2 == 0:
-            continue
-        j = q + step * max(0, -((q - min_index - 1) // step))
-        while j <= min_index:
-            j += step
-        if best is None or j < best:
-            best = j
-    if best is None:
-        raise PeriodIndexNotFound(
-            f"no {parity} index j with fib(j)=0, fib(j+1)=1 (mod {n}) "
-            f"within ({min_index}, {min_index + 4 * pi + 4}]"
-        )
-    return best
-
-
-def _next_period_index(n: int, min_index: int) -> int:
-    # Even indices (which make fib(j) itself a value of f) exist only when
-    # pisano(n) is odd, i.e. n <= 2: qualifying j satisfy j = -1 mod pisano.
-    # For x >= 1 the additivity step works for either parity, so relax.
-    try:
-        return find_period_index(n, min_index, parity="even")
-    except PeriodIndexNotFound:
-        return find_period_index(n, min_index, parity="any")
-
-
-def solve_image(n: int, m: int, *, cap: int = DEFAULT_ENUM_CAP) -> int:
-    """Some c >= 1 with f_floor(c) = m (mod n).
-
-    Scans the residue class of m for a 1-symbol of the Fibonacci word (its
-    positions are exactly the values of f) and inverts; past the class-scan
-    bound it falls back to scanning arguments directly.
-    """
+def solve_image(n: int, m: int) -> int:
+    """The least c >= 1 with f_floor(c) = m (mod n)."""
     if n < 1 or not 0 <= m < n:
         raise ValueError(f"need n >= 1 and 0 <= m < n, got n={n}, m={m}")
-    limit = m + n * (2 * pisano(n) + 2)
-    y = m if m >= 1 else m + n
-    while y <= limit:
-        if word_bit(y) == 1:
-            x = f_inverse(y)
-            assert x is not None and f_floor(x) % n == m
-            return x
-        y += n
-    for x in range(1, cap + 1):
-        if f_floor(x) % n == m:
-            return x
-    raise SearchExhausted(f"no c with f(c) = {m} (mod {n}) within cap {cap}")
+    return solve_system(CongruenceSystem(Congruence(1, 0), Congruence(n, m))).witness
 
 
-def _solve_unbounded(on_x: Congruence, on_fx: Congruence, enum_cap: int) -> SolveOutcome:
-    n, m = on_x.modulus, on_x.residue
-    n2, m2 = on_fx.modulus, on_fx.residue
-    x = m if m >= 1 else n
-    if n2 > 1:
-        shared = lcm(n, n2)
-        top = zeckendorf(x)[-1]
-        constructive_ok = True
-        for _ in range(n2 - 1):
-            if f_floor(x) % n2 == m2:
-                break
-            try:
-                j = _next_period_index(shared, top + 1)
-            except PeriodIndexNotFound:
-                constructive_ok = False
-                break
-            x += fib(j)
-            top = j
-        if constructive_ok and f_floor(x) % n2 == m2 and x % n == m:
-            return SolveOutcome.found(x)
-        # Fallback: direct scan of the residue class.
-        x = m if m >= 1 else n
-        for _ in range(enum_cap):
-            if f_floor(x) % n2 == m2:
-                return SolveOutcome.found(x, fallback_used=True)
-            x += n
-        return SolveOutcome.unknown(f"class scan exhausted cap {enum_cap}")
-    return SolveOutcome.found(x)
+def _least_step(a: int, b: int, M: int, L: int, w: int) -> int | None:
+    """Least t >= 0 with (a*t + b) mod M in [L, L + w], where 0 <= L and
+    L + w < M; None when there is none.
 
-
-def _enumerate_window(
-    on_x: Congruence, on_fx: Congruence, lower: int, upper: int, enum_cap: int
-) -> SolveOutcome:
-    n, m = on_x.modulus, on_x.residue
-    first = lower + 1 + ((m - lower - 1) % n)
-    if first >= upper:
-        return SolveOutcome.no_solution()
-    count = (upper - 1 - first) // n + 1
-    if count > enum_cap:
-        return SolveOutcome.unknown(f"window holds {count} candidates, exceeds cap {enum_cap}")
-    n2, m2 = on_fx.modulus, on_fx.residue
-    x = first
-    while x < upper:
-        if f_floor(x) % n2 == m2:
-            return SolveOutcome.found(x)
-        x += n
-    return SolveOutcome.no_solution()
-
-
-def _pump_above(x: int, lower: int, on_x: Congruence, on_fx: Congruence) -> int:
-    """Raise a witness above `lower` while preserving both residues: each
-    round of on_fx.modulus additions shifts f(x) mod n' by a full cycle."""
-    n2 = on_fx.modulus
-    shared = lcm(on_x.modulus, n2)
-    top = zeckendorf(x)[-1]
-    while x <= lower:
-        for _ in range(n2):
-            j = _next_period_index(shared, top + 1)
-            x += fib(j)
-            top = j
-    return x
-
-
-def solve_system(system: CongruenceSystem, *, enum_cap: int = DEFAULT_ENUM_CAP) -> SolveOutcome:
-    """Decide the window-free system; the construction always produces a
-    verified natural-number witness."""
-    if system.lower is not None or system.upper is not None:
-        raise ValueError("solve_system expects an unbounded window; use solve_system_bounded")
-    out = _solve_unbounded(system.on_x, system.on_fx, enum_cap)
-    if out.is_witness:
-        assert satisfies(system, out.witness)
-    return out
-
-
-def solve_system_bounded(
-    system: CongruenceSystem, *, enum_cap: int = DEFAULT_ENUM_CAP
-) -> SolveOutcome:
-    """Decide the system over the integers, f(x) = 0 for x <= 0.
-
-    Finite windows are enumerated through the residue class of x (exact up
-    to enum_cap candidates).  A window open to the right reuses the
-    unbounded construction, pumped above the lower bound.  A window open to
-    the left admits arbitrarily negative witnesses exactly when the
-    f-residue is 0.
+    When no multiple of a lies in the target, every wrap past M adds at most
+    one candidate, so the least t comes from the least number of wraps y,
+    which solves the same problem for (M mod a, a).  That is one Euclid step;
+    the loop records each level's two quotients and climbs back up from
+    them, so its depth is bounded by memory, not by the interpreter stack.
     """
-    on_x, on_fx = system.on_x, system.on_fx
-    lower, upper = system.lower, system.upper
-
-    if lower is None and upper is None:
-        return solve_system(system, enum_cap=enum_cap)
-
-    if lower is not None and upper is not None:
-        out = _enumerate_window(on_x, on_fx, lower, upper, enum_cap)
-    elif upper is not None:
-        if on_fx.residue == 0:
-            t = min(upper - 1, 0)
-            out = SolveOutcome.found(t - ((t - on_x.residue) % on_x.modulus))
-        else:
-            # positive witnesses only: f(x) = 0 for x <= 0 cannot match
-            out = _enumerate_window(on_x, on_fx, 0, upper, enum_cap)
+    L = (L - b) % M
+    if L == 0 or L + w >= M:  # the target holds b itself
+        return 0
+    a %= M
+    levels = []
+    while a:
+        s, r = divmod(L, a)
+        if not r or a - r <= w:  # a multiple of a lies in [L, L + w]
+            break
+        q, rem = divmod(M, a)
+        levels.append((q, s))
+        # a*t - M*y lands in [L, L + w] exactly when M*y mod a lands in
+        # [a - r - w, a - r]
+        M, a, L = a, rem, a - r - w
     else:
-        if on_fx.modulus == 1:
-            out = SolveOutcome.found(lower + 1 + ((on_x.residue - lower - 1) % on_x.modulus))
-        else:
-            out = _solve_unbounded(on_x, on_fx, enum_cap)
-            if out.is_witness and out.witness <= lower:
-                out = SolveOutcome.found(
-                    _pump_above(out.witness, lower, on_x, on_fx), out.fallback_used
-                )
-    if out.is_witness:
-        assert satisfies(system, out.witness)
-    return out
+        return None
+    t, below = s + (r > 0), 0
+    for q, s in reversed(levels):
+        # t = ceil((L + M*y) / a) at the level above, written in quotients
+        t, below = q * t + below + s + 1, t
+    return t
+
+
+def solve_system(system: CongruenceSystem) -> SolveOutcome:
+    """Decide the system over the integers, f(x) = 0 for x <= 0, with its
+    least witness.
+
+    Non-positive x satisfy the f-congruence exactly when its residue is 0.
+    A window bounded only above then has no least witness and yields its
+    greatest one at or below 0 instead.  Positive witnesses are found by
+    convergent substitution; a window-free system always has one, since the
+    rotation by phi is irrational.
+    """
+    n, m = system.on_x.modulus, system.on_x.residue
+    n2, m2 = system.on_fx.modulus, system.on_fx.residue
+    lower, upper = system.lower, system.upper
+    if m2 == 0 and lower is None and upper is not None:
+        t = min(upper - 1, 0)
+        return _verified(system, t - ((t - m) % n))
+    lo = lower if lower is not None and (lower >= 0 or m2 == 0) else 0
+    x0 = lo + 1 + (m - lo - 1) % n  # least member of the class above lo
+    if upper is not None and x0 >= upper:
+        return SolveOutcome("no_solution")
+    if x0 <= 0:
+        return _verified(system, x0)
+    reach = x0 + n * n2 if upper is None else min(x0 + n * n2, upper)
+    k = int(reach.bit_length() * 1.4405) + 2  # fib(k) >= phi**(k-1) > reach
+    while True:
+        p, q = fib(k + 1), fib(k)
+        t = _least_step(p * n, p * x0, q * n2, m2 * q, q - 1)
+        if t is not None and x0 + n * t < q:  # the substitution holds there
+            x = x0 + n * t
+            if upper is not None and x >= upper:
+                return SolveOutcome("no_solution")
+            return _verified(system, x)
+        if upper is not None and q >= upper:
+            return SolveOutcome("no_solution")
+        k *= 2
+
+
+def _verified(system: CongruenceSystem, x: int) -> SolveOutcome:
+    assert satisfies(system, x)
+    return SolveOutcome("witness", x)
+
+
+# perfbench/tracing.py wraps this name; it is the same solver.
+solve_system_bounded = solve_system

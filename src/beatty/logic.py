@@ -14,13 +14,7 @@ from itertools import chain, count
 from math import floor, gcd
 from operator import itemgetter
 
-from .congruence import (
-    DEFAULT_ENUM_CAP,
-    Congruence,
-    CongruenceSystem,
-    crt_combine,
-    solve_system_bounded,
-)
+from .congruence import Congruence, CongruenceSystem, crt_combine, solve_system
 from .golden import f_floor
 from .windows import (
     LinearConstraint,
@@ -219,27 +213,19 @@ MAX_NESTING = 100
 MAX_LITERAL_DIGITS = sys.int_info.default_max_str_digits
 
 
-_TOKEN = re.compile(r"->|<=|>=|!=|[()\[\],.+\-*<>=!&|]|\d+|[A-Za-z_][A-Za-z0-9_]*")
+_TOKEN = re.compile(r"\s*(->|<=|>=|!=|[()\[\],.+\-*<>=!&|]|\d+|[A-Za-z_][A-Za-z0-9_]*)")
+_SPACE = re.compile(r"\s*")
 _RELS = ("<", "<=", "=", "!=", ">", ">=")
 
 
 class _Parser:
     def __init__(self, text: str):
         self.text = text
-        self.tokens: list[tuple[str, int]] = []
-        pos = 0
-        while pos < len(text):
-            if text[pos].isspace():
-                pos += 1
-                continue
-            m = _TOKEN.match(text, pos)
-            if not m:
-                raise ParseError(f"unexpected character {text[pos]!r}", pos)
-            literal = m.group().removeprefix("p")  # p<digits> carries a modulus
-            if len(literal) > MAX_LITERAL_DIGITS and literal.isdigit():
-                raise ParseError(f"integer literal longer than {MAX_LITERAL_DIGITS} digits", pos)
-            self.tokens.append((m.group(), pos))
-            pos = m.end()
+        # Tokens are scanned only as the parser reaches them, so the first
+        # error met is the one reported; the list stays for backtracking,
+        # and the end of the text is a last token None.
+        self.tokens: list[tuple[str | None, int]] = []
+        self.scanned = 0  # offset where scanning resumes
         self.i = 0
         # Nesting: each open ( ! quantifier f( -> and k* counts one level,
         # and each &, |, + or - one more for everything on its left, since
@@ -262,12 +248,34 @@ class _Parser:
             raise _TooDeep(f"nesting deeper than {MAX_NESTING}", position)
         return peak
 
+    def _has(self, k: int) -> bool:
+        """Whether token k exists, scanning up to it."""
+        text, tokens = self.text, self.tokens
+        while len(tokens) <= k:
+            if tokens and tokens[-1][0] is None:
+                return False
+            m = _TOKEN.match(text, self.scanned)
+            if not m:
+                pos = _SPACE.match(text, self.scanned).end()
+                if pos < len(text):
+                    raise ParseError(f"unexpected character {text[pos]!r}", pos)
+                tokens.append((None, pos))
+                continue
+            token, pos = m.group(1), m.start(1)
+            literal = token.removeprefix("p")  # p<digits> carries a modulus
+            if len(literal) > MAX_LITERAL_DIGITS and literal.isdigit():
+                raise ParseError(f"integer literal longer than {MAX_LITERAL_DIGITS} digits", pos)
+            tokens.append((token, pos))
+            self.scanned = m.end()
+        return True
+
     def _peek(self, ahead: int = 0) -> str | None:
         k = self.i + ahead
-        return self.tokens[k][0] if k < len(self.tokens) else None
+        return self.tokens[k][0] if k < len(self.tokens) or self._has(k) else None
 
     def _pos(self) -> int:
-        return self.tokens[self.i][1] if self.i < len(self.tokens) else len(self.text)
+        i = self.i
+        return self.tokens[i][1] if i < len(self.tokens) or self._has(i) else len(self.text)
 
     def _advance(self) -> str:
         tok = self._peek()
@@ -495,16 +503,16 @@ def parse(text: str) -> Formula:
     """Parse a formula; raises ParseError with a position on bad input."""
     p = _Parser(text)
     node = p.parse_formula()
-    if p.i < len(p.tokens):
-        raise ParseError(f"unexpected trailing {p.tokens[p.i][0]!r}", p.tokens[p.i][1])
+    if p._peek() is not None:
+        raise ParseError(f"unexpected trailing {p._peek()!r}", p._pos())
     return node
 
 
 def parse_term(text: str) -> Term:
     p = _Parser(text)
     node = p.parse_term()
-    if p.i < len(p.tokens):
-        raise ParseError(f"unexpected trailing {p.tokens[p.i][0]!r}", p.tokens[p.i][1])
+    if p._peek() is not None:
+        raise ParseError(f"unexpected trailing {p._peek()!r}", p._pos())
     return node
 
 
@@ -558,9 +566,10 @@ def _operand(sub: Formula) -> str:
 class Decision:
     """Outcome of evaluation or decision.
 
-    truth None means unknown (a solver cap was hit).  provenance "exact"
-    marks a sound answer over the integers; "bounded" marks truth over the
-    model with every quantifier relativized to [-bound, bound].
+    truth None means unknown, which nothing produces yet: it is reserved for
+    an evaluation budget.  provenance "exact" marks a sound answer over the
+    integers; "bounded" marks truth over the model with every quantifier
+    relativized to [-bound, bound].
     """
 
     truth: bool | None
@@ -636,7 +645,7 @@ def _compile_term(term: Term, scope: dict[str, int]):
     return lambda env: left(env) - right(env)
 
 
-def _compile(formula: Formula, scope: dict[str, int], slots, bound: int, cap: int):
+def _compile(formula: Formula, scope: dict[str, int], slots, bound: int):
     """(True, env -> bool) for a quantifier-free formula without P, else
     (False, env -> Decision).  Each quantifier takes a fresh slot from
     slots, so shadowed names never share one."""
@@ -657,27 +666,24 @@ def _compile(formula: Formula, scope: dict[str, int], slots, bound: int, cap: in
             lo, hi = low(env), high(env)
             if lo >= hi:
                 return _FALSE
-            out = solve_system_bounded(CongruenceSystem(on_x, on_fx, lo, hi), enum_cap=cap)
-            if out.is_witness:
-                return Decision(True, witness=out.witness)
-            return _FALSE if out.status == "no_solution" else Decision(None, reason=out.reason)
+            out = solve_system(CongruenceSystem(on_x, on_fx, lo, hi))
+            return Decision(True, witness=out.witness) if out.is_witness else _FALSE
 
         return False, solve
     if isinstance(formula, Implies):
         formula = Or(Not(formula.left), formula.right)
     if isinstance(formula, Not):
-        is_bool, body = _compile(formula.body, scope, slots, bound, cap)
+        is_bool, body = _compile(formula.body, scope, slots, bound)
         if is_bool:
             return True, lambda env: not body(env)
         return False, lambda env: _negate(body(env))
     if isinstance(formula, (Exists, Forall)):
         existential, slot = isinstance(formula, Exists), next(slots)
-        is_bool, body = _compile(formula.body, {**scope, formula.var: slot}, slots, bound, cap)
+        is_bool, body = _compile(formula.body, {**scope, formula.var: slot}, slots, bound)
 
         def scan(env: list[int]) -> Decision:
             # 0, 1, -1, ..., bound, -bound until the body is decisive; a
             # boolean body is exact, so its scan only compares
-            unknown_reason = None
             points = zip(range(1, bound + 1), range(-1, -bound - 1, -1))
             for v in chain((0,), chain.from_iterable(points)):
                 env[slot] = v
@@ -687,21 +693,17 @@ def _compile(formula: Formula, scope: dict[str, int], slots, bound: int, cap: in
                         continue
                     d = _TRUE
                 elif d.truth is not existential:
-                    if d.truth is None and unknown_reason is None:
-                        unknown_reason = d.reason or "subformula unknown"
                     continue
                 return Decision(existential, d.provenance, d.bound,
                                 *((v, None) if existential else (None, v)))
-            if unknown_reason is not None:
-                return Decision(None, reason=unknown_reason)
             return Decision(not existential, BOUNDED, bound=bound)
 
         return False, scan
     if not isinstance(formula, (And, Or)):
         raise TypeError(f"not a formula: {formula!r}")
     conjunction = isinstance(formula, And)
-    left_bool, left = _compile(formula.left, scope, slots, bound, cap)
-    right_bool, right = _compile(formula.right, scope, slots, bound, cap)
+    left_bool, left = _compile(formula.left, scope, slots, bound)
+    right_bool, right = _compile(formula.right, scope, slots, bound)
     if left_bool and right_bool:
         if conjunction:
             return True, lambda env: left(env) and right(env)
@@ -726,8 +728,6 @@ def evaluate(
     formula: Formula,
     assignment: dict[str, int] | None = None,
     bound: int = DEFAULT_EVAL_BOUND,
-    *,
-    enum_cap: int = DEFAULT_ENUM_CAP,
 ) -> Decision:
     """Evaluate over the integers with f(x) = 0 for x <= 0.
 
@@ -737,7 +737,7 @@ def evaluate(
     compiled once into closures over a list of variable slots."""
     assignment = assignment or {}
     slots = count(len(assignment))
-    is_bool, run = _compile(formula, dict(zip(assignment, count())), slots, bound, enum_cap)
+    is_bool, run = _compile(formula, dict(zip(assignment, count())), slots, bound)
     env = [*assignment.values()] + [0] * (next(slots) - len(assignment))
     return _decisions(is_bool, run)(env)
 
@@ -1000,9 +1000,7 @@ def _negative_branch(query: NormalFormQuery, mx: Congruence, mf: Congruence) -> 
     return x
 
 
-def decide_existential_nf(
-    query: NormalFormQuery, *, enum_cap: int = DEFAULT_ENUM_CAP
-) -> Decision:
+def decide_existential_nf(query: NormalFormQuery) -> Decision:
     """Exact decision of a normal-form query over the integers.
 
     Pipeline: merge the congruence lists, settle the x <= 0 branch directly,
@@ -1025,7 +1023,6 @@ def decide_existential_nf(
         window = window.intersect(solution_window(lc))
     window = window.clip(query.lower, query.upper)
 
-    unknown_reason = None
     for piece in window.pieces:
         merged = crt_combine([mx, Congruence(piece.mod, piece.res)])
         if merged is None:
@@ -1035,49 +1032,40 @@ def decide_existential_nf(
             lower=piece.lo - 1,
             upper=None if piece.hi is None else piece.hi + 1,
         )
-        out = solve_system_bounded(system, enum_cap=enum_cap)
+        out = solve_system(system)
         if out.is_witness:
             assert _query_holds(query, out.witness)
             return Decision(True, witness=out.witness)
-        if out.status == "unknown" and unknown_reason is None:
-            unknown_reason = out.reason
-    if unknown_reason is not None:
-        return Decision(None, reason=unknown_reason)
     return Decision(False)
 
 
-def decide(
-    sentence: Formula,
-    bound: int = DEFAULT_EVAL_BOUND,
-    *,
-    enum_cap: int = DEFAULT_ENUM_CAP,
-) -> Decision:
+def decide(sentence: Formula, bound: int = DEFAULT_EVAL_BOUND) -> Decision:
     """Decide a sentence: quantifier-free parts exactly, single-quantifier
     normal-form sentences through the window/congruence pipeline (universal
     ones via their negation), everything else by bounded evaluation."""
     if free_vars(sentence):
         raise ValueError("decide requires a sentence (no free variables)")
-    return _decide(nnf(sentence), bound, enum_cap)
+    return _decide(nnf(sentence), bound)
 
 
-def _decide(sentence: Formula, bound: int, cap: int) -> Decision:
+def _decide(sentence: Formula, bound: int) -> Decision:
     if _quantifier_free(sentence):
-        return evaluate(sentence, {}, bound, enum_cap=cap)
+        return evaluate(sentence, {}, bound)
     if isinstance(sentence, Exists) and _quantifier_free(sentence.body):
         query = to_normal_form(sentence)
         if query is not None:
-            return decide_existential_nf(query, enum_cap=cap)
-        return evaluate(sentence, {}, bound, enum_cap=cap)
+            return decide_existential_nf(query)
+        return evaluate(sentence, {}, bound)
     if isinstance(sentence, Forall) and _quantifier_free(sentence.body):
         query = to_normal_form(Exists(sentence.var, nnf(Not(sentence.body))))
         if query is not None:
-            return _negate(decide_existential_nf(query, enum_cap=cap))
-        return evaluate(sentence, {}, bound, enum_cap=cap)
+            return _negate(decide_existential_nf(query))
+        return evaluate(sentence, {}, bound)
     if isinstance(sentence, And):
-        return _and_d(_decide(sentence.left, bound, cap), _decide(sentence.right, bound, cap))
+        return _and_d(_decide(sentence.left, bound), _decide(sentence.right, bound))
     if isinstance(sentence, Or):
-        return _or_d(_decide(sentence.left, bound, cap), _decide(sentence.right, bound, cap))
-    return evaluate(sentence, {}, bound, enum_cap=cap)
+        return _or_d(_decide(sentence.left, bound), _decide(sentence.right, bound))
+    return evaluate(sentence, {}, bound)
 
 
 # --- axiom audit ------------------------------------------------------------
@@ -1170,7 +1158,7 @@ def _audit_window_predicate(n: int) -> FamilyResult:
                             Congruence(n_x, m_x), Congruence(n_fx, m_fx),
                             lower=low, upper=high,
                         )
-                        got = solve_system_bounded(system).is_witness
+                        got = solve_system(system).is_witness
                         want = any(
                             x % n_x == m_x and f_floor(x) % n_fx == m_fx
                             for x in range(low + 1, high)

@@ -29,7 +29,12 @@ GOLDEN = [
     (["solve", "--xn", "2", "--xm", "0", "--fn", "2", "--fm", "1", "--lo", "2", "--hi", "4"], 1, "no solution"),
     (["solve", "--xn", "1", "--xm", "0", "--fn", "1", "--fm", "0", "--lo", "7", "--hi", "9"], 0, "witness 8"),
     (["solve", "--xn", "1", "--xm", "0", "--fn", "1000000", "--fm", "3",
-      "--lo", "0", "--hi", "10000000", "--cap", "10"], 2, "unknown"),
+      "--lo", "0", "--hi", "10000000"], 0, "witness 2\n"),
+    (["solve", "--xn", "1", "--xm", "0", "--fn", "1000000", "--fm", "999999"], 0,
+     "witness 21013155\n"),
+    (["solve", "--xn", "50", "--xm", "20", "--fn", "49", "--fm", "28", "--lo", "130329209207"],
+     0, "witness 130329209370\n"),
+    (["solve", "--xn", "1", "--xm", "0", "--fn", "200", "--fm", "199"], 0, "witness 123\n"),
     (["window", "=", "1/1", "1"], 0, "[2, 3]"),
     (["window", "=", "2", "-1"], 0, "[1, 2]"),
     (["window", ">", "1", "1"], 0, "half_line_up"),
@@ -41,7 +46,8 @@ GOLDEN = [
     (["decide", "forall x. forall y. (f(x + y) < f(x) + f(y) + 2)", "--bound", "60"], 0, "bounded"),
     (["decide", "exists x. (10 < x & x < 12 & p5(x))"], 1, "False"),
     (["decide", "P[2,3,1,2](0, 10)"], 0, "True"),
-    (["decide", "P[1,1000000,0,3](0, 100000000)", "--cap", "10"], 2, "unknown"),
+    (["decide", "P[1,1000000,0,3](0, 100000000)"], 0, "True (exact); witness 2\n"),
+    (["decide", "P[3,5,1,2](0, 1000000000000)"], 0, "True (exact); witness 76\n"),
     (["audit", "50"], 0, "all families pass"),
     (["audit", "2"], 0, "all families pass"),
 ]
@@ -169,7 +175,8 @@ def test_unexpected_exception_exits_70(monkeypatch, capsys):
 
 def test_witness_beyond_the_digit_limit_prints(capsys):
     limit = sys.get_int_max_str_digits()
-    assert run(["solve", "--xn", "1", "--xm", "0", "--fn", "200", "--fm", "199"]) == 0
+    lo = "9" * 4300  # every witness has at least 4301 digits
+    assert run(["solve", "--xn", "1", "--xm", "0", "--fn", "3", "--fm", "1", "--lo", lo]) == 0
     assert sys.get_int_max_str_digits() == limit  # the caller's limit is back
     text = capsys.readouterr().out.split()[-1]
     assert len(text) > 4300
@@ -178,7 +185,16 @@ def test_witness_beyond_the_digit_limit_prints(capsys):
         witness = int(text)
     finally:
         sys.set_int_max_str_digits(limit)
-    assert f_floor(witness) % 200 == 199
+    assert witness > int(lo) and f_floor(witness) % 3 == 1
+
+
+def test_lower_bounded_solve_answers_in_milliseconds(capsys):
+    argv = ["solve", "--xn", "50", "--xm", "20", "--fn", "49", "--fm", "28", "--lo", "130329209207"]
+    run(argv)  # builds the cached argument parser
+    started = time.perf_counter()
+    assert run(argv) == 0
+    assert time.perf_counter() - started < 0.01
+    assert capsys.readouterr().out.split()[-1] == "130329209370"
 
 
 def _outcome(argv, capsys):

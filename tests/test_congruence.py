@@ -1,17 +1,16 @@
 import itertools
 import random
+import time
 from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from beatty.congruence import (
     Congruence,
     CongruenceSystem,
-    PeriodIndexNotFound,
     crt_combine,
-    find_period_index,
     satisfies,
     solve_image,
     solve_system,
@@ -85,33 +84,60 @@ def test_solve_image_full_range():
             assert x >= 1 and f_floor(x) % n == m
 
 
+# --- the paper's construction, kept as an independent cross-check ----------
+
+def _qualifies(j, n):
+    return fib(j) % n == 0 and fib(j + 1) % n == 1 % n
+
+
+def find_period_index(n, min_index):
+    """Least j > min_index with fib(j) = 0 and fib(j+1) = 1 (mod n), in the
+    closed form: those indices are exactly j = -1 (mod pisano(n))."""
+    period = pisano(n)
+    return min_index + 1 + (-min_index - 2) % period
+
+
+def pump(n, m, n2, m2):
+    """The constructive witness: adding fib(j), for a qualifying index j at
+    least two above every Zeckendorf index of x, keeps x mod n and adds
+    fib(j+1) = 1 to f(x) mod n'."""
+    shared = lcm(n, n2)
+    x = m if m >= 1 else n
+    top = zeckendorf(x)[-1]
+    while f_floor(x) % n2 != m2:
+        top = find_period_index(shared, top + 1)
+        x += fib(top)
+    return x
+
+
 def test_find_period_index_examples():
-    assert find_period_index(1, 0) == 2
+    assert find_period_index(1, 0) == 1
     j = find_period_index(2, 0)
     assert j == 2 and fib(j) % 2 == 0 and fib(j + 1) % 2 == 1
-    j = find_period_index(4, 5, parity="any")
+    j = find_period_index(4, 5)
     assert j > 5 and fib(j) % 4 == 0 and fib(j + 1) % 4 == 1
 
 
 def test_even_period_index_exists_only_for_tiny_moduli():
-    # qualifying indices are exactly j = -1 (mod pisano(n)); pisano(n) is
-    # even for n >= 3, so an even qualifying index requires n <= 2
-    for n in range(3, 40):
-        with pytest.raises(PeriodIndexNotFound):
-            find_period_index(n, 0, parity="even")
-    for n in (1, 2):
-        assert find_period_index(n, 0, parity="even") % 2 == 0
+    # the closed form against a scan of two periods; pisano(n) is even for
+    # n >= 3, so an even qualifying index requires n <= 2
+    for n in range(1, 40):
+        period = pisano(n)
+        qualifying = [j for j in range(2 * period) if _qualifies(j, n)]
+        assert qualifying == [j for j in range(2 * period) if (j + 1) % period == 0]
+        assert any(j % 2 == 0 for j in qualifying) == (n <= 2)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 12, 19, 30, 36])
 def test_any_parity_period_index_properties(n):
     period = pisano(n)
     for min_index in (0, 3, 50):
-        j = find_period_index(n, min_index, parity="any")
+        j = find_period_index(n, min_index)
         assert j > min_index
         assert j <= min_index + 4 * period + 4
-        assert fib(j) % n == 0 and fib(j + 1) % n == 1 % n
+        assert _qualifies(j, n)
         assert (j + 1) % period == 0
+        assert not any(_qualifies(i, n) for i in range(min_index + 1, j))
 
 
 @settings(max_examples=300, deadline=None)
@@ -153,8 +179,6 @@ def test_solve_system_examples():
     out = solve_system(CongruenceSystem(Congruence(2, 0), Congruence(3, 1)))
     assert out.is_witness
     assert _brute_exists(2, 0, 3, 1, 10**4) == 10
-    with pytest.raises(ValueError):
-        solve_system(CongruenceSystem(Congruence(2, 1), Congruence(3, 2), lower=0))
 
 
 def test_solve_system_grid_constructive():
@@ -218,7 +242,78 @@ def test_bounded_half_line_down():
     assert out.is_witness and satisfies(system, out.witness)
 
 
-def test_bounded_reports_unknown_beyond_cap():
-    system = CongruenceSystem(Congruence(1, 0), Congruence(10**6, 3), lower=0, upper=10**7)
-    out = solve_system_bounded(system, enum_cap=50)
-    assert out.status == "unknown" and "cap" in out.reason
+
+# --- the least witness ------------------------------------------------------
+
+def test_convergent_substitution_is_exact_below_fib_k():
+    for k in range(1, 22):
+        p, q = fib(k + 1), fib(k)
+        assert all(f_floor(x) == p * x // q for x in range(1, q))
+
+
+def _least_witness(n, m, n2, m2, lower, upper):
+    """Scan for the solver's answer: the least witness, except that a window
+    open only to the left with f-residue 0 yields its greatest witness <= 0."""
+    if m2 == 0 and lower is None and upper is not None:
+        top = min(upper - 1, 0)
+        return next(x for x in range(top, top - n, -1) if x % n == m)
+    start = 1 if lower is None or (lower < 0 and m2) else lower + 1
+    xs = range(start, upper) if upper is not None else itertools.count(start)
+    return next((x for x in xs if x % n == m and f_floor(x) % n2 == m2), None)
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.integers(1, 15), st.integers(0, 14), st.integers(1, 15), st.integers(0, 14),
+       st.sampled_from(["free", "finite", "lower", "upper"]),
+       st.integers(-80, 400), st.integers(1, 500))
+@example(7, 3, 5, 0, "lower", -30, 1)  # x <= 0 has f(x) = 0: the least member, -25
+@example(7, 3, 5, 0, "finite", -30, 4)  # the window (-30, -26) misses the class
+@example(7, 3, 5, 1, "lower", -30, 1)  # a nonzero f-residue needs x >= 1
+@example(7, 3, 5, 0, "upper", -30, 1)  # open below: the greatest witness, -32
+@example(13, 0, 7, 6, "free", 0, 1)  # 13*phi/7 is near 3: k has to double
+def test_witness_is_the_least(n, m, n2, m2, shape, low, width):
+    m, m2 = m % n, m2 % n2
+    lower = low if shape in ("finite", "lower") else None
+    upper = {"finite": low + width, "upper": low}.get(shape)
+    system = CongruenceSystem(Congruence(n, m), Congruence(n2, m2), lower, upper)
+    out = solve_system(system)
+    want = _least_witness(n, m, n2, m2, lower, upper)
+    assert out.witness == want and out.is_witness == (want is not None)
+    if want is None:
+        assert out.status == "no_solution"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 11), st.integers(1, 12), st.integers(0, 11))
+def test_least_witness_against_the_pumped_witness(n, m, n2, m2):
+    m, m2 = m % n, m2 % n2
+    system = CongruenceSystem(Congruence(n, m), Congruence(n2, m2))
+    pumped = pump(n, m, n2, m2)
+    out = solve_system(system)
+    assert satisfies(system, pumped) and satisfies(system, out.witness)
+    assert 1 <= out.witness <= pumped
+
+
+@pytest.mark.parametrize("huge", ["n", "n'", "lo"])
+def test_4300_digit_inputs_are_fast(huge):
+    rng = random.Random(4300)
+    digits = lambda: rng.randrange(10**4299, 10**4300)
+    n = digits() if huge == "n" else 7
+    n2 = digits() if huge == "n'" else 11
+    lo = digits() if huge == "lo" else 5
+    system = CongruenceSystem(Congruence(n, rng.randrange(n)),
+                              Congruence(n2, rng.randrange(n2)), lower=lo)
+    started = time.perf_counter()
+    out = solve_system(system)
+    assert time.perf_counter() - started < 0.05
+    assert out.is_witness and satisfies(system, out.witness)
+
+
+def test_4300_digit_inputs_together_need_no_deep_recursion():
+    # about 0.84 * ln(n') Euclid steps, each on numbers the size of n*n'*lo
+    rng = random.Random(4301)
+    n, n2, lo = (rng.randrange(10**4299, 10**4300) for _ in range(3))
+    system = CongruenceSystem(Congruence(n, rng.randrange(n)),
+                              Congruence(n2, rng.randrange(n2)), lower=lo, upper=3 * lo)
+    out = solve_system(system)
+    assert out.status == "no_solution" or satisfies(system, out.witness)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from beatty.congruence import Congruence, CongruenceSystem, solve_system_bounded
+from beatty.congruence import Congruence, CongruenceSystem, solve_system
 from beatty.golden import f_floor
 from beatty.logic import (
     BOUNDED,
@@ -125,6 +125,17 @@ def test_parse_caps_nesting(construct):
     assert text[err.value.position:].startswith(construct)
 
 
+def test_parse_reports_the_first_error_met():
+    # scanning stops at the cap: the bad character past it is never reached
+    text = "(" * 4000 + "$"
+    with pytest.raises(ParseError, match="nesting") as err:
+        parse(text)
+    assert err.value.position == MAX_NESTING
+    with pytest.raises(ParseError, match="unexpected character") as err:
+        parse("(" * MAX_NESTING + "$")
+    assert err.value.position == MAX_NESTING
+
+
 def test_parse_caps_left_operands_of_chains():
     # a group as the left operand of a chain sits one level deeper per
     # operator, so nesting groups that each start a chain adds up
@@ -185,12 +196,6 @@ def test_evaluate_ppred_empty_window_is_false():
     assert evaluate(PPred(1, 1, 0, 0, Const(9), Const(2))).truth is False
 
 
-def test_evaluate_unknown_propagates():
-    wide = PPred(1, 10**6, 0, 3, Const(0), Const(10**8))
-    d = evaluate(wide, enum_cap=10)
-    assert d.truth is None and d.reason
-
-
 # --- evaluation against the tree-walking reference ------------------------
 
 def _walk_term(term, env):
@@ -206,7 +211,7 @@ def _walk_term(term, env):
     return f_floor(_walk_term(term.arg, env))
 
 
-def _walk(formula, env, bound, cap):
+def _walk(formula, env, bound):
     """The original evaluator: one Decision per node, both sides of every
     connective evaluated, quantifiers scanned 0, 1, -1, ..., bound, -bound
     over a name -> value dict that is restored afterwards."""
@@ -222,27 +227,23 @@ def _walk(formula, env, bound, cap):
         system = CongruenceSystem(Congruence(formula.mod_x, formula.res_x),
                                   Congruence(formula.mod_fx, formula.res_fx),
                                   lower=low, upper=high)
-        out = solve_system_bounded(system, enum_cap=cap)
-        if out.is_witness:
-            return Decision(True, witness=out.witness)
-        if out.status == "no_solution":
-            return Decision(False)
-        return Decision(None, reason=out.reason)
+        out = solve_system(system)
+        return Decision(True, witness=out.witness) if out.is_witness else Decision(False)
     if isinstance(formula, Not):
-        return _negate(_walk(formula.body, env, bound, cap))
+        return _negate(_walk(formula.body, env, bound))
     if isinstance(formula, And):
-        return _and_d(_walk(formula.left, env, bound, cap), _walk(formula.right, env, bound, cap))
+        return _and_d(_walk(formula.left, env, bound), _walk(formula.right, env, bound))
     if isinstance(formula, Or):
-        return _or_d(_walk(formula.left, env, bound, cap), _walk(formula.right, env, bound, cap))
+        return _or_d(_walk(formula.left, env, bound), _walk(formula.right, env, bound))
     if isinstance(formula, Implies):
-        return _or_d(_negate(_walk(formula.left, env, bound, cap)),
-                     _walk(formula.right, env, bound, cap))
+        return _or_d(_negate(_walk(formula.left, env, bound)),
+                     _walk(formula.right, env, bound))
     existential = isinstance(formula, Exists)
     saved = env.get(formula.var)
     unknown_reason = decisive = None
     for v in [0] + [s * k for k in range(1, bound + 1) for s in (1, -1)]:
         env[formula.var] = v
-        d = _walk(formula.body, env, bound, cap)
+        d = _walk(formula.body, env, bound)
         if d.truth is existential:
             found = (v, None) if existential else (None, v)
             decisive = Decision(existential, d.provenance,
@@ -282,13 +283,12 @@ def test_evaluate_matches_reference_walker_on_random_formulas():
         formula = _rename(random_formula(rng, depth=4, variables=["x", "y"]), names)
         assignment = {"x": rng.randint(-9, 9), "y": rng.randint(-9, 9)}
         bound = rng.choice([0, 1, 2, 3, 5, 8, 13, 20])
-        cap = rng.choice([3, 10_000_000])
-        got = evaluate(formula, assignment, bound, enum_cap=cap)
-        assert got == _walk(formula, dict(assignment), bound, cap), format_formula(formula)
+        got = evaluate(formula, assignment, bound)
+        assert got == _walk(formula, dict(assignment), bound), format_formula(formula)
         seen.add((got.truth, got.provenance, got.witness is not None,
                   got.counterexample is not None))
     # the corpus reaches every kind of outcome the walker can give
-    assert {truth for truth, *_ in seen} == {True, False, None}
+    assert {truth for truth, *_ in seen} == {True, False}
     assert (True, EXACT, True, False) in seen and (False, EXACT, False, True) in seen
     assert (True, BOUNDED, False, False) in seen and (False, BOUNDED, False, False) in seen
 
@@ -305,7 +305,7 @@ def test_evaluate_matches_reference_walker_on_random_formulas():
 def test_evaluate_matches_reference_walker_on_shadowing_and_p(text, assignment):
     formula = parse(text)
     for bound in (0, 4, 20):
-        assert evaluate(formula, assignment, bound, enum_cap=10) == _walk(formula, dict(assignment), bound, 10)
+        assert evaluate(formula, assignment, bound) == _walk(formula, dict(assignment), bound)
 
 
 # --- normal form ----------------------------------------------------------
