@@ -1,9 +1,9 @@
 """Command-line front door.
 
 Exit codes: 0 answered (value computed / True / witness found), 1 negative
-answer (False / no solution / empty), 2 unknown (reserved for an evaluation
-budget), 64 usage or parse error, 70 internal error (a defect, never an
-answer).
+answer (False / no solution / empty), 2 unknown (an evaluation budget spent,
+or a pisano modulus trial division cannot factor), 64 usage or parse error,
+70 internal error (a defect, never an answer).
 All numbers print in decimal, however many digits they have; --json emits
 one structured object per run with every numeric field as a decimal string.
 """
@@ -30,7 +30,7 @@ from .logic import (
     parse,
 )
 from .numeration import c as word_bit
-from .numeration import fib_word_prefix, pisano, zeckendorf
+from .numeration import Unfactored, fib_word_prefix, pisano, zeckendorf
 from .windows import LinearConstraint, solution_window
 
 __all__ = ["main", "run", "OutputRecord"]
@@ -172,7 +172,10 @@ def _cmd_c(args) -> tuple[dict, str, str, int]:
 
 
 def _cmd_pisano(args) -> tuple[dict, str, str, int]:
-    value = pisano(args.n)
+    try:
+        value = pisano(args.n)
+    except Unfactored as exc:
+        return {"value": None, "reason": str(exc)}, f"unknown: {exc}", "unknown", EXIT_UNKNOWN
     return {"value": str(value)}, str(value), "exact", EXIT_OK
 
 

@@ -28,8 +28,8 @@ __all__ = [
     "Var", "Const", "Add", "Sub", "Scale", "F",
     "Cmp", "Div", "PPred", "Not", "And", "Or", "Implies", "Exists", "Forall",
     "ParseError", "parse", "parse_term", "format_formula", "format_term",
-    "Decision", "EXACT", "BOUNDED", "DEFAULT_EVAL_BOUND", "MAX_NESTING",
-    "evaluate", "free_vars", "nnf",
+    "Decision", "EXACT", "BOUNDED", "DEFAULT_EVAL_BOUND", "EVAL_BUDGET", "MAX_NESTING",
+    "MAX_DISJUNCTS", "evaluate", "free_vars", "nnf",
     "NormalFormQuery", "to_normal_form", "decide_existential_nf", "decide",
     "FamilyResult", "AuditReport", "axiom_audit",
 ]
@@ -37,6 +37,13 @@ __all__ = [
 EXACT = "exact"
 BOUNDED = "bounded"
 DEFAULT_EVAL_BOUND = 10_000
+# Points one evaluate() call may visit in all its quantifier scans: about
+# 0.6 s of the body f(x + y) < f(x) + f(y) + 2 on a 2-vCPU VM, and more
+# than ten times what the largest bounded sentence in perfbench visits.
+EVAL_BUDGET = 500_000
+# A one-variable body with more disjuncts in normal form goes to bounded
+# evaluation.
+MAX_DISJUNCTS = 64
 
 
 # --- terms -----------------------------------------------------------------
@@ -566,10 +573,10 @@ def _operand(sub: Formula) -> str:
 class Decision:
     """Outcome of evaluation or decision.
 
-    truth None means unknown, which nothing produces yet: it is reserved for
-    an evaluation budget.  provenance "exact" marks a sound answer over the
-    integers; "bounded" marks truth over the model with every quantifier
-    relativized to [-bound, bound].
+    truth None means unknown: a quantifier scan ran out of the evaluation
+    budget before it was decisive, and reason says so.  provenance "exact"
+    marks a sound answer over the integers; "bounded" marks truth over the
+    model with every quantifier relativized to [-bound, bound].
     """
 
     truth: bool | None
@@ -582,6 +589,7 @@ class Decision:
 
 _TRUE = Decision(True)
 _FALSE = Decision(False)
+_SPENT = Decision(None, BOUNDED, reason="evaluation budget spent")
 
 
 def _negate(d: Decision) -> Decision:
@@ -645,10 +653,11 @@ def _compile_term(term: Term, scope: dict[str, int]):
     return lambda env: left(env) - right(env)
 
 
-def _compile(formula: Formula, scope: dict[str, int], slots, bound: int):
+def _compile(formula: Formula, scope: dict[str, int], slots, bound: int, budget: list[int]):
     """(True, env -> bool) for a quantifier-free formula without P, else
     (False, env -> Decision).  Each quantifier takes a fresh slot from
-    slots, so shadowed names never share one."""
+    slots, so shadowed names never share one.  Every scan draws on budget,
+    a one-element list holding the points still to visit."""
     if isinstance(formula, Cmp):
         left, right = _compile_term(formula.left, scope), _compile_term(formula.right, scope)
         if formula.rel == "<":
@@ -673,18 +682,24 @@ def _compile(formula: Formula, scope: dict[str, int], slots, bound: int):
     if isinstance(formula, Implies):
         formula = Or(Not(formula.left), formula.right)
     if isinstance(formula, Not):
-        is_bool, body = _compile(formula.body, scope, slots, bound)
+        is_bool, body = _compile(formula.body, scope, slots, bound, budget)
         if is_bool:
             return True, lambda env: not body(env)
         return False, lambda env: _negate(body(env))
     if isinstance(formula, (Exists, Forall)):
         existential, slot = isinstance(formula, Exists), next(slots)
-        is_bool, body = _compile(formula.body, {**scope, formula.var: slot}, slots, bound)
+        is_bool, body = _compile(formula.body, {**scope, formula.var: slot}, slots, bound,
+                                 budget)
 
         def scan(env: list[int]) -> Decision:
-            # 0, 1, -1, ..., bound, -bound until the body is decisive; a
-            # boolean body is exact, so its scan only compares
-            points = zip(range(1, bound + 1), range(-1, -bound - 1, -1))
+            # 0, 1, -1, ..., reach, -reach until the body is decisive; the
+            # whole scan is charged up front, so the loop only compares,
+            # and a decisive scan gives back the points it did not visit
+            reach = min(bound, (budget[0] - 1) // 2)
+            if reach < 0:
+                return _SPENT
+            budget[0] -= 2 * reach + 1
+            points = zip(range(1, reach + 1), range(-1, -reach - 1, -1))
             for v in chain((0,), chain.from_iterable(points)):
                 env[slot] = v
                 d = body(env)
@@ -693,17 +708,22 @@ def _compile(formula: Formula, scope: dict[str, int], slots, bound: int):
                         continue
                     d = _TRUE
                 elif d.truth is not existential:
+                    if d.truth is None:
+                        return d
                     continue
+                budget[0] += 2 * reach + 1 - (2 * v if v > 0 else 1 - 2 * v)
                 return Decision(existential, d.provenance, d.bound,
                                 *((v, None) if existential else (None, v)))
+            if reach < bound:
+                return _SPENT
             return Decision(not existential, BOUNDED, bound=bound)
 
         return False, scan
     if not isinstance(formula, (And, Or)):
         raise TypeError(f"not a formula: {formula!r}")
     conjunction = isinstance(formula, And)
-    left_bool, left = _compile(formula.left, scope, slots, bound)
-    right_bool, right = _compile(formula.right, scope, slots, bound)
+    left_bool, left = _compile(formula.left, scope, slots, bound, budget)
+    right_bool, right = _compile(formula.right, scope, slots, bound, budget)
     if left_bool and right_bool:
         if conjunction:
             return True, lambda env: left(env) and right(env)
@@ -733,11 +753,14 @@ def evaluate(
 
     Quantifier-free parts are exact; quantifiers scan [-bound, bound], so an
     existential witness (or universal counterexample) is sound, while a
-    completed scan yields a decision tagged "bounded".  The formula is
-    compiled once into closures over a list of variable slots."""
+    completed scan yields a decision tagged "bounded".  All scans together
+    visit at most EVAL_BUDGET points; a scan the budget cut short that finds
+    no decisive point makes the answer unknown.  The formula is compiled
+    once into closures over a list of variable slots."""
     assignment = assignment or {}
     slots = count(len(assignment))
-    is_bool, run = _compile(formula, dict(zip(assignment, count())), slots, bound)
+    is_bool, run = _compile(formula, dict(zip(assignment, count())), slots, bound,
+                            [EVAL_BUDGET])
     env = [*assignment.values()] + [0] * (next(slots) - len(assignment))
     return _decisions(is_bool, run)(env)
 
@@ -834,18 +857,23 @@ def _linearize(term: Term, var: str) -> tuple[int, int, int] | None:
     return None
 
 
-def _flatten_and(formula: Formula) -> list[Formula] | None:
-    if isinstance(formula, And):
-        left = _flatten_and(formula.left)
-        right = _flatten_and(formula.right)
-        if left is None or right is None:
+def _dnf(formula: Formula) -> list[list[Formula]] | None:
+    """An NNF formula as a disjunction of conjunct lists, each negated
+    equality split as s < t | t < s; None past MAX_DISJUNCTS disjuncts."""
+    if isinstance(formula, Or):
+        left, right = _dnf(formula.left), _dnf(formula.right)
+        if left is None or right is None or len(left) + len(right) > MAX_DISJUNCTS:
             return None
         return left + right
-    if isinstance(formula, _ATOMS) or (
-        isinstance(formula, Not) and isinstance(formula.body, _ATOMS)
-    ):
-        return [formula]
-    return None
+    if isinstance(formula, And):
+        left, right = _dnf(formula.left), _dnf(formula.right)
+        if left is None or right is None or len(left) * len(right) > MAX_DISJUNCTS:
+            return None
+        return [a + b for a in left for b in right]
+    if isinstance(formula, Not) and isinstance(formula.body, Cmp) and formula.body.rel == "=":
+        s, t = formula.body.left, formula.body.right
+        return [[Cmp(s, "<", t)], [Cmp(t, "<", s)]]
+    return [[formula]]
 
 
 def _solve_unit_congruence(a: int, cst: int, n: int) -> Congruence | None:
@@ -864,15 +892,16 @@ def to_normal_form(formula: Formula) -> NormalFormQuery | None:
     """Recognize `exists x. <conjunction>` where every conjunct is a
     congruence on x or on f(x), a constant order bound, or a linear
     comparison of f(x) with a rational multiple of x; None otherwise."""
-    if not isinstance(formula, Exists):
+    if not isinstance(formula, Exists) or free_vars(formula.body) - {formula.var}:
         return None
-    var = formula.var
-    if free_vars(formula.body) - {var}:
+    disjuncts = _dnf(nnf(formula.body))
+    if disjuncts is None or len(disjuncts) != 1:
         return None
-    conjuncts = _flatten_and(nnf(formula.body))
-    if conjuncts is None:
-        return None
+    return _conjunction_query(formula.var, disjuncts[0])
 
+
+def _conjunction_query(var: str, conjuncts: list[Formula]) -> NormalFormQuery | None:
+    """The query `exists var. <conjuncts>`, or None outside the fragment."""
     on_x: list[Congruence] = []
     on_fx: list[Congruence] = []
     lower: int | None = None
@@ -1041,7 +1070,8 @@ def decide_existential_nf(query: NormalFormQuery) -> Decision:
 
 def decide(sentence: Formula, bound: int = DEFAULT_EVAL_BOUND) -> Decision:
     """Decide a sentence: quantifier-free parts exactly, single-quantifier
-    normal-form sentences through the window/congruence pipeline (universal
+    sentences whose body is a Boolean combination of normal-form atoms
+    disjunct by disjunct through the window/congruence pipeline (universal
     ones via their negation), everything else by bounded evaluation."""
     if free_vars(sentence):
         raise ValueError("decide requires a sentence (no free variables)")
@@ -1051,21 +1081,35 @@ def decide(sentence: Formula, bound: int = DEFAULT_EVAL_BOUND) -> Decision:
 def _decide(sentence: Formula, bound: int) -> Decision:
     if _quantifier_free(sentence):
         return evaluate(sentence, {}, bound)
-    if isinstance(sentence, Exists) and _quantifier_free(sentence.body):
-        query = to_normal_form(sentence)
-        if query is not None:
-            return decide_existential_nf(query)
-        return evaluate(sentence, {}, bound)
-    if isinstance(sentence, Forall) and _quantifier_free(sentence.body):
-        query = to_normal_form(Exists(sentence.var, nnf(Not(sentence.body))))
-        if query is not None:
-            return _negate(decide_existential_nf(query))
-        return evaluate(sentence, {}, bound)
+    if isinstance(sentence, (Exists, Forall)) and _quantifier_free(sentence.body):
+        decision = _decide_one_variable(sentence)
+        return evaluate(sentence, {}, bound) if decision is None else decision
     if isinstance(sentence, And):
         return _and_d(_decide(sentence.left, bound), _decide(sentence.right, bound))
     if isinstance(sentence, Or):
         return _or_d(_decide(sentence.left, bound), _decide(sentence.right, bound))
     return evaluate(sentence, {}, bound)
+
+
+def _decide_one_variable(sentence: Exists | Forall) -> Decision | None:
+    """Exact decision of an NNF one-quantifier sentence with a quantifier-free
+    body, by exists x (A | B) == exists x A | exists x B over the DNF of the
+    body (of its negation for forall); None when some disjunct is outside
+    the normal form or there are more than MAX_DISJUNCTS.  The certificate
+    is the one of least absolute value, checked against the whole body."""
+    existential = isinstance(sentence, Exists)
+    disjuncts = _dnf(sentence.body if existential else nnf(Not(sentence.body)))
+    if disjuncts is None:
+        return None
+    queries = [_conjunction_query(sentence.var, conjuncts) for conjuncts in disjuncts]
+    if any(query is None for query in queries):
+        return None
+    found = [d.witness for d in map(decide_existential_nf, queries) if d.truth]
+    if not found:
+        return Decision(not existential)
+    x = min(found, key=lambda v: (abs(v), -v))  # the scan's order 0, 1, -1, ...
+    assert evaluate(sentence.body, {sentence.var: x}).truth is existential
+    return Decision(True, witness=x) if existential else Decision(False, counterexample=x)
 
 
 # --- axiom audit ------------------------------------------------------------

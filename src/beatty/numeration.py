@@ -5,12 +5,15 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from functools import lru_cache
+from math import lcm
 
 __all__ = [
     "fib",
     "zeckendorf",
     "unzeckendorf",
     "pisano",
+    "PISANO_TRIAL_LIMIT",
+    "Unfactored",
     "fib_word_prefix",
     "fib_word_rows",
     "c",
@@ -94,23 +97,65 @@ def unzeckendorf(indices: list[int]) -> int:
     return sum(fib(i) for i in indices)
 
 
+# pisano factors its argument by trial division up to this divisor.
+PISANO_TRIAL_LIMIT = 10**6
+
+
+class Unfactored(Exception):
+    """Trial division up to PISANO_TRIAL_LIMIT left a cofactor that may be
+    composite."""
+
+
+def _factor(n: int) -> dict[int, int]:
+    """{prime: exponent} of n >= 1 by trial division; what is left above
+    the last divisor tried is prime once that divisor's square exceeds it."""
+    factors: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        if d > PISANO_TRIAL_LIMIT:
+            raise Unfactored(f"trial division to {PISANO_TRIAL_LIMIT} leaves a "
+                             f"{n.bit_length()}-bit cofactor unfactored")
+        while n % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        factors[n] = factors.get(n, 0) + 1
+    return factors
+
+
+def _fib_pair_mod(k: int, n: int) -> tuple[int, int]:
+    """(F_k, F_(k+1)) mod n on the 0, 1, 1, 2, ... convention, by fast
+    doubling over the bits of k."""
+    a, b = 0, 1
+    for bit in bin(k)[2:]:
+        a, b = a * (2 * b - a) % n, (a * a + b * b) % n
+        if bit == "1":
+            a, b = b, (a + b) % n
+    return a, b
+
+
 def pisano(n: int) -> int:
     """Period of the Fibonacci sequence modulo n.
 
-    Smallest pi > 0 with fib(i + pi) = fib(i) (mod n) for all i, found by
-    scanning consecutive residue pairs until the initial pair recurs.
+    The least k > 0 with (F_k, F_(k+1)) = (0, 1) (mod n).  The period of a
+    prime power p^e divides p^(e-1) times 3 for p = 2, 20 for p = 5, p - 1
+    for p = +-1 (mod 5) and 2(p + 1) otherwise, so the lcm of these is a
+    multiple of the period; each of its primes is then divided out while
+    the pair still returns.  Raises Unfactored when trial division up to
+    PISANO_TRIAL_LIMIT does not factor n.
     """
     if n < 1:
         raise ValueError(f"modulus must be >= 1, got {n}")
-    if n == 1:
-        return 1
-    a, b = 1 % n, 1 % n
-    period = 0
-    while True:
-        a, b = b, (a + b) % n
-        period += 1
-        if a == 1 and b == 1:
-            return period
+    period, primes = 1, set()
+    for p, e in _factor(n).items():
+        multiple = 3 if p == 2 else 20 if p == 5 else p - 1 if p % 5 in (1, 4) else 2 * (p + 1)
+        primes |= {p, *_factor(multiple)}
+        period = lcm(period, p ** (e - 1) * multiple)
+    for q in primes:
+        while period % q == 0 and _fib_pair_mod(period // q, n) == (0, 1):
+            period //= q
+    return period
 
 
 def fib_word_rows(count: int) -> list[str]:

@@ -45,6 +45,11 @@ GOLDEN = [
     (["decide", "forall x. (0 < x -> x < f(x) + 1)"], 0, "True (exact)"),
     (["decide", "forall x. forall y. (f(x + y) < f(x) + f(y) + 2)", "--bound", "60"], 0, "bounded"),
     (["decide", "exists x. (10 < x & x < 12 & p5(x))"], 1, "False"),
+    (["decide", "exists x. (f(x) = 3*x & 0 < x | f(x) = 4*x + 1 & 0 < x)"], 1,
+     "False (exact)\n"),
+    (["decide", "exists x. (0 < x & f(x) != x + 1)"], 0, "True (exact); witness 1\n"),
+    (["decide", "forall x. (x < 1 | f(x) = x + 1 | f(x) = x + 2)"], 1,
+     "False (exact); counterexample 1\n"),
     (["decide", "P[2,3,1,2](0, 10)"], 0, "True"),
     (["decide", "P[1,1000000,0,3](0, 100000000)"], 0, "True (exact); witness 2\n"),
     (["decide", "P[3,5,1,2](0, 1000000000000)"], 0, "True (exact); witness 76\n"),
@@ -195,6 +200,37 @@ def test_lower_bounded_solve_answers_in_milliseconds(capsys):
     assert run(argv) == 0
     assert time.perf_counter() - started < 0.01
     assert capsys.readouterr().out.split()[-1] == "130329209370"
+
+
+ADDITIVE = "forall x. forall y. (f(x + y) < f(x) + f(y) + 2)"
+
+
+@pytest.mark.parametrize("text", [ADDITIVE, "exists x. exists y. f(x + y) > f(x) + f(y) + 1"],
+                         ids=["forall", "exists"])
+def test_spent_evaluation_budget_exits_2_in_seconds(text, capsys):
+    started = time.perf_counter()
+    assert run(["decide", text]) == 2
+    assert time.perf_counter() - started < 2
+    assert capsys.readouterr().out == "unknown: evaluation budget spent\n"
+    assert run(["decide", text, "--json"]) == 2
+    record = json.loads(capsys.readouterr().out)
+    assert record["result"] == {"truth": "unknown", "reason": "evaluation budget spent"}
+
+
+def test_pisano_of_a_ten_digit_prime_answers_in_seconds(capsys):
+    started = time.perf_counter()
+    assert run(["pisano", "1000000007"]) == 0
+    assert time.perf_counter() - started < 2
+    assert capsys.readouterr().out == "2000000016\n"
+
+
+def test_pisano_past_trial_division_exits_2_with_a_reason(capsys):
+    assert run(["pisano", str(1000003 * 1000033)]) == 2
+    assert capsys.readouterr().out.startswith("unknown: trial division to 1000000 leaves")
+    assert run(["pisano", str(1000003 * 1000033), "--json"]) == 2
+    record = json.loads(capsys.readouterr().out)
+    assert record["result"]["value"] is None and "trial division" in record["result"]["reason"]
+    assert record["provenance"] == "unknown"
 
 
 def _outcome(argv, capsys):

@@ -3,12 +3,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from beatty import logic
 from beatty.congruence import Congruence, CongruenceSystem, solve_system
 from beatty.golden import f_floor
 from beatty.logic import (
     BOUNDED,
     EXACT,
+    MAX_DISJUNCTS,
     MAX_NESTING,
     Add,
     And,
@@ -325,6 +329,7 @@ def test_to_normal_form_examples():
     assert to_normal_form(parse("exists x. f(x + x) = 3")) is None
     assert to_normal_form(parse("exists x. f(f(x)) = 3")) is None
     assert to_normal_form(parse("exists x. (x = 1 | x = 2)")) is None
+    assert to_normal_form(parse("exists x. f(x) != 3")) is None  # two disjuncts
 
 
 def test_to_normal_form_handles_scaled_and_negated_shapes():
@@ -448,6 +453,118 @@ def test_decide_nf_against_brute_force():
             assert nf_brute_holds(data, d.witness)
             matrix = sentence.body
             assert evaluate(matrix, {"x": d.witness}).truth is True
+
+
+def _disjunction(rng, negated_equalities):
+    """exists x. D1 | ... | Dk for 2-3 normal-form disjuncts with finite
+    windows, some with a negated equality, and x -> whether the body holds."""
+    parts, checks = [], []
+    for _ in range(rng.randint(2, 3)):
+        sentence, data = random_nf_sentence(rng, max_modulus=6, max_width=1500)
+        body, excluded = sentence.body, None
+        if negated_equalities and rng.random() < 0.6:
+            # knock out the least witness, or a point chosen at random
+            _, _, low, high, _ = data
+            point = nf_brute_witness(data) or rng.randint(low, high)
+            excluded = (point, None) if rng.random() < 0.5 else (None, f_floor(point))
+            atom = (Cmp(Var("x"), "=", Const(point)) if excluded[0] is not None
+                    else Cmp(F(Var("x")), "=", Const(excluded[1])))
+            body = And(body, Not(atom)) if rng.random() < 0.5 else And(Not(atom), body)
+        parts.append(body)
+        checks.append((data, excluded))
+
+    def holds(x):
+        return any(nf_brute_holds(data, x) and (excluded is None or (
+            x != excluded[0] if excluded[0] is not None else f_floor(x) != excluded[1]))
+            for data, excluded in checks)
+
+    body = parts[0]
+    for part in parts[1:]:
+        body = Or(body, part)
+    lows = [data[2] for data, _ in checks]
+    highs = [data[3] for data, _ in checks]
+    return body, holds, range(min(lows) + 1, max(highs))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32), st.booleans(), st.booleans())
+def test_decide_disjunctions_against_brute_force(seed, existential, negated_equalities):
+    body, holds, window = _disjunction(random.Random(seed), negated_equalities)
+    truth = any(holds(x) for x in window)  # every disjunct has a finite window
+    sentence = Exists("x", body) if existential else Forall("x", Not(body))
+    d = decide(sentence)
+    assert d.provenance == EXACT and d.truth is (truth if existential else not truth)
+    certificate = d.witness if existential else d.counterexample
+    assert (certificate is not None) is truth
+    if truth:
+        assert holds(certificate)
+        assert evaluate(sentence.body, {"x": certificate}).truth is existential
+
+
+def test_decide_disjunctions_examples():
+    d = decide(parse("exists x. (f(x) = 3*x & 0 < x | f(x) = 4*x + 1 & 0 < x)"))
+    assert d == Decision(False)
+    # the certificate of least absolute value over the disjuncts
+    d = decide(parse("exists x. (x = 5 | x = -3 | f(x) = 100)"))
+    assert d == Decision(True, witness=-3)
+    d = decide(parse("forall x. (x < 1 | f(x) = x + 1 | f(x) = x + 2)"))
+    assert d == Decision(False, counterexample=1)
+    # != splits into < and >, under exists and (as = in the negation) forall
+    d = decide(parse("exists x. (0 < x & f(x) != x + 1 & x < 3)"))
+    assert d == Decision(True, witness=1)
+    d = decide(parse("forall x. (x < 1 | x > 2 | f(x) = 1 | f(x) = 3)"))
+    assert d == Decision(True)
+
+
+def _product_of_disjunctions(factors):
+    """exists x with 2**factors disjuncts in normal form, false over Z."""
+    pair = "(f(x) = 2 * x | f(x) = 3 * x)"
+    return "exists x. (0 < x & " + " & ".join([pair] * factors) + ")"
+
+
+def _chain_of_disjunctions(count):
+    """exists x with count disjuncts in one | chain, false over Z."""
+    return "exists x. " + " | ".join(f"0 < x & f(x) = 2 * x + {k}" for k in range(count))
+
+
+@pytest.mark.parametrize("sentence,at_cap", [
+    (_product_of_disjunctions, 6),  # 64 and 128 disjuncts
+    (_chain_of_disjunctions, MAX_DISJUNCTS),
+], ids=["product", "chain"])
+def test_disjunct_cap_sends_larger_bodies_to_bounded_evaluation(sentence, at_cap):
+    assert MAX_DISJUNCTS == 64
+    assert decide(parse(sentence(at_cap)), bound=30) == Decision(False)
+    assert decide(parse(sentence(at_cap + 1)), bound=30) == Decision(False, BOUNDED, bound=30)
+
+
+def test_one_disjunct_outside_the_fragment_sends_the_body_to_bounded_evaluation():
+    d = decide(parse("exists x. (0 < x & f(x) = 2 * x | f(f(x)) = 5)"), bound=30)
+    assert d == Decision(False, BOUNDED, bound=30)
+
+
+# --- evaluation budget ------------------------------------------------------
+
+def _evaluate_with_budget(monkeypatch, text, budget):
+    monkeypatch.setattr(logic, "EVAL_BUDGET", budget)
+    return evaluate(parse(text), bound=100)
+
+
+def test_exhausted_budget_is_unknown_never_bounded(monkeypatch):
+    # the outer scans would run to their end on unknown bodies
+    for text in ("forall x. forall y. f(x + y) < f(x) + f(y) + 2",
+                 "exists x. exists y. f(x + y) > f(x) + f(y) + 1"):
+        d = _evaluate_with_budget(monkeypatch, text, 1000)
+        assert d.truth is None and d.reason == "evaluation budget spent"
+        # 201 outer points and 201 inner points for each
+        assert _evaluate_with_budget(monkeypatch, text, 201 * 202).provenance == BOUNDED
+        assert _evaluate_with_budget(monkeypatch, text, 201 * 202 - 1).truth is None
+
+
+def test_decisive_scans_give_back_the_points_they_skipped(monkeypatch):
+    # 201 outer points, each inner scan decisive at its first point
+    text = "forall x. exists y. y = 0"
+    assert _evaluate_with_budget(monkeypatch, text, 402) == Decision(True, BOUNDED, bound=100)
+    assert _evaluate_with_budget(monkeypatch, text, 401).truth is None
 
 
 def test_nnf_and_free_vars():

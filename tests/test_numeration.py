@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,8 @@ from beatty.numeration import (
     fib,
     fib_word_prefix,
     fib_word_rows,
+    PISANO_TRIAL_LIMIT,
+    Unfactored,
     pisano,
     unzeckendorf,
     zeckendorf,
@@ -109,6 +113,35 @@ def test_pisano_is_the_least_period(n):
         if any(values[i + smaller] != values[i] for i in range(2 * period)):
             continue
         pytest.fail(f"period {smaller} < {period} also works for n={n}")
+
+
+def _pisano_scan(n):
+    """The least k > 0 at which the pair (F_k, F_k+1) mod n is (0, 1) again."""
+    a, b, k = 0, 1 % n, 0
+    while True:
+        a, b, k = b, (a + b) % n, k + 1
+        if (a, b) == (0, 1 % n):
+            return k
+
+
+def test_pisano_matches_a_scan():
+    # every n below 3000, and some higher prime powers
+    for n in [*range(1, 3000), 2**14, 5**6, 3**4 * 7**3, 11**4]:
+        assert pisano(n) == _pisano_scan(n), n
+
+
+def test_pisano_of_a_ten_digit_prime_is_fast():
+    started = time.perf_counter()
+    assert pisano(1000000007) == 2000000016
+    assert pisano(12 * 1000000007) == 2000000016  # lcm with pisano(12) = 24
+    assert time.perf_counter() - started < 2
+
+
+def test_pisano_refuses_a_modulus_trial_division_cannot_factor():
+    n = 1000003 * 1000033  # both primes above the limit, the product above its square
+    assert n > PISANO_TRIAL_LIMIT ** 2
+    with pytest.raises(Unfactored, match="trial division"):
+        pisano(n)
 
 
 def test_word_rows_match_substitution():
