@@ -15,7 +15,7 @@ window.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd
 
 from .golden import f_floor
 from .numeration import fib
@@ -25,6 +25,7 @@ __all__ = [
     "CongruenceSystem",
     "SolveOutcome",
     "crt_combine",
+    "solve_linear",
     "solve_image",
     "solve_system",
     "satisfies",
@@ -91,6 +92,16 @@ def satisfies(system: CongruenceSystem, x: int) -> bool:
     return True
 
 
+def solve_linear(a: int, c: int, n: int) -> Congruence | None:
+    """The x with a*x + c = 0 (mod n), as one class, or None when there are
+    none: dividing out g = gcd(a, n) leaves a unit a/g modulo n/g."""
+    g = gcd(a, n)
+    if c % g:
+        return None
+    reduced = n // g
+    return Congruence(reduced, -(c // g) * pow(a // g, -1, reduced))
+
+
 def crt_combine(congruences: list[Congruence]) -> Congruence | None:
     """Single congruence equivalent to the conjunction, or None if
     inconsistent.  Moduli need not be coprime."""
@@ -98,14 +109,11 @@ def crt_combine(congruences: list[Congruence]) -> Congruence | None:
         raise ValueError("empty conjunction")
     n, m = congruences[0].modulus, congruences[0].residue
     for cg in congruences[1:]:
-        g = gcd(n, cg.modulus)
-        if (cg.residue - m) % g:
+        # x = m + n*t meets cg where n*t + m - residue = 0 (mod modulus)
+        step = solve_linear(n, m - cg.residue, cg.modulus)
+        if step is None:
             return None
-        reduced = cg.modulus // g
-        t = ((cg.residue - m) // g * pow(n // g, -1, reduced)) % reduced
-        n_next = lcm(n, cg.modulus)
-        m = (m + n * t) % n_next
-        n = n_next
+        m, n = m + n * step.residue, n * step.modulus
     return Congruence(n, m)
 
 

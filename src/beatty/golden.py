@@ -137,11 +137,6 @@ class QuadRat:
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "r", r)
 
-    @classmethod
-    def from_fraction(cls, value: Fraction | int) -> "QuadRat":
-        fr = Fraction(value)
-        return cls(fr.numerator, 0, fr.denominator)
-
     @property
     def is_rational(self) -> bool:
         return self.q == 0

@@ -11,10 +11,9 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, count
-from math import floor, gcd
 from operator import itemgetter
 
-from .congruence import Congruence, CongruenceSystem, crt_combine, solve_system
+from .congruence import Congruence, CongruenceSystem, crt_combine, solve_linear, solve_system
 from .golden import f_floor
 from .windows import (
     LinearConstraint,
@@ -876,16 +875,27 @@ def _dnf(formula: Formula) -> list[list[Formula]] | None:
     return [[formula]]
 
 
-def _solve_unit_congruence(a: int, cst: int, n: int) -> Congruence | None:
-    """x-classes of a*x + cst = 0 (mod n); None when there are none."""
-    g = gcd(a, n)
-    if cst % g:
+def _order_window(a: int, cst: int, rel: str, lower: int | None,
+                  upper: int | None) -> tuple[int | None, int | None] | None:
+    """The open window lower < x < upper (None: unbounded) narrowed by
+    a*x + cst <rel> 0, with rel "<" or "="; None when no integer is left."""
+    if a == 0:
+        return (lower, upper) if (cst < 0 if rel == "<" else cst == 0) else None
+    if rel == "=":
+        if cst % a:
+            return None
+        point = -cst // a
+        lower = point - 1 if lower is None else max(lower, point - 1)
+        upper = point + 1 if upper is None else min(upper, point + 1)
+    elif a > 0:  # x < -cst/a
+        bound = (-cst - 1) // a + 1
+        upper = bound if upper is None else min(upper, bound)
+    else:  # x > -cst/a
+        bound = -cst // a
+        lower = bound if lower is None else max(lower, bound)
+    if lower is not None and upper is not None and upper - lower < 2:
         return None
-    reduced = n // g
-    if reduced == 1:
-        return Congruence(1, 0)
-    inv = pow((a // g) % reduced, -1, reduced)
-    return Congruence(reduced, (-(cst // g) * inv) % reduced)
+    return lower, upper
 
 
 def to_normal_form(formula: Formula) -> NormalFormQuery | None:
@@ -909,68 +919,39 @@ def _conjunction_query(var: str, conjuncts: list[Formula]) -> NormalFormQuery | 
     linear: list[LinearConstraint] = []
 
     for conjunct in conjuncts:
-        if isinstance(conjunct, PPred):
-            return None
         if isinstance(conjunct, Div):
             lin = _linearize(conjunct.term, var)
             if lin is None:
                 return None
             a, b, cst = lin
-            if a != 0 and b != 0 or (a == 0 and b == 0):
+            if (a == 0) == (b == 0):  # a congruence on x or on f(x), not both
                 return None
-            target = on_x if b == 0 else on_fx
-            solved = _solve_unit_congruence(a or b, cst, conjunct.modulus)
-            target.extend([solved] if solved else _FALSE_PAIR)
+            solved = solve_linear(a or b, cst, conjunct.modulus)
+            (on_x if b == 0 else on_fx).extend([solved] if solved else _FALSE_PAIR)
             continue
-        if isinstance(conjunct, Not):
-            atom = conjunct.body
-            if not isinstance(atom, Cmp) or atom.rel != "<":
-                return None
-            lin_l = _linearize(atom.left, var)
-            lin_r = _linearize(atom.right, var)
-            if lin_l is None or lin_r is None:
-                return None
-            # not(e < 0) == -e - 1 < 0 over the integers
-            a = -(lin_l[0] - lin_r[0])
-            b = -(lin_l[1] - lin_r[1])
-            cst = -(lin_l[2] - lin_r[2]) - 1
-            rel = "<"
-        elif isinstance(conjunct, Cmp):
-            lin_l = _linearize(conjunct.left, var)
-            lin_r = _linearize(conjunct.right, var)
-            if lin_l is None or lin_r is None:
-                return None
-            a = lin_l[0] - lin_r[0]
-            b = lin_l[1] - lin_r[1]
-            cst = lin_l[2] - lin_r[2]
-            rel = conjunct.rel
-        else:
+        negated = isinstance(conjunct, Not)
+        atom = conjunct.body if negated else conjunct
+        if not isinstance(atom, Cmp) or negated and atom.rel != "<":
             return None
+        lin_l, lin_r = _linearize(atom.left, var), _linearize(atom.right, var)
+        if lin_l is None or lin_r is None:
+            return None
+        a, b, cst = (left - right for left, right in zip(lin_l, lin_r))
+        if negated:  # not(e < 0) == -e - 1 < 0 over the integers
+            a, b, cst = -a, -b, -cst - 1
 
         # now: a*x + b*f(x) + cst  <rel>  0
         if a == 0 and b == 0:
             return None
         if b == 0:
-            if rel == "=":
-                if cst % a == 0:
-                    point = (-cst) // a
-                    lower = point - 1 if lower is None else max(lower, point - 1)
-                    upper = point + 1 if upper is None else min(upper, point + 1)
-                else:
-                    on_x.extend(_FALSE_PAIR)
-            elif a > 0:  # x < -cst/a
-                new_upper = (-cst - 1) // a + 1
-                upper = new_upper if upper is None else min(upper, new_upper)
-            else:  # x > -cst/a
-                new_lower = (-cst) // a
-                lower = new_lower if lower is None else max(lower, new_lower)
+            window = _order_window(a, cst, atom.rel, lower, upper)
+            if window is None:
+                on_x.extend(_FALSE_PAIR)
+            else:
+                lower, upper = window
             continue
-        if b > 0:
-            constraint = LinearConstraint(rel, Fraction(-a, b), Fraction(-cst, b))
-        else:
-            flipped = {"<": ">", "=": "="}[rel]
-            constraint = LinearConstraint(flipped, Fraction(-a, b), Fraction(-cst, b))
-        linear.append(constraint)
+        rel = atom.rel if b > 0 else {"<": ">", "=": "="}[atom.rel]
+        linear.append(LinearConstraint(rel, Fraction(-a, b), Fraction(-cst, b)))
 
     return NormalFormQuery(var, tuple(on_x), tuple(on_fx), lower, upper, tuple(linear))
 
@@ -991,42 +972,22 @@ def _query_holds(query: NormalFormQuery, x: int) -> bool:
 
 
 def _negative_branch(query: NormalFormQuery, mx: Congruence, mf: Congruence) -> int | None:
-    """Witness <= 0 if one exists there (f vanishes, so the f-congruence
-    must have residue 0 and each linear constraint degenerates)."""
+    """The witness <= 0 nearest 0, if there is one: f vanishes there, so the
+    f-congruence needs residue 0 and each linear constraint 0 <rel> m*x + c0
+    narrows the order window on x."""
     if mf.residue != 0:
         return None
-    lo = None if query.lower is None else query.lower + 1
-    hi = 0 if query.upper is None else min(query.upper - 1, 0)
+    window = (query.lower, 1 if query.upper is None else min(query.upper, 1))
     for lc in query.linear:
-        _, m, c0 = lc.integer_form()  # constraint reads: 0 <rel> m*x + c0
-        rel = lc.relation
-        if m == 0:
-            satisfied = 0 < c0 if rel == "<" else (0 == c0 if rel == "=" else 0 > c0)
-            if not satisfied:
-                return None
-            continue
-        if rel == "=":
-            if c0 % m:
-                return None
-            point = (-c0) // m
-            lo = point if lo is None else max(lo, point)
-            hi = min(hi, point)
-        else:
-            t = Fraction(-c0, m)
-            # "<" means m*x > -c0, ">" means m*x < -c0
-            wants_above = (rel == "<") == (m > 0)
-            if wants_above:
-                bound = floor(t) + 1
-                lo = bound if lo is None else max(lo, bound)
-            else:
-                bound = -floor(-t) - 1  # ceil(t) - 1
-                hi = min(hi, bound)
-    if lo is not None and lo > hi:
-        return None
-    x = hi - ((hi - mx.residue) % mx.modulus)
-    if lo is not None and x < lo:
-        return None
-    return x
+        _, m, c0 = lc.integer_form()
+        sign = -1 if lc.relation == "<" else 1  # 0 < m*x + c0 is -m*x - c0 < 0
+        rel = "=" if lc.relation == "=" else "<"
+        window = _order_window(sign * m, sign * c0, rel, *window)
+        if window is None:
+            return None
+    lower, upper = window
+    x = upper - 1 - (upper - 1 - mx.residue) % mx.modulus
+    return None if lower is not None and x <= lower else x
 
 
 def decide_existential_nf(query: NormalFormQuery) -> Decision:
@@ -1095,8 +1056,10 @@ def _decide_one_variable(sentence: Exists | Forall) -> Decision | None:
     """Exact decision of an NNF one-quantifier sentence with a quantifier-free
     body, by exists x (A | B) == exists x A | exists x B over the DNF of the
     body (of its negation for forall); None when some disjunct is outside
-    the normal form or there are more than MAX_DISJUNCTS.  The certificate
-    is the one of least absolute value, checked against the whole body."""
+    the normal form or there are more than MAX_DISJUNCTS.  Each disjunct
+    gives its nonpositive witness nearest 0 if it has one, or else the first
+    positive witness found piece by piece; the certificate is the least |x|
+    among those, checked against the whole body."""
     existential = isinstance(sentence, Exists)
     disjuncts = _dnf(sentence.body if existential else nnf(Not(sentence.body)))
     if disjuncts is None:

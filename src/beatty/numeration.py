@@ -33,21 +33,22 @@ def _fibs_upto(n: int) -> list[int]:
     return _FIBS
 
 
-def _doubling_pair(k: int) -> tuple[int, int]:
-    # fast doubling on the 0, 1, 1, 2, ... convention
-    if k == 0:
-        return 0, 1
-    a, b = _doubling_pair(k >> 1)
-    c0 = a * (2 * b - a)
-    c1 = a * a + b * b
-    if k & 1:
-        return c1, c0 + c1
-    return c0, c1
+def _fib_pair(k: int, n: int = 0) -> tuple[int, int]:
+    """(F_k, F_(k+1)) on the 0, 1, 1, 2, ... convention, by fast doubling
+    over the bits of k; reduced mod n when n is given."""
+    a, b = 0, 1
+    for bit in bin(k)[2:]:
+        a, b = a * (2 * b - a), a * a + b * b
+        if bit == "1":
+            a, b = b, a + b
+        if n:
+            a, b = a % n, b % n
+    return a, b
 
 
 @lru_cache(maxsize=4096)
 def _fib_big(i: int) -> int:
-    return _doubling_pair(i + 1)[0]
+    return _fib_pair(i + 1)[0]
 
 
 def fib(i: int) -> int:
@@ -124,37 +125,31 @@ def _factor(n: int) -> dict[int, int]:
     return factors
 
 
-def _fib_pair_mod(k: int, n: int) -> tuple[int, int]:
-    """(F_k, F_(k+1)) mod n on the 0, 1, 1, 2, ... convention, by fast
-    doubling over the bits of k."""
-    a, b = 0, 1
-    for bit in bin(k)[2:]:
-        a, b = a * (2 * b - a) % n, (a * a + b * b) % n
-        if bit == "1":
-            a, b = b, (a + b) % n
-    return a, b
-
-
 def pisano(n: int) -> int:
     """Period of the Fibonacci sequence modulo n.
 
-    The least k > 0 with (F_k, F_(k+1)) = (0, 1) (mod n).  The period of a
-    prime power p^e divides p^(e-1) times 3 for p = 2, 20 for p = 5, p - 1
-    for p = +-1 (mod 5) and 2(p + 1) otherwise, so the lcm of these is a
-    multiple of the period; each of its primes is then divided out while
-    the pair still returns.  Raises Unfactored when trial division up to
-    PISANO_TRIAL_LIMIT does not factor n.
+    The least k > 0 with (F_k, F_(k+1)) = (0, 1) (mod n): the lcm of the
+    periods of the prime powers p^e of n.  The period of p divides 3 for
+    p = 2, 20 for p = 5, p - 1 for p = +-1 (mod 5) and 2(p + 1) otherwise;
+    each prime of that multiple is divided out while the pair still returns
+    modulo p.  With t the largest s <= e at which the pair returns modulo
+    p^s after that period, the period of p^e is p^(e-t) times it (Wall 1960,
+    Theorem 5); t is measured, so no conjecture is used.  Raises Unfactored
+    when trial division up to PISANO_TRIAL_LIMIT does not factor n.
     """
     if n < 1:
         raise ValueError(f"modulus must be >= 1, got {n}")
-    period, primes = 1, set()
+    period = 1
     for p, e in _factor(n).items():
-        multiple = 3 if p == 2 else 20 if p == 5 else p - 1 if p % 5 in (1, 4) else 2 * (p + 1)
-        primes |= {p, *_factor(multiple)}
-        period = lcm(period, p ** (e - 1) * multiple)
-    for q in primes:
-        while period % q == 0 and _fib_pair_mod(period // q, n) == (0, 1):
-            period //= q
+        base = 3 if p == 2 else 20 if p == 5 else p - 1 if p % 5 in (1, 4) else 2 * (p + 1)
+        for q in _factor(base):
+            while base % q == 0 and _fib_pair(base // q, p) == (0, 1):
+                base //= q
+        a, b = _fib_pair(base, p**e)
+        t = 1
+        while t < e and a % p ** (t + 1) == 0 and b % p ** (t + 1) == 1:
+            t += 1
+        period = lcm(period, p ** (e - t) * base)
     return period
 
 

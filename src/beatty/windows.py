@@ -13,9 +13,9 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import ceil, floor, gcd, lcm
+from math import ceil, floor, lcm
 
-from .congruence import Congruence, crt_combine
+from .congruence import Congruence, crt_combine, solve_linear
 from .golden import QuadRat, compare_phi, f_floor, quad_ceil, quad_floor
 from .numeration import fib
 
@@ -306,33 +306,27 @@ def solution_window(constraint: LinearConstraint) -> WindowSet:
     lo, hi = quad_floor(_qdiv(a, denom)) + 1, quad_ceil(_qdiv(b, denom)) - 1
     pieces: list[Piece | None] = []
 
+    before = (rel == "<") == below  # the comparison holds before the zone
     if rel == "=":
         # n*f(x) = m*x + c0 at the zone points with n | m*x + c0: one class
-        g = gcd(m, n)
-        if c0 % g == 0:
-            n_cls = n // g
-            r0 = 0 if n_cls == 1 else (-(c0 // g) * pow((m // g) % n_cls, -1, n_cls)) % n_cls
-            pieces.append(_make_piece(lo, hi, n_cls, r0))
+        cls = solve_linear(m, c0, n)
+        if cls is not None:
+            pieces.append(_make_piece(lo, hi, cls.modulus, cls.residue))
     elif hi - max(lo, 1) + 1 <= CLASS_CROSSOVER * n:
         sign = 1 if rel == ">" else -1
-        pieces += _zone_runs(sign * n, sign * m, sign * c0, lo, hi, (rel == "<") == below)
-    elif rel == "<":
-        # n*f(x) <= m*x + c0 - 1, settled per class r: the threshold is
-        # (n*phi - m)*x < c0 + n - 1 - ((m*r + c0 - 1) mod n).
-        for r in range(n):
-            t = c0 + n - 1 - ((m * r + c0 - 1) % n)
-            if below:
-                pieces.append(_make_piece(1, quad_ceil(_qdiv(t, denom)) - 1, n, r))
-            else:
-                pieces.append(_make_piece(quad_floor(_qdiv(t, denom)) + 1, None, n, r))
+        pieces += _zone_runs(sign * n, sign * m, sign * c0, lo, hi, before)
     else:
-        # n*f(x) >= m*x + c0 + 1: threshold (n*phi - m)*x >= c0 + 1 + eps_r.
+        # Per class r, n*f(x) <= m*x + c0 - 1 reads (n*phi - m)*x < t and
+        # n*f(x) >= m*x + c0 + 1 reads (n*phi - m)*x >= t, with t below, so
+        # the class holds before or after the cut at x = t/denom.
         for r in range(n):
-            t = c0 + 1 + (-(m * r + c0 + 1)) % n
-            if below:
-                pieces.append(_make_piece(quad_ceil(_qdiv(t, denom)), None, n, r))
+            if rel == "<":
+                t = c0 + n - 1 - (m * r + c0 - 1) % n
             else:
-                pieces.append(_make_piece(1, quad_floor(_qdiv(t, denom)), n, r))
+                t = c0 + 1 + (-(m * r + c0 + 1)) % n
+            v = _qdiv(t, denom)
+            cut = quad_ceil(v) if below else quad_floor(v) + 1
+            pieces.append(_make_piece(1, cut - 1, n, r) if before else _make_piece(cut, None, n, r))
 
     window = WindowSet.from_pieces(pieces)
     _verify_boundaries(constraint, window)

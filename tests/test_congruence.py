@@ -13,6 +13,7 @@ from beatty.congruence import (
     crt_combine,
     satisfies,
     solve_image,
+    solve_linear,
     solve_system,
     solve_system_bounded,
 )
@@ -57,6 +58,18 @@ def test_crt_matches_exhaustive_scan(raw):
     else:
         assert combined.modulus == total or total % combined.modulus == 0
         assert solutions == {x for x in range(total) if combined.holds(x)}
+
+
+@settings(max_examples=300)
+@given(st.integers(-30, 30), st.integers(-50, 50), st.integers(1, 40))
+def test_solve_linear_matches_a_scan(a, c, n):
+    solutions = {x for x in range(n) if (a * x + c) % n == 0}
+    solved = solve_linear(a, c, n)
+    if solved is None:
+        assert not solutions
+    else:
+        assert n % solved.modulus == 0
+        assert solutions == {x for x in range(n) if solved.holds(x)}
 
 
 def test_solve_image_examples():

@@ -46,6 +46,7 @@ from beatty.logic import (
     parse_term,
     to_normal_form,
 )
+from beatty.windows import LinearConstraint
 from formula_gen import nf_brute_holds, nf_brute_witness, random_formula, random_nf_sentence
 
 
@@ -363,6 +364,37 @@ def test_nf_negative_witnesses():
     assert d.truth is True and d.witness == -1
     d = decide(parse("exists x. (x < 0 & p5(f(x)))"))
     assert d.truth is True and d.witness < 0
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.integers(1, 6),
+    st.none() | st.tuples(st.integers(1, 8), st.integers(0, 7)),
+    st.none() | st.integers(-60, 10),
+    st.none() | st.integers(-40, 20),
+    st.lists(st.tuples(st.sampled_from("<=>"),
+                       st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3)),
+                       st.builds(Fraction, st.integers(-20, 20), st.integers(1, 3))),
+             min_size=1, max_size=2),
+)
+def test_nonpositive_witness_is_the_one_nearest_0(fn, on_x, lower, upper, linear):
+    # f vanishes on x <= 0, so with an f-residue of 0 every constraint there
+    # is a comparison on x alone; with nonzero slopes of at least 1/3 in size
+    # and offsets of at most 20 the witness nearest 0, if any, lies above -100
+    if lower is not None and upper is not None and lower >= upper:
+        lower, upper = upper - 1, lower + 1
+    query = NormalFormQuery(
+        "x", () if on_x is None else (Congruence(*on_x),), (Congruence(fn, 0),),
+        lower, upper, tuple(LinearConstraint(*lc) for lc in linear))
+    brute = [x for x in range(0, -101, -1)
+             if (on_x is None or x % on_x[0] == on_x[1] % on_x[0])
+             and (lower is None or lower < x) and (upper is None or x < upper)
+             and all(lc.holds(x) for lc in query.linear)]
+    d = decide_existential_nf(query)
+    if brute:
+        assert d.truth is True and d.witness == brute[0]
+    else:
+        assert not (d.truth and d.witness <= 0)
 
 
 # --- decide ----------------------------------------------------------------

@@ -137,6 +137,14 @@ def test_pisano_of_a_ten_digit_prime_is_fast():
     assert time.perf_counter() - started < 2
 
 
+@pytest.mark.parametrize("n,period", [(2**14000, 3 * 2**13999), (3**8000, 8 * 3**7999)],
+                         ids=["2**14000", "3**8000"])
+def test_pisano_of_a_smooth_thousands_digit_modulus_is_fast(n, period):
+    started = time.perf_counter()
+    assert pisano(n) == period
+    assert time.perf_counter() - started < 1
+
+
 def test_pisano_refuses_a_modulus_trial_division_cannot_factor():
     n = 1000003 * 1000033  # both primes above the limit, the product above its square
     assert n > PISANO_TRIAL_LIMIT ** 2
