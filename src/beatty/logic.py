@@ -11,7 +11,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, count
-from operator import itemgetter
+from operator import add, and_, eq, lt, mul, or_, sub
 
 from .congruence import Congruence, CongruenceSystem, crt_combine, solve_linear, solve_system
 from .golden import f_floor
@@ -36,8 +36,8 @@ __all__ = [
 EXACT = "exact"
 BOUNDED = "bounded"
 DEFAULT_EVAL_BOUND = 10_000
-# Points one evaluate() call may visit in all its quantifier scans: about
-# 0.6 s of the body f(x + y) < f(x) + f(y) + 2 on a 2-vCPU VM, and more
+# Points one evaluate() call may visit in all its quantifier scans: 0.16 to
+# 0.3 s of the body f(x + y) < f(x) + f(y) + 2 on a 2-vCPU VM, and more
 # than ten times what the largest bounded sentence in perfbench visits.
 EVAL_BUDGET = 500_000
 # A one-variable body with more disjuncts in normal form goes to bounded
@@ -627,46 +627,102 @@ def _or_d(a: Decision, b: Decision) -> Decision:
     return Decision(False, prov, _merge_bound(a, b) if prov == BOUNDED else None)
 
 
-def _compile_term(term: Term, scope: dict[str, int]):
-    """env -> int closure; a variable reads its slot of the list env."""
-    if isinstance(term, Var):
-        if term.name not in scope:
-            raise ValueError(f"unassigned variable {term.name!r}")
-        return itemgetter(scope[term.name])
-    if isinstance(term, Const):
-        value = term.value
-        return lambda env: value
-    if isinstance(term, F):
+# the operators of generated source, and how each folds ground operands
+_FOLD = {"+": add, "-": sub, "*": mul, "<": lt, "==": eq, "and": and_, "or": or_}
+_OPERATOR = {Add: "+", Sub: "-", And: "and", Or: "or"}
+
+
+class _Compiler:
+    """One evaluate() call.  source() visits each node once: a node that is
+    ground once the assignment is bound folds to its int or bool; any other
+    term, or quantifier-free formula without P[...], becomes Python source
+    over the list env of quantified variables' slots, where each constant
+    and coefficient is a global c<i>, never printed; the rest becomes an
+    env -> Decision closure.  Each quantifier takes a fresh slot, so
+    shadowed names never share one, and every scan draws on budget."""
+
+    def __init__(self, bound: int):
+        self.bound, self.budget, self.slots = bound, EVAL_BUDGET, count()
         # f_floor is read now, not at import, so that a wrapper installed
         # around it (a call counter) sees every call
-        arg, floor_phi = _compile_term(term.arg, scope), f_floor
-        return lambda env: floor_phi(arg(env))
-    if isinstance(term, Scale):
-        coeff, inner = term.coeff, _compile_term(term.term, scope)
-        return lambda env: coeff * inner(env)
-    if not isinstance(term, (Add, Sub)):
-        raise TypeError(f"not a term: {term!r}")
-    left, right = _compile_term(term.left, scope), _compile_term(term.right, scope)
-    if isinstance(term, Add):
-        return lambda env: left(env) + right(env)
-    return lambda env: left(env) - right(env)
+        self.names = {"__builtins__": {}, "f": f_floor}
 
+    def operand(self, code) -> str:
+        """Source of code; a value is bound to a fresh global c<i>."""
+        if isinstance(code, str):
+            return code
+        name = f"c{len(self.names) - 2}"
+        self.names[name] = code
+        return name
 
-def _compile(formula: Formula, scope: dict[str, int], slots, bound: int, budget: list[int]):
-    """(True, env -> bool) for a quantifier-free formula without P, else
-    (False, env -> Decision).  Each quantifier takes a fresh slot from
-    slots, so shadowed names never share one.  Every scan draws on budget,
-    a one-element list holding the points still to visit."""
-    if isinstance(formula, Cmp):
-        left, right = _compile_term(formula.left, scope), _compile_term(formula.right, scope)
-        if formula.rel == "<":
-            return True, lambda env: left(env) < right(env)
-        return True, lambda env: left(env) == right(env)
-    if isinstance(formula, Div):
-        term, modulus = _compile_term(formula.term, scope), formula.modulus
-        return True, lambda env: term(env) % modulus == 0
-    if isinstance(formula, PPred):
-        low, high = _compile_term(formula.low, scope), _compile_term(formula.high, scope)
+    def function(self, code):
+        """code as an env -> value function; source is compiled once."""
+        if not isinstance(code, str):
+            return lambda env: code
+        return eval(f"lambda env: {code}", self.names)
+
+    def decisions(self, code):
+        """code as an env -> Decision closure."""
+        if callable(code):
+            return code
+        test = self.function(code)
+        return lambda env: _TRUE if test(env) else _FALSE
+
+    def source(self, node, scope: dict[str, int | str]):
+        """node's value, source or closure; scope maps each variable to its
+        assigned value or to the source of its slot."""
+        kind = type(node)  # not isinstance: a third of the time of a fold
+        if kind is Var:
+            if node.name not in scope:
+                raise ValueError(f"unassigned variable {node.name!r}")
+            return scope[node.name]
+        if kind is Const:
+            return node.value
+        if kind is F:
+            arg = self.source(node.arg, scope)
+            return f"f({arg})" if isinstance(arg, str) else f_floor(arg)
+        if kind is Div:
+            term = self.source(node.term, scope)
+            if not isinstance(term, str):
+                return term % node.modulus == 0
+            return f"(not {term} % {self.operand(node.modulus)})"
+        if kind is PPred:
+            return self.window_predicate(node, scope)
+        if kind is Exists or kind is Forall:
+            return self.scan(node, scope)
+        if kind is Implies:
+            return self.source(Or(Not(node.left), node.right), scope)
+        if kind is Not:
+            body = self.source(node.body, scope)
+            if callable(body):
+                return lambda env: _negate(body(env))
+            return f"(not {body})" if isinstance(body, str) else not body
+        if kind is Scale:
+            op, left, right = "*", node.coeff, self.source(node.term, scope)
+        elif kind is Cmp:
+            op = "<" if node.rel == "<" else "=="
+            left, right = self.source(node.left, scope), self.source(node.right, scope)
+        elif kind in _OPERATOR:
+            op = _OPERATOR[kind]
+            left, right = self.source(node.left, scope), self.source(node.right, scope)
+        else:
+            raise TypeError(f"not a formula or term: {node!r}")
+        if callable(left) or callable(right):
+            left, right = self.decisions(left), self.decisions(right)
+            join, decisive = (_and_d, False) if kind is And else (_or_d, True)
+
+            def connect(env: list[int]) -> Decision:
+                # join returns an exact decisive left side whatever the right is
+                a = left(env)
+                return a if a.truth is decisive and a.provenance == EXACT else join(a, right(env))
+
+            return connect
+        if isinstance(left, str) or isinstance(right, str):
+            return f"({self.operand(left)} {op} {self.operand(right)})"
+        return _FOLD[op](left, right)
+
+    def window_predicate(self, formula: PPred, scope: dict[str, int | str]):
+        low, high = (self.function(self.source(t, scope)) for t in (formula.low, formula.high))
         on_x = Congruence(formula.mod_x, formula.res_x)
         on_fx = Congruence(formula.mod_fx, formula.res_fx)
 
@@ -677,27 +733,22 @@ def _compile(formula: Formula, scope: dict[str, int], slots, bound: int, budget:
             out = solve_system(CongruenceSystem(on_x, on_fx, lo, hi))
             return Decision(True, witness=out.witness) if out.is_witness else _FALSE
 
-        return False, solve
-    if isinstance(formula, Implies):
-        formula = Or(Not(formula.left), formula.right)
-    if isinstance(formula, Not):
-        is_bool, body = _compile(formula.body, scope, slots, bound, budget)
-        if is_bool:
-            return True, lambda env: not body(env)
-        return False, lambda env: _negate(body(env))
-    if isinstance(formula, (Exists, Forall)):
-        existential, slot = isinstance(formula, Exists), next(slots)
-        is_bool, body = _compile(formula.body, {**scope, formula.var: slot}, slots, bound,
-                                 budget)
+        return solve
+
+    def scan(self, formula: Exists | Forall, scope: dict[str, int | str]):
+        existential, slot, bound = isinstance(formula, Exists), next(self.slots), self.bound
+        body = self.source(formula.body, {**scope, formula.var: f"env[{slot}]"})
+        if is_bool := not callable(body):
+            body = self.function(body)
 
         def scan(env: list[int]) -> Decision:
             # 0, 1, -1, ..., reach, -reach until the body is decisive; the
             # whole scan is charged up front, so the loop only compares,
             # and a decisive scan gives back the points it did not visit
-            reach = min(bound, (budget[0] - 1) // 2)
+            reach = min(bound, (self.budget - 1) // 2)
             if reach < 0:
                 return _SPENT
-            budget[0] -= 2 * reach + 1
+            self.budget -= 2 * reach + 1
             points = zip(range(1, reach + 1), range(-1, -reach - 1, -1))
             for v in chain((0,), chain.from_iterable(points)):
                 env[slot] = v
@@ -710,37 +761,14 @@ def _compile(formula: Formula, scope: dict[str, int], slots, bound: int, budget:
                     if d.truth is None:
                         return d
                     continue
-                budget[0] += 2 * reach + 1 - (2 * v if v > 0 else 1 - 2 * v)
+                self.budget += 2 * reach + 1 - (2 * v if v > 0 else 1 - 2 * v)
                 return Decision(existential, d.provenance, d.bound,
                                 *((v, None) if existential else (None, v)))
             if reach < bound:
                 return _SPENT
             return Decision(not existential, BOUNDED, bound=bound)
 
-        return False, scan
-    if not isinstance(formula, (And, Or)):
-        raise TypeError(f"not a formula: {formula!r}")
-    conjunction = isinstance(formula, And)
-    left_bool, left = _compile(formula.left, scope, slots, bound, budget)
-    right_bool, right = _compile(formula.right, scope, slots, bound, budget)
-    if left_bool and right_bool:
-        if conjunction:
-            return True, lambda env: left(env) and right(env)
-        return True, lambda env: left(env) or right(env)
-    left, right = _decisions(left_bool, left), _decisions(right_bool, right)
-    combine, decisive = (_and_d, False) if conjunction else (_or_d, True)
-
-    def connect(env: list[int]) -> Decision:
-        # combine returns an exact decisive left side whatever the right is
-        a = left(env)
-        return a if a.truth is decisive and a.provenance == EXACT else combine(a, right(env))
-
-    return False, connect
-
-
-def _decisions(is_bool: bool, run):
-    """run as an env -> Decision closure."""
-    return (lambda env: _TRUE if run(env) else _FALSE) if is_bool else run
+        return scan
 
 
 def evaluate(
@@ -754,14 +782,12 @@ def evaluate(
     existential witness (or universal counterexample) is sound, while a
     completed scan yields a decision tagged "bounded".  All scans together
     visit at most EVAL_BUDGET points; a scan the budget cut short that finds
-    no decisive point makes the answer unknown.  The formula is compiled
-    once into closures over a list of variable slots."""
-    assignment = assignment or {}
-    slots = count(len(assignment))
-    is_bool, run = _compile(formula, dict(zip(assignment, count())), slots, bound,
-                            [EVAL_BUDGET])
-    env = [*assignment.values()] + [0] * (next(slots) - len(assignment))
-    return _decisions(is_bool, run)(env)
+    no decisive point makes the answer unknown.  Assigned variables are
+    constants, ground parts fold to values, and each other quantifier-free
+    part without P[...] runs as one generated function (see _Compiler)."""
+    compiler = _Compiler(bound)
+    run = compiler.decisions(compiler.source(formula, dict(assignment or {})))
+    return run([0] * next(compiler.slots))
 
 
 # --- negation normal form ---------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from beatty import cli
 from beatty.cli import run
 from beatty.golden import f_floor
-from beatty.logic import MAX_NESTING
+from beatty.logic import MAX_NESTING, ParseError, parse
 
 # golden suite: (argv, expected exit code, substring expected on stdout)
 GOLDEN = [
@@ -165,6 +165,38 @@ def test_deep_nesting_exits_64(name, capsys):
 ], ids=["(", "!", "f(", "&", "->", "quantifiers and |"])
 def test_nesting_at_the_cap_is_decided(text):
     assert run(["decide", text, "--bound", "3"]) in (0, 1)
+
+
+# Each construct above, k levels deep under two quantifiers, so that the body
+# is not ground: it becomes one generated function, which the interpreter's
+# parser must accept at the nesting cap (it refuses 200 nested parentheses).
+UNDER_QUANTIFIERS = {
+    "(": lambda k: "(" * k + "x < y" + ")" * k,
+    "!": lambda k: "!" * k + "x < y",
+    "f(": lambda k: "f(" * k + "x" + ")" * k + " > y",
+    "&": lambda k: " & ".join(["x < y"] * k),
+    "->": lambda k: " -> ".join(["x < y"] * k),
+    "|": lambda k: " | ".join(["x < y"] * k),
+    "+": lambda k: " + ".join(["x"] * k) + " < y",
+}
+
+
+@pytest.mark.parametrize("name", UNDER_QUANTIFIERS)
+def test_nesting_at_the_cap_is_compiled_and_scanned(name):
+    def sentence(k):
+        return "forall x. exists y. " + UNDER_QUANTIFIERS[name](k)
+
+    deepest = max(k for k in range(1, MAX_NESTING + 2) if _parses(sentence(k)))
+    assert MAX_NESTING - 2 <= deepest <= MAX_NESTING  # so deepest + 1 was refused
+    assert run(["decide", sentence(deepest), "--bound", "3"]) in (0, 1)
+
+
+def _parses(text: str) -> bool:
+    try:
+        parse(text)
+    except ParseError:
+        return False
+    return True
 
 
 def test_unexpected_exception_exits_70(monkeypatch, capsys):

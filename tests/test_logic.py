@@ -1,5 +1,7 @@
 import dataclasses
 import random
+import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -311,6 +313,78 @@ def test_evaluate_matches_reference_walker_on_shadowing_and_p(text, assignment):
     formula = parse(text)
     for bound in (0, 4, 20):
         assert evaluate(formula, assignment, bound) == _walk(formula, dict(assignment), bound)
+
+
+# --- generated code ---------------------------------------------------------
+
+# Every token generated source may hold: slots, constants bound by name, f,
+# arithmetic, < and ==, and, or, not, parentheses.
+_GENERATED = re.compile(r"(\s*(env\[\d+\]|c\d+\b|f\(|[-+*%()<]|==|(and|or|not)\b))*\s*")
+
+
+def _generated_sources(monkeypatch) -> list[str]:
+    sources = []
+    compile_source = logic._Compiler.function
+
+    def recording(compiler, code):
+        if isinstance(code, str):
+            sources.append(code)
+        return compile_source(compiler, code)
+
+    monkeypatch.setattr(logic._Compiler, "function", recording)
+    return sources
+
+
+def test_generated_source_is_closed_over_its_tokens(monkeypatch):
+    sources = _generated_sources(monkeypatch)
+    rng = random.Random(1618)
+    for _ in range(300):
+        formula = random_formula(rng, depth=5, variables=["x", "y"])
+        evaluate(formula, {"x": rng.randint(-9, 9), "y": rng.randint(-9, 9)}, bound=2)
+    assert len(sources) > 300 and any("f(" in s and " % " in s for s in sources)
+    for source in sources:
+        assert _GENERATED.fullmatch(source), source
+
+
+# names the generated code itself uses, or Python reserves
+_HOSTILE = {"x": "env", "y": "f", "z": "c0", "u": "lambda", "v": "__import__",
+            "w": "c1", "n0": "not", "n1": "__builtins__"}
+
+
+def test_variable_names_never_enter_the_generated_code():
+    rng = random.Random(4181)
+    for _ in range(150):
+        sentence = random_formula(rng, depth=4)
+        renamed = _rename(sentence, _HOSTILE)
+        assert evaluate(renamed, bound=2) == evaluate(sentence, bound=2)
+        assert decide(renamed, bound=3) == decide(sentence, bound=3)
+    text = "forall env. exists c0. exists lambda. (env + c0 = lambda & p2(lambda - f(c0)))"
+    assert decide(parse(text), bound=4) == decide(parse(
+        "forall a. exists b. exists c. (a + b = c & p2(c - f(b)))"), bound=4)
+
+
+def test_huge_constants_are_never_printed():
+    # evaluate() runs outside cli.run, under the default int-str digit limit
+    assert sys.get_int_max_str_digits() == sys.int_info.default_max_str_digits
+    big = 3 * 10 ** 4999 + 1  # 5,000 digits
+    x, y = Var("x"), Var("y")
+    near = Exists("x", And(Cmp(Const(big), "<", Add(x, Const(3))), Div(5, Sub(x, Const(big)))))
+    assert evaluate(near, bound=10).truth is False  # scanned without printing big
+    assert evaluate(Cmp(Scale(2, y), "<", Add(y, Const(big))), {"y": big - 1}).truth is True
+    assert evaluate(Exists("x", Cmp(Add(x, y), "=", Const(big))), {"y": big}).witness == 0
+
+
+def test_ground_f_is_folded_to_f_floor(monkeypatch):
+    sources = _generated_sources(monkeypatch)
+    x = Var("x")
+    for value in (-5, 0, 1, 7, 10**6, 3 ** 2000):
+        target = Add(F(Const(value)), F(Scale(3, F(Const(value)))))
+        want = f_floor(value) + f_floor(3 * f_floor(value))
+        assert evaluate(Cmp(target, "=", Const(want))).truth is True
+        assert evaluate(Cmp(x, "=", target), {"x": want}).truth is True
+        # under a quantifier the ground term is one constant
+        assert evaluate(Exists("x", Cmp(Sub(x, target), "=", Const(-want)))).witness == 0
+    assert sources and not any("f(" in s for s in sources)
 
 
 # --- normal form ----------------------------------------------------------
