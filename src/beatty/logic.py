@@ -681,23 +681,30 @@ class _Compiler:
         if kind is F:
             arg = self.source(node.arg, scope)
             return f"f({arg})" if isinstance(arg, str) else f_floor(arg)
+        # The interpreter refuses 200 nested parentheses, so only a node the
+        # parser counts a nesting level for adds one: `not`, a comparison and
+        # a divisibility stay bare, as in (not a < b or c).
         if kind is Div:
             term = self.source(node.term, scope)
             if not isinstance(term, str):
                 return term % node.modulus == 0
-            return f"(not {term} % {self.operand(node.modulus)})"
+            return f"not {term} % {self.operand(node.modulus)}"
         if kind is PPred:
             return self.window_predicate(node, scope)
         if kind is Exists or kind is Forall:
             return self.scan(node, scope)
-        if kind is Implies:
-            return self.source(Or(Not(node.left), node.right), scope)
-        if kind is Not:
-            body = self.source(node.body, scope)
+        if kind is Not or kind is Implies:
+            # L -> R is (not L or R)
+            body = self.source(node.body if kind is Not else node.left, scope)
             if callable(body):
-                return lambda env: _negate(body(env))
-            return f"(not {body})" if isinstance(body, str) else not body
-        if kind is Scale:
+                def negated(env: list[int]) -> Decision:
+                    return _negate(body(env))
+            else:
+                negated = f"not {body}" if isinstance(body, str) else not body
+            if kind is Not:
+                return negated
+            op, left, right = "or", negated, self.source(node.right, scope)
+        elif kind is Scale:
             op, left, right = "*", node.coeff, self.source(node.term, scope)
         elif kind is Cmp:
             op = "<" if node.rel == "<" else "=="
@@ -718,7 +725,8 @@ class _Compiler:
 
             return connect
         if isinstance(left, str) or isinstance(right, str):
-            return f"({self.operand(left)} {op} {self.operand(right)})"
+            code = f"{self.operand(left)} {op} {self.operand(right)}"
+            return code if kind is Cmp else f"({code})"
         return _FOLD[op](left, right)
 
     def window_predicate(self, formula: PPred, scope: dict[str, int | str]):

@@ -7,7 +7,7 @@ import pytest
 from beatty import cli
 from beatty.cli import run
 from beatty.golden import f_floor
-from beatty.logic import MAX_NESTING, ParseError, parse
+from beatty.logic import MAX_NESTING, ParseError, evaluate, parse
 
 # golden suite: (argv, expected exit code, substring expected on stdout)
 GOLDEN = [
@@ -174,8 +174,12 @@ UNDER_QUANTIFIERS = {
     "(": lambda k: "(" * k + "x < y" + ")" * k,
     "!": lambda k: "!" * k + "x < y",
     "f(": lambda k: "f(" * k + "x" + ")" * k + " > y",
+    "f( <=": lambda k: "f(" * k + "x" + ")" * k + " <= y",
+    "f( !=": lambda k: "f(" * k + "x" + ")" * k + " != y",
+    "p3(f(": lambda k: "p3(" + "f(" * k + "x" + ")" * (k + 1),
     "&": lambda k: " & ".join(["x < y"] * k),
     "->": lambda k: " -> ".join(["x < y"] * k),
+    "(->": lambda k: "(" * (k - 1) + "f(x) <= y -> x != y" + ") -> x >= y" * (k - 1),
     "|": lambda k: " | ".join(["x < y"] * k),
     "+": lambda k: " + ".join(["x"] * k) + " < y",
 }
@@ -189,6 +193,18 @@ def test_nesting_at_the_cap_is_compiled_and_scanned(name):
     deepest = max(k for k in range(1, MAX_NESTING + 2) if _parses(sentence(k)))
     assert MAX_NESTING - 2 <= deepest <= MAX_NESTING  # so deepest + 1 was refused
     assert run(["decide", sentence(deepest), "--bound", "3"]) in (0, 1)
+
+
+@pytest.mark.parametrize("name", UNDER_QUANTIFIERS)
+def test_nesting_at_the_cap_is_compiled_as_parsed(name):
+    # decide() rewrites -> and pushes ! inward before it evaluates; evaluate()
+    # compiles the tree as parsed, here under one quantifier with y assigned
+    def formula(k):
+        return "exists x. " + UNDER_QUANTIFIERS[name](k)
+
+    deepest = max(k for k in range(1, MAX_NESTING + 2) if _parses(formula(k)))
+    assert MAX_NESTING - 1 <= deepest <= MAX_NESTING
+    assert evaluate(parse(formula(deepest)), {"y": 2}, bound=3).truth in (True, False)
 
 
 def _parses(text: str) -> bool:
