@@ -14,7 +14,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
@@ -33,7 +32,7 @@ from .numeration import c as word_bit
 from .numeration import Unfactored, fib_word_prefix, pisano, zeckendorf
 from .windows import LinearConstraint, solution_window
 
-__all__ = ["main", "run", "OutputRecord"]
+__all__ = ["main", "run"]
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -65,25 +64,6 @@ def _integer(text: str) -> int:
         return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-
-
-@dataclass(frozen=True)
-class OutputRecord:
-    command: tuple[str, ...]
-    result: dict
-    provenance: str
-    elapsed: str
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "command": list(self.command),
-                "result": self.result,
-                "provenance": self.provenance,
-                "elapsed_s": self.elapsed,
-            },
-            sort_keys=True,
-        )
 
 
 @cache
@@ -131,7 +111,7 @@ def _build_parser() -> _Parser:
     p = add("decide", "decide a sentence of the formula language")
     p.add_argument("formula")
     p.add_argument("--bound", type=_integer, default=DEFAULT_EVAL_BOUND,
-                   help="quantifier scan radius for the bounded fallback")
+                   help="quantifier scan radius (>= 0) for the bounded fallback")
 
     p = add("audit", "check the defining axiom families on [-N, N]")
     p.add_argument("n", type=_integer)
@@ -314,9 +294,11 @@ def _run(argv: list[str]) -> int:
         print(f"internal error: {type(exc).__name__}: {exc} "
               f"({where.filename}:{where.lineno} in {where.name})", file=sys.stderr)
         return EXIT_SOFTWARE
-    elapsed = f"{time.perf_counter() - started:.6f}"
-    record = OutputRecord(tuple(argv), result, provenance, elapsed)
-    print(record.to_json() if args.json else text)
+    if args.json:
+        elapsed = f"{time.perf_counter() - started:.6f}"
+        text = json.dumps({"command": list(argv), "result": result, "provenance": provenance,
+                           "elapsed_s": elapsed}, sort_keys=True)
+    print(text)
     return code
 
 

@@ -11,7 +11,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, count
-from operator import add, and_, eq, lt, mul, or_, sub
+from operator import add, eq, lt, mul, sub
 
 from .congruence import Congruence, CongruenceSystem, crt_combine, solve_linear, solve_system
 from .golden import f_floor
@@ -219,9 +219,12 @@ MAX_NESTING = 100
 MAX_LITERAL_DIGITS = sys.int_info.default_max_str_digits
 
 
-_TOKEN = re.compile(r"\s*(->|<=|>=|!=|[()\[\],.+\-*<>=!&|]|\d+|[A-Za-z_][A-Za-z0-9_]*)")
-_SPACE = re.compile(r"\s*")
-_RELS = ("<", "<=", "=", "!=", ">", ">=")
+# a token, or else the character no token starts with; neither at the end
+_TOKEN = re.compile(r"\s*(?:(->|<=|>=|!=|[()\[\],.+\-*<>=!&|]|\d+|[A-Za-z_][A-Za-z0-9_]*)|(\S))?")
+# each relation as (primitive relation, operands swapped, negated)
+_RELS = {"<": ("<", False, False), "<=": ("<", True, True), "=": ("=", False, False),
+         "!=": ("=", False, True), ">": ("<", True, False), ">=": ("<", False, True)}
+_CHAINED = {"|": Or, "&": And, "+": Add, "-": Sub}
 
 
 class _Parser:
@@ -229,7 +232,7 @@ class _Parser:
         self.text = text
         # Tokens are scanned only as the parser reaches them, so the first
         # error met is the one reported; the list stays for backtracking,
-        # and the end of the text is a last token None.
+        # and past the end of the text each token is None.
         self.tokens: list[tuple[str | None, int]] = []
         self.scanned = 0  # offset where scanning resumes
         self.i = 0
@@ -239,151 +242,126 @@ class _Parser:
         # current token, peak the deepest reached by the current operand.
         self.depth = self.peak = 0
 
-    def _enter(self) -> None:
-        """Open a construct at the current token."""
-        self.depth += 1
-        self.peak = max(self.peak, self.depth)
-        if self.depth > MAX_NESTING:
-            raise _TooDeep(f"nesting deeper than {MAX_NESTING}", self._pos())
-
-    def _link(self, left_peak: int, right_peak: int, position: int) -> int:
-        """Nesting reached by a chain node over operands that reached these
-        (each operand is parsed with peak reset to the chain's depth)."""
-        peak = max(left_peak, right_peak) + 1
-        if peak > MAX_NESTING:
-            raise _TooDeep(f"nesting deeper than {MAX_NESTING}", position)
-        return peak
-
-    def _has(self, k: int) -> bool:
-        """Whether token k exists, scanning up to it."""
-        text, tokens = self.text, self.tokens
+    def _token(self, k: int) -> tuple[str | None, int]:
+        """Token k and its offset, scanning up to it."""
+        tokens = self.tokens
         while len(tokens) <= k:
-            if tokens and tokens[-1][0] is None:
-                return False
-            m = _TOKEN.match(text, self.scanned)
-            if not m:
-                pos = _SPACE.match(text, self.scanned).end()
-                if pos < len(text):
-                    raise ParseError(f"unexpected character {text[pos]!r}", pos)
-                tokens.append((None, pos))
+            m = _TOKEN.match(self.text, self.scanned)
+            token, bad = m.group(1, 2)
+            if bad:
+                raise ParseError(f"unexpected character {bad!r}", m.start(2))
+            if token is None:
+                tokens.append((None, m.end()))
                 continue
-            token, pos = m.group(1), m.start(1)
             literal = token.removeprefix("p")  # p<digits> carries a modulus
             if len(literal) > MAX_LITERAL_DIGITS and literal.isdigit():
-                raise ParseError(f"integer literal longer than {MAX_LITERAL_DIGITS} digits", pos)
-            tokens.append((token, pos))
+                raise ParseError(f"integer literal longer than {MAX_LITERAL_DIGITS} digits",
+                                 m.start(1))
+            tokens.append((token, m.start(1)))
             self.scanned = m.end()
-        return True
+        return tokens[k]
 
     def _peek(self, ahead: int = 0) -> str | None:
         k = self.i + ahead
-        return self.tokens[k][0] if k < len(self.tokens) or self._has(k) else None
-
-    def _pos(self) -> int:
-        i = self.i
-        return self.tokens[i][1] if i < len(self.tokens) or self._has(i) else len(self.text)
-
-    def _advance(self) -> str:
-        tok = self._peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", self._pos())
-        self.i += 1
-        return tok
+        return (self.tokens[k] if k < len(self.tokens) else self._token(k))[0]
 
     def _expect(self, token: str) -> None:
-        got = self._peek()
+        got, position = self._token(self.i)
         if got != token:
-            raise ParseError(
-                f"unexpected {'end of input' if got is None else got!r}",
-                self._pos(), (repr(token),),
-            )
+            raise ParseError(f"unexpected {'end of input' if got is None else got!r}",
+                             position, (repr(token),))
         self.i += 1
+
+    def _enter(self, position: int) -> None:
+        """Open a construct that starts at position; step past the current token."""
+        self.depth += 1
+        self.peak = max(self.peak, self.depth)
+        if self.depth > MAX_NESTING:
+            raise _TooDeep(f"nesting deeper than {MAX_NESTING}", position)
+        self.i += 1
+
+    def _chain(self, operand, operators: tuple[str, ...]):
+        """operand (operator operand)*, built left-deep: each operator puts
+        everything on its left one level deeper (each operand is parsed with
+        peak reset to the chain's depth)."""
+        outer, self.peak = self.peak, self.depth
+        node, peak = operand(), self.peak
+        while (op := self._peek()) in operators:
+            position = self.tokens[self.i][1]
+            self.i += 1
+            self.peak = self.depth
+            right = operand()
+            peak = max(peak, self.peak) + 1
+            if peak > MAX_NESTING:
+                raise _TooDeep(f"nesting deeper than {MAX_NESTING}", position)
+            node = _CHAINED[op](node, right)
+        self.peak = max(outer, peak)
+        return node
+
+    def _literal(self) -> int | None:
+        """An optional - and digits, read as an int; None if they do not come next."""
+        negative = self._peek() == "-"
+        digits = self._peek(1 if negative else 0)
+        if digits is None or not digits.isdigit():
+            return None
+        self.i += 2 if negative else 1
+        return -int(digits) if negative else int(digits)
+
+    def _variable(self, unexpected: str, expected: tuple[str, ...] = ()) -> str:
+        """Read the variable named by the current token; any other token is
+        reported as unexpected."""
+        tok, position = self._token(self.i)
+        if tok is None:
+            raise ParseError("unexpected end of input", position)
+        if not tok.isidentifier():
+            raise ParseError(f"{unexpected} {tok!r}", position, expected)
+        if tok in _RESERVED or _P_DIGITS.match(tok):
+            raise ParseError(f"{tok!r} is reserved", position)
+        self.i += 1
+        return tok
 
     # formulas; precedence ! > & > | > ->, quantifiers extend maximally right
     def parse_formula(self) -> Formula:
-        left = self.parse_or()
-        if self._peek() == "->":
-            self._enter()
-            self._advance()
-            node = Implies(left, self.parse_formula())
-            self.depth -= 1
-            return node
-        return left
-
-    def parse_or(self) -> Formula:
-        outer, self.peak = self.peak, self.depth
-        node, peak = self.parse_and(), self.peak
-        while self._peek() == "|":
-            position = self._pos()
-            self._advance()
-            self.peak = self.depth
-            right = self.parse_and()
-            peak = self._link(peak, self.peak, position)
-            node = Or(node, right)
-        self.peak = max(outer, peak)
-        return node
-
-    def parse_and(self) -> Formula:
-        outer, self.peak = self.peak, self.depth
-        node, peak = self.parse_unary(), self.peak
-        while self._peek() == "&":
-            position = self._pos()
-            self._advance()
-            self.peak = self.depth
-            right = self.parse_unary()
-            peak = self._link(peak, self.peak, position)
-            node = And(node, right)
-        self.peak = max(outer, peak)
-        return node
-
-    def parse_unary(self) -> Formula:
-        tok = self._peek()
-        if tok == "!":
-            self._enter()
-            self._advance()
-            node = Not(self.parse_unary())
-        elif tok in ("exists", "forall"):
-            self._enter()
-            self._advance()
-            name = self._variable_name()
-            self._expect(".")
-            body = self.parse_formula()
-            node = Exists(name, body) if tok == "exists" else Forall(name, body)
-        else:
-            return self.parse_atom()
+        left = self._chain(lambda: self._chain(self.parse_unary, ("&",)), ("|",))
+        tok, position = self._token(self.i)
+        if tok != "->":
+            return left
+        self._enter(position)
+        node = Implies(left, self.parse_formula())
         self.depth -= 1
         return node
 
-    def _variable_name(self) -> str:
-        pos = self._pos()
-        tok = self._advance()
-        if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok):
-            raise ParseError(f"invalid variable name {tok!r}", pos)
-        if tok in _RESERVED or _P_DIGITS.match(tok):
-            raise ParseError(f"{tok!r} is reserved", pos)
-        return tok
+    def parse_unary(self) -> Formula:
+        tok, position = self._token(self.i)
+        if tok not in ("!", "exists", "forall"):
+            return self.parse_atom()
+        self._enter(position)
+        if tok == "!":
+            node = Not(self.parse_unary())
+        else:
+            name = self._variable("invalid variable name")
+            self._expect(".")
+            body = self.parse_formula()
+            node = Exists(name, body) if tok == "exists" else Forall(name, body)
+        self.depth -= 1
+        return node
 
     def parse_atom(self) -> Formula:
-        tok = self._peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", self._pos())
-        if _P_DIGITS.match(tok) and self._peek(1) == "(":
+        tok, position = self._token(self.i)
+        if tok is not None and _P_DIGITS.match(tok) and self._peek(1) == "(":
             modulus = int(tok[1:])
-            pos = self._pos()
             if modulus < 1:
-                raise ParseError("divisibility modulus must be >= 1", pos)
-            self._advance()
+                raise ParseError("divisibility modulus must be >= 1", position)
+            self.i += 1
             self._expect("(")
             term = self.parse_term()
             self._expect(")")
             return Div(modulus, term)
         if tok == "P":
-            pos = self._pos()
-            self._advance()
-            self._expect("[")
-            nums = [self._int()]
-            for _ in range(3):
-                self._expect(",")
+            self.i += 1
+            nums = []
+            for separator in ("[", ",", ",", ","):
+                self._expect(separator)
                 nums.append(self._int())
             self._expect("]")
             self._expect("(")
@@ -392,134 +370,87 @@ class _Parser:
             high = self.parse_term()
             self._expect(")")
             if nums[0] < 1 or nums[1] < 1:
-                raise ParseError("window predicate moduli must be >= 1", pos)
-            return PPred(nums[0], nums[1], nums[2], nums[3], low, high)
+                raise ParseError("window predicate moduli must be >= 1", position)
+            return PPred(*nums, low, high)
         # Either `term REL term` or a parenthesized formula; a '(' is
         # ambiguous between the two, so try the comparison and backtrack.
         saved, depth, peak = self.i, self.depth, self.peak
         try:
             left = self.parse_term()
-            rel_pos = self._pos()
-            rel = self._peek()
+            rel, rel_position = self._token(self.i)
             if rel not in _RELS:
-                raise ParseError(
-                    f"unexpected {'end of input' if rel is None else rel!r}",
-                    rel_pos, _RELS,
-                )
-            self._advance()
+                raise ParseError(f"unexpected {'end of input' if rel is None else rel!r}",
+                                 rel_position, tuple(_RELS))
+            self.i += 1
             right = self.parse_term()
-            return _desugar(left, rel, right)
+            primitive, swapped, negated = _RELS[rel]
+            atom = Cmp(right, primitive, left) if swapped else Cmp(left, primitive, right)
+            return Not(atom) if negated else atom
         except _TooDeep:
             raise
         except ParseError:
-            if self.tokens[saved][0] != "(":
+            if tok != "(":
                 raise
             self.i, self.depth, self.peak = saved, depth, peak
-        self._enter()
-        self._expect("(")
+        self._enter(position)
         inner = self.parse_formula()
         self._expect(")")
         self.depth -= 1
         return inner
 
     def _int(self) -> int:
-        pos = self._pos()
-        tok = self._advance()
-        negative = False
-        if tok == "-":
-            negative = True
-            tok = self._advance()
-        if not tok.isdigit():
-            raise ParseError(f"expected integer, got {tok!r}", pos)
-        return -int(tok) if negative else int(tok)
+        """Read an integer literal, which must come next."""
+        tok, position = self._token(self.i)
+        value = self._literal()
+        if value is None:
+            got = self._peek(1) if tok == "-" else tok
+            if got is None:
+                raise ParseError("unexpected end of input", len(self.text))
+            raise ParseError(f"expected integer, got {got!r}", position)
+        return value
 
     # terms; '*' binds tighter than '+'/'-', sums associate left
     def parse_term(self) -> Term:
-        outer, self.peak = self.peak, self.depth
-        node, peak = self.parse_product(), self.peak
-        while self._peek() in ("+", "-"):
-            position = self._pos()
-            op = self._advance()
-            self.peak = self.depth
-            right = self.parse_product()
-            peak = self._link(peak, self.peak, position)
-            node = Add(node, right) if op == "+" else Sub(node, right)
-        self.peak = max(outer, peak)
-        return node
+        return self._chain(self.parse_product, ("+", "-"))
 
     def parse_product(self) -> Term:
-        tok = self._peek()
-        if tok is not None and tok.isdigit() and self._peek(1) == "*":
-            coeff, width = int(tok), 2
-        elif (tok == "-" and (nxt := self._peek(1)) is not None and nxt.isdigit()
-              and self._peek(2) == "*"):
-            coeff, width = -int(nxt), 3
-        else:
-            return self.parse_primary()
-        self._enter()
-        self.i += width
-        node = Scale(coeff, self.parse_product())
-        self.depth -= 1
-        return node
-
-    def parse_primary(self) -> Term:
-        pos = self._pos()
-        tok = self._peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", pos)
-        if tok in ("(", "f"):
-            self._enter()
-            self._advance()
+        tok, position = self._token(self.i)
+        value = self._literal()
+        if value is not None:
+            if self._peek() != "*":
+                return Const(value)
+            self._enter(position)
+            node = Scale(value, self.parse_product())
+        elif tok in ("(", "f"):
+            self._enter(position)
             if tok == "f":
                 self._expect("(")
             inner = self.parse_term()
             self._expect(")")
-            self.depth -= 1
-            return F(inner) if tok == "f" else inner
-        if tok.isdigit():
-            self._advance()
-            return Const(int(tok))
-        if tok == "-" and (nxt := self._peek(1)) is not None and nxt.isdigit():
-            self._advance()
-            self._advance()
-            return Const(-int(nxt))
-        if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok):
-            if tok in _RESERVED or _P_DIGITS.match(tok):
-                raise ParseError(f"{tok!r} is reserved", pos)
-            self._advance()
-            return Var(tok)
-        raise ParseError(f"unexpected {tok!r}", pos, ("a term",))
+            node = F(inner) if tok == "f" else inner
+        else:
+            return Var(self._variable("unexpected", ("a term",)))
+        self.depth -= 1
+        return node
 
 
-def _desugar(left: Term, rel: str, right: Term) -> Formula:
-    if rel == "<":
-        return Cmp(left, "<", right)
-    if rel == "=":
-        return Cmp(left, "=", right)
-    if rel == ">":
-        return Cmp(right, "<", left)
-    if rel == "<=":
-        return Not(Cmp(right, "<", left))
-    if rel == ">=":
-        return Not(Cmp(left, "<", right))
-    return Not(Cmp(left, "=", right))  # !=
+def _whole(text: str, rule) -> Formula | Term:
+    """rule over the whole of text."""
+    parser = _Parser(text)
+    node = rule(parser)
+    tok, position = parser._token(parser.i)
+    if tok is not None:
+        raise ParseError(f"unexpected trailing {tok!r}", position)
+    return node
 
 
 def parse(text: str) -> Formula:
     """Parse a formula; raises ParseError with a position on bad input."""
-    p = _Parser(text)
-    node = p.parse_formula()
-    if p._peek() is not None:
-        raise ParseError(f"unexpected trailing {p._peek()!r}", p._pos())
-    return node
+    return _whole(text, _Parser.parse_formula)
 
 
 def parse_term(text: str) -> Term:
-    p = _Parser(text)
-    node = p.parse_term()
-    if p._peek() is not None:
-        raise ParseError(f"unexpected trailing {p._peek()!r}", p._pos())
-    return node
+    return _whole(text, _Parser.parse_term)
 
 
 # --- printer ----------------------------------------------------------------
@@ -628,7 +559,7 @@ def _or_d(a: Decision, b: Decision) -> Decision:
 
 
 # the operators of generated source, and how each folds ground operands
-_FOLD = {"+": add, "-": sub, "*": mul, "<": lt, "==": eq, "and": and_, "or": or_}
+_FOLD = {"+": add, "-": sub, "*": mul, "<": lt, "==": eq}
 _OPERATOR = {Add: "+", Sub: "-", And: "and", Or: "or"}
 
 
@@ -724,6 +655,13 @@ class _Compiler:
                 return a if a.truth is decisive and a.provenance == EXACT else join(a, right(env))
 
             return connect
+        if op in ("and", "or"):
+            # beside code or a value (a closure keeps the join above, which
+            # picks the witness reported), a ground operand that decides the
+            # connective is its value, and one that does not leaves the other
+            for ground, other in ((left, right), (right, left)):
+                if isinstance(ground, bool):
+                    return ground if ground is (op == "or") else other
         if isinstance(left, str) or isinstance(right, str):
             code = f"{self.operand(left)} {op} {self.operand(right)}"
             return code if kind is Cmp else f"({code})"
@@ -746,6 +684,8 @@ class _Compiler:
     def scan(self, formula: Exists | Forall, scope: dict[str, int | str]):
         existential, slot, bound = isinstance(formula, Exists), next(self.slots), self.bound
         body = self.source(formula.body, {**scope, formula.var: f"env[{slot}]"})
+        if body is (not existential):
+            return body  # a ground body no point decides: exact, and no scan
         if is_bool := not callable(body):
             body = self.function(body)
 
@@ -791,8 +731,15 @@ def evaluate(
     completed scan yields a decision tagged "bounded".  All scans together
     visit at most EVAL_BUDGET points; a scan the budget cut short that finds
     no decisive point makes the answer unknown.  Assigned variables are
-    constants, ground parts fold to values, and each other quantifier-free
-    part without P[...] runs as one generated function (see _Compiler)."""
+    constants, and ground parts fold to values.  An & or | with a ground
+    operand, and no scan or P[...] on the other side, folds to that operand
+    if it decides the connective, and to the other side if not.  A
+    quantifier over a ground body that no point decides folds to that
+    value, exactly and without a scan.  Each other quantifier-free part
+    without P[...] runs as one generated function (see _Compiler).  Raises
+    ValueError for a negative bound."""
+    if bound < 0:
+        raise ValueError(f"bound must be >= 0, got {bound}")
     compiler = _Compiler(bound)
     run = compiler.decisions(compiler.source(formula, dict(assignment or {})))
     return run([0] * next(compiler.slots))
@@ -1067,9 +1014,12 @@ def decide(sentence: Formula, bound: int = DEFAULT_EVAL_BOUND) -> Decision:
     """Decide a sentence: quantifier-free parts exactly, single-quantifier
     sentences whose body is a Boolean combination of normal-form atoms
     disjunct by disjunct through the window/congruence pipeline (universal
-    ones via their negation), everything else by bounded evaluation."""
+    ones via their negation), everything else by bounded evaluation.
+    Raises ValueError for a negative bound."""
     if free_vars(sentence):
         raise ValueError("decide requires a sentence (no free variables)")
+    if bound < 0:
+        raise ValueError(f"bound must be >= 0, got {bound}")
     return _decide(nnf(sentence), bound)
 
 

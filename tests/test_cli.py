@@ -7,7 +7,7 @@ import pytest
 from beatty import cli
 from beatty.cli import run
 from beatty.golden import f_floor
-from beatty.logic import MAX_NESTING, ParseError, evaluate, parse
+from beatty.logic import MAX_NESTING, ParseError, decide, evaluate, parse
 
 # golden suite: (argv, expected exit code, substring expected on stdout)
 GOLDEN = [
@@ -50,6 +50,11 @@ GOLDEN = [
     (["decide", "exists x. (0 < x & f(x) != x + 1)"], 0, "True (exact); witness 1\n"),
     (["decide", "forall x. (x < 1 | f(x) = x + 1 | f(x) = x + 2)"], 1,
      "False (exact); counterexample 1\n"),
+    (["decide", "forall x. forall y. 0 < 1"], 0, "True (exact)\n"),
+    (["decide", "forall x. forall y. (0 < 1 | x < y)"], 0, "True (exact)\n"),
+    (["decide", "exists x. 0 < 0"], 1, "False (exact)\n"),
+    (["decide", "exists x. 0 < 1"], 0, "True (exact); witness 0\n"),
+    (["decide", "P[4,1,1,0](3, 32) | 40 >= -21"], 0, "True (exact); witness 5\n"),
     (["decide", "P[2,3,1,2](0, 10)"], 0, "True"),
     (["decide", "P[1,1000000,0,3](0, 100000000)"], 0, "True (exact); witness 2\n"),
     (["decide", "P[3,5,1,2](0, 1000000000000)"], 0, "True (exact); witness 76\n"),
@@ -95,6 +100,17 @@ def test_usage_errors_exit_64(capsys):
     assert run(["window", "=", "1/0", "3"]) == 64
     assert run(["nosuchcommand"]) == 64
     assert run(["pisano", "0"]) == 64
+
+
+def test_negative_bound_is_a_usage_error(capsys):
+    # a bounded and an exact sentence: neither answers
+    for text in ("forall x. forall y. x + y = y + x", "exists x. x = 1"):
+        assert run(["decide", text, "--bound", "-1"]) == 64
+        assert capsys.readouterr().err == "error: bound must be >= 0, got -1\n"
+    with pytest.raises(ValueError, match="bound must be >= 0"):
+        decide(parse("exists x. x = 1"), -1)
+    with pytest.raises(ValueError, match="bound must be >= 0"):
+        evaluate(parse("0 < 1"), {}, -1)
 
 
 @pytest.mark.parametrize(

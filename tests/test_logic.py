@@ -153,6 +153,59 @@ def test_parse_caps_left_operands_of_chains():
         parse(text)
 
 
+_BIG = "1" * (logic.MAX_LITERAL_DIGITS + 1)
+_LONG = f"integer literal longer than {logic.MAX_LITERAL_DIGITS} digits"
+_RELATIONS = "(expected < or <= or = or != or > or >=)"
+# one malformed text per error the parser raises: (text, offset, message)
+PARSE_ERRORS = [
+    ("x < @", 4, "unexpected character '@'"),
+    ("x < 1 é", 6, "unexpected character 'é'"),
+    ("x <", 3, "unexpected end of input"),
+    ("exists", 6, "unexpected end of input"),
+    ("f(x", 3, "unexpected 'end of input' at offset 3 (expected ')')"),
+    ("forall x", 8, "unexpected 'end of input' at offset 8 (expected '.')"),
+    ("forall x x < 1", 9, "unexpected 'x' at offset 9 (expected '.')"),
+    ("x", 1, f"unexpected 'end of input' at offset 1 {_RELATIONS}"),
+    ("x + 1 & 2", 6, f"unexpected '&' at offset 6 {_RELATIONS}"),
+    ("x < 1 )", 6, "unexpected trailing ')'"),
+    ("x < )", 4, "unexpected ')' at offset 4 (expected a term)"),
+    ("P[1,x,0,0](0, 5)", 4, "expected integer, got 'x'"),
+    ("P[1,1,-x,0](0, 5)", 6, "expected integer, got 'x'"),
+    ("P[1,1,--1,0](0, 5)", 6, "expected integer, got '-'"),
+    ("P[1,1,-", 7, "unexpected end of input"),
+    ("exists f. x < 1", 7, "'f' is reserved"),
+    ("exists P. x < 1", 7, "'P' is reserved"),
+    ("exists exists. x < 1", 7, "'exists' is reserved"),
+    ("exists forall. x < 1", 7, "'forall' is reserved"),
+    ("exists p3. x < 1", 7, "'p3' is reserved"),
+    ("exists 3. x < 1", 7, "invalid variable name '3'"),
+    ("x < f", 5, "unexpected 'end of input' at offset 5 (expected '(')"),
+    ("x < P", 4, "'P' is reserved"),
+    ("x < exists", 4, "'exists' is reserved"),
+    ("x < forall", 4, "'forall' is reserved"),
+    ("x < p3", 4, "'p3' is reserved"),
+    (f"p{_BIG}(x)", 0, _LONG),
+    (f"x < {_BIG}", 4, _LONG),
+    ("P[0,1,0,0](0, 5)", 0, "window predicate moduli must be >= 1"),
+    ("P[1,0,0,0](0, 5)", 0, "window predicate moduli must be >= 1"),
+    ("p0(x)", 0, "divisibility modulus must be >= 1"),
+    ("(" * 4000 + "$", 100, "nesting deeper than 100"),
+    ("(" * 100 + "$", 100, "unexpected character '$'"),
+    ("x < 1" + " & x < 1" * 101 + " & $", 806, "nesting deeper than 100"),
+    ("x < " + "f(" * 3000 + "x", 204, "nesting deeper than 100"),
+]
+
+
+@pytest.mark.parametrize("text,offset,message", PARSE_ERRORS,
+                         ids=[f"{i}:{row[0][:24]}" for i, row in enumerate(PARSE_ERRORS)])
+def test_each_parse_error_keeps_its_message_and_offset(text, offset, message):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.position == offset
+    expected = message if " at offset " in message else f"{message} at offset {offset}"
+    assert str(err.value) == expected
+
+
 def test_print_parse_identity_random():
     rng = random.Random(90125)
     for _ in range(300):
@@ -218,10 +271,41 @@ def _walk_term(term, env):
     return f_floor(_walk_term(term.arg, env))
 
 
-def _walk(formula, env, bound):
+def _compiled(formula, env, scanned):
+    """What evaluate() makes of formula before any scan: the bool it folds
+    to, "code" for generated source, or None for a Decision closure.  Over
+    no variable in scanned (those of the enclosing quantifiers) a comparison
+    or divisibility folds; a negation is what its body is; a connective
+    beside a closure is a closure, and otherwise an operand that folds to
+    the deciding value is the connective's value, and one that folds to the
+    other value leaves the other operand; a quantifier whose body folds to
+    a value no point decides folds to it; any other is a closure."""
+    if isinstance(formula, (Cmp, Div)):
+        return "code" if free_vars(formula) & scanned else _walk(formula, env, 0).truth
+    if isinstance(formula, Not):
+        body = _compiled(formula.body, env, scanned)
+        return not body if isinstance(body, bool) else body
+    if isinstance(formula, (And, Or, Implies)):
+        left, right = (_compiled(side, env, scanned) for side in (formula.left, formula.right))
+        if isinstance(formula, Implies) and isinstance(left, bool):
+            left = not left
+        decisive = not isinstance(formula, And)
+        if left is None or right is None:
+            return None
+        if decisive in (left, right):
+            return decisive
+        return right if isinstance(left, bool) else left if isinstance(right, bool) else "code"
+    if isinstance(formula, (Exists, Forall)):
+        body = _compiled(formula.body, env, scanned | {formula.var})
+        return body if body is (not isinstance(formula, Exists)) else None
+    return None
+
+
+def _walk(formula, env, bound, scanned=frozenset()):
     """The original evaluator: one Decision per node, both sides of every
     connective evaluated, quantifiers scanned 0, 1, -1, ..., bound, -bound
-    over a name -> value dict that is restored afterwards."""
+    over a name -> value dict that is restored afterwards; a node that
+    evaluate() folds (see _compiled) is its exact value, without a scan."""
     if isinstance(formula, Cmp):
         lv, rv = _walk_term(formula.left, env), _walk_term(formula.right, env)
         return Decision(lv < rv if formula.rel == "<" else lv == rv)
@@ -236,21 +320,26 @@ def _walk(formula, env, bound):
                                   lower=low, upper=high)
         out = solve_system(system)
         return Decision(True, witness=out.witness) if out.is_witness else Decision(False)
+    folded = _compiled(formula, env, scanned)
+    if isinstance(folded, bool):
+        return Decision(folded)
     if isinstance(formula, Not):
-        return _negate(_walk(formula.body, env, bound))
+        return _negate(_walk(formula.body, env, bound, scanned))
     if isinstance(formula, And):
-        return _and_d(_walk(formula.left, env, bound), _walk(formula.right, env, bound))
+        return _and_d(_walk(formula.left, env, bound, scanned),
+                      _walk(formula.right, env, bound, scanned))
     if isinstance(formula, Or):
-        return _or_d(_walk(formula.left, env, bound), _walk(formula.right, env, bound))
+        return _or_d(_walk(formula.left, env, bound, scanned),
+                     _walk(formula.right, env, bound, scanned))
     if isinstance(formula, Implies):
-        return _or_d(_negate(_walk(formula.left, env, bound)),
-                     _walk(formula.right, env, bound))
+        return _or_d(_negate(_walk(formula.left, env, bound, scanned)),
+                     _walk(formula.right, env, bound, scanned))
     existential = isinstance(formula, Exists)
     saved = env.get(formula.var)
     unknown_reason = decisive = None
     for v in [0] + [s * k for k in range(1, bound + 1) for s in (1, -1)]:
         env[formula.var] = v
-        d = _walk(formula.body, env, bound)
+        d = _walk(formula.body, env, bound, scanned | {formula.var})
         if d.truth is existential:
             found = (v, None) if existential else (None, v)
             decisive = Decision(existential, d.provenance,
@@ -671,6 +760,18 @@ def test_decisive_scans_give_back_the_points_they_skipped(monkeypatch):
     text = "forall x. exists y. y = 0"
     assert _evaluate_with_budget(monkeypatch, text, 402) == Decision(True, BOUNDED, bound=100)
     assert _evaluate_with_budget(monkeypatch, text, 401).truth is None
+
+
+@pytest.mark.parametrize("text,truth", [
+    ("forall x. forall y. 0 < 1", True),
+    ("forall x. forall y. (x < y | 0 < 1)", True),
+    ("exists x. 0 < 0", False),
+    ("exists x. exists y. (x < y & 1 < 0)", False),
+    ("forall x. (1 < 0 -> f(x) < x)", True),
+])
+def test_ground_bodies_fold_without_a_scan(monkeypatch, text, truth):
+    # with no budget, any scan would make the answer unknown
+    assert _evaluate_with_budget(monkeypatch, text, 0) == Decision(truth)
 
 
 def test_nnf_and_free_vars():
