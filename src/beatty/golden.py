@@ -149,17 +149,6 @@ class QuadRat:
     def __neg__(self) -> "QuadRat":
         return QuadRat(-self.p, -self.q, self.r)
 
-    def reciprocal(self) -> "QuadRat":
-        if self.p == 0 and self.q == 0:
-            raise ZeroDivisionError("reciprocal of zero")
-        # (p + q*sqrt(5))^-1 = r * (p - q*sqrt(5)) / (p^2 - 5 q^2); the norm
-        # vanishes only at zero since sqrt(5) is irrational.
-        return QuadRat(self.r * self.p, -self.r * self.q, self.p * self.p - 5 * self.q * self.q)
-
-    def scaled(self, factor: Fraction | int) -> "QuadRat":
-        fr = Fraction(factor)
-        return QuadRat(self.p * fr.numerator, self.q * fr.numerator, self.r * fr.denominator)
-
     def __repr__(self) -> str:
         return f"({self.p} + {self.q}*sqrt5)/{self.r}"
 

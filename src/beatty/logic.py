@@ -227,6 +227,11 @@ _RELS = {"<": ("<", False, False), "<=": ("<", True, True), "=": ("=", False, Fa
 _CHAINED = {"|": Or, "&": And, "+": Add, "-": Sub}
 
 
+def _unexpected(token: str | None) -> str:
+    """The message for an unexpected token; None is the end of the text."""
+    return "unexpected end of input" if token is None else f"unexpected {token!r}"
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
@@ -268,8 +273,7 @@ class _Parser:
     def _expect(self, token: str) -> None:
         got, position = self._token(self.i)
         if got != token:
-            raise ParseError(f"unexpected {'end of input' if got is None else got!r}",
-                             position, (repr(token),))
+            raise ParseError(_unexpected(got), position, (repr(token),))
         self.i += 1
 
     def _enter(self, position: int) -> None:
@@ -312,7 +316,7 @@ class _Parser:
         reported as unexpected."""
         tok, position = self._token(self.i)
         if tok is None:
-            raise ParseError("unexpected end of input", position)
+            raise ParseError(_unexpected(tok), position)
         if not tok.isidentifier():
             raise ParseError(f"{unexpected} {tok!r}", position, expected)
         if tok in _RESERVED or _P_DIGITS.match(tok):
@@ -379,8 +383,7 @@ class _Parser:
             left = self.parse_term()
             rel, rel_position = self._token(self.i)
             if rel not in _RELS:
-                raise ParseError(f"unexpected {'end of input' if rel is None else rel!r}",
-                                 rel_position, tuple(_RELS))
+                raise ParseError(_unexpected(rel), rel_position, tuple(_RELS))
             self.i += 1
             right = self.parse_term()
             primitive, swapped, negated = _RELS[rel]
@@ -405,7 +408,7 @@ class _Parser:
         if value is None:
             got = self._peek(1) if tok == "-" else tok
             if got is None:
-                raise ParseError("unexpected end of input", len(self.text))
+                raise ParseError(_unexpected(got), len(self.text))
             raise ParseError(f"expected integer, got {got!r}", position)
         return value
 
@@ -668,18 +671,23 @@ class _Compiler:
         return _FOLD[op](left, right)
 
     def window_predicate(self, formula: PPred, scope: dict[str, int | str]):
-        low, high = (self.function(self.source(t, scope)) for t in (formula.low, formula.high))
+        low, high = (self.source(t, scope) for t in (formula.low, formula.high))
         on_x = Congruence(formula.mod_x, formula.res_x)
         on_fx = Congruence(formula.mod_fx, formula.res_fx)
 
-        def solve(env: list[int]) -> Decision:
-            lo, hi = low(env), high(env)
+        def solve(lo: int, hi: int) -> Decision:
             if lo >= hi:
                 return _FALSE
             out = solve_system(CongruenceSystem(on_x, on_fx, lo, hi))
             return Decision(True, witness=out.witness) if out.is_witness else _FALSE
 
-        return solve
+        scanned = any(isinstance(v, str) for v in scope.values())
+        if scanned and isinstance(low, int) and isinstance(high, int):
+            # ground bounds under a scan, which reports its own certificate:
+            # solved once, to a truth value that folds like any ground part
+            return solve(low, high).truth
+        low, high = self.function(low), self.function(high)
+        return lambda env: solve(low(env), high(env))
 
     def scan(self, formula: Exists | Forall, scope: dict[str, int | str]):
         existential, slot, bound = isinstance(formula, Exists), next(self.slots), self.bound
@@ -735,9 +743,10 @@ def evaluate(
     operand, and no scan or P[...] on the other side, folds to that operand
     if it decides the connective, and to the other side if not.  A
     quantifier over a ground body that no point decides folds to that
-    value, exactly and without a scan.  Each other quantifier-free part
-    without P[...] runs as one generated function (see _Compiler).  Raises
-    ValueError for a negative bound."""
+    value, exactly and without a scan.  A P[...] with ground bounds inside
+    a quantifier is solved once, to its truth.  Each other quantifier-free
+    part without P[...] runs as one generated function (see _Compiler).
+    Raises ValueError for a negative bound."""
     if bound < 0:
         raise ValueError(f"bound must be >= 0, got {bound}")
     compiler = _Compiler(bound)

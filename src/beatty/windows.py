@@ -5,6 +5,9 @@ As n*f(x) <op> m*x + c0, f(x) = phi*x - {phi*x} settles the comparison outside
 a zone of about 1/|phi - slope| integers: a < or > set is a settled interval
 plus the zone points that hold, as runs, or per residue class of x mod n
 near phi, where that is smaller.  An = set is one residue class.
+
+Every integer end is one cut (_cut): the integer where gap*x < t switches,
+for the exact gap n*phi - m or a convergent's rational gap w - s.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import ceil, floor, lcm
+from math import lcm
 
 from .congruence import Congruence, crt_combine, solve_linear
 from .golden import QuadRat, compare_phi, f_floor, quad_ceil, quad_floor
@@ -58,6 +61,11 @@ class BracketInfo:
     index: int
 
 
+def _ladder(side: str, i: int) -> Fraction:
+    """The side's convergent at index i: d_i below phi, u_i above."""
+    return convergent_d(i) if side == "below" else convergent_u(i)
+
+
 def locate_slope(slope: Fraction | int) -> BracketInfo:
     """Bracket a non-negative rational slope between consecutive convergents.
 
@@ -69,19 +77,11 @@ def locate_slope(slope: Fraction | int) -> BracketInfo:
     s = Fraction(slope)
     if s < 0:
         raise ValueError(f"slope must be non-negative, got {s}")
-    if compare_phi(s.numerator, s.denominator) < 0:
-        if s < 1:
-            return BracketInfo("below", 0)
-        j = 0
-        while convergent_d(j + 1) <= s:
-            j += 1
-        return BracketInfo("below", j)
-    if s > convergent_u(0):
-        return BracketInfo("above", 0)
-    j = 0
-    while convergent_u(j + 1) >= s:
+    side, sign = ("below", 1) if compare_phi(s.numerator, s.denominator) < 0 else ("above", -1)
+    j = 0  # slopes under d_0 or over u_0 stop here too: d_1 = 3/2, u_1 = 5/3
+    while sign * (s - _ladder(side, j + 1)) >= 0:
         j += 1
-    return BracketInfo("above", j)
+    return BracketInfo(side, j)
 
 
 @dataclass(frozen=True)
@@ -111,13 +111,12 @@ class LinearConstraint:
 
     def holds(self, x: int) -> bool:
         n, m, c0 = self.integer_form()
-        lhs = n * f_floor(x)
-        rhs = m * x + c0
-        if self.relation == "<":
-            return lhs < rhs
-        if self.relation == "=":
-            return lhs == rhs
-        return lhs > rhs
+        return _order(n * f_floor(x), m * x + c0) == self.relation
+
+
+def _order(a: int, b: int) -> str:
+    """The relation "<", "=" or ">" that a bears to b."""
+    return "<" if a < b else "=" if a == b else ">"
 
 
 @dataclass(frozen=True)
@@ -285,8 +284,12 @@ class WindowSet:
         return self.intersect(WindowSet.from_pieces([_make_piece(lo, hi)]))
 
 
-def _qdiv(t: int, denom: QuadRat) -> QuadRat:
-    return denom.reciprocal().scaled(t)
+def _cut(t: int, gap: QuadRat, below: bool) -> int:
+    """The integer where gap*x < t switches: the form holds on x < cut when
+    gap > 0 (slope below phi) and on x >= cut when gap < 0."""
+    # t/gap = t*r*(p - q*sqrt(5)) / (p^2 - 5q^2), which is never 0 / 0
+    v = QuadRat(t * gap.r * gap.p, -t * gap.r * gap.q, gap.p * gap.p - 5 * gap.q * gap.q)
+    return quad_ceil(v) if below else quad_floor(v) + 1
 
 
 def solution_window(constraint: LinearConstraint) -> WindowSet:
@@ -300,10 +303,10 @@ def solution_window(constraint: LinearConstraint) -> WindowSet:
     below = compare_phi(m, n) < 0  # slope < phi (a rational never equals phi)
     rel = constraint.relation
     # n*phi - m = (n - 2m + n*sqrt(5)) / 2, positive exactly when slope < phi
-    denom = QuadRat(n - 2 * m, n, 2)
-    # The zone c0 < (n*phi - m)*x < c0 + n is [lo, hi].
+    gap = QuadRat(n - 2 * m, n, 2)
+    # The zone c0 < gap*x < c0 + n is [lo, hi] over x >= 1.
     a, b = (c0, c0 + n) if below else (c0 + n, c0)
-    lo, hi = quad_floor(_qdiv(a, denom)) + 1, quad_ceil(_qdiv(b, denom)) - 1
+    lo, hi = _cut(a, gap, below), _cut(b, gap, below) - 1
     pieces: list[Piece | None] = []
 
     before = (rel == "<") == below  # the comparison holds before the zone
@@ -316,16 +319,15 @@ def solution_window(constraint: LinearConstraint) -> WindowSet:
         sign = 1 if rel == ">" else -1
         pieces += _zone_runs(sign * n, sign * m, sign * c0, lo, hi, before)
     else:
-        # Per class r, n*f(x) <= m*x + c0 - 1 reads (n*phi - m)*x < t and
-        # n*f(x) >= m*x + c0 + 1 reads (n*phi - m)*x >= t, with t below, so
-        # the class holds before or after the cut at x = t/denom.
+        # Per class r, n*f(x) <= m*x + c0 - 1 reads gap*x < t and
+        # n*f(x) >= m*x + c0 + 1 reads gap*x >= t, with t below, so the
+        # class holds before or after the cut.
         for r in range(n):
             if rel == "<":
                 t = c0 + n - 1 - (m * r + c0 - 1) % n
             else:
                 t = c0 + 1 + (-(m * r + c0 + 1)) % n
-            v = _qdiv(t, denom)
-            cut = quad_ceil(v) if below else quad_floor(v) + 1
+            cut = _cut(t, gap, below)
             pieces.append(_make_piece(1, cut - 1, n, r) if before else _make_piece(cut, None, n, r))
 
     window = WindowSet.from_pieces(pieces)
@@ -393,7 +395,9 @@ def axiom_v_check(
                            f(x) > s*x+k  =>  x >= (k+1)/(w-s)
 
     and the mirrored forms with w = u_index when the slope exceeds phi.
-    Requires index >= bracket.index + 1.
+    On either side of phi they are one reading: the relation is read off
+    where (w - s)*x lies against k and k+1, so < below k, = from k up to
+    k+1, and > from k+1 on.  Requires index >= bracket.index + 1.
 
     With only_integer_rhs the scan is restricted to x making s*x + k an
     integer (the reading under which the implications can hold at all for
@@ -404,43 +408,14 @@ def axiom_v_check(
     bracket = locate_slope(s)
     if index < bracket.index + 1:
         raise ValueError(f"index must be >= {bracket.index + 1}, got {index}")
-    w = convergent_d(index) if bracket.side == "below" else convergent_u(index)
-    gap = w - s  # positive below phi, negative above
-    t_low = Fraction(offset) / gap
-    t_high = Fraction(offset + 1) / gap
-
-    counterexamples: list[int] = []
+    gap = _ladder(bracket.side, index) - s
+    g, d = gap.numerator, gap.denominator
     num, den = s.numerator, s.denominator
-    if bracket.side == "below":
-        eq_lo, eq_hi = ceil(t_low), ceil(t_high) - 1
-        lt_hi, gt_lo = ceil(t_low) - 1, ceil(t_high)
-    else:
-        eq_lo, eq_hi = floor(t_high) + 1, floor(t_low)
-        lt_lo, gt_hi = floor(t_low) + 1, floor(t_high)
-    start = den if only_integer_rhs else 1
-    step = den if only_integer_rhs else 1
-    checked = 0
-    for x in range(start, x_range + 1, step):
-        checked += 1
-        lhs = den * f_floor(x)
-        rhs = num * x + offset * den
-        if bracket.side == "below":
-            if lhs == rhs:
-                ok = eq_lo <= x <= eq_hi
-            elif lhs < rhs:
-                ok = x <= lt_hi
-            else:
-                ok = x >= gt_lo
-        else:
-            if lhs == rhs:
-                ok = eq_lo <= x <= eq_hi
-            elif lhs < rhs:
-                ok = x >= lt_lo
-            else:
-                ok = x <= gt_hi
-        if not ok:
-            counterexamples.append(x)
-    return AxiomVReport(s, offset, index, bracket.side, checked, tuple(counterexamples))
+    xs = range(den, x_range + 1, den) if only_integer_rhs else range(1, x_range + 1)
+    # floor((w - s)*x) against k is the claimed relation
+    counterexamples = tuple(x for x in xs if _order(den * f_floor(x), num * x + offset * den)
+                            != _order(g * x // d, offset))
+    return AxiomVReport(s, offset, index, bracket.side, len(xs), counterexamples)
 
 
 def least_adequate_index(slope: Fraction | int, offset: int) -> int:
@@ -454,23 +429,17 @@ def least_adequate_index(slope: Fraction | int, offset: int) -> int:
     """
     s = Fraction(slope)
     bracket = locate_slope(s)
+    below = bracket.side == "below"
     num, den = s.numerator, s.denominator
+
+    def cuts(gap: QuadRat) -> list[int]:
+        return [_cut(t, gap, below) for t in (offset, offset + 1)]
+
     # phi - s = (den - 2*num + den*sqrt(5)) / (2*den)
-    exact_gap = QuadRat(den - 2 * num, den, 2 * den)
-    exact: list[int] = []
-    for t in (offset, offset + 1):
-        v = _qdiv(t, exact_gap)
-        exact.append(quad_ceil(v) if bracket.side == "below" else quad_floor(v))
+    exact = cuts(QuadRat(den - 2 * num, den, 2 * den))
     i = bracket.index + 1
     while True:
-        w = convergent_d(i) if bracket.side == "below" else convergent_u(i)
-        ok = True
-        for t, target in zip((offset, offset + 1), exact):
-            tv = Fraction(t) / (w - s)
-            got = ceil(tv) if bracket.side == "below" else floor(tv)
-            if got != target:
-                ok = False
-                break
-        if ok:
+        gap = _ladder(bracket.side, i) - s
+        if cuts(QuadRat(gap.numerator, 0, gap.denominator)) == exact:
             return i
         i += 1

@@ -56,6 +56,10 @@ GOLDEN = [
     (["decide", "exists x. 0 < 1"], 0, "True (exact); witness 0\n"),
     (["decide", "P[4,1,1,0](3, 32) | 40 >= -21"], 0, "True (exact); witness 5\n"),
     (["decide", "P[2,3,1,2](0, 10)"], 0, "True"),
+    (["decide", "exists x. P[2,3,1,2](0, 10)"], 0, "True (exact); witness 0\n"),
+    (["decide", "forall x. forall y. P[2,3,1,2](0, 10)"], 0, "True (exact)\n"),
+    (["decide", "forall x. P[1,1,0,0](0, 5)"], 0, "True (exact)\n"),
+    (["decide", "exists x. P[2,3,1,2](3, 3)"], 1, "False (exact)\n"),
     (["decide", "P[1,1000000,0,3](0, 100000000)"], 0, "True (exact); witness 2\n"),
     (["decide", "P[3,5,1,2](0, 1000000000000)"], 0, "True (exact); witness 76\n"),
     (["audit", "50"], 0, "all families pass"),
@@ -72,6 +76,13 @@ def test_golden_exit_codes_and_output(argv, code, needle, capsys):
 
 def test_golden_suite_has_thirty_cases():
     assert len(GOLDEN) >= 30
+
+
+def test_window_predicate_outside_a_scan_keeps_its_witness(capsys):
+    # inside a scan a ground P[...] folds to its truth; alone it is solved
+    # when run, and its least witness is the certificate
+    assert run(["decide", "P[2,3,1,2](0, 10)"]) == 0
+    assert capsys.readouterr().out == "True (exact); witness 5\n"
 
 
 MALFORMED = [

@@ -162,10 +162,10 @@ PARSE_ERRORS = [
     ("x < 1 é", 6, "unexpected character 'é'"),
     ("x <", 3, "unexpected end of input"),
     ("exists", 6, "unexpected end of input"),
-    ("f(x", 3, "unexpected 'end of input' at offset 3 (expected ')')"),
-    ("forall x", 8, "unexpected 'end of input' at offset 8 (expected '.')"),
+    ("f(x", 3, "unexpected end of input at offset 3 (expected ')')"),
+    ("forall x", 8, "unexpected end of input at offset 8 (expected '.')"),
     ("forall x x < 1", 9, "unexpected 'x' at offset 9 (expected '.')"),
-    ("x", 1, f"unexpected 'end of input' at offset 1 {_RELATIONS}"),
+    ("x", 1, f"unexpected end of input at offset 1 {_RELATIONS}"),
     ("x + 1 & 2", 6, f"unexpected '&' at offset 6 {_RELATIONS}"),
     ("x < 1 )", 6, "unexpected trailing ')'"),
     ("x < )", 4, "unexpected ')' at offset 4 (expected a term)"),
@@ -179,7 +179,7 @@ PARSE_ERRORS = [
     ("exists forall. x < 1", 7, "'forall' is reserved"),
     ("exists p3. x < 1", 7, "'p3' is reserved"),
     ("exists 3. x < 1", 7, "invalid variable name '3'"),
-    ("x < f", 5, "unexpected 'end of input' at offset 5 (expected '(')"),
+    ("x < f", 5, "unexpected end of input at offset 5 (expected '(')"),
     ("x < P", 4, "'P' is reserved"),
     ("x < exists", 4, "'exists' is reserved"),
     ("x < forall", 4, "'forall' is reserved"),
@@ -279,9 +279,13 @@ def _compiled(formula, env, scanned):
     beside a closure is a closure, and otherwise an operand that folds to
     the deciding value is the connective's value, and one that folds to the
     other value leaves the other operand; a quantifier whose body folds to
-    a value no point decides folds to it; any other is a closure."""
+    a value no point decides folds to it; a P[...] inside a quantifier
+    whose bounds are over no variable in scanned folds to its truth; any
+    other is a closure."""
     if isinstance(formula, (Cmp, Div)):
         return "code" if free_vars(formula) & scanned else _walk(formula, env, 0).truth
+    if isinstance(formula, PPred) and scanned and not free_vars(formula) & scanned:
+        return _walk(formula, env, 0).truth
     if isinstance(formula, Not):
         body = _compiled(formula.body, env, scanned)
         return not body if isinstance(body, bool) else body
@@ -768,6 +772,9 @@ def test_decisive_scans_give_back_the_points_they_skipped(monkeypatch):
     ("exists x. 0 < 0", False),
     ("exists x. exists y. (x < y & 1 < 0)", False),
     ("forall x. (1 < 0 -> f(x) < x)", True),
+    ("forall x. forall y. P[2,3,1,2](0, 10)", True),
+    ("forall x. P[1,1,0,0](0, 5)", True),
+    ("exists x. P[2,3,1,2](3, 3)", False),
 ])
 def test_ground_bodies_fold_without_a_scan(monkeypatch, text, truth):
     # with no budget, any scan would make the answer unknown

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beatty.golden import compare_phi
+from beatty.golden import compare_phi, f_floor
 from beatty.windows import (
     LinearConstraint,
     WindowSet,
@@ -204,6 +204,99 @@ def test_axiom_v_adequate_index_restricted_form_passes():
             assert index >= bracket.index + 1
             report = axiom_v_check(slope, offset, index, 2000, only_integer_rhs=True)
             assert report.passed, (slope, offset, index, report.counterexamples[:3])
+
+
+def _implications_hold(s, k, w, x):
+    """axiom_v_check's docstring, read at x: below phi with w = d_i, and in
+    the mirrored forms with w = u_i above it."""
+    fx, rhs = f_floor(x), s * x + k
+    low, high = Fraction(k) / (w - s), Fraction(k + 1) / (w - s)
+    if w > s:
+        if fx == rhs:
+            return low <= x < high
+        return x < low if fx < rhs else x >= high
+    if fx == rhs:
+        return high < x <= low
+    return x > low if fx < rhs else x <= high
+
+
+_slopes = st.builds(Fraction, st.integers(0, 200), st.integers(1, 60))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_slopes, st.integers(-12, 12), st.integers(1, 4), st.integers(1, 400), st.booleans())
+def test_axiom_v_check_transcribes_its_implications(slope, offset, past, x_range, only):
+    bracket = locate_slope(slope)
+    index = bracket.index + past
+    w = (convergent_d if bracket.side == "below" else convergent_u)(index)
+    step = slope.denominator if only else 1
+    xs = range(step, x_range + 1, step)
+    report = axiom_v_check(slope, offset, index, x_range, only_integer_rhs=only)
+    assert report.side == bracket.side and report.checked == len(xs)
+    assert report.counterexamples == tuple(
+        x for x in xs if not _implications_hold(slope, offset, w, x))
+
+
+def _switch(holds_before):
+    """The integer c with holds_before(x) exactly for x < c (x monotone)."""
+    low, high = -1, 1
+    while holds_before(high):
+        high *= 2
+    while not holds_before(low):
+        low *= 2
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (mid, high) if holds_before(mid) else (low, mid)
+    return high
+
+
+def _thresholds(slope, offset, gap_below_t):
+    """Where gap*x < t switches, for t = k and k + 1; gap_below_t(x, t)
+    tests gap*x < t, which holds before the switch below phi and after it
+    above phi."""
+    below = compare_phi(slope.numerator, slope.denominator) < 0
+    return [_switch(lambda x: gap_below_t(x, t) is below) for t in (offset, offset + 1)]
+
+
+def _exact_below(slope):
+    """(phi - s)*x < t, decided through compare_phi alone."""
+    def test(x, t):
+        if x == 0:
+            return 0 < t
+        r = slope + Fraction(t, x)  # phi < r for x > 0, phi > r for x < 0
+        return compare_phi(r.numerator, r.denominator) == (1 if x > 0 else -1)
+    return test
+
+
+@settings(max_examples=300, deadline=None)
+@given(_slopes, st.integers(-12, 12))
+def test_least_adequate_index_is_least(slope, offset):
+    bracket = locate_slope(slope)
+    index = least_adequate_index(slope, offset)
+    exact = _thresholds(slope, offset, _exact_below(slope))
+
+    def substituted(i):
+        gap = (convergent_d if bracket.side == "below" else convergent_u)(i) - slope
+        return _thresholds(slope, offset, lambda x, t: gap * x < t)
+
+    assert substituted(index) == exact
+    if index - 1 >= bracket.index + 1:
+        assert substituted(index - 1) != exact
+
+
+def test_criterion_07_grid_fails_as_pinned():
+    # criterion 07's own grid: its expected failure, pinned, so that a
+    # change to axiom_v_check shows here rather than behind that failure
+    failures = []
+    for slope in GRID_SLOPES:
+        j = locate_slope(slope).index
+        for offset in range(-8, 9):
+            for index in (j + 1, j + 3):
+                report = axiom_v_check(slope, offset, index, 10_000)
+                if not report.passed:
+                    failures.append((slope, offset, index, report.counterexamples[0]))
+    assert len(failures) == 86
+    assert failures[0] == (Fraction(0), 7, 1, 5)
 
 
 # --- the settled-zone representation ------------------------------------------
