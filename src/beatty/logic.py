@@ -8,13 +8,13 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from itertools import chain, count
 from operator import add, eq, lt, mul, sub
 
 from .congruence import Congruence, CongruenceSystem, crt_combine, solve_linear, solve_system
-from .golden import f_floor
+from .golden import QuadRat, f_floor, quad_ceil, quad_floor
 from .windows import (
     LinearConstraint,
     WindowSet,
@@ -167,30 +167,18 @@ _RESERVED = {"f", "P", "exists", "forall"}
 _P_DIGITS = re.compile(r"^p\d+$")
 
 
+_CHILDREN = {kind: tuple(field.name for field in fields(kind) if field.type not in ("int", "str"))
+             for kind in (Var, Const, Add, Sub, Scale, F, Cmp, Div, PPred, Not, And, Or, Implies,
+                          Exists, Forall)}  # the fields of each node holding formulas or terms
+
+
 def free_vars(node: Formula | Term) -> set[str]:
-    if isinstance(node, Var):
+    if type(node) is Var:
         return {node.name}
-    if isinstance(node, Const):
-        return set()
-    if isinstance(node, (Add, Sub)):
-        return free_vars(node.left) | free_vars(node.right)
-    if isinstance(node, Scale):
-        return free_vars(node.term)
-    if isinstance(node, F):
-        return free_vars(node.arg)
-    if isinstance(node, Cmp):
-        return free_vars(node.left) | free_vars(node.right)
-    if isinstance(node, Div):
-        return free_vars(node.term)
-    if isinstance(node, PPred):
-        return free_vars(node.low) | free_vars(node.high)
-    if isinstance(node, Not):
-        return free_vars(node.body)
-    if isinstance(node, (And, Or, Implies)):
-        return free_vars(node.left) | free_vars(node.right)
-    if isinstance(node, (Exists, Forall)):
-        return free_vars(node.body) - {node.var}
-    raise TypeError(f"not a formula or term: {node!r}")
+    names: set[str] = set()
+    for name in _CHILDREN[type(node)]:
+        names |= free_vars(getattr(node, name))
+    return names - {node.var} if type(node) in (Exists, Forall) else names
 
 
 # --- parser -----------------------------------------------------------------
@@ -566,6 +554,10 @@ _FOLD = {"+": add, "-": sub, "*": mul, "<": lt, "==": eq}
 _OPERATOR = {Add: "+", Sub: "-", And: "and", Or: "or"}
 
 
+def _scanned(scope: dict[str, int | str]) -> bool:  # some variable is a scan's slot
+    return any(isinstance(v, str) for v in scope.values())
+
+
 class _Compiler:
     """One evaluate() call.  source() visits each node once: a node that is
     ground once the assignment is bound folds to its int or bool; any other
@@ -648,6 +640,13 @@ class _Compiler:
             left, right = self.source(node.left, scope), self.source(node.right, scope)
         else:
             raise TypeError(f"not a formula or term: {node!r}")
+        if op in ("and", "or"):
+            # a ground operand is the value if it decides the connective, else the
+            # other side; beside a closure outside every scan the join stays (it
+            # picks the witness reported)
+            for ground, other in ((left, right), (right, left)):
+                if isinstance(ground, bool) and (not callable(other) or _scanned(scope)):
+                    return ground if ground is (op == "or") else other
         if callable(left) or callable(right):
             left, right = self.decisions(left), self.decisions(right)
             join, decisive = (_and_d, False) if kind is And else (_or_d, True)
@@ -658,13 +657,6 @@ class _Compiler:
                 return a if a.truth is decisive and a.provenance == EXACT else join(a, right(env))
 
             return connect
-        if op in ("and", "or"):
-            # beside code or a value (a closure keeps the join above, which
-            # picks the witness reported), a ground operand that decides the
-            # connective is its value, and one that does not leaves the other
-            for ground, other in ((left, right), (right, left)):
-                if isinstance(ground, bool):
-                    return ground if ground is (op == "or") else other
         if isinstance(left, str) or isinstance(right, str):
             code = f"{self.operand(left)} {op} {self.operand(right)}"
             return code if kind is Cmp else f"({code})"
@@ -681,8 +673,7 @@ class _Compiler:
             out = solve_system(CongruenceSystem(on_x, on_fx, lo, hi))
             return Decision(True, witness=out.witness) if out.is_witness else _FALSE
 
-        scanned = any(isinstance(v, str) for v in scope.values())
-        if scanned and isinstance(low, int) and isinstance(high, int):
+        if _scanned(scope) and isinstance(low, int) and isinstance(high, int):
             # ground bounds under a scan, which reports its own certificate:
             # solved once, to a truth value that folds like any ground part
             return solve(low, high).truth
@@ -740,8 +731,8 @@ def evaluate(
     visit at most EVAL_BUDGET points; a scan the budget cut short that finds
     no decisive point makes the answer unknown.  Assigned variables are
     constants, and ground parts fold to values.  An & or | with a ground
-    operand, and no scan or P[...] on the other side, folds to that operand
-    if it decides the connective, and to the other side if not.  A
+    operand folds to that operand if it decides the connective, and to the
+    other side if not, but not beside a scan or P[...] outside them all.  A
     quantifier over a ground body that no point decides folds to that
     value, exactly and without a scan.  A P[...] with ground bounds inside
     a quantifier is solved once, to its truth.  Each other quantifier-free
@@ -788,14 +779,43 @@ def nnf(formula: Formula) -> Formula:
     raise TypeError(f"not a formula: {formula!r}")
 
 
-def _quantifier_free(formula: Formula) -> bool:
-    if isinstance(formula, _ATOMS):
-        return True
-    if isinstance(formula, Not):
-        return _quantifier_free(formula.body)
-    if isinstance(formula, (And, Or, Implies)):
-        return _quantifier_free(formula.left) and _quantifier_free(formula.right)
-    return False
+def _depth(formula: Formula) -> int:
+    """The most quantifiers on one path down the NNF formula."""
+    if isinstance(formula, (And, Or)):
+        return max(_depth(formula.left), _depth(formula.right))
+    if isinstance(formula, (Exists, Forall)):
+        return 1 + _depth(formula.body)
+    return 0
+
+
+def _miniscope(formula: Formula, top: bool = True) -> Formula:
+    """The NNF formula with each scope narrowed, innermost first: exists x
+    (A & B) is A & exists x B and forall x (A | B) is A | forall x B when x
+    is not free in A, and a quantifier over a body without x is dropped.
+    Each top-level conjunct's or disjunct's outermost quantifier stays, so
+    a certificate is a value of its variable."""
+    if isinstance(formula, (And, Or)):
+        return type(formula)(_miniscope(formula.left, top), _miniscope(formula.right, top))
+    if not isinstance(formula, (Exists, Forall)):
+        return formula
+    body = _miniscope(formula.body, False)
+    if top:
+        return type(formula)(formula.var, body)
+    join = And if isinstance(formula, Exists) else Or
+    outside, inside = _split(body, join, formula.var)
+    return _joined(join, outside, inside and type(formula)(formula.var, inside))
+
+
+def _split(formula: Formula, join: type, var: str) -> tuple[Formula | None, Formula | None]:
+    """formula's join chain as (operands without var, with it), in its shape."""
+    if not isinstance(formula, join):
+        return (None, formula) if var in free_vars(formula) else (formula, None)
+    (lo, li), (ro, ri) = _split(formula.left, join, var), _split(formula.right, join, var)
+    return _joined(join, lo, ro), _joined(join, li, ri)
+
+
+def _joined(join: type, left: Formula | None, right: Formula | None) -> Formula | None:
+    return right if left is None else left if right is None else join(left, right)
 
 
 # --- normal-form recognition ------------------------------------------------
@@ -819,15 +839,17 @@ _FALSE_PAIR = (Congruence(2, 0), Congruence(2, 1))
 
 def _linearize(term: Term, var: str) -> tuple[int, int, int] | None:
     """term == a*var + b*f(var) + c, or None when the term is not of that
-    shape (f applied to anything but the bare variable, unknown names)."""
+    shape (f applied to anything but the bare variable or a ground term,
+    unknown names)."""
     if isinstance(term, Const):
         return 0, 0, term.value
     if isinstance(term, Var):
         return (1, 0, 0) if term.name == var else None
     if isinstance(term, F):
-        if isinstance(term.arg, Var) and term.arg.name == var:
+        inner = _linearize(term.arg, var)
+        if inner == (1, 0, 0):
             return 0, 1, 0
-        return None
+        return (0, 0, f_floor(inner[2])) if inner and inner[:2] == (0, 0) else None
     if isinstance(term, Scale):
         inner = _linearize(term.term, var)
         if inner is None:
@@ -914,7 +936,7 @@ def _conjunction_query(var: str, conjuncts: list[Formula]) -> NormalFormQuery | 
             if lin is None:
                 return None
             a, b, cst = lin
-            if (a == 0) == (b == 0):  # a congruence on x or on f(x), not both
+            if a and b:  # a congruence on x or on f(x), not both
                 return None
             solved = solve_linear(a or b, cst, conjunct.modulus)
             (on_x if b == 0 else on_fx).extend([solved] if solved else _FALSE_PAIR)
@@ -930,9 +952,7 @@ def _conjunction_query(var: str, conjuncts: list[Formula]) -> NormalFormQuery | 
         if negated:  # not(e < 0) == -e - 1 < 0 over the integers
             a, b, cst = -a, -b, -cst - 1
 
-        # now: a*x + b*f(x) + cst  <rel>  0
-        if a == 0 and b == 0:
-            return None
+        # now: a*x + b*f(x) + cst  <rel>  0; with a == b == 0 it folds
         if b == 0:
             window = _order_window(a, cst, atom.rel, lower, upper)
             if window is None:
@@ -944,6 +964,47 @@ def _conjunction_query(var: str, conjuncts: list[Formula]) -> NormalFormQuery | 
         linear.append(LinearConstraint(rel, Fraction(-a, b), Fraction(-cst, b)))
 
     return NormalFormQuery(var, tuple(on_x), tuple(on_fx), lower, upper, tuple(linear))
+
+
+def _slab_cases(var: str, conjuncts: list[Formula]) -> list[list[Formula]] | None:
+    """conjuncts as two cases free of their first innermost f(t) that
+    _linearize refuses although it reads t = a*x + b*f(x) + c.  For x >= 1,
+    f(x) = phi*x - θ with θ in (0, 1), so where t >= 1
+        f(t) = b*x + (a+b)*f(x) + floor(λθ + c*phi),  λ = a + b - b*phi,
+    and where t <= 0, f(t) = 0.  None when that floor takes more than one
+    value on (0, 1), or when some x <= 0 may have t >= 1 (there f(x) = 0 and
+    t = a*x + c): a < 0 or c > 0 while the order window reaches x <= 0."""
+    term = next((node for e in conjuncts for node in _nodes(e) if isinstance(node, F)
+                 and _linearize(node, var) is None and _linearize(node.arg, var)), None)
+    if term is None:
+        return None
+    a, b, c = _linearize(term.arg, var)
+    ends = QuadRat(c, c, 2), QuadRat(2 * a + b + c, c - b, 2)  # λθ + c*phi at θ = 0, 1
+    k = min(map(quad_floor, ends))
+    if max(map(quad_ceil, ends)) != k + 1:
+        return None
+    if a < 0 or c > 0:
+        window = _conjunction_query(var, [e for e in conjuncts if _conjunction_query(var, [e])])
+        if window.lower is None or window.lower < 0:
+            return None
+    value = Add(Add(Scale(b, Var(var)), Scale(a + b, F(Var(var)))), Const(k))
+    return [[Cmp(Const(0), "<", Var(var)), Cmp(Const(0), "<", term.arg),
+             *(_replace(e, term, value) for e in conjuncts)],
+            [Cmp(term.arg, "<", Const(1)), *(_replace(e, term, Const(0)) for e in conjuncts)]]
+
+
+def _nodes(node: Formula | Term):
+    """node and each formula or term in it, inner ones first."""
+    for name in _CHILDREN[type(node)]:
+        yield from _nodes(getattr(node, name))
+    yield node
+
+
+def _replace(node: Formula | Term, old: Term, new: Term) -> Formula | Term:
+    """node with each occurrence of old replaced by new."""
+    if node == old:
+        return new
+    return replace(node, **{n: _replace(getattr(node, n), old, new) for n in _CHILDREN[type(node)]})
 
 
 # --- normal-form decision ---------------------------------------------------
@@ -1020,22 +1081,25 @@ def decide_existential_nf(query: NormalFormQuery) -> Decision:
 
 
 def decide(sentence: Formula, bound: int = DEFAULT_EVAL_BOUND) -> Decision:
-    """Decide a sentence: quantifier-free parts exactly, single-quantifier
-    sentences whose body is a Boolean combination of normal-form atoms
-    disjunct by disjunct through the window/congruence pipeline (universal
-    ones via their negation), everything else by bounded evaluation.
-    Raises ValueError for a negative bound."""
+    """Decide a sentence, miniscoped if quantifiers nest: quantifier-free
+    parts exactly, single-quantifier sentences whose body is a Boolean
+    combination of normal-form atoms disjunct by disjunct through the
+    window/congruence pipeline (universal ones via their negation),
+    everything else by bounded evaluation.  Raises ValueError for a
+    negative bound."""
     if free_vars(sentence):
         raise ValueError("decide requires a sentence (no free variables)")
     if bound < 0:
         raise ValueError(f"bound must be >= 0, got {bound}")
-    return _decide(nnf(sentence), bound)
+    sentence = nnf(sentence)
+    return _decide(_miniscope(sentence) if _depth(sentence) > 1 else sentence, bound)
 
 
 def _decide(sentence: Formula, bound: int) -> Decision:
-    if _quantifier_free(sentence):
+    depth = _depth(sentence)
+    if depth == 0:
         return evaluate(sentence, {}, bound)
-    if isinstance(sentence, (Exists, Forall)) and _quantifier_free(sentence.body):
+    if isinstance(sentence, (Exists, Forall)) and depth == 1:
         decision = _decide_one_variable(sentence)
         return evaluate(sentence, {}, bound) if decision is None else decision
     if isinstance(sentence, And):
@@ -1048,17 +1112,23 @@ def _decide(sentence: Formula, bound: int) -> Decision:
 def _decide_one_variable(sentence: Exists | Forall) -> Decision | None:
     """Exact decision of an NNF one-quantifier sentence with a quantifier-free
     body, by exists x (A | B) == exists x A | exists x B over the DNF of the
-    body (of its negation for forall); None when some disjunct is outside
-    the normal form or there are more than MAX_DISJUNCTS.  Each disjunct
-    gives its nonpositive witness nearest 0 if it has one, or else the first
+    body (of its negation for forall), split by _slab_cases into the normal
+    form; None when some disjunct is not, or past MAX_DISJUNCTS.  Each gives
+    its nonpositive witness nearest 0 if it has one, or else the first
     positive witness found piece by piece; the certificate is the least |x|
     among those, checked against the whole body."""
     existential = isinstance(sentence, Exists)
-    disjuncts = _dnf(sentence.body if existential else nnf(Not(sentence.body)))
-    if disjuncts is None:
-        return None
-    queries = [_conjunction_query(sentence.var, conjuncts) for conjuncts in disjuncts]
-    if any(query is None for query in queries):
+    todo = _dnf(sentence.body if existential else nnf(Not(sentence.body)))
+    queries: list[NormalFormQuery] = []
+    while todo and len(queries) + len(todo) <= MAX_DISJUNCTS:
+        conjuncts = todo.pop()
+        if query := _conjunction_query(sentence.var, conjuncts):
+            queries.append(query)
+        elif (cases := _slab_cases(sentence.var, conjuncts)) is not None:
+            todo += cases
+        else:
+            return None
+    if todo or not queries:  # past MAX_DISJUNCTS, or so was the DNF
         return None
     found = [d.witness for d in map(decide_existential_nf, queries) if d.truth]
     if not found:

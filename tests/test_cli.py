@@ -60,6 +60,14 @@ GOLDEN = [
     (["decide", "forall x. forall y. P[2,3,1,2](0, 10)"], 0, "True (exact)\n"),
     (["decide", "forall x. P[1,1,0,0](0, 5)"], 0, "True (exact)\n"),
     (["decide", "exists x. P[2,3,1,2](3, 3)"], 1, "False (exact)\n"),
+    (["decide", "exists x. forall y. f(x) = 1"], 0, "True (exact); witness 1\n"),
+    (["decide", "exists x. forall y. P[2,3,1,2](x, 10)"], 0, "True (exact); witness 0\n"),
+    (["decide", "exists x. (exists y. f(y) = 5 & x = 2)"], 1, "False (bounded to 10000)\n"),
+    (["decide", "forall x. (f(f(x)) = f(x) + x - 1 | x < 1)"], 0, "True (exact)\n"),
+    (["decide", "forall x. (f(x + f(x)) = x + 2*f(x) | x < 1)"], 0, "True (exact)\n"),
+    (["decide", "exists x. (f(x+1) = f(x) + 2 & x > 100000 & p7(x))"], 1,
+     "False (bounded to 10000)\n"),
+    (["decide", "forall x. x < x + 1"], 0, "True (exact)\n"),
     (["decide", "P[1,1000000,0,3](0, 100000000)"], 0, "True (exact); witness 2\n"),
     (["decide", "P[3,5,1,2](0, 1000000000000)"], 0, "True (exact); witness 76\n"),
     (["audit", "50"], 0, "all families pass"),

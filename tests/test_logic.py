@@ -275,10 +275,12 @@ def _compiled(formula, env, scanned):
     """What evaluate() makes of formula before any scan: the bool it folds
     to, "code" for generated source, or None for a Decision closure.  Over
     no variable in scanned (those of the enclosing quantifiers) a comparison
-    or divisibility folds; a negation is what its body is; a connective
-    beside a closure is a closure, and otherwise an operand that folds to
-    the deciding value is the connective's value, and one that folds to the
-    other value leaves the other operand; a quantifier whose body folds to
+    or divisibility folds; a negation is what its body is; an operand that
+    folds to the deciding value is the connective's value, and one that
+    folds to the other value leaves the other operand, except beside a
+    closure outside every quantifier, where the connective is a closure; a
+    connective of two unfolded operands is a closure if either is one and
+    "code" otherwise; a quantifier whose body folds to
     a value no point decides folds to it; a P[...] inside a quantifier
     whose bounds are over no variable in scanned folds to its truth; any
     other is a closure."""
@@ -294,11 +296,13 @@ def _compiled(formula, env, scanned):
         if isinstance(formula, Implies) and isinstance(left, bool):
             left = not left
         decisive = not isinstance(formula, And)
-        if left is None or right is None:
+        if (left is None or right is None) and not scanned:
             return None
         if decisive in (left, right):
             return decisive
-        return right if isinstance(left, bool) else left if isinstance(right, bool) else "code"
+        if isinstance(left, bool) or isinstance(right, bool):
+            return right if isinstance(left, bool) else left
+        return None if None in (left, right) else "code"
     if isinstance(formula, (Exists, Forall)):
         body = _compiled(formula.body, env, scanned | {formula.var})
         return body if body is (not isinstance(formula, Exists)) else None
@@ -737,8 +741,137 @@ def test_disjunct_cap_sends_larger_bodies_to_bounded_evaluation(sentence, at_cap
 
 
 def test_one_disjunct_outside_the_fragment_sends_the_body_to_bounded_evaluation():
-    d = decide(parse("exists x. (0 < x & f(x) = 2 * x | f(f(x)) = 5)"), bound=30)
+    d = decide(parse("exists x. (0 < x & f(x) = 2 * x | f(x + 1) = 5)"), bound=30)
     assert d == Decision(False, BOUNDED, bound=30)
+
+
+# --- miniscoping and the single-slab rewrite --------------------------------
+
+def _slab_term(rng, depth):
+    """a*x + b*f(x) + c, plus d*f(t) for such a term t nested up to depth,
+    under an f or not: f of a term that is not x alone is outside the
+    normal form until decide rewrites it."""
+    x = Var("x")
+    a, b, c = rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(-4, 4)
+    term = Add(Add(Scale(a, x), Scale(b, F(x))), Const(c))
+    if depth and rng.random() < 0.6:
+        term = Add(term, Scale(rng.choice([-2, -1, 1, 2]), F(_slab_term(rng, depth - 1))))
+    return F(term) if rng.random() < 0.7 else term
+
+
+def _slab_atom(rng):
+    """A comparison of a nested term with a flat one, and whether the nested
+    one is outside the normal form."""
+    left = _slab_term(rng, 3)
+    atom = Cmp(left, rng.choice(["<", "="]), _slab_term(rng, 0))
+    return Not(atom) if rng.random() < 0.3 else atom, logic._linearize(left, "x") is None
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(-40, 40) | st.integers(10**6, 10**12))
+def test_single_slab_rewrite_agrees_with_f_floor_at_each_point(rng, x):
+    # x alone leaves the order window (x - 1, x + 1), which for x <= 0 meets
+    # the case x <= 0 < t that the rewrite must decline unless f(t) = 0 there
+    atom, _ = _slab_atom(rng)
+    d = decide(Exists("x", And(Cmp(Var("x"), "=", Const(x)), atom)))
+    holds = evaluate(atom, {"x": x}).truth
+    if d.provenance == EXACT:
+        assert d.truth is holds and d.witness == (x if holds else None)
+
+
+def test_single_slab_rewrite_decides_windows_as_the_scan_does():
+    rng = random.Random(1618)
+    rewritten = 0
+    for _ in range(500):
+        atom, compound = _slab_atom(rng)
+        lo = rng.randint(-30, 30)
+        hi = lo + rng.randint(2, 40)
+        window = And(Cmp(Const(lo), "<", Var("x")), Cmp(Var("x"), "<", Const(hi)))
+        for existential in (True, False):
+            body = And(window, atom) if existential else Or(Not(window), atom)
+            d = decide((Exists if existential else Forall)("x", body), bound=100)
+            points = [x for x in range(lo + 1, hi)
+                      if evaluate(atom, {"x": x}).truth is existential]
+            assert d.truth is (bool(points) is existential), format_formula(body)
+            assert (d.witness if existential else d.counterexample) in points + [None]
+            rewritten += compound and d.provenance == EXACT
+    assert rewritten > 400
+
+
+@pytest.mark.parametrize("text,decision", [
+    ("forall x. (f(f(x)) = f(x) + x - 1 | x < 1)", Decision(True)),
+    ("forall x. (f(x + f(x)) = x + 2*f(x) | x < 1)", Decision(True)),
+    ("forall x. (f(f(f(x))) = x + 2*f(x) - 2 | x < 1)", Decision(True)),
+    ("forall x. f(f(x)) = f(x) + x - 1", Decision(False, counterexample=0)),
+    ("exists x. (0 < x & f(f(x) + 1) = 5)", Decision(False)),
+    ("exists x. (p3(f(f(x)) - f(x) - x + 1) & f(x) = 4)", Decision(True, witness=3)),
+    ("exists x. x = f(3) + f(-2)", Decision(True, witness=4)),
+    ("forall x. x < x + 1", Decision(True)),
+    ("exists x. x + 1 < x", Decision(False)),
+    ("exists x. (p3(x - x + 1) & f(x) = 4)", Decision(False)),
+])
+def test_single_slab_rewrite_and_cancelled_terms_are_exact(text, decision):
+    assert decide(parse(text)) == decision
+
+
+@pytest.mark.parametrize("text,decision", [
+    # f(x + 1) - f(x) is 1 or 2
+    ("exists x. (f(x+1) = f(x) + 2 & x > 100000 & p7(x))", Decision(False, BOUNDED, bound=30)),
+    # x <= 0 < f(x) + 1 is not empty, here or at x = 0 alone
+    ("exists x. f(f(x) + 1) = 5", Decision(False, BOUNDED, bound=30)),
+    ("exists x. (-1 < x & x < 1 & f(f(x) + 1) = 1)", Decision(True, witness=0)),
+])
+def test_single_slab_rewrite_declines_to_bounded_evaluation(text, decision):
+    assert decide(parse(text), bound=30) == decision
+
+
+@pytest.mark.parametrize("terms,provenance", [(6, EXACT), (7, BOUNDED)])
+def test_single_slab_cases_respect_the_disjunct_cap(terms, provenance):
+    # each f(x + f(x) + k) here takes one slab and splits every disjunct in two
+    shifts = [0, 1, 2, 4, 5, -1, 7][:terms]
+    text = "exists x. (0 < x & " + " & ".join(f"f(x + f(x) + {k}) < 0" for k in shifts) + ")"
+    assert 2 ** 6 == MAX_DISJUNCTS
+    assert decide(parse(text), bound=30).provenance == provenance
+
+
+@pytest.mark.parametrize("text,scoped", [
+    ("forall x. forall y. (x < 5 | y < 1 | f(y) = 1)",
+     "forall x. (x < 5 | forall y. (y < 1 | f(y) = 1))"),
+    ("exists x. exists y. (x > 3 & y > 3 & f(x + y) = 7)",
+     "exists x. (x > 3 & exists y. (y > 3 & f(x + y) = 7))"),
+    ("exists x. forall y. forall z. (f(x) = 1 | z < y)",
+     "exists x. (f(x) = 1 | forall y. forall z. z < y)"),
+    ("exists x. (exists y. f(y) = 5 & x = 2)", "exists x. (x = 2 & exists y. f(y) = 5)"),
+    ("exists x. forall y. 0 < 1 & (forall z. exists u. u < z)",
+     "exists x. 0 < 1 & (forall z. exists u. u < z)"),
+    ("forall x. forall y. (f(x + y) < f(x) + f(y) + 2)",
+     "forall x. forall y. (f(x + y) < f(x) + f(y) + 2)"),
+])
+def test_miniscope_narrows_inner_scopes_and_keeps_the_outermost(text, scoped):
+    assert logic._miniscope(nnf(parse(text))) == nnf(parse(scoped))
+
+
+def _top_parts(formula):
+    if isinstance(formula, (And, Or)):
+        return _top_parts(formula.left) + _top_parts(formula.right)
+    return [formula]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from([0, 1, 2, 3, 5, 8]))
+def test_miniscoped_sentences_evaluate_as_the_original(rng, bound):
+    # Each top-level part keeps its outermost quantifier, so it has the same
+    # truth and certificate; a part that a dropped vacuous quantifier or a
+    # moved exact operand no longer scans may turn from bounded to exact.
+    sentence = nnf(random_formula(rng, depth=rng.randint(2, 5), variables=[]))
+    for part in _top_parts(sentence):
+        original, scoped = evaluate(part, {}, bound), evaluate(logic._miniscope(part), {}, bound)
+        if original.truth is None or scoped.truth is None:
+            continue
+        assert (scoped.truth, scoped.witness, scoped.counterexample) == \
+            (original.truth, original.witness, original.counterexample), format_formula(part)
+        if scoped.provenance == BOUNDED or original.provenance == EXACT:
+            assert scoped == original, format_formula(part)
 
 
 # --- evaluation budget ------------------------------------------------------
