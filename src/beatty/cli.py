@@ -10,24 +10,17 @@ one structured object per run with every numeric field as a decimal string.
 
 from __future__ import annotations
 
-import argparse
 import json
+import re
 import sys
 import time
 from fractions import Fraction
-from functools import cache
+from typing import Callable
 
 from .congruence import Congruence, CongruenceSystem, solve_system
 from .golden import f_floor, f_inverse
-from .logic import (
-    BOUNDED,
-    DEFAULT_EVAL_BOUND,
-    MAX_LITERAL_DIGITS,
-    ParseError,
-    axiom_audit,
-    decide,
-    parse,
-)
+from .logic import (BOUNDED, DEFAULT_EVAL_BOUND, MAX_LITERAL_DIGITS, ParseError, axiom_audit,
+                    decide, parse)
 from .numeration import c as word_bit
 from .numeration import Unfactored, fib_word_prefix, pisano, zeckendorf
 from .windows import LinearConstraint, solution_window
@@ -45,11 +38,6 @@ class _UsageError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str) -> None:  # type: ignore[override]
-        raise _UsageError(message)
-
-
 def _too_long(text: str) -> bool:
     """More digits than a formula literal may have: decimal conversion is
     quadratic in the number of digits, so such arguments are refused."""
@@ -57,115 +45,67 @@ def _too_long(text: str) -> bool:
 
 
 def _integer(text: str) -> int:
-    """Type of every integer argument."""
+    """Converter of every integer argument."""
     if _too_long(text):
-        raise argparse.ArgumentTypeError(f"integer longer than {MAX_LITERAL_DIGITS} digits")
+        raise ValueError(f"integer longer than {MAX_LITERAL_DIGITS} digits")
     try:
         return int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        raise ValueError(f"invalid int value: {text!r}") from None
 
 
-@cache
-def _build_parser() -> _Parser:
-    """Built once, on the first run(), so that importing the module stays cheap."""
-    parser = _Parser(prog="beatty", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--json", action="store_true", help="one-line JSON output")
-        return p
-
-    p = add("f", "floor(phi * x)")
-    p.add_argument("x", type=_integer)
-
-    p = add("inv", "the x with floor(phi*x) = y, if any")
-    p.add_argument("y", type=_integer)
-
-    p = add("zeck", "Zeckendorf indices of n")
-    p.add_argument("n", type=_integer)
-
-    p = add("word", "prefix of the Fibonacci word")
-    p.add_argument("length", type=_integer)
-
-    p = add("c", "n-th Fibonacci-word symbol")
-    p.add_argument("n", type=_integer)
-
-    p = add("pisano", "period of the Fibonacci sequence mod n")
-    p.add_argument("n", type=_integer)
-
-    p = add("solve", "solve x = xm (mod xn), f(x) = fm (mod fn) [, lo < x < hi]")
-    p.add_argument("--xn", type=_integer, required=True)
-    p.add_argument("--xm", type=_integer, required=True)
-    p.add_argument("--fn", type=_integer, required=True)
-    p.add_argument("--fm", type=_integer, required=True)
-    p.add_argument("--lo", type=_integer, default=None)
-    p.add_argument("--hi", type=_integer, default=None)
-
-    p = add("window", "solution set of f(x) <rel> slope*x + k over x >= 1")
-    p.add_argument("relation", choices=["<", "=", ">"])
-    p.add_argument("slope", help="rational like 3/2 or 2")
-    p.add_argument("offset", type=_integer)
-
-    p = add("decide", "decide a sentence of the formula language")
-    p.add_argument("formula")
-    p.add_argument("--bound", type=_integer, default=DEFAULT_EVAL_BOUND,
-                   help="quantifier scan radius (>= 0) for the bounded fallback")
-
-    p = add("audit", "check the defining axiom families on [-N, N]")
-    p.add_argument("n", type=_integer)
-
-    return parser
+def _relation(text: str) -> str:
+    if text not in ("<", "=", ">"):
+        raise ValueError(f"invalid choice: {text!r} (choose from '<', '=', '>')")
+    return text
 
 
-def _cmd_f(args) -> tuple[dict, str, str, int]:
-    value = f_floor(args.x)
+def _cmd_f(x: int) -> tuple[dict, str, str, int]:
+    """floor(phi * x)"""
+    value = f_floor(x)
     return {"value": str(value)}, str(value), "exact", EXIT_OK
 
 
-def _cmd_inv(args) -> tuple[dict, str, str, int]:
-    x = f_inverse(args.y)
+def _cmd_inv(y: int) -> tuple[dict, str, str, int]:
+    """the x with floor(phi*x) = y, if any"""
+    x = f_inverse(y)
     if x is None:
         return {"value": None}, "none", "exact", EXIT_NEGATIVE
     return {"value": str(x)}, str(x), "exact", EXIT_OK
 
 
-def _cmd_zeck(args) -> tuple[dict, str, str, int]:
-    indices = zeckendorf(args.n)
-    return (
-        {"indices": [str(i) for i in indices]},
-        " ".join(str(i) for i in indices),
-        "exact",
-        EXIT_OK,
-    )
+def _cmd_zeck(n: int) -> tuple[dict, str, str, int]:
+    """Zeckendorf indices of n"""
+    indices = zeckendorf(n)
+    text = [str(i) for i in indices]
+    return {"indices": text}, " ".join(text), "exact", EXIT_OK
 
 
-def _cmd_word(args) -> tuple[dict, str, str, int]:
-    bits = fib_word_prefix(args.length)
+def _cmd_word(length: int) -> tuple[dict, str, str, int]:
+    """prefix of the Fibonacci word"""
+    bits = fib_word_prefix(length)
     return {"bits": bits}, bits, "exact", EXIT_OK
 
 
-def _cmd_c(args) -> tuple[dict, str, str, int]:
-    bit = word_bit(args.n)
+def _cmd_c(n: int) -> tuple[dict, str, str, int]:
+    """n-th Fibonacci-word symbol"""
+    bit = word_bit(n)
     return {"bit": str(bit)}, str(bit), "exact", EXIT_OK
 
 
-def _cmd_pisano(args) -> tuple[dict, str, str, int]:
+def _cmd_pisano(n: int) -> tuple[dict, str, str, int]:
+    """period of the Fibonacci sequence mod n"""
     try:
-        value = pisano(args.n)
+        value = pisano(n)
     except Unfactored as exc:
         return {"value": None, "reason": str(exc)}, f"unknown: {exc}", "unknown", EXIT_UNKNOWN
     return {"value": str(value)}, str(value), "exact", EXIT_OK
 
 
-def _cmd_solve(args) -> tuple[dict, str, str, int]:
-    system = CongruenceSystem(
-        Congruence(args.xn, args.xm),
-        Congruence(args.fn, args.fm),
-        lower=args.lo,
-        upper=args.hi,
-    )
+def _cmd_solve(xn: int, xm: int, fn: int, fm: int, lo: int | None,
+               hi: int | None) -> tuple[dict, str, str, int]:
+    """solve x = xm (mod xn), f(x) = fm (mod fn) [, lo < x < hi]"""
+    system = CongruenceSystem(Congruence(xn, xm), Congruence(fn, fm), lower=lo, upper=hi)
     out = solve_system(system)
     if out.is_witness:
         witness = str(out.witness)
@@ -173,23 +113,17 @@ def _cmd_solve(args) -> tuple[dict, str, str, int]:
     return {"status": "no_solution"}, "no solution", "exact", EXIT_NEGATIVE
 
 
-def _cmd_window(args) -> tuple[dict, str, str, int]:
+def _cmd_window(relation: str, slope: str, offset: int) -> tuple[dict, str, str, int]:
+    """solution set of f(x) <rel> slope*x + k over x >= 1"""
     try:
-        if _too_long(args.slope) or "e" in args.slope.lower():  # 10**exponent is unbounded
+        if _too_long(slope) or "e" in slope.lower():  # 10**exponent is unbounded
             raise ValueError(f"at most {MAX_LITERAL_DIGITS} digits and no exponent")
-        slope = Fraction(args.slope)
+        ratio = Fraction(slope)
     except (ValueError, ZeroDivisionError) as exc:
-        raise _UsageError(f"bad slope {args.slope!r}: {exc}") from None
-    window = solution_window(LinearConstraint(args.relation, slope, args.offset))
-    pieces = [
-        {
-            "lo": str(p.lo),
-            "hi": None if p.hi is None else str(p.hi),
-            "mod": str(p.mod),
-            "res": str(p.res),
-        }
-        for p in window.pieces
-    ]
+        raise _UsageError(f"bad slope {slope!r}: {exc}") from None
+    window = solution_window(LinearConstraint(relation, ratio, offset))
+    pieces = [{"lo": str(p.lo), "hi": None if p.hi is None else str(p.hi), "mod": str(p.mod),
+               "res": str(p.res)} for p in window.pieces]
     result = {"kind": window.kind, "pieces": pieces}
     if window.is_empty:
         return result, "empty", "exact", EXIT_NEGATIVE
@@ -202,19 +136,14 @@ def _cmd_window(args) -> tuple[dict, str, str, int]:
     return result, f"{window.kind}: " + "; ".join(described), "exact", EXIT_OK
 
 
-def _cmd_decide(args) -> tuple[dict, str, str, int]:
-    sentence = parse(args.formula)
-    decision = decide(sentence, args.bound)
+def _cmd_decide(formula: str, bound: int) -> tuple[dict, str, str, int]:
+    """decide a sentence of the formula language"""
+    decision = decide(parse(formula), bound)
     provenance = decision.provenance
-    result: dict = {"truth": {True: "true", False: "false", None: "unknown"}[decision.truth]}
-    if decision.bound is not None:
-        result["bound"] = str(decision.bound)
-    if decision.witness is not None:
-        result["witness"] = str(decision.witness)
-    if decision.counterexample is not None:
-        result["counterexample"] = str(decision.counterexample)
-    if decision.reason is not None:
-        result["reason"] = decision.reason
+    result = {"truth": {True: "true", False: "false", None: "unknown"}[decision.truth]}
+    for field in ("bound", "witness", "counterexample", "reason"):
+        if (value := getattr(decision, field)) is not None:
+            result[field] = str(value)
     if decision.truth is None:
         return result, f"unknown: {decision.reason}", provenance, EXIT_UNKNOWN
     text = "True" if decision.truth else "False"
@@ -226,38 +155,130 @@ def _cmd_decide(args) -> tuple[dict, str, str, int]:
     return result, text, provenance, EXIT_OK if decision.truth else EXIT_NEGATIVE
 
 
-def _cmd_audit(args) -> tuple[dict, str, str, int]:
-    report = axiom_audit(args.n)
-    families = {
-        fam.name: {
-            "instances": str(fam.instances),
-            "failures": list(fam.failures),
-            "passed": fam.passed,
-        }
-        for fam in report.families
-    }
-    lines = [
-        f"{fam.name}: {'PASS' if fam.passed else 'FAIL ' + '; '.join(fam.failures)}"
-        f" ({fam.instances} instances)"
-        for fam in report.families
-    ]
+def _cmd_audit(n: int) -> tuple[dict, str, str, int]:
+    """check the defining axiom families on [-N, N]"""
+    report = axiom_audit(n)
+    families = {fam.name: {"instances": str(fam.instances), "failures": list(fam.failures),
+                           "passed": fam.passed} for fam in report.families}
+    lines = [f"{fam.name}: {'PASS' if fam.passed else 'FAIL ' + '; '.join(fam.failures)}"
+             f" ({fam.instances} instances)" for fam in report.families]
     lines.append("all families pass" if report.passed else "some families FAIL")
     result = {"bound": str(report.bound), "families": families, "passed": report.passed}
     return result, "\n".join(lines), "exact", EXIT_OK if report.passed else EXIT_NEGATIVE
 
 
-_HANDLERS = {
-    "f": _cmd_f,
-    "inv": _cmd_inv,
-    "zeck": _cmd_zeck,
-    "word": _cmd_word,
-    "c": _cmd_c,
-    "pisano": _cmd_pisano,
-    "solve": _cmd_solve,
-    "window": _cmd_window,
-    "decide": _cmd_decide,
-    "audit": _cmd_audit,
+_REQUIRED = object()  # the default of an option that must be given
+
+# The whole command-line grammar, read by _read() and _help(): each command's
+# handler, its positionals in order as (name, converter), and its options as
+# name -> (converter, default or _REQUIRED).  Each value reaches the handler as
+# the keyword argument of its name.  Every command also takes --json and -h.
+_COMMANDS = {
+    "f": (_cmd_f, (("x", _integer),), {}),
+    "inv": (_cmd_inv, (("y", _integer),), {}),
+    "zeck": (_cmd_zeck, (("n", _integer),), {}),
+    "word": (_cmd_word, (("length", _integer),), {}),
+    "c": (_cmd_c, (("n", _integer),), {}),
+    "pisano": (_cmd_pisano, (("n", _integer),), {}),
+    "solve": (_cmd_solve, (), {
+        "xn": (_integer, _REQUIRED), "xm": (_integer, _REQUIRED), "fn": (_integer, _REQUIRED),
+        "fm": (_integer, _REQUIRED), "lo": (_integer, None), "hi": (_integer, None)}),
+    "window": (_cmd_window, (("relation", _relation), ("slope", str), ("offset", _integer)), {}),
+    "decide": (_cmd_decide, (("formula", str),), {"bound": (_integer, DEFAULT_EVAL_BOUND)}),
+    "audit": (_cmd_audit, (("n", _integer),), {}),
 }
+
+_NEGATIVE = re.compile(r"-\d+$|-\d*\.\d+$")
+
+
+def _option(token: str, names: tuple[str, ...]) -> tuple[list[str], str | None] | None:
+    """None if token is a positional, else the option names it can select
+    (--name, or a unique prefix of it; none: an unknown option) and its
+    =value.  -hh is -h; -hX gives -h the value X.  A negative number, or a
+    token with a space, that selects no option is a positional."""
+    if token[:1] != "-" or token in ("-", "--"):
+        return None
+    if token[1] == "-":
+        name, equals, value = token[2:].partition("=")
+        matches = [name] if name in names else [n for n in names if n.startswith(name)]
+        if matches:
+            return matches, value if equals else None
+    elif token[1] == "h":
+        return ["help"], token[2:] if token[2:].strip("h") else None
+    return None if _NEGATIVE.match(token) or " " in token else ([], None)
+
+
+def _read(argv: list[str]) -> tuple[Callable, dict, bool]:
+    """(handler, its keyword values, whether --json was given) from one pass
+    over argv, left to right; -h/--help selects _help().  After the command come
+    its positionals and, anywhere until a first "--", its options, as
+    --name value or --name=value; a repeated option keeps its last value."""
+    if not argv:
+        raise _UsageError("the following arguments are required: command")
+    if argv[0] not in _COMMANDS:
+        if _option(argv[0], ("help",)) == (["help"], None):
+            return _help, {}, False
+        raise _UsageError(f"argument command: invalid choice: {argv[0]!r} "
+                          f"(choose from {', '.join(map(repr, _COMMANDS))})")
+    handler, positionals, options = _COMMANDS[argv[0]]
+    names = ("help", "json", *options)
+    values = {name: default for name, (_, default) in options.items()}
+    positionals, tokens, extras = iter(positionals), iter(argv[1:]), []
+    as_json = ended = loose = was_positional = False
+    for token in tokens:
+        if token == "--" and not ended:  # kept only beside a positional, as argparse does
+            ended, loose = True, not was_positional
+            continue
+        option = None if ended else _option(token, names)
+        if was_positional := option is None:
+            if (slot := next(positionals, None)) is None:
+                extras.append(token)
+                continue
+            (name, convert), label, value, loose = slot, slot[0], token, False
+        else:
+            matches, value = option
+            if not matches:
+                extras.append(token)
+                continue
+            if len(matches) > 1:
+                raise _UsageError(f"ambiguous option: {token} could match "
+                                  + ", ".join(f"--{m}" for m in matches))
+            name, label = matches[0], f"--{matches[0]}"
+            if name in ("help", "json"):
+                if value is not None:
+                    raise _UsageError(f"argument {label}: ignored explicit argument {value!r}")
+                if name == "help":
+                    return _help, {}, False
+                as_json = True
+                continue
+            if value is None:
+                value = next(tokens, None)
+                if value in (None, "--") or _option(value, names) is not None:
+                    raise _UsageError(f"argument {label}: expected one argument")
+            convert = options[name][0]
+        try:
+            values[name] = convert(value)
+        except ValueError as exc:
+            raise _UsageError(f"argument {label}: {exc}") from None
+    missing = [name for name, _ in positionals]
+    missing += [f"--{name}" for name, value in values.items() if value is _REQUIRED]
+    if missing:
+        raise _UsageError(f"the following arguments are required: {', '.join(missing)}")
+    if extras or loose:
+        raise _UsageError(f"unrecognized arguments: {' '.join(extras + ['--'] * loose)}")
+    return handler, values, as_json
+
+
+def _help() -> tuple[dict, str, str, int]:
+    """One line per command of _COMMANDS, with its handler's docstring."""
+    lines = {}
+    for name, (handler, positionals, options) in _COMMANDS.items():
+        flags = [f"--{o} {o.upper()}" if default is _REQUIRED else f"[--{o} {o.upper()}]"
+                 for o, (_, default) in options.items()]
+        lines[" ".join([name, "[--json]", *flags, *(p for p, _ in positionals)])] = handler.__doc__
+    width = max(map(len, lines))
+    text = "\n".join(f"beatty {usage:<{width}}  {doc}" for usage, doc in lines.items())
+    return {}, text, "exact", EXIT_OK
 
 
 def run(argv: list[str]) -> int:
@@ -273,11 +294,10 @@ def run(argv: list[str]) -> int:
 
 
 def _run(argv: list[str]) -> int:
-    parser = _build_parser()
     started = time.perf_counter()
     try:
-        args = parser.parse_args(argv)
-        result, text, provenance, code = _HANDLERS[args.command](args)
+        handler, values, as_json = _read(argv)
+        result, text, provenance, code = handler(**values)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -294,7 +314,7 @@ def _run(argv: list[str]) -> int:
         print(f"internal error: {type(exc).__name__}: {exc} "
               f"({where.filename}:{where.lineno} in {where.name})", file=sys.stderr)
         return EXIT_SOFTWARE
-    if args.json:
+    if as_json:
         elapsed = f"{time.perf_counter() - started:.6f}"
         text = json.dumps({"command": list(argv), "result": result, "provenance": provenance,
                            "elapsed_s": elapsed}, sort_keys=True)

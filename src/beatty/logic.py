@@ -618,7 +618,18 @@ class _Compiler:
         if kind is PPred:
             return self.window_predicate(node, scope)
         if kind is Exists or kind is Forall:
-            return self.scan(node, scope)
+            run = self.scan(node, scope)
+            if not callable(run) or not _scanned(scope) or any(
+                    not isinstance(scope.get(v), int) for v in free_vars(node)):
+                return run
+            memo: list[Decision] = []  # closed under the scans around it: one scan suffices
+
+            def once(env: list[int]) -> Decision:
+                if not memo:
+                    memo.append(run(env))
+                return memo[0]
+
+            return once
         if kind is Not or kind is Implies:
             # L -> R is (not L or R)
             body = self.source(node.body if kind is Not else node.left, scope)
@@ -735,8 +746,10 @@ def evaluate(
     other side if not, but not beside a scan or P[...] outside them all.  A
     quantifier over a ground body that no point decides folds to that
     value, exactly and without a scan.  A P[...] with ground bounds inside
-    a quantifier is solved once, to its truth.  Each other quantifier-free
-    part without P[...] runs as one generated function (see _Compiler).
+    a quantifier is solved once, to its truth; a quantifier inside a scan
+    whose free variables no scan binds is scanned once.  Each other
+    quantifier-free part without P[...] runs as one generated function (see
+    _Compiler).
     Raises ValueError for a negative bound."""
     if bound < 0:
         raise ValueError(f"bound must be >= 0, got {bound}")
@@ -1045,8 +1058,10 @@ def decide_existential_nf(query: NormalFormQuery) -> Decision:
     """Exact decision of a normal-form query over the integers.
 
     Pipeline: merge the congruence lists, settle the x <= 0 branch directly,
-    intersect the linear-constraint windows with the order bounds, and run
-    the congruence solver on each surviving piece."""
+    intersect the linear-constraint windows with the order bounds (and with
+    x <= |n| when n <= 0 is a witness), and run the congruence solver on
+    each surviving piece.  The witness is the first in the scan order 0, 1,
+    -1, ... of n and the least positive one."""
     mx = crt_combine(list(query.on_x)) if query.on_x else Congruence(1, 0)
     if mx is None:
         return Decision(False)
@@ -1054,15 +1069,19 @@ def decide_existential_nf(query: NormalFormQuery) -> Decision:
     if mf is None:
         return Decision(False)
 
-    negative = _negative_branch(query, mx, mf)
+    # a positive witness comes first in the scan order 0, 1, -1, ... unless
+    # it is above the nonpositive one's |x|
+    upper, negative = query.upper, _negative_branch(query, mx, mf)
     if negative is not None:
         assert _query_holds(query, negative)
-        return Decision(True, witness=negative)
+        if negative == 0:
+            return Decision(True, witness=0)
+        upper = 1 - negative if upper is None else min(upper, 1 - negative)
 
     window = WindowSet.all()
     for lc in query.linear:
         window = window.intersect(solution_window(lc))
-    window = window.clip(query.lower, query.upper)
+    window = window.clip(query.lower, upper)
 
     for piece in window.pieces:
         merged = crt_combine([mx, Congruence(piece.mod, piece.res)])
@@ -1077,7 +1096,7 @@ def decide_existential_nf(query: NormalFormQuery) -> Decision:
         if out.is_witness:
             assert _query_holds(query, out.witness)
             return Decision(True, witness=out.witness)
-    return Decision(False)
+    return Decision(False) if negative is None else Decision(True, witness=negative)
 
 
 def decide(sentence: Formula, bound: int = DEFAULT_EVAL_BOUND) -> Decision:
@@ -1114,9 +1133,10 @@ def _decide_one_variable(sentence: Exists | Forall) -> Decision | None:
     body, by exists x (A | B) == exists x A | exists x B over the DNF of the
     body (of its negation for forall), split by _slab_cases into the normal
     form; None when some disjunct is not, or past MAX_DISJUNCTS.  Each gives
-    its nonpositive witness nearest 0 if it has one, or else the first
-    positive witness found piece by piece; the certificate is the least |x|
-    among those, checked against the whole body."""
+    its witness first in the scan order 0, 1, -1, ...: the least positive
+    one if it is at most the |x| of the nonpositive one nearest 0, else that
+    one; the certificate is the first of those in that order, checked
+    against the whole body."""
     existential = isinstance(sentence, Exists)
     todo = _dnf(sentence.body if existential else nnf(Not(sentence.body)))
     queries: list[NormalFormQuery] = []

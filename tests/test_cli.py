@@ -1,4 +1,6 @@
 import json
+import os
+import subprocess
 import sys
 import time
 
@@ -63,6 +65,8 @@ GOLDEN = [
     (["decide", "exists x. forall y. f(x) = 1"], 0, "True (exact); witness 1\n"),
     (["decide", "exists x. forall y. P[2,3,1,2](x, 10)"], 0, "True (exact); witness 0\n"),
     (["decide", "exists x. (exists y. f(y) = 5 & x = 2)"], 1, "False (bounded to 10000)\n"),
+    (["decide", "exists x. ((exists y. f(y) = 5) & x = 2)"], 1, "False (bounded to 10000)\n"),
+    (["decide", "exists x. (-50 < x & x < 10 & p7(x - 3))"], 0, "True (exact); witness 3\n"),
     (["decide", "forall x. (f(f(x)) = f(x) + x - 1 | x < 1)"], 0, "True (exact)\n"),
     (["decide", "forall x. (f(x + f(x)) = x + 2*f(x) | x < 1)"], 0, "True (exact)\n"),
     (["decide", "exists x. (f(x+1) = f(x) + 2 & x > 100000 & p7(x))"], 1,
@@ -251,10 +255,10 @@ def _parses(text: str) -> bool:
 
 
 def test_unexpected_exception_exits_70(monkeypatch, capsys):
-    def broken(args):
+    def broken(**values):
         raise RuntimeError("boom")
 
-    monkeypatch.setitem(cli._HANDLERS, "f", broken)
+    monkeypatch.setitem(cli._COMMANDS, "f", (broken, *cli._COMMANDS["f"][1:]))
     assert run(["f", "7"]) == 70
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -278,7 +282,7 @@ def test_witness_beyond_the_digit_limit_prints(capsys):
 
 def test_lower_bounded_solve_answers_in_milliseconds(capsys):
     argv = ["solve", "--xn", "50", "--xm", "20", "--fn", "49", "--fm", "28", "--lo", "130329209207"]
-    run(argv)  # builds the cached argument parser
+    run(argv)  # a first run, so that the timed one finds everything loaded
     started = time.perf_counter()
     assert run(argv) == 0
     assert time.perf_counter() - started < 0.01
@@ -327,7 +331,8 @@ def _outcome(argv, capsys):
     return code, out, captured.err
 
 
-def test_cached_parser_matches_fresh_parsers(capsys):
+def test_repeated_runs_give_the_same_outcome(capsys):
+    # no run leaves state that changes the next one
     sequence = [
         ["f", "7"], ["f", "7", "--json"], ["window", ">", "3/2", "0", "--json"],
         ["window", ">", "3/2", "0"], ["f", "x7"], ["f", "7"],
@@ -336,13 +341,74 @@ def test_cached_parser_matches_fresh_parsers(capsys):
         ["decide", "exists x. (0 < x & f(x) = x + 1)"], ["window", "=", "1/0", "3"],
         ["pisano", "10", "--json"], ["pisano", "10"],
     ]
-    cached = [_outcome(argv, capsys) for argv in sequence]
-    fresh = []
-    for argv in sequence:
-        cli._build_parser.cache_clear()
-        fresh.append(_outcome(argv, capsys))
-    assert cached == fresh
-    assert [code for code, _, _ in cached] == [0, 0, 0, 0, 64, 0, 64, 0, 0, 64, 0, 64, 0, 0]
+    first = [_outcome(argv, capsys) for argv in sequence]
+    assert [_outcome(argv, capsys) for argv in sequence] == first
+    assert [code for code, _, _ in first] == [0, 0, 0, 0, 64, 0, 64, 0, 0, 64, 0, 64, 0, 0]
+
+
+# The argv grammar: (argv, exit code, stdout), each as argparse gave it; a
+# --json record is compared without its elapsed_s.
+SOLVE = ["--xm", "1", "--fn", "3", "--fm", "2"]
+GRAMMAR = [
+    (["f", "-3"], 0, "0\n"),  # a negative number is a positional
+    (["f", "-3.5"], 64, ""),
+    (["decide", "-1 < 0"], 0, "True (exact)\n"),  # so is a token with a space
+    (["solve", "--xn=2", "--xm=1", "--fn=3", "--fm=2"], 0, "witness 5\n"),
+    (["solve", "--xn", "2", *SOLVE], 0, "witness 5\n"),
+    (["decide", "exists x. x = 1", "--b", "5"], 0, "True (exact); witness 1\n"),
+    (["f", "--j", "7"], 0, {"command": ["f", "--j", "7"], "provenance": "exact",
+                            "result": {"value": "11"}}),
+    (["solve", "--x", "2", *SOLVE], 64, ""),  # --xn or --xm
+    (["solve", "--xn", "5", "--xn", "2", *SOLVE], 0, "witness 5\n"),  # the last --xn
+    (["f", "--", "-3"], 0, "0\n"),
+    (["f", "7", "--"], 0, "11\n"),
+    (["solve", "--xn", "2", *SOLVE, "--"], 64, ""),  # a "--" next to no positional
+    (["solve", "--xn", "--", "2", *SOLVE], 64, ""),
+    (["f", "--", "--json", "7"], 64, ""),  # after "--" nothing is an option
+    (["window", "=", "--json", "3/2", "0"], 0, {
+        "command": ["window", "=", "--json", "3/2", "0"], "provenance": "exact",
+        "result": {"kind": "union", "pieces": [{"hi": "8", "lo": "2", "mod": "2", "res": "0"}]}}),
+    (["f", "7", "--json=1"], 64, ""),
+    (["decide", "0 < 1", "--bound", "--json"], 64, ""),
+    (["decide", "exists x. x = 1", "--bound", "-0"], 0, "True (exact); witness 1\n"),
+    (["f"], 64, ""),
+    (["f", "7", "8"], 64, ""),
+    (["f", "-x", "7"], 64, ""),
+    (["nosuch", "7"], 64, ""),
+    (["window", "<=", "1", "0"], 64, ""),
+    ([], 64, ""),
+    (["--json", "f", "7"], 64, ""),
+]
+
+
+@pytest.mark.parametrize("argv,code,out", GRAMMAR, ids=[" ".join(g[0]) or "[]" for g in GRAMMAR])
+def test_argv_grammar(argv, code, out, capsys):
+    assert run(argv) == code
+    captured = capsys.readouterr()
+    if isinstance(out, dict):
+        record = json.loads(captured.out)
+        del record["elapsed_s"]
+        assert record == out
+    else:
+        assert captured.out == out
+    if code == 64:
+        assert captured.err.startswith("usage error: ")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["solve", "--help"], ["f", "7", "--he"]])
+def test_help_lists_every_command_and_returns_0(argv, capsys):
+    assert run(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[1] for line in lines] == list(cli._COMMANDS)
+    solve = lines[list(cli._COMMANDS).index("solve")]
+    assert "--xn XN --xm XM --fn FN --fm FM [--lo LO] [--hi HI]" in solve
+
+
+def test_importing_the_cli_loads_no_argparse():
+    code = "import sys, beatty.cli; print('argparse' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert out.stdout == "False\n"
 
 
 @pytest.mark.parametrize("argv", [

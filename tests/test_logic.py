@@ -2,6 +2,7 @@ import dataclasses
 import random
 import re
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -548,24 +549,27 @@ def test_nf_negative_witnesses():
                        st.builds(Fraction, st.integers(-20, 20), st.integers(1, 3))),
              min_size=1, max_size=2),
 )
-def test_nonpositive_witness_is_the_one_nearest_0(fn, on_x, lower, upper, linear):
+def test_witness_is_the_first_in_the_scan_order(fn, on_x, lower, upper, linear):
     # f vanishes on x <= 0, so with an f-residue of 0 every constraint there
     # is a comparison on x alone; with nonzero slopes of at least 1/3 in size
-    # and offsets of at most 20 the witness nearest 0, if any, lies above -100
+    # and offsets of at most 20 the witness nearest 0, if any, lies above
+    # -100.  A positive witness comes before it in the order 0, 1, -1, ...
+    # when it is at most its |x|.
     if lower is not None and upper is not None and lower >= upper:
         lower, upper = upper - 1, lower + 1
     query = NormalFormQuery(
         "x", () if on_x is None else (Congruence(*on_x),), (Congruence(fn, 0),),
         lower, upper, tuple(LinearConstraint(*lc) for lc in linear))
-    brute = [x for x in range(0, -101, -1)
-             if (on_x is None or x % on_x[0] == on_x[1] % on_x[0])
+    order = [0] + [x for k in range(1, 101) for x in (k, -k)]
+    brute = [x for x in order
+             if (on_x is None or x % on_x[0] == on_x[1] % on_x[0]) and f_floor(x) % fn == 0
              and (lower is None or lower < x) and (upper is None or x < upper)
              and all(lc.holds(x) for lc in query.linear)]
     d = decide_existential_nf(query)
     if brute:
         assert d.truth is True and d.witness == brute[0]
     else:
-        assert not (d.truth and d.witness <= 0)
+        assert not (d.truth and abs(d.witness) <= 100)
 
 
 # --- decide ----------------------------------------------------------------
@@ -893,10 +897,30 @@ def test_exhausted_budget_is_unknown_never_bounded(monkeypatch):
 
 
 def test_decisive_scans_give_back_the_points_they_skipped(monkeypatch):
-    # 201 outer points, each inner scan decisive at its first point
-    text = "forall x. exists y. y = 0"
+    # 201 outer points, each inner scan decisive at its first point (the
+    # inner body mentions x, so the inner scan is not run once for all x)
+    text = "forall x. exists y. x + y = x"
     assert _evaluate_with_budget(monkeypatch, text, 402) == Decision(True, BOUNDED, bound=100)
     assert _evaluate_with_budget(monkeypatch, text, 401).truth is None
+
+
+def test_a_closed_scan_inside_a_scan_runs_once(monkeypatch):
+    # the exists y part mentions no x: one scan of y and one of x, 20,001
+    # points each, decide the sentence, where re-scanning y at every x would
+    # spend the whole budget
+    compilers = []
+
+    class Recorded(logic._Compiler):
+        def __init__(self, bound):
+            super().__init__(bound)
+            compilers.append(self)
+
+    monkeypatch.setattr(logic, "_Compiler", Recorded)
+    started = time.perf_counter()
+    d = decide(parse("exists x. ((exists y. f(y) = 5) & x = 2)"))
+    assert time.perf_counter() - started < 0.05
+    assert d == Decision(False, BOUNDED, bound=10_000)
+    assert logic.EVAL_BUDGET - compilers[-1].budget <= 40_002
 
 
 @pytest.mark.parametrize("text,truth", [
