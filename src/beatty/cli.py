@@ -3,7 +3,7 @@
 Exit codes: 0 answered (value computed / True / witness found), 1 negative
 answer (False / no solution / empty), 2 unknown (an evaluation budget spent,
 or a pisano modulus trial division cannot factor), 64 usage or parse error,
-70 internal error (a defect, never an answer).
+70 internal error (a defect, never an answer), 74 stdout closed early.
 All numbers print in decimal, however many digits they have; --json emits
 one structured object per run with every numeric field as a decimal string.
 """
@@ -11,6 +11,7 @@ one structured object per run with every numeric field as a decimal string.
 from __future__ import annotations
 
 import json
+import os
 import re
 import sys
 import time
@@ -32,6 +33,7 @@ EXIT_NEGATIVE = 1
 EXIT_UNKNOWN = 2
 EXIT_USAGE = 64
 EXIT_SOFTWARE = 70
+EXIT_IOERR = 74
 
 
 class _UsageError(Exception):
@@ -323,7 +325,13 @@ def _run(argv: list[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader left: stdout goes to devnull so exit flushes quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_IOERR
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -43,6 +43,7 @@ EVAL_BUDGET = 500_000
 # A one-variable body with more disjuncts in normal form goes to bounded
 # evaluation.
 MAX_DISJUNCTS = 64
+F_TABLE_CAP = 1 << 16  # values of f one evaluate() call keeps: 6.5 MiB at most
 
 
 # --- terms -----------------------------------------------------------------
@@ -558,34 +559,45 @@ def _scanned(scope: dict[str, int | str]) -> bool:  # some variable is a scan's 
     return any(isinstance(v, str) for v in scope.values())
 
 
+class _FTable(dict):
+    """f_floor of each argument asked for, kept up to F_TABLE_CAP of them; f_floor
+    is looked up at each miss, so that a wrapper around it counts every miss."""
+
+    def __missing__(self, x: int) -> int:
+        y = f_floor(x)
+        if len(self) < F_TABLE_CAP:
+            self[x] = y
+        return y
+
+
 class _Compiler:
     """One evaluate() call.  source() visits each node once: a node that is
     ground once the assignment is bound folds to its int or bool; any other
     term, or quantifier-free formula without P[...], becomes Python source
     over the list env of quantified variables' slots, where each constant
-    and coefficient is a global c<i>, never printed; the rest becomes an
-    env -> Decision closure.  Each quantifier takes a fresh slot, so
-    shadowed names never share one, and every scan draws on budget."""
+    and coefficient is a global c<i>, never printed, and f[t] reads the
+    call's _FTable; the rest becomes an env -> Decision closure.  A scan of
+    source is one generated loop, next((env[s] for env[s] in order if [not]
+    body), None).  Each quantifier takes a fresh slot, so shadowed names
+    never share one, and every scan draws on budget."""
 
     def __init__(self, bound: int):
         self.bound, self.budget, self.slots = bound, EVAL_BUDGET, count()
-        # f_floor is read now, not at import, so that a wrapper installed
-        # around it (a call counter) sees every call
-        self.names = {"__builtins__": {}, "f": f_floor}
+        self.names = {"__builtins__": {}, "f": _FTable(), "next": next}
 
     def operand(self, code) -> str:
         """Source of code; a value is bound to a fresh global c<i>."""
         if isinstance(code, str):
             return code
-        name = f"c{len(self.names) - 2}"
+        name = f"c{len(self.names) - 3}"
         self.names[name] = code
         return name
 
-    def function(self, code):
-        """code as an env -> value function; source is compiled once."""
+    def function(self, code, params: str = "env"):
+        """code as a function of params, or env -> code; source is compiled once."""
         if not isinstance(code, str):
             return lambda env: code
-        return eval(f"lambda env: {code}", self.names)
+        return eval(f"lambda {params}: {code}", self.names)
 
     def decisions(self, code):
         """code as an env -> Decision closure."""
@@ -606,7 +618,7 @@ class _Compiler:
             return node.value
         if kind is F:
             arg = self.source(node.arg, scope)
-            return f"f({arg})" if isinstance(arg, str) else f_floor(arg)
+            return f"f[{arg}]" if isinstance(arg, str) else f_floor(arg)
         # The interpreter refuses 200 nested parentheses, so only a node the
         # parser counts a nesting level for adds one: `not`, a comparison and
         # a divisibility stay bare, as in (not a < b or c).
@@ -696,8 +708,15 @@ class _Compiler:
         body = self.source(formula.body, {**scope, formula.var: f"env[{slot}]"})
         if body is (not existential):
             return body  # a ground body no point decides: exact, and no scan
-        if is_bool := not callable(body):
-            body = self.function(body)
+        if callable(body):
+            def first(env: list[int], order) -> Decision | None:
+                for env[slot] in order:  # the Decision at the first decisive or unknown point
+                    if (d := body(env)).truth is not (not existential):
+                        return d
+        else:  # one generated loop, to the first decisive point; a bool body is a c<i>
+            test = ("" if existential else "not ") + self.operand(body)
+            first = self.function(f"next((env[{slot}] for env[{slot}] in order if {test}), None)",
+                                  "env, order")
 
         def scan(env: list[int]) -> Decision:
             # 0, 1, -1, ..., reach, -reach until the body is decisive; the
@@ -708,23 +727,16 @@ class _Compiler:
                 return _SPENT
             self.budget -= 2 * reach + 1
             points = zip(range(1, reach + 1), range(-1, -reach - 1, -1))
-            for v in chain((0,), chain.from_iterable(points)):
-                env[slot] = v
-                d = body(env)
-                if is_bool:
-                    if d != existential:
-                        continue
-                    d = _TRUE
-                elif d.truth is not existential:
-                    if d.truth is None:
-                        return d
-                    continue
-                self.budget += 2 * reach + 1 - (2 * v if v > 0 else 1 - 2 * v)
-                return Decision(existential, d.provenance, d.bound,
-                                *((v, None) if existential else (None, v)))
-            if reach < bound:
-                return _SPENT
-            return Decision(not existential, BOUNDED, bound=bound)
+            found = first(env, chain((0,), chain.from_iterable(points)))
+            if found is None:
+                return _SPENT if reach < bound else Decision(not existential, BOUNDED, bound=bound)
+            d = found if callable(body) else _TRUE  # a generated loop returns the point
+            if d.truth is None:
+                return d
+            v = env[slot]
+            self.budget += 2 * reach + 1 - (2 * v if v > 0 else 1 - 2 * v)
+            return Decision(existential, d.provenance, d.bound,
+                            *((v, None) if existential else (None, v)))
 
         return scan
 
@@ -748,9 +760,9 @@ def evaluate(
     value, exactly and without a scan.  A P[...] with ground bounds inside
     a quantifier is solved once, to its truth; a quantifier inside a scan
     whose free variables no scan binds is scanned once.  Each other
-    quantifier-free part without P[...] runs as one generated function (see
-    _Compiler).
-    Raises ValueError for a negative bound."""
+    quantifier-free part without P[...] runs as one generated function, and
+    a scan of one as one loop, where f reads a per-call table of at most
+    F_TABLE_CAP values (see _Compiler).  Raises ValueError for a negative bound."""
     if bound < 0:
         raise ValueError(f"bound must be >= 0, got {bound}")
     compiler = _Compiler(bound)

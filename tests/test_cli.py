@@ -432,3 +432,15 @@ def test_decimal_inputs_at_the_digit_limit_still_convert(capsys):
     assert run(["f", "1" * digits]) == 0
     assert run(["decide", "f(" + "1" * digits + ") > 0"]) == 0
     assert run(["window", ">", "1" * (digits - 1) + "/7", "0"]) == 1
+
+
+def test_a_closed_stdout_exits_74_without_a_traceback():
+    # 200,001 bytes fill the pipe, so the reader closes it before they are written
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    with subprocess.Popen([sys.executable, "-m", "beatty", "word", "200000"], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.read(5) == b"10110"
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert proc.returncode == cli.EXIT_IOERR == 74
+    assert err == b""

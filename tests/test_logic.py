@@ -415,19 +415,21 @@ def test_evaluate_matches_reference_walker_on_shadowing_and_p(text, assignment):
 
 # --- generated code ---------------------------------------------------------
 
-# Every token generated source may hold: slots, constants bound by name, f,
-# arithmetic, < and ==, and, or, not, parentheses.
-_GENERATED = re.compile(r"(\s*(env\[\d+\]|c\d+\b|f\(|[-+*%()<]|==|(and|or|not)\b))*\s*")
+# Every token generated source may hold: slots, constants bound by name, the
+# f table f[...], arithmetic, < and ==, and, or, not, parentheses, and a scan
+# loop's next, for, in, if, order and None (the comma only before None).
+_GENERATED = re.compile(r"(\s*(env\[\d+\]|c\d+\b|f\[|\]|[-+*%()<]|=="
+                        r"|(and|or|not|next|for|in|if|order)\b|, None\b))*\s*")
 
 
 def _generated_sources(monkeypatch) -> list[str]:
     sources = []
     compile_source = logic._Compiler.function
 
-    def recording(compiler, code):
+    def recording(compiler, code, *params):
         if isinstance(code, str):
             sources.append(code)
-        return compile_source(compiler, code)
+        return compile_source(compiler, code, *params)
 
     monkeypatch.setattr(logic._Compiler, "function", recording)
     return sources
@@ -439,26 +441,32 @@ def test_generated_source_is_closed_over_its_tokens(monkeypatch):
     for _ in range(300):
         formula = random_formula(rng, depth=5, variables=["x", "y"])
         evaluate(formula, {"x": rng.randint(-9, 9), "y": rng.randint(-9, 9)}, bound=2)
-    assert len(sources) > 300 and any("f(" in s and " % " in s for s in sources)
+    assert len(sources) > 300 and any("f[" in s and " % " in s for s in sources)
     for source in sources:
         assert _GENERATED.fullmatch(source), source
 
 
 # names the generated code itself uses, or Python reserves
-_HOSTILE = {"x": "env", "y": "f", "z": "c0", "u": "lambda", "v": "__import__",
-            "w": "c1", "n0": "not", "n1": "__builtins__"}
+_HOSTILE = ["env", "f", "c0", "lambda", "__import__", "c1", "not", "__builtins__", "next", "order"]
 
 
 def test_variable_names_never_enter_the_generated_code():
     rng = random.Random(4181)
-    for _ in range(150):
+    for i in range(150):
         sentence = random_formula(rng, depth=4)
-        renamed = _rename(sentence, _HOSTILE)
+        # the i-th sentence names its variables x, y, z, ... after the hostile
+        # names from the i-th on, so that each hostile name is used
+        pool = ("x", "y", "z", "u", "v", "w", "n0", "n1")
+        renamed = _rename(sentence, {v: _HOSTILE[(i + k) % len(_HOSTILE)]
+                                     for k, v in enumerate(pool)})
         assert evaluate(renamed, bound=2) == evaluate(sentence, bound=2)
         assert decide(renamed, bound=3) == decide(sentence, bound=3)
     text = "forall env. exists c0. exists lambda. (env + c0 = lambda & p2(lambda - f(c0)))"
     assert decide(parse(text), bound=4) == decide(parse(
         "forall a. exists b. exists c. (a + b = c & p2(c - f(b)))"), bound=4)
+    text = "forall next. exists order. (f(next) < order & !(order = f(next + 1)))"
+    assert evaluate(parse(text), bound=4) == evaluate(parse(
+        "forall a. exists b. (f(a) < b & !(b = f(a + 1)))"), bound=4)
 
 
 def test_huge_constants_are_never_printed():
@@ -482,7 +490,136 @@ def test_ground_f_is_folded_to_f_floor(monkeypatch):
         assert evaluate(Cmp(x, "=", target), {"x": want}).truth is True
         # under a quantifier the ground term is one constant
         assert evaluate(Exists("x", Cmp(Sub(x, target), "=", Const(-want)))).witness == 0
-    assert sources and not any("f(" in s for s in sources)
+    assert sources and not any("f[" in s for s in sources)
+
+
+@pytest.mark.parametrize("construct", ["(", "!", "f(", "exists", "2 *", "->", "&", "|", "+", "-"])
+def test_a_scan_over_a_body_at_the_nesting_cap_compiles_and_evaluates(monkeypatch, construct):
+    # a scan loop puts its body two parentheses deeper: next((... if body), None)
+    sources = _generated_sources(monkeypatch)
+    body = parse(_nested(construct, MAX_NESTING))
+    for quantifier in (Exists, Forall):
+        formula = quantifier("x", body)
+        assert evaluate(formula, bound=3) == _walk(formula, {}, 3)
+    assert any(s.startswith("next(") for s in sources)
+
+
+# --- the f table and the scan loop -----------------------------------------
+
+_HUGE = 3 ** 2000
+_TERMS = st.recursive(
+    st.one_of(st.sampled_from([Var("x"), Var("y")]),
+              st.builds(Const, st.integers(-6, 6) | st.sampled_from([_HUGE, -_HUGE]))),
+    lambda inner: st.builds(F, inner) | st.builds(Add, inner, inner)
+    | st.builds(Sub, inner, inner) | st.builds(Scale, st.integers(-3, 3), inner),
+    max_leaves=5)
+_MATRICES = st.recursive(
+    st.builds(Cmp, _TERMS, st.sampled_from(["<", "="]), _TERMS)
+    | st.builds(Div, st.integers(1, 5), _TERMS),
+    lambda inner: st.builds(Not, inner) | st.builds(And, inner, inner)
+    | st.builds(Or, inner, inner) | st.builds(Implies, inner, inner),
+    max_leaves=4)
+
+
+def _recorded_compilers(patch) -> list:
+    """The _Compiler of each evaluate() call made after this one."""
+    compilers = []
+
+    class Recorded(logic._Compiler):
+        def __init__(self, bound):
+            super().__init__(bound)
+            compilers.append(self)
+
+    patch.setattr(logic, "_Compiler", Recorded)
+    return compilers
+
+
+def _walk_budgeted(formula, env, bound, budget, scanned=frozenset(), memo=None):
+    """_walk of a prenex formula under an evaluation budget of budget[0]
+    points, scanned as evaluate() scans: a quantifier that folds (see
+    _compiled) costs nothing; a scan over reach = min(bound, (budget - 1)
+    // 2) is charged 2 * reach + 1 points and gives back the points past a
+    decisive one; it ends at the first decisive or unknown point, and is
+    unknown if cut short without one; one whose free variables no scan
+    binds is scanned once inside a scan.  The quantifier-free matrix is
+    _walk's."""
+    memo = {} if memo is None else memo
+    if not isinstance(formula, (Exists, Forall)):
+        return _walk(formula, env, bound, scanned)
+    folded = _compiled(formula, env, scanned)
+    if isinstance(folded, bool):
+        return Decision(folded)
+    once = scanned and not free_vars(formula) & scanned
+    if once and id(formula) in memo:
+        return memo[id(formula)]
+    existential = isinstance(formula, Exists)
+    reach = min(bound, (budget[0] - 1) // 2)
+    result = Decision(None, BOUNDED, reason="evaluation budget spent")
+    if reach >= 0:
+        budget[0] -= 2 * reach + 1
+        if reach == bound:
+            result = Decision(not existential, BOUNDED, bound=bound)
+        for k, v in enumerate([0] + [s * j for j in range(1, reach + 1) for s in (1, -1)]):
+            d = _walk_budgeted(formula.body, {**env, formula.var: v}, bound, budget,
+                               scanned | {formula.var}, memo)
+            if d.truth is None:
+                result = d
+                break
+            if d.truth is existential:
+                budget[0] += 2 * reach - k
+                result = Decision(existential, d.provenance, d.bound,
+                                  *((v, None) if existential else (None, v)))
+                break
+    if once:
+        memo[id(formula)] = result
+    return result
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrix=_MATRICES, quantifiers=st.lists(st.sampled_from([Exists, Forall]), min_size=1,
+                                              max_size=2),
+       names=st.sampled_from(["xy", "yx", "xx"]), x=st.integers(-4, 4), y=st.integers(-4, 4),
+       bound=st.integers(0, 6), budget=st.sampled_from([0, 1, 3, 7, 12, 30, 60, logic.EVAL_BUDGET]))
+def test_scan_loops_and_the_f_table_match_the_reference_walker(matrix, quantifiers, names, x, y,
+                                                               bound, budget):
+    formula = matrix
+    for quantifier, name in zip(quantifiers, names):
+        formula = quantifier(name, formula)
+    with pytest.MonkeyPatch.context() as patch:
+        compilers = _recorded_compilers(patch)
+        patch.setattr(logic, "EVAL_BUDGET", budget)
+        got = evaluate(formula, {"x": x, "y": y}, bound)
+    want = _walk_budgeted(formula, {"x": x, "y": y}, bound, [budget])
+    assert got == want, format_formula(formula)
+    if budget == logic.EVAL_BUDGET:
+        assert got == _walk(formula, {"x": x, "y": y}, bound)
+    table = compilers[0].names["f"]
+    assert all(value == f_floor(arg) for arg, value in table.items())
+
+
+def test_the_f_table_computes_each_argument_once(monkeypatch):
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return f_floor(x)
+
+    monkeypatch.setattr(logic, "f_floor", counted)
+    # f(x) twice per point and 21 points: the wrapper sees each argument once
+    d = evaluate(parse("forall x. f(x) < f(x) + 1"), bound=10)
+    assert d == Decision(True, BOUNDED, bound=10)
+    assert sorted(calls) == list(range(-10, 11))
+
+
+def test_the_f_table_stops_growing_at_its_cap(monkeypatch):
+    compilers = _recorded_compilers(monkeypatch)
+    # f(2x) = 1 nowhere: 2 * cap + 1 points, each with its own argument
+    bound = logic.F_TABLE_CAP
+    d = evaluate(parse("exists x. f(2 * x) = 1"), bound=bound)
+    assert d == Decision(False, BOUNDED, bound=bound)
+    table = compilers[0].names["f"]
+    assert len(table) == logic.F_TABLE_CAP
+    assert all(value == f_floor(arg) for arg, value in table.items())
 
 
 # --- normal form ----------------------------------------------------------
@@ -908,14 +1045,7 @@ def test_a_closed_scan_inside_a_scan_runs_once(monkeypatch):
     # the exists y part mentions no x: one scan of y and one of x, 20,001
     # points each, decide the sentence, where re-scanning y at every x would
     # spend the whole budget
-    compilers = []
-
-    class Recorded(logic._Compiler):
-        def __init__(self, bound):
-            super().__init__(bound)
-            compilers.append(self)
-
-    monkeypatch.setattr(logic, "_Compiler", Recorded)
+    compilers = _recorded_compilers(monkeypatch)
     started = time.perf_counter()
     d = decide(parse("exists x. ((exists y. f(y) = 5) & x = 2)"))
     assert time.perf_counter() - started < 0.05
