@@ -3,13 +3,15 @@
 Exit codes: 0 answered (value computed / True / witness found), 1 negative
 answer (False / no solution / empty), 2 unknown (an evaluation budget spent,
 or a pisano modulus trial division cannot factor), 64 usage or parse error,
-70 internal error (a defect, never an answer), 74 stdout closed early.
+70 internal error (a defect, never an answer), 74 stdout closed early or
+unwritable.
 All numbers print in decimal, however many digits they have; --json emits
 one structured object per run with every numeric field as a decimal string.
 """
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import re
@@ -328,7 +330,9 @@ def main() -> None:
     try:
         code = run(sys.argv[1:])
         sys.stdout.flush()
-    except BrokenPipeError:  # the reader left: stdout goes to devnull so exit flushes quietly
+    except OSError as exc:  # stdout failed: it goes to devnull so exit flushes quietly
+        if exc.errno != errno.EPIPE:  # a reader that left needs no message
+            print(f"error writing output: {exc.strerror}", file=sys.stderr)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = EXIT_IOERR
     sys.exit(code)

@@ -5,7 +5,6 @@ the form (p + q*sqrt(5)) / r."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, isqrt
 
 from .numeration import fib, zeckendorf
@@ -21,7 +20,6 @@ __all__ = [
     "linear_defect",
     "compare_phi",
     "QuadRat",
-    "PHI",
     "quad_floor",
     "quad_ceil",
 ]
@@ -137,23 +135,11 @@ class QuadRat:
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "r", r)
 
-    @property
-    def is_rational(self) -> bool:
-        return self.q == 0
-
-    def as_fraction(self) -> Fraction:
-        if self.q != 0:
-            raise ValueError(f"{self!r} is irrational")
-        return Fraction(self.p, self.r)
-
     def __neg__(self) -> "QuadRat":
         return QuadRat(-self.p, -self.q, self.r)
 
     def __repr__(self) -> str:
         return f"({self.p} + {self.q}*sqrt5)/{self.r}"
-
-
-PHI = QuadRat(1, 1, 2)
 
 
 def quad_floor(v: QuadRat) -> int:

@@ -1070,10 +1070,11 @@ def decide_existential_nf(query: NormalFormQuery) -> Decision:
     """Exact decision of a normal-form query over the integers.
 
     Pipeline: merge the congruence lists, settle the x <= 0 branch directly,
-    intersect the linear-constraint windows with the order bounds (and with
-    x <= |n| when n <= 0 is a witness), and run the congruence solver on
-    each surviving piece.  The witness is the first in the scan order 0, 1,
-    -1, ... of n and the least positive one."""
+    intersect the order window (narrowed to x <= |n| when n <= 0 is a
+    witness) with the linear-constraint windows, and run the congruence
+    solver on each surviving piece below the least witness found so far.
+    Pieces may overlap in range, so the witness is the least over every
+    piece: the first in the scan order 0, 1, -1, ... of n."""
     mx = crt_combine(list(query.on_x)) if query.on_x else Congruence(1, 0)
     if mx is None:
         return Decision(False)
@@ -1090,24 +1091,26 @@ def decide_existential_nf(query: NormalFormQuery) -> Decision:
             return Decision(True, witness=0)
         upper = 1 - negative if upper is None else min(upper, 1 - negative)
 
-    window = WindowSet.all()
+    window = WindowSet.between(query.lower, upper)
     for lc in query.linear:
         window = window.intersect(solution_window(lc))
-    window = window.clip(query.lower, upper)
 
+    least = None
     for piece in window.pieces:
+        if least is not None and piece.lo >= least:  # pieces are sorted by lo
+            break
         merged = crt_combine([mx, Congruence(piece.mod, piece.res)])
         if merged is None:
             continue
-        system = CongruenceSystem(
-            merged, mf,
-            lower=piece.lo - 1,
-            upper=None if piece.hi is None else piece.hi + 1,
-        )
-        out = solve_system(system)
+        top = None if piece.hi is None else piece.hi + 1
+        if least is not None:
+            top = least if top is None else min(top, least)
+        out = solve_system(CongruenceSystem(merged, mf, lower=piece.lo - 1, upper=top))
         if out.is_witness:
-            assert _query_holds(query, out.witness)
-            return Decision(True, witness=out.witness)
+            least = out.witness
+    if least is not None:
+        assert _query_holds(query, least)
+        return Decision(True, witness=least)
     return Decision(False) if negative is None else Decision(True, witness=negative)
 
 

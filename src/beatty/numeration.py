@@ -15,7 +15,6 @@ __all__ = [
     "PISANO_TRIAL_LIMIT",
     "Unfactored",
     "fib_word_prefix",
-    "fib_word_rows",
     "c",
 ]
 
@@ -47,19 +46,11 @@ def _fib_pair(k: int, n: int = 0) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=4096)
-def _fib_big(i: int) -> int:
-    return _fib_pair(i + 1)[0]
-
-
 def fib(i: int) -> int:
     """i-th Fibonacci number under fib(0) = fib(1) = 1."""
     if i < 0:
         raise ValueError(f"fib index must be non-negative, got {i}")
-    if i < 128:
-        while len(_FIBS) <= i:
-            _FIBS.append(_FIBS[-1] + _FIBS[-2])
-        return _FIBS[i]
-    return _fib_big(i)
+    return _fib_pair(i + 1)[0]
 
 
 def zeckendorf(n: int) -> list[int]:
@@ -153,25 +144,16 @@ def pisano(n: int) -> int:
     return period
 
 
-def fib_word_rows(count: int) -> list[str]:
-    """First `count` rows of the substitution 1 -> 10, 0 -> 1 seeded with "10"."""
-    if count < 0:
-        raise ValueError("row count must be non-negative")
-    rows: list[str] = []
-    row = "10"
-    for _ in range(count):
-        rows.append(row)
-        row = "".join("10" if ch == "1" else "1" for ch in row)
-    return rows
-
-
 def fib_word_prefix(length: int) -> str:
-    """First `length` symbols of the infinite Fibonacci word 1011010110110..."""
+    """First `length` symbols of the infinite Fibonacci word 1011010110110...
+
+    The substitution 1 -> 10, 0 -> 1 maps row S_n to S_n S_(n-1), so each
+    row is the previous two concatenated."""
     if length < 0:
         raise ValueError("length must be non-negative")
-    row = "10"
+    prev, row = "1", "10"
     while len(row) < length:
-        row = "".join("10" if ch == "1" else "1" for ch in row)
+        prev, row = row, row + prev
     return row[:length]
 
 

@@ -195,26 +195,10 @@ class WindowSet:
         return cls(tuple(sorted(runs + list(classes), key=_piece_key)))
 
     @classmethod
-    def empty(cls) -> "WindowSet":
-        return cls(())
-
-    @classmethod
-    def finite_interval(cls, lo: int, hi: int) -> "WindowSet":
-        if lo > hi:
-            raise ValueError(f"need lo <= hi, got [{lo}, {hi}]")
-        return cls.from_pieces([_make_piece(lo, hi)])
-
-    @classmethod
-    def half_line_up(cls, lo: int) -> "WindowSet":
-        return cls.from_pieces([_make_piece(lo, None)])
-
-    @classmethod
-    def half_line_down(cls, hi: int) -> "WindowSet":
-        return cls.from_pieces([_make_piece(1, hi)])
-
-    @classmethod
-    def all(cls) -> "WindowSet":
-        return cls.from_pieces([_make_piece(1, None)])
+    def between(cls, lower: int | None, upper: int | None) -> "WindowSet":
+        """The open window lower < x < upper over x >= 1 (None = unbounded)."""
+        return cls.from_pieces([_make_piece(1 if lower is None else lower + 1,
+                                            None if upper is None else upper - 1)])
 
     @property
     def kind(self) -> str:
@@ -249,26 +233,6 @@ class WindowSet:
         return any(p.lo <= x and (p.hi is None or x <= p.hi)
                    for mod in moduli for p in classes.get((mod, x % mod), ()))
 
-    def min_element(self) -> int | None:
-        return min((p.lo for p in self.pieces), default=None)
-
-    def max_element(self) -> int | None:
-        """Largest member, or None when empty or unbounded above."""
-        if not self.pieces or any(p.hi is None for p in self.pieces):
-            return None
-        return max(p.hi for p in self.pieces)
-
-    @property
-    def is_bounded(self) -> bool:
-        return all(p.hi is not None for p in self.pieces)
-
-    def members_upto(self, bound: int) -> list[int]:
-        seen = set()
-        for p in self.pieces:
-            top = bound if p.hi is None else min(p.hi, bound)
-            seen.update(range(p.lo, top + 1, p.mod))
-        return sorted(seen)
-
     def intersect(self, other: "WindowSet") -> "WindowSet":
         """A linear merge of two run sets; pairwise otherwise."""
         if all(p.mod == 1 for w in (self, other) for p in w.pieces):
@@ -276,12 +240,6 @@ class WindowSet:
         return WindowSet.from_pieces(
             [_intersect_pieces(a, b) for a in self.pieces for b in other.pieces]
         )
-
-    def clip(self, lower: int | None, upper: int | None) -> "WindowSet":
-        """Restrict to the open window lower < x < upper (None = unbounded)."""
-        lo = 1 if lower is None else max(lower + 1, 1)
-        hi = None if upper is None else upper - 1
-        return self.intersect(WindowSet.from_pieces([_make_piece(lo, hi)]))
 
 
 def _cut(t: int, gap: QuadRat, below: bool) -> int:

@@ -444,3 +444,13 @@ def test_a_closed_stdout_exits_74_without_a_traceback():
         err = proc.stderr.read()
     assert proc.returncode == cli.EXIT_IOERR == 74
     assert err == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_an_unwritable_stdout_exits_74_with_one_line():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "beatty", "word", "20"], env=env,
+                              stdout=full, stderr=subprocess.PIPE)
+    assert proc.returncode == cli.EXIT_IOERR
+    assert proc.stderr.startswith(b"error writing output: ") and proc.stderr.count(b"\n") == 1

@@ -709,6 +709,56 @@ def test_witness_is_the_first_in_the_scan_order(fn, on_x, lower, upper, linear):
         assert not (d.truth and abs(d.witness) <= 100)
 
 
+def test_near_phi_counterexample_is_the_least_over_every_piece():
+    # the per-class pieces of 47/29 overlap in range; 6 is the least, not 30
+    d = decide(parse("forall x. 0 < x & p3(x + 0) -> 29*f(x) < 47*x - 24"))
+    assert d.truth is False and d.counterexample == 6
+
+
+_SCAN = [0] + [x for k in range(1, 401) for x in (k, -k)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(2, 13), st.sampled_from("<=>"), st.integers(-30, 30)),
+             min_size=1, max_size=2),
+    st.none() | st.tuples(st.integers(1, 6), st.integers(0, 5)),
+    st.none() | st.tuples(st.integers(1, 6), st.integers(0, 5)),
+    st.none() | st.integers(-60, 60),
+    st.none() | st.integers(-40, 200),
+)
+def test_decide_near_phi_witness_is_the_first_in_the_scan_order(linear, on_x, on_fx,
+                                                                 lower, upper):
+    # slopes round(n*phi)/n: their zones outgrow n classes, so windows are
+    # built per class and their pieces overlap in range
+    comparisons = [(n, round(n * (1 + 5 ** 0.5) / 2), rel, c) for n, rel, c in linear]
+    atoms = [f"{n}*f(x) {rel} {m}*x + {c}" for n, m, rel, c in comparisons]
+    if on_x is not None:
+        atoms.append(f"p{on_x[0]}(x + {on_x[1]})")
+    if on_fx is not None:
+        atoms.append(f"p{on_fx[0]}(f(x) + {on_fx[1]})")
+    if lower is not None:
+        atoms.append(f"{lower} < x")
+    if upper is not None:
+        atoms.append(f"x < {upper}")
+
+    def holds(x):
+        fx = f_floor(x)
+        return (all({"<": n * fx < m * x + c, "=": n * fx == m * x + c,
+                     ">": n * fx > m * x + c}[rel] for n, m, rel, c in comparisons)
+                and (on_x is None or (x + on_x[1]) % on_x[0] == 0)
+                and (on_fx is None or (fx + on_fx[1]) % on_fx[0] == 0)
+                and (lower is None or lower < x) and (upper is None or x < upper))
+
+    first = next((x for x in _SCAN if holds(x)), None)
+    d = decide(parse("exists x. (" + " & ".join(atoms) + ")"))
+    assert d.provenance == EXACT
+    if first is not None:
+        assert d.truth is True and d.witness == first
+    else:
+        assert not (d.truth and abs(d.witness) <= 400)
+
+
 # --- decide ----------------------------------------------------------------
 
 def test_decide_examples():

@@ -8,7 +8,6 @@ from beatty.numeration import (
     c,
     fib,
     fib_word_prefix,
-    fib_word_rows,
     PISANO_TRIAL_LIMIT,
     Unfactored,
     pisano,
@@ -21,6 +20,10 @@ def test_fib_values():
     assert [fib(i) for i in range(11)] == [1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89]
     assert fib(10) == 89
     assert fib(300) == fib(299) + fib(298)
+
+
+def test_fib_follows_the_recurrence_across_every_index():
+    assert all(fib(i) == fib(i - 1) + fib(i - 2) for i in range(2, 301))
 
 
 def test_fib_rejects_negative_index():
@@ -153,16 +156,12 @@ def test_pisano_refuses_a_modulus_trial_division_cannot_factor():
 
 
 def test_word_rows_match_substitution():
-    rows = fib_word_rows(5)
+    # row k of the substitution seeded with "10" is the prefix of length fib(k + 2)
+    rows = [fib_word_prefix(fib(k + 2)) for k in range(5)]
     assert rows == ["10", "101", "10110", "10110101", "1011010110110"]
     # each row rewrites 1 -> 10, 0 -> 1 into the next
     for row, nxt in zip(rows, rows[1:]):
         assert "".join("10" if ch == "1" else "1" for ch in row) == nxt
-
-
-def test_word_row_lengths_are_fibonacci():
-    lengths = [len(row) for row in fib_word_rows(12)]
-    assert lengths == [fib(i) for i in range(2, 14)]
 
 
 def test_word_prefix_examples():

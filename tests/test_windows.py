@@ -66,24 +66,28 @@ def test_locate_slope_brackets(p, q):
             assert info.index == 0
 
 
+def _members(window, limit):
+    return [x for x in range(1, limit + 1) if x in window]
+
+
 def test_solution_window_examples():
     w = solution_window(LinearConstraint("=", Fraction(1), 1))
-    assert w.kind == "finite_interval" and w.members_upto(50) == [2, 3]
+    assert w.kind == "finite_interval" and _members(w, 50) == [2, 3]
     w = solution_window(LinearConstraint("=", Fraction(2), -1))
-    assert w.members_upto(50) == [1, 2]
+    assert _members(w, 50) == [1, 2]
     w = solution_window(LinearConstraint(">", Fraction(1), 1))
-    assert w.kind == "half_line_up" and w.min_element() == 4
+    assert w.kind == "half_line_up" and _members(w, 50) == list(range(4, 51))
     w = solution_window(LinearConstraint("<", Fraction(1), 1))
-    assert w.members_upto(50) == [1]
+    assert _members(w, 50) == [1]
     with pytest.raises(ValueError):
         LinearConstraint("<=", Fraction(1), 1)
 
 
 def test_solution_window_fractional_slope_is_strided():
     w = solution_window(LinearConstraint("=", Fraction(3, 2), 0))
-    assert w.members_upto(100) == [2, 4, 6, 8]
+    assert _members(w, 100) == [2, 4, 6, 8]
     w = solution_window(LinearConstraint("<", Fraction(3, 2), 0))
-    assert w.members_upto(100) == [1, 3]
+    assert _members(w, 100) == [1, 3]
 
 
 def test_empty_equality_window():
@@ -101,7 +105,7 @@ def test_window_agrees_with_brute_scan():
             for relation in "<=>":
                 constraint = LinearConstraint(relation, slope, offset)
                 window = solution_window(constraint)
-                assert window.members_upto(1500) == _brute_members(constraint, 1500), constraint
+                assert _members(window, 1500) == _brute_members(constraint, 1500), constraint
 
 
 def test_window_brute_agreement_beyond_the_grid():
@@ -111,7 +115,7 @@ def test_window_brute_agreement_beyond_the_grid():
             for relation in "<=>":
                 constraint = LinearConstraint(relation, Fraction(num, den), offset)
                 window = solution_window(constraint)
-                assert window.members_upto(800) == _brute_members(constraint, 800), constraint
+                assert _members(window, 800) == _brute_members(constraint, 800), constraint
 
 
 def test_half_line_membership_beyond_scan():
@@ -134,17 +138,18 @@ def test_trichotomy():
 
 
 def test_windowset_operations():
-    a = WindowSet.finite_interval(5, 40)
-    b = WindowSet.half_line_up(20)
+    a = WindowSet.between(4, 41)
+    b = WindowSet.between(19, None)
+    assert (a.kind, b.kind) == ("finite_interval", "half_line_up")
     inter = a.intersect(b)
-    assert inter.members_upto(100) == list(range(20, 41))
-    assert a.clip(10, 15).members_upto(100) == list(range(11, 15))
-    assert a.clip(None, 3).is_empty
-    assert WindowSet.half_line_down(4).members_upto(10) == [1, 2, 3, 4]
-    assert WindowSet.empty().min_element() is None
-    assert b.max_element() is None and not b.is_bounded
-    with pytest.raises(ValueError):
-        WindowSet.finite_interval(4, 3)
+    assert _members(inter, 100) == list(range(20, 41))
+    assert _members(a.intersect(WindowSet.between(10, 15)), 100) == list(range(11, 15))
+    assert a.intersect(WindowSet.between(None, 3)).is_empty
+    assert _members(WindowSet.between(None, 5), 10) == [1, 2, 3, 4]
+    assert WindowSet.between(None, 5).kind == "half_line_down"
+    assert WindowSet.between(-7, None) == WindowSet.between(None, None)
+    assert WindowSet.between(3, 4).is_empty and WindowSet.between(4, 3).kind == "empty"
+    assert b.pieces[-1].hi is None and 10**9 in b
 
 
 @settings(max_examples=200)
@@ -154,7 +159,7 @@ def test_windowset_intersection_is_setwise(lo, hi, mod, res, probe):
     from beatty.windows import _make_piece
     piece = _make_piece(lo, hi, mod, res)
     window = WindowSet.from_pieces([piece])
-    other = WindowSet.finite_interval(10, 50)
+    other = WindowSet.between(9, 51)
     merged = window.intersect(other)
     assert (probe in merged) == ((probe in window) and (probe in other))
 
@@ -335,7 +340,7 @@ def test_window_brute_agreement_near_phi():
     for constraint in constraints:
         window = solution_window(constraint)
         limit = _zone_end(constraint) + 2 * constraint.slope.denominator
-        assert window.members_upto(limit) == _brute_members(constraint, limit), constraint
+        assert _members(window, limit) == _brute_members(constraint, limit), constraint
 
 
 def test_near_phi_membership_far_out():
@@ -365,22 +370,21 @@ def _assert_canonical_runs(window):
 def test_window_far_from_phi_is_one_half_line():
     window = solution_window(LinearConstraint(">", Fraction(1, 1_000_000), 0))
     assert window.kind == "half_line_up"
-    assert window == WindowSet.all() == WindowSet.half_line_up(1)
+    assert window == WindowSet.between(None, None) == WindowSet.between(0, None)
 
 
 def test_equal_sets_have_equal_pieces():
     window = solution_window(LinearConstraint(">", Fraction(3, 2), 0))
     _assert_canonical_runs(window)
     tail = window.pieces[-1].lo
-    points = [WindowSet.finite_interval(x, x) for x in window.members_upto(tail - 1)]
+    points = [WindowSet.between(x - 1, x + 1) for x in _members(window, tail - 1)]
     rebuilt = WindowSet.from_pieces([p for w in points for p in w.pieces]
-                                    + list(WindowSet.half_line_up(tail).pieces))
+                                    + list(WindowSet.between(tail - 1, None).pieces))
     assert rebuilt == window
-    assert WindowSet.all().intersect(window) == window == window.intersect(window)
-    assert window.clip(None, None) == window
-    split = WindowSet.from_pieces(list(WindowSet.finite_interval(1, 5).pieces)
-                                  + list(WindowSet.finite_interval(6, 9).pieces))
-    assert split == WindowSet.finite_interval(1, 9)
+    assert WindowSet.between(None, None).intersect(window) == window == window.intersect(window)
+    split = WindowSet.from_pieces(list(WindowSet.between(0, 6).pieces)
+                                  + list(WindowSet.between(5, 10).pieces))
+    assert split == WindowSet.between(None, 10)
     assert split.kind == "half_line_down"
 
 
