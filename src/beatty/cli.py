@@ -12,11 +12,11 @@ one structured object per run with every numeric field as a decimal string.
 from __future__ import annotations
 
 import errno
-import json
 import os
 import re
 import sys
 import time
+from contextlib import suppress
 from fractions import Fraction
 from typing import Callable
 
@@ -285,6 +285,12 @@ def _help() -> tuple[dict, str, str, int]:
     return {}, text, "exact", EXIT_OK
 
 
+def _report(message: str) -> None:
+    """Print message on stderr; an unwritable stderr leaves the exit code as it is."""
+    with suppress(OSError):
+        print(message, file=sys.stderr)
+
+
 def run(argv: list[str]) -> int:
     """Run one command and return its exit code.  Integers convert to and
     from decimal without the interpreter's digit limit while it runs; the
@@ -303,22 +309,24 @@ def _run(argv: list[str]) -> int:
         handler, values, as_json = _read(argv)
         result, text, provenance, code = handler(**values)
     except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
+        _report(f"usage error: {exc}")
         return EXIT_USAGE
     except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
+        _report(f"parse error: {exc}")
         return EXIT_USAGE
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _report(f"error: {exc}")
         return EXIT_USAGE
     except Exception as exc:  # a defect: report where, never exit as an answer
         import traceback  # only this path needs it; importing costs set-up time
 
         where = traceback.extract_tb(exc.__traceback__)[-1]
-        print(f"internal error: {type(exc).__name__}: {exc} "
-              f"({where.filename}:{where.lineno} in {where.name})", file=sys.stderr)
+        _report(f"internal error: {type(exc).__name__}: {exc} "
+                f"({where.filename}:{where.lineno} in {where.name})")
         return EXIT_SOFTWARE
     if as_json:
+        import json  # only --json needs it; importing costs set-up time
+
         elapsed = f"{time.perf_counter() - started:.6f}"
         text = json.dumps({"command": list(argv), "result": result, "provenance": provenance,
                            "elapsed_s": elapsed}, sort_keys=True)
@@ -332,7 +340,7 @@ def main() -> None:
         sys.stdout.flush()
     except OSError as exc:  # stdout failed: it goes to devnull so exit flushes quietly
         if exc.errno != errno.EPIPE:  # a reader that left needs no message
-            print(f"error writing output: {exc.strerror}", file=sys.stderr)
+            _report(f"error writing output: {exc.strerror}")
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = EXIT_IOERR
     sys.exit(code)

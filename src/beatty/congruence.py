@@ -14,8 +14,8 @@ window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .golden import f_floor
 from .numeration import fib
@@ -32,41 +32,38 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Congruence:
+class Congruence(NamedTuple("Congruence", [("modulus", int), ("residue", int)])):
     """x = residue (mod modulus), residue stored reduced."""
 
-    modulus: int
-    residue: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.modulus < 1:
-            raise ValueError(f"modulus must be >= 1, got {self.modulus}")
-        object.__setattr__(self, "residue", self.residue % self.modulus)
+    def __new__(cls, modulus: int, residue: int) -> "Congruence":
+        if modulus < 1:
+            raise ValueError(f"modulus must be >= 1, got {modulus}")
+        return tuple.__new__(cls, (modulus, residue % modulus))
 
     def holds(self, x: int) -> bool:
         return x % self.modulus == self.residue
 
 
-@dataclass(frozen=True)
-class CongruenceSystem:
+class CongruenceSystem(NamedTuple("CongruenceSystem", [("on_x", Congruence), ("on_fx", Congruence),
+                                                       ("lower", int | None),
+                                                       ("upper", int | None)])):
     """x = m (mod n), f(x) = m' (mod n'), with open window lower < x < upper.
 
     A bound of None means the window is unbounded on that side.
     """
 
-    on_x: Congruence
-    on_fx: Congruence
-    lower: int | None = None
-    upper: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.lower is not None and self.upper is not None and self.lower >= self.upper:
+    def __new__(cls, on_x: Congruence, on_fx: Congruence, lower: int | None = None,
+                upper: int | None = None) -> "CongruenceSystem":
+        if lower is not None and upper is not None and lower >= upper:
             raise ValueError("window requires lower < upper")
+        return tuple.__new__(cls, (on_x, on_fx, lower, upper))
 
 
-@dataclass(frozen=True)
-class SolveOutcome:
+class SolveOutcome(NamedTuple):
     status: str  # "witness" | "no_solution"
     witness: int | None = None
 

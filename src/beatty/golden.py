@@ -4,8 +4,8 @@ the form (p + q*sqrt(5)) / r."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, isqrt
+from typing import NamedTuple
 
 from .numeration import fib, zeckendorf
 
@@ -62,8 +62,7 @@ def f_inverse(y: int) -> int | None:
     return sum(fib(i - 1) for i in idx)
 
 
-@dataclass(frozen=True)
-class BeattyDecomposition:
+class BeattyDecomposition(NamedTuple):
     """Which half of the complementary pair n falls in: n = f(x) on the
     F branch, n = f(x) + x on the G branch."""
 
@@ -110,30 +109,24 @@ def compare_phi(p: int, q: int) -> int:
     return -1 if t * t < 5 * q * q else 1
 
 
-@dataclass(frozen=True)
-class QuadRat:
+class QuadRat(NamedTuple("QuadRat", [("p", int), ("q", int), ("r", int)])):
     """Exact number (p + q*sqrt(5)) / r, canonical: r > 0 and gcd(p, q, r) = 1.
 
     Equals a rational iff q == 0 after canonicalization, so structural
     equality decides value equality.
     """
 
-    p: int
-    q: int
-    r: int = 1
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        p, q, r = self.p, self.q, self.r
+    def __new__(cls, p: int, q: int, r: int = 1) -> "QuadRat":
         if r == 0:
             raise ValueError("zero denominator")
         if r < 0:
             p, q, r = -p, -q, -r
-        g = gcd(gcd(abs(p), abs(q)), r)
+        g = gcd(p, q, r)
         if g > 1:
             p, q, r = p // g, q // g, r // g
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "r", r)
+        return tuple.__new__(cls, (p, q, r))
 
     def __neg__(self) -> "QuadRat":
         return QuadRat(-self.p, -self.q, self.r)

@@ -8,10 +8,10 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from itertools import chain, count
 from operator import add, eq, lt, mul, sub
+from typing import NamedTuple
 
 from .congruence import Congruence, CongruenceSystem, crt_combine, solve_linear, solve_system
 from .golden import QuadRat, f_floor, quad_ceil, quad_floor
@@ -48,36 +48,30 @@ F_TABLE_CAP = 1 << 16  # values of f one evaluate() call keeps: 6.5 MiB at most
 
 # --- terms -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Var:
+class Var(NamedTuple):
     name: str
 
 
-@dataclass(frozen=True)
-class Const:
+class Const(NamedTuple):
     value: int
 
 
-@dataclass(frozen=True)
-class Add:
+class Add(NamedTuple):
     left: "Term"
     right: "Term"
 
 
-@dataclass(frozen=True)
-class Sub:
+class Sub(NamedTuple):
     left: "Term"
     right: "Term"
 
 
-@dataclass(frozen=True)
-class Scale:
+class Scale(NamedTuple):
     coeff: int
     term: "Term"
 
 
-@dataclass(frozen=True)
-class F:
+class F(NamedTuple):
     arg: "Term"
 
 
@@ -86,77 +80,63 @@ Term = Var | Const | Add | Sub | Scale | F
 
 # --- formulas ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Cmp:
-    left: Term
-    rel: str  # "<" or "="
-    right: Term
+class Cmp(NamedTuple("Cmp", [("left", Term), ("rel", str), ("right", Term)])):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.rel not in ("<", "="):
-            raise ValueError(f"primitive relations are < and =, got {self.rel!r}")
+    def __new__(cls, left: Term, rel: str, right: Term) -> "Cmp":
+        if rel not in ("<", "="):
+            raise ValueError(f"primitive relations are < and =, got {rel!r}")
+        return tuple.__new__(cls, (left, rel, right))
 
 
-@dataclass(frozen=True)
-class Div:
-    modulus: int
-    term: Term
+class Div(NamedTuple("Div", [("modulus", int), ("term", Term)])):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.modulus < 1:
-            raise ValueError(f"divisibility modulus must be >= 1, got {self.modulus}")
+    def __new__(cls, modulus: int, term: Term) -> "Div":
+        if modulus < 1:
+            raise ValueError(f"divisibility modulus must be >= 1, got {modulus}")
+        return tuple.__new__(cls, (modulus, term))
 
 
-@dataclass(frozen=True)
-class PPred:
+class PPred(NamedTuple("PPred", [("mod_x", int), ("mod_fx", int), ("res_x", int),
+                                 ("res_fx", int), ("low", Term), ("high", Term)])):
     """Solvability predicate: exists x with x = res_x (mod mod_x),
     f(x) = res_fx (mod mod_fx) and low < x < high."""
 
-    mod_x: int
-    mod_fx: int
-    res_x: int
-    res_fx: int
-    low: Term
-    high: Term
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.mod_x < 1 or self.mod_fx < 1:
+    def __new__(cls, mod_x: int, mod_fx: int, res_x: int, res_fx: int, low: Term,
+                high: Term) -> "PPred":
+        if mod_x < 1 or mod_fx < 1:
             raise ValueError("window predicate moduli must be >= 1")
-        object.__setattr__(self, "res_x", self.res_x % self.mod_x)
-        object.__setattr__(self, "res_fx", self.res_fx % self.mod_fx)
+        return tuple.__new__(cls, (mod_x, mod_fx, res_x % mod_x, res_fx % mod_fx, low, high))
 
 
-@dataclass(frozen=True)
-class Not:
+class Not(NamedTuple):
     body: "Formula"
 
 
-@dataclass(frozen=True)
-class And:
+class And(NamedTuple):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Or:
+class Or(NamedTuple):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Implies:
+class Implies(NamedTuple):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Exists:
+class Exists(NamedTuple):
     var: str
     body: "Formula"
 
 
-@dataclass(frozen=True)
-class Forall:
+class Forall(NamedTuple):
     var: str
     body: "Formula"
 
@@ -168,17 +148,24 @@ _RESERVED = {"f", "P", "exists", "forall"}
 _P_DIGITS = re.compile(r"^p\d+$")
 
 
-_CHILDREN = {kind: tuple(field.name for field in fields(kind) if field.type not in ("int", "str"))
-             for kind in (Var, Const, Add, Sub, Scale, F, Cmp, Div, PPred, Not, And, Or, Implies,
-                          Exists, Forall)}  # the fields of each node holding formulas or terms
+def _same_kind(self, other) -> bool:
+    return type(other) is type(self) and tuple.__eq__(self, other)
+
+
+# As plain tuples Add(x, y) would equal Sub(x, y) and Div(3, x) Scale(3, x), so
+# formulas and terms compare and hash with their kind.
+for _kind in (*Term.__args__, *Formula.__args__):
+    _kind.__eq__, _kind.__ne__ = _same_kind, lambda self, other: not _same_kind(self, other)
+    _kind.__hash__ = lambda self: hash((type(self), *self))
 
 
 def free_vars(node: Formula | Term) -> set[str]:
     if type(node) is Var:
         return {node.name}
     names: set[str] = set()
-    for name in _CHILDREN[type(node)]:
-        names |= free_vars(getattr(node, name))
+    for child in node:
+        if isinstance(child, tuple):  # a formula or term, not an int or a name
+            names |= free_vars(child)
     return names - {node.var} if type(node) in (Exists, Forall) else names
 
 
@@ -491,8 +478,7 @@ def _operand(sub: Formula) -> str:
 
 # --- evaluation -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(NamedTuple):
     """Outcome of evaluation or decision.
 
     truth None means unknown: a quantifier scan ran out of the evaluation
@@ -845,8 +831,7 @@ def _joined(join: type, left: Formula | None, right: Formula | None) -> Formula 
 
 # --- normal-form recognition ------------------------------------------------
 
-@dataclass(frozen=True)
-class NormalFormQuery:
+class NormalFormQuery(NamedTuple):
     """One-variable existential conjunction: congruences on x and on f(x),
     an order window lower < x < upper, and linear constraints on f(x)."""
 
@@ -1020,8 +1005,9 @@ def _slab_cases(var: str, conjuncts: list[Formula]) -> list[list[Formula]] | Non
 
 def _nodes(node: Formula | Term):
     """node and each formula or term in it, inner ones first."""
-    for name in _CHILDREN[type(node)]:
-        yield from _nodes(getattr(node, name))
+    for child in node:
+        if isinstance(child, tuple):
+            yield from _nodes(child)
     yield node
 
 
@@ -1029,7 +1015,7 @@ def _replace(node: Formula | Term, old: Term, new: Term) -> Formula | Term:
     """node with each occurrence of old replaced by new."""
     if node == old:
         return new
-    return replace(node, **{n: _replace(getattr(node, n), old, new) for n in _CHILDREN[type(node)]})
+    return node._make(_replace(c, old, new) if isinstance(c, tuple) else c for c in node)
 
 
 # --- normal-form decision ---------------------------------------------------
@@ -1175,8 +1161,7 @@ def _decide_one_variable(sentence: Exists | Forall) -> Decision | None:
 
 # --- axiom audit ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FamilyResult:
+class FamilyResult(NamedTuple):
     name: str
     instances: int
     failures: tuple[str, ...]
@@ -1186,8 +1171,7 @@ class FamilyResult:
         return not self.failures
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(NamedTuple):
     bound: int
     families: tuple[FamilyResult, ...]
 

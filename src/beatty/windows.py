@@ -13,10 +13,10 @@ for the exact gap n*phi - m or a convergent's rational gap w - s.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
+from typing import NamedTuple
 
 from .congruence import Congruence, crt_combine, solve_linear
 from .golden import QuadRat, compare_phi, f_floor, quad_ceil, quad_floor
@@ -55,8 +55,7 @@ def convergent_u(i: int) -> Fraction:
     return Fraction(fib(2 * i + 2), fib(2 * i + 1))
 
 
-@dataclass(frozen=True)
-class BracketInfo:
+class BracketInfo(NamedTuple):
     side: str  # "below" or "above"
     index: int
 
@@ -84,27 +83,24 @@ def locate_slope(slope: Fraction | int) -> BracketInfo:
     return BracketInfo(side, j)
 
 
-@dataclass(frozen=True)
-class LinearConstraint:
+class LinearConstraint(NamedTuple("LinearConstraint",
+                                  [("relation", str), ("slope", Fraction), ("offset", Fraction)])):
     """f(x) <relation> slope*x + offset over integer x >= 1.
 
     Kept as exact rationals; integer_form() recovers the cleared-denominator
     reading N*f(x) <relation> M*x + C.
     """
 
-    relation: str  # "<", "=" or ">"
-    slope: Fraction
-    offset: Fraction
-
-    def __post_init__(self) -> None:
-        if self.relation not in ("<", "=", ">"):
-            raise ValueError(f"relation must be one of < = >, got {self.relation!r}")
-        object.__setattr__(self, "slope", Fraction(self.slope))
-        object.__setattr__(self, "offset", Fraction(self.offset))
-        n = lcm(self.slope.denominator, self.offset.denominator)
-        m = self.slope.numerator * (n // self.slope.denominator)
-        c0 = self.offset.numerator * (n // self.offset.denominator)
-        object.__setattr__(self, "_integer_form", (n, m, c0))
+    def __new__(cls, relation: str, slope: Fraction, offset: Fraction) -> "LinearConstraint":
+        if relation not in ("<", "=", ">"):
+            raise ValueError(f"relation must be one of < = >, got {relation!r}")
+        slope, offset = Fraction(slope), Fraction(offset)
+        self = tuple.__new__(cls, (relation, slope, offset))
+        n = lcm(slope.denominator, offset.denominator)
+        m = slope.numerator * (n // slope.denominator)
+        c0 = offset.numerator * (n // offset.denominator)
+        self._integer_form = (n, m, c0)
+        return self
 
     def integer_form(self) -> tuple[int, int, int]:
         return self._integer_form
@@ -119,8 +115,7 @@ def _order(a: int, b: int) -> str:
     return "<" if a < b else "=" if a == b else ">"
 
 
-@dataclass(frozen=True)
-class Piece:
+class Piece(NamedTuple):
     """Integers x with lo <= x (<= hi) and x = res (mod mod); hi None means
     unbounded above.  Normalized so lo and hi both lie in the class."""
 
@@ -174,12 +169,9 @@ def _intersect_runs(a: tuple[Piece, ...], b: tuple[Piece, ...]) -> tuple[Piece, 
     return tuple(p for p in out if p is not None)
 
 
-@dataclass(frozen=True)
-class WindowSet:
+class WindowSet(NamedTuple("WindowSet", [("pieces", tuple[Piece, ...])])):
     """A finite union of congruence-restricted intervals over x >= 1; its runs
     (modulus-1 pieces) are sorted, disjoint and maximal (see from_pieces)."""
-
-    pieces: tuple[Piece, ...]
 
     @classmethod
     def from_pieces(cls, pieces: list[Piece | None]) -> "WindowSet":
@@ -323,8 +315,7 @@ def _verify_boundaries(constraint: LinearConstraint, window: WindowSet) -> None:
                 )
 
 
-@dataclass(frozen=True)
-class AxiomVReport:
+class AxiomVReport(NamedTuple):
     slope: Fraction
     offset: int
     index: int

@@ -454,3 +454,24 @@ def test_an_unwritable_stdout_exits_74_with_one_line():
                               stdout=full, stderr=subprocess.PIPE)
     assert proc.returncode == cli.EXIT_IOERR
     assert proc.stderr.startswith(b"error writing output: ") and proc.stderr.count(b"\n") == 1
+
+
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_json():
+    code = ("import sys, beatty.cli; "
+            "print(sorted({'argparse', 'dataclasses', 'inspect', 'json'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert out.stdout == "[]\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv, full_stdout, code", [
+    (["f", "x"], False, cli.EXIT_USAGE),
+    (["word", "20"], True, cli.EXIT_IOERR),
+], ids=["usage error", "unwritable stdout"])
+def test_an_unwritable_stderr_keeps_the_exit_code(argv, full_stdout, code):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "beatty", *argv], env=env,
+                              stdout=full if full_stdout else subprocess.DEVNULL, stderr=full)
+    assert proc.returncode == code

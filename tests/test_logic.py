@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import re
 import sys
@@ -11,7 +10,7 @@ from hypothesis import strategies as st
 
 from beatty import logic
 from beatty.congruence import Congruence, CongruenceSystem, solve_system
-from beatty.golden import f_floor
+from beatty.golden import QuadRat, f_floor
 from beatty.logic import (
     BOUNDED,
     EXACT,
@@ -38,6 +37,7 @@ from beatty.logic import (
     _and_d,
     _negate,
     _or_d,
+    _replace,
     axiom_audit,
     decide,
     decide_existential_nf,
@@ -49,7 +49,7 @@ from beatty.logic import (
     parse_term,
     to_normal_form,
 )
-from beatty.windows import LinearConstraint
+from beatty.windows import LinearConstraint, Piece, WindowSet
 from formula_gen import nf_brute_holds, nf_brute_witness, random_formula, random_nf_sentence
 
 
@@ -374,10 +374,10 @@ def _rename(node, names):
         return Var(names[node.name])
     if isinstance(node, (Exists, Forall)):
         return type(node)(names[node.var], _rename(node.body, names))
-    if not dataclasses.is_dataclass(node):
+    if not isinstance(node, tuple):
         return node
-    return dataclasses.replace(node, **{field.name: _rename(getattr(node, field.name), names)
-                                        for field in dataclasses.fields(node)})
+    return node._replace(**{field: _rename(getattr(node, field), names)
+                            for field in node._fields})
 
 
 def test_evaluate_matches_reference_walker_on_random_formulas():
@@ -1124,6 +1124,46 @@ def test_nnf_and_free_vars():
     assert isinstance(pushed, Forall)
     assert free_vars(s) == set()
     assert free_vars(parse("f(x) < y + 1")) == {"x", "y"}
+
+
+# --- values -----------------------------------------------------------------
+
+_X, _Y = Var("x"), Var("y")
+_SAME_FIELDS = [(Add(_X, _Y), Sub(_X, _Y)), (Div(3, _X), Scale(3, _X)),
+                (Exists("x", Cmp(_X, "<", _Y)), Forall("x", Cmp(_X, "<", _Y))),
+                (Not(_X), F(_X))]
+
+
+@pytest.mark.parametrize("a, b", _SAME_FIELDS, ids=["Add-Sub", "Div-Scale", "Exists-Forall",
+                                                    "Not-F"])
+def test_kinds_with_the_same_fields_never_compare_equal(a, b):
+    assert tuple(a) == tuple(b)
+    assert a != b and b != a and not a == b
+    assert len({a, b}) == 2
+    assert a == type(a)(*a) and hash(a) == hash(type(a)(*a))
+    assert _replace(Cmp(a, "<", b), a, Const(0)) == Cmp(Const(0), "<", b)
+    assert _replace(Cmp(a, "<", b), b, Const(0)) == Cmp(a, "<", Const(0))
+
+
+def test_constructor_contracts():
+    with pytest.raises(ValueError):
+        Cmp(_X, ">", _Y)
+    with pytest.raises(ValueError):
+        Div(0, _X)
+    for mod_x, mod_fx in ((0, 2), (2, 0)):
+        with pytest.raises(ValueError):
+            PPred(mod_x, mod_fx, 0, 0, Const(0), Const(9))
+    pred = PPred(3, 5, 7, -1, Const(0), Const(9))
+    assert (pred.res_x, pred.res_fx) == (1, 4)
+    assert repr(Congruence(2, 5)) == "Congruence(modulus=2, residue=1)"
+    assert repr(QuadRat(2, 4, -6)) == "(-1 + -2*sqrt5)/3"
+    values = [(_X, "name"), (Cmp(_X, "=", _Y), "rel"), (pred, "res_x"),
+              (Congruence(2, 5), "residue"), (QuadRat(1, 1), "q"), (Decision(True), "truth"),
+              (Piece(1, None), "hi"), (LinearConstraint("<", 1, 0), "slope"),
+              (WindowSet(()), "pieces")]
+    for value, field in values:
+        with pytest.raises(AttributeError):
+            setattr(value, field, getattr(value, field))
 
 
 # --- audit ------------------------------------------------------------------
