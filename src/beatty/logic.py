@@ -484,15 +484,23 @@ class Decision(NamedTuple):
     truth None means unknown: a quantifier scan ran out of the evaluation
     budget before it was decisive, and reason says so.  provenance "exact"
     marks a sound answer over the integers; "bounded" marks truth over the
-    model with every quantifier relativized to [-bound, bound].
+    model with every quantifier relativized to [-bound, bound].  certificate
+    is a witness of a true answer or a counterexample of a false one.
     """
 
     truth: bool | None
     provenance: str = EXACT
     bound: int | None = None
-    witness: int | None = None
-    counterexample: int | None = None
+    certificate: int | None = None
     reason: str | None = None
+
+    @property
+    def witness(self) -> int | None:
+        return self.certificate if self.truth else None
+
+    @property
+    def counterexample(self) -> int | None:
+        return self.certificate if self.truth is False else None
 
 
 _TRUE = Decision(True)
@@ -501,39 +509,25 @@ _SPENT = Decision(None, BOUNDED, reason="evaluation budget spent")
 
 
 def _negate(d: Decision) -> Decision:
-    truth = None if d.truth is None else not d.truth
-    return Decision(truth, d.provenance, d.bound,
-                    witness=d.counterexample, counterexample=d.witness,
-                    reason=d.reason)
+    return d._replace(truth=None if d.truth is None else not d.truth)
 
 
-def _merge_bound(a: Decision, b: Decision) -> int | None:
-    return a.bound if a.bound is not None else b.bound
-
-
-def _and_d(a: Decision, b: Decision) -> Decision:
+def _join(a: Decision, b: Decision, decisive: bool) -> Decision:
+    """a | b when decisive is True, a & b when it is False: the first side
+    whose truth is decisive, an exact one before a bounded one; else the
+    first unknown side; else the other truth, exact only if both sides are.
+    A true a & b keeps the first witness; a false a | b carries no
+    counterexample."""
     for d in (a, b):
-        if d.truth is False and d.provenance == EXACT:
+        if d.truth is decisive and d.provenance == EXACT:
             return d
-    if a.truth is False or b.truth is False:
-        return a if a.truth is False else b
-    if a.truth is None or b.truth is None:
-        return a if a.truth is None else b
-    prov = EXACT if a.provenance == EXACT and b.provenance == EXACT else BOUNDED
-    return Decision(True, prov, _merge_bound(a, b) if prov == BOUNDED else None,
-                    witness=a.witness if a.witness is not None else b.witness)
-
-
-def _or_d(a: Decision, b: Decision) -> Decision:
-    for d in (a, b):
-        if d.truth is True and d.provenance == EXACT:
-            return d
-    if a.truth is True or b.truth is True:
-        return a if a.truth is True else b
-    if a.truth is None or b.truth is None:
-        return a if a.truth is None else b
-    prov = EXACT if a.provenance == EXACT and b.provenance == EXACT else BOUNDED
-    return Decision(False, prov, _merge_bound(a, b) if prov == BOUNDED else None)
+    for truth in (decisive, None):
+        if a.truth is truth or b.truth is truth:
+            return a if a.truth is truth else b
+    exact = a.provenance == b.provenance == EXACT
+    bound = None if exact else a.bound if a.bound is not None else b.bound
+    witness = None if decisive else a.certificate if a.certificate is not None else b.certificate
+    return Decision(not decisive, EXACT if exact else BOUNDED, bound, witness)
 
 
 # the operators of generated source, and how each folds ground operands
@@ -657,13 +651,13 @@ class _Compiler:
                 if isinstance(ground, bool) and (not callable(other) or _scanned(scope)):
                     return ground if ground is (op == "or") else other
         if callable(left) or callable(right):
-            left, right = self.decisions(left), self.decisions(right)
-            join, decisive = (_and_d, False) if kind is And else (_or_d, True)
+            left, right, decisive = self.decisions(left), self.decisions(right), kind is not And
 
             def connect(env: list[int]) -> Decision:
-                # join returns an exact decisive left side whatever the right is
-                a = left(env)
-                return a if a.truth is decisive and a.provenance == EXACT else join(a, right(env))
+                # _join returns an exact decisive left side whatever the right is
+                if (a := left(env)).truth is decisive and a.provenance == EXACT:
+                    return a
+                return _join(a, right(env), decisive)
 
             return connect
         if isinstance(left, str) or isinstance(right, str):
@@ -680,7 +674,7 @@ class _Compiler:
             if lo >= hi:
                 return _FALSE
             out = solve_system(CongruenceSystem(on_x, on_fx, lo, hi))
-            return Decision(True, witness=out.witness) if out.is_witness else _FALSE
+            return Decision(True, certificate=out.witness) if out.is_witness else _FALSE
 
         if _scanned(scope) and isinstance(low, int) and isinstance(high, int):
             # ground bounds under a scan, which reports its own certificate:
@@ -721,8 +715,7 @@ class _Compiler:
                 return d
             v = env[slot]
             self.budget += 2 * reach + 1 - (2 * v if v > 0 else 1 - 2 * v)
-            return Decision(existential, d.provenance, d.bound,
-                            *((v, None) if existential else (None, v)))
+            return Decision(existential, d.provenance, d.bound, v)
 
         return scan
 
@@ -758,35 +751,23 @@ def evaluate(
 
 # --- negation normal form ---------------------------------------------------
 
-def nnf(formula: Formula) -> Formula:
+_DUAL = {And: Or, Or: And, Exists: Forall, Forall: Exists}
+
+
+def nnf(formula: Formula, negated: bool = False) -> Formula:
+    """formula, or its negation when negated, with each Not directly over an
+    atom and no Implies: L -> R is !L | R, and a negation swaps each
+    connective and quantifier for its _DUAL."""
+    kind = type(formula)
+    if kind is Not:
+        return nnf(formula.body, not negated)
+    if kind is Implies:
+        formula, kind = Or(Not(formula.left), formula.right), Or
+    if kind in _DUAL:
+        return (_DUAL[kind] if negated else kind)(
+            *(nnf(c, negated) if isinstance(c, tuple) else c for c in formula))
     if isinstance(formula, _ATOMS):
-        return formula
-    if isinstance(formula, Not):
-        body = formula.body
-        if isinstance(body, _ATOMS):
-            return formula
-        if isinstance(body, Not):
-            return nnf(body.body)
-        if isinstance(body, And):
-            return Or(nnf(Not(body.left)), nnf(Not(body.right)))
-        if isinstance(body, Or):
-            return And(nnf(Not(body.left)), nnf(Not(body.right)))
-        if isinstance(body, Implies):
-            return And(nnf(body.left), nnf(Not(body.right)))
-        if isinstance(body, Exists):
-            return Forall(body.var, nnf(Not(body.body)))
-        if isinstance(body, Forall):
-            return Exists(body.var, nnf(Not(body.body)))
-    if isinstance(formula, And):
-        return And(nnf(formula.left), nnf(formula.right))
-    if isinstance(formula, Or):
-        return Or(nnf(formula.left), nnf(formula.right))
-    if isinstance(formula, Implies):
-        return Or(nnf(Not(formula.left)), nnf(formula.right))
-    if isinstance(formula, Exists):
-        return Exists(formula.var, nnf(formula.body))
-    if isinstance(formula, Forall):
-        return Forall(formula.var, nnf(formula.body))
+        return Not(formula) if negated else formula
     raise TypeError(f"not a formula: {formula!r}")
 
 
@@ -879,8 +860,9 @@ def _linearize(term: Term, var: str) -> tuple[int, int, int] | None:
 
 
 def _dnf(formula: Formula) -> list[list[Formula]] | None:
-    """An NNF formula as a disjunction of conjunct lists, each negated
-    equality split as s < t | t < s; None past MAX_DISJUNCTS disjuncts."""
+    """An NNF formula as a disjunction of conjunct lists, where !(s = t) is
+    s < t | t < s, !(s < t) is t < s + 1 and !pN(t) is the disjuncts pN(t + k)
+    for 0 < k < N (none when N is 1); None past MAX_DISJUNCTS disjuncts."""
     if isinstance(formula, Or):
         left, right = _dnf(formula.left), _dnf(formula.right)
         if left is None or right is None or len(left) + len(right) > MAX_DISJUNCTS:
@@ -891,9 +873,17 @@ def _dnf(formula: Formula) -> list[list[Formula]] | None:
         if left is None or right is None or len(left) * len(right) > MAX_DISJUNCTS:
             return None
         return [a + b for a in left for b in right]
-    if isinstance(formula, Not) and isinstance(formula.body, Cmp) and formula.body.rel == "=":
-        s, t = formula.body.left, formula.body.right
-        return [[Cmp(s, "<", t)], [Cmp(t, "<", s)]]
+    atom = formula.body if isinstance(formula, Not) else None
+    if type(atom) is Cmp:
+        s, t = atom.left, atom.right
+        if atom.rel == "=":
+            return [[Cmp(s, "<", t)], [Cmp(t, "<", s)]]
+        return [[Cmp(t, "<", Add(s, Const(1)))]]
+    if type(atom) is Div:
+        n = atom.modulus
+        if n - 1 > MAX_DISJUNCTS:
+            return None
+        return [[Div(n, Add(atom.term, Const(k)))] for k in range(1, n)]
     return [[formula]]
 
 
@@ -951,26 +941,22 @@ def _conjunction_query(var: str, conjuncts: list[Formula]) -> NormalFormQuery | 
             solved = solve_linear(a or b, cst, conjunct.modulus)
             (on_x if b == 0 else on_fx).extend([solved] if solved else _FALSE_PAIR)
             continue
-        negated = isinstance(conjunct, Not)
-        atom = conjunct.body if negated else conjunct
-        if not isinstance(atom, Cmp) or negated and atom.rel != "<":
+        if not isinstance(conjunct, Cmp):
             return None
-        lin_l, lin_r = _linearize(atom.left, var), _linearize(atom.right, var)
+        lin_l, lin_r = _linearize(conjunct.left, var), _linearize(conjunct.right, var)
         if lin_l is None or lin_r is None:
             return None
         a, b, cst = (left - right for left, right in zip(lin_l, lin_r))
-        if negated:  # not(e < 0) == -e - 1 < 0 over the integers
-            a, b, cst = -a, -b, -cst - 1
 
         # now: a*x + b*f(x) + cst  <rel>  0; with a == b == 0 it folds
         if b == 0:
-            window = _order_window(a, cst, atom.rel, lower, upper)
+            window = _order_window(a, cst, conjunct.rel, lower, upper)
             if window is None:
                 on_x.extend(_FALSE_PAIR)
             else:
                 lower, upper = window
             continue
-        rel = atom.rel if b > 0 else {"<": ">", "=": "="}[atom.rel]
+        rel = conjunct.rel if b > 0 else {"<": ">", "=": "="}[conjunct.rel]
         linear.append(LinearConstraint(rel, Fraction(-a, b), Fraction(-cst, b)))
 
     return NormalFormQuery(var, tuple(on_x), tuple(on_fx), lower, upper, tuple(linear))
@@ -1074,7 +1060,7 @@ def decide_existential_nf(query: NormalFormQuery) -> Decision:
     if negative is not None:
         assert _query_holds(query, negative)
         if negative == 0:
-            return Decision(True, witness=0)
+            return Decision(True, certificate=0)
         upper = 1 - negative if upper is None else min(upper, 1 - negative)
 
     window = WindowSet.between(query.lower, upper)
@@ -1096,8 +1082,8 @@ def decide_existential_nf(query: NormalFormQuery) -> Decision:
             least = out.witness
     if least is not None:
         assert _query_holds(query, least)
-        return Decision(True, witness=least)
-    return Decision(False) if negative is None else Decision(True, witness=negative)
+        return Decision(True, certificate=least)
+    return Decision(False) if negative is None else Decision(True, certificate=negative)
 
 
 def decide(sentence: Formula, bound: int = DEFAULT_EVAL_BOUND) -> Decision:
@@ -1105,8 +1091,9 @@ def decide(sentence: Formula, bound: int = DEFAULT_EVAL_BOUND) -> Decision:
     parts exactly, single-quantifier sentences whose body is a Boolean
     combination of normal-form atoms disjunct by disjunct through the
     window/congruence pipeline (universal ones via their negation),
-    everything else by bounded evaluation.  Raises ValueError for a
-    negative bound."""
+    everything else by bounded evaluation.  A top-level & or | decides its
+    right side only when the left is not an exact answer that settles it.
+    Raises ValueError for a negative bound."""
     if free_vars(sentence):
         raise ValueError("decide requires a sentence (no free variables)")
     if bound < 0:
@@ -1122,10 +1109,11 @@ def _decide(sentence: Formula, bound: int) -> Decision:
     if isinstance(sentence, (Exists, Forall)) and depth == 1:
         decision = _decide_one_variable(sentence)
         return evaluate(sentence, {}, bound) if decision is None else decision
-    if isinstance(sentence, And):
-        return _and_d(_decide(sentence.left, bound), _decide(sentence.right, bound))
-    if isinstance(sentence, Or):
-        return _or_d(_decide(sentence.left, bound), _decide(sentence.right, bound))
+    if isinstance(sentence, (And, Or)):
+        decisive, a = isinstance(sentence, Or), _decide(sentence.left, bound)
+        if a.truth is decisive and a.provenance == EXACT:
+            return a
+        return _join(a, _decide(sentence.right, bound), decisive)
     return evaluate(sentence, {}, bound)
 
 
@@ -1137,9 +1125,10 @@ def _decide_one_variable(sentence: Exists | Forall) -> Decision | None:
     its witness first in the scan order 0, 1, -1, ...: the least positive
     one if it is at most the |x| of the nonpositive one nearest 0, else that
     one; the certificate is the first of those in that order, checked
-    against the whole body."""
+    against the whole body.  An empty DNF (that of !p1) has no disjunct to
+    satisfy."""
     existential = isinstance(sentence, Exists)
-    todo = _dnf(sentence.body if existential else nnf(Not(sentence.body)))
+    todo = _dnf(sentence.body if existential else nnf(sentence.body, negated=True))
     queries: list[NormalFormQuery] = []
     while todo and len(queries) + len(todo) <= MAX_DISJUNCTS:
         conjuncts = todo.pop()
@@ -1149,14 +1138,14 @@ def _decide_one_variable(sentence: Exists | Forall) -> Decision | None:
             todo += cases
         else:
             return None
-    if todo or not queries:  # past MAX_DISJUNCTS, or so was the DNF
+    if todo != []:  # None, or cases left past MAX_DISJUNCTS
         return None
-    found = [d.witness for d in map(decide_existential_nf, queries) if d.truth]
+    found = [d.certificate for d in map(decide_existential_nf, queries) if d.truth]
     if not found:
         return Decision(not existential)
     x = min(found, key=lambda v: (abs(v), -v))  # the scan's order 0, 1, -1, ...
     assert evaluate(sentence.body, {sentence.var: x}).truth is existential
-    return Decision(True, witness=x) if existential else Decision(False, counterexample=x)
+    return Decision(existential, certificate=x)
 
 
 # --- axiom audit ------------------------------------------------------------

@@ -74,6 +74,11 @@ GOLDEN = [
     (["decide", "forall x. x < x + 1"], 0, "True (exact)\n"),
     (["decide", "P[1,1000000,0,3](0, 100000000)"], 0, "True (exact); witness 2\n"),
     (["decide", "P[3,5,1,2](0, 1000000000000)"], 0, "True (exact); witness 76\n"),
+    # a negated divisibility is a disjunction of residues, !p1 none of them
+    (["decide", "forall x. p2(x) | p2(x + 1)"], 0, "True (exact)\n"),
+    (["decide", "forall x. p1(x)"], 0, "True (exact)\n"),
+    (["decide", "exists x. !p1(x)"], 1, "False (exact)\n"),
+    (["decide", "forall x. p3(f(x)) | p3(f(x) + 1)"], 1, "False (exact); counterexample 1\n"),
     (["audit", "50"], 0, "all families pass"),
     (["audit", "2"], 0, "all families pass"),
 ]

@@ -34,9 +34,8 @@ from beatty.logic import (
     Scale,
     Sub,
     Var,
-    _and_d,
+    _join,
     _negate,
-    _or_d,
     _replace,
     axiom_audit,
     decide,
@@ -328,21 +327,21 @@ def _walk(formula, env, bound, scanned=frozenset()):
                                   Congruence(formula.mod_fx, formula.res_fx),
                                   lower=low, upper=high)
         out = solve_system(system)
-        return Decision(True, witness=out.witness) if out.is_witness else Decision(False)
+        return Decision(True, certificate=out.witness) if out.is_witness else Decision(False)
     folded = _compiled(formula, env, scanned)
     if isinstance(folded, bool):
         return Decision(folded)
     if isinstance(formula, Not):
         return _negate(_walk(formula.body, env, bound, scanned))
     if isinstance(formula, And):
-        return _and_d(_walk(formula.left, env, bound, scanned),
-                      _walk(formula.right, env, bound, scanned))
+        return _join(_walk(formula.left, env, bound, scanned),
+                     _walk(formula.right, env, bound, scanned), False)
     if isinstance(formula, Or):
-        return _or_d(_walk(formula.left, env, bound, scanned),
-                     _walk(formula.right, env, bound, scanned))
+        return _join(_walk(formula.left, env, bound, scanned),
+                     _walk(formula.right, env, bound, scanned), True)
     if isinstance(formula, Implies):
-        return _or_d(_negate(_walk(formula.left, env, bound, scanned)),
-                     _walk(formula.right, env, bound, scanned))
+        return _join(_negate(_walk(formula.left, env, bound, scanned)),
+                     _walk(formula.right, env, bound, scanned), True)
     existential = isinstance(formula, Exists)
     saved = env.get(formula.var)
     unknown_reason = decisive = None
@@ -350,9 +349,8 @@ def _walk(formula, env, bound, scanned=frozenset()):
         env[formula.var] = v
         d = _walk(formula.body, env, bound, scanned | {formula.var})
         if d.truth is existential:
-            found = (v, None) if existential else (None, v)
             decisive = Decision(existential, d.provenance,
-                                d.bound if d.provenance == BOUNDED else None, *found)
+                                d.bound if d.provenance == BOUNDED else None, v)
             break
         if d.truth is None and unknown_reason is None:
             unknown_reason = d.reason or "subformula unknown"
@@ -567,8 +565,7 @@ def _walk_budgeted(formula, env, bound, budget, scanned=frozenset(), memo=None):
                 break
             if d.truth is existential:
                 budget[0] += 2 * reach - k
-                result = Decision(existential, d.provenance, d.bound,
-                                  *((v, None) if existential else (None, v)))
+                result = Decision(existential, d.provenance, d.bound, v)
                 break
     if once:
         memo[id(formula)] = result
@@ -652,6 +649,11 @@ def test_to_normal_form_handles_scaled_and_negated_shapes():
     q = to_normal_form(parse("exists x. p2(2 * x + 1)"))
     assert q is not None
     assert decide_existential_nf(q).truth is False
+    # !p2(x) is the one disjunct p2(x + 1), i.e. x = 1 (mod 2)
+    q = to_normal_form(parse("exists x. (!p2(x) & 0 < x)"))
+    assert q is not None and q.lower == 0
+    assert [(cg.modulus, cg.residue) for cg in q.on_x] == [(2, 1)]
+    assert to_normal_form(parse("exists x. !p3(x)")) is None  # two disjuncts
 
 
 def test_decide_existential_nf_examples():
@@ -900,12 +902,12 @@ def test_decide_disjunctions_examples():
     assert d == Decision(False)
     # the certificate of least absolute value over the disjuncts
     d = decide(parse("exists x. (x = 5 | x = -3 | f(x) = 100)"))
-    assert d == Decision(True, witness=-3)
+    assert d == Decision(True, certificate=-3)
     d = decide(parse("forall x. (x < 1 | f(x) = x + 1 | f(x) = x + 2)"))
-    assert d == Decision(False, counterexample=1)
+    assert d == Decision(False, certificate=1)
     # != splits into < and >, under exists and (as = in the negation) forall
     d = decide(parse("exists x. (0 < x & f(x) != x + 1 & x < 3)"))
-    assert d == Decision(True, witness=1)
+    assert d == Decision(True, certificate=1)
     d = decide(parse("forall x. (x < 1 | x > 2 | f(x) = 1 | f(x) = 3)"))
     assert d == Decision(True)
 
@@ -993,10 +995,10 @@ def test_single_slab_rewrite_decides_windows_as_the_scan_does():
     ("forall x. (f(f(x)) = f(x) + x - 1 | x < 1)", Decision(True)),
     ("forall x. (f(x + f(x)) = x + 2*f(x) | x < 1)", Decision(True)),
     ("forall x. (f(f(f(x))) = x + 2*f(x) - 2 | x < 1)", Decision(True)),
-    ("forall x. f(f(x)) = f(x) + x - 1", Decision(False, counterexample=0)),
+    ("forall x. f(f(x)) = f(x) + x - 1", Decision(False, certificate=0)),
     ("exists x. (0 < x & f(f(x) + 1) = 5)", Decision(False)),
-    ("exists x. (p3(f(f(x)) - f(x) - x + 1) & f(x) = 4)", Decision(True, witness=3)),
-    ("exists x. x = f(3) + f(-2)", Decision(True, witness=4)),
+    ("exists x. (p3(f(f(x)) - f(x) - x + 1) & f(x) = 4)", Decision(True, certificate=3)),
+    ("exists x. x = f(3) + f(-2)", Decision(True, certificate=4)),
     ("forall x. x < x + 1", Decision(True)),
     ("exists x. x + 1 < x", Decision(False)),
     ("exists x. (p3(x - x + 1) & f(x) = 4)", Decision(False)),
@@ -1010,7 +1012,7 @@ def test_single_slab_rewrite_and_cancelled_terms_are_exact(text, decision):
     ("exists x. (f(x+1) = f(x) + 2 & x > 100000 & p7(x))", Decision(False, BOUNDED, bound=30)),
     # x <= 0 < f(x) + 1 is not empty, here or at x = 0 alone
     ("exists x. f(f(x) + 1) = 5", Decision(False, BOUNDED, bound=30)),
-    ("exists x. (-1 < x & x < 1 & f(f(x) + 1) = 1)", Decision(True, witness=0)),
+    ("exists x. (-1 < x & x < 1 & f(f(x) + 1) = 1)", Decision(True, certificate=0)),
 ])
 def test_single_slab_rewrite_declines_to_bounded_evaluation(text, decision):
     assert decide(parse(text), bound=30) == decision
@@ -1124,6 +1126,116 @@ def test_nnf_and_free_vars():
     assert isinstance(pushed, Forall)
     assert free_vars(s) == set()
     assert free_vars(parse("f(x) < y + 1")) == {"x", "y"}
+
+
+def _in_nnf(formula) -> bool:
+    """Not only directly over an atom, and no Implies."""
+    return not any(type(node) is Implies
+                   or type(node) is Not and type(node.body) not in logic._ATOMS
+                   for node in logic._nodes(formula))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(0, 6))
+def test_negated_nnf_evaluates_to_the_flipped_truth(rng, bound):
+    sentence = random_formula(rng, depth=rng.randint(1, 5), variables=[])
+    negated = nnf(sentence, negated=True)
+    assert _in_nnf(negated) and _in_nnf(nnf(sentence)), format_formula(sentence)
+    want, got = evaluate(sentence, {}, bound), evaluate(negated, {}, bound)
+    assert got.truth is (None if want.truth is None else not want.truth), format_formula(sentence)
+    assert (got.provenance, got.bound) == (want.provenance, want.bound), format_formula(sentence)
+
+
+# --- joining decisions ------------------------------------------------------
+
+# A decision as T, F or U (unknown) for its truth, b<bound> if bounded, and
+# :<certificate> if it has one.  The tables below are what _and_d, _or_d
+# and _negate gave before _join replaced the first two.
+_SIDES = "T T:3 F F:-2 U Tb5 Tb7:4 Fb6 Fb8:-1 Ub".split()
+_JOIN = {
+    False: """
+            T       T:3     F       F:-2    U       Tb5     Tb7:4   Fb6     Fb8:-1  Ub
+    T       T       T:3     F       F:-2    U       Tb5     Tb7:4   Fb6     Fb8:-1  Ub
+    T:3     T:3     T:3     F       F:-2    U       Tb5:3   Tb7:3   Fb6     Fb8:-1  Ub
+    F       F       F       F       F       F       F       F       F       F       F
+    F:-2    F:-2    F:-2    F:-2    F:-2    F:-2    F:-2    F:-2    F:-2    F:-2    F:-2
+    U       U       U       F       F:-2    U       U       U       Fb6     Fb8:-1  U
+    Tb5     Tb5     Tb5:3   F       F:-2    U       Tb5     Tb5:4   Fb6     Fb8:-1  Ub
+    Tb7:4   Tb7:4   Tb7:4   F       F:-2    U       Tb7:4   Tb7:4   Fb6     Fb8:-1  Ub
+    Fb6     Fb6     Fb6     F       F:-2    Fb6     Fb6     Fb6     Fb6     Fb6     Fb6
+    Fb8:-1  Fb8:-1  Fb8:-1  F       F:-2    Fb8:-1  Fb8:-1  Fb8:-1  Fb8:-1  Fb8:-1  Fb8:-1
+    Ub      Ub      Ub      F       F:-2    Ub      Ub      Ub      Fb6     Fb8:-1  Ub
+""",
+    True: """
+            T       T:3     F       F:-2    U       Tb5     Tb7:4   Fb6     Fb8:-1  Ub
+    T       T       T       T       T       T       T       T       T       T       T
+    T:3     T:3     T:3     T:3     T:3     T:3     T:3     T:3     T:3     T:3     T:3
+    F       T       T:3     F       F       U       Tb5     Tb7:4   Fb6     Fb8     Ub
+    F:-2    T       T:3     F       F       U       Tb5     Tb7:4   Fb6     Fb8     Ub
+    U       T       T:3     U       U       U       Tb5     Tb7:4   U       U       U
+    Tb5     T       T:3     Tb5     Tb5     Tb5     Tb5     Tb5     Tb5     Tb5     Tb5
+    Tb7:4   T       T:3     Tb7:4   Tb7:4   Tb7:4   Tb7:4   Tb7:4   Tb7:4   Tb7:4   Tb7:4
+    Fb6     T       T:3     Fb6     Fb6     U       Tb5     Tb7:4   Fb6     Fb6     Ub
+    Fb8:-1  T       T:3     Fb8     Fb8     U       Tb5     Tb7:4   Fb8     Fb8     Ub
+    Ub      T       T:3     Ub      Ub      Ub      Tb5     Tb7:4   Ub      Ub      Ub
+""",
+}
+_NEGATED = "F F:3 T T:-2 U Fb5 Fb7:4 Tb6 Tb8:-1 Ub".split()
+
+
+def _decision(code: str) -> Decision:
+    truth, bounded, bound, certificate = re.fullmatch(r"([TFU])(b(\d*))?(?::(-?\d+))?",
+                                                      code).groups()
+    truth = {"T": True, "F": False, "U": None}[truth]
+    return Decision(truth, BOUNDED if bounded else EXACT, int(bound) if bound else None,
+                    None if certificate is None else int(certificate),
+                    "unknown" if truth is None else None)
+
+
+def _code(d: Decision) -> str:
+    code = {True: "T", False: "F", None: "U"}[d.truth]
+    if d.provenance == BOUNDED:
+        code += "b" + ("" if d.bound is None else str(d.bound))
+    return code + ("" if d.certificate is None else f":{d.certificate}")
+
+
+@pytest.mark.parametrize("decisive", [False, True], ids=["and", "or"])
+def test_join_table(decisive):
+    header, *rows = (line.split() for line in _JOIN[decisive].strip().splitlines())
+    assert header == _SIDES and [row[0] for row in rows] == _SIDES
+    for a, *results in rows:
+        for b, want in zip(_SIDES, results):
+            got = _join(_decision(a), _decision(b), decisive)
+            assert _code(got) == want, (a, b)
+            if want in (a, b):  # a side comes back whole, its reason too
+                assert got in (_decision(a), _decision(b))
+
+
+def test_negate_table():
+    assert [_code(_decision(code)) for code in _SIDES] == _SIDES
+    assert [_code(_negate(_decision(code))) for code in _SIDES] == _NEGATED
+    assert all(_negate(_negate(_decision(code))) == _decision(code) for code in _SIDES)
+    assert [(d.witness, d.counterexample) for d in map(_decision, ("T:3", "F:-2", "Tb5", "U"))] \
+        == [(3, None), (None, -2), (None, None), (None, None)]
+
+
+_SUPERADDITIVE = "(forall x. forall y. (x < 1 | y < 1 | f(x + y) >= f(x) + f(y)))"
+
+
+@pytest.mark.parametrize("text, want", [
+    ("(exists x. f(x) = 2*x + 7 & 0 < x) & " + _SUPERADDITIVE, Decision(False)),
+    ("(exists x. f(x) = x & 0 < x) | " + _SUPERADDITIVE, Decision(True, certificate=1)),
+], ids=["and", "or"])
+def test_decide_skips_a_right_side_the_exact_left_side_settles(monkeypatch, text, want):
+    evaluated = []
+
+    def spy(formula, *args, **kwargs):
+        evaluated.append(formula)
+        return evaluate(formula, *args, **kwargs)
+
+    monkeypatch.setattr(logic, "evaluate", spy)
+    assert decide(parse(text)) == want
+    assert not any(Var("y") in logic._nodes(formula) for formula in evaluated)
 
 
 # --- values -----------------------------------------------------------------
