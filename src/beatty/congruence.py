@@ -18,7 +18,7 @@ from math import gcd
 from typing import NamedTuple
 
 from .golden import f_floor
-from .numeration import fib
+from .numeration import fib, fib_index_above
 
 __all__ = [
     "Congruence",
@@ -177,7 +177,7 @@ def solve_system(system: CongruenceSystem) -> SolveOutcome:
     if x0 <= 0:
         return _verified(system, x0)
     reach = x0 + n * n2 if upper is None else min(x0 + n * n2, upper)
-    k = int(reach.bit_length() * 1.4405) + 2  # fib(k) >= phi**(k-1) > reach
+    k = fib_index_above(reach)
     while True:
         p, q = fib(k + 1), fib(k)
         t = _least_step(p * n, p * x0, q * n2, m2 * q, q - 1)

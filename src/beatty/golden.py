@@ -7,7 +7,7 @@ from __future__ import annotations
 from math import gcd, isqrt
 from typing import NamedTuple
 
-from .numeration import fib, zeckendorf
+from .numeration import _zeck_walk
 
 __all__ = [
     "isqrt",
@@ -42,24 +42,22 @@ def f_zeck(x: int) -> int:
     """
     if x < 1:
         raise ValueError(f"f_zeck requires x >= 1, got {x}")
-    idx = zeckendorf(x)
-    total = sum(fib(i + 1) for i in idx)
-    return total - 1 if idx[0] % 2 == 1 else total
+    total = 0
+    for j, above in _zeck_walk(x):
+        total += above
+    return total - 1 if j % 2 == 1 else total
 
 
 def f_inverse(y: int) -> int | None:
     """The unique x with f_floor(x) = y, or None when y is not a value of f.
 
-    y is a value exactly when its smallest Zeckendorf index is odd; then x
-    is obtained by shifting every index down by one (index 1 maps to
-    fib(0) = 1).
+    phi*x - 1 < y < phi*x pins x to the least integer above the irrational
+    y/phi = (sqrt(5)*y - y)/2, whose floor is (isqrt(5*y*y) - y) // 2.
     """
     if y < 1:
         raise ValueError(f"f_inverse requires y >= 1, got {y}")
-    idx = zeckendorf(y)
-    if idx[0] % 2 == 0:
-        return None
-    return sum(fib(i - 1) for i in idx)
+    x = (isqrt(5 * y * y) - y) // 2 + 1
+    return x if f_floor(x) == y else None
 
 
 class BeattyDecomposition(NamedTuple):

@@ -14,7 +14,7 @@ from operator import add, eq, lt, mul, sub
 from typing import NamedTuple
 
 from .congruence import Congruence, CongruenceSystem, crt_combine, solve_linear, solve_system
-from .golden import QuadRat, f_floor, quad_ceil, quad_floor
+from .golden import QuadRat, decompose, f_floor, quad_ceil, quad_floor
 from .windows import (
     LinearConstraint,
     WindowSet,
@@ -1201,8 +1201,6 @@ def _audit_minimum(n: int) -> FamilyResult:
 
 def _audit_partition(n: int) -> FamilyResult:
     """Every positive integer is f(x) or f(x)+x for exactly one branch."""
-    from .golden import decompose
-
     failures: list[str] = []
     counts = bytearray(n + 1)
     for x in range(1, n + 1):

@@ -3,12 +3,12 @@ Pisano periods, and the infinite Fibonacci word."""
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from functools import lru_cache
 from math import lcm
 
 __all__ = [
     "fib",
+    "fib_index_above",
     "zeckendorf",
     "unzeckendorf",
     "pisano",
@@ -21,15 +21,6 @@ __all__ = [
 # Index convention used throughout the package: fib(0) = fib(1) = 1,
 # fib(2) = 2, fib(3) = 3, ...  Zeckendorf indices start at 1 (the value 1
 # appears at indices 0 and 1; admitting index 0 would break uniqueness).
-
-_FIBS: list[int] = [1, 1, 2]
-
-
-def _fibs_upto(n: int) -> list[int]:
-    """Shared ascending fib table, grown until its last entry exceeds n."""
-    while _FIBS[-1] <= n:
-        _FIBS.append(_FIBS[-1] + _FIBS[-2])
-    return _FIBS
 
 
 def _fib_pair(k: int, n: int = 0) -> tuple[int, int]:
@@ -53,26 +44,34 @@ def fib(i: int) -> int:
     return _fib_pair(i + 1)[0]
 
 
-def zeckendorf(n: int) -> list[int]:
-    """Ascending, non-adjacent Fibonacci indices (all >= 1) summing to n.
+def fib_index_above(n: int) -> int:
+    """An index k with fib(k) > n, at most a few above the least one."""
+    return int(n.bit_length() * 1.4405) + 2  # fib(k) >= phi**(k-1) > n
 
-    Greedy: repeatedly take the largest fib(i) <= remainder.  The remainder
-    after subtracting fib(j) is < fib(j - 1), which forces the non-adjacency
-    gap and makes the result the unique such representation.
+
+def _zeck_walk(n: int):
+    """Yield (j, fib(j + 1)) for each Zeckendorf index j of n >= 1, largest
+    first.
+
+    Greedy: take the largest fib(j) <= remainder.  The remainder after
+    subtracting fib(j) is < fib(j - 1), which forces the non-adjacency gap
+    and makes the result the unique such representation.  Each step down
+    is fib(j - 1) = fib(j + 1) - fib(j), so fib is called only at the top.
     """
+    j = fib_index_above(n)
+    a, b = fib(j), fib(j + 1)
+    while n > 0:
+        while a > n:  # fib(1) = 1 <= n, so j never reaches 0
+            j, a, b = j - 1, b - a, a
+        yield j, b
+        n -= a
+
+
+def zeckendorf(n: int) -> list[int]:
+    """Ascending, non-adjacent Fibonacci indices (all >= 1) summing to n."""
     if n < 1:
         raise ValueError(f"zeckendorf requires n >= 1, got {n}")
-    fibs = _fibs_upto(n)
-    j = bisect_right(fibs, n) - 1  # for n = 1 this lands on index 1, not 0
-    out: list[int] = []
-    while n > 0:
-        while fibs[j] > n:
-            j -= 1
-        out.append(j)
-        n -= fibs[j]
-        j -= 2
-    out.reverse()
-    return out
+    return [j for j, _ in _zeck_walk(n)][::-1]
 
 
 def unzeckendorf(indices: list[int]) -> int:

@@ -1,6 +1,6 @@
 """Acceptance suite: one test per criterion, one printed line per criterion.
 
-Run with `pytest tests/test_acceptance.py -v` (or scripts/run_acceptance.py).
+Run with `pytest tests/test_acceptance.py -v -s`.
 
 Criterion 7 is implemented exactly as stated and is expected to FAIL: the
 convergent-substituted implications it asserts are not valid in the standard

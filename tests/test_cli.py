@@ -128,6 +128,9 @@ def test_usage_errors_exit_64(capsys):
     assert run(["window", "=", "1/0", "3"]) == 64
     assert run(["nosuchcommand"]) == 64
     assert run(["pisano", "0"]) == 64
+    capsys.readouterr()
+    assert run(["word", "-1"]) == 64
+    assert capsys.readouterr().err == "error: length must be non-negative\n"
 
 
 def test_negative_bound_is_a_usage_error(capsys):

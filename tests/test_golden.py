@@ -152,6 +152,8 @@ def test_additivity_defect_bulk():
     for _ in range(10_000):
         x, y = rng.randint(1, 10**9), rng.randint(1, 10**9)
         assert additivity_defect(x, y) in (0, 1)
+    with pytest.raises(ValueError):
+        additivity_defect(0, 1)
 
 
 def test_homogeneous_defect_bound():

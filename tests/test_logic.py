@@ -637,6 +637,8 @@ def test_to_normal_form_examples():
     assert to_normal_form(parse("exists x. f(f(x)) = 3")) is None
     assert to_normal_form(parse("exists x. (x = 1 | x = 2)")) is None
     assert to_normal_form(parse("exists x. f(x) != 3")) is None  # two disjuncts
+    assert to_normal_form(parse("forall x. x < 1")) is None  # not existential
+    assert to_normal_form(parse("exists x. x < y")) is None  # y is free
 
 
 def test_to_normal_form_handles_scaled_and_negated_shapes():
@@ -931,6 +933,12 @@ def test_disjunct_cap_sends_larger_bodies_to_bounded_evaluation(sentence, at_cap
     assert MAX_DISJUNCTS == 64
     assert decide(parse(sentence(at_cap)), bound=30) == Decision(False)
     assert decide(parse(sentence(at_cap + 1)), bound=30) == Decision(False, BOUNDED, bound=30)
+
+
+def test_negated_divisibility_residues_count_against_the_disjunct_cap():
+    # the negation of pN(x) | !pN(x) has one disjunct per residue 1..N-1
+    assert decide(parse("forall x. p65(x) | !p65(x)")) == Decision(True)
+    assert decide(parse("forall x. p66(x) | !p66(x)")) == Decision(True, BOUNDED, bound=10000)
 
 
 def test_one_disjunct_outside_the_fragment_sends_the_body_to_bounded_evaluation():

@@ -1,9 +1,12 @@
+import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from beatty.golden import decompose, f_floor, f_inverse, f_zeck
 from beatty.numeration import (
     c,
     fib,
@@ -63,14 +66,6 @@ def test_zeckendorf_round_trip_and_invariants(n):
     assert all(b - a >= 2 for a, b in zip(rep, rep[1:]))
 
 
-def test_zeckendorf_round_trip_full_range():
-    for n in range(1, 100_001):
-        rep = zeckendorf(n)
-        assert rep[0] >= 1
-        assert all(b - a >= 2 for a, b in zip(rep, rep[1:]))
-        assert sum(fib(i) for i in rep) == n
-
-
 def _count_representations(n, max_index):
     # independent oracle: count all non-adjacent index sets (indices >= 1)
     def count(remaining, top):
@@ -93,6 +88,99 @@ def test_zeckendorf_uniqueness_exhaustive():
     top = len(zeckendorf(600)) and zeckendorf(600)[-1] + 2
     for n in range(1, 601):
         assert _count_representations(n, top) == 1
+
+
+def _wythoff_lower(limit):
+    """[0, f(1), ..., f(limit)] with no phi: f(x) is the least positive
+    integer not among f(t) and f(t) + t for t < x."""
+    used = bytearray(3 * limit + 3)
+    out, m = [0], 1
+    for x in range(1, limit + 1):
+        while used[m]:
+            m += 1
+        out.append(m)
+        used[m] = used[m + x] = 1
+    return out
+
+
+def _is_f(x, y):
+    """y = floor(phi*x) for x >= 1: y < phi*x < y + 1, doubled and squared."""
+    t = 2 * y - x
+    return t >= 0 and t * t < 5 * x * x < (t + 2) ** 2
+
+
+def _least_above(y, fibs):
+    """Least x >= 1 with phi*x > y, tested on that inequality upwards from
+    below y*fibs[-2]/fibs[-1], which is within y/fibs[-1]**2 < 1 of y/phi."""
+    def above(x):
+        t = 2 * y - x
+        return t < 0 or 5 * x * x > t * t
+
+    x = max(y * fibs[-2] // fibs[-1] - 2, 0)
+    assert fibs[-1] > y and not above(x)
+    while not above(x):
+        x += 1
+    return x
+
+
+def _check_zeckendorf(n, fibs):
+    rep = zeckendorf(n)
+    assert rep[0] >= 1 and all(b - a >= 2 for a, b in zip(rep, rep[1:]))
+    assert sum(fibs[i] for i in rep) == n
+
+
+def test_zeckendorf_of_a_huge_value_keeps_no_table():
+    n = random.Random(4291).randrange(10**4290, 10**4291)
+    tracemalloc.start()
+    try:
+        zeckendorf(n)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept < 2**20
+
+
+def test_f_inverse_of_a_huge_value_is_fast():
+    x = 7 * 10**4289
+    y = f_floor(x)  # 4,291 digits
+    start = time.perf_counter()
+    assert f_inverse(y) == x
+    assert time.perf_counter() - start < 0.05
+
+
+def test_fibonacci_path_matches_brute_force_definitions():
+    limit = 100_000
+    fibs = [1, 1]
+    lower = _wythoff_lower(limit)
+    inverse = {y: x for x, y in enumerate(lower) if x}
+    upper = {y + x: x for x, y in enumerate(lower) if x}
+    for n in range(1, limit + 1):
+        while fibs[-1] <= n:
+            fibs.append(fibs[-1] + fibs[-2])
+        _check_zeckendorf(n, fibs)
+        assert f_zeck(n) == lower[n]
+        assert f_inverse(n) == inverse.get(n)
+        assert c(n) == (n in inverse)
+        assert decompose(n) == (("F", inverse[n]) if n in inverse else ("G", upper[n]))
+    rng = random.Random(17)
+    values = []
+    for digits in (16, 300, 4291):
+        values += [rng.randrange(10 ** (digits - 1), 10**digits) for _ in range(2)]
+        while fibs[-2] < 10 ** (digits - 1):
+            fibs.append(fibs[-1] + fibs[-2])
+        values += [fibs[-2] - 1, fibs[-2], fibs[-2] + 1, fibs[-1] - 1]
+    while fibs[-1] <= max(values):
+        fibs.append(fibs[-1] + fibs[-2])
+    for n in values:
+        _check_zeckendorf(n, fibs)
+        assert _is_f(n, f_zeck(n))
+        x = _least_above(n, fibs)
+        expected = x if _is_f(x, n) else None
+        assert f_inverse(n) == expected
+        assert c(n) == (expected is not None)
+        kind, x = decompose(n)
+        assert (kind == "F") == (expected is not None)
+        assert x == expected if kind == "F" else _is_f(x, n - x)
 
 
 def test_pisano_examples():

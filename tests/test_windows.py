@@ -28,6 +28,9 @@ def test_convergent_examples():
     assert convergent_u(0) == Fraction(2, 1)
     assert convergent_u(1) == Fraction(5, 3)
     assert convergent_u(2) == Fraction(13, 8)
+    for convergent in (convergent_d, convergent_u):
+        with pytest.raises(ValueError):
+            convergent(-1)
 
 
 def test_convergent_ladders_bracket_phi():
