@@ -1,7 +1,8 @@
 """First-order language over (Z, +, -, <, f, p_n, window predicates, 0, 1)
 with f(x) = floor(phi * x): parser, printer, exact evaluation over the
-integers, a normal-form decider for single-quantifier sentences, bounded
-model checking for everything else, and an audit of the defining axioms.
+integers, a normal-form decider for single-quantifier sentences, an exact
+route for two-variable universals, bounded model checking for everything
+else, and an audit of the defining axioms.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ __all__ = [
     "Cmp", "Div", "PPred", "Not", "And", "Or", "Implies", "Exists", "Forall",
     "ParseError", "parse", "parse_term", "format_formula", "format_term",
     "Decision", "EXACT", "BOUNDED", "DEFAULT_EVAL_BOUND", "EVAL_BUDGET", "MAX_NESTING",
-    "MAX_DISJUNCTS", "evaluate", "free_vars", "nnf",
+    "MAX_DISJUNCTS", "MAX_CELLS", "evaluate", "free_vars", "nnf",
     "NormalFormQuery", "to_normal_form", "decide_existential_nf", "decide",
     "FamilyResult", "AuditReport", "axiom_audit",
 ]
@@ -859,20 +860,22 @@ def _linearize(term: Term, var: str) -> tuple[int, int, int] | None:
     return None
 
 
-def _dnf(formula: Formula) -> list[list[Formula]] | None:
+def _dnf(formula: Formula, var: str | None = None) -> list[list[Formula]] | None:
     """An NNF formula as a disjunction of conjunct lists, where !(s = t) is
     s < t | t < s, !(s < t) is t < s + 1 and !pN(t) is the disjuncts pN(t + k)
-    for 0 < k < N (none when N is 1); None past MAX_DISJUNCTS disjuncts."""
+    for 0 < k < N (none when N is 1); None past MAX_DISJUNCTS disjuncts.
+    Given var, each conjunction merges its divisibilities (see _conjoin)."""
     if isinstance(formula, Or):
-        left, right = _dnf(formula.left), _dnf(formula.right)
+        left, right = _dnf(formula.left, var), _dnf(formula.right, var)
         if left is None or right is None or len(left) + len(right) > MAX_DISJUNCTS:
             return None
         return left + right
     if isinstance(formula, And):
-        left, right = _dnf(formula.left), _dnf(formula.right)
-        if left is None or right is None or len(left) * len(right) > MAX_DISJUNCTS:
+        left, right = _dnf(formula.left, var), _dnf(formula.right, var)
+        if left is None or right is None:
             return None
-        return [a + b for a in left for b in right]
+        product = [c for a in left for b in right if (c := _conjoin(a, b, var)) is not None]
+        return None if len(product) > MAX_DISJUNCTS else product
     atom = formula.body if isinstance(formula, Not) else None
     if type(atom) is Cmp:
         s, t = atom.left, atom.right
@@ -885,6 +888,29 @@ def _dnf(formula: Formula) -> list[list[Formula]] | None:
             return None
         return [[Div(n, Add(atom.term, Const(k)))] for k in range(1, n)]
     return [[formula]]
+
+
+def _conjoin(a: list[Formula], b: list[Formula], var: str | None) -> list[Formula] | None:
+    """a + b, less each pN(s + k) of b that repeats the residue of a pN(s + k')
+    of a on the same part s = _linearize(.., var) without its constant, and
+    None when the residues differ: then the two cannot both hold."""
+    moduli = var and {e.modulus for e in b if type(e) is Div}
+    if not moduli or not any(type(e) is Div and e.modulus in moduli for e in a):
+        return a + b
+    residues = {}
+    for e in a:
+        if type(e) is Div and (lin := _linearize(e.term, var)) is not None:
+            residues[e.modulus, lin[0], lin[1]] = lin[2] % e.modulus
+    out = list(a)
+    for e in b:
+        if type(e) is Div and (lin := _linearize(e.term, var)) is not None:
+            seen = residues.get((e.modulus, lin[0], lin[1]))
+            if seen is not None:
+                if seen != lin[2] % e.modulus:
+                    return None
+                continue
+        out.append(e)
+    return out
 
 
 def _order_window(a: int, cst: int, rel: str, lower: int | None,
@@ -916,7 +942,7 @@ def to_normal_form(formula: Formula) -> NormalFormQuery | None:
     comparison of f(x) with a rational multiple of x; None otherwise."""
     if not isinstance(formula, Exists) or free_vars(formula.body) - {formula.var}:
         return None
-    disjuncts = _dnf(nnf(formula.body))
+    disjuncts = _dnf(nnf(formula.body), formula.var)
     if disjuncts is None or len(disjuncts) != 1:
         return None
     return _conjunction_query(formula.var, disjuncts[0])
@@ -962,20 +988,31 @@ def _conjunction_query(var: str, conjuncts: list[Formula]) -> NormalFormQuery | 
     return NormalFormQuery(var, tuple(on_x), tuple(on_fx), lower, upper, tuple(linear))
 
 
+def _phi_split(a: int, b: int) -> tuple[int, int, tuple[int, int]]:
+    """phi*(a*x + b*X) as b*x + (a + b)*X + λ*u with λ = (a + b) - b*phi, a
+    pair in Z[phi], where X = floor(phi*x) and u = phi*x - X lies in [0, 1):
+    phi*x = X + u, and phi*X = x + X + u - phi*u since phi^2 = phi + 1.  So
+    for integers x and y, floor(phi*t) of t = a*x + b*X + a'*y + b'*Y + c is
+    the integer part summed over both variables plus floor(λ*u + λ'*v + c*phi)."""
+    return b, a + b, (a + b, -b)
+
+
 def _slab_cases(var: str, conjuncts: list[Formula]) -> list[list[Formula]] | None:
     """conjuncts as two cases free of their first innermost f(t) that
     _linearize refuses although it reads t = a*x + b*f(x) + c.  For x >= 1,
-    f(x) = phi*x - θ with θ in (0, 1), so where t >= 1
+    f(x) = floor(phi*x), so where t >= 1 _phi_split gives
         f(t) = b*x + (a+b)*f(x) + floor(λθ + c*phi),  λ = a + b - b*phi,
-    and where t <= 0, f(t) = 0.  None when that floor takes more than one
-    value on (0, 1), or when some x <= 0 may have t >= 1 (there f(x) = 0 and
-    t = a*x + c): a < 0 or c > 0 while the order window reaches x <= 0."""
+    with θ = phi*x - f(x) in (0, 1), and where t <= 0, f(t) = 0.  None when
+    that floor takes more than one value on (0, 1), or when some x <= 0 may
+    have t >= 1 (there f(x) = 0 and t = a*x + c): a < 0 or c > 0 while the
+    order window reaches x <= 0."""
     term = next((node for e in conjuncts for node in _nodes(e) if isinstance(node, F)
                  and _linearize(node, var) is None and _linearize(node.arg, var)), None)
     if term is None:
         return None
     a, b, c = _linearize(term.arg, var)
-    ends = QuadRat(c, c, 2), QuadRat(2 * a + b + c, c - b, 2)  # λθ + c*phi at θ = 0, 1
+    on_x, on_fx, (p, q) = _phi_split(a, b)
+    ends = QuadRat(c, c, 2), QuadRat(2 * p + q + c, q + c, 2)  # λθ + c*phi at θ = 0, 1
     k = min(map(quad_floor, ends))
     if max(map(quad_ceil, ends)) != k + 1:
         return None
@@ -983,7 +1020,7 @@ def _slab_cases(var: str, conjuncts: list[Formula]) -> list[list[Formula]] | Non
         window = _conjunction_query(var, [e for e in conjuncts if _conjunction_query(var, [e])])
         if window.lower is None or window.lower < 0:
             return None
-    value = Add(Add(Scale(b, Var(var)), Scale(a + b, F(Var(var)))), Const(k))
+    value = Add(Add(Scale(on_x, Var(var)), Scale(on_fx, F(Var(var)))), Const(k))
     return [[Cmp(Const(0), "<", Var(var)), Cmp(Const(0), "<", term.arg),
              *(_replace(e, term, value) for e in conjuncts)],
             [Cmp(term.arg, "<", Const(1)), *(_replace(e, term, Const(0)) for e in conjuncts)]]
@@ -1090,8 +1127,9 @@ def decide(sentence: Formula, bound: int = DEFAULT_EVAL_BOUND) -> Decision:
     """Decide a sentence, miniscoped if quantifiers nest: quantifier-free
     parts exactly, single-quantifier sentences whose body is a Boolean
     combination of normal-form atoms disjunct by disjunct through the
-    window/congruence pipeline (universal ones via their negation),
-    everything else by bounded evaluation.  A top-level & or | decides its
+    window/congruence pipeline (universal ones via their negation), a true
+    forall x. forall y or false exists x. exists y that _decide_two_variables
+    proves, everything else by bounded evaluation.  A top-level & or | decides its
     right side only when the left is not an exact answer that settles it.
     Raises ValueError for a negative bound."""
     if free_vars(sentence):
@@ -1106,15 +1144,14 @@ def _decide(sentence: Formula, bound: int) -> Decision:
     depth = _depth(sentence)
     if depth == 0:
         return evaluate(sentence, {}, bound)
-    if isinstance(sentence, (Exists, Forall)) and depth == 1:
-        decision = _decide_one_variable(sentence)
+    if isinstance(sentence, (Exists, Forall)):
+        decision = (_decide_one_variable(sentence) if depth == 1
+                    else _decide_two_variables(sentence) if depth == 2 else None)
         return evaluate(sentence, {}, bound) if decision is None else decision
-    if isinstance(sentence, (And, Or)):
-        decisive, a = isinstance(sentence, Or), _decide(sentence.left, bound)
-        if a.truth is decisive and a.provenance == EXACT:
-            return a
-        return _join(a, _decide(sentence.right, bound), decisive)
-    return evaluate(sentence, {}, bound)
+    decisive, a = isinstance(sentence, Or), _decide(sentence.left, bound)  # an & or a |
+    if a.truth is decisive and a.provenance == EXACT:
+        return a
+    return _join(a, _decide(sentence.right, bound), decisive)
 
 
 def _decide_one_variable(sentence: Exists | Forall) -> Decision | None:
@@ -1128,7 +1165,7 @@ def _decide_one_variable(sentence: Exists | Forall) -> Decision | None:
     against the whole body.  An empty DNF (that of !p1) has no disjunct to
     satisfy."""
     existential = isinstance(sentence, Exists)
-    todo = _dnf(sentence.body if existential else nnf(sentence.body, negated=True))
+    todo = _dnf(sentence.body if existential else nnf(sentence.body, negated=True), sentence.var)
     queries: list[NormalFormQuery] = []
     while todo and len(queries) + len(todo) <= MAX_DISJUNCTS:
         conjuncts = todo.pop()
@@ -1146,6 +1183,367 @@ def _decide_one_variable(sentence: Exists | Forall) -> Decision | None:
     x = min(found, key=lambda v: (abs(v), -v))  # the scan's order 0, 1, -1, ...
     assert evaluate(sentence.body, {sentence.var: x}).truth is existential
     return Decision(existential, certificate=x)
+
+
+# --- two-variable route -----------------------------------------------------
+#
+# A number of Z[phi] is a pair (p, q) for p + q*phi, and one of Q(phi) is
+# (p, q, d) for (p + q*phi)/d with d > 0.  A point of the (u, v) square is
+# (Up, Uq, Vp, Vq, D) for u = (Up + Uq*phi)/D and v = (Vp + Vq*phi)/D; a
+# line is (a, b, p, q) for a*u + b*v = p + q*phi with integers a and b; and
+# a convex polygon is its list of (vertex, line of the edge to the next one).
+
+# Cells the two-variable route may cut in one decision before it declines:
+# about 0.1 s on a 2-vCPU VM.
+MAX_CELLS = 4096
+# the unit square of (u, v), with its edges v = 0, u = 1, v = 1 and u = 0
+_SQUARE = [((0, 0, 0, 0, 1), (0, 1, 0, 0)), ((1, 0, 0, 0, 1), (1, 0, 1, 0)),
+           ((1, 0, 1, 0, 1), (0, 1, 1, 0)), ((0, 0, 1, 0, 1), (1, 0, 0, 0))]
+
+
+def _decide_two_variables(sentence: Exists | Forall) -> Decision | None:
+    """Exact decision of an NNF sentence Q x. Q y. body (see _prenex_pair):
+    True for a universal, False for an existential, when _no_point proves
+    every disjunct of the DNF of the body (of its negation for forall) empty
+    within MAX_CELLS cells in all.  None otherwise, and always for a
+    true existential or a false universal."""
+    pair = _prenex_pair(sentence)
+    if pair is None:
+        return None
+    x, y, body = pair
+    existential = isinstance(sentence, Exists)
+    disjuncts = _dnf(body if existential else nnf(body, negated=True))
+    if disjuncts is None:
+        return None
+    atoms = {}
+    for e in chain.from_iterable(disjuncts):
+        if id(e) not in atoms:
+            atoms[id(e)] = _atom(e, x, y)
+    search = _Search()
+    if None in atoms.values() or not all(
+            _no_point([atoms[id(e)] for e in conjuncts], search) for conjuncts in disjuncts):
+        return None
+    return Decision(not existential)
+
+
+def _prenex_pair(sentence: Exists | Forall) -> tuple[str, str, Formula] | None:
+    """(x, y, body) when the NNF sentence's only quantifiers are itself, over
+    x, and one more of its kind over another name y, and body is the
+    sentence without both: the & and | around the inner one do not bind y,
+    which is free nowhere else, so the sentence is Q x. Q y. body."""
+    kind, names = type(sentence), []
+
+    def strip(node: Formula) -> Formula:
+        if type(node) in (Exists, Forall):
+            names.append(node.var if type(node) is kind else None)
+            return strip(node.body)
+        if type(node) in (And, Or):
+            return type(node)(strip(node.left), strip(node.right))
+        return node
+
+    body = strip(sentence)
+    if len(names) != 2 or None in names or names[0] == names[1]:
+        return None
+    return names[0], names[1], body
+
+
+def _affine(term: Term, x: str, y: str) -> dict | None:
+    """term as {key: coefficient} over the keys 1 (the constant), x, y and
+    (a, b, c) for f(a*x + b*y + c); f of a ground term folds to its value.
+    None for a nested f.  _linearize, the one-variable form, stays on tuples:
+    it is about twice as fast, and the one-variable route calls it on every
+    atom."""
+    kind = type(term)
+    if kind is Const:
+        return {1: term.value}
+    if kind is Var:
+        return {term.name: 1}
+    if kind is F:
+        inner = _affine(term.arg, x, y)
+        if inner is None or any(type(key) is tuple for key in inner):
+            return None
+        a, b, c = inner.get(x, 0), inner.get(y, 0), inner.get(1, 0)
+        return {(a, b, c): 1} if a or b else {1: f_floor(c)}
+    if kind is Scale:
+        inner = _affine(term.term, x, y)
+        return None if inner is None else {key: term.coeff * v for key, v in inner.items()}
+    left, right = _affine(term.left, x, y), _affine(term.right, x, y)
+    if left is None or right is None:
+        return None
+    sign = 1 if kind is Add else -1
+    for key, v in right.items():
+        left[key] = left.get(key, 0) + sign * v
+    return left
+
+
+def _atom(e: Formula, x: str, y: str) -> tuple | None:
+    """s < t as E = s - t + 1 <= 0 and s = t as E = s - t = 0, kept as
+    (is_eq, E's coefficients of x and y, its constant, ((a, b, c), w) for
+    each w*f(a*x + b*y + c) in it); None for any other atom."""
+    if type(e) is not Cmp:
+        return None
+    left, right = _affine(e.left, x, y), _affine(e.right, x, y)
+    if left is None or right is None:
+        return None
+    for key, v in right.items():
+        left[key] = left.get(key, 0) - v
+    terms = tuple((key, w) for key, w in left.items() if type(key) is tuple and w)
+    return e.rel == "=", left.get(x, 0), left.get(y, 0), left.get(1, 0) + (e.rel == "<"), terms
+
+
+def _no_point(atoms: list[tuple], search: _Search) -> bool:
+    """True when no integers x, y satisfy all the atoms (see _atom); False
+    when that is not proved.  The atoms without f bound the polyhedron P of
+    (x, y) from the start."""
+    order = set().union(*(_half_planes(*atom[:4]) for atom in atoms if not atom[4]))
+    atoms = [atom for atom in atoms if atom[4]]
+    terms = sorted({key for atom in atoms for key, _ in atom[4]})
+    return _signs_excluded(atoms, terms, {}, search.polyhedron(frozenset(order)), search)
+
+
+def _half_planes(is_eq: bool, lx: int, ly: int, k: int) -> set[tuple[int, int, int]]:
+    """lx*x + ly*y + k <= 0, or = 0, as constraints (a, b, d): a*x + b*y <= d."""
+    return {(lx, ly, -k), (-lx, -ly, k)} if is_eq else {(lx, ly, -k)}
+
+
+class _Search:
+    """One two-variable decision: the cells it may still cut, and each
+    polyhedron it has built, as (constraints, _corners, _rays) or None when
+    empty, by its constraints; the disjuncts of a sentence often share one."""
+
+    def __init__(self):
+        self.cells = MAX_CELLS
+        self.polyhedra: dict[frozenset, tuple | None] = {}
+
+    def polyhedron(self, constraints: frozenset) -> tuple | None:
+        if constraints not in self.polyhedra:
+            corners = _corners(constraints)
+            self.polyhedra[constraints] = (
+                (constraints, corners, _rays(constraints)) if corners else None)
+        return self.polyhedra[constraints]
+
+
+def _signs_excluded(atoms: list, terms: list, positive: dict, polyhedron: tuple | None,
+                    search: _Search) -> bool:
+    """_no_point over each case of the signs of the f arguments not yet in
+    positive: t = a*x + b*y + c is <= 0, where f(t) = 0, or >= 1.  A sign
+    that P already fixes makes one case, and one that empties P none."""
+    if polyhedron is None:
+        return True
+    if len(positive) == len(terms):
+        return _case_excluded(atoms, positive, polyhedron, search)
+    a, b, c = term = terms[len(positive)]
+    least, most = _range(polyhedron, (a, 0), (b, 0))  # of a*x + b*y over P
+    up = least is not None and least[0] >= (1 - c) * least[2]
+    if up or most is not None and most[0] <= -c * most[2]:
+        cases = [(up, polyhedron)]
+    else:
+        cases = ((up, search.polyhedron(polyhedron[0] | {cut}))
+                 for up, cut in ((True, (-a, -b, c - 1)), (False, (a, b, -c))))
+    return all(_signs_excluded(atoms, terms, {**positive, term: up}, case, search)
+               for up, case in cases)
+
+
+def _case_excluded(atoms: list, positive: dict, polyhedron: tuple, search: _Search) -> bool:
+    """_no_point in one case of signs, where each f argument t = a*x + b*y + c
+    is <= 0 (f(t) = 0) or, when positive[(a, b, c)], >= 1, where _phi_split
+    gives, for every integer x and y,
+        f(t) = a*X + b*Y + floor(a*u + b*v + c*phi)
+    with X = floor(phi*x) = phi*x - u, Y = floor(phi*y) = phi*y - v and u, v
+    in [0, 1).  An atom left without f bounds the rational polyhedron P of
+    (x, y) further.  Each other atom is
+        E = l(x, y) + K + Σ w*floor(L) - A*u - B*v,
+    l = (α + A*phi)*x + (β + B*phi)*y, and E is excluded on a cell of (u, v)
+    where each floor(L) = k when the least of l over P plus the least of the
+    rest over the closed cell is above 0 (or, for E = 0, the greatest of
+    both is below 0).  That needs no density argument: at x, y in P with
+    t >= 1, L = phi*t - a*X - b*Y is never an integer, so (u, v) is in the
+    closure of a cell of positive area with its own floors.  A cell of zero
+    area is dropped, and a cell no atom excludes is met: False."""
+    search.cells -= 1
+    shifts = {}  # f(t) for t >= 1 as the X and Y coefficients and the line of its floor
+    for key, up in positive.items():
+        if up:  # _phi_split in each variable, with no f inside t
+            a, b, c = key
+            (_, on_x, (on_u, _)), (_, on_y, (on_v, _)) = _phi_split(a, 0), _phi_split(b, 0)
+            shifts[key] = on_x, on_y, (on_u, on_v, c)
+    order, rest = set(), []
+    for is_eq, lx, ly, k, terms in atoms:
+        shifted = [(shifts[key], w) for key, w in terms if key in shifts]
+        if not shifted:
+            order |= _half_planes(is_eq, lx, ly, k)
+            continue
+        big_x = sum(w * on_x for (on_x, _, _), w in shifted)
+        big_y = sum(w * on_y for (_, on_y, _), w in shifted)
+        rest.append((is_eq, lx, ly, k, big_x, big_y, [(line, w) for (_, _, line), w in shifted]))
+    if order - polyhedron[0]:
+        polyhedron = search.polyhedron(polyhedron[0] | order)
+        if polyhedron is None:
+            return True
+    lines = sorted({line for atom in rest for line, _ in atom[6]})
+    index = {line: i for i, line in enumerate(lines)}
+    bounded = []
+    for is_eq, lx, ly, k, big_x, big_y, floors in rest:
+        least, most = _range(polyhedron, (lx, big_x), (ly, big_y))
+        bounds = [(v, sign) for v, sign in ((least, 1), (most if is_eq else None, -1)) if v]
+        if bounds:  # else l is unbounded over P where it matters: it excludes no cell
+            bounded.append((bounds, k, big_x, big_y, [(index[line], w) for line, w in floors]))
+    if not bounded or search.cells < 0:
+        return False
+    ranges = []  # over the square, from its corners, where a*u + b*v is 0, a, b or a + b
+    for a, b, c in lines:
+        low = _floor_phi(0, c, 1)
+        ranges.append((low + min(0, a, b, a + b), low + (c != 0) + max(0, a, b, a + b)))
+    return _cells_excluded(_SQUARE, ranges, lines, bounded, search)
+
+
+def _cells_excluded(polygon: list, ranges: list, lines: list, atoms: list,
+                    search: _Search) -> bool:
+    """True when some atom is excluded on the whole polygon, with each
+    floor(a*u + b*v + c*phi) of lines taken at its worst there, or when the
+    first floor with more than one value there cuts it into cells, one per
+    value, and each cell of positive area is excluded in turn; False at a
+    cell where every floor takes one value and no atom is excluded, or once
+    search runs out of cells.  ranges holds (least, greatest + 1) of each
+    floor over the polygon."""
+    for bounds, k, big_x, big_y, floors in atoms:
+        for bound, sign in bounds:
+            const = k + sum(w * (ranges[i][0] if sign * w > 0 else ranges[i][1] - 1)
+                            for i, w in floors)
+            if all(sign * _sign(bound[0] * d + bound[2] * (const * d - big_x * up - big_y * vp),
+                                bound[1] * d - bound[2] * (big_x * uq + big_y * vq)) > 0
+                   for (up, uq, vp, vq, d), _ in polygon):
+                return True
+    split = next((i for i, (low, high) in enumerate(ranges) if high - low > 1), None)
+    if split is None:
+        return False
+    (a, b, c), (low, high) = lines[split], ranges[split]
+    for k in range(low, high):
+        search.cells -= 1
+        if search.cells < 0:
+            return False
+        cell = polygon if k == low else _clip(polygon, (a, b, k, -c))  # the floor is >= low
+        if len(cell) > 2 and k < high - 1:
+            cell = _clip(cell, (-a, -b, -k - 1, c))
+        if len(cell) > 2 and not _cells_excluded(
+                cell, _ranges(cell, lines, ranges, split, k), lines, atoms, search):
+            return False
+    return True
+
+
+def _ranges(cell: list, lines: list, ranges: list, split: int, k: int) -> list:
+    """The ranges of the floors over a cell of a polygon over which they
+    have ranges, where floor number split is k: a floor of one value keeps
+    it, and the others are found from the cell's vertices."""
+    out = []
+    for i, (a, b, c) in enumerate(lines):
+        if i == split:
+            out.append((k, k + 1))
+        elif ranges[i][1] - ranges[i][0] == 1:
+            out.append(ranges[i])
+        else:
+            low, high = _extremes([(a * up + b * vp, a * uq + b * vq + c * d, d)
+                                   for (up, uq, vp, vq, d), _ in cell])
+            out.append((_floor_phi(*low), -_floor_phi(-high[0], -high[1], high[2])))
+    return out
+
+
+def _sign(p: int, q: int) -> int:
+    """The sign of p + q*phi: of (2p + q) + q*sqrt(5), never 0 unless p = q = 0."""
+    s = 2 * p + q
+    if (s >= 0) == (q >= 0) or not s or not q:
+        return (s > 0 or q > 0) - (s < 0 or q < 0)
+    return 1 if (s > 0) == (s * s > 5 * q * q) else -1
+
+
+def _compare(v: tuple[int, int, int], w: tuple[int, int, int]) -> int:
+    """The sign of v - w for numbers (p + q*phi)/d of Q(phi)."""
+    return _sign(v[0] * w[2] - w[0] * v[2], v[1] * w[2] - w[1] * v[2])
+
+
+def _extremes(values: list) -> tuple:
+    """(least, greatest) of numbers of Q(phi)."""
+    least = most = values[0]
+    for v in values:
+        if _compare(v, least) < 0:
+            least = v
+        elif _compare(v, most) > 0:
+            most = v
+    return least, most
+
+
+def _floor_phi(p: int, q: int, d: int) -> int:
+    """floor((p + q*phi)/d) for d > 0."""
+    return quad_floor(QuadRat(2 * p + q, q, 2 * d))
+
+
+def _clip(polygon: list, cut: tuple[int, int, int, int]) -> list:
+    """The convex polygon cut to a*u + b*v >= p + q*phi for cut (a, b, p, q).
+    Vertices on the cut stay, so a cut that only touches leaves one or two
+    of them; a polygon of positive area keeps no three on one line."""
+    a, b, p, q = cut
+    sides = [_sign(a * up + b * vp - p * d, a * uq + b * vq - q * d)
+             for (up, uq, vp, vq, d), _ in polygon]
+    if min(sides) >= 0 or max(sides) <= 0:
+        return polygon if min(sides) >= 0 else [v for v, s in zip(polygon, sides) if s == 0]
+    out = []
+    for i, (vertex, line) in enumerate(polygon):
+        s, t = sides[i], sides[i + 1 - len(polygon)]
+        if s >= 0:
+            out.append((vertex, line if s > 0 or t >= 0 else cut))
+        if s * t < 0:
+            out.append((_meet(line, cut), cut if s > 0 else line))
+    return out
+
+
+def _meet(first: tuple, second: tuple) -> tuple[int, int, int, int, int]:
+    """The point where two lines that are not parallel cross."""
+    a1, b1, p1, q1 = first
+    a2, b2, p2, q2 = second
+    det = a1 * b2 - a2 * b1
+    s = 1 if det > 0 else -1
+    return (s * (p1 * b2 - p2 * b1), s * (q1 * b2 - q2 * b1),
+            s * (a1 * p2 - a2 * p1), s * (a1 * q2 - a2 * q1), s * det)
+
+
+def _corners(constraints: set) -> list[tuple[int, int, int]]:
+    """The points (x*D, y*D, D), D > 0, of the polyhedron a*x + b*y <= d for
+    each (a, b, d) among its vertices, the feet of the perpendiculars from
+    the origin to its lines and the origin.  Every face of least dimension
+    holds one, so a linear form bounded below on the polyhedron takes its
+    least value at one; none when it is empty."""
+    lines = [(a, b, d) for a, b, d in constraints if a or b]
+    points = [(0, 0, 1)] + [(d * a, d * b, a * a + b * b) for a, b, d in lines]
+    for i, (a1, b1, d1) in enumerate(lines):
+        for a2, b2, d2 in lines[i + 1:]:
+            det = a1 * b2 - a2 * b1
+            if det:
+                s = 1 if det > 0 else -1
+                points.append((s * (d1 * b2 - d2 * b1), s * (a1 * d2 - a2 * d1), s * det))
+    return [(px, py, e) for px, py, e in points
+            if all(a * px + b * py <= d * e for a, b, d in constraints)]
+
+
+def _rays(constraints: set) -> list[tuple[int, int]]:
+    """Directions that generate the recession cone of the polyhedron: the
+    axes, each line's two directions and each inward normal, where the cone
+    holds them."""
+    directions = {(1, 0), (-1, 0), (0, 1), (0, -1)}
+    for a, b, _ in constraints:
+        directions |= {(-b, a), (b, -a), (-a, -b)}
+    return [(r, s) for r, s in directions if all(a * r + b * s <= 0 for a, b, _ in constraints)]
+
+
+def _range(polyhedron: tuple, alpha: tuple[int, int], beta: tuple[int, int]) -> tuple:
+    """(least, greatest) of alpha*x + beta*y (alpha, beta in Z[phi]) over
+    the polyhedron, each None when a ray takes the form past every bound."""
+    if alpha == beta == (0, 0):
+        return (0, 0, 1), (0, 0, 1)
+    _, corners, rays = polyhedron
+    signs = {_sign(alpha[0] * r + beta[0] * s, alpha[1] * r + beta[1] * s) for r, s in rays}
+    least, most = _extremes([(alpha[0] * px + beta[0] * py, alpha[1] * px + beta[1] * py, d)
+                             for px, py, d in corners])
+    return None if -1 in signs else least, None if 1 in signs else most
 
 
 # --- axiom audit ------------------------------------------------------------

@@ -56,7 +56,9 @@ def _zeck_walk(n: int):
     Greedy: take the largest fib(j) <= remainder.  The remainder after
     subtracting fib(j) is < fib(j - 1), which forces the non-adjacency gap
     and makes the result the unique such representation.  Each step down
-    is fib(j - 1) = fib(j + 1) - fib(j), so fib is called only at the top.
+    is fib(j - 1) = fib(j + 1) - fib(j), and after a digit j the walk steps
+    to j - 2 at once with fib(j - 2) = 2*fib(j) - fib(j + 1), so fib is
+    called only at the top.
     """
     j = fib_index_above(n)
     a, b = fib(j), fib(j + 1)
@@ -65,6 +67,7 @@ def _zeck_walk(n: int):
             j, a, b = j - 1, b - a, a
         yield j, b
         n -= a
+        j, a, b = j - 2, 2 * a - b, b - a
 
 
 def zeckendorf(n: int) -> list[int]:
@@ -75,17 +78,23 @@ def zeckendorf(n: int) -> list[int]:
 
 
 def unzeckendorf(indices: list[int]) -> int:
-    """Inverse of zeckendorf; rejects anything but a valid representation."""
+    """Inverse of zeckendorf; rejects anything but a valid representation.
+    One walk up the indices with fib(j + 1) = fib(j) + fib(j - 1) sums the
+    value, so no Fibonacci number is kept."""
     if not indices:
         raise ValueError("empty representation")
-    prev = None
+    total, prev = 0, None
+    j, a, b = 1, 1, 2  # fib(j), fib(j + 1)
     for i in indices:
         if i < 1:
             raise ValueError(f"index {i} out of range (must be >= 1)")
         if prev is not None and i < prev + 2:
             raise ValueError(f"indices {prev}, {i} violate non-adjacency")
         prev = i
-    return sum(fib(i) for i in indices)
+        while j < i:
+            j, a, b = j + 1, b, a + b
+        total += a
+    return total
 
 
 # pisano factors its argument by trial division up to this divisor.

@@ -45,7 +45,18 @@ GOLDEN = [
     (["decide", "f(5) < 8"], 1, "False"),
     (["decide", "f(-3) = 0"], 0, "True (exact)"),
     (["decide", "forall x. (0 < x -> x < f(x) + 1)"], 0, "True (exact)"),
-    (["decide", "forall x. forall y. (f(x + y) < f(x) + f(y) + 2)", "--bound", "60"], 0, "bounded"),
+    # two-variable sentences: proved exactly from sign cases and floor cells,
+    # whatever the bound, or declined to the bounded scan
+    (["decide", "forall x. forall y. (f(x + y) < f(x) + f(y) + 2)", "--bound", "60"], 0,
+     "True (exact)\n"),
+    (["decide", "forall x. forall y. (f(x + y) < f(x) + f(y) + 2)"], 0, "True (exact)\n"),
+    (["decide", "forall x. forall y. x < 15 | y < 1 | f(x + y) >= f(x) + f(y)"], 0,
+     "True (exact)\n"),
+    (["decide", "exists x. exists y. f(x + y) > f(x) + f(y) + 1"], 1, "False (exact)\n"),
+    (["decide", "forall x. forall y. (x < 1 | y < 1 | f(x) != f(y) + y)", "--bound", "60"], 0,
+     "True (bounded to 60)\n"),
+    (["decide", "exists x. exists y. (x > 0 & y > 0 & f(x) = f(y) + y)", "--bound", "60"], 1,
+     "False (bounded to 60)\n"),
     (["decide", "exists x. (10 < x & x < 12 & p5(x))"], 1, "False"),
     (["decide", "exists x. (f(x) = 3*x & 0 < x | f(x) = 4*x + 1 & 0 < x)"], 1,
      "False (exact)\n"),
@@ -77,6 +88,8 @@ GOLDEN = [
     # a negated divisibility is a disjunction of residues, !p1 none of them
     (["decide", "forall x. p2(x) | p2(x + 1)"], 0, "True (exact)\n"),
     (["decide", "forall x. p1(x)"], 0, "True (exact)\n"),
+    # a conjunction keeps one residue per divisibility on x + k: 4^5 products, none left
+    (["decide", "forall x. p5(x) | p5(x+1) | p5(x+2) | p5(x+3) | p5(x+4)"], 0, "True (exact)\n"),
     (["decide", "exists x. !p1(x)"], 1, "False (exact)\n"),
     (["decide", "forall x. p3(f(x)) | p3(f(x) + 1)"], 1, "False (exact); counterexample 1\n"),
     (["audit", "50"], 0, "all families pass"),
@@ -135,7 +148,7 @@ def test_usage_errors_exit_64(capsys):
 
 def test_negative_bound_is_a_usage_error(capsys):
     # a bounded and an exact sentence: neither answers
-    for text in ("forall x. forall y. x + y = y + x", "exists x. x = 1"):
+    for text in ("forall x. forall y. (x < 1 | y < 1 | f(x) != f(y) + y)", "exists x. x = 1"):
         assert run(["decide", text, "--bound", "-1"]) == 64
         assert capsys.readouterr().err == "error: bound must be >= 0, got -1\n"
     with pytest.raises(ValueError, match="bound must be >= 0"):
@@ -297,11 +310,26 @@ def test_lower_bounded_solve_answers_in_milliseconds(capsys):
     assert capsys.readouterr().out.split()[-1] == "130329209370"
 
 
-ADDITIVE = "forall x. forall y. (f(x + y) < f(x) + f(y) + 2)"
+@pytest.mark.parametrize("text,code", [
+    ("forall x. forall y. (f(x + y) < f(x) + f(y) + 2)", 0),
+    ("forall x. forall y. x < 15 | y < 1 | f(x + y) >= f(x) + f(y)", 0),
+    ("exists x. exists y. f(x + y) > f(x) + f(y) + 1", 1),
+], ids=["additive", "superadditive", "exists"])
+def test_two_variable_identities_answer_exactly_in_milliseconds(text, code, capsys):
+    # at the default bound, where the bounded scan spends its whole budget
+    run(["decide", text])
+    started = time.perf_counter()
+    assert run(["decide", text]) == code
+    assert time.perf_counter() - started < 0.05
+    assert capsys.readouterr().out.endswith("(exact)\n")
 
 
-@pytest.mark.parametrize("text", [ADDITIVE, "exists x. exists y. f(x + y) > f(x) + f(y) + 1"],
-                         ids=["forall", "exists"])
+# Rayleigh's f(x) = f(y) + y, with rank-2 atoms that the two-variable route declines
+DISJOINT = "forall x. forall y. (x < 1 | y < 1 | f(x) != f(y) + y)"
+
+
+@pytest.mark.parametrize("text", [
+    DISJOINT, "exists x. exists y. (x > 0 & y > 0 & f(x) = f(y) + y)"], ids=["forall", "exists"])
 def test_spent_evaluation_budget_exits_2_in_seconds(text, capsys):
     started = time.perf_counter()
     assert run(["decide", text]) == 2

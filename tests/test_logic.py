@@ -3,6 +3,7 @@ import re
 import sys
 import time
 from fractions import Fraction
+from operator import eq, ge, lt, ne
 
 import pytest
 from hypothesis import given, settings
@@ -771,6 +772,8 @@ def test_decide_examples():
     d = decide(parse("f(5) < 8"))
     assert d.truth is False and d.provenance == EXACT
     d = decide(parse("forall x. forall y. (f(x + y) < f(x) + f(y) + 2)"), bound=200)
+    assert d == Decision(True)
+    d = decide(parse("forall x. forall y. (x < 1 | y < 1 | f(x) != f(y) + y)"), bound=200)
     assert d.truth is True and d.provenance == BOUNDED and d.bound == 200
 
 
@@ -939,6 +942,16 @@ def test_negated_divisibility_residues_count_against_the_disjunct_cap():
     # the negation of pN(x) | !pN(x) has one disjunct per residue 1..N-1
     assert decide(parse("forall x. p65(x) | !p65(x)")) == Decision(True)
     assert decide(parse("forall x. p66(x) | !p66(x)")) == Decision(True, BOUNDED, bound=10000)
+
+
+def test_a_conjunction_keeps_one_residue_per_divisibility():
+    # the negation's 4^5 products of pN(x + k) each ask x for two residues mod 5
+    body = nnf(parse("p5(x) | p5(x+1) | p5(x+2) | p5(x+3) | p5(x+4)"), negated=True)
+    assert logic._dnf(body) is None
+    assert logic._dnf(body, "x") == []
+    merged = logic._dnf(parse("p3(x + 1) & p3(4 + x) & p3(f(x)) & p3(2 * x)"), "x")
+    assert merged == [[parse("p3(x + 1)"), parse("p3(f(x))"), parse("p3(2 * x)")]]
+    assert decide(parse("exists x. p3(x + 1) & p3(x + 2)")) == Decision(False)
 
 
 def test_one_disjunct_outside_the_fragment_sends_the_body_to_bounded_evaluation():
@@ -1244,6 +1257,122 @@ def test_decide_skips_a_right_side_the_exact_left_side_settles(monkeypatch, text
     monkeypatch.setattr(logic, "evaluate", spy)
     assert decide(parse(text)) == want
     assert not any(Var("y") in logic._nodes(formula) for formula in evaluated)
+
+
+# --- two-variable route -----------------------------------------------------
+
+def _route_form(rng) -> tuple[int, int, int]:
+    return rng.randint(-2, 2), rng.randint(-2, 2), rng.randint(-20, 20)
+
+
+def _route_f(k: int, a: int, b: int, c: int):
+    return f"{k} * f({a} * x + {b} * y + {c})", lambda x, y: k * f_floor(a * x + b * y + c)
+
+
+def _route_const(c: int):
+    return str(c), lambda x, y: c
+
+
+def _route_piece(rng):
+    """(source, value at x and y) of k*x, k*y, k*f(a*x + b*y + c) or a constant."""
+    k = rng.choice([1, 1, -1, 2])
+    kind = rng.choice(["x", "y", "f", "f", "1"])
+    if kind == "f":
+        return _route_f(k, *_route_form(rng))
+    if kind == "1":
+        return _route_const(rng.randint(-20, 20))
+    return f"{k} * {kind}", lambda x, y: k * (x if kind == "x" else y)
+
+
+_ROUTE_RELS = {"=": eq, "!=": ne, "<": lt, ">=": ge}
+
+
+def _route_atom(rng):
+    if rng.random() < 0.6:  # f(s + t) against f(s) + f(t) + k, most often near true
+        (a, b, c), (d, e, g) = _route_form(rng), _route_form(rng)
+        left = [_route_f(1, a + d, b + e, c + g)]
+        right = [_route_f(1, a, b, c), _route_f(1, d, e, g),
+                 _route_piece(rng) if rng.random() < 0.2 else _route_const(rng.randint(-2, 2))]
+        if rng.random() < 0.5:
+            left, right = right, left
+    else:
+        left = [_route_piece(rng) for _ in range(rng.randint(1, 2))]
+        right = [_route_piece(rng) for _ in range(rng.randint(1, 2))]
+    rel = rng.choice(list(_ROUTE_RELS))
+    return (" + ".join(s for s, _ in left) + f" {rel} " + " + ".join(s for s, _ in right),
+            lambda x, y: _ROUTE_RELS[rel](sum(v(x, y) for _, v in left),
+                                          sum(v(x, y) for _, v in right)))
+
+
+def _route_guard(rng):
+    g = rng.randint(-5, 10)
+    text, value = rng.choice([("x", lambda x, y: x), ("y", lambda x, y: y),
+                              ("x + y", lambda x, y: x + y)])
+    rel = rng.choice(["<", ">="])
+    return f"{text} {rel} {g}", lambda x, y: _ROUTE_RELS[rel](value(x, y), g)
+
+
+def _route_sentence(rng, existential: bool):
+    """Q x. Q y. over atoms and order guards joined by one of & and |, and
+    its body as a function of x and y."""
+    atoms = [_route_atom(rng) for _ in range(rng.randint(1, 2))]
+    atoms += [_route_guard(rng) for _ in range(rng.randint(0, 2))]
+    join = any if rng.random() < 0.5 else all
+    q = "exists" if existential else "forall"
+    body = (" | " if join is any else " & ").join(text for text, _ in atoms)
+    return f"{q} x. {q} y. ({body})", lambda x, y: join(holds(x, y) for _, holds in atoms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False), st.booleans())
+def test_two_variable_route_answers_have_no_counterexample_in_a_box(rng, existential):
+    # The route only proves a universal true or an existential false; a
+    # brute force with f_floor over [-25, 25]^2 must find no counterexample
+    # (no witness), and decide() must give the same answer unless y is
+    # missing, when miniscoping drops its quantifier.
+    text, holds = _route_sentence(rng, existential)
+    d = logic._decide_two_variables(nnf(parse(text)))
+    if d is None:
+        return
+    assert d == Decision(not existential), text
+    box = range(-25, 26)
+    assert all(holds(x, y) is not existential for x in box for y in box), text
+    if "y" in free_vars(parse(text).body.body):
+        assert decide(parse(text), bound=3) == d, text
+
+
+@pytest.mark.parametrize("text, want", [
+    ("forall x. forall y. (x < 7 | y < 1 | f(x) != f(y) + y)", Decision(True, BOUNDED, bound=40)),
+    ("forall x. forall y. (x < 7 | f(x + y) < f(x) + f(y) + 1)", Decision(False, certificate=7)),
+    ("exists x. exists y. (x > 5 & y > 5 & f(x + y) = f(x) + f(y) + 1)",
+     Decision(True, certificate=6)),
+    ("forall x. forall y. (x < 1 | p2(f(x) + y) | p2(f(x) + y + 1))",
+     Decision(True, BOUNDED, bound=40)),
+], ids=["rank 2", "false universal", "true existential", "divisibility"])
+def test_two_variable_route_declines_to_the_scan(text, want):
+    # rank-2 atoms (Rayleigh's f(x) = f(y) + y), a met cell and p2 decline,
+    # and the bounded scan answers with its certificate as before the route
+    assert logic._decide_two_variables(nnf(parse(text))) is None
+    assert decide(parse(text), bound=40) == want
+
+
+def test_two_variable_route_stops_at_its_cell_budget(monkeypatch):
+    # true, but its floors cut the square into more than MAX_CELLS cells
+    sentence = nnf(parse("forall x. forall y. f(100*x + 99*y + 3) < f(100*x) + f(99*y + 3) + 2"))
+    started = time.perf_counter()
+    assert logic._decide_two_variables(sentence) is None
+    assert time.perf_counter() - started < 1
+    monkeypatch.setattr(logic, "MAX_CELLS", 100 * logic.MAX_CELLS)
+    assert logic._decide_two_variables(sentence) == Decision(True)
+
+
+def test_phi_split_is_an_identity():
+    # phi*(a*x + b*X) = b*x + (a + b)*X + λ*(phi*x - X) for all x and X
+    for a, b, x, big in [(3, -2, 7, 11), (-1, 4, 12, 19), (2, 0, -5, -9)]:
+        on_x, on_fx, (p, q) = logic._phi_split(a, b)
+        # λ*(phi*x - X) for λ = p + q*phi, as its rational and phi parts (phi^2 = phi + 1)
+        rational, irrational = q * x - p * big, p * x + q * x - q * big
+        assert (on_x * x + on_fx * big + rational, irrational) == (0, a * x + b * big)
 
 
 # --- values -----------------------------------------------------------------

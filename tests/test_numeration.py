@@ -140,6 +140,18 @@ def test_zeckendorf_of_a_huge_value_keeps_no_table():
     assert kept < 2**20
 
 
+def test_unzeckendorf_of_a_huge_value_keeps_no_table():
+    n = random.Random(4291).randrange(10**4290, 10**4291)
+    digits = zeckendorf(n)
+    tracemalloc.start()
+    try:
+        assert unzeckendorf(digits) == n
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept < 2**20
+
+
 def test_f_inverse_of_a_huge_value_is_fast():
     x = 7 * 10**4289
     y = f_floor(x)  # 4,291 digits
