@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 import sys
+from collections.abc import Iterator
 from fractions import Fraction
 from itertools import chain, count
 from operator import add, eq, lt, mul, sub
@@ -29,7 +30,7 @@ __all__ = [
     "Cmp", "Div", "PPred", "Not", "And", "Or", "Implies", "Exists", "Forall",
     "ParseError", "parse", "parse_term", "format_formula", "format_term",
     "Decision", "EXACT", "BOUNDED", "DEFAULT_EVAL_BOUND", "EVAL_BUDGET", "MAX_NESTING",
-    "MAX_DISJUNCTS", "MAX_CELLS", "evaluate", "free_vars", "nnf",
+    "MAX_DISJUNCTS", "evaluate", "free_vars", "nnf",
     "NormalFormQuery", "to_normal_form", "decide_existential_nf", "decide",
     "FamilyResult", "AuditReport", "axiom_audit",
 ]
@@ -874,6 +875,9 @@ def _dnf(formula: Formula, var: str | None = None) -> list[list[Formula]] | None
         left, right = _dnf(formula.left, var), _dnf(formula.right, var)
         if left is None or right is None:
             return None
+        if len(left) * len(right) > MAX_DISJUNCTS and not (var and all(
+                any(type(e) is Div for c in side for e in c) for side in (left, right))):
+            return None  # no pair can merge (see _conjoin), so the product is too long
         product = [c for a in left for b in right if (c := _conjoin(a, b, var)) is not None]
         return None if len(product) > MAX_DISJUNCTS else product
     atom = formula.body if isinstance(formula, Not) else None
@@ -942,7 +946,7 @@ def to_normal_form(formula: Formula) -> NormalFormQuery | None:
     comparison of f(x) with a rational multiple of x; None otherwise."""
     if not isinstance(formula, Exists) or free_vars(formula.body) - {formula.var}:
         return None
-    disjuncts = _dnf(nnf(formula.body), formula.var)
+    disjuncts = _dnf(nnf(formula.body))
     if disjuncts is None or len(disjuncts) != 1:
         return None
     return _conjunction_query(formula.var, disjuncts[0])
@@ -988,31 +992,20 @@ def _conjunction_query(var: str, conjuncts: list[Formula]) -> NormalFormQuery | 
     return NormalFormQuery(var, tuple(on_x), tuple(on_fx), lower, upper, tuple(linear))
 
 
-def _phi_split(a: int, b: int) -> tuple[int, int, tuple[int, int]]:
-    """phi*(a*x + b*X) as b*x + (a + b)*X + λ*u with λ = (a + b) - b*phi, a
-    pair in Z[phi], where X = floor(phi*x) and u = phi*x - X lies in [0, 1):
-    phi*x = X + u, and phi*X = x + X + u - phi*u since phi^2 = phi + 1.  So
-    for integers x and y, floor(phi*t) of t = a*x + b*X + a'*y + b'*Y + c is
-    the integer part summed over both variables plus floor(λ*u + λ'*v + c*phi)."""
-    return b, a + b, (a + b, -b)
-
-
 def _slab_cases(var: str, conjuncts: list[Formula]) -> list[list[Formula]] | None:
     """conjuncts as two cases free of their first innermost f(t) that
     _linearize refuses although it reads t = a*x + b*f(x) + c.  For x >= 1,
-    f(x) = floor(phi*x), so where t >= 1 _phi_split gives
+    f(x) = phi*x - θ with θ in (0, 1), so where t >= 1
         f(t) = b*x + (a+b)*f(x) + floor(λθ + c*phi),  λ = a + b - b*phi,
-    with θ = phi*x - f(x) in (0, 1), and where t <= 0, f(t) = 0.  None when
-    that floor takes more than one value on (0, 1), or when some x <= 0 may
-    have t >= 1 (there f(x) = 0 and t = a*x + c): a < 0 or c > 0 while the
-    order window reaches x <= 0."""
+    and where t <= 0, f(t) = 0.  None when that floor takes more than one
+    value on (0, 1), or when some x <= 0 may have t >= 1 (there f(x) = 0 and
+    t = a*x + c): a < 0 or c > 0 while the order window reaches x <= 0."""
     term = next((node for e in conjuncts for node in _nodes(e) if isinstance(node, F)
                  and _linearize(node, var) is None and _linearize(node.arg, var)), None)
     if term is None:
         return None
     a, b, c = _linearize(term.arg, var)
-    on_x, on_fx, (p, q) = _phi_split(a, b)
-    ends = QuadRat(c, c, 2), QuadRat(2 * p + q + c, q + c, 2)  # λθ + c*phi at θ = 0, 1
+    ends = QuadRat(c, c, 2), QuadRat(2 * a + b + c, c - b, 2)  # λθ + c*phi at θ = 0, 1
     k = min(map(quad_floor, ends))
     if max(map(quad_ceil, ends)) != k + 1:
         return None
@@ -1020,7 +1013,7 @@ def _slab_cases(var: str, conjuncts: list[Formula]) -> list[list[Formula]] | Non
         window = _conjunction_query(var, [e for e in conjuncts if _conjunction_query(var, [e])])
         if window.lower is None or window.lower < 0:
             return None
-    value = Add(Add(Scale(on_x, Var(var)), Scale(on_fx, F(Var(var)))), Const(k))
+    value = Add(Add(Scale(b, Var(var)), Scale(a + b, F(Var(var)))), Const(k))
     return [[Cmp(Const(0), "<", Var(var)), Cmp(Const(0), "<", term.arg),
              *(_replace(e, term, value) for e in conjuncts)],
             [Cmp(term.arg, "<", Const(1)), *(_replace(e, term, Const(0)) for e in conjuncts)]]
@@ -1219,9 +1212,9 @@ def _decide_two_variables(sentence: Exists | Forall) -> Decision | None:
     for e in chain.from_iterable(disjuncts):
         if id(e) not in atoms:
             atoms[id(e)] = _atom(e, x, y)
-    search = _Search()
+    cells = iter(range(MAX_CELLS))  # the budget, one item per case and cell
     if None in atoms.values() or not all(
-            _no_point([atoms[id(e)] for e in conjuncts], search) for conjuncts in disjuncts):
+            _no_point([atoms[id(e)] for e in conjuncts], cells) for conjuncts in disjuncts):
         return None
     return Decision(not existential)
 
@@ -1291,14 +1284,14 @@ def _atom(e: Formula, x: str, y: str) -> tuple | None:
     return e.rel == "=", left.get(x, 0), left.get(y, 0), left.get(1, 0) + (e.rel == "<"), terms
 
 
-def _no_point(atoms: list[tuple], search: _Search) -> bool:
+def _no_point(atoms: list[tuple], cells: Iterator) -> bool:
     """True when no integers x, y satisfy all the atoms (see _atom); False
     when that is not proved.  The atoms without f bound the polyhedron P of
     (x, y) from the start."""
     order = set().union(*(_half_planes(*atom[:4]) for atom in atoms if not atom[4]))
     atoms = [atom for atom in atoms if atom[4]]
     terms = sorted({key for atom in atoms for key, _ in atom[4]})
-    return _signs_excluded(atoms, terms, {}, search.polyhedron(frozenset(order)), search)
+    return _signs_excluded(atoms, terms, {}, _polyhedron(order), cells)
 
 
 def _half_planes(is_eq: bool, lx: int, ly: int, k: int) -> set[tuple[int, int, int]]:
@@ -1306,52 +1299,41 @@ def _half_planes(is_eq: bool, lx: int, ly: int, k: int) -> set[tuple[int, int, i
     return {(lx, ly, -k), (-lx, -ly, k)} if is_eq else {(lx, ly, -k)}
 
 
-class _Search:
-    """One two-variable decision: the cells it may still cut, and each
-    polyhedron it has built, as (constraints, _corners, _rays) or None when
-    empty, by its constraints; the disjuncts of a sentence often share one."""
-
-    def __init__(self):
-        self.cells = MAX_CELLS
-        self.polyhedra: dict[frozenset, tuple | None] = {}
-
-    def polyhedron(self, constraints: frozenset) -> tuple | None:
-        if constraints not in self.polyhedra:
-            corners = _corners(constraints)
-            self.polyhedra[constraints] = (
-                (constraints, corners, _rays(constraints)) if corners else None)
-        return self.polyhedra[constraints]
+def _polyhedron(constraints: set) -> tuple | None:
+    """(constraints, _corners, _rays) of a polyhedron, None when it is empty."""
+    corners = _corners(constraints)
+    return (constraints, corners, _rays(constraints)) if corners else None
 
 
 def _signs_excluded(atoms: list, terms: list, positive: dict, polyhedron: tuple | None,
-                    search: _Search) -> bool:
+                    cells: Iterator) -> bool:
     """_no_point over each case of the signs of the f arguments not yet in
     positive: t = a*x + b*y + c is <= 0, where f(t) = 0, or >= 1.  A sign
     that P already fixes makes one case, and one that empties P none."""
     if polyhedron is None:
         return True
     if len(positive) == len(terms):
-        return _case_excluded(atoms, positive, polyhedron, search)
+        return _case_excluded(atoms, positive, polyhedron, cells)
     a, b, c = term = terms[len(positive)]
     least, most = _range(polyhedron, (a, 0), (b, 0))  # of a*x + b*y over P
     up = least is not None and least[0] >= (1 - c) * least[2]
     if up or most is not None and most[0] <= -c * most[2]:
         cases = [(up, polyhedron)]
     else:
-        cases = ((up, search.polyhedron(polyhedron[0] | {cut}))
+        cases = ((up, _polyhedron(polyhedron[0] | {cut}))
                  for up, cut in ((True, (-a, -b, c - 1)), (False, (a, b, -c))))
-    return all(_signs_excluded(atoms, terms, {**positive, term: up}, case, search)
+    return all(_signs_excluded(atoms, terms, {**positive, term: up}, case, cells)
                for up, case in cases)
 
 
-def _case_excluded(atoms: list, positive: dict, polyhedron: tuple, search: _Search) -> bool:
+def _case_excluded(atoms: list, positive: dict, polyhedron: tuple, cells: Iterator) -> bool:
     """_no_point in one case of signs, where each f argument t = a*x + b*y + c
-    is <= 0 (f(t) = 0) or, when positive[(a, b, c)], >= 1, where _phi_split
-    gives, for every integer x and y,
+    is <= 0 (f(t) = 0) or, when positive[(a, b, c)], >= 1, where
         f(t) = a*X + b*Y + floor(a*u + b*v + c*phi)
-    with X = floor(phi*x) = phi*x - u, Y = floor(phi*y) = phi*y - v and u, v
-    in [0, 1).  An atom left without f bounds the rational polyhedron P of
-    (x, y) further.  Each other atom is
+    for every integer x and y, with X = floor(phi*x) = phi*x - u and
+    Y = floor(phi*y) = phi*y - v, so that u, v lie in [0, 1): phi*t is
+    a*(X + u) + b*(Y + v) + c*phi.  An atom left without f bounds the
+    rational polyhedron P of (x, y) further.  Each other atom is
         E = l(x, y) + K + Σ w*floor(L) - A*u - B*v,
     l = (α + A*phi)*x + (β + B*phi)*y, and E is excluded on a cell of (u, v)
     where each floor(L) = k when the least of l over P plus the least of the
@@ -1360,24 +1342,19 @@ def _case_excluded(atoms: list, positive: dict, polyhedron: tuple, search: _Sear
     t >= 1, L = phi*t - a*X - b*Y is never an integer, so (u, v) is in the
     closure of a cell of positive area with its own floors.  A cell of zero
     area is dropped, and a cell no atom excludes is met: False."""
-    search.cells -= 1
-    shifts = {}  # f(t) for t >= 1 as the X and Y coefficients and the line of its floor
-    for key, up in positive.items():
-        if up:  # _phi_split in each variable, with no f inside t
-            a, b, c = key
-            (_, on_x, (on_u, _)), (_, on_y, (on_v, _)) = _phi_split(a, 0), _phi_split(b, 0)
-            shifts[key] = on_x, on_y, (on_u, on_v, c)
+    if next(cells, None) is None:
+        return False
     order, rest = set(), []
     for is_eq, lx, ly, k, terms in atoms:
-        shifted = [(shifts[key], w) for key, w in terms if key in shifts]
+        shifted = [(key, w) for key, w in terms if positive[key]]  # the other f(t) are 0
         if not shifted:
             order |= _half_planes(is_eq, lx, ly, k)
             continue
-        big_x = sum(w * on_x for (on_x, _, _), w in shifted)
-        big_y = sum(w * on_y for (_, on_y, _), w in shifted)
-        rest.append((is_eq, lx, ly, k, big_x, big_y, [(line, w) for (_, _, line), w in shifted]))
+        big_x = sum(w * a for (a, _, _), w in shifted)
+        big_y = sum(w * b for (_, b, _), w in shifted)
+        rest.append((is_eq, lx, ly, k, big_x, big_y, shifted))
     if order - polyhedron[0]:
-        polyhedron = search.polyhedron(polyhedron[0] | order)
+        polyhedron = _polyhedron(polyhedron[0] | order)
         if polyhedron is None:
             return True
     lines = sorted({line for atom in rest for line, _ in atom[6]})
@@ -1388,23 +1365,23 @@ def _case_excluded(atoms: list, positive: dict, polyhedron: tuple, search: _Sear
         bounds = [(v, sign) for v, sign in ((least, 1), (most if is_eq else None, -1)) if v]
         if bounds:  # else l is unbounded over P where it matters: it excludes no cell
             bounded.append((bounds, k, big_x, big_y, [(index[line], w) for line, w in floors]))
-    if not bounded or search.cells < 0:
+    if not bounded:
         return False
     ranges = []  # over the square, from its corners, where a*u + b*v is 0, a, b or a + b
     for a, b, c in lines:
         low = _floor_phi(0, c, 1)
         ranges.append((low + min(0, a, b, a + b), low + (c != 0) + max(0, a, b, a + b)))
-    return _cells_excluded(_SQUARE, ranges, lines, bounded, search)
+    return _cells_excluded(_SQUARE, ranges, lines, bounded, cells)
 
 
 def _cells_excluded(polygon: list, ranges: list, lines: list, atoms: list,
-                    search: _Search) -> bool:
+                    cells: Iterator) -> bool:
     """True when some atom is excluded on the whole polygon, with each
     floor(a*u + b*v + c*phi) of lines taken at its worst there, or when the
     first floor with more than one value there cuts it into cells, one per
     value, and each cell of positive area is excluded in turn; False at a
     cell where every floor takes one value and no atom is excluded, or once
-    search runs out of cells.  ranges holds (least, greatest + 1) of each
+    cells runs out.  ranges holds (least, greatest + 1) of each
     floor over the polygon."""
     for bounds, k, big_x, big_y, floors in atoms:
         for bound, sign in bounds:
@@ -1419,14 +1396,13 @@ def _cells_excluded(polygon: list, ranges: list, lines: list, atoms: list,
         return False
     (a, b, c), (low, high) = lines[split], ranges[split]
     for k in range(low, high):
-        search.cells -= 1
-        if search.cells < 0:
+        if next(cells, None) is None:
             return False
         cell = polygon if k == low else _clip(polygon, (a, b, k, -c))  # the floor is >= low
         if len(cell) > 2 and k < high - 1:
             cell = _clip(cell, (-a, -b, -k - 1, c))
         if len(cell) > 2 and not _cells_excluded(
-                cell, _ranges(cell, lines, ranges, split, k), lines, atoms, search):
+                cell, _ranges(cell, lines, ranges, split, k), lines, atoms, cells):
             return False
     return True
 
