@@ -10,16 +10,15 @@ from .congruence import (
     solve_system,
 )
 from .golden import (
-    QuadRat,
     additivity_defect,
-    compare_phi,
     decompose,
     f_floor,
     f_inverse,
     f_zeck,
     linear_defect,
-    quad_ceil,
-    quad_floor,
+    phi_ceil,
+    phi_floor,
+    phi_sign,
 )
 from .logic import (
     Decision,

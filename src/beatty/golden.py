@@ -1,10 +1,11 @@
 """Exact evaluation of the golden-ratio Beatty map f(x) = floor(phi * x),
-its inverse, the complement decomposition, and arithmetic with numbers of
-the form (p + q*sqrt(5)) / r."""
+its inverse and the complement decomposition, and the one exact reading of
+numbers (p + q*phi)/d of Q(phi): their sign, floor and ceiling (phi_sign,
+phi_floor, phi_ceil), which every other module uses."""
 
 from __future__ import annotations
 
-from math import gcd, isqrt
+from math import isqrt
 from typing import NamedTuple
 
 from .numeration import _zeck_walk
@@ -18,10 +19,9 @@ __all__ = [
     "decompose",
     "additivity_defect",
     "linear_defect",
-    "compare_phi",
-    "QuadRat",
-    "quad_floor",
-    "quad_ceil",
+    "phi_sign",
+    "phi_floor",
+    "phi_ceil",
 ]
 
 
@@ -97,55 +97,24 @@ def linear_defect(r: int, x: int, b: int) -> int:
     return f_floor(r * x + b) - r * f_floor(x) - f_floor(b)
 
 
-def compare_phi(p: int, q: int) -> int:
-    """-1 when p/q < phi, +1 when p/q > phi.  A rational never equals phi."""
-    if q < 1:
-        raise ValueError(f"denominator must be >= 1, got {q}")
-    t = 2 * p - q
-    if t < 0:
-        return -1
-    return -1 if t * t < 5 * q * q else 1
+def phi_sign(p: int, q: int) -> int:
+    """The sign of p + q*phi, that of (2p + q) + q*sqrt(5): 0 only when
+    p = q = 0, since sqrt(5) is irrational."""
+    s = 2 * p + q
+    if (s >= 0) == (q >= 0) or not s or not q:
+        return (s > 0 or q > 0) - (s < 0 or q < 0)
+    return 1 if (s > 0) == (s * s > 5 * q * q) else -1
 
 
-class QuadRat(NamedTuple("QuadRat", [("p", int), ("q", int), ("r", int)])):
-    """Exact number (p + q*sqrt(5)) / r, canonical: r > 0 and gcd(p, q, r) = 1.
-
-    Equals a rational iff q == 0 after canonicalization, so structural
-    equality decides value equality.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, p: int, q: int, r: int = 1) -> "QuadRat":
-        if r == 0:
-            raise ValueError("zero denominator")
-        if r < 0:
-            p, q, r = -p, -q, -r
-        g = gcd(p, q, r)
-        if g > 1:
-            p, q, r = p // g, q // g, r // g
-        return tuple.__new__(cls, (p, q, r))
-
-    def __neg__(self) -> "QuadRat":
-        return QuadRat(-self.p, -self.q, self.r)
-
-    def __repr__(self) -> str:
-        return f"({self.p} + {self.q}*sqrt5)/{self.r}"
+def phi_floor(p: int, q: int, d: int = 1) -> int:
+    """floor((p + q*phi)/d) for d > 0, read as (2p + q + q*sqrt(5)) // 2d."""
+    # 5 q^2 is never a perfect square for q != 0, so q*sqrt(5) lies strictly
+    # between isqrt(5 q^2) and the next integer, or, for q < 0, between the
+    # negatives of both; the lower one gives the same floor.
+    root = isqrt(5 * q * q)
+    return (2 * p + q + (root if q >= 0 else -root - 1)) // (2 * d)
 
 
-def quad_floor(v: QuadRat) -> int:
-    """Exact floor of (p + q*sqrt(5)) / r."""
-    q = v.q
-    if q == 0:
-        shift = 0
-    elif q > 0:
-        shift = isqrt(5 * q * q)
-    else:
-        # 5 q^2 is never a perfect square for q != 0, so the ceiling of
-        # |q|*sqrt(5) is isqrt(5 q^2) + 1.
-        shift = -isqrt(5 * q * q) - 1
-    return (v.p + shift) // v.r
-
-
-def quad_ceil(v: QuadRat) -> int:
-    return -quad_floor(-v)
+def phi_ceil(p: int, q: int, d: int = 1) -> int:
+    """ceil((p + q*phi)/d) for d > 0."""
+    return -phi_floor(-p, -q, d)

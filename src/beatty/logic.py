@@ -16,7 +16,7 @@ from operator import add, eq, lt, mul, sub
 from typing import NamedTuple
 
 from .congruence import Congruence, CongruenceSystem, crt_combine, solve_linear, solve_system
-from .golden import QuadRat, decompose, f_floor, quad_ceil, quad_floor
+from .golden import decompose, f_floor, phi_ceil, phi_floor, phi_sign
 from .windows import (
     LinearConstraint,
     WindowSet,
@@ -830,35 +830,45 @@ class NormalFormQuery(NamedTuple):
 _FALSE_PAIR = (Congruence(2, 0), Congruence(2, 1))
 
 
-def _linearize(term: Term, var: str) -> tuple[int, int, int] | None:
-    """term == a*var + b*f(var) + c, or None when the term is not of that
-    shape (f applied to anything but the bare variable or a ground term,
-    unknown names)."""
-    if isinstance(term, Const):
-        return 0, 0, term.value
-    if isinstance(term, Var):
-        return (1, 0, 0) if term.name == var else None
-    if isinstance(term, F):
-        inner = _linearize(term.arg, var)
-        if inner == (1, 0, 0):
-            return 0, 1, 0
-        return (0, 0, f_floor(inner[2])) if inner and inner[:2] == (0, 0) else None
-    if isinstance(term, Scale):
-        inner = _linearize(term.term, var)
+def _affine(term: Term, x: str, y: str | None = None) -> dict | None:
+    """term as {key: coefficient} over the keys 1 (the constant), each name
+    and (a, b, c) for f(a*x + b*y + c); f of a ground term folds to its
+    value, and a zero coefficient counts as absent.  None for f of a term
+    with an f, or a name other than x and y, in it."""
+    kind = type(term)
+    if kind is Const:
+        return {1: term.value}
+    if kind is Var:
+        return {term.name: 1}
+    if kind is F:
+        inner = _affine(term.arg, x, y)
         if inner is None:
             return None
-        a, b, cst = inner
-        return term.coeff * a, term.coeff * b, term.coeff * cst
-    if isinstance(term, (Add, Sub)):
-        left = _linearize(term.left, var)
-        right = _linearize(term.right, var)
-        if left is None or right is None:
+        a, b, c = inner.pop(x, 0), inner.pop(y, 0), inner.pop(1, 0)
+        if any(inner.values()):
             return None
-        sign = 1 if isinstance(term, Add) else -1
-        return (left[0] + sign * right[0],
-                left[1] + sign * right[1],
-                left[2] + sign * right[2])
-    return None
+        return {(a, b, c): 1} if a or b else {1: f_floor(c)}
+    if kind is Scale:
+        inner = _affine(term.term, x, y)
+        return None if inner is None else {key: term.coeff * v for key, v in inner.items()}
+    left, right = _affine(term.left, x, y), _affine(term.right, x, y)
+    if left is None or right is None:
+        return None
+    sign = 1 if kind is Add else -1
+    for key, v in right.items():
+        left[key] = left.get(key, 0) + sign * v
+    return left
+
+
+def _linearize(term: Term, var: str) -> tuple[int, int, int] | None:
+    """term == a*var + b*f(var) + c as (a, b, c), or None when _affine reads
+    another key in it (f of anything but var alone or a ground term, another
+    name)."""
+    form = _affine(term, var)
+    if form is None:
+        return None
+    a, b, c = form.pop(var, 0), form.pop((1, 0, 0), 0), form.pop(1, 0)
+    return None if any(form.values()) else (a, b, c)
 
 
 def _dnf(formula: Formula, var: str | None = None) -> list[list[Formula]] | None:
@@ -973,10 +983,10 @@ def _conjunction_query(var: str, conjuncts: list[Formula]) -> NormalFormQuery | 
             continue
         if not isinstance(conjunct, Cmp):
             return None
-        lin_l, lin_r = _linearize(conjunct.left, var), _linearize(conjunct.right, var)
-        if lin_l is None or lin_r is None:
+        lin = _linearize(Sub(conjunct.left, conjunct.right), var)
+        if lin is None:
             return None
-        a, b, cst = (left - right for left, right in zip(lin_l, lin_r))
+        a, b, cst = lin
 
         # now: a*x + b*f(x) + cst  <rel>  0; with a == b == 0 it folds
         if b == 0:
@@ -1005,9 +1015,9 @@ def _slab_cases(var: str, conjuncts: list[Formula]) -> list[list[Formula]] | Non
     if term is None:
         return None
     a, b, c = _linearize(term.arg, var)
-    ends = QuadRat(c, c, 2), QuadRat(2 * a + b + c, c - b, 2)  # λθ + c*phi at θ = 0, 1
-    k = min(map(quad_floor, ends))
-    if max(map(quad_ceil, ends)) != k + 1:
+    ends = (0, c), (a + b, c - b)  # λθ + c*phi at θ = 0, 1
+    k = min(phi_floor(*end) for end in ends)
+    if max(phi_ceil(*end) for end in ends) != k + 1:
         return None
     if a < 0 or c > 0:
         window = _conjunction_query(var, [e for e in conjuncts if _conjunction_query(var, [e])])
@@ -1121,10 +1131,10 @@ def decide(sentence: Formula, bound: int = DEFAULT_EVAL_BOUND) -> Decision:
     parts exactly, single-quantifier sentences whose body is a Boolean
     combination of normal-form atoms disjunct by disjunct through the
     window/congruence pipeline (universal ones via their negation), a true
-    forall x. forall y or false exists x. exists y that _decide_two_variables
-    proves, everything else by bounded evaluation.  A top-level & or | decides its
-    right side only when the left is not an exact answer that settles it.
-    Raises ValueError for a negative bound."""
+    forall x (. forall y) or false exists x (. exists y) that
+    _decide_two_variables proves, everything else by bounded evaluation.
+    A top-level & or | decides its right side only when the left is not an
+    exact answer that settles it.  Raises ValueError for a negative bound."""
     if free_vars(sentence):
         raise ValueError("decide requires a sentence (no free variables)")
     if bound < 0:
@@ -1138,8 +1148,9 @@ def _decide(sentence: Formula, bound: int) -> Decision:
     if depth == 0:
         return evaluate(sentence, {}, bound)
     if isinstance(sentence, (Exists, Forall)):
-        decision = (_decide_one_variable(sentence) if depth == 1
-                    else _decide_two_variables(sentence) if depth == 2 else None)
+        decision = _decide_one_variable(sentence) if depth == 1 else None
+        if decision is None and depth <= 2:
+            decision = _decide_two_variables(sentence)
         return evaluate(sentence, {}, bound) if decision is None else decision
     decisive, a = isinstance(sentence, Or), _decide(sentence.left, bound)  # an & or a |
     if a.truth is decisive and a.provenance == EXACT:
@@ -1195,7 +1206,8 @@ _SQUARE = [((0, 0, 0, 0, 1), (0, 1, 0, 0)), ((1, 0, 0, 0, 1), (1, 0, 1, 0)),
 
 
 def _decide_two_variables(sentence: Exists | Forall) -> Decision | None:
-    """Exact decision of an NNF sentence Q x. Q y. body (see _prenex_pair):
+    """Exact decision of an NNF sentence Q x. body or Q x. Q y. body (see
+    _prenex_pair):
     True for a universal, False for an existential, when _no_point proves
     every disjunct of the DNF of the body (of its negation for forall) empty
     within MAX_CELLS cells in all.  None otherwise, and always for a
@@ -1219,11 +1231,12 @@ def _decide_two_variables(sentence: Exists | Forall) -> Decision | None:
     return Decision(not existential)
 
 
-def _prenex_pair(sentence: Exists | Forall) -> tuple[str, str, Formula] | None:
+def _prenex_pair(sentence: Exists | Forall) -> tuple[str, str | None, Formula] | None:
     """(x, y, body) when the NNF sentence's only quantifiers are itself, over
-    x, and one more of its kind over another name y, and body is the
-    sentence without both: the & and | around the inner one do not bind y,
-    which is free nowhere else, so the sentence is Q x. Q y. body."""
+    x, and at most one more of its kind over another name y (None when there
+    is none), and body is the sentence without them: the & and | around the
+    inner one do not bind y, which is free nowhere else, so the sentence is
+    Q x. Q y. body."""
     kind, names = type(sentence), []
 
     def strip(node: Formula) -> Formula:
@@ -1235,41 +1248,12 @@ def _prenex_pair(sentence: Exists | Forall) -> tuple[str, str, Formula] | None:
         return node
 
     body = strip(sentence)
-    if len(names) != 2 or None in names or names[0] == names[1]:
+    if len(names) > 2 or None in names or names[0] in names[1:]:
         return None
-    return names[0], names[1], body
+    return names[0], names[1] if len(names) == 2 else None, body
 
 
-def _affine(term: Term, x: str, y: str) -> dict | None:
-    """term as {key: coefficient} over the keys 1 (the constant), x, y and
-    (a, b, c) for f(a*x + b*y + c); f of a ground term folds to its value.
-    None for a nested f.  _linearize, the one-variable form, stays on tuples:
-    it is about twice as fast, and the one-variable route calls it on every
-    atom."""
-    kind = type(term)
-    if kind is Const:
-        return {1: term.value}
-    if kind is Var:
-        return {term.name: 1}
-    if kind is F:
-        inner = _affine(term.arg, x, y)
-        if inner is None or any(type(key) is tuple for key in inner):
-            return None
-        a, b, c = inner.get(x, 0), inner.get(y, 0), inner.get(1, 0)
-        return {(a, b, c): 1} if a or b else {1: f_floor(c)}
-    if kind is Scale:
-        inner = _affine(term.term, x, y)
-        return None if inner is None else {key: term.coeff * v for key, v in inner.items()}
-    left, right = _affine(term.left, x, y), _affine(term.right, x, y)
-    if left is None or right is None:
-        return None
-    sign = 1 if kind is Add else -1
-    for key, v in right.items():
-        left[key] = left.get(key, 0) + sign * v
-    return left
-
-
-def _atom(e: Formula, x: str, y: str) -> tuple | None:
+def _atom(e: Formula, x: str, y: str | None) -> tuple | None:
     """s < t as E = s - t + 1 <= 0 and s = t as E = s - t = 0, kept as
     (is_eq, E's coefficients of x and y, its constant, ((a, b, c), w) for
     each w*f(a*x + b*y + c) in it); None for any other atom."""
@@ -1369,7 +1353,7 @@ def _case_excluded(atoms: list, positive: dict, polyhedron: tuple, cells: Iterat
         return False
     ranges = []  # over the square, from its corners, where a*u + b*v is 0, a, b or a + b
     for a, b, c in lines:
-        low = _floor_phi(0, c, 1)
+        low = phi_floor(0, c)
         ranges.append((low + min(0, a, b, a + b), low + (c != 0) + max(0, a, b, a + b)))
     return _cells_excluded(_SQUARE, ranges, lines, bounded, cells)
 
@@ -1387,8 +1371,8 @@ def _cells_excluded(polygon: list, ranges: list, lines: list, atoms: list,
         for bound, sign in bounds:
             const = k + sum(w * (ranges[i][0] if sign * w > 0 else ranges[i][1] - 1)
                             for i, w in floors)
-            if all(sign * _sign(bound[0] * d + bound[2] * (const * d - big_x * up - big_y * vp),
-                                bound[1] * d - bound[2] * (big_x * uq + big_y * vq)) > 0
+            if all(sign * phi_sign(bound[0] * d + bound[2] * (const * d - big_x * up - big_y * vp),
+                                   bound[1] * d - bound[2] * (big_x * uq + big_y * vq)) > 0
                    for (up, uq, vp, vq, d), _ in polygon):
                 return True
     split = next((i for i, (low, high) in enumerate(ranges) if high - low > 1), None)
@@ -1420,21 +1404,13 @@ def _ranges(cell: list, lines: list, ranges: list, split: int, k: int) -> list:
         else:
             low, high = _extremes([(a * up + b * vp, a * uq + b * vq + c * d, d)
                                    for (up, uq, vp, vq, d), _ in cell])
-            out.append((_floor_phi(*low), -_floor_phi(-high[0], -high[1], high[2])))
+            out.append((phi_floor(*low), phi_ceil(*high)))
     return out
-
-
-def _sign(p: int, q: int) -> int:
-    """The sign of p + q*phi: of (2p + q) + q*sqrt(5), never 0 unless p = q = 0."""
-    s = 2 * p + q
-    if (s >= 0) == (q >= 0) or not s or not q:
-        return (s > 0 or q > 0) - (s < 0 or q < 0)
-    return 1 if (s > 0) == (s * s > 5 * q * q) else -1
 
 
 def _compare(v: tuple[int, int, int], w: tuple[int, int, int]) -> int:
     """The sign of v - w for numbers (p + q*phi)/d of Q(phi)."""
-    return _sign(v[0] * w[2] - w[0] * v[2], v[1] * w[2] - w[1] * v[2])
+    return phi_sign(v[0] * w[2] - w[0] * v[2], v[1] * w[2] - w[1] * v[2])
 
 
 def _extremes(values: list) -> tuple:
@@ -1448,17 +1424,12 @@ def _extremes(values: list) -> tuple:
     return least, most
 
 
-def _floor_phi(p: int, q: int, d: int) -> int:
-    """floor((p + q*phi)/d) for d > 0."""
-    return quad_floor(QuadRat(2 * p + q, q, 2 * d))
-
-
 def _clip(polygon: list, cut: tuple[int, int, int, int]) -> list:
     """The convex polygon cut to a*u + b*v >= p + q*phi for cut (a, b, p, q).
     Vertices on the cut stay, so a cut that only touches leaves one or two
     of them; a polygon of positive area keeps no three on one line."""
     a, b, p, q = cut
-    sides = [_sign(a * up + b * vp - p * d, a * uq + b * vq - q * d)
+    sides = [phi_sign(a * up + b * vp - p * d, a * uq + b * vq - q * d)
              for (up, uq, vp, vq, d), _ in polygon]
     if min(sides) >= 0 or max(sides) <= 0:
         return polygon if min(sides) >= 0 else [v for v, s in zip(polygon, sides) if s == 0]
@@ -1492,10 +1463,9 @@ def _corners(constraints: set) -> list[tuple[int, int, int]]:
     points = [(0, 0, 1)] + [(d * a, d * b, a * a + b * b) for a, b, d in lines]
     for i, (a1, b1, d1) in enumerate(lines):
         for a2, b2, d2 in lines[i + 1:]:
-            det = a1 * b2 - a2 * b1
-            if det:
-                s = 1 if det > 0 else -1
-                points.append((s * (d1 * b2 - d2 * b1), s * (a1 * d2 - a2 * d1), s * det))
+            if a1 * b2 != a2 * b1:
+                px, _, py, _, e = _meet((a1, b1, d1, 0), (a2, b2, d2, 0))
+                points.append((px, py, e))
     return [(px, py, e) for px, py, e in points
             if all(a * px + b * py <= d * e for a, b, d in constraints)]
 
@@ -1516,7 +1486,7 @@ def _range(polyhedron: tuple, alpha: tuple[int, int], beta: tuple[int, int]) -> 
     if alpha == beta == (0, 0):
         return (0, 0, 1), (0, 0, 1)
     _, corners, rays = polyhedron
-    signs = {_sign(alpha[0] * r + beta[0] * s, alpha[1] * r + beta[1] * s) for r, s in rays}
+    signs = {phi_sign(alpha[0] * r + beta[0] * s, alpha[1] * r + beta[1] * s) for r, s in rays}
     least, most = _extremes([(alpha[0] * px + beta[0] * py, alpha[1] * px + beta[1] * py, d)
                              for px, py, d in corners])
     return None if -1 in signs else least, None if 1 in signs else most

@@ -19,7 +19,7 @@ from math import lcm
 from typing import NamedTuple
 
 from .congruence import Congruence, crt_combine, solve_linear
-from .golden import QuadRat, compare_phi, f_floor, quad_ceil, quad_floor
+from .golden import f_floor, phi_ceil, phi_floor, phi_sign
 from .numeration import fib
 
 __all__ = [
@@ -76,7 +76,7 @@ def locate_slope(slope: Fraction | int) -> BracketInfo:
     s = Fraction(slope)
     if s < 0:
         raise ValueError(f"slope must be non-negative, got {s}")
-    side, sign = ("below", 1) if compare_phi(s.numerator, s.denominator) < 0 else ("above", -1)
+    side, sign = ("below", 1) if phi_sign(s.numerator, -s.denominator) < 0 else ("above", -1)
     j = 0  # slopes under d_0 or over u_0 stop here too: d_1 = 3/2, u_1 = 5/3
     while sign * (s - _ladder(side, j + 1)) >= 0:
         j += 1
@@ -234,26 +234,29 @@ class WindowSet(NamedTuple("WindowSet", [("pieces", tuple[Piece, ...])])):
         )
 
 
-def _cut(t: int, gap: QuadRat, below: bool) -> int:
-    """The integer where gap*x < t switches: the form holds on x < cut when
-    gap > 0 (slope below phi) and on x >= cut when gap < 0."""
-    # t/gap = t*r*(p - q*sqrt(5)) / (p^2 - 5q^2), which is never 0 / 0
-    v = QuadRat(t * gap.r * gap.p, -t * gap.r * gap.q, gap.p * gap.p - 5 * gap.q * gap.q)
-    return quad_ceil(v) if below else quad_floor(v) + 1
+def _cut(t: int, gap: tuple[int, int, int], below: bool) -> int:
+    """The integer where gap*x < t switches, for gap = (p, q, d) the number
+    (p + q*phi)/d: the form holds on x < cut when gap > 0 (slope below phi)
+    and on x >= cut when gap < 0."""
+    # t/gap = t*d*(p + q - q*phi) / (p^2 + p*q - q^2), a norm that is never 0
+    p, q, d = gap
+    norm = p * p + p * q - q * q
+    s = t * d if norm > 0 else -t * d
+    v = s * (p + q), -s * q, abs(norm)
+    return phi_ceil(*v) if below else phi_floor(*v) + 1
 
 
 def solution_window(constraint: LinearConstraint) -> WindowSet:
     """The exact set {x >= 1 : f(x) <relation> slope*x + offset}.
 
-    Endpoint floors are exact QuadRat arithmetic, zone points are compared
+    Endpoint floors are exact arithmetic in Q(phi), zone points are compared
     through f_floor, and every piece boundary is re-verified against
     f_floor.
     """
     n, m, c0 = constraint.integer_form()
-    below = compare_phi(m, n) < 0  # slope < phi (a rational never equals phi)
+    below = phi_sign(m, -n) < 0  # slope < phi (a rational never equals phi)
     rel = constraint.relation
-    # n*phi - m = (n - 2m + n*sqrt(5)) / 2, positive exactly when slope < phi
-    gap = QuadRat(n - 2 * m, n, 2)
+    gap = (-m, n, 1)  # n*phi - m, positive exactly when slope < phi
     # The zone c0 < gap*x < c0 + n is [lo, hi] over x >= 1.
     a, b = (c0, c0 + n) if below else (c0 + n, c0)
     lo, hi = _cut(a, gap, below), _cut(b, gap, below) - 1
@@ -381,14 +384,13 @@ def least_adequate_index(slope: Fraction | int, offset: int) -> int:
     below = bracket.side == "below"
     num, den = s.numerator, s.denominator
 
-    def cuts(gap: QuadRat) -> list[int]:
+    def cuts(gap: tuple[int, int, int]) -> list[int]:
         return [_cut(t, gap, below) for t in (offset, offset + 1)]
 
-    # phi - s = (den - 2*num + den*sqrt(5)) / (2*den)
-    exact = cuts(QuadRat(den - 2 * num, den, 2 * den))
+    exact = cuts((-num, den, den))  # phi - s
     i = bracket.index + 1
     while True:
         gap = _ladder(bracket.side, i) - s
-        if cuts(QuadRat(gap.numerator, 0, gap.denominator)) == exact:
+        if cuts((gap.numerator, 0, gap.denominator)) == exact:
             return i
         i += 1

@@ -53,6 +53,10 @@ GOLDEN = [
     (["decide", "forall x. forall y. x < 15 | y < 1 | f(x + y) >= f(x) + f(y)"], 0,
      "True (exact)\n"),
     (["decide", "exists x. exists y. f(x + y) > f(x) + f(y) + 1"], 1, "False (exact)\n"),
+    # over x alone, before or after miniscoping drops y, through the same route
+    (["decide", "forall x. forall y. (f(-2 * x + 3) != f(-1 * x + -16) + f(-1 * x + 19) + 2)",
+      "--bound", "3"], 0, "True (exact)\n"),
+    (["decide", "forall x. f(2*x) <= 2*f(x) + 1"], 0, "True (exact)\n"),
     (["decide", "forall x. forall y. (x < 1 | y < 1 | f(x) != f(y) + y)", "--bound", "60"], 0,
      "True (bounded to 60)\n"),
     (["decide", "exists x. exists y. (x > 0 & y > 0 & f(x) = f(y) + y)", "--bound", "60"], 1,

@@ -6,26 +6,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beatty.golden import (
-    QuadRat,
     additivity_defect,
-    compare_phi,
     decompose,
     f_floor,
     f_inverse,
     f_zeck,
     isqrt,
     linear_defect,
-    quad_ceil,
-    quad_floor,
+    phi_ceil,
+    phi_floor,
+    phi_sign,
 )
 from beatty.numeration import c
 
-# rational interval containing sqrt(5), tight to 40 digits: the test oracle
-# for anything that claims to compare against phi exactly
-_SQRT5_LO = Fraction(isqrt(5 * 10**80), 10**40)
-_SQRT5_HI = _SQRT5_LO + Fraction(1, 10**40)
-_PHI_LO = (1 + _SQRT5_LO) / 2
-_PHI_HI = (1 + _SQRT5_HI) / 2
+
+def _phi_interval(digits: int) -> tuple[Fraction, Fraction]:
+    """A rational interval containing phi, from sqrt(5) to that many digits."""
+    sqrt5_lo = Fraction(isqrt(5 * 10 ** (2 * digits)), 10**digits)
+    return (1 + sqrt5_lo) / 2, (1 + sqrt5_lo + Fraction(1, 10**digits)) / 2
+
+
+# tight to 40 digits: the test oracle for anything that claims to compare
+# against phi exactly
+_PHI_LO, _PHI_HI = _phi_interval(40)
 
 
 def test_isqrt_examples():
@@ -178,60 +181,69 @@ def test_linear_defect_examples_and_bound():
 
 
 def test_compare_phi_examples():
-    assert compare_phi(3, 2) == -1
-    assert compare_phi(2, 1) == 1
-    assert compare_phi(1, 1) == -1
-    with pytest.raises(ValueError):
-        compare_phi(1, 0)
+    assert phi_sign(3, -2) == -1  # 3/2 < phi
+    assert phi_sign(2, -1) == 1
+    assert phi_sign(1, -1) == -1
+    assert phi_sign(0, 0) == 0
+    assert phi_sign(-1, 1) == 1  # phi - 1
+    assert phi_sign(-2, 1) == -1 and phi_sign(1, 0) == 1 and phi_sign(0, -5) == -1
 
 
 @given(st.integers(min_value=-10**12, max_value=10**12),
-       st.integers(min_value=1, max_value=10**12))
+       st.integers(min_value=-10**12, max_value=10**12))
 def test_compare_phi_against_interval_oracle(p, q):
-    value = Fraction(p, q)
-    if value < _PHI_LO:
-        assert compare_phi(p, q) == -1
-    elif value > _PHI_HI:
-        assert compare_phi(p, q) == 1
-    # values inside the 1e-40 sliver are skipped; they cannot arise here
-
-
-def test_quadrat_canonical_form():
-    assert QuadRat(2, 2, 4) == QuadRat(1, 1, 2)
-    assert QuadRat(1, 1, -2) == QuadRat(-1, -1, 2)
-    assert QuadRat(0, 0, 7) == QuadRat(0, 0, 1)
-    assert QuadRat(3, 0, 6) == QuadRat(1, 0, 2)
-    with pytest.raises(ValueError):
-        QuadRat(1, 1, 0)
+    # p + q*phi for q >= 1 has the sign of p/q - phi; |p + q*phi| is at
+    # least about 1/(3|q|), far outside the 1e-40 sliver
+    lo, hi = sorted((p + q * _PHI_LO, p + q * _PHI_HI))
+    if lo > 0:
+        assert phi_sign(p, q) == 1
+    elif hi < 0:
+        assert phi_sign(p, q) == -1
+    else:
+        assert p == q == 0 and phi_sign(p, q) == 0
 
 
 def test_quad_floor_examples():
-    assert quad_floor(QuadRat(1, 1, 2)) == 1  # phi
-    assert quad_floor(QuadRat(0, 0, 1)) == 0
-    assert quad_floor(QuadRat(3, -1, 1)) == 0  # 3 - sqrt(5)
-    assert quad_ceil(QuadRat(3, -1, 1)) == 1
+    assert phi_floor(0, 1) == 1  # phi
+    assert phi_floor(0, 0) == 0
+    assert phi_floor(4, -2) == 0  # 3 - sqrt(5)
+    assert phi_ceil(4, -2) == 1
+    assert phi_floor(0, 1, 2) == 0 and phi_ceil(0, 1, 2) == 1  # phi/2
+    assert phi_floor(0, -3, 2) == -3 and phi_ceil(0, -3, 2) == -2  # -3*phi/2
+    assert phi_floor(10, 0, 5) == phi_ceil(10, 0, 5) == 2
+    assert phi_floor(-1, 0, 2) == -1 and phi_ceil(-1, 0, 2) == 0
+
+
+def _floor_and_ceil(p: int, q: int, d: int, phi: tuple[Fraction, Fraction]) -> tuple[int, int]:
+    """floor and ceiling of (p + q*phi)/d from an interval around phi."""
+    lo, hi = sorted(((p + q * phi[0]) / d, (p + q * phi[1]) / d))
+    assert lo.__floor__() == hi.__floor__() and lo.__ceil__() == hi.__ceil__(), \
+        "oracle interval too wide"
+    return lo.__floor__(), lo.__ceil__()
 
 
 def test_quad_floor_against_interval_oracle():
     rng = random.Random(202)
+    phi = _PHI_LO, _PHI_HI
     for _ in range(1000):
-        v = QuadRat(rng.randint(-500, 500), rng.randint(-500, 500), rng.choice([-9, -3, -2, -1, 1, 2, 3, 7]))
-        lo = (v.p + v.q * (_SQRT5_LO if v.q >= 0 else _SQRT5_HI)) / v.r
-        hi = (v.p + v.q * (_SQRT5_HI if v.q >= 0 else _SQRT5_LO)) / v.r
-        floor_lo, floor_hi = lo.__floor__(), hi.__floor__()
-        assert floor_lo == floor_hi, "oracle interval too wide"
-        assert quad_floor(v) == floor_lo
-        assert quad_ceil(v) == -((-lo).__floor__())
+        p, q = rng.randint(-500, 500), rng.randint(-500, 500)
+        d = rng.choice([1, 1, 2, 3, 7, 9, 1000])
+        assert (phi_floor(p, q, d), phi_ceil(p, q, d)) == _floor_and_ceil(p, q, d, phi)
+    # a 4,000-digit q, either sign, against phi to 4,100 digits
+    phi = _phi_interval(4100)
+    for _ in range(20):
+        q = rng.choice([-1, 1]) * rng.randrange(10**3999, 10**4000)
+        p, d = rng.randrange(-10**4000, 10**4000), rng.randrange(1, 10**60)
+        assert (phi_floor(p, q, d), phi_ceil(p, q, d)) == _floor_and_ceil(p, q, d, phi)
 
 
 @settings(max_examples=200)
 @given(st.integers(min_value=-10**6, max_value=10**6),
        st.integers(min_value=-10**6, max_value=10**6),
        st.integers(min_value=1, max_value=10**4))
-def test_quad_floor_bracketing(p, q, r):
-    v = QuadRat(p, q, r)
-    k = quad_floor(v)
-    # k <= v < k+1, checked with the rational sqrt(5) interval
-    value_lo = (Fraction(v.p) + v.q * (_SQRT5_LO if v.q >= 0 else _SQRT5_HI)) / v.r
-    value_hi = (Fraction(v.p) + v.q * (_SQRT5_HI if v.q >= 0 else _SQRT5_LO)) / v.r
+def test_quad_floor_bracketing(p, q, d):
+    k = phi_floor(p, q, d)
+    # k <= (p + q*phi)/d < k + 1, checked with the rational phi interval
+    value_lo, value_hi = sorted(((p + q * _PHI_LO) / d, (p + q * _PHI_HI) / d))
     assert k <= value_lo and value_hi < k + 1
+    assert phi_ceil(p, q, d) == (k if q == 0 and p % d == 0 else k + 1)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from beatty import logic
 from beatty.congruence import Congruence, CongruenceSystem, solve_system
-from beatty.golden import QuadRat, f_floor
+from beatty.golden import f_floor
 from beatty.logic import (
     BOUNDED,
     EXACT,
@@ -1316,33 +1316,84 @@ def _route_guard(rng):
     return f"{text} {rel} {g}", lambda x, y: _ROUTE_RELS[rel](value(x, y), g)
 
 
-def _route_sentence(rng, existential: bool):
-    """Q x. Q y. over atoms and order guards joined by one of & and |, and
-    its body as a function of x and y."""
+def _route_sentence(rng, existential: bool, alone: bool):
+    """Q x. Q y. over atoms and order guards joined by one of & and |, or,
+    when alone, Q x. over them with y read as x, and its body as a function
+    of x and y."""
     atoms = [_route_atom(rng) for _ in range(rng.randint(1, 2))]
     atoms += [_route_guard(rng) for _ in range(rng.randint(0, 2))]
     join = any if rng.random() < 0.5 else all
     q = "exists" if existential else "forall"
     body = (" | " if join is any else " & ").join(text for text, _ in atoms)
+    if alone:
+        return (f"{q} x. ({body.replace('y', 'x')})",
+                lambda x, y: join(holds(x, x) for _, holds in atoms))
     return f"{q} x. {q} y. ({body})", lambda x, y: join(holds(x, y) for _, holds in atoms)
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.randoms(use_true_random=False), st.booleans())
-def test_two_variable_route_answers_have_no_counterexample_in_a_box(rng, existential):
+@given(st.randoms(use_true_random=False), st.booleans(), st.booleans())
+def test_two_variable_route_answers_have_no_counterexample_in_a_box(rng, existential, alone):
     # The route only proves a universal true or an existential false; a
     # brute force with f_floor over [-25, 25]^2 must find no counterexample
-    # (no witness), and decide() must give the same answer unless y is
-    # missing, when miniscoping drops its quantifier.
-    text, holds = _route_sentence(rng, existential)
+    # (no witness), and decide() must give the same answer, also when y is
+    # missing and miniscoping drops its quantifier.
+    text, holds = _route_sentence(rng, existential, alone)
     d = logic._decide_two_variables(nnf(parse(text)))
     if d is None:
         return
     assert d == Decision(not existential), text
     box = range(-25, 26)
     assert all(holds(x, y) is not existential for x in box for y in box), text
-    if "y" in free_vars(parse(text).body.body):
-        assert decide(parse(text), bound=3) == d, text
+    assert decide(parse(text), bound=3) == d, text
+
+
+def _reader_term(rng, depth: int):
+    """A random term over x and y: constants, the names, sums, differences,
+    scales (zero among them) and f of any of these, nested f too."""
+    kind = rng.choice("xy1+-*ff" if depth else "xy1")
+    if kind in "xy":
+        return Var(kind)
+    if kind == "1":
+        return Const(rng.randint(-9, 9))
+    if kind == "f":
+        return F(_reader_term(rng, depth - 1))
+    if kind == "*":
+        return Scale(rng.choice([-2, -1, 0, 1, 3]), _reader_term(rng, depth - 1))
+    return (Add if kind == "+" else Sub)(_reader_term(rng, depth - 1), _reader_term(rng, depth - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_one_term_reader_agrees_with_f_floor(rng):
+    # _affine's forms over x and y and over x alone evaluate to the term's
+    # value, and _linearize, the view of the second, declines exactly when a
+    # key other than x, f(x) and 1 has a nonzero coefficient in it (f of y
+    # is refused there, even under a zero scale)
+    term = _reader_term(rng, 4)
+    forms = [logic._affine(term, "x", "y"), logic._affine(term, "x")]
+    lin = logic._linearize(term, "x")
+    if forms[1] is None:
+        assert lin is None
+    else:
+        others = {key for key, v in forms[1].items() if v and key not in ("x", (1, 0, 0), 1)}
+        assert (lin is None) is bool(others)
+    for _ in range(5):
+        env = {"x": rng.randint(-10**6, 10**6), "y": rng.randint(-10**6, 10**6)}
+        value = _walk_term(term, env)
+        for form in filter(None, forms):
+            assert value == sum(v * (1 if key == 1 else env[key] if type(key) is str else
+                                     f_floor(key[0] * env["x"] + key[1] * env["y"] + key[2]))
+                                for key, v in form.items())
+        if lin is not None:
+            assert value == lin[0] * env["x"] + lin[1] * f_floor(env["x"]) + lin[2]
+
+
+def test_one_term_reader_counts_a_zero_coefficient_as_absent():
+    assert logic._linearize(parse_term("f(x + f(x) - f(x))"), "x") == (0, 1, 0)
+    assert logic._linearize(parse_term("f(x + 0 * y)"), "x") == (0, 1, 0)
+    assert logic._linearize(parse_term("f(y)"), "x") is None
+    assert logic._affine(parse_term("f(x + z)"), "x", "y") is None
 
 
 @pytest.mark.parametrize("text, want", [
@@ -1400,9 +1451,8 @@ def test_constructor_contracts():
     pred = PPred(3, 5, 7, -1, Const(0), Const(9))
     assert (pred.res_x, pred.res_fx) == (1, 4)
     assert repr(Congruence(2, 5)) == "Congruence(modulus=2, residue=1)"
-    assert repr(QuadRat(2, 4, -6)) == "(-1 + -2*sqrt5)/3"
     values = [(_X, "name"), (Cmp(_X, "=", _Y), "rel"), (pred, "res_x"),
-              (Congruence(2, 5), "residue"), (QuadRat(1, 1), "q"), (Decision(True), "truth"),
+              (Congruence(2, 5), "residue"), (Decision(True), "truth"),
               (Piece(1, None), "hi"), (LinearConstraint("<", 1, 0), "slope"),
               (WindowSet(()), "pieces")]
     for value, field in values:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beatty.golden import compare_phi, f_floor
+from beatty.golden import f_floor, phi_sign
 from beatty.windows import (
     LinearConstraint,
     WindowSet,
@@ -36,8 +36,8 @@ def test_convergent_examples():
 def test_convergent_ladders_bracket_phi():
     for i in range(31):
         d, u = convergent_d(i), convergent_u(i)
-        assert compare_phi(d.numerator, d.denominator) == -1
-        assert compare_phi(u.numerator, u.denominator) == 1
+        assert phi_sign(d.numerator, -d.denominator) == -1
+        assert phi_sign(u.numerator, -u.denominator) == 1
         if i:
             assert convergent_d(i - 1) < d
             assert convergent_u(i - 1) > u
@@ -262,17 +262,17 @@ def _thresholds(slope, offset, gap_below_t):
     """Where gap*x < t switches, for t = k and k + 1; gap_below_t(x, t)
     tests gap*x < t, which holds before the switch below phi and after it
     above phi."""
-    below = compare_phi(slope.numerator, slope.denominator) < 0
+    below = phi_sign(slope.numerator, -slope.denominator) < 0
     return [_switch(lambda x: gap_below_t(x, t) is below) for t in (offset, offset + 1)]
 
 
 def _exact_below(slope):
-    """(phi - s)*x < t, decided through compare_phi alone."""
+    """(phi - s)*x < t, decided through phi_sign alone."""
     def test(x, t):
         if x == 0:
             return 0 < t
         r = slope + Fraction(t, x)  # phi < r for x > 0, phi > r for x < 0
-        return compare_phi(r.numerator, r.denominator) == (1 if x > 0 else -1)
+        return phi_sign(r.numerator, -r.denominator) == (1 if x > 0 else -1)
     return test
 
 
