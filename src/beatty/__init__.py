@@ -18,6 +18,8 @@ from .golden import (
     linear_defect,
     phi_ceil,
     phi_floor,
+    phi_mul,
+    phi_norm,
     phi_sign,
 )
 from .logic import (

@@ -1,7 +1,8 @@
 """Exact evaluation of the golden-ratio Beatty map f(x) = floor(phi * x),
 its inverse and the complement decomposition, and the one exact reading of
 numbers (p + q*phi)/d of Q(phi): their sign, floor and ceiling (phi_sign,
-phi_floor, phi_ceil), which every other module uses."""
+phi_floor, phi_ceil), the product and the norm of numbers p + q*phi of
+Z[phi] (phi_mul, phi_norm), which every other module uses."""
 
 from __future__ import annotations
 
@@ -22,6 +23,8 @@ __all__ = [
     "phi_sign",
     "phi_floor",
     "phi_ceil",
+    "phi_mul",
+    "phi_norm",
 ]
 
 
@@ -118,3 +121,14 @@ def phi_floor(p: int, q: int, d: int = 1) -> int:
 def phi_ceil(p: int, q: int, d: int = 1) -> int:
     """ceil((p + q*phi)/d) for d > 0."""
     return -phi_floor(-p, -q, d)
+
+
+def phi_mul(p: int, q: int, r: int, s: int) -> tuple[int, int]:
+    """(p + q*phi)(r + s*phi) as its pair, since phi^2 = phi + 1."""
+    return p * r + q * s, p * s + q * r + q * s
+
+
+def phi_norm(p: int, q: int) -> int:
+    """(p + q*phi)(p + q - q*phi) = p^2 + p*q - q^2, the product with the
+    conjugate (phi's conjugate is 1 - phi); 0 only when p = q = 0."""
+    return p * p + p * q - q * q

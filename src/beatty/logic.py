@@ -16,7 +16,7 @@ from operator import add, eq, lt, mul, sub
 from typing import NamedTuple
 
 from .congruence import Congruence, CongruenceSystem, crt_combine, solve_linear, solve_system
-from .golden import decompose, f_floor, phi_ceil, phi_floor, phi_sign
+from .golden import decompose, f_floor, phi_ceil, phi_floor, phi_mul, phi_norm, phi_sign
 from .windows import (
     LinearConstraint,
     WindowSet,
@@ -832,9 +832,10 @@ _FALSE_PAIR = (Congruence(2, 0), Congruence(2, 1))
 
 def _affine(term: Term, x: str, y: str | None = None) -> dict | None:
     """term as {key: coefficient} over the keys 1 (the constant), each name
-    and (a, b, c) for f(a*x + b*y + c); f of a ground term folds to its
-    value, and a zero coefficient counts as absent.  None for f of a term
-    with an f, or a name other than x and y, in it."""
+    and (a, b, c, d, e) for f(a*x + b*y + c + d*f(x) + e*f(y)); f of a
+    ground term folds to its value, and a zero coefficient counts as absent.
+    None for f of a term with a name other than x and y, or an f of anything
+    but x or y, in it."""
     kind = type(term)
     if kind is Const:
         return {1: term.value}
@@ -845,9 +846,10 @@ def _affine(term: Term, x: str, y: str | None = None) -> dict | None:
         if inner is None:
             return None
         a, b, c = inner.pop(x, 0), inner.pop(y, 0), inner.pop(1, 0)
+        d, e = inner.pop((1, 0, 0, 0, 0), 0), inner.pop((0, 1, 0, 0, 0), 0)
         if any(inner.values()):
             return None
-        return {(a, b, c): 1} if a or b else {1: f_floor(c)}
+        return {(a, b, c, d, e): 1} if a or b or d or e else {1: f_floor(c)}
     if kind is Scale:
         inner = _affine(term.term, x, y)
         return None if inner is None else {key: term.coeff * v for key, v in inner.items()}
@@ -867,22 +869,24 @@ def _linearize(term: Term, var: str) -> tuple[int, int, int] | None:
     form = _affine(term, var)
     if form is None:
         return None
-    a, b, c = form.pop(var, 0), form.pop((1, 0, 0), 0), form.pop(1, 0)
+    a, b, c = form.pop(var, 0), form.pop((1, 0, 0, 0, 0), 0), form.pop(1, 0)
     return None if any(form.values()) else (a, b, c)
 
 
-def _dnf(formula: Formula, var: str | None = None) -> list[list[Formula]] | None:
+def _dnf(formula: Formula, var: str | None = None,
+         whole: bool = False) -> list[list[Formula]] | None:
     """An NNF formula as a disjunction of conjunct lists, where !(s = t) is
-    s < t | t < s, !(s < t) is t < s + 1 and !pN(t) is the disjuncts pN(t + k)
-    for 0 < k < N (none when N is 1); None past MAX_DISJUNCTS disjuncts.
-    Given var, each conjunction merges its divisibilities (see _conjoin)."""
+    s < t | t < s (with whole, only where s and t hold no f), !(s < t) is
+    t < s + 1 and !pN(t) is the disjuncts pN(t + k) for 0 < k < N (none
+    when N is 1); None past MAX_DISJUNCTS disjuncts.  Given var, each
+    conjunction merges its divisibilities (see _conjoin)."""
     if isinstance(formula, Or):
-        left, right = _dnf(formula.left, var), _dnf(formula.right, var)
+        left, right = _dnf(formula.left, var, whole), _dnf(formula.right, var, whole)
         if left is None or right is None or len(left) + len(right) > MAX_DISJUNCTS:
             return None
         return left + right
     if isinstance(formula, And):
-        left, right = _dnf(formula.left, var), _dnf(formula.right, var)
+        left, right = _dnf(formula.left, var, whole), _dnf(formula.right, var, whole)
         if left is None or right is None:
             return None
         if len(left) * len(right) > MAX_DISJUNCTS and not (var and all(
@@ -894,6 +898,8 @@ def _dnf(formula: Formula, var: str | None = None) -> list[list[Formula]] | None
     if type(atom) is Cmp:
         s, t = atom.left, atom.right
         if atom.rel == "=":
+            if whole and any(type(node) is F for node in _nodes(atom)):
+                return [[formula]]
             return [[Cmp(s, "<", t)], [Cmp(t, "<", s)]]
         return [[Cmp(t, "<", Add(s, Const(1)))]]
     if type(atom) is Div:
@@ -1015,18 +1021,33 @@ def _slab_cases(var: str, conjuncts: list[Formula]) -> list[list[Formula]] | Non
     if term is None:
         return None
     a, b, c = _linearize(term.arg, var)
-    ends = (0, c), (a + b, c - b)  # λθ + c*phi at θ = 0, 1
-    k = min(phi_floor(*end) for end in ends)
-    if max(phi_ceil(*end) for end in ends) != k + 1:
+    k = _one_slab(a, b, c)
+    if k is None:
         return None
     if a < 0 or c > 0:
-        window = _conjunction_query(var, [e for e in conjuncts if _conjunction_query(var, [e])])
+        window = _order_query(var, conjuncts)
         if window.lower is None or window.lower < 0:
             return None
-    value = Add(Add(Scale(b, Var(var)), Scale(a + b, F(Var(var)))), Const(k))
+    value = _form(k, (b, Var(var)), (a + b, F(Var(var))))
     return [[Cmp(Const(0), "<", Var(var)), Cmp(Const(0), "<", term.arg),
              *(_replace(e, term, value) for e in conjuncts)],
             [Cmp(term.arg, "<", Const(1)), *(_replace(e, term, Const(0)) for e in conjuncts)]]
+
+
+def _order_query(var: str, conjuncts: list[Formula]) -> NormalFormQuery:
+    """The query of the conjuncts that compare var with no f(var) in them:
+    the order window they leave, with _FALSE_PAIR in on_x when it is
+    empty."""
+    return _conjunction_query(var, [e for e in conjuncts if type(e) is Cmp and (
+        lin := _linearize(Sub(e.left, e.right), var)) is not None and not lin[1]])
+
+
+def _one_slab(a: int, b: int, c: int) -> int | None:
+    """floor(λθ + c*phi), λ = a + b - b*phi, when it takes one value on
+    0 < θ < 1, else None."""
+    ends = (0, c), (a + b, c - b)  # λθ + c*phi at θ = 0, 1
+    k = min(phi_floor(*end) for end in ends)
+    return k if max(phi_ceil(*end) for end in ends) == k + 1 else None
 
 
 def _nodes(node: Formula | Term):
@@ -1132,30 +1153,65 @@ def decide(sentence: Formula, bound: int = DEFAULT_EVAL_BOUND) -> Decision:
     combination of normal-form atoms disjunct by disjunct through the
     window/congruence pipeline (universal ones via their negation), a true
     forall x (. forall y) or false exists x (. exists y) that
-    _decide_two_variables proves, everything else by bounded evaluation.
-    A top-level & or | decides its right side only when the left is not an
+    _decide_two_variables proves, a nested sentence by what is left once
+    _eliminations removes a quantifier that an equality pins (at most
+    MAX_DISJUNCTS such sentences in one call, since each can be tried in
+    more than one order), everything else by bounded evaluation.  A
+    top-level & or | decides its right side only when the left is not an
     exact answer that settles it.  Raises ValueError for a negative bound."""
     if free_vars(sentence):
         raise ValueError("decide requires a sentence (no free variables)")
     if bound < 0:
         raise ValueError(f"bound must be >= 0, got {bound}")
     sentence = nnf(sentence)
-    return _decide(_miniscope(sentence) if _depth(sentence) > 1 else sentence, bound)
+    return _decide(_miniscope(sentence) if _depth(sentence) > 1 else sentence, bound,
+                   iter(range(MAX_DISJUNCTS)))
 
 
-def _decide(sentence: Formula, bound: int) -> Decision:
+def _decide(sentence: Formula, bound: int | None, tries: Iterator) -> Decision | None:
+    """decide() of an NNF sentence; with bound None by the exact routes
+    alone, and None where one of them declines.  tries is the budget of
+    eliminations, one item each."""
     depth = _depth(sentence)
     if depth == 0:
-        return evaluate(sentence, {}, bound)
+        return evaluate(sentence, {}, bound or 0)
     if isinstance(sentence, (Exists, Forall)):
-        decision = _decide_one_variable(sentence) if depth == 1 else None
-        if decision is None and depth <= 2:
-            decision = _decide_two_variables(sentence)
-        return evaluate(sentence, {}, bound) if decision is None else decision
-    decisive, a = isinstance(sentence, Or), _decide(sentence.left, bound)  # an & or a |
-    if a.truth is decisive and a.provenance == EXACT:
+        decision = _decide_exactly(sentence, depth, tries, bound is None)
+        if decision is None and bound is not None:
+            return evaluate(sentence, {}, bound)
+        return decision
+    decisive, a = isinstance(sentence, Or), _decide(sentence.left, bound, tries)  # an & or a |
+    if a is None or a.truth is decisive and a.provenance == EXACT:
         return a
-    return _join(a, _decide(sentence.right, bound), decisive)
+    b = _decide(sentence.right, bound, tries)
+    return None if b is None else _join(a, b, decisive)
+
+
+def _decide_exactly(sentence: Exists | Forall, depth: int, tries: Iterator,
+                    residual: bool = False) -> Decision | None:
+    """The exact decision of an NNF sentence with depth quantifiers on a
+    path, or None: at depth 2 or more, that of the first sentence left by
+    _eliminations that the exact routes decide (after an elimination from
+    a pair, only a true universal or a false existential: a certificate
+    would be one of the other variable), its certificate checked against
+    that sentence's body by evaluate; else _decide_one_variable at depth 1,
+    and _decide_two_variables at depth 1 or 2.  What an elimination leaves
+    (residual) tries _decide_two_variables first: its candidates put f over
+    f(x), where the one-variable route splits slabs or declines, and where
+    both answer they give the same decision, a true universal or a false
+    existential with no certificate."""
+    for (left, pair), _ in zip(_eliminations(sentence) if depth > 1 else (), tries):
+        decision = _decide(left, None, tries)
+        if decision is not None and not (pair and decision.truth is isinstance(sentence, Exists)):
+            if decision.certificate is not None:
+                check = evaluate(left.body, {left.var: decision.certificate}, 0)
+                assert check.provenance != EXACT or check.truth is decision.truth
+            return decision
+    routes = [_decide_one_variable] * (depth == 1) + [_decide_two_variables] * (depth <= 2)
+    for route in reversed(routes) if residual else routes:
+        if (decision := route(sentence)) is not None:
+            return decision
+    return None
 
 
 def _decide_one_variable(sentence: Exists | Forall) -> Decision | None:
@@ -1189,20 +1245,201 @@ def _decide_one_variable(sentence: Exists | Forall) -> Decision | None:
     return Decision(existential, certificate=x)
 
 
+# --- elimination ------------------------------------------------------------
+#
+# Loos and Weispfenning's virtual substitution, for the equalities that pin
+# a variable to one value: where a*x + b*f(x) = t with a + b*phi a unit of
+# Z[phi] ((a, b) = (1, 0), (0, 1) or (1, 1)) and t free of x, x is a term
+# in t.
+
+def _eliminations(sentence: Exists | Forall) -> Iterator[tuple[Formula, bool]]:
+    """Each (sentence equivalent to the NNF sentence with one quantifier
+    removed by _pinned, whether it was one of the pair of _prenex_pair).
+    Of a pair Q x. Q y. body, x and then y, over the DNF of body (of its
+    negation for forall), with exists v split over the disjunction:
+        exists w. free | exists v. exists w. kept;
+    then each quantifier inside, innermost first, whose body is
+    quantifier-free, in place, as free | exists v. kept."""
+    existential, pair = type(sentence) is Exists, _prenex_pair(sentence)
+    if pair is not None and pair[1] is not None:
+        x, y, body = pair
+        disjuncts = None
+        for v, w in ((x, y), (y, x)):
+            if not _may_pin(body, v, existential):
+                continue
+            if disjuncts is None:
+                disjuncts = _dnf(body if existential else nnf(body, negated=True))
+            if disjuncts is not None and (parts := _pinned(disjuncts, v)) is not None:
+                free, kept = parts
+                out = _either([[Exists(w, _either(free))]] * bool(free)
+                              + [[Exists(v, Exists(w, _either(kept)))]] * bool(kept))
+                yield (out if existential else nnf(out, negated=True)), True
+    for node in _quantifiers(sentence.body):
+        if _depth(node.body) or not _may_pin(node.body, node.var, type(node) is Exists):
+            continue
+        inner = type(node) is Exists
+        disjuncts = _dnf(node.body if inner else nnf(node.body, negated=True))
+        if disjuncts is not None and (parts := _pinned(disjuncts, node.var)) is not None:
+            free, kept = parts
+            out = _either(free + [[Exists(node.var, _either(kept))]] * bool(kept))
+            yield _replace(sentence, node, out if inner else nnf(out, negated=True)), False
+
+
+def _quantifiers(formula: Formula) -> Iterator[Exists | Forall]:
+    """The quantifiers of the NNF formula, inner ones first."""
+    if type(formula) in (And, Or):
+        yield from _quantifiers(formula.left)
+        yield from _quantifiers(formula.right)
+    elif type(formula) in (Exists, Forall):
+        yield from _quantifiers(formula.body)
+        yield formula
+
+
+def _may_pin(body: Formula, x: str, existential: bool) -> bool:
+    """Whether an equality that pins x (_pin) is among the literals of the
+    NNF body, or, for forall, of its negation: the test before its DNF."""
+    if type(body) in (And, Or):
+        return _may_pin(body.left, x, existential) or _may_pin(body.right, x, existential)
+    atom = body if existential else body.body if type(body) is Not else None
+    return atom is not None and _pin(atom, x) is not None
+
+
+def _pinned(disjuncts: list[list[Formula]], x: str) -> tuple[list, list] | None:
+    """exists x. (the disjunction of the conjunct lists) as (conjunct lists
+    free of x, conjunct lists that keep x), when each list holds an equality
+    that pins x (_pin); None when one does not.  A list goes over at each
+    value x can take, with the equality kept, since it says whether that
+    value is a solution:
+      x = t: x := t;
+      f(x) = t: x := f(t) - t + 1, the one solution where t >= 1.  Where
+        t <= 0 the solutions are every x <= 0 when t = 0, so the list
+        becomes t = 0 and the rest, with x < 1 while the rest holds x
+        (dropped when its order atoms over x alone leave no integer);
+      f(x) + x = t: x := 2t - f(t), the one solution where t >= 1, and
+        x := t, the one where t <= 0.
+    f(t) is taken in the cases of _folds."""
+    free, kept, var = [], [], Var(x)
+    for conjuncts in disjuncts:
+        e, shape, t = next(((e, *p) for e in conjuncts if (p := _pin(e, x))), (None,) * 3)
+        if e is None:
+            return None
+        values = [] if shape == (0, 1) else [([], t)]
+        for guards, ft in ([] if shape == (1, 0) else _folds(t)):
+            values.append((guards, _tidy(Add(Sub(ft, t), Const(1)) if shape == (0, 1) else
+                                         Sub(Scale(2, t), ft))))
+        free += [guards + [_replace(c, var, value) for c in conjuncts] for guards, value in values]
+        if shape == (0, 1):
+            rest = [c for c in conjuncts if c is not e]
+            if not any(x in free_vars(c) for c in rest):
+                free.append([Cmp(t, "=", Const(0)), *rest])
+                continue
+            rest.append(Cmp(var, "<", Const(1)))
+            if not _order_query(x, rest).on_x:  # else they leave no integer
+                kept.append([Cmp(t, "=", Const(0)), *rest])
+    return free, kept
+
+
+def _pin(e: Formula, x: str) -> tuple[tuple[int, int], Term] | None:
+    """((a, b), t) when e is the equality a*x + b*f(x) = t, up to its sign,
+    with (a, b) one of (1, 0), (0, 1) and (1, 1), and t free of x."""
+    if type(e) is not Cmp or e.rel != "=" or (solved := _solved(Sub(*e[::2]), x)) is None:
+        return None
+    a, b, parts = solved
+    sign = 1 if (a, b) in ((1, 0), (0, 1), (1, 1)) else -1
+    if (sign * a, sign * b) not in ((1, 0), (0, 1), (1, 1)):
+        return None
+    const = -sign * sum(k * s.value for k, s in parts if type(s) is Const)
+    t = _form(const, *((-sign * k, s) for k, s in parts if type(s) is not Const))
+    return (sign * a, sign * b), t
+
+
+def _solved(term: Term, x: str) -> tuple[int, int, list[tuple[int, Term]]] | None:
+    """(a, b, parts) with term = a*x + b*f(x) + Σ k*s over the (k, s) of
+    parts, and x in no s; None when x is in term otherwise, under f of
+    anything but x itself."""
+    kind = type(term)
+    if kind is Var and term.name == x:
+        return 1, 0, []
+    if kind is F and term.arg == Var(x):
+        return 0, 1, []
+    if kind in (Var, Const, F):
+        return None if kind is F and x in free_vars(term) else (0, 0, [(1, term)])
+    if kind is Scale:
+        inner = _solved(term.term, x)
+        return inner and (term.coeff * inner[0], term.coeff * inner[1],
+                          [(term.coeff * k, s) for k, s in inner[2]])
+    left = _solved(term.left, x)
+    right = None if left is None else _solved(term.right, x)
+    if right is None:
+        return None
+    sign = 1 if kind is Add else -1
+    return (left[0] + sign * right[0], left[1] + sign * right[1],
+            left[2] + [(sign * k, s) for k, s in right[2]])
+
+
+def _form(c: int, *parts: tuple[int, Term]) -> Term:
+    """The term Σ k*s + c over the (k, s) of parts, without the zero ones."""
+    out = None
+    for k, s in parts:
+        if k:
+            s = s if k == 1 else Scale(k, s)
+            out = s if out is None else Add(out, s)
+    return Const(c) if out is None else Add(out, Const(c)) if c else out
+
+
+def _folds(t: Term) -> list[tuple[list[Formula], Term]]:
+    """f(t) as (guards, value) cases, one of which holds wherever t >= 1:
+    f(t) itself; but where t = a*w + b*f(w) + c (_one_name), with b != 0,
+    a >= 0 and c <= 0 (so that t <= 0 where w <= 0) and where _one_slab's
+    floor takes one value k, b*w + (a+b)*f(w) + k for w >= 1 (see
+    _slab_cases)."""
+    w, (a, b, c) = _one_name(t) or (None, (0, 0, 0))
+    if not b or a < 0 or c > 0 or (k := _one_slab(a, b, c)) is None:
+        return [([], F(t))]
+    return [([Cmp(Const(0), "<", w)], _form(k, (b, w), (a + b, F(w))))]
+
+
+def _tidy(term: Term) -> Term:
+    """term as a*w + b*f(w) + c where _one_name reads it so, else as it is."""
+    if (read := _one_name(term)) is None:
+        return term
+    w, (a, b, c) = read
+    return _form(c, (a, w), (b, F(w)))
+
+
+def _one_name(term: Term) -> tuple[Var, tuple[int, int, int]] | None:
+    """(w, (a, b, c)) when term = a*w + b*f(w) + c in its one name w."""
+    names = free_vars(term)
+    lin = _linearize(term, next(iter(names))) if len(names) == 1 else None
+    return None if lin is None else (Var(*names), lin)
+
+
+def _either(disjuncts: list[list[Formula]]) -> Formula:
+    """The disjunction of the conjunctions of the lists; 0 < 0 for none."""
+    out = None
+    for conjuncts in disjuncts:
+        conjunction = conjuncts[0]
+        for e in conjuncts[1:]:
+            conjunction = And(conjunction, e)
+        out = conjunction if out is None else Or(out, conjunction)
+    return Cmp(Const(0), "<", Const(0)) if out is None else out
+
+
 # --- two-variable route -----------------------------------------------------
 #
 # A number of Z[phi] is a pair (p, q) for p + q*phi, and one of Q(phi) is
 # (p, q, d) for (p + q*phi)/d with d > 0.  A point of the (u, v) square is
 # (Up, Uq, Vp, Vq, D) for u = (Up + Uq*phi)/D and v = (Vp + Vq*phi)/D; a
-# line is (a, b, p, q) for a*u + b*v = p + q*phi with integers a and b; and
-# a convex polygon is its list of (vertex, line of the edge to the next one).
+# line is (alpha, beta, gamma) for alpha*u + beta*v = gamma, all three in
+# Z[phi]; and a convex polygon is its list of (vertex, line of the edge to
+# the next one).
 
 # Cells the two-variable route may cut in one decision before it declines:
 # about 0.1 s on a 2-vCPU VM.
 MAX_CELLS = 4096
 # the unit square of (u, v), with its edges v = 0, u = 1, v = 1 and u = 0
-_SQUARE = [((0, 0, 0, 0, 1), (0, 1, 0, 0)), ((1, 0, 0, 0, 1), (1, 0, 1, 0)),
-           ((1, 0, 1, 0, 1), (0, 1, 1, 0)), ((0, 0, 1, 0, 1), (1, 0, 0, 0))]
+_SQUARE = [((0, 0, 0, 0, 1), ((0, 0), (1, 0), (0, 0))), ((1, 0, 0, 0, 1), ((1, 0), (0, 0), (1, 0))),
+           ((1, 0, 1, 0, 1), ((0, 0), (1, 0), (1, 0))), ((0, 0, 1, 0, 1), ((1, 0), (0, 0), (0, 0)))]
 
 
 def _decide_two_variables(sentence: Exists | Forall) -> Decision | None:
@@ -1217,7 +1454,7 @@ def _decide_two_variables(sentence: Exists | Forall) -> Decision | None:
         return None
     x, y, body = pair
     existential = isinstance(sentence, Exists)
-    disjuncts = _dnf(body if existential else nnf(body, negated=True))
+    disjuncts = _dnf(body if existential else nnf(body, negated=True), whole=True)
     if disjuncts is None:
         return None
     atoms = {}
@@ -1254,18 +1491,21 @@ def _prenex_pair(sentence: Exists | Forall) -> tuple[str, str | None, Formula] |
 
 
 def _atom(e: Formula, x: str, y: str | None) -> tuple | None:
-    """s < t as E = s - t + 1 <= 0 and s = t as E = s - t = 0, kept as
-    (is_eq, E's coefficients of x and y, its constant, ((a, b, c), w) for
-    each w*f(a*x + b*y + c) in it); None for any other atom."""
-    if type(e) is not Cmp:
+    """s < t as E = s - t + 1 <= 0, s = t as E = s - t = 0 and !(s = t) as
+    E = s - t != 0, kept as (the relation of E to 0, E's coefficients of x
+    and y, its constant, ((a, b, c, d, e), w) for each
+    w*f(a*x + b*y + c + d*f(x) + e*f(y)) in it); None for any other atom."""
+    rel = "!=" if type(e) is Not and type(e.body) is Cmp else e.rel if type(e) is Cmp else None
+    if rel is None:
         return None
+    e = e.body if rel == "!=" else e
     left, right = _affine(e.left, x, y), _affine(e.right, x, y)
     if left is None or right is None:
         return None
     for key, v in right.items():
         left[key] = left.get(key, 0) - v
     terms = tuple((key, w) for key, w in left.items() if type(key) is tuple and w)
-    return e.rel == "=", left.get(x, 0), left.get(y, 0), left.get(1, 0) + (e.rel == "<"), terms
+    return rel, left.get(x, 0), left.get(y, 0), left.get(1, 0) + (rel == "<"), terms
 
 
 def _no_point(atoms: list[tuple], cells: Iterator) -> bool:
@@ -1274,13 +1514,21 @@ def _no_point(atoms: list[tuple], cells: Iterator) -> bool:
     (x, y) from the start."""
     order = set().union(*(_half_planes(*atom[:4]) for atom in atoms if not atom[4]))
     atoms = [atom for atom in atoms if atom[4]]
-    terms = sorted({key for atom in atoms for key, _ in atom[4]})
+    keys = {key for atom in atoms for key, _ in atom[4]}
+    nested = sorted(key for key in keys if key[3] or key[4])
+    # f(x) and f(y) take their signs before the f terms over them
+    keys.update(inner for *_, d, e in nested
+                for inner, w in (((1, 0, 0, 0, 0), d), ((0, 1, 0, 0, 0), e)) if w)
+    terms = sorted(keys.difference(nested)) + nested
     return _signs_excluded(atoms, terms, {}, _polyhedron(order), cells)
 
 
-def _half_planes(is_eq: bool, lx: int, ly: int, k: int) -> set[tuple[int, int, int]]:
-    """lx*x + ly*y + k <= 0, or = 0, as constraints (a, b, d): a*x + b*y <= d."""
-    return {(lx, ly, -k), (-lx, -ly, k)} if is_eq else {(lx, ly, -k)}
+def _half_planes(rel: str, lx: int, ly: int, k: int) -> set[tuple[int, int, int]]:
+    """lx*x + ly*y + k <= 0, or = 0, as constraints (a, b, d): a*x + b*y <= d;
+    none for != 0, which is dropped: that only weakens what is proved empty."""
+    if rel == "!=":
+        return set()
+    return {(lx, ly, -k), (-lx, -ly, k)} if rel == "=" else {(lx, ly, -k)}
 
 
 def _polyhedron(constraints: set) -> tuple | None:
@@ -1292,13 +1540,28 @@ def _polyhedron(constraints: set) -> tuple | None:
 def _signs_excluded(atoms: list, terms: list, positive: dict, polyhedron: tuple | None,
                     cells: Iterator) -> bool:
     """_no_point over each case of the signs of the f arguments not yet in
-    positive: t = a*x + b*y + c is <= 0, where f(t) = 0, or >= 1.  A sign
-    that P already fixes makes one case, and one that empties P none."""
+    positive: t = a*x + b*y + c + d*f(x) + e*f(y) is <= 0, where f(t) = 0,
+    or >= 1.  A sign that P already fixes makes one case, and one that
+    empties P none.  Where f(x) = X = phi*x - u (x >= 1) or f(y) = Y is in
+    t, t is not linear in x and y: its sign must follow from P and u, v in
+    [0, 1), or the case is not proved (False)."""
     if polyhedron is None:
         return True
     if len(positive) == len(terms):
         return _case_excluded(atoms, positive, polyhedron, cells)
-    a, b, c = term = terms[len(positive)]
+    a, b, c, d, e = term = terms[len(positive)]
+    if d or e:
+        d, e = d * positive.get((1, 0, 0, 0, 0), 0), e * positive.get((0, 1, 0, 0, 0), 0)
+    if d or e:  # t = (a + d*phi)*x + (b + e*phi)*y + c - d*u - e*v
+        least, most = _range(polyhedron, (a, d), (b, e))
+        low, high = c - max(d, 0) - max(e, 0), c - min(d, 0) - min(e, 0)  # of c - d*u - e*v
+        if least is not None and phi_sign(least[0] + low * least[2], least[1]) > 0:
+            up = True
+        elif most is not None and phi_sign(most[0] + (high - 1) * most[2], most[1]) < 0:
+            up = False
+        else:
+            return False
+        return _signs_excluded(atoms, terms, {**positive, term: up}, polyhedron, cells)
     least, most = _range(polyhedron, (a, 0), (b, 0))  # of a*x + b*y over P
     up = least is not None and least[0] >= (1 - c) * least[2]
     if up or most is not None and most[0] <= -c * most[2]:
@@ -1311,32 +1574,42 @@ def _signs_excluded(atoms: list, terms: list, positive: dict, polyhedron: tuple 
 
 
 def _case_excluded(atoms: list, positive: dict, polyhedron: tuple, cells: Iterator) -> bool:
-    """_no_point in one case of signs, where each f argument t = a*x + b*y + c
-    is <= 0 (f(t) = 0) or, when positive[(a, b, c)], >= 1, where
-        f(t) = a*X + b*Y + floor(a*u + b*v + c*phi)
-    for every integer x and y, with X = floor(phi*x) = phi*x - u and
-    Y = floor(phi*y) = phi*y - v, so that u, v lie in [0, 1): phi*t is
-    a*(X + u) + b*(Y + v) + c*phi.  An atom left without f bounds the
-    rational polyhedron P of (x, y) further.  Each other atom is
+    """_no_point in one case of signs, where each f argument
+    t = a*x + b*y + c + d*f(x) + e*f(y) is <= 0 (f(t) = 0) or, when
+    positive[(a, b, c, d, e)], >= 1, where
+        f(t) = (a+d)*X + (b+e)*Y + d*x + e*y + floor(α*u + β*v + c*phi),
+    α = a + d - d*phi and β = b + e - e*phi, for every integer x and y, with
+    X = floor(phi*x) = phi*x - u and Y = floor(phi*y) = phi*y - v, so that
+    u, v lie in [0, 1): phi*t is a*(X + u) + b*(Y + v) + c*phi, and
+    phi*X = X + u + x - phi*u.  d counts only where f(x) = X (x >= 1), and
+    e only where f(y) = Y.  An atom left without f bounds the rational
+    polyhedron P of (x, y) further.  Each other atom is
         E = l(x, y) + K + Σ w*floor(L) - A*u - B*v,
-    l = (α + A*phi)*x + (β + B*phi)*y, and E is excluded on a cell of (u, v)
+    l = (α' + A*phi)*x + (β' + B*phi)*y, and E is excluded on a cell of (u, v)
     where each floor(L) = k when the least of l over P plus the least of the
     rest over the closed cell is above 0 (or, for E = 0, the greatest of
-    both is below 0).  That needs no density argument: at x, y in P with
-    t >= 1, L = phi*t - a*X - b*Y is never an integer, so (u, v) is in the
-    closure of a cell of positive area with its own floors.  A cell of zero
+    both is below 0; for E != 0, both bounds put E in (-1, 1)).  That needs
+    no density argument: at x, y in P with t >= 1, L = phi*t less an integer
+    is never an integer, so (u, v) is in the closure of a cell of positive
+    area with its own floors.  A cell of zero
     area is dropped, and a cell no atom excludes is met: False."""
     if next(cells, None) is None:
         return False
+    fx, fy = positive.get((1, 0, 0, 0, 0), False), positive.get((0, 1, 0, 0, 0), False)
     order, rest = set(), []
-    for is_eq, lx, ly, k, terms in atoms:
-        shifted = [(key, w) for key, w in terms if positive[key]]  # the other f(t) are 0
+    for rel, lx, ly, k, terms in atoms:
+        shifted, big_x, big_y = [], 0, 0  # the other f(t) are 0
+        for key, w in terms:
+            if positive[key]:
+                a, b, c, d, e = key
+                d, e = d * fx, e * fy
+                lx, ly = lx + w * d, ly + w * e
+                big_x, big_y = big_x + w * (a + d), big_y + w * (b + e)
+                shifted.append((((a + d, -d), (b + e, -e), c), w))
         if not shifted:
-            order |= _half_planes(is_eq, lx, ly, k)
+            order |= _half_planes(rel, lx, ly, k)
             continue
-        big_x = sum(w * a for (a, _, _), w in shifted)
-        big_y = sum(w * b for (_, b, _), w in shifted)
-        rest.append((is_eq, lx, ly, k, big_x, big_y, shifted))
+        rest.append((rel, lx, ly, k, big_x, big_y, shifted))
     if order - polyhedron[0]:
         polyhedron = _polyhedron(polyhedron[0] | order)
         if polyhedron is None:
@@ -1344,47 +1617,66 @@ def _case_excluded(atoms: list, positive: dict, polyhedron: tuple, cells: Iterat
     lines = sorted({line for atom in rest for line, _ in atom[6]})
     index = {line: i for i, line in enumerate(lines)}
     bounded = []
-    for is_eq, lx, ly, k, big_x, big_y, floors in rest:
+    for rel, lx, ly, k, big_x, big_y, floors in rest:
         least, most = _range(polyhedron, (lx, big_x), (ly, big_y))
-        bounds = [(v, sign) for v, sign in ((least, 1), (most if is_eq else None, -1)) if v]
+        if rel == "!=":  # excluded where -1 < E < 1: E = 0
+            bounds, every = [(least, 1, 1), (most, -1, -1)] if least and most else [], True
+        else:
+            bounds = [(v, sign, 0) for v, sign in ((least, 1), (most if rel == "=" else None, -1))
+                      if v]
+            every = False
         if bounds:  # else l is unbounded over P where it matters: it excludes no cell
-            bounded.append((bounds, k, big_x, big_y, [(index[line], w) for line, w in floors]))
+            bounded.append((bounds, every, k, big_x, big_y,
+                            [(index[line], w) for line, w in floors]))
     if not bounded:
         return False
-    ranges = []  # over the square, from its corners, where a*u + b*v is 0, a, b or a + b
-    for a, b, c in lines:
-        low = phi_floor(0, c)
-        ranges.append((low + min(0, a, b, a + b), low + (c != 0) + max(0, a, b, a + b)))
+    ranges = []  # over the square, from its corners, where α*u + β*v is 0, α, β or α + β
+    for (a, p), (b, q), c in lines:
+        if p or q:
+            low, high = _extremes([(0, 0, 1), (a, p, 1), (b, q, 1), (a + b, p + q, 1)])
+            ranges.append((phi_floor(low[0], low[1] + c), phi_ceil(high[0], high[1] + c)))
+        else:
+            low = phi_floor(0, c)
+            ranges.append((low + min(0, a, b, a + b), low + (c != 0) + max(0, a, b, a + b)))
     return _cells_excluded(_SQUARE, ranges, lines, bounded, cells)
 
 
 def _cells_excluded(polygon: list, ranges: list, lines: list, atoms: list,
                     cells: Iterator) -> bool:
     """True when some atom is excluded on the whole polygon, with each
-    floor(a*u + b*v + c*phi) of lines taken at its worst there, or when the
+    floor(α*u + β*v + c*phi) of lines taken at its worst there, or when the
     first floor with more than one value there cuts it into cells, one per
     value, and each cell of positive area is excluded in turn; False at a
     cell where every floor takes one value and no atom is excluded, or once
     cells runs out.  ranges holds (least, greatest + 1) of each
-    floor over the polygon."""
-    for bounds, k, big_x, big_y, floors in atoms:
-        for bound, sign in bounds:
-            const = k + sum(w * (ranges[i][0] if sign * w > 0 else ranges[i][1] - 1)
-                            for i, w in floors)
-            if all(sign * phi_sign(bound[0] * d + bound[2] * (const * d - big_x * up - big_y * vp),
-                                   bound[1] * d - bound[2] * (big_x * uq + big_y * vq)) > 0
-                   for (up, uq, vp, vq, d), _ in polygon):
+    floor over the polygon.  An atom is excluded where sign*(E + shift) > 0
+    for one (bound, sign, shift) of its bounds, or for every one of them if
+    it says every."""
+    for bounds, every, k, big_x, big_y, floors in atoms:
+        for bound, sign, shift in bounds:
+            const = k + shift + sum(w * (ranges[i][0] if sign * w > 0 else ranges[i][1] - 1)
+                                    for i, w in floors)
+            held = all(sign * phi_sign(
+                bound[0] * d + bound[2] * (const * d - big_x * up - big_y * vp),
+                bound[1] * d - bound[2] * (big_x * uq + big_y * vq)) > 0
+                for (up, uq, vp, vq, d), _ in polygon)
+            if held is not every:  # a bound that holds, or, for every, one that fails
+                if held:
+                    return True
+                break
+        else:
+            if every:
                 return True
     split = next((i for i, (low, high) in enumerate(ranges) if high - low > 1), None)
     if split is None:
         return False
-    (a, b, c), (low, high) = lines[split], ranges[split]
+    ((a, p), (b, q), c), (low, high) = lines[split], ranges[split]
     for k in range(low, high):
         if next(cells, None) is None:
             return False
-        cell = polygon if k == low else _clip(polygon, (a, b, k, -c))  # the floor is >= low
+        cell = polygon if k == low else _clip(polygon, ((a, p), (b, q), (k, -c)))  # it is >= low
         if len(cell) > 2 and k < high - 1:
-            cell = _clip(cell, (-a, -b, -k - 1, c))
+            cell = _clip(cell, ((-a, -p), (-b, -q), (-k - 1, c)))
         if len(cell) > 2 and not _cells_excluded(
                 cell, _ranges(cell, lines, ranges, split, k), lines, atoms, cells):
             return False
@@ -1396,16 +1688,28 @@ def _ranges(cell: list, lines: list, ranges: list, split: int, k: int) -> list:
     have ranges, where floor number split is k: a floor of one value keeps
     it, and the others are found from the cell's vertices."""
     out = []
-    for i, (a, b, c) in enumerate(lines):
+    for i, (alpha, beta, c) in enumerate(lines):
         if i == split:
             out.append((k, k + 1))
         elif ranges[i][1] - ranges[i][0] == 1:
             out.append(ranges[i])
         else:
-            low, high = _extremes([(a * up + b * vp, a * uq + b * vq + c * d, d)
-                                   for (up, uq, vp, vq, d), _ in cell])
+            values = []
+            for vertex, _ in cell:
+                p, q = _value(alpha, beta, vertex)
+                values.append((p, q + c * vertex[4], vertex[4]))
+            low, high = _extremes(values)
             out.append((phi_floor(*low), phi_ceil(*high)))
     return out
+
+
+def _value(alpha: tuple[int, int], beta: tuple[int, int], vertex: tuple) -> tuple[int, int]:
+    """alpha*u + beta*v at the vertex (Up, Uq, Vp, Vq, D), times D."""
+    (a, p), (b, q), (up, uq, vp, vq, _) = alpha, beta, vertex
+    if not p and not q:  # integer coefficients, as in every line without a nested f
+        return a * up + b * vp, a * uq + b * vq
+    (p, q), (r, s) = phi_mul(a, p, up, uq), phi_mul(b, q, vp, vq)
+    return p + r, q + s
 
 
 def _compare(v: tuple[int, int, int], w: tuple[int, int, int]) -> int:
@@ -1424,13 +1728,16 @@ def _extremes(values: list) -> tuple:
     return least, most
 
 
-def _clip(polygon: list, cut: tuple[int, int, int, int]) -> list:
-    """The convex polygon cut to a*u + b*v >= p + q*phi for cut (a, b, p, q).
-    Vertices on the cut stay, so a cut that only touches leaves one or two
-    of them; a polygon of positive area keeps no three on one line."""
-    a, b, p, q = cut
-    sides = [phi_sign(a * up + b * vp - p * d, a * uq + b * vq - q * d)
-             for (up, uq, vp, vq, d), _ in polygon]
+def _clip(polygon: list, cut: tuple) -> list:
+    """The convex polygon cut to alpha*u + beta*v >= gamma for the line
+    cut = (alpha, beta, gamma).  Vertices on the cut stay, so a cut that
+    only touches leaves one or two of them; a polygon of positive area
+    keeps no three on one line."""
+    alpha, beta, (p, q) = cut
+    sides = []
+    for vertex, _ in polygon:
+        r, s = _value(alpha, beta, vertex)
+        sides.append(phi_sign(r - p * vertex[4], s - q * vertex[4]))
     if min(sides) >= 0 or max(sides) <= 0:
         return polygon if min(sides) >= 0 else [v for v, s in zip(polygon, sides) if s == 0]
     out = []
@@ -1444,13 +1751,28 @@ def _clip(polygon: list, cut: tuple[int, int, int, int]) -> list:
 
 
 def _meet(first: tuple, second: tuple) -> tuple[int, int, int, int, int]:
-    """The point where two lines that are not parallel cross."""
-    a1, b1, p1, q1 = first
-    a2, b2, p2, q2 = second
-    det = a1 * b2 - a2 * b1
-    s = 1 if det > 0 else -1
-    return (s * (p1 * b2 - p2 * b1), s * (q1 * b2 - q2 * b1),
-            s * (a1 * p2 - a2 * p1), s * (a1 * q2 - a2 * q1), s * det)
+    """The point where two lines that are not parallel cross, by Cramer's
+    rule; a determinant that is not rational is cleared by its conjugate,
+    so that D is its norm."""
+    (a1, b1, c1), (a2, b2, c2) = first, second
+    if not (a1[1] or b1[1] or a2[1] or b2[1]):  # integer slopes: every line without a nested f
+        (a1, _), (b1, _), (a2, _), (b2, _) = a1, b1, a2, b2
+        det = a1 * b2 - a2 * b1
+        s = 1 if det > 0 else -1
+        return (s * (c1[0] * b2 - c2[0] * b1), s * (c1[1] * b2 - c2[1] * b1),
+                s * (a1 * c2[0] - a2 * c1[0]), s * (a1 * c2[1] - a2 * c1[1]), s * det)
+    (p, q), (r, s) = phi_mul(*a1, *b2), phi_mul(*a2, *b1)
+    det = p - r, q - s
+    (p, q), (r, s) = phi_mul(*c1, *b2), phi_mul(*c2, *b1)
+    u = p - r, q - s
+    (p, q), (r, s) = phi_mul(*a1, *c2), phi_mul(*a2, *c1)
+    v = p - r, q - s
+    d = det[0]
+    if det[1]:
+        conjugate = det[0] + det[1], -det[1]
+        u, v, d = phi_mul(*u, *conjugate), phi_mul(*v, *conjugate), phi_norm(*det)
+    sign = 1 if d > 0 else -1
+    return sign * u[0], sign * u[1], sign * v[0], sign * v[1], sign * d
 
 
 def _corners(constraints: set) -> list[tuple[int, int, int]]:
@@ -1464,7 +1786,7 @@ def _corners(constraints: set) -> list[tuple[int, int, int]]:
     for i, (a1, b1, d1) in enumerate(lines):
         for a2, b2, d2 in lines[i + 1:]:
             if a1 * b2 != a2 * b1:
-                px, _, py, _, e = _meet((a1, b1, d1, 0), (a2, b2, d2, 0))
+                px, _, py, _, e = _meet(((a1, 0), (b1, 0), (d1, 0)), ((a2, 0), (b2, 0), (d2, 0)))
                 points.append((px, py, e))
     return [(px, py, e) for px, py, e in points
             if all(a * px + b * py <= d * e for a, b, d in constraints)]

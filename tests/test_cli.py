@@ -57,10 +57,11 @@ GOLDEN = [
     (["decide", "forall x. forall y. (f(-2 * x + 3) != f(-1 * x + -16) + f(-1 * x + 19) + 2)",
       "--bound", "3"], 0, "True (exact)\n"),
     (["decide", "forall x. f(2*x) <= 2*f(x) + 1"], 0, "True (exact)\n"),
+    # Rayleigh's f(x) = f(y) + y: x is eliminated, pinned to f(y) + 1
     (["decide", "forall x. forall y. (x < 1 | y < 1 | f(x) != f(y) + y)", "--bound", "60"], 0,
-     "True (bounded to 60)\n"),
+     "True (exact)\n"),
     (["decide", "exists x. exists y. (x > 0 & y > 0 & f(x) = f(y) + y)", "--bound", "60"], 1,
-     "False (bounded to 60)\n"),
+     "False (exact)\n"),
     (["decide", "exists x. (10 < x & x < 12 & p5(x))"], 1, "False"),
     (["decide", "exists x. (f(x) = 3*x & 0 < x | f(x) = 4*x + 1 & 0 < x)"], 1,
      "False (exact)\n"),
@@ -79,8 +80,8 @@ GOLDEN = [
     (["decide", "exists x. P[2,3,1,2](3, 3)"], 1, "False (exact)\n"),
     (["decide", "exists x. forall y. f(x) = 1"], 0, "True (exact); witness 1\n"),
     (["decide", "exists x. forall y. P[2,3,1,2](x, 10)"], 0, "True (exact); witness 0\n"),
-    (["decide", "exists x. (exists y. f(y) = 5 & x = 2)"], 1, "False (bounded to 10000)\n"),
-    (["decide", "exists x. ((exists y. f(y) = 5) & x = 2)"], 1, "False (bounded to 10000)\n"),
+    (["decide", "exists x. (exists y. f(y) = 5 & x = 2)"], 1, "False (exact)\n"),
+    (["decide", "exists x. ((exists y. f(y) = 5) & x = 2)"], 1, "False (exact)\n"),
     (["decide", "exists x. (-50 < x & x < 10 & p7(x - 3))"], 0, "True (exact); witness 3\n"),
     (["decide", "forall x. (f(f(x)) = f(x) + x - 1 | x < 1)"], 0, "True (exact)\n"),
     (["decide", "forall x. (f(x + f(x)) = x + 2*f(x) | x < 1)"], 0, "True (exact)\n"),
@@ -152,7 +153,7 @@ def test_usage_errors_exit_64(capsys):
 
 def test_negative_bound_is_a_usage_error(capsys):
     # a bounded and an exact sentence: neither answers
-    for text in ("forall x. forall y. (x < 1 | y < 1 | f(x) != f(y) + y)", "exists x. x = 1"):
+    for text in (SUPERADDITIVE, "exists x. x = 1"):
         assert run(["decide", text, "--bound", "-1"]) == 64
         assert capsys.readouterr().err == "error: bound must be >= 0, got -1\n"
     with pytest.raises(ValueError, match="bound must be >= 0"):
@@ -318,7 +319,8 @@ def test_lower_bounded_solve_answers_in_milliseconds(capsys):
     ("forall x. forall y. (f(x + y) < f(x) + f(y) + 2)", 0),
     ("forall x. forall y. x < 15 | y < 1 | f(x + y) >= f(x) + f(y)", 0),
     ("exists x. exists y. f(x + y) > f(x) + f(y) + 1", 1),
-], ids=["additive", "superadditive", "exists"])
+    ("forall x. forall y. x < 1 | y < 1 | f(f(x) + y) >= f(f(x)) + f(y)", 0),
+], ids=["additive", "superadditive", "exists", "nested"])
 def test_two_variable_identities_answer_exactly_in_milliseconds(text, code, capsys):
     # at the default bound, where the bounded scan spends its whole budget
     run(["decide", text])
@@ -328,12 +330,38 @@ def test_two_variable_identities_answer_exactly_in_milliseconds(text, code, caps
     assert capsys.readouterr().out.endswith("(exact)\n")
 
 
-# Rayleigh's f(x) = f(y) + y, with rank-2 atoms that the two-variable route declines
-DISJOINT = "forall x. forall y. (x < 1 | y < 1 | f(x) != f(y) + y)"
+@pytest.mark.parametrize("text,code", [
+    # Beatty's theorem, both ways, and Rayleigh's f(x) = f(y) + y: each inner
+    # quantifier is eliminated, pinned by an equality
+    ("forall n. n < 1 | (exists x. f(x) = n) | (exists y. f(y) + y = n)", 0),
+    ("exists n. n > 0 & (exists x. f(x) = n) & (exists y. f(y) + y = n)", 1),
+    ("forall x. forall y. (x < 1 | y < 1 | f(x) != f(y) + y)", 0),
+    ("exists x. exists y. (x > 0 & y > 0 & f(x) = f(y) + y)", 1),
+    # what eliminating x leaves of Beatty's theorem: two nested atoms that
+    # meet only where {phi*n} = 2 - phi, a cell of zero area
+    ("forall n. n < 1 | f(f(n) - n + 1) = n | f(2*n - f(n)) + 2*n - f(n) = n", 0),
+    # y = f(x) refutes every x, where a scan of [-100, 100] saw the witness 63
+    ("exists x. forall y. forall z. !(f(x) = y)", 1),
+], ids=["beatty-forall", "beatty-exists", "rayleigh-forall", "rayleigh-exists", "beatty-residual",
+        "f-takes-a-value"])
+def test_eliminated_quantifiers_answer_exactly_in_milliseconds(text, code, capsys):
+    for bound in ([], ["--bound", "100"]):
+        run(["decide", text, *bound])  # a first run, so that the timed one finds everything loaded
+        capsys.readouterr()
+        started = time.perf_counter()
+        assert run(["decide", text, *bound]) == code
+        assert time.perf_counter() - started < 0.05
+        assert capsys.readouterr().out.endswith("(exact)\n")
+
+
+# three variables: no exact route takes them, and the scan of [-B, B]^3 is long
+SUPERADDITIVE = "forall x. forall y. forall z. x < 1 | y < 1 | z < 1 | f(x+y+z) >= f(x)+f(y)+f(z)"
 
 
 @pytest.mark.parametrize("text", [
-    DISJOINT, "exists x. exists y. (x > 0 & y > 0 & f(x) = f(y) + y)"], ids=["forall", "exists"])
+    SUPERADDITIVE,
+    "exists x. exists y. exists z. x > 0 & y > 0 & z > 0 & f(x+y+z) < f(x)+f(y)+f(z)",
+], ids=["forall", "exists"])
 def test_spent_evaluation_budget_exits_2_in_seconds(text, capsys):
     started = time.perf_counter()
     assert run(["decide", text]) == 2

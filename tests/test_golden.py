@@ -15,6 +15,8 @@ from beatty.golden import (
     linear_defect,
     phi_ceil,
     phi_floor,
+    phi_mul,
+    phi_norm,
     phi_sign,
 )
 from beatty.numeration import c
@@ -247,3 +249,52 @@ def test_quad_floor_bracketing(p, q, d):
     value_lo, value_hi = sorted(((p + q * _PHI_LO) / d, (p + q * _PHI_HI) / d))
     assert k <= value_lo and value_hi < k + 1
     assert phi_ceil(p, q, d) == (k if q == 0 and p % d == 0 else k + 1)
+
+
+def test_phi_mul_and_norm_examples():
+    assert phi_mul(0, 1, 0, 1) == (1, 1)  # phi^2 = phi + 1
+    assert phi_mul(1, 1, -1, 1) == (0, 1)  # (phi + 1)(phi - 1) = phi
+    assert phi_mul(3, 0, -2, 5) == (-6, 15) and phi_mul(0, 0, 7, 7) == (0, 0)
+    assert phi_norm(0, 1) == -1  # phi * (1 - phi)
+    assert phi_norm(1, 1) == 1 and phi_norm(2, -1) == 1  # phi^2 and 2 - phi, units
+    assert phi_norm(3, 0) == 9 and phi_norm(0, 0) == 0
+
+
+def _interval(p: int, q: int, phi: tuple[Fraction, Fraction]) -> tuple[Fraction, Fraction]:
+    """An interval containing p + q*phi, from an interval around phi."""
+    return tuple(sorted((p + q * phi[0], p + q * phi[1])))
+
+
+def _times(a: tuple[Fraction, Fraction], b: tuple[Fraction, Fraction]) -> tuple[Fraction, Fraction]:
+    products = [x * y for x in a for y in b]
+    return min(products), max(products)
+
+
+def _check_mul_and_norm(p: int, q: int, r: int, s: int, phi: tuple[Fraction, Fraction]) -> None:
+    # the pair of phi_mul is in the interval of the product, and phi_norm is
+    # the one integer in that of (p + q*phi)(p + q - q*phi); a wrong pair
+    # would differ by a nonzero number of Z[phi], far wider than the intervals
+    lo, hi = _times(_interval(p, q, phi), _interval(r, s, phi))
+    got = _interval(*phi_mul(p, q, r, s), phi)
+    assert max(lo, got[0]) <= min(hi, got[1])
+    lo, hi = _times(_interval(p, q, phi), _interval(p + q, -q, phi))
+    assert hi - lo < 1 and lo <= phi_norm(p, q) <= hi
+
+
+def test_phi_mul_and_norm_against_interval_oracle():
+    rng = random.Random(303)
+    phi = _PHI_LO, _PHI_HI
+    for _ in range(1000):
+        _check_mul_and_norm(*(rng.randint(-10**6, 10**6) for _ in range(4)), phi)
+    # 4,000-digit p and q of either sign, against phi to 8,200 digits
+    phi = _phi_interval(8200)
+    for _ in range(20):
+        p, q = (rng.choice([-1, 1]) * rng.randrange(10**3999, 10**4000) for _ in range(2))
+        _check_mul_and_norm(p, q, rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6), phi)
+
+
+@settings(max_examples=200)
+@given(*[st.integers(min_value=-10**9, max_value=10**9)] * 4)
+def test_phi_norm_is_multiplicative_and_zero_only_at_zero(p, q, r, s):
+    assert phi_norm(*phi_mul(p, q, r, s)) == phi_norm(p, q) * phi_norm(r, s)
+    assert (phi_norm(p, q) == 0) is (p == q == 0)

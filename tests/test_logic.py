@@ -777,7 +777,7 @@ def test_decide_examples():
     d = decide(parse("forall x. forall y. (f(x + y) < f(x) + f(y) + 2)"), bound=200)
     assert d == Decision(True)
     d = decide(parse("forall x. forall y. (x < 1 | y < 1 | f(x) != f(y) + y)"), bound=200)
-    assert d.truth is True and d.provenance == BOUNDED and d.bound == 200
+    assert d == Decision(True)  # Rayleigh's theorem: x is pinned to f(y) + 1
 
 
 def test_decide_requires_sentence():
@@ -1044,11 +1044,16 @@ def test_single_slab_rewrite_declines_to_bounded_evaluation(text, decision):
 
 @pytest.mark.parametrize("terms,provenance", [(6, EXACT), (7, BOUNDED)])
 def test_single_slab_cases_respect_the_disjunct_cap(terms, provenance):
-    # each f(x + f(x) + k) here takes one slab and splits every disjunct in two
+    # each f(x + f(x) + k) here takes one slab and splits every disjunct in
+    # two, so past six of them the one-variable route declines, to what was
+    # bounded evaluation; the cell route, which reads f(x + f(x) + k), then
+    # proves the sentence false
     shifts = [0, 1, 2, 4, 5, -1, 7][:terms]
     text = "exists x. (0 < x & " + " & ".join(f"f(x + f(x) + {k}) < 0" for k in shifts) + ")"
     assert 2 ** 6 == MAX_DISJUNCTS
-    assert decide(parse(text), bound=30).provenance == provenance
+    one_variable = logic._decide_one_variable(nnf(parse(text)))
+    assert (EXACT if one_variable else BOUNDED) == provenance
+    assert decide(parse(text), bound=30) == Decision(False)
 
 
 @pytest.mark.parametrize("text,scoped", [
@@ -1121,9 +1126,10 @@ def test_a_closed_scan_inside_a_scan_runs_once(monkeypatch):
     # the exists y part mentions no x: one scan of y and one of x, 20,001
     # points each, decide the sentence, where re-scanning y at every x would
     # spend the whole budget
+    # (evaluated: decide() eliminates both quantifiers, pinned by equalities)
     compilers = _recorded_compilers(monkeypatch)
     started = time.perf_counter()
-    d = decide(parse("exists x. ((exists y. f(y) = 5) & x = 2)"))
+    d = evaluate(parse("exists x. ((exists y. f(y) = 5) & x = 2)"))
     assert time.perf_counter() - started < 0.05
     assert d == Decision(False, BOUNDED, bound=10_000)
     assert logic.EVAL_BUDGET - compilers[-1].budget <= 40_002
@@ -1243,8 +1249,8 @@ def test_negate_table():
         == [(3, None), (None, -2), (None, None), (None, None)]
 
 
-# the two-variable route declines it (rank 2), so deciding it would evaluate y
-_DISJOINT = "(forall x. forall y. (x < 1 | y < 1 | f(x) != f(y) + y))"
+# no exact route takes three variables, so deciding it would evaluate y
+_DISJOINT = "(forall x. forall y. forall z. x < 1 | y < 1 | z < 1 | f(x+y+z) >= f(x)+f(y)+f(z))"
 
 
 @pytest.mark.parametrize("text, want", [
@@ -1278,11 +1284,16 @@ def _route_const(c: int):
 
 
 def _route_piece(rng):
-    """(source, value at x and y) of k*x, k*y, k*f(a*x + b*y + c) or a constant."""
+    """(source, value at x and y) of k*x, k*y, k*f(a*x + b*y + c),
+    k*f(a*x + b*y + d*f(x) + e*f(y) + c) or a constant."""
     k = rng.choice([1, 1, -1, 2])
-    kind = rng.choice(["x", "y", "f", "f", "1"])
+    kind = rng.choice(["x", "y", "f", "f", "1", "g"])
     if kind == "f":
         return _route_f(k, *_route_form(rng))
+    if kind == "g":
+        (a, b, c), d, e = _route_form(rng), rng.choice([-1, 1, 2]), rng.choice([-1, 0, 0, 1])
+        return (f"{k} * f({a} * x + {b} * y + {d} * f(x) + {e} * f(y) + {c})",
+                lambda x, y: k * f_floor(a * x + b * y + d * f_floor(x) + e * f_floor(y) + c))
     if kind == "1":
         return _route_const(rng.randint(-20, 20))
     return f"{k} * {kind}", lambda x, y: k * (x if kind == "x" else y)
@@ -1367,26 +1378,36 @@ def _reader_term(rng, depth: int):
 @given(st.randoms(use_true_random=False))
 def test_one_term_reader_agrees_with_f_floor(rng):
     # _affine's forms over x and y and over x alone evaluate to the term's
-    # value, and _linearize, the view of the second, declines exactly when a
-    # key other than x, f(x) and 1 has a nonzero coefficient in it (f of y
-    # is refused there, even under a zero scale)
+    # value, f(a*x + b*y + c + d*f(x) + e*f(y)) included, and _linearize,
+    # the view of the second, declines exactly when a key other than x,
+    # f(x) and 1 has a nonzero coefficient in it (f of y is refused there,
+    # even under a zero scale)
     term = _reader_term(rng, 4)
     forms = [logic._affine(term, "x", "y"), logic._affine(term, "x")]
     lin = logic._linearize(term, "x")
     if forms[1] is None:
         assert lin is None
     else:
-        others = {key for key, v in forms[1].items() if v and key not in ("x", (1, 0, 0), 1)}
+        others = {key for key, v in forms[1].items() if v and key not in ("x", (1, 0, 0, 0, 0), 1)}
         assert (lin is None) is bool(others)
     for _ in range(5):
         env = {"x": rng.randint(-10**6, 10**6), "y": rng.randint(-10**6, 10**6)}
+        fx, fy = f_floor(env["x"]), f_floor(env["y"])
         value = _walk_term(term, env)
         for form in filter(None, forms):
-            assert value == sum(v * (1 if key == 1 else env[key] if type(key) is str else
-                                     f_floor(key[0] * env["x"] + key[1] * env["y"] + key[2]))
+            assert value == sum(v * (1 if key == 1 else env[key] if type(key) is str else f_floor(
+                key[0] * env["x"] + key[1] * env["y"] + key[2] + key[3] * fx + key[4] * fy))
                                 for key, v in form.items())
         if lin is not None:
             assert value == lin[0] * env["x"] + lin[1] * f_floor(env["x"]) + lin[2]
+
+
+def test_one_term_reader_reads_f_nested_over_x_and_y_once():
+    assert logic._affine(parse_term("f(2*f(x) - y + 3)"), "x", "y") == {(0, -1, 3, 2, 0): 1}
+    assert logic._affine(parse_term("f(f(x) - f(y))"), "x", "y") == {(0, 0, 0, 1, -1): 1}
+    assert logic._affine(parse_term("f(f(x + 1))"), "x", "y") is None
+    assert logic._affine(parse_term("f(f(f(x)))"), "x", "y") is None
+    assert logic._linearize(parse_term("f(f(x))"), "x") is None
 
 
 def test_one_term_reader_counts_a_zero_coefficient_as_absent():
@@ -1397,7 +1418,7 @@ def test_one_term_reader_counts_a_zero_coefficient_as_absent():
 
 
 @pytest.mark.parametrize("text, want", [
-    ("forall x. forall y. (x < 7 | y < 1 | f(x) != f(y) + y)", Decision(True, BOUNDED, bound=40)),
+    ("forall x. forall y. (x < 7 | y < 1 | f(x) != f(y) + y)", Decision(True)),
     ("forall x. forall y. (x < 7 | f(x + y) < f(x) + f(y) + 1)", Decision(False, certificate=7)),
     ("exists x. exists y. (x > 5 & y > 5 & f(x + y) = f(x) + f(y) + 1)",
      Decision(True, certificate=6)),
@@ -1406,7 +1427,8 @@ def test_one_term_reader_counts_a_zero_coefficient_as_absent():
 ], ids=["rank 2", "false universal", "true existential", "divisibility"])
 def test_two_variable_route_declines_to_the_scan(text, want):
     # rank-2 atoms (Rayleigh's f(x) = f(y) + y), a met cell and p2 decline,
-    # and the bounded scan answers with its certificate as before the route
+    # and the bounded scan answers with its certificate as before the route;
+    # Rayleigh's sentence is decided once its x is eliminated
     assert logic._decide_two_variables(nnf(parse(text))) is None
     assert decide(parse(text), bound=40) == want
 
@@ -1419,6 +1441,52 @@ def test_two_variable_route_stops_at_its_cell_budget(monkeypatch):
     assert time.perf_counter() - started < 1
     monkeypatch.setattr(logic, "MAX_CELLS", 100 * logic.MAX_CELLS)
     assert logic._decide_two_variables(sentence) == Decision(True)
+
+
+# --- elimination ------------------------------------------------------------
+
+def _order_atom(rng):
+    """(source, value at x and n) of an order atom on x against n."""
+    g = rng.randint(-6, 6)
+    text, value = rng.choice([("x", lambda x, n: x), ("x - n", lambda x, n: x - n),
+                              ("x + n", lambda x, n: x + n)])
+    rel = rng.choice(["<", ">="])
+    return f"{text} {rel} {g}", lambda x, n: _ROUTE_RELS[rel](value(x, n), g), g
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False), st.booleans())
+def test_elimination_agrees_with_a_scan_of_x(rng, existential):
+    # Q x. (±(a*x + b*f(x)) = t & order atoms), t = p*n + q*f(n) + c, as
+    # _eliminations leaves it: at each n of a box, what is left of it agrees
+    # with a scan of x over |x| <= |t| + 1 and past the order atoms' bounds
+    (a, b), sign = rng.choice([(1, 0), (0, 1), (1, 1)]), rng.choice([1, -1])
+    p, q, c = rng.randint(-3, 3), rng.randint(-2, 2), rng.randint(-5, 5)
+    pin = f"{sign * a} * x + {sign * b} * f(x) = {sign * p} * n + {sign * q} * f(n) + {sign * c}"
+    atoms = [(pin, lambda x, n: a * x + b * f_floor(x) == p * n + q * f_floor(n) + c, 0)]
+    atoms += [_order_atom(rng) for _ in range(rng.randint(0, 2))]
+    rng.shuffle(atoms)
+    body = " & ".join(text for text, _, _ in atoms)
+    inner = f"exists x. ({body})" if existential else f"forall x. !({body})"
+    outer = "forall" if existential else "exists"  # of the other kind: no pair
+    residual, pair = next(logic._eliminations(nnf(parse(f"{outer} n. {inner}"))))
+    assert not pair and logic._depth(residual.body) <= 1, inner
+    for n in range(-12, 13):
+        t = p * n + q * f_floor(n) + c
+        reach = abs(t) + 1 + abs(n) + max(abs(g) for _, _, g in atoms) + 1
+        found = any(all(holds(x, n) for _, holds, _ in atoms) for x in range(-reach, reach + 1))
+        assert evaluate(residual.body, {"n": n}, reach).truth is (found is existential), (inner, n)
+
+
+def test_eliminations_that_all_fail_stop_at_their_budget():
+    # each inner quantifier is pinned, but what any order of eliminations
+    # leaves holds P[...] over a variable, which no exact route takes; the
+    # 20! orders stop after MAX_DISJUNCTS tries, and the scan answers
+    parts = " | ".join(f"(exists a{i}. f(a{i}) = n + {i} & P[2,3,1,1](a{i}, n))" for i in range(20))
+    sentence = parse(f"forall n. n < 0 | {parts}")
+    started = time.perf_counter()
+    assert decide(sentence, bound=20) == Decision(False, BOUNDED, bound=20, certificate=0)
+    assert time.perf_counter() - started < 2
 
 
 # --- values -----------------------------------------------------------------
