@@ -43,7 +43,12 @@ DEFAULT_EVAL_BOUND = 10_000
 # than ten times what the largest bounded sentence in perfbench visits.
 EVAL_BUDGET = 500_000
 # A one-variable body with more disjuncts in normal form goes to bounded
-# evaluation.
+# evaluation.  The same cap bounds the eliminations one decide() call tries,
+# since k pinned quantifiers can be taken in k! orders: both stop the exact
+# routes' work on one sentence before the scan takes it, far above what
+# they need (one elimination a call in the perfbench corpora, at most five
+# over 8,000 random sentences of tests/formula_gen.py), so that a change to
+# one is a change to both.
 MAX_DISJUNCTS = 64
 F_TABLE_CAP = 1 << 16  # values of f one evaluate() call keeps: 6.5 MiB at most
 
@@ -1193,8 +1198,9 @@ def _decide_exactly(sentence: Exists | Forall, depth: int, tries: Iterator,
     path, or None: at depth 2 or more, that of the first sentence left by
     _eliminations that the exact routes decide (after an elimination from
     a pair, only a true universal or a false existential: a certificate
-    would be one of the other variable), its certificate checked against
-    that sentence's body by evaluate; else _decide_one_variable at depth 1,
+    would be one of the other variable), with its certificate _certified
+    against the sentence's own body, so that every elimination on the way
+    is checked; else _decide_one_variable at depth 1,
     and _decide_two_variables at depth 1 or 2.  What an elimination leaves
     (residual) tries _decide_two_variables first: its candidates put f over
     f(x), where the one-variable route splits slabs or declines, and where
@@ -1202,16 +1208,27 @@ def _decide_exactly(sentence: Exists | Forall, depth: int, tries: Iterator,
     existential with no certificate."""
     for (left, pair), _ in zip(_eliminations(sentence) if depth > 1 else (), tries):
         decision = _decide(left, None, tries)
-        if decision is not None and not (pair and decision.truth is isinstance(sentence, Exists)):
-            if decision.certificate is not None:
-                check = evaluate(left.body, {left.var: decision.certificate}, 0)
-                assert check.provenance != EXACT or check.truth is decision.truth
+        if decision is None or pair and decision.truth is isinstance(sentence, Exists):
+            continue
+        if decision.certificate is None or _certified(sentence, decision, tries):
             return decision
     routes = [_decide_one_variable] * (depth == 1) + [_decide_two_variables] * (depth <= 2)
     for route in reversed(routes) if residual else routes:
         if (decision := route(sentence)) is not None:
             return decision
     return None
+
+
+def _certified(sentence: Exists | Forall, decision: Decision, tries: Iterator) -> bool:
+    """Whether the NNF sentence's body, with its variable given the value of
+    decision's certificate, is decided exactly with decision's truth: by
+    evaluate where no quantifier is left in it, else by the exact routes.
+    False where they decline, or where the body binds the variable again."""
+    x = sentence.var
+    if any(node.var == x for node in _quantifiers(sentence.body)):
+        return False
+    check = _decide(_replace(sentence.body, Var(x), Const(decision.certificate)), None, tries)
+    return check is not None and check.truth is decision.truth
 
 
 def _decide_one_variable(sentence: Exists | Forall) -> Decision | None:
@@ -1510,10 +1527,11 @@ def _atom(e: Formula, x: str, y: str | None) -> tuple | None:
 
 def _no_point(atoms: list[tuple], cells: Iterator) -> bool:
     """True when no integers x, y satisfy all the atoms (see _atom); False
-    when that is not proved.  The atoms without f bound the polyhedron P of
-    (x, y) from the start."""
-    order = set().union(*(_half_planes(*atom[:4]) for atom in atoms if not atom[4]))
-    atoms = [atom for atom in atoms if atom[4]]
+    when that is not proved.  The atoms without f, but for E != 0, bound the
+    polyhedron P of (x, y) from the start."""
+    order = set().union(*(_half_planes(*atom[:4]) for atom in atoms
+                          if not atom[4] and atom[0] != "!="))
+    atoms = [atom for atom in atoms if atom[4] or atom[0] == "!="]
     keys = {key for atom in atoms for key, _ in atom[4]}
     nested = sorted(key for key in keys if key[3] or key[4])
     # f(x) and f(y) take their signs before the f terms over them
@@ -1524,10 +1542,7 @@ def _no_point(atoms: list[tuple], cells: Iterator) -> bool:
 
 
 def _half_planes(rel: str, lx: int, ly: int, k: int) -> set[tuple[int, int, int]]:
-    """lx*x + ly*y + k <= 0, or = 0, as constraints (a, b, d): a*x + b*y <= d;
-    none for != 0, which is dropped: that only weakens what is proved empty."""
-    if rel == "!=":
-        return set()
+    """lx*x + ly*y + k <= 0, or = 0, as constraints (a, b, d): a*x + b*y <= d."""
     return {(lx, ly, -k), (-lx, -ly, k)} if rel == "=" else {(lx, ly, -k)}
 
 
@@ -1583,7 +1598,8 @@ def _case_excluded(atoms: list, positive: dict, polyhedron: tuple, cells: Iterat
     u, v lie in [0, 1): phi*t is a*(X + u) + b*(Y + v) + c*phi, and
     phi*X = X + u + x - phi*u.  d counts only where f(x) = X (x >= 1), and
     e only where f(y) = Y.  An atom left without f bounds the rational
-    polyhedron P of (x, y) further.  Each other atom is
+    polyhedron P of (x, y) further, but E != 0 cannot, and stays an atom
+    with no floors.  Each other atom is
         E = l(x, y) + K + Σ w*floor(L) - A*u - B*v,
     l = (α' + A*phi)*x + (β' + B*phi)*y, and E is excluded on a cell of (u, v)
     where each floor(L) = k when the least of l over P plus the least of the
@@ -1606,7 +1622,7 @@ def _case_excluded(atoms: list, positive: dict, polyhedron: tuple, cells: Iterat
                 lx, ly = lx + w * d, ly + w * e
                 big_x, big_y = big_x + w * (a + d), big_y + w * (b + e)
                 shifted.append((((a + d, -d), (b + e, -e), c), w))
-        if not shifted:
+        if not shifted and rel != "!=":
             order |= _half_planes(rel, lx, ly, k)
             continue
         rest.append((rel, lx, ly, k, big_x, big_y, shifted))
@@ -1630,14 +1646,12 @@ def _case_excluded(atoms: list, positive: dict, polyhedron: tuple, cells: Iterat
                             [(index[line], w) for line, w in floors]))
     if not bounded:
         return False
-    ranges = []  # over the square, from its corners, where α*u + β*v is 0, α, β or α + β
+    ranges = []  # over the square, α*u + β*v is least at u = [α < 0], v = [β < 0]
     for (a, p), (b, q), c in lines:
-        if p or q:
-            low, high = _extremes([(0, 0, 1), (a, p, 1), (b, q, 1), (a + b, p + q, 1)])
-            ranges.append((phi_floor(low[0], low[1] + c), phi_ceil(high[0], high[1] + c)))
-        else:
-            low = phi_floor(0, c)
-            ranges.append((low + min(0, a, b, a + b), low + (c != 0) + max(0, a, b, a + b)))
+        su, sv = phi_sign(a, p), phi_sign(b, q)
+        low = a * (su < 0) + b * (sv < 0), p * (su < 0) + q * (sv < 0)
+        high = a * (su > 0) + b * (sv > 0), p * (su > 0) + q * (sv > 0)
+        ranges.append((phi_floor(low[0], low[1] + c), phi_ceil(high[0], high[1] + c)))
     return _cells_excluded(_SQUARE, ranges, lines, bounded, cells)
 
 
@@ -1706,8 +1720,6 @@ def _ranges(cell: list, lines: list, ranges: list, split: int, k: int) -> list:
 def _value(alpha: tuple[int, int], beta: tuple[int, int], vertex: tuple) -> tuple[int, int]:
     """alpha*u + beta*v at the vertex (Up, Uq, Vp, Vq, D), times D."""
     (a, p), (b, q), (up, uq, vp, vq, _) = alpha, beta, vertex
-    if not p and not q:  # integer coefficients, as in every line without a nested f
-        return a * up + b * vp, a * uq + b * vq
     (p, q), (r, s) = phi_mul(a, p, up, uq), phi_mul(b, q, vp, vq)
     return p + r, q + s
 
@@ -1755,12 +1767,6 @@ def _meet(first: tuple, second: tuple) -> tuple[int, int, int, int, int]:
     rule; a determinant that is not rational is cleared by its conjugate,
     so that D is its norm."""
     (a1, b1, c1), (a2, b2, c2) = first, second
-    if not (a1[1] or b1[1] or a2[1] or b2[1]):  # integer slopes: every line without a nested f
-        (a1, _), (b1, _), (a2, _), (b2, _) = a1, b1, a2, b2
-        det = a1 * b2 - a2 * b1
-        s = 1 if det > 0 else -1
-        return (s * (c1[0] * b2 - c2[0] * b1), s * (c1[1] * b2 - c2[1] * b1),
-                s * (a1 * c2[0] - a2 * c1[0]), s * (a1 * c2[1] - a2 * c1[1]), s * det)
     (p, q), (r, s) = phi_mul(*a1, *b2), phi_mul(*a2, *b1)
     det = p - r, q - s
     (p, q), (r, s) = phi_mul(*c1, *b2), phi_mul(*c2, *b1)

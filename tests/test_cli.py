@@ -57,6 +57,9 @@ GOLDEN = [
     (["decide", "forall x. forall y. (f(-2 * x + 3) != f(-1 * x + -16) + f(-1 * x + 19) + 2)",
       "--bound", "3"], 0, "True (exact)\n"),
     (["decide", "forall x. f(2*x) <= 2*f(x) + 1"], 0, "True (exact)\n"),
+    # where x - y <= 0, f(x - y) != 0 reads 0 != 0 and excludes the sign case
+    (["decide", "forall x. forall y. (x < 1 | y < 1 | x >= y | f(x - y) = 0)"], 0,
+     "True (exact)\n"),
     # Rayleigh's f(x) = f(y) + y: x is eliminated, pinned to f(y) + 1
     (["decide", "forall x. forall y. (x < 1 | y < 1 | f(x) != f(y) + y)", "--bound", "60"], 0,
      "True (exact)\n"),

@@ -1125,11 +1125,11 @@ def test_decisive_scans_give_back_the_points_they_skipped(monkeypatch):
 def test_a_closed_scan_inside_a_scan_runs_once(monkeypatch):
     # the exists y part mentions no x: one scan of y and one of x, 20,001
     # points each, decide the sentence, where re-scanning y at every x would
-    # spend the whole budget
-    # (evaluated: decide() eliminates both quantifiers, pinned by equalities)
+    # spend the whole budget; no equality pins x or y, and the exact routes
+    # decline p2(x), so decide() scans
     compilers = _recorded_compilers(monkeypatch)
     started = time.perf_counter()
-    d = evaluate(parse("exists x. ((exists y. f(y) = 5) & x = 2)"))
+    d = decide(parse("exists x. ((exists y. 4 < f(y) & f(y) < 6) & p2(x))"))
     assert time.perf_counter() - started < 0.05
     assert d == Decision(False, BOUNDED, bound=10_000)
     assert logic.EVAL_BUDGET - compilers[-1].budget <= 40_002
@@ -1487,6 +1487,29 @@ def test_eliminations_that_all_fail_stop_at_their_budget():
     started = time.perf_counter()
     assert decide(sentence, bound=20) == Decision(False, BOUNDED, bound=20, certificate=0)
     assert time.perf_counter() - started < 2
+
+
+@pytest.mark.parametrize("text,check", [
+    # the body at x = 7 is forall y. (7 = 7 & y < 3): the one-variable route
+    # refutes it
+    ("exists x. forall y. (x = 7 & y < 3)", Decision(False, certificate=3)),
+    # the body at x = 7 has two quantifiers left, which the exact routes decline
+    ("exists x. forall y. forall z. (x = 7 & y < z)", None),
+], ids=["refuted", "unchecked"])
+def test_a_certificate_from_an_elimination_is_checked_against_the_body(text, check,
+                                                                      monkeypatch):
+    # an elimination that leaves exists x. x = 7, which is not the sentence:
+    # its witness 7 fails the sentence's body, or cannot be checked there, so
+    # decide() drops it and scans
+    sentence = nnf(parse(text))
+    bogus = parse("exists x. x = 7")
+    monkeypatch.setattr(logic, "_eliminations",
+                        lambda s: iter([(bogus, False)] if s == sentence else []))
+    at_seven = logic._replace(sentence.body, Var("x"), Const(7))
+    assert logic._decide(at_seven, None, iter(range(MAX_DISJUNCTS))) == check
+    assert logic._decide(bogus, None, iter(range(1))) == Decision(True, certificate=7)
+    d = decide(sentence, bound=5)
+    assert d.provenance == BOUNDED and d.certificate != 7
 
 
 # --- values -----------------------------------------------------------------
