@@ -192,7 +192,8 @@ def solve_system(system: CongruenceSystem) -> SolveOutcome:
 
 
 def _verified(system: CongruenceSystem, x: int) -> SolveOutcome:
-    assert satisfies(system, x)
+    if not satisfies(system, x):
+        raise AssertionError(f"witness check failed at x={x} for {system}")
     return SolveOutcome("witness", x)
 
 

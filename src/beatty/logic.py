@@ -836,11 +836,12 @@ _FALSE_PAIR = (Congruence(2, 0), Congruence(2, 1))
 
 
 def _affine(term: Term, x: str, y: str | None = None) -> dict | None:
-    """term as {key: coefficient} over the keys 1 (the constant), each name
-    and (a, b, c, d, e) for f(a*x + b*y + c + d*f(x) + e*f(y)); f of a
-    ground term folds to its value, and a zero coefficient counts as absent.
-    None for f of a term with a name other than x and y, or an f of anything
-    but x or y, in it."""
+    """term as {key: coefficient} over the keys 1 (the constant), each name,
+    (a, b, c, d, e) for f(a*x + b*y + c + d*f(x) + e*f(y)), and the F node
+    itself for f of a term that holds neither x nor y; f of a ground term
+    folds to its value, and a zero coefficient counts as absent.  None for f
+    of a term that holds x or y and a name other than them, or an f of
+    anything but x or y, in it."""
     kind = type(term)
     if kind is Const:
         return {1: term.value}
@@ -853,7 +854,7 @@ def _affine(term: Term, x: str, y: str | None = None) -> dict | None:
         a, b, c = inner.pop(x, 0), inner.pop(y, 0), inner.pop(1, 0)
         d, e = inner.pop((1, 0, 0, 0, 0), 0), inner.pop((0, 1, 0, 0, 0), 0)
         if any(inner.values()):
-            return None
+            return None if {x, y} & free_vars(term) else {term: 1}
         return {(a, b, c, d, e): 1} if a or b or d or e else {1: f_floor(c)}
     if kind is Scale:
         inner = _affine(term.term, x, y)
@@ -1026,14 +1027,13 @@ def _slab_cases(var: str, conjuncts: list[Formula]) -> list[list[Formula]] | Non
     if term is None:
         return None
     a, b, c = _linearize(term.arg, var)
-    k = _one_slab(a, b, c)
-    if k is None:
+    value = _slab(Var(var), a, b, c)
+    if value is None:
         return None
     if a < 0 or c > 0:
         window = _order_query(var, conjuncts)
         if window.lower is None or window.lower < 0:
             return None
-    value = _form(k, (b, Var(var)), (a + b, F(Var(var))))
     return [[Cmp(Const(0), "<", Var(var)), Cmp(Const(0), "<", term.arg),
              *(_replace(e, term, value) for e in conjuncts)],
             [Cmp(term.arg, "<", Const(1)), *(_replace(e, term, Const(0)) for e in conjuncts)]]
@@ -1047,12 +1047,15 @@ def _order_query(var: str, conjuncts: list[Formula]) -> NormalFormQuery:
         lin := _linearize(Sub(e.left, e.right), var)) is not None and not lin[1]])
 
 
-def _one_slab(a: int, b: int, c: int) -> int | None:
-    """floor(λθ + c*phi), λ = a + b - b*phi, when it takes one value on
-    0 < θ < 1, else None."""
+def _slab(w: Term, a: int, b: int, c: int) -> Term | None:
+    """f(a*w + b*f(w) + c) where w >= 1 and its argument is >= 1, as
+    b*w + (a+b)*f(w) + k when floor(λθ + c*phi), λ = a + b - b*phi, takes
+    one value k on 0 < θ < 1 (see _slab_cases), else None."""
     ends = (0, c), (a + b, c - b)  # λθ + c*phi at θ = 0, 1
     k = min(phi_floor(*end) for end in ends)
-    return k if max(phi_ceil(*end) for end in ends) == k + 1 else None
+    if max(phi_ceil(*end) for end in ends) != k + 1:
+        return None
+    return _form(k, (b, w), (a + b, F(w)))
 
 
 def _nodes(node: Formula | Term):
@@ -1124,7 +1127,8 @@ def decide_existential_nf(query: NormalFormQuery) -> Decision:
     # it is above the nonpositive one's |x|
     upper, negative = query.upper, _negative_branch(query, mx, mf)
     if negative is not None:
-        assert _query_holds(query, negative)
+        if not _query_holds(query, negative):
+            raise AssertionError(f"witness check failed at x={negative} for {query}")
         if negative == 0:
             return Decision(True, certificate=0)
         upper = 1 - negative if upper is None else min(upper, 1 - negative)
@@ -1147,7 +1151,8 @@ def decide_existential_nf(query: NormalFormQuery) -> Decision:
         if out.is_witness:
             least = out.witness
     if least is not None:
-        assert _query_holds(query, least)
+        if not _query_holds(query, least):
+            raise AssertionError(f"witness check failed at x={least} for {query}")
         return Decision(True, certificate=least)
     return Decision(False) if negative is None else Decision(True, certificate=negative)
 
@@ -1196,8 +1201,8 @@ def _decide_exactly(sentence: Exists | Forall, depth: int, tries: Iterator,
                     residual: bool = False) -> Decision | None:
     """The exact decision of an NNF sentence with depth quantifiers on a
     path, or None: at depth 2 or more, that of the first sentence left by
-    _eliminations that the exact routes decide (after an elimination from
-    a pair, only a true universal or a false existential: a certificate
+    _eliminations that the exact routes decide (after the outer step of a
+    pair, only a true universal or a false existential: a certificate
     would be one of the other variable), with its certificate _certified
     against the sentence's own body, so that every elimination on the way
     is checked; else _decide_one_variable at depth 1,
@@ -1258,7 +1263,8 @@ def _decide_one_variable(sentence: Exists | Forall) -> Decision | None:
     if not found:
         return Decision(not existential)
     x = min(found, key=lambda v: (abs(v), -v))  # the scan's order 0, 1, -1, ...
-    assert evaluate(sentence.body, {sentence.var: x}).truth is existential
+    if evaluate(sentence.body, {sentence.var: x}).truth is not existential:
+        raise AssertionError(f"certificate check failed at {sentence.var}={x}")
     return Decision(existential, certificate=x)
 
 
@@ -1271,35 +1277,25 @@ def _decide_one_variable(sentence: Exists | Forall) -> Decision | None:
 
 def _eliminations(sentence: Exists | Forall) -> Iterator[tuple[Formula, bool]]:
     """Each (sentence equivalent to the NNF sentence with one quantifier
-    removed by _pinned, whether it was one of the pair of _prenex_pair).
-    Of a pair Q x. Q y. body, x and then y, over the DNF of body (of its
-    negation for forall), with exists v split over the disjunction:
-        exists w. free | exists v. exists w. kept;
-    then each quantifier inside, innermost first, whose body is
-    quantifier-free, in place, as free | exists v. kept."""
-    existential, pair = type(sentence) is Exists, _prenex_pair(sentence)
-    if pair is not None and pair[1] is not None:
-        x, y, body = pair
-        disjuncts = None
-        for v, w in ((x, y), (y, x)):
-            if not _may_pin(body, v, existential):
-                continue
-            if disjuncts is None:
-                disjuncts = _dnf(body if existential else nnf(body, negated=True))
-            if disjuncts is not None and (parts := _pinned(disjuncts, v)) is not None:
-                free, kept = parts
-                out = _either([[Exists(w, _either(free))]] * bool(free)
-                              + [[Exists(v, Exists(w, _either(kept)))]] * bool(kept))
-                yield (out if existential else nnf(out, negated=True)), True
+    removed by _pinned, whether it was the outer one of a pair).  First each
+    quantifier inside, innermost first, whose body is quantifier-free, in
+    place, as free | exists v. kept; then the x of a pair Q x. Q y. body of
+    _prenex_pair, with exists x commuted past exists y:
+        exists y. free | exists x. exists y. kept,
+    whose certificate would be one of y."""
     for node in _quantifiers(sentence.body):
-        if _depth(node.body) or not _may_pin(node.body, node.var, type(node) is Exists):
-            continue
         inner = type(node) is Exists
-        disjuncts = _dnf(node.body if inner else nnf(node.body, negated=True))
-        if disjuncts is not None and (parts := _pinned(disjuncts, node.var)) is not None:
+        if not _depth(node.body) and (parts := _pinned(node.body, node.var, inner)) is not None:
             free, kept = parts
             out = _either(free + [[Exists(node.var, _either(kept))]] * bool(kept))
             yield _replace(sentence, node, out if inner else nnf(out, negated=True)), False
+    existential, pair = type(sentence) is Exists, _prenex_pair(sentence)
+    if pair is not None and pair[1] is not None and (
+            parts := _pinned(pair[2], pair[0], existential)) is not None:
+        (x, y, _), (free, kept) = pair, parts
+        out = _either([[Exists(y, _either(free))]] * bool(free)
+                      + [[Exists(x, Exists(y, _either(kept)))]] * bool(kept))
+        yield (out if existential else nnf(out, negated=True)), True
 
 
 def _quantifiers(formula: Formula) -> Iterator[Exists | Forall]:
@@ -1321,12 +1317,12 @@ def _may_pin(body: Formula, x: str, existential: bool) -> bool:
     return atom is not None and _pin(atom, x) is not None
 
 
-def _pinned(disjuncts: list[list[Formula]], x: str) -> tuple[list, list] | None:
-    """exists x. (the disjunction of the conjunct lists) as (conjunct lists
-    free of x, conjunct lists that keep x), when each list holds an equality
-    that pins x (_pin); None when one does not.  A list goes over at each
-    value x can take, with the equality kept, since it says whether that
-    value is a solution:
+def _pinned(body: Formula, x: str, existential: bool) -> tuple[list, list] | None:
+    """exists x. body, over the DNF of the NNF body (of its negation for
+    forall), as (conjunct lists free of x, conjunct lists that keep x), when
+    each list holds an equality that pins x (_pin); None when one does not,
+    or past MAX_DISJUNCTS.  A list goes over at each value x can take, with
+    the equality kept, since it says whether that value is a solution:
       x = t: x := t;
       f(x) = t: x := f(t) - t + 1, the one solution where t >= 1.  Where
         t <= 0 the solutions are every x <= 0 when t = 0, so the list
@@ -1334,16 +1330,22 @@ def _pinned(disjuncts: list[list[Formula]], x: str) -> tuple[list, list] | None:
         (dropped when its order atoms over x alone leave no integer);
       f(x) + x = t: x := 2t - f(t), the one solution where t >= 1, and
         x := t, the one where t <= 0.
-    f(t) is taken in the cases of _folds."""
+    f(t) is taken as _folds gives it."""
+    if not _may_pin(body, x, existential):
+        return None
+    disjuncts = _dnf(body if existential else nnf(body, negated=True))
+    if disjuncts is None:
+        return None
     free, kept, var = [], [], Var(x)
     for conjuncts in disjuncts:
         e, shape, t = next(((e, *p) for e in conjuncts if (p := _pin(e, x))), (None,) * 3)
         if e is None:
             return None
         values = [] if shape == (0, 1) else [([], t)]
-        for guards, ft in ([] if shape == (1, 0) else _folds(t)):
-            values.append((guards, _tidy(Add(Sub(ft, t), Const(1)) if shape == (0, 1) else
-                                         Sub(Scale(2, t), ft))))
+        if shape != (1, 0):
+            guards, ft = _folds(t)
+            values.append((guards, Add(Sub(ft, t), Const(1)) if shape == (0, 1) else
+                           Sub(Scale(2, t), ft)))
         free += [guards + [_replace(c, var, value) for c in conjuncts] for guards, value in values]
         if shape == (0, 1):
             rest = [c for c in conjuncts if c is not e]
@@ -1358,40 +1360,18 @@ def _pinned(disjuncts: list[list[Formula]], x: str) -> tuple[list, list] | None:
 
 def _pin(e: Formula, x: str) -> tuple[tuple[int, int], Term] | None:
     """((a, b), t) when e is the equality a*x + b*f(x) = t, up to its sign,
-    with (a, b) one of (1, 0), (0, 1) and (1, 1), and t free of x."""
-    if type(e) is not Cmp or e.rel != "=" or (solved := _solved(Sub(*e[::2]), x)) is None:
+    with (a, b) one of (1, 0), (0, 1) and (1, 1), and t free of x: read by
+    _affine, so None where x is under f of anything but x."""
+    if type(e) is not Cmp or e.rel != "=" or (form := _affine(Sub(e.left, e.right), x)) is None:
         return None
-    a, b, parts = solved
-    sign = 1 if (a, b) in ((1, 0), (0, 1), (1, 1)) else -1
-    if (sign * a, sign * b) not in ((1, 0), (0, 1), (1, 1)):
+    a, b, c = form.pop(x, 0), form.pop((1, 0, 0, 0, 0), 0), form.pop(1, 0)
+    sign = 1 if a + b > 0 else -1
+    if (sign * a, sign * b) not in ((1, 0), (0, 1), (1, 1)) or any(
+            type(key) is tuple and v for key, v in form.items()):  # f over x, not f(x)
         return None
-    const = -sign * sum(k * s.value for k, s in parts if type(s) is Const)
-    t = _form(const, *((-sign * k, s) for k, s in parts if type(s) is not Const))
+    t = _form(-sign * c, *((-sign * v, Var(key) if type(key) is str else key)
+                           for key, v in form.items() if type(key) is not tuple))
     return (sign * a, sign * b), t
-
-
-def _solved(term: Term, x: str) -> tuple[int, int, list[tuple[int, Term]]] | None:
-    """(a, b, parts) with term = a*x + b*f(x) + Σ k*s over the (k, s) of
-    parts, and x in no s; None when x is in term otherwise, under f of
-    anything but x itself."""
-    kind = type(term)
-    if kind is Var and term.name == x:
-        return 1, 0, []
-    if kind is F and term.arg == Var(x):
-        return 0, 1, []
-    if kind in (Var, Const, F):
-        return None if kind is F and x in free_vars(term) else (0, 0, [(1, term)])
-    if kind is Scale:
-        inner = _solved(term.term, x)
-        return inner and (term.coeff * inner[0], term.coeff * inner[1],
-                          [(term.coeff * k, s) for k, s in inner[2]])
-    left = _solved(term.left, x)
-    right = None if left is None else _solved(term.right, x)
-    if right is None:
-        return None
-    sign = 1 if kind is Add else -1
-    return (left[0] + sign * right[0], left[1] + sign * right[1],
-            left[2] + [(sign * k, s) for k, s in right[2]])
 
 
 def _form(c: int, *parts: tuple[int, Term]) -> Term:
@@ -1404,31 +1384,18 @@ def _form(c: int, *parts: tuple[int, Term]) -> Term:
     return Const(c) if out is None else Add(out, Const(c)) if c else out
 
 
-def _folds(t: Term) -> list[tuple[list[Formula], Term]]:
-    """f(t) as (guards, value) cases, one of which holds wherever t >= 1:
-    f(t) itself; but where t = a*w + b*f(w) + c (_one_name), with b != 0,
-    a >= 0 and c <= 0 (so that t <= 0 where w <= 0) and where _one_slab's
-    floor takes one value k, b*w + (a+b)*f(w) + k for w >= 1 (see
-    _slab_cases)."""
-    w, (a, b, c) = _one_name(t) or (None, (0, 0, 0))
-    if not b or a < 0 or c > 0 or (k := _one_slab(a, b, c)) is None:
-        return [([], F(t))]
-    return [([Cmp(Const(0), "<", w)], _form(k, (b, w), (a + b, F(w))))]
-
-
-def _tidy(term: Term) -> Term:
-    """term as a*w + b*f(w) + c where _one_name reads it so, else as it is."""
-    if (read := _one_name(term)) is None:
-        return term
-    w, (a, b, c) = read
-    return _form(c, (a, w), (b, F(w)))
-
-
-def _one_name(term: Term) -> tuple[Var, tuple[int, int, int]] | None:
-    """(w, (a, b, c)) when term = a*w + b*f(w) + c in its one name w."""
-    names = free_vars(term)
-    lin = _linearize(term, next(iter(names))) if len(names) == 1 else None
-    return None if lin is None else (Var(*names), lin)
+def _folds(t: Term) -> tuple[list[Formula], Term]:
+    """f(t) as (guards, value), where value is f(t) and the guards hold
+    wherever t >= 1: f(t) itself; but where t = a*w + b*f(w) + c in its one
+    name w, with b != 0, a >= 0 and c <= 0 (so that t <= 0 where w <= 0),
+    _slab's value with the guard w >= 1."""
+    names = free_vars(t)
+    if len(names) == 1:
+        w = Var(*names)
+        a, b, c = _linearize(t, w.name) or (0, 0, 0)
+        if b and a >= 0 and c <= 0 and (value := _slab(w, a, b, c)) is not None:
+            return [Cmp(Const(0), "<", w)], value
+    return [], F(t)
 
 
 def _either(disjuncts: list[list[Formula]]) -> Formula:
@@ -1511,7 +1478,8 @@ def _atom(e: Formula, x: str, y: str | None) -> tuple | None:
     """s < t as E = s - t + 1 <= 0, s = t as E = s - t = 0 and !(s = t) as
     E = s - t != 0, kept as (the relation of E to 0, E's coefficients of x
     and y, its constant, ((a, b, c, d, e), w) for each
-    w*f(a*x + b*y + c + d*f(x) + e*f(y)) in it); None for any other atom."""
+    w*f(a*x + b*y + c + d*f(x) + e*f(y)) in it); None for any other atom, or
+    one with f of a term that holds a name other than x and y."""
     rel = "!=" if type(e) is Not and type(e.body) is Cmp else e.rel if type(e) is Cmp else None
     if rel is None:
         return None
@@ -1521,6 +1489,8 @@ def _atom(e: Formula, x: str, y: str | None) -> tuple | None:
         return None
     for key, v in right.items():
         left[key] = left.get(key, 0) - v
+    if any(type(key) is F and w for key, w in left.items()):
+        return None
     terms = tuple((key, w) for key, w in left.items() if type(key) is tuple and w)
     return rel, left.get(x, 0), left.get(y, 0), left.get(1, 0) + (rel == "<"), terms
 

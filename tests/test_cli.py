@@ -345,8 +345,12 @@ def test_two_variable_identities_answer_exactly_in_milliseconds(text, code, caps
     ("forall n. n < 1 | f(f(n) - n + 1) = n | f(2*n - f(n)) + 2*n - f(n) = n", 0),
     # y = f(x) refutes every x, where a scan of [-100, 100] saw the witness 63
     ("exists x. forall y. forall z. !(f(x) = y)", 1),
+    # no equality pins y, so only the step that commutes the pair's outer x
+    # past y, and eliminates it (pinned by x = x - x), decides it
+    ("forall x. (-27 < f(x + -58) | !(5 * x = 99)) | ((forall y. f(x - x) < 0 -> "
+     "p3(y + -71 - (x + 51))) | !(x = x - x))", 0),
 ], ids=["beatty-forall", "beatty-exists", "rayleigh-forall", "rayleigh-exists", "beatty-residual",
-        "f-takes-a-value"])
+        "f-takes-a-value", "outer-pinned"])
 def test_eliminated_quantifiers_answer_exactly_in_milliseconds(text, code, capsys):
     for bound in ([], ["--bound", "100"]):
         run(["decide", text, *bound])  # a first run, so that the timed one finds everything loaded

@@ -1,5 +1,8 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 import time
 from math import lcm
 
@@ -330,3 +333,45 @@ def test_4300_digit_inputs_together_need_no_deep_recursion():
                               Congruence(n2, rng.randrange(n2)), lower=lo, upper=3 * lo)
     out = solve_system(system)
     assert out.status == "no_solution" or satisfies(system, out.witness)
+
+
+# Under python -O, with one check at a time made to refuse every point
+# (satisfies in congruence, _query_holds and evaluate in logic), each witness
+# check still raises AssertionError, which an assert statement would not.
+_REFUSED_WITNESS = """
+import sys
+from beatty import congruence, logic
+from beatty.congruence import Congruence, CongruenceSystem
+assert_ran = False
+assert (assert_ran := True)
+if assert_ran:
+    sys.exit("not run under -O")
+query = lambda text: logic.to_normal_form(logic.parse(text))
+checks = [
+    (congruence, "satisfies", lambda system, x: False,
+     lambda: congruence.solve_system(CongruenceSystem(Congruence(2, 1), Congruence(3, 2)))),
+    (logic, "_query_holds", lambda query, x: False,
+     lambda: logic.decide_existential_nf(query("exists x. x = 3"))),
+    (logic, "_query_holds", lambda query, x: False,
+     lambda: logic.decide_existential_nf(query("exists x. x = -3"))),
+    (logic, "evaluate", lambda *args: logic.Decision(False),
+     lambda: logic._decide_one_variable(logic.nnf(logic.parse("exists x. x = 3")))),
+]
+for number, (module, name, refuse, check) in enumerate(checks):
+    kept = getattr(module, name)
+    setattr(module, name, refuse)
+    try:
+        check()
+    except AssertionError:
+        continue
+    finally:
+        setattr(module, name, kept)
+    sys.exit(f"check {number} did not raise")
+"""
+
+
+def test_witness_checks_raise_under_python_dash_O():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-O", "-c", _REFUSED_WITNESS], capture_output=True,
+                         text=True, env=env, timeout=60)
+    assert out.returncode == 0, out.stderr

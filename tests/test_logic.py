@@ -1360,10 +1360,11 @@ def test_two_variable_route_answers_have_no_counterexample_in_a_box(rng, existen
 
 
 def _reader_term(rng, depth: int):
-    """A random term over x and y: constants, the names, sums, differences,
-    scales (zero among them) and f of any of these, nested f too."""
-    kind = rng.choice("xy1+-*ff" if depth else "xy1")
-    if kind in "xy":
+    """A random term over x, y and n: constants, the names, sums,
+    differences, scales (zero among them) and f of any of these, nested f
+    too."""
+    kind = rng.choice("xyn1+-*ff" if depth else "xyn1")
+    if kind in "xyn":
         return Var(kind)
     if kind == "1":
         return Const(rng.randint(-9, 9))
@@ -1378,10 +1379,10 @@ def _reader_term(rng, depth: int):
 @given(st.randoms(use_true_random=False))
 def test_one_term_reader_agrees_with_f_floor(rng):
     # _affine's forms over x and y and over x alone evaluate to the term's
-    # value, f(a*x + b*y + c + d*f(x) + e*f(y)) included, and _linearize,
-    # the view of the second, declines exactly when a key other than x,
-    # f(x) and 1 has a nonzero coefficient in it (f of y is refused there,
-    # even under a zero scale)
+    # value, f(a*x + b*y + c + d*f(x) + e*f(y)) included, and f of a term
+    # free of the form's variables (f(n), and f(y) over x alone) as a key of
+    # its own; _linearize, the view of the second, declines exactly when a
+    # key other than x, f(x) and 1 has a nonzero coefficient in it
     term = _reader_term(rng, 4)
     forms = [logic._affine(term, "x", "y"), logic._affine(term, "x")]
     lin = logic._linearize(term, "x")
@@ -1390,12 +1391,15 @@ def test_one_term_reader_agrees_with_f_floor(rng):
     else:
         others = {key for key, v in forms[1].items() if v and key not in ("x", (1, 0, 0, 0, 0), 1)}
         assert (lin is None) is bool(others)
+    for form, names in zip(forms, ({"x", "y"}, {"x"})):
+        assert not any(type(key) is F and names & free_vars(key) for key in form or ())
     for _ in range(5):
-        env = {"x": rng.randint(-10**6, 10**6), "y": rng.randint(-10**6, 10**6)}
+        env = {name: rng.randint(-10**6, 10**6) for name in "xyn"}
         fx, fy = f_floor(env["x"]), f_floor(env["y"])
         value = _walk_term(term, env)
         for form in filter(None, forms):
-            assert value == sum(v * (1 if key == 1 else env[key] if type(key) is str else f_floor(
+            assert value == sum(v * (1 if key == 1 else env[key] if type(key) is str else
+                                     _walk_term(key, env) if type(key) is F else f_floor(
                 key[0] * env["x"] + key[1] * env["y"] + key[2] + key[3] * fx + key[4] * fy))
                                 for key, v in form.items())
         if lin is not None:
@@ -1414,7 +1418,53 @@ def test_one_term_reader_counts_a_zero_coefficient_as_absent():
     assert logic._linearize(parse_term("f(x + f(x) - f(x))"), "x") == (0, 1, 0)
     assert logic._linearize(parse_term("f(x + 0 * y)"), "x") == (0, 1, 0)
     assert logic._linearize(parse_term("f(y)"), "x") is None
+    assert logic._linearize(parse_term("x + 0 * f(y)"), "x") == (1, 0, 0)
     assert logic._affine(parse_term("f(x + z)"), "x", "y") is None
+    assert logic._affine(parse_term("f(n) + x"), "x") == {"x": 1, F(Var("n")): 1}
+    assert logic._affine(parse_term("f(x + n)"), "x") is None
+
+
+def _pin_side(rng):
+    """(source, coefficient of x, of f(x)) of a sum of terms in x, n, f(x),
+    f(n) and f(n + k), and a constant."""
+    parts, a, b = [], 0, 0
+    for _ in range(rng.randint(0, 3)):
+        k, atom = rng.randint(-3, 3), rng.choice(["x", "n", "f(x)", "f(n)", "f(n + k)"])
+        parts.append(f"{k} * {atom.replace('k', str(rng.randint(-5, 5)))}")
+        a, b = a + k * (atom == "x"), b + k * (atom == "f(x)")
+    return " + ".join(parts + [str(rng.randint(-9, 9))]), a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False), st.booleans())
+def test_pin_reads_its_equality_through_the_one_term_reader(rng, under_f):
+    # _pin(e, "x") gives ((a, b), t) with t free of x and a*x + b*f(x) - t
+    # equal to left - right, or to right - left, at every point; it does so
+    # wherever the coefficients of x and f(x) are a unit up to sign, and it
+    # gives None wherever x is under f of anything but x
+    (left, a, b), (right, a2, b2) = _pin_side(rng), _pin_side(rng)
+    if under_f:
+        under = rng.choice(["f(x + n)", "f(2 * x)", "f(x + 1)", "f(f(x))"])
+        left += f" + {rng.choice([-2, 1, 3])} * {under}"
+    e = parse(f"{left} = {right}")
+    pinned = logic._pin(e, "x")
+    if under_f:
+        assert pinned is None, e
+        return
+    unit = (a - a2, b - b2) in ((1, 0), (0, 1), (1, 1), (-1, 0), (0, -1), (-1, -1))
+    assert (pinned is not None) is unit, e
+    if pinned is None:
+        return
+    (a, b), t = pinned
+    assert "x" not in free_vars(t), (e, t)
+    signs = set()
+    for _ in range(8):
+        env = {"x": rng.randint(-10**4, 10**4), "n": rng.randint(-10**4, 10**4)}
+        diff = _walk_term(e.left, env) - _walk_term(e.right, env)
+        solved = a * env["x"] + b * f_floor(env["x"]) - _walk_term(t, env)
+        assert solved in (diff, -diff), (e, t, env)
+        signs |= {solved == diff} if diff else set()
+    assert len(signs) <= 1, (e, t)
 
 
 @pytest.mark.parametrize("text, want", [
@@ -1487,6 +1537,29 @@ def test_eliminations_that_all_fail_stop_at_their_budget():
     started = time.perf_counter()
     assert decide(sentence, bound=20) == Decision(False, BOUNDED, bound=20, certificate=0)
     assert time.perf_counter() - started < 2
+
+
+def _f_nested_twice(node) -> bool:
+    """Whether some f(... f(... f(...) ...) ...) is in the formula or term."""
+    return any(type(outer) is F and any(
+        type(mid) is F and any(type(inner) is F for inner in logic._nodes(mid.arg))
+        for mid in logic._nodes(outer.arg)) for outer in logic._nodes(node))
+
+
+def test_eliminations_take_an_inner_quantifier_in_place_before_a_pair():
+    # Beatty's existential: x goes first, in place; what is left is a pair
+    # (n, y), where y, pinned by f(y) + y = n, goes next, in place, before
+    # n, whose candidate n := f(y) + y would nest f twice (which no exact
+    # route reads) and give no certificate
+    sentence = logic._miniscope(nnf(parse(
+        "exists n. n > 0 & (exists x. f(x) = n) & (exists y. f(y) + y = n)")))
+    names = lambda formula: [q.var for q in logic._quantifiers(formula)]
+    left, pair = next(logic._eliminations(sentence))
+    assert not pair and names(left) == ["y", "n"]
+    assert logic._prenex_pair(left)[:2] == ("n", "y")
+    left, pair = next(logic._eliminations(left))
+    assert not pair and names(left) == ["n"] and not _f_nested_twice(left)
+    assert logic._decide(left, None, iter(range(MAX_DISJUNCTS))) == Decision(False)
 
 
 @pytest.mark.parametrize("text,check", [
