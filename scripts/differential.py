@@ -5,10 +5,12 @@
 
 For each seed, the four perfbench corpora are built with
 ``perfbench/corpus.py`` at the sizes ``perfbench/run.py --seconds 25`` runs,
-warm-up queries included.  Every argv goes through ``beatty.cli.run`` in
-one fresh interpreter per tree: once for the working tree, and once for
-REV's ``src``, exported with ``git archive`` into a temporary directory
-that is removed afterwards.  The ``elapsed_s`` value of ``--json`` output
+warm-up queries included, and 2,000 closed random sentences are drawn with
+``random_formula(random.Random(seed), 5)`` of ``tests/formula_gen.py``, each
+run as ``decide <sentence> --bound 100``.  Every argv goes through
+``beatty.cli.run`` in one fresh interpreter per tree: once for the working
+tree, and once for REV's ``src``, exported with ``git archive`` into a
+temporary directory that is removed afterwards.  The ``elapsed_s`` value of ``--json`` output
 is masked.  The argv of each command whose stdout, stderr or exit code
 differs is printed, then one summary line; the exit status is 1 if any
 command differs, and 0 if none does.
@@ -19,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -26,10 +29,13 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "perfbench"))
+sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "src"), str(ROOT / "tests")]
 
 import corpus  # noqa: E402
 import run  # noqa: E402
+from formula_gen import random_formula  # noqa: E402
+
+from beatty.logic import format_formula  # noqa: E402
 
 # Runs in the fresh interpreter: argv lists on stdin, [exit code, stdout,
 # stderr] per argv on stdout; an exception that escapes run() is named in
@@ -55,13 +61,17 @@ SECONDS = 25
 
 
 def argvs(seeds: list[int]) -> list[list[str]]:
-    """Every argv of every workload's corpus, warm-up first, seed by seed."""
+    """Every argv of every workload's corpus, warm-up first, then those of
+    the seed's 2,000 random sentences, seed by seed."""
     out = []
     for seed in seeds:
         for workload in corpus.WORKLOADS:
             warmup, queries = corpus.build(workload, seed, run.run_size(workload, SECONDS),
                                            run.WARMUP[workload])
             out += [q["argv"] for q in warmup + queries]
+        rng = random.Random(seed)
+        out += [["decide", format_formula(random_formula(rng, 5)), "--bound", "100"]
+                for _ in range(2000)]
     return out
 
 

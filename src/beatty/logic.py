@@ -1050,12 +1050,10 @@ def _order_query(var: str, conjuncts: list[Formula]) -> NormalFormQuery:
 def _slab(w: Term, a: int, b: int, c: int) -> Term | None:
     """f(a*w + b*f(w) + c) where w >= 1 and its argument is >= 1, as
     b*w + (a+b)*f(w) + k when floor(λθ + c*phi), λ = a + b - b*phi, takes
-    one value k on 0 < θ < 1 (see _slab_cases), else None."""
-    ends = (0, c), (a + b, c - b)  # λθ + c*phi at θ = 0, 1
-    k = min(phi_floor(*end) for end in ends)
-    if max(phi_ceil(*end) for end in ends) != k + 1:
-        return None
-    return _form(k, (b, w), (a + b, F(w)))
+    one value k on 0 < θ < 1 (see _slab_cases), else None: _floors of
+    λu + 0*v + c*phi over the unit square."""
+    k, high = _floors(_SQUARE, ((a + b, -b), (0, 0), c))
+    return _form(k, (b, w), (a + b, F(w))) if high == k + 1 else None
 
 
 def _nodes(node: Formula | Term):
@@ -1186,7 +1184,7 @@ def _decide(sentence: Formula, bound: int | None, tries: Iterator) -> Decision |
     if depth == 0:
         return evaluate(sentence, {}, bound or 0)
     if isinstance(sentence, (Exists, Forall)):
-        decision = _decide_exactly(sentence, depth, tries, bound is None)
+        decision = _decide_exactly(sentence, depth, tries)
         if decision is None and bound is not None:
             return evaluate(sentence, {}, bound)
         return decision
@@ -1197,8 +1195,7 @@ def _decide(sentence: Formula, bound: int | None, tries: Iterator) -> Decision |
     return None if b is None else _join(a, b, decisive)
 
 
-def _decide_exactly(sentence: Exists | Forall, depth: int, tries: Iterator,
-                    residual: bool = False) -> Decision | None:
+def _decide_exactly(sentence: Exists | Forall, depth: int, tries: Iterator) -> Decision | None:
     """The exact decision of an NNF sentence with depth quantifiers on a
     path, or None: at depth 2 or more, that of the first sentence left by
     _eliminations that the exact routes decide (after the outer step of a
@@ -1206,11 +1203,11 @@ def _decide_exactly(sentence: Exists | Forall, depth: int, tries: Iterator,
     would be one of the other variable), with its certificate _certified
     against the sentence's own body, so that every elimination on the way
     is checked; else _decide_one_variable at depth 1,
-    and _decide_two_variables at depth 1 or 2.  What an elimination leaves
-    (residual) tries _decide_two_variables first: its candidates put f over
-    f(x), where the one-variable route splits slabs or declines, and where
-    both answer they give the same decision, a true universal or a false
-    existential with no certificate."""
+    and _decide_two_variables at depth 1 or 2.  A sentence with f over a
+    term that holds f (as what an elimination leaves has) tries
+    _decide_two_variables first: there the one-variable route splits slabs
+    or declines, and where both answer they give the same decision, a true
+    universal or a false existential with no certificate."""
     for (left, pair), _ in zip(_eliminations(sentence) if depth > 1 else (), tries):
         decision = _decide(left, None, tries)
         if decision is None or pair and decision.truth is isinstance(sentence, Exists):
@@ -1218,7 +1215,10 @@ def _decide_exactly(sentence: Exists | Forall, depth: int, tries: Iterator,
         if decision.certificate is None or _certified(sentence, decision, tries):
             return decision
     routes = [_decide_one_variable] * (depth == 1) + [_decide_two_variables] * (depth <= 2)
-    for route in reversed(routes) if residual else routes:
+    if depth == 1 and any(type(node) is F for outer in _nodes(sentence) if type(outer) is F
+                          for node in _nodes(outer.arg)):
+        routes.reverse()
+    for route in routes:
         if (decision := route(sentence)) is not None:
             return decision
     return None
@@ -1413,10 +1413,11 @@ def _either(disjuncts: list[list[Formula]]) -> Formula:
 #
 # A number of Z[phi] is a pair (p, q) for p + q*phi, and one of Q(phi) is
 # (p, q, d) for (p + q*phi)/d with d > 0.  A point of the (u, v) square is
-# (Up, Uq, Vp, Vq, D) for u = (Up + Uq*phi)/D and v = (Vp + Vq*phi)/D; a
-# line is (alpha, beta, gamma) for alpha*u + beta*v = gamma, all three in
+# (Up, Uq, Vp, Vq, D) for u = (Up + Uq*phi)/D and v = (Vp + Vq*phi)/D, and
+# one of the polyhedron P of (x, y) is in the same format with Uq = Vq = 0;
+# a line is (alpha, beta, gamma) for alpha*u + beta*v = gamma, all three in
 # Z[phi]; and a convex polygon is its list of (vertex, line of the edge to
-# the next one).
+# the next one).  _range reads the least and greatest of a form over each.
 
 # Cells the two-variable route may cut in one decision before it declines:
 # about 0.1 s on a 2-vCPU VM.
@@ -1538,7 +1539,7 @@ def _signs_excluded(atoms: list, terms: list, positive: dict, polyhedron: tuple 
     if d or e:
         d, e = d * positive.get((1, 0, 0, 0, 0), 0), e * positive.get((0, 1, 0, 0, 0), 0)
     if d or e:  # t = (a + d*phi)*x + (b + e*phi)*y + c - d*u - e*v
-        least, most = _range(polyhedron, (a, d), (b, e))
+        least, most = _range(*polyhedron[1:], (a, d), (b, e))
         low, high = c - max(d, 0) - max(e, 0), c - min(d, 0) - min(e, 0)  # of c - d*u - e*v
         if least is not None and phi_sign(least[0] + low * least[2], least[1]) > 0:
             up = True
@@ -1547,7 +1548,7 @@ def _signs_excluded(atoms: list, terms: list, positive: dict, polyhedron: tuple 
         else:
             return False
         return _signs_excluded(atoms, terms, {**positive, term: up}, polyhedron, cells)
-    least, most = _range(polyhedron, (a, 0), (b, 0))  # of a*x + b*y over P
+    least, most = _range(*polyhedron[1:], (a, 0), (b, 0))  # of a*x + b*y over P
     up = least is not None and least[0] >= (1 - c) * least[2]
     if up or most is not None and most[0] <= -c * most[2]:
         cases = [(up, polyhedron)]
@@ -1572,13 +1573,13 @@ def _case_excluded(atoms: list, positive: dict, polyhedron: tuple, cells: Iterat
     with no floors.  Each other atom is
         E = l(x, y) + K + Σ w*floor(L) - A*u - B*v,
     l = (α' + A*phi)*x + (β' + B*phi)*y, and E is excluded on a cell of (u, v)
-    where each floor(L) = k when the least of l over P plus the least of the
-    rest over the closed cell is above 0 (or, for E = 0, the greatest of
-    both is below 0; for E != 0, both bounds put E in (-1, 1)).  That needs
-    no density argument: at x, y in P with t >= 1, L = phi*t less an integer
-    is never an integer, so (u, v) is in the closure of a cell of positive
-    area with its own floors.  A cell of zero
-    area is dropped, and a cell no atom excludes is met: False."""
+    where each floor(L) = k when its relation is ruled out there by the
+    least and greatest of l over P and of the rest over the closed cell
+    (_ruled_out); each comes from _range.  That needs no density argument:
+    at x, y in P with t >= 1, L = phi*t less an integer is never an
+    integer, so (u, v) is in the closure of a cell of positive area with its
+    own floors.  A cell of zero area is dropped, and a cell no atom excludes
+    is met: False."""
     if next(cells, None) is None:
         return False
     fx, fy = positive.get((1, 0, 0, 0, 0), False), positive.get((0, 1, 0, 0, 0), False)
@@ -1604,53 +1605,27 @@ def _case_excluded(atoms: list, positive: dict, polyhedron: tuple, cells: Iterat
     index = {line: i for i, line in enumerate(lines)}
     bounded = []
     for rel, lx, ly, k, big_x, big_y, floors in rest:
-        least, most = _range(polyhedron, (lx, big_x), (ly, big_y))
-        if rel == "!=":  # excluded where -1 < E < 1: E = 0
-            bounds, every = [(least, 1, 1), (most, -1, -1)] if least and most else [], True
-        else:
-            bounds = [(v, sign, 0) for v, sign in ((least, 1), (most if rel == "=" else None, -1))
-                      if v]
-            every = False
-        if bounds:  # else l is unbounded over P where it matters: it excludes no cell
-            bounded.append((bounds, every, k, big_x, big_y,
+        least, most = _range(*polyhedron[1:], (lx, big_x), (ly, big_y))
+        # one whose l is unbounded over P on each side it needs rules out no cell
+        if {"<": least, "=": least or most, "!=": least and most}[rel]:
+            bounded.append((rel, least, most, k, big_x, big_y,
                             [(index[line], w) for line, w in floors]))
     if not bounded:
         return False
-    ranges = []  # over the square, α*u + β*v is least at u = [α < 0], v = [β < 0]
-    for (a, p), (b, q), c in lines:
-        su, sv = phi_sign(a, p), phi_sign(b, q)
-        low = a * (su < 0) + b * (sv < 0), p * (su < 0) + q * (sv < 0)
-        high = a * (su > 0) + b * (sv > 0), p * (su > 0) + q * (sv > 0)
-        ranges.append((phi_floor(low[0], low[1] + c), phi_ceil(high[0], high[1] + c)))
-    return _cells_excluded(_SQUARE, ranges, lines, bounded, cells)
+    return _cells_excluded(_SQUARE, [_floors(_SQUARE, line) for line in lines], lines, bounded,
+                           cells)
 
 
 def _cells_excluded(polygon: list, ranges: list, lines: list, atoms: list,
                     cells: Iterator) -> bool:
-    """True when some atom is excluded on the whole polygon, with each
-    floor(α*u + β*v + c*phi) of lines taken at its worst there, or when the
-    first floor with more than one value there cuts it into cells, one per
-    value, and each cell of positive area is excluded in turn; False at a
-    cell where every floor takes one value and no atom is excluded, or once
-    cells runs out.  ranges holds (least, greatest + 1) of each
-    floor over the polygon.  An atom is excluded where sign*(E + shift) > 0
-    for one (bound, sign, shift) of its bounds, or for every one of them if
-    it says every."""
-    for bounds, every, k, big_x, big_y, floors in atoms:
-        for bound, sign, shift in bounds:
-            const = k + shift + sum(w * (ranges[i][0] if sign * w > 0 else ranges[i][1] - 1)
-                                    for i, w in floors)
-            held = all(sign * phi_sign(
-                bound[0] * d + bound[2] * (const * d - big_x * up - big_y * vp),
-                bound[1] * d - bound[2] * (big_x * uq + big_y * vq)) > 0
-                for (up, uq, vp, vq, d), _ in polygon)
-            if held is not every:  # a bound that holds, or, for every, one that fails
-                if held:
-                    return True
-                break
-        else:
-            if every:
-                return True
+    """True when _ruled_out holds for some atom on the whole polygon, or
+    when the first floor(α*u + β*v + c*phi) of lines with more than one
+    value there cuts it into cells, one per value, and each cell of positive
+    area is excluded in turn; False at a cell where every floor takes one
+    value and no atom is ruled out, or once cells runs out.  ranges holds
+    (least, greatest + 1) of each floor over the polygon."""
+    if any(_ruled_out(atom, polygon, ranges) for atom in atoms):
+        return True
     split = next((i for i, (low, high) in enumerate(ranges) if high - low > 1), None)
     if split is None:
         return False
@@ -1661,53 +1636,63 @@ def _cells_excluded(polygon: list, ranges: list, lines: list, atoms: list,
         cell = polygon if k == low else _clip(polygon, ((a, p), (b, q), (k, -c)))  # it is >= low
         if len(cell) > 2 and k < high - 1:
             cell = _clip(cell, ((-a, -p), (-b, -q), (-k - 1, c)))
-        if len(cell) > 2 and not _cells_excluded(
-                cell, _ranges(cell, lines, ranges, split, k), lines, atoms, cells):
+        if len(cell) > 2 and not _cells_excluded(cell, [
+                r if r[1] - r[0] == 1 else _floors(cell, line) for line, r in zip(lines, ranges)],
+                lines, atoms, cells):
             return False
     return True
 
 
-def _ranges(cell: list, lines: list, ranges: list, split: int, k: int) -> list:
-    """The ranges of the floors over a cell of a polygon over which they
-    have ranges, where floor number split is k: a floor of one value keeps
-    it, and the others are found from the cell's vertices."""
-    out = []
-    for i, (alpha, beta, c) in enumerate(lines):
-        if i == split:
-            out.append((k, k + 1))
-        elif ranges[i][1] - ranges[i][0] == 1:
-            out.append(ranges[i])
-        else:
-            values = []
-            for vertex, _ in cell:
-                p, q = _value(alpha, beta, vertex)
-                values.append((p, q + c * vertex[4], vertex[4]))
-            low, high = _extremes(values)
-            out.append((phi_floor(*low), phi_ceil(*high)))
-    return out
+def _ruled_out(atom: tuple, polygon: list, ranges: list) -> bool:
+    """Whether E of the atom (rel, least and most of l over P, K, A, B,
+    floors indexed as ranges) is ruled out on the whole polygon, each floor
+    at its worst there: E <= 0 where E > 0, E = 0 where E > 0 or E < 0, and
+    E != 0 where -1 < E < 1.  A bound is tested up to the first vertex where
+    it fails."""
+    rel, least, most, k, big_x, big_y, floors = atom
+
+    def beyond(bound: tuple | None, sign: int) -> bool:  # sign*E + [E != 0] > 0
+        const = k + sign * (rel == "!=") + sum(
+            w * (ranges[i][0] if sign * w > 0 else ranges[i][1] - 1) for i, w in floors)
+        return bound is not None and all(sign * phi_sign(
+            bound[0] * d + bound[2] * (const * d - big_x * up - big_y * vp),
+            bound[1] * d - bound[2] * (big_x * uq + big_y * vq)) > 0
+            for (up, uq, vp, vq, d), _ in polygon)
+
+    if rel == "!=":
+        return beyond(least, 1) and beyond(most, -1)
+    return beyond(least, 1) or rel == "=" and beyond(most, -1)
 
 
-def _value(alpha: tuple[int, int], beta: tuple[int, int], vertex: tuple) -> tuple[int, int]:
-    """alpha*u + beta*v at the vertex (Up, Uq, Vp, Vq, D), times D."""
-    (a, p), (b, q), (up, uq, vp, vq, _) = alpha, beta, vertex
-    (p, q), (r, s) = phi_mul(a, p, up, uq), phi_mul(b, q, vp, vq)
-    return p + r, q + s
+def _floors(polygon: list, line: tuple) -> tuple[int, int]:
+    """(least, greatest + 1) of floor(alpha*u + beta*v + c*phi) for the
+    line (alpha, beta, c), at the polygon's points where its argument is not
+    an integer."""
+    alpha, beta, c = line
+    (p, q, d), (r, s, e) = _range([vertex for vertex, _ in polygon], (), alpha, beta)
+    return phi_floor(p, q + c * d, d), phi_ceil(r, s + c * e, e)
 
 
-def _compare(v: tuple[int, int, int], w: tuple[int, int, int]) -> int:
-    """The sign of v - w for numbers (p + q*phi)/d of Q(phi)."""
-    return phi_sign(v[0] * w[2] - w[0] * v[2], v[1] * w[2] - w[1] * v[2])
+def _value(alpha: tuple[int, int], beta: tuple[int, int], point: tuple) -> tuple[int, int, int]:
+    """alpha*u + beta*v at the point (Up, Uq, Vp, Vq, D), a number of Q(phi)."""
+    (a, p), (b, q), (up, uq, vp, vq, d) = alpha, beta, point  # phi^2 = phi + 1
+    return a * up + p * uq + b * vp + q * vq, a * uq + p * (up + uq) + b * vq + q * (vp + vq), d
 
 
-def _extremes(values: list) -> tuple:
-    """(least, greatest) of numbers of Q(phi)."""
+def _range(points: list, rays: list, alpha: tuple[int, int], beta: tuple[int, int]) -> tuple:
+    """(least, greatest) of alpha*u + beta*v (alpha, beta in Z[phi]), as
+    numbers (p, q, D) of Q(phi), over the convex hull of the points plus
+    the cone of the integer rays (r, s): each None when a ray takes the
+    form past every bound."""
+    values = [_value(alpha, beta, point) for point in points]
     least = most = values[0]
-    for v in values:
-        if _compare(v, least) < 0:
+    for v in values[1:]:  # v - w has the sign of (v[0]*w[2] - w[0]*v[2]) + (...)*phi
+        if phi_sign(v[0] * least[2] - least[0] * v[2], v[1] * least[2] - least[1] * v[2]) < 0:
             least = v
-        elif _compare(v, most) > 0:
+        elif phi_sign(v[0] * most[2] - most[0] * v[2], v[1] * most[2] - most[1] * v[2]) > 0:
             most = v
-    return least, most
+    signs = {phi_sign(alpha[0] * r + beta[0] * s, alpha[1] * r + beta[1] * s) for r, s in rays}
+    return None if -1 in signs else least, None if 1 in signs else most
 
 
 def _clip(polygon: list, cut: tuple) -> list:
@@ -1718,8 +1703,8 @@ def _clip(polygon: list, cut: tuple) -> list:
     alpha, beta, (p, q) = cut
     sides = []
     for vertex, _ in polygon:
-        r, s = _value(alpha, beta, vertex)
-        sides.append(phi_sign(r - p * vertex[4], s - q * vertex[4]))
+        r, s, d = _value(alpha, beta, vertex)
+        sides.append(phi_sign(r - p * d, s - q * d))
     if min(sides) >= 0 or max(sides) <= 0:
         return polygon if min(sides) >= 0 else [v for v, s in zip(polygon, sides) if s == 0]
     out = []
@@ -1751,21 +1736,20 @@ def _meet(first: tuple, second: tuple) -> tuple[int, int, int, int, int]:
     return sign * u[0], sign * u[1], sign * v[0], sign * v[1], sign * d
 
 
-def _corners(constraints: set) -> list[tuple[int, int, int]]:
-    """The points (x*D, y*D, D), D > 0, of the polyhedron a*x + b*y <= d for
-    each (a, b, d) among its vertices, the feet of the perpendiculars from
-    the origin to its lines and the origin.  Every face of least dimension
-    holds one, so a linear form bounded below on the polyhedron takes its
-    least value at one; none when it is empty."""
+def _corners(constraints: set) -> list[tuple[int, int, int, int, int]]:
+    """The points (x*D, 0, y*D, 0, D), D > 0, of the polyhedron
+    a*x + b*y <= d for each (a, b, d) among its vertices, the feet of the
+    perpendiculars from the origin to its lines and the origin.  Every face
+    of least dimension holds one, so a linear form bounded below on the
+    polyhedron takes its least value at one; none when it is empty."""
     lines = [(a, b, d) for a, b, d in constraints if a or b]
-    points = [(0, 0, 1)] + [(d * a, d * b, a * a + b * b) for a, b, d in lines]
+    points = [(0, 0, 0, 0, 1)] + [(d * a, 0, d * b, 0, a * a + b * b) for a, b, d in lines]
     for i, (a1, b1, d1) in enumerate(lines):
         for a2, b2, d2 in lines[i + 1:]:
             if a1 * b2 != a2 * b1:
-                px, _, py, _, e = _meet(((a1, 0), (b1, 0), (d1, 0)), ((a2, 0), (b2, 0), (d2, 0)))
-                points.append((px, py, e))
-    return [(px, py, e) for px, py, e in points
-            if all(a * px + b * py <= d * e for a, b, d in constraints)]
+                points.append(_meet(((a1, 0), (b1, 0), (d1, 0)), ((a2, 0), (b2, 0), (d2, 0))))
+    return [point for point in points
+            if all(a * point[0] + b * point[2] <= d * point[4] for a, b, d in constraints)]
 
 
 def _rays(constraints: set) -> list[tuple[int, int]]:
@@ -1776,18 +1760,6 @@ def _rays(constraints: set) -> list[tuple[int, int]]:
     for a, b, _ in constraints:
         directions |= {(-b, a), (b, -a), (-a, -b)}
     return [(r, s) for r, s in directions if all(a * r + b * s <= 0 for a, b, _ in constraints)]
-
-
-def _range(polyhedron: tuple, alpha: tuple[int, int], beta: tuple[int, int]) -> tuple:
-    """(least, greatest) of alpha*x + beta*y (alpha, beta in Z[phi]) over
-    the polyhedron, each None when a ray takes the form past every bound."""
-    if alpha == beta == (0, 0):
-        return (0, 0, 1), (0, 0, 1)
-    _, corners, rays = polyhedron
-    signs = {phi_sign(alpha[0] * r + beta[0] * s, alpha[1] * r + beta[1] * s) for r, s in rays}
-    least, most = _extremes([(alpha[0] * px + beta[0] * py, alpha[1] * px + beta[1] * py, d)
-                             for px, py, d in corners])
-    return None if -1 in signs else least, None if 1 in signs else most
 
 
 # --- axiom audit ------------------------------------------------------------
