@@ -7,7 +7,11 @@ For each seed, the four perfbench corpora are built with
 ``perfbench/corpus.py`` at the sizes ``perfbench/run.py --seconds 25`` runs,
 warm-up queries included, and 2,000 closed random sentences are drawn with
 ``random_formula(random.Random(seed), 5)`` of ``tests/formula_gen.py``, each
-run as ``decide <sentence> --bound 100``.  Every argv goes through
+run as ``decide <sentence> --bound 100``.  Then each sentence is run once
+more, made malformed by one edit drawn from the same generator: one token
+deleted, one duplicated, two neighbours swapped, or one of ``( ) & ! . ,``
+inserted, so that parse errors (message, offset, exit code) are compared
+too; the variant's tokens are joined by single spaces.  Every argv goes through
 ``beatty.cli.run`` in one fresh interpreter per tree: once for the working
 tree, and once for REV's ``src``, exported with ``git archive`` into a
 temporary directory that is removed afterwards.  The ``elapsed_s`` value of ``--json`` output
@@ -56,13 +60,32 @@ for argv in json.load(sys.stdin):
 json.dump(answers, sys.stdout)
 """
 ELAPSED = re.compile(r'"elapsed_s": "[^"]*"')
+# a token of a formula as the printer writes it: an operator, digits, a name
+TOKEN = re.compile(r"->|<=|>=|!=|\d+|\w+|\S")
 # The corpus sizes are those of a bench run of this many seconds.
 SECONDS = 25
 
 
+def malformed(rng: random.Random, text: str) -> str:
+    """text with one edit drawn from rng: a token deleted, duplicated or
+    swapped with the next, or one of ( ) & ! . , inserted before it."""
+    tokens = TOKEN.findall(text)
+    k, edit = rng.randrange(len(tokens)), rng.randrange(4)
+    if edit == 0:
+        del tokens[k]
+    elif edit == 1:
+        tokens.insert(k, tokens[k])
+    elif edit == 2 and k + 1 < len(tokens):
+        tokens[k], tokens[k + 1] = tokens[k + 1], tokens[k]
+    else:
+        tokens.insert(k, rng.choice("()&!.,"))
+    return " ".join(tokens)
+
+
 def argvs(seeds: list[int]) -> list[list[str]]:
     """Every argv of every workload's corpus, warm-up first, then those of
-    the seed's 2,000 random sentences, seed by seed."""
+    the seed's 2,000 random sentences and of their malformed variants, seed
+    by seed."""
     out = []
     for seed in seeds:
         for workload in corpus.WORKLOADS:
@@ -70,8 +93,9 @@ def argvs(seeds: list[int]) -> list[list[str]]:
                                            run.WARMUP[workload])
             out += [q["argv"] for q in warmup + queries]
         rng = random.Random(seed)
-        out += [["decide", format_formula(random_formula(rng, 5)), "--bound", "100"]
-                for _ in range(2000)]
+        sentences = [format_formula(random_formula(rng, 5)) for _ in range(2000)]
+        out += [["decide", text, "--bound", "100"]
+                for text in sentences + [malformed(rng, text) for text in sentences]]
     return out
 
 

@@ -11,7 +11,7 @@ import re
 import sys
 from collections.abc import Iterator
 from fractions import Fraction
-from itertools import chain, count
+from itertools import chain, count, islice
 from operator import add, eq, lt, mul, sub
 from typing import NamedTuple
 
@@ -188,8 +188,12 @@ class ParseError(Exception):
         self.expected = expected
 
 
-class _TooDeep(ParseError):
-    """Nesting past MAX_NESTING; final, never a reason to backtrack."""
+class _Error(Exception):
+    """ParseError's arguments, with a token's index in place of its offset."""
+
+
+class _TooDeep(Exception):
+    """Nesting past MAX_NESTING, as _Error; never turned into another error."""
 
 
 # Bounds the depth of every tree the parser builds, so that the recursive
@@ -202,241 +206,237 @@ MAX_NESTING = 100
 MAX_LITERAL_DIGITS = sys.int_info.default_max_str_digits
 
 
-# a token, or else the character no token starts with; neither at the end
-_TOKEN = re.compile(r"\s*(?:(->|<=|>=|!=|[()\[\],.+\-*<>=!&|]|\d+|[A-Za-z_][A-Za-z0-9_]*)|(\S))?")
+# a token, or else (\S) a character no token holds, which findall gives as ""
+_TOKEN = re.compile(r"(->|<=|>=|!=|[()\[\],.+\-*<>=!&|]|\d+|[A-Za-z_][A-Za-z0-9_]*)|\S")
+_CUT = re.compile(r"[^\w>=]")  # no token goes on with it: a window may end before it
 # each relation as (primitive relation, operands swapped, negated)
 _RELS = {"<": ("<", False, False), "<=": ("<", True, True), "=": ("=", False, False),
          "!=": ("=", False, True), ">": ("<", True, False), ">=": ("<", False, True)}
 _CHAINED = {"|": Or, "&": And, "+": Add, "-": Sub}
+_END = " "  # the token at and past the end of the text, which no other token is
 
 
-def _unexpected(token: str | None) -> str:
-    """The message for an unexpected token; None is the end of the text."""
-    return "unexpected end of input" if token is None else f"unexpected {token!r}"
+def _unexpected(token: str, unexpected: str = "unexpected") -> str:
+    """The message for an unexpected token; _END is the end of the text."""
+    return "unexpected end of input" if token == _END else f"{unexpected} {token!r}"
 
 
 class _Parser:
+    """One pass over toks, the tokens scanned so far and then None (or _END),
+    by index.  Nesting: each open ( ! f( quantifier -> and k* is one level, and
+    each &, |, + or - one more for everything on its left (chains build
+    left-deep trees).  depth is the nesting at the current token, peak the
+    deepest in the current operand (depth where an atom starts)."""
+
     def __init__(self, text: str):
-        self.text = text
-        # Tokens are scanned only as the parser reaches them, so the first
-        # error met is the one reported; the list stays for backtracking,
-        # and past the end of the text each token is None.
-        self.tokens: list[tuple[str | None, int]] = []
-        self.scanned = 0  # offset where scanning resumes
-        self.i = 0
-        # Nesting: each open ( ! quantifier f( -> and k* counts one level,
-        # and each &, |, + or - one more for everything on its left, since
-        # those chains build left-deep trees.  depth is the nesting at the
-        # current token, peak the deepest reached by the current operand.
-        self.depth = self.peak = 0
+        self.text, self.toks, self.window, self.bad = text, [None, None], 256, ""
+        self.n = self.scanned = self.i = self.depth = self.peak = 0
 
-    def _token(self, k: int) -> tuple[str | None, int]:
-        """Token k and its offset, scanning up to it."""
-        tokens = self.tokens
-        while len(tokens) <= k:
-            m = _TOKEN.match(self.text, self.scanned)
-            token, bad = m.group(1, 2)
-            if bad:
-                raise ParseError(f"unexpected character {bad!r}", m.start(2))
-            if token is None:
-                tokens.append((None, m.end()))
-                continue
-            literal = token.removeprefix("p")  # p<digits> carries a modulus
-            if len(literal) > MAX_LITERAL_DIGITS and literal.isdigit():
-                raise ParseError(f"integer literal longer than {MAX_LITERAL_DIGITS} digits",
-                                 m.start(1))
-            tokens.append((token, m.start(1)))
-            self.scanned = m.end()
-        return tokens[k]
+    def _more(self, k: int) -> str:
+        """Token k, where toks holds None: scanning a window of the text,
+        twice the last, so the first error met is the one raised."""
+        if self.bad:
+            raise _Error(self.bad, self.n)
+        cut = _CUT.search(text := self.text, (start := self.scanned) + self.window)
+        end, self.window = cut.start() if cut else len(text), 2 * self.window
+        if "" in (toks := _TOKEN.findall(text, start, end)):
+            bad = next(islice(_TOKEN.finditer(text, start), j := toks.index(""), None)).group()
+            del toks[j:]
+            self.bad = f"unexpected character {bad!r}"
+        for j, tok in enumerate(toks if end - start > MAX_LITERAL_DIGITS else ()):
+            if len(lit := tok.removeprefix("p")) > MAX_LITERAL_DIGITS and lit.isdigit():
+                del toks[j:]
+                self.bad = f"integer literal longer than {MAX_LITERAL_DIGITS} digits"
+                break
+        self.toks[self.n:] = toks + [None if self.bad or end < len(text) else _END] * 2
+        self.n, self.scanned = self.n + len(toks), end
+        return self.toks[k] or self._more(k)
 
-    def _peek(self, ahead: int = 0) -> str | None:
-        k = self.i + ahead
-        return (self.tokens[k] if k < len(self.tokens) else self._token(k))[0]
+    def _expect(self, *tokens: str) -> None:
+        for token in tokens:
+            if (got := self.toks[i := self.i] or self._more(i)) != token:
+                raise _Error(_unexpected(got), i, (repr(token),))
+            self.i = i + 1
 
-    def _expect(self, token: str) -> None:
-        got, position = self._token(self.i)
-        if got != token:
-            raise ParseError(_unexpected(got), position, (repr(token),))
+    def _enter(self, k: int) -> None:
+        """Open a construct that starts at token k; step past the current token."""
+        self.depth = depth = self.depth + 1
+        self.peak = max(self.peak, depth)
+        if depth > MAX_NESTING:
+            raise _TooDeep(f"nesting deeper than {MAX_NESTING}", k)
         self.i += 1
 
-    def _enter(self, position: int) -> None:
-        """Open a construct that starts at position; step past the current token."""
-        self.depth += 1
-        self.peak = max(self.peak, self.depth)
-        if self.depth > MAX_NESTING:
-            raise _TooDeep(f"nesting deeper than {MAX_NESTING}", position)
-        self.i += 1
-
-    def _chain(self, operand, operators: tuple[str, ...]):
+    def _chain(self, operand, operators: tuple[str, ...], node=None):
         """operand (operator operand)*, built left-deep: each operator puts
-        everything on its left one level deeper (each operand is parsed with
-        peak reset to the chain's depth)."""
-        outer, self.peak = self.peak, self.depth
-        node, peak = operand(), self.peak
-        while (op := self._peek()) in operators:
-            position = self.tokens[self.i][1]
-            self.i += 1
+        everything on its left one level deeper (each operand is read with
+        peak reset to depth).  node is the first operand, if read already."""
+        outer = self.peak
+        if node is None:
             self.peak = self.depth
+            node = operand()
+        toks, peak = self.toks, self.peak
+        while (op := toks[i := self.i] or self._more(i)) in operators:
+            self.i, self.peak = i + 1, self.depth
             right = operand()
-            peak = max(peak, self.peak) + 1
-            if peak > MAX_NESTING:
-                raise _TooDeep(f"nesting deeper than {MAX_NESTING}", position)
+            if (peak := max(peak, self.peak) + 1) > MAX_NESTING:
+                raise _TooDeep(f"nesting deeper than {MAX_NESTING}", i)
             node = _CHAINED[op](node, right)
         self.peak = max(outer, peak)
         return node
 
     def _literal(self) -> int | None:
         """An optional - and digits, read as an int; None if they do not come next."""
-        negative = self._peek() == "-"
-        digits = self._peek(1 if negative else 0)
-        if digits is None or not digits.isdigit():
+        toks, i = self.toks, self.i
+        if negative := (toks[i] or self._more(i)) == "-":
+            i += 1
+        if not (digits := toks[i] or self._more(i)).isdigit():
             return None
-        self.i += 2 if negative else 1
+        self.i = i + 1
         return -int(digits) if negative else int(digits)
 
     def _variable(self, unexpected: str, expected: tuple[str, ...] = ()) -> str:
-        """Read the variable named by the current token; any other token is
-        reported as unexpected."""
-        tok, position = self._token(self.i)
-        if tok is None:
-            raise ParseError(_unexpected(tok), position)
-        if not tok.isidentifier():
-            raise ParseError(f"{unexpected} {tok!r}", position, expected)
-        if tok in _RESERVED or _P_DIGITS.match(tok):
-            raise ParseError(f"{tok!r} is reserved", position)
-        self.i += 1
+        """Read the variable the current token names; another token is unexpected."""
+        if not (tok := self.toks[i := self.i] or self._more(i)).isidentifier():
+            raise _Error(_unexpected(tok, unexpected), i, () if tok == _END else expected)
+        if tok in _RESERVED or tok[0] == "p" and _P_DIGITS.match(tok):
+            raise _Error(f"{tok!r} is reserved", i)
+        self.i = i + 1
         return tok
 
     # formulas; precedence ! > & > | > ->, quantifiers extend maximally right
-    def parse_formula(self) -> Formula:
-        left = self._chain(lambda: self._chain(self.parse_unary, ("&",)), ("|",))
-        tok, position = self._token(self.i)
-        if tok != "->":
-            return left
-        self._enter(position)
-        node = Implies(left, self.parse_formula())
+    def formula(self, node: Formula | None = None) -> Formula:
+        """A formula, or the rest of one whose first operand is node."""
+        node = node and self._chain(self.unary, ("&",), node)
+        node = self._chain(lambda: self._chain(self.unary, ("&",)), ("|",), node)
+        if (self.toks[i := self.i] or self._more(i)) != "->":
+            return node
+        self._enter(i)
+        node = Implies(node, self.formula())
         self.depth -= 1
         return node
 
-    def parse_unary(self) -> Formula:
-        tok, position = self._token(self.i)
-        if tok not in ("!", "exists", "forall"):
-            return self.parse_atom()
-        self._enter(position)
-        if tok == "!":
-            node = Not(self.parse_unary())
-        else:
-            name = self._variable("invalid variable name")
-            self._expect(".")
-            body = self.parse_formula()
-            node = Exists(name, body) if tok == "exists" else Forall(name, body)
-        self.depth -= 1
+    def unary(self, inside: bool = False) -> Formula | Term:
+        """A run of ! and quantifiers, read in one loop, then an atom (see
+        atom for inside); each quantifier's body is the rest of the formula."""
+        toks, run = self.toks, []
+        while (tok := toks[i := self.i] or self._more(i)) in ("!", "exists", "forall"):
+            self._enter(i)
+            if tok != "!":
+                tok = Exists if tok == "exists" else Forall, self._variable("invalid variable name")
+                self._expect(".")
+            run.append(tok)
+        node = self.atom(inside and not run)
+        for tok in reversed(run):
+            node = Not(node) if tok == "!" else tok[0](tok[1], self.formula(node))
+            self.depth -= 1
         return node
 
-    def parse_atom(self) -> Formula:
-        tok, position = self._token(self.i)
-        if tok is not None and _P_DIGITS.match(tok) and self._peek(1) == "(":
-            modulus = int(tok[1:])
-            if modulus < 1:
-                raise ParseError("divisibility modulus must be >= 1", position)
-            self.i += 1
-            self._expect("(")
-            term = self.parse_term()
-            self._expect(")")
-            return Div(modulus, term)
+    def atom(self, inside: bool = False) -> Formula | Term:
+        """An atom or, inside a group, a term that a ) ends: then the formula
+        reading of the group expects a relation at that ) (self.leaf)."""
+        toks, i = self.toks, self.i
+        if (tok := toks[i] or self._more(i)) == "(":
+            return self._group(inside)
         if tok == "P":
-            self.i += 1
-            nums = []
-            for separator in ("[", ",", ",", ","):
+            self.i, nums = i + 1, []
+            for separator in "[,,,":  # then an integer
                 self._expect(separator)
-                nums.append(self._int())
-            self._expect("]")
-            self._expect("(")
-            low = self.parse_term()
-            self._expect(",")
-            high = self.parse_term()
+                if (value := self._literal()) is None:
+                    got = toks[j := self.i + (toks[self.i] == "-")]
+                    at = j if got == _END else self.i
+                    raise _Error(_unexpected(got, "expected integer, got"), at)
+                nums.append(value)
+            self._expect("]", "(")
+            low, high = self.term(), self._expect(",") or self.term()
             self._expect(")")
             if nums[0] < 1 or nums[1] < 1:
-                raise ParseError("window predicate moduli must be >= 1", position)
+                raise _Error("window predicate moduli must be >= 1", i)
             return PPred(*nums, low, high)
-        # Either `term REL term` or a parenthesized formula; a '(' is
-        # ambiguous between the two, so try the comparison and backtrack.
-        saved, depth, peak = self.i, self.depth, self.peak
-        try:
-            left = self.parse_term()
-            rel, rel_position = self._token(self.i)
-            if rel not in _RELS:
-                raise ParseError(_unexpected(rel), rel_position, tuple(_RELS))
-            self.i += 1
-            right = self.parse_term()
-            primitive, swapped, negated = _RELS[rel]
-            atom = Cmp(right, primitive, left) if swapped else Cmp(left, primitive, right)
-            return Not(atom) if negated else atom
-        except _TooDeep:
-            raise
-        except ParseError:
-            if tok != "(":
-                raise
-            self.i, self.depth, self.peak = saved, depth, peak
-        self._enter(position)
-        inner = self.parse_formula()
-        self._expect(")")
-        self.depth -= 1
-        return inner
+        if tok[0] == "p" and _P_DIGITS.match(tok) and (toks[i + 1] or self._more(i + 1)) == "(":
+            if (modulus := int(tok[1:])) < 1:
+                raise _Error("divisibility modulus must be >= 1", i)
+            self.i += 2
+            term = self.term()
+            self._expect(")")
+            return Div(modulus, term)
+        node = self.term()
+        if inside and (toks[i := self.i] or self._more(i)) == ")":
+            self.leaf = i
+            return node
+        return self._comparison(node)
 
-    def _int(self) -> int:
-        """Read an integer literal, which must come next."""
-        tok, position = self._token(self.i)
-        value = self._literal()
-        if value is None:
-            got = self._peek(1) if tok == "-" else tok
-            if got is None:
-                raise ParseError(_unexpected(got), len(self.text))
-            raise ParseError(f"expected integer, got {got!r}", position)
-        return value
+    def _comparison(self, left: Term) -> Formula:
+        if (rel := self.toks[i := self.i] or self._more(i)) not in _RELS:
+            raise _Error(_unexpected(rel), i, tuple(_RELS))
+        self.i = i + 1
+        right = self.term()
+        primitive, swapped, negated = _RELS[rel]
+        atom = Cmp(right, primitive, left) if swapped else Cmp(left, primitive, right)
+        return Not(atom) if negated else atom
+
+    def _group(self, inside: bool) -> Formula | Term:
+        """A ( at an atom, read once: ( formula ), or ( term ) and the rest of
+        a comparison or, inside a group, of a term a ) ends.  Where that rest
+        fails, the error is the one reading a formula meets (see atom)."""
+        self._enter(self.i)
+        first = self.toks[i := self.i] or self._more(i)
+        node = self._group(True) if first == "(" else self.unary(True)  # one frame a group
+        if not isinstance(node, Term):
+            node = self.formula(node)
+            self._expect(")")
+            self.depth -= 1
+            return node
+        leaf, self.i, self.depth = self.leaf, self.i + 1, self.depth - 1
+        try:
+            node = self._chain(self.product, ("+", "-"), node)
+            if inside and (self.toks[i := self.i] or self._more(i)) == ")":
+                return node
+            return self._comparison(node)
+        except _Error:
+            raise _Error(_unexpected(")"), leaf, tuple(_RELS)) from None
 
     # terms; '*' binds tighter than '+'/'-', sums associate left
-    def parse_term(self) -> Term:
-        return self._chain(self.parse_product, ("+", "-"))
+    def term(self) -> Term:
+        return self._chain(self.product, ("+", "-"))
 
-    def parse_product(self) -> Term:
-        tok, position = self._token(self.i)
-        value = self._literal()
-        if value is not None:
-            if self._peek() != "*":
-                return Const(value)
-            self._enter(position)
-            node = Scale(value, self.parse_product())
-        elif tok in ("(", "f"):
-            self._enter(position)
+    def product(self) -> Term:
+        if (tok := self.toks[i := self.i] or self._more(i)) == "(" or tok == "f":
+            self._enter(i)
             if tok == "f":
                 self._expect("(")
-            inner = self.parse_term()
+            node = self._chain(self.product, ("+", "-"))  # the term, with no frame for term()
             self._expect(")")
-            node = F(inner) if tok == "f" else inner
-        else:
+        elif (value := self._literal()) is None:
             return Var(self._variable("unexpected", ("a term",)))
+        elif (self.toks[j := self.i] or self._more(j)) != "*":
+            return Const(value)
+        else:
+            self._enter(i)
+            node = Scale(value, self.product())
         self.depth -= 1
-        return node
+        return F(node) if tok == "f" else node
 
 
 def _whole(text: str, rule) -> Formula | Term:
     """rule over the whole of text."""
-    parser = _Parser(text)
-    node = rule(parser)
-    tok, position = parser._token(parser.i)
-    if tok is not None:
-        raise ParseError(f"unexpected trailing {tok!r}", position)
-    return node
+    try:
+        node = rule(parser := _Parser(text))
+        if (tok := parser.toks[i := parser.i] or parser._more(i)) != _END:
+            raise _Error(f"unexpected trailing {tok!r}", i)
+        return node
+    except (_Error, _TooDeep) as error:
+        message, k, *expected = error.args
+        token = next(islice(_TOKEN.finditer(text), k, None), None)
+        raise ParseError(message, token.start() if token else len(text), *expected) from None
 
 
 def parse(text: str) -> Formula:
     """Parse a formula; raises ParseError with a position on bad input."""
-    return _whole(text, _Parser.parse_formula)
+    return _whole(text, _Parser.formula)
 
 
 def parse_term(text: str) -> Term:
-    return _whole(text, _Parser.parse_term)
+    return _whole(text, _Parser.term)
 
 
 # --- printer ----------------------------------------------------------------
@@ -1215,13 +1215,22 @@ def _decide_exactly(sentence: Exists | Forall, depth: int, tries: Iterator) -> D
         if decision.certificate is None or _certified(sentence, decision, tries):
             return decision
     routes = [_decide_one_variable] * (depth == 1) + [_decide_two_variables] * (depth <= 2)
-    if depth == 1 and any(type(node) is F for outer in _nodes(sentence) if type(outer) is F
-                          for node in _nodes(outer.arg)):
+    if depth == 1 and _nests_f(sentence):
         routes.reverse()
     for route in routes:
         if (decision := route(sentence)) is not None:
             return decision
     return None
+
+
+def _nests_f(node: Formula | Term, inside: bool = False) -> bool:
+    """Whether node holds f of a term that holds f; inside: node is in one's argument."""
+    if (is_f := type(node) is F) and inside:
+        return True
+    for child in node:
+        if isinstance(child, tuple) and _nests_f(child, inside or is_f):
+            return True
+    return False
 
 
 def _certified(sentence: Exists | Forall, decision: Decision, tries: Iterator) -> bool:
@@ -1509,7 +1518,7 @@ def _no_point(atoms: list[tuple], cells: Iterator) -> bool:
     keys.update(inner for *_, d, e in nested
                 for inner, w in (((1, 0, 0, 0, 0), d), ((0, 1, 0, 0, 0), e)) if w)
     terms = sorted(keys.difference(nested)) + nested
-    return _signs_excluded(atoms, terms, {}, _polyhedron(order), cells)
+    return _signs_excluded(atoms, terms, {}, _polyhedron(order), cells, {})
 
 
 def _half_planes(rel: str, lx: int, ly: int, k: int) -> set[tuple[int, int, int]]:
@@ -1524,7 +1533,7 @@ def _polyhedron(constraints: set) -> tuple | None:
 
 
 def _signs_excluded(atoms: list, terms: list, positive: dict, polyhedron: tuple | None,
-                    cells: Iterator) -> bool:
+                    cells: Iterator, square: dict) -> bool:
     """_no_point over each case of the signs of the f arguments not yet in
     positive: t = a*x + b*y + c + d*f(x) + e*f(y) is <= 0, where f(t) = 0,
     or >= 1.  A sign that P already fixes makes one case, and one that
@@ -1534,7 +1543,7 @@ def _signs_excluded(atoms: list, terms: list, positive: dict, polyhedron: tuple 
     if polyhedron is None:
         return True
     if len(positive) == len(terms):
-        return _case_excluded(atoms, positive, polyhedron, cells)
+        return _case_excluded(atoms, positive, polyhedron, cells, square)
     a, b, c, d, e = term = terms[len(positive)]
     if d or e:
         d, e = d * positive.get((1, 0, 0, 0, 0), 0), e * positive.get((0, 1, 0, 0, 0), 0)
@@ -1547,7 +1556,7 @@ def _signs_excluded(atoms: list, terms: list, positive: dict, polyhedron: tuple 
             up = False
         else:
             return False
-        return _signs_excluded(atoms, terms, {**positive, term: up}, polyhedron, cells)
+        return _signs_excluded(atoms, terms, {**positive, term: up}, polyhedron, cells, square)
     least, most = _range(*polyhedron[1:], (a, 0), (b, 0))  # of a*x + b*y over P
     up = least is not None and least[0] >= (1 - c) * least[2]
     if up or most is not None and most[0] <= -c * most[2]:
@@ -1555,11 +1564,12 @@ def _signs_excluded(atoms: list, terms: list, positive: dict, polyhedron: tuple 
     else:
         cases = ((up, _polyhedron(polyhedron[0] | {cut}))
                  for up, cut in ((True, (-a, -b, c - 1)), (False, (a, b, -c))))
-    return all(_signs_excluded(atoms, terms, {**positive, term: up}, case, cells)
+    return all(_signs_excluded(atoms, terms, {**positive, term: up}, case, cells, square)
                for up, case in cases)
 
 
-def _case_excluded(atoms: list, positive: dict, polyhedron: tuple, cells: Iterator) -> bool:
+def _case_excluded(atoms: list, positive: dict, polyhedron: tuple, cells: Iterator,
+                   square: dict) -> bool:
     """_no_point in one case of signs, where each f argument
     t = a*x + b*y + c + d*f(x) + e*f(y) is <= 0 (f(t) = 0) or, when
     positive[(a, b, c, d, e)], >= 1, where
@@ -1579,7 +1589,8 @@ def _case_excluded(atoms: list, positive: dict, polyhedron: tuple, cells: Iterat
     at x, y in P with t >= 1, L = phi*t less an integer is never an
     integer, so (u, v) is in the closure of a cell of positive area with its
     own floors.  A cell of zero area is dropped, and a cell no atom excludes
-    is met: False."""
+    is met: False.  square keeps each line's floor range over the unit
+    square, for every case of one _no_point call."""
     if next(cells, None) is None:
         return False
     fx, fy = positive.get((1, 0, 0, 0, 0), False), positive.get((0, 1, 0, 0, 0), False)
@@ -1612,8 +1623,8 @@ def _case_excluded(atoms: list, positive: dict, polyhedron: tuple, cells: Iterat
                             [(index[line], w) for line, w in floors]))
     if not bounded:
         return False
-    return _cells_excluded(_SQUARE, [_floors(_SQUARE, line) for line in lines], lines, bounded,
-                           cells)
+    square.update((line, _floors(_SQUARE, line)) for line in lines if line not in square)
+    return _cells_excluded(_SQUARE, [square[line] for line in lines], lines, bounded, cells)
 
 
 def _cells_excluded(polygon: list, ranges: list, lines: list, atoms: list,

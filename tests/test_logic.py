@@ -60,6 +60,7 @@ def test_parse_examples():
     expected = Exists("x", And(Div(2, Var("x")),
                                Cmp(F(Var("x")), "<", Add(Var("x"), Var("x")))))
     assert parse("exists x. (p2(x) & f(x) < x + x)") == expected
+    assert parse("x < ٣") == Cmp(Var("x"), "<", Const(3))  # \d is any Unicode digit
 
 
 def test_parse_error_positions():
@@ -144,6 +145,15 @@ def test_parse_reports_the_first_error_met():
     assert err.value.position == MAX_NESTING
 
 
+def test_parse_is_linear_in_the_nesting_of_groups():
+    # each ( is read once, whether the group holds a formula or a term; a
+    # parser that tries the term first and backtracks walks the formula's
+    # groups quadratically often (about 25 times the term's time at 99)
+    formula, _ = _least_time(lambda: [parse("(" * 99 + "x < 1" + ")" * 99) for _ in range(10)])
+    term, _ = _least_time(lambda: [parse("(" * 99 + "x" + ")" * 99 + " < 1") for _ in range(10)])
+    assert formula < 4 * term
+
+
 def test_parse_caps_left_operands_of_chains():
     # a group as the left operand of a chain sits one level deeper per
     # operator, so nesting groups that each start a chain adds up
@@ -194,6 +204,19 @@ PARSE_ERRORS = [
     ("(" * 100 + "$", 100, "unexpected character '$'"),
     ("x < 1" + " & x < 1" * 101 + " & $", 806, "nesting deeper than 100"),
     ("x < " + "f(" * 3000 + "x", 204, "nesting deeper than 100"),
+    # a group at an atom that is neither a term nor a formula: the error is
+    # the one the formula reading meets, at the first ')' after a term
+    ("(x) & y < 1", 2, f"unexpected ')' at offset 2 {_RELATIONS}"),
+    ("(x + 1 & 2)", 7, f"unexpected '&' at offset 7 {_RELATIONS}"),
+    ("((x)) <", 3, f"unexpected ')' at offset 3 {_RELATIONS}"),
+    ("(x < 1", 6, "unexpected end of input at offset 6 (expected ')')"),
+    ("(x < 1) + 2 < 3", 8, "unexpected trailing '+'"),
+    ("(f(x) = 1", 9, "unexpected end of input at offset 9 (expected ')')"),
+    ("((x) + y) & z", 3, f"unexpected ')' at offset 3 {_RELATIONS}"),
+    ("(!(x))", 4, f"unexpected ')' at offset 4 {_RELATIONS}"),
+    ("((x) < &)", 3, f"unexpected ')' at offset 3 {_RELATIONS}"),
+    ("(x) < 1 + #", 2, f"unexpected ')' at offset 2 {_RELATIONS}"),
+    ("x < -#", 5, "unexpected character '#'"),
 ]
 
 
