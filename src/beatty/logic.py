@@ -821,7 +821,9 @@ def _joined(join: type, left: Formula | None, right: Formula | None) -> Formula 
 
 class NormalFormQuery(NamedTuple):
     """One-variable existential conjunction: congruences on x and on f(x),
-    an order window lower < x < upper, and linear constraints on f(x)."""
+    an order window lower < x < upper, and linear constraints on f(x).  A
+    conjunction that no integer satisfies by itself (an unsolvable
+    divisibility or order atom) has a window with no integer in it."""
 
     var: str
     on_x: tuple[Congruence, ...]
@@ -829,10 +831,6 @@ class NormalFormQuery(NamedTuple):
     lower: int | None
     upper: int | None
     linear: tuple[LinearConstraint, ...]
-
-
-# encodes a recognized-but-unsatisfiable conjunct without leaving the shape
-_FALSE_PAIR = (Congruence(2, 0), Congruence(2, 1))
 
 
 def _affine(term: Term, x: str, y: str | None = None) -> dict | None:
@@ -983,77 +981,53 @@ def _conjunction_query(var: str, conjuncts: list[Formula]) -> NormalFormQuery | 
     linear: list[LinearConstraint] = []
 
     for conjunct in conjuncts:
-        if isinstance(conjunct, Div):
-            lin = _linearize(conjunct.term, var)
-            if lin is None:
-                return None
-            a, b, cst = lin
-            if a and b:  # a congruence on x or on f(x), not both
-                return None
-            solved = solve_linear(a or b, cst, conjunct.modulus)
-            (on_x if b == 0 else on_fx).extend([solved] if solved else _FALSE_PAIR)
-            continue
-        if not isinstance(conjunct, Cmp):
-            return None
-        lin = _linearize(Sub(conjunct.left, conjunct.right), var)
-        if lin is None:
+        kind = type(conjunct)
+        if kind not in (Div, Cmp) or (lin := _linearize(
+                conjunct.term if kind is Div else Sub(conjunct.left, conjunct.right), var)) is None:
             return None
         a, b, cst = lin
-
-        # now: a*x + b*f(x) + cst  <rel>  0; with a == b == 0 it folds
-        if b == 0:
-            window = _order_window(a, cst, conjunct.rel, lower, upper)
-            if window is None:
-                on_x.extend(_FALSE_PAIR)
+        # now: a*x + b*f(x) + cst  <rel>  0, or divisible by the modulus
+        if kind is Div:
+            if a and b:  # a congruence on x or on f(x), not both
+                return None
+            if solved := solve_linear(a or b, cst, conjunct.modulus):
+                (on_x if b == 0 else on_fx).append(solved)
             else:
-                lower, upper = window
-            continue
-        rel = conjunct.rel if b > 0 else {"<": ">", "=": "="}[conjunct.rel]
-        linear.append(LinearConstraint(rel, Fraction(-a, b), Fraction(-cst, b)))
+                lower, upper = 0, 1
+        elif b == 0:  # with a == 0 too it folds
+            lower, upper = _order_window(a, cst, conjunct.rel, lower, upper) or (0, 1)
+        else:
+            rel = conjunct.rel if b > 0 else {"<": ">", "=": "="}[conjunct.rel]
+            linear.append(LinearConstraint(rel, Fraction(-a, b), Fraction(-cst, b)))
 
     return NormalFormQuery(var, tuple(on_x), tuple(on_fx), lower, upper, tuple(linear))
 
 
 def _slab_cases(var: str, conjuncts: list[Formula]) -> list[list[Formula]] | None:
     """conjuncts as two cases free of their first innermost f(t) that
-    _linearize refuses although it reads t = a*x + b*f(x) + c.  For x >= 1,
-    f(x) = phi*x - θ with θ in (0, 1), so where t >= 1
-        f(t) = b*x + (a+b)*f(x) + floor(λθ + c*phi),  λ = a + b - b*phi,
-    and where t <= 0, f(t) = 0.  None when that floor takes more than one
-    value on (0, 1), or when some x <= 0 may have t >= 1 (there f(x) = 0 and
-    t = a*x + c): a < 0 or c > 0 while the order window reaches x <= 0."""
+    _linearize refuses although it reads t = a*x + b*f(x) + c: where _folds
+    reads f(t) as one slab, the case x >= 1 and t >= 1 with that value, and
+    the case t <= 0 with 0; None where it does not."""
     term = next((node for e in conjuncts for node in _nodes(e) if isinstance(node, F)
                  and _linearize(node, var) is None and _linearize(node.arg, var)), None)
     if term is None:
         return None
-    a, b, c = _linearize(term.arg, var)
-    value = _slab(Var(var), a, b, c)
-    if value is None:
+    guards, value = _folds(term.arg, conjuncts)
+    if not guards:
         return None
-    if a < 0 or c > 0:
-        window = _order_query(var, conjuncts)
-        if window.lower is None or window.lower < 0:
-            return None
-    return [[Cmp(Const(0), "<", Var(var)), Cmp(Const(0), "<", term.arg),
-             *(_replace(e, term, value) for e in conjuncts)],
+    return [[*guards, Cmp(Const(0), "<", term.arg), *(_replace(e, term, value) for e in conjuncts)],
             [Cmp(term.arg, "<", Const(1)), *(_replace(e, term, Const(0)) for e in conjuncts)]]
 
 
-def _order_query(var: str, conjuncts: list[Formula]) -> NormalFormQuery:
-    """The query of the conjuncts that compare var with no f(var) in them:
-    the order window they leave, with _FALSE_PAIR in on_x when it is
-    empty."""
-    return _conjunction_query(var, [e for e in conjuncts if type(e) is Cmp and (
-        lin := _linearize(Sub(e.left, e.right), var)) is not None and not lin[1]])
-
-
-def _slab(w: Term, a: int, b: int, c: int) -> Term | None:
-    """f(a*w + b*f(w) + c) where w >= 1 and its argument is >= 1, as
-    b*w + (a+b)*f(w) + k when floor(λθ + c*phi), λ = a + b - b*phi, takes
-    one value k on 0 < θ < 1 (see _slab_cases), else None: _floors of
-    λu + 0*v + c*phi over the unit square."""
-    k, high = _floors(_SQUARE, ((a + b, -b), (0, 0), c))
-    return _form(k, (b, w), (a + b, F(w))) if high == k + 1 else None
+def _order_query(var: str, conjuncts: list[Formula]) -> tuple[int | None, int | None] | None:
+    """The order window (lower, upper) that the conjuncts comparing var with
+    no f(var) in them leave, or None when no integer is left in it."""
+    window = (None, None)
+    for e in conjuncts:
+        if type(e) is Cmp and (lin := _linearize(Sub(e.left, e.right), var)) and not lin[1]:
+            if (window := _order_window(lin[0], lin[2], e.rel, *window)) is None:
+                return None
+    return window
 
 
 def _nodes(node: Formula | Term):
@@ -1133,7 +1107,8 @@ def decide_existential_nf(query: NormalFormQuery) -> Decision:
 
     window = WindowSet.between(query.lower, upper)
     for lc in query.linear:
-        window = window.intersect(solution_window(lc))
+        if window.pieces:  # else it stays empty, whatever lc's window is
+            window = window.intersect(solution_window(lc))
 
     least = None
     for piece in window.pieces:
@@ -1352,7 +1327,7 @@ def _pinned(body: Formula, x: str, existential: bool) -> tuple[list, list] | Non
             return None
         values = [] if shape == (0, 1) else [([], t)]
         if shape != (1, 0):
-            guards, ft = _folds(t)
+            guards, ft = _folds(t, conjuncts)
             values.append((guards, Add(Sub(ft, t), Const(1)) if shape == (0, 1) else
                            Sub(Scale(2, t), ft)))
         free += [guards + [_replace(c, var, value) for c in conjuncts] for guards, value in values]
@@ -1362,7 +1337,7 @@ def _pinned(body: Formula, x: str, existential: bool) -> tuple[list, list] | Non
                 free.append([Cmp(t, "=", Const(0)), *rest])
                 continue
             rest.append(Cmp(var, "<", Const(1)))
-            if not _order_query(x, rest).on_x:  # else they leave no integer
+            if _order_query(x, rest) is not None:  # else they leave no integer
                 kept.append([Cmp(t, "=", Const(0)), *rest])
     return free, kept
 
@@ -1393,17 +1368,24 @@ def _form(c: int, *parts: tuple[int, Term]) -> Term:
     return Const(c) if out is None else Add(out, Const(c)) if c else out
 
 
-def _folds(t: Term) -> tuple[list[Formula], Term]:
-    """f(t) as (guards, value), where value is f(t) and the guards hold
-    wherever t >= 1: f(t) itself; but where t = a*w + b*f(w) + c in its one
-    name w, with b != 0, a >= 0 and c <= 0 (so that t <= 0 where w <= 0),
-    _slab's value with the guard w >= 1."""
+def _folds(t: Term, conjuncts: list[Formula]) -> tuple[list[Formula], Term]:
+    """f(t), in a disjunct of the conjuncts, as (guards, value), where value
+    is f(t) and the guards hold wherever the disjunct holds and t >= 1: f(t)
+    itself; but where t = a*w + b*f(w) + c in its one name w, t not w alone,
+    the single slab's value with the guard w >= 1.  For w >= 1, f(w) =
+    phi*w - θ with θ in (0, 1), so where t >= 1 (Wythoff)
+        f(t) = b*w + (a+b)*f(w) + floor(λθ + c*phi),  λ = a + b - b*phi,
+    which is a slab when that floor takes one value k on (0, 1): _floors of
+    λu + 0*v + c*phi over the unit square.  Where w <= 0, f(w) = 0 and
+    t = a*w + c, so no such w may have t >= 1: a >= 0 and c <= 0, or the
+    disjunct's order atoms over w leave no w <= 0 (or no integer at all)."""
     names = free_vars(t)
-    if len(names) == 1:
-        w = Var(*names)
-        a, b, c = _linearize(t, w.name) or (0, 0, 0)
-        if b and a >= 0 and c <= 0 and (value := _slab(w, a, b, c)) is not None:
-            return [Cmp(Const(0), "<", w)], value
+    if len(names) == 1 and (lin := _linearize(t, *names)) not in (None, (1, 0, 0)):
+        (a, b, c), w = lin, Var(*names)
+        k, high = _floors(_SQUARE, ((a + b, -b), (0, 0), c))
+        if high == k + 1 and (a >= 0 and c <= 0 or (window := _order_query(w.name, conjuncts))
+                              is None or window[0] is not None and window[0] >= 0):
+            return [Cmp(Const(0), "<", w)], _form(k, (b, w), (a + b, F(w)))
     return [], F(t)
 
 

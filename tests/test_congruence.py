@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from beatty import congruence
 from beatty.congruence import (
     Congruence,
     CongruenceSystem,
@@ -297,6 +298,20 @@ def test_witness_is_the_least(n, m, n2, m2, shape, low, width):
     assert out.witness == want and out.is_witness == (want is not None)
     if want is None:
         assert out.status == "no_solution"
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.integers(1, 12), st.integers(-40, 40), st.integers(-40, 40), st.integers(0, 11),
+       st.integers(0, 11))
+@example(4, 8, 1, 0, 0)  # a = 0 (mod M) and b outside the target: no t at all
+@example(6, 4, 0, 1, 0)  # a*t + b stays even mod 6, the target is odd
+def test_least_step_is_the_least_t_of_a_scan_over_one_period(M, a, b, L, w):
+    # (a*t + b) mod M repeats with period M / gcd(a, M), so a scan of
+    # 0 <= t < M finds the least t in [L, L + w], or shows there is none
+    L = L % M
+    w = w % (M - L)  # L + w < M
+    want = next((t for t in range(M) if L <= (a * t + b) % M <= L + w), None)
+    assert congruence._least_step(a, b, M, L, w) == want
 
 
 @settings(max_examples=300, deadline=None)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from beatty import logic
 from beatty.congruence import Congruence, CongruenceSystem, solve_system
-from beatty.golden import f_floor, phi_sign
+from beatty.golden import f_floor, f_inverse, phi_sign
 from beatty.logic import (
     BOUNDED,
     EXACT,
@@ -685,6 +685,30 @@ def test_to_normal_form_handles_scaled_and_negated_shapes():
     assert q is not None and decide_existential_nf(q).truth is False
 
 
+def test_an_unsatisfiable_conjunct_leaves_an_order_window_with_no_integer(monkeypatch):
+    # an unsolvable divisibility or order atom empties lower < x < upper,
+    # and what the other conjuncts add keeps it empty; the decision reads no
+    # linear constraint's window then (the near-phi slope's takes seconds)
+    monkeypatch.setattr(logic, "solution_window", lambda lc: pytest.fail(f"read {lc}"))
+    for text, on_x, on_fx in [("exists x. p2(2 * x + 1)", (), ()),
+                              ("exists x. (p3(x) & 9 < x & x < 5)", ((3, 0),), ()),
+                              ("exists x. (p2(2 * x + 1) & 3 < x & p3(f(x)))", (), ((3, 0),)),
+                              ("exists x. (x < 0 & 0 < x & 1000003 * f(x) > 1618038 * x)", (), ())]:
+        q = to_normal_form(parse(text))
+        assert q.on_x == tuple(Congruence(*c) for c in on_x), text
+        assert q.on_fx == tuple(Congruence(*c) for c in on_fx), text
+        assert q.upper - q.lower < 2 and WindowSet.between(q.lower, q.upper).is_empty, text
+        assert decide_existential_nf(q) == Decision(False)
+
+
+def test_no_linear_constraint_window_is_read_where_no_positive_x_is_left(monkeypatch):
+    # the witness -1 settles x <= 0, and x < 1 leaves no x >= 1 for this
+    # near-phi slope's window, which takes seconds to build
+    monkeypatch.setattr(logic, "solution_window", lambda lc: pytest.fail(f"read {lc}"))
+    sentence = parse("exists x. (x < 1 & 1000003 * f(x) > 1618038 * x)")
+    assert decide(sentence) == Decision(True, certificate=-1)
+
+
 def test_decide_existential_nf_examples():
     q = to_normal_form(parse("exists x. (p2(x) & 0 < x & x < 20 & p3(f(x) - 1))"))
     d = decide_existential_nf(q)
@@ -1011,12 +1035,24 @@ def _slab_atom(rng):
 @given(st.randoms(use_true_random=False), st.integers(-40, 40) | st.integers(10**6, 10**12))
 def test_single_slab_rewrite_agrees_with_f_floor_at_each_point(rng, x):
     # x alone leaves the order window (x - 1, x + 1), which for x <= 0 meets
-    # the case x <= 0 < t that the rewrite must decline unless f(t) = 0 there
+    # the case x <= 0 < t that the rewrite must decline unless f(t) = 0 there,
+    # and for x >= 1 lets it take a < 0 or c > 0 too.  The same rule folds
+    # f(t) where the pin f(y) = t, t = a*x + b*f(x) + c, eliminates y; p1(y)
+    # keeps x's order atoms in the pin's disjuncts, and exists y. f(y) = v
+    # holds where v = 0 or v >= 1 is a value of f
     atom, _ = _slab_atom(rng)
     d = decide(Exists("x", And(Cmp(Var("x"), "=", Const(x)), atom)))
     holds = evaluate(atom, {"x": x}).truth
     if d.provenance == EXACT:
         assert d.truth is holds and d.witness == (x if holds else None)
+    a, b, c = rng.randint(-3, 3), rng.randint(-3, 3), rng.choice([rng.randint(-4, 4), 1, 2])
+    t = f"{a} * x + {b} * f(x) + {c}"
+    d = decide(parse(f"exists x. (x = {x} & exists y. (f(y) = {t} & "
+                     f"(0 < x & p1(y) | x < 1 & p1(y))))"), bound=0)
+    v = a * x + b * f_floor(x) + c
+    holds = v == 0 or v >= 1 and f_inverse(v) is not None
+    if d.provenance == EXACT:
+        assert d.truth is holds and d.witness == (x if holds else None), t
 
 
 def test_single_slab_rewrite_decides_windows_as_the_scan_does():
@@ -1036,6 +1072,19 @@ def test_single_slab_rewrite_decides_windows_as_the_scan_does():
             assert (d.witness if existential else d.counterexample) in points + [None]
             rewritten += compound and d.provenance == EXACT
     assert rewritten > 400
+
+
+def test_folds_takes_a_slab_with_c_above_0_once_the_order_window_gives_x_at_least_1():
+    # f(f(x) + 1) = x + f(x) + 1 for x >= 1, but at x = 0 <= 0 < f(x) + 1 it
+    # is f(1) = 1: the slab needs x >= 1 from the disjunct's order atoms
+    t = parse_term("f(x) + 1")
+    folded = ([parse("0 < x")], parse_term("x + f(x) + 1"))
+    assert logic._folds(t, [parse("0 < x")]) == folded
+    assert logic._folds(t, [parse("3 < x"), parse("p2(x)"), parse("f(x) < 9")]) == folded
+    assert logic._folds(t, [parse("x < 0"), parse("4 < x")]) == folded  # no integer
+    for conjuncts in ([], [parse("-1 < x")], [parse("f(x) > 1")]):
+        assert logic._folds(t, conjuncts) == ([], F(t))
+    assert all(f_floor(f_floor(x) + 1) == x + f_floor(x) + 1 for x in range(1, 2000))
 
 
 @pytest.mark.parametrize("text,decision", [
@@ -1689,6 +1738,22 @@ def test_a_certificate_from_an_elimination_is_checked_against_the_body(text, che
     assert logic._decide(bogus, None, iter(range(1))) == Decision(True, certificate=7)
     d = decide(sentence, bound=5)
     assert d.provenance == BOUNDED and d.certificate != 7
+
+
+def test_a_certificate_is_not_checked_where_the_body_binds_its_variable_again():
+    # x := 3 in the body would reach the inner x too, so the check declines
+    sentence = nnf(parse("exists x. (x = 3 & exists x. x = 2)"))
+    assert not logic._certified(sentence, Decision(True, certificate=3), iter(range(MAX_DISJUNCTS)))
+    assert decide(sentence) == Decision(True, certificate=3)
+
+
+def test_a_pinned_quantifier_whose_dnf_passes_the_disjunct_cap_is_not_eliminated():
+    # x = n pins x, but !p70(x) is 69 disjuncts, past MAX_DISJUNCTS
+    body = nnf(parse("x = n & !p70(x)"))
+    assert logic._may_pin(body, "x", True) and logic._pinned(body, "x", True) is None
+    sentence = nnf(parse("forall n. n < 1 | exists x. (x = n & !p70(x))"))
+    assert list(logic._eliminations(sentence)) == []
+    assert decide(sentence, bound=80) == Decision(False, BOUNDED, bound=80, certificate=70)
 
 
 # --- values -----------------------------------------------------------------
