@@ -16,9 +16,8 @@ import os
 import re
 import sys
 import time
+from collections.abc import Callable
 from contextlib import suppress
-from fractions import Fraction
-from typing import Callable
 
 from .congruence import Congruence, CongruenceSystem, solve_system
 from .golden import f_floor, f_inverse
@@ -119,6 +118,8 @@ def _cmd_solve(xn: int, xm: int, fn: int, fm: int, lo: int | None,
 
 def _cmd_window(relation: str, slope: str, offset: int) -> tuple[dict, str, str, int]:
     """solution set of f(x) <rel> slope*x + k over x >= 1"""
+    from fractions import Fraction  # only window needs it; importing costs set-up time
+
     try:
         if _too_long(slope) or "e" in slope.lower():  # 10**exponent is unbounded
             raise ValueError(f"at most {MAX_LITERAL_DIGITS} digits and no exponent")

@@ -14,8 +14,8 @@ window.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from math import gcd
-from typing import NamedTuple
 
 from .golden import f_floor
 from .numeration import fib, fib_index_above
@@ -32,7 +32,7 @@ __all__ = [
 ]
 
 
-class Congruence(NamedTuple("Congruence", [("modulus", int), ("residue", int)])):
+class Congruence(namedtuple("Congruence", "modulus residue")):
     """x = residue (mod modulus), residue stored reduced."""
 
     __slots__ = ()
@@ -46,9 +46,7 @@ class Congruence(NamedTuple("Congruence", [("modulus", int), ("residue", int)]))
         return x % self.modulus == self.residue
 
 
-class CongruenceSystem(NamedTuple("CongruenceSystem", [("on_x", Congruence), ("on_fx", Congruence),
-                                                       ("lower", int | None),
-                                                       ("upper", int | None)])):
+class CongruenceSystem(namedtuple("CongruenceSystem", "on_x on_fx lower upper")):
     """x = m (mod n), f(x) = m' (mod n'), with open window lower < x < upper.
 
     A bound of None means the window is unbounded on that side.
@@ -63,10 +61,10 @@ class CongruenceSystem(NamedTuple("CongruenceSystem", [("on_x", Congruence), ("o
         return tuple.__new__(cls, (on_x, on_fx, lower, upper))
 
 
-class SolveOutcome(NamedTuple):
-    status: str  # "witness" | "no_solution"
-    witness: int | None = None
+class SolveOutcome(namedtuple("SolveOutcome", "status witness", defaults=(None,))):
+    """status "witness" with the least witness, or "no_solution"."""
 
+    __slots__ = ()
     # There is one search, so no outcome comes from a fallback; the flag
     # stays only because perfbench/tracing.py reads it.
     fallback_used = False

@@ -6,8 +6,8 @@ Z[phi] (phi_mul, phi_norm), which every other module uses."""
 
 from __future__ import annotations
 
+from collections import namedtuple
 from math import isqrt
-from typing import NamedTuple
 
 from .numeration import _zeck_walk
 
@@ -63,12 +63,11 @@ def f_inverse(y: int) -> int | None:
     return x if f_floor(x) == y else None
 
 
-class BeattyDecomposition(NamedTuple):
+class BeattyDecomposition(namedtuple("BeattyDecomposition", "kind x")):
     """Which half of the complementary pair n falls in: n = f(x) on the
-    F branch, n = f(x) + x on the G branch."""
+    F branch (kind "F"), n = f(x) + x on the G branch (kind "G")."""
 
-    kind: str  # "F" or "G"
-    x: int
+    __slots__ = ()
 
 
 def decompose(n: int) -> BeattyDecomposition:

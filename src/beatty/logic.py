@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import re
 import sys
+from collections import namedtuple
 from collections.abc import Iterator
-from fractions import Fraction
 from itertools import chain, count, islice
+from math import gcd
 from operator import add, eq, lt, mul, sub
-from typing import NamedTuple
 
 from .congruence import Congruence, CongruenceSystem, crt_combine, solve_linear, solve_system
 from .golden import decompose, f_floor, phi_ceil, phi_floor, phi_mul, phi_norm, phi_sign
@@ -55,39 +55,19 @@ F_TABLE_CAP = 1 << 16  # values of f one evaluate() call keeps: 6.5 MiB at most
 
 # --- terms -----------------------------------------------------------------
 
-class Var(NamedTuple):
-    name: str
-
-
-class Const(NamedTuple):
-    value: int
-
-
-class Add(NamedTuple):
-    left: "Term"
-    right: "Term"
-
-
-class Sub(NamedTuple):
-    left: "Term"
-    right: "Term"
-
-
-class Scale(NamedTuple):
-    coeff: int
-    term: "Term"
-
-
-class F(NamedTuple):
-    arg: "Term"
-
+Var = namedtuple("Var", "name")
+Const = namedtuple("Const", "value")
+Add = namedtuple("Add", "left right")
+Sub = namedtuple("Sub", "left right")
+Scale = namedtuple("Scale", "coeff term")
+F = namedtuple("F", "arg")
 
 Term = Var | Const | Add | Sub | Scale | F
 
 
 # --- formulas ---------------------------------------------------------------
 
-class Cmp(NamedTuple("Cmp", [("left", Term), ("rel", str), ("right", Term)])):
+class Cmp(namedtuple("Cmp", "left rel right")):
     __slots__ = ()
 
     def __new__(cls, left: Term, rel: str, right: Term) -> "Cmp":
@@ -96,7 +76,7 @@ class Cmp(NamedTuple("Cmp", [("left", Term), ("rel", str), ("right", Term)])):
         return tuple.__new__(cls, (left, rel, right))
 
 
-class Div(NamedTuple("Div", [("modulus", int), ("term", Term)])):
+class Div(namedtuple("Div", "modulus term")):
     __slots__ = ()
 
     def __new__(cls, modulus: int, term: Term) -> "Div":
@@ -105,8 +85,7 @@ class Div(NamedTuple("Div", [("modulus", int), ("term", Term)])):
         return tuple.__new__(cls, (modulus, term))
 
 
-class PPred(NamedTuple("PPred", [("mod_x", int), ("mod_fx", int), ("res_x", int),
-                                 ("res_fx", int), ("low", Term), ("high", Term)])):
+class PPred(namedtuple("PPred", "mod_x mod_fx res_x res_fx low high")):
     """Solvability predicate: exists x with x = res_x (mod mod_x),
     f(x) = res_fx (mod mod_fx) and low < x < high."""
 
@@ -119,34 +98,12 @@ class PPred(NamedTuple("PPred", [("mod_x", int), ("mod_fx", int), ("res_x", int)
         return tuple.__new__(cls, (mod_x, mod_fx, res_x % mod_x, res_fx % mod_fx, low, high))
 
 
-class Not(NamedTuple):
-    body: "Formula"
-
-
-class And(NamedTuple):
-    left: "Formula"
-    right: "Formula"
-
-
-class Or(NamedTuple):
-    left: "Formula"
-    right: "Formula"
-
-
-class Implies(NamedTuple):
-    left: "Formula"
-    right: "Formula"
-
-
-class Exists(NamedTuple):
-    var: str
-    body: "Formula"
-
-
-class Forall(NamedTuple):
-    var: str
-    body: "Formula"
-
+Not = namedtuple("Not", "body")
+And = namedtuple("And", "left right")
+Or = namedtuple("Or", "left right")
+Implies = namedtuple("Implies", "left right")
+Exists = namedtuple("Exists", "var body")
+Forall = namedtuple("Forall", "var body")
 
 Formula = Cmp | Div | PPred | Not | And | Or | Implies | Exists | Forall
 
@@ -485,7 +442,8 @@ def _operand(sub: Formula) -> str:
 
 # --- evaluation -------------------------------------------------------------
 
-class Decision(NamedTuple):
+class Decision(namedtuple("Decision", "truth provenance bound certificate reason",
+                          defaults=(EXACT, None, None, None))):
     """Outcome of evaluation or decision.
 
     truth None means unknown: a quantifier scan ran out of the evaluation
@@ -495,11 +453,7 @@ class Decision(NamedTuple):
     is a witness of a true answer or a counterexample of a false one.
     """
 
-    truth: bool | None
-    provenance: str = EXACT
-    bound: int | None = None
-    certificate: int | None = None
-    reason: str | None = None
+    __slots__ = ()
 
     @property
     def witness(self) -> int | None:
@@ -819,18 +773,13 @@ def _joined(join: type, left: Formula | None, right: Formula | None) -> Formula 
 
 # --- normal-form recognition ------------------------------------------------
 
-class NormalFormQuery(NamedTuple):
+class NormalFormQuery(namedtuple("NormalFormQuery", "var on_x on_fx lower upper linear")):
     """One-variable existential conjunction: congruences on x and on f(x),
     an order window lower < x < upper, and linear constraints on f(x).  A
     conjunction that no integer satisfies by itself (an unsolvable
     divisibility or order atom) has a window with no integer in it."""
 
-    var: str
-    on_x: tuple[Congruence, ...]
-    on_fx: tuple[Congruence, ...]
-    lower: int | None
-    upper: int | None
-    linear: tuple[LinearConstraint, ...]
+    __slots__ = ()
 
 
 def _affine(term: Term, x: str, y: str | None = None) -> dict | None:
@@ -997,8 +946,10 @@ def _conjunction_query(var: str, conjuncts: list[Formula]) -> NormalFormQuery | 
         elif b == 0:  # with a == 0 too it folds
             lower, upper = _order_window(a, cst, conjunct.rel, lower, upper) or (0, 1)
         else:
+            # over g = sgn(b)*gcd(a, b, cst), LinearConstraint's own integer form
+            g = gcd(a, b, cst) if b > 0 else -gcd(a, b, cst)
             rel = conjunct.rel if b > 0 else {"<": ">", "=": "="}[conjunct.rel]
-            linear.append(LinearConstraint(rel, Fraction(-a, b), Fraction(-cst, b)))
+            linear.append(LinearConstraint._make((rel, b // g, -a // g, -cst // g)))
 
     return NormalFormQuery(var, tuple(on_x), tuple(on_fx), lower, upper, tuple(linear))
 
@@ -1757,19 +1708,16 @@ def _rays(constraints: set) -> list[tuple[int, int]]:
 
 # --- axiom audit ------------------------------------------------------------
 
-class FamilyResult(NamedTuple):
-    name: str
-    instances: int
-    failures: tuple[str, ...]
+class FamilyResult(namedtuple("FamilyResult", "name instances failures")):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
         return not self.failures
 
 
-class AuditReport(NamedTuple):
-    bound: int
-    families: tuple[FamilyResult, ...]
+class AuditReport(namedtuple("AuditReport", "bound families")):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -1858,6 +1806,8 @@ def _audit_convergents(n: int) -> FamilyResult:
     """Convergent-substituted implications, in the form that holds: x
     restricted to integer right-hand sides, convergent index at the least
     adequate value (the literal any-index form is false; see axiom_v_check)."""
+    from fractions import Fraction  # only the audit needs it; importing costs set-up time
+
     failures: list[str] = []
     instances = 0
     x_range = min(n, 2000)

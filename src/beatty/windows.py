@@ -13,10 +13,9 @@ for the exact gap n*phi - m or a convergent's rational gap w - s.
 from __future__ import annotations
 
 from bisect import bisect_right
-from fractions import Fraction
+from collections import namedtuple
 from functools import cached_property
 from math import lcm
-from typing import NamedTuple
 
 from .congruence import Congruence, crt_combine, solve_linear
 from .golden import f_floor, phi_ceil, phi_floor, phi_sign
@@ -43,6 +42,8 @@ CLASS_CROSSOVER = 8
 
 def convergent_d(i: int) -> Fraction:
     """fib(2i+1)/fib(2i): the increasing ladder of approximants below phi."""
+    from fractions import Fraction  # only the rational paths need it; importing costs set-up time
+
     if i < 0:
         raise ValueError("index must be non-negative")
     return Fraction(fib(2 * i + 1), fib(2 * i))
@@ -50,14 +51,14 @@ def convergent_d(i: int) -> Fraction:
 
 def convergent_u(i: int) -> Fraction:
     """fib(2i+2)/fib(2i+1): the decreasing ladder of approximants above phi."""
+    from fractions import Fraction
+
     if i < 0:
         raise ValueError("index must be non-negative")
     return Fraction(fib(2 * i + 2), fib(2 * i + 1))
 
 
-class BracketInfo(NamedTuple):
-    side: str  # "below" or "above"
-    index: int
+BracketInfo = namedtuple("BracketInfo", "side index")  # side "below" or "above" phi
 
 
 def _ladder(side: str, i: int) -> Fraction:
@@ -73,6 +74,8 @@ def locate_slope(slope: Fraction | int) -> BracketInfo:
     Above phi: the unique j with u_{j+1} < slope <= u_j, with the mirrored
     j = 0 convention for slopes above u_0 = 2.
     """
+    from fractions import Fraction
+
     s = Fraction(slope)
     if s < 0:
         raise ValueError(f"slope must be non-negative, got {s}")
@@ -83,27 +86,39 @@ def locate_slope(slope: Fraction | int) -> BracketInfo:
     return BracketInfo(side, j)
 
 
-class LinearConstraint(NamedTuple("LinearConstraint",
-                                  [("relation", str), ("slope", Fraction), ("offset", Fraction)])):
-    """f(x) <relation> slope*x + offset over integer x >= 1.
+class LinearConstraint(namedtuple("LinearConstraint", "relation n m c0")):
+    """f(x) <relation> slope*x + offset over integer x >= 1, for int or
+    Fraction slope and offset.
 
-    Kept as exact rationals; integer_form() recovers the cleared-denominator
-    reading N*f(x) <relation> M*x + C.
+    Kept as the cleared-denominator reading n*f(x) <relation> m*x + c0, with
+    n >= 1 and gcd(n, m, c0) = 1, which integer_form() returns and _make()
+    takes; slope and offset read it back as Fractions.
     """
 
-    def __new__(cls, relation: str, slope: Fraction, offset: Fraction) -> "LinearConstraint":
+    __slots__ = ()
+
+    def __new__(cls, relation: str, slope: Fraction | int,
+                offset: Fraction | int) -> "LinearConstraint":
         if relation not in ("<", "=", ">"):
             raise ValueError(f"relation must be one of < = >, got {relation!r}")
-        slope, offset = Fraction(slope), Fraction(offset)
-        self = tuple.__new__(cls, (relation, slope, offset))
         n = lcm(slope.denominator, offset.denominator)
-        m = slope.numerator * (n // slope.denominator)
-        c0 = offset.numerator * (n // offset.denominator)
-        self._integer_form = (n, m, c0)
-        return self
+        return tuple.__new__(cls, (relation, n, slope.numerator * (n // slope.denominator),
+                                   offset.numerator * (n // offset.denominator)))
+
+    @property
+    def slope(self) -> Fraction:
+        from fractions import Fraction
+
+        return Fraction(self.m, self.n)
+
+    @property
+    def offset(self) -> Fraction:
+        from fractions import Fraction
+
+        return Fraction(self.c0, self.n)
 
     def integer_form(self) -> tuple[int, int, int]:
-        return self._integer_form
+        return self[1:]
 
     def holds(self, x: int) -> bool:
         n, m, c0 = self.integer_form()
@@ -115,14 +130,11 @@ def _order(a: int, b: int) -> str:
     return "<" if a < b else "=" if a == b else ">"
 
 
-class Piece(NamedTuple):
+class Piece(namedtuple("Piece", "lo hi mod res", defaults=(1, 0))):
     """Integers x with lo <= x (<= hi) and x = res (mod mod); hi None means
     unbounded above.  Normalized so lo and hi both lie in the class."""
 
-    lo: int
-    hi: int | None
-    mod: int = 1
-    res: int = 0
+    __slots__ = ()
 
 
 def _make_piece(lo: int, hi: int | None, mod: int = 1, res: int = 0) -> Piece | None:
@@ -169,9 +181,10 @@ def _intersect_runs(a: tuple[Piece, ...], b: tuple[Piece, ...]) -> tuple[Piece, 
     return tuple(p for p in out if p is not None)
 
 
-class WindowSet(NamedTuple("WindowSet", [("pieces", tuple[Piece, ...])])):
+class WindowSet(namedtuple("WindowSet", "pieces")):
     """A finite union of congruence-restricted intervals over x >= 1; its runs
-    (modulus-1 pieces) are sorted, disjoint and maximal (see from_pieces)."""
+    (modulus-1 pieces) are sorted, disjoint and maximal (see from_pieces).
+    Unlike the other records it has a __dict__, where _index is cached."""
 
     @classmethod
     def from_pieces(cls, pieces: list[Piece | None]) -> "WindowSet":
@@ -318,13 +331,8 @@ def _verify_boundaries(constraint: LinearConstraint, window: WindowSet) -> None:
                 )
 
 
-class AxiomVReport(NamedTuple):
-    slope: Fraction
-    offset: int
-    index: int
-    side: str
-    checked: int
-    counterexamples: tuple[int, ...]
+class AxiomVReport(namedtuple("AxiomVReport", "slope offset index side checked counterexamples")):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -356,6 +364,8 @@ def axiom_v_check(
     fractional slopes); see least_adequate_index for the index threshold
     beyond which they provably do.
     """
+    from fractions import Fraction
+
     s = Fraction(slope)
     bracket = locate_slope(s)
     if index < bracket.index + 1:
@@ -379,6 +389,8 @@ def least_adequate_index(slope: Fraction | int, offset: int) -> int:
     offset 2, index 1 fails at x = 5).  Convergence of w to phi guarantees
     termination.
     """
+    from fractions import Fraction
+
     s = Fraction(slope)
     bracket = locate_slope(s)
     below = bracket.side == "below"

@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beatty import logic
-from beatty.congruence import Congruence, CongruenceSystem, solve_system
-from beatty.golden import f_floor, f_inverse, phi_sign
+from beatty.congruence import Congruence, CongruenceSystem, SolveOutcome, solve_system
+from beatty.golden import BeattyDecomposition, f_floor, f_inverse, phi_sign
 from beatty.logic import (
     BOUNDED,
     EXACT,
@@ -19,12 +19,14 @@ from beatty.logic import (
     MAX_NESTING,
     Add,
     And,
+    AuditReport,
     Cmp,
     Const,
     Decision,
     Div,
     Exists,
     F,
+    FamilyResult,
     Forall,
     Implies,
     Not,
@@ -49,7 +51,7 @@ from beatty.logic import (
     parse_term,
     to_normal_form,
 )
-from beatty.windows import LinearConstraint, Piece, WindowSet
+from beatty.windows import AxiomVReport, BracketInfo, LinearConstraint, Piece, WindowSet
 from formula_gen import nf_brute_holds, nf_brute_witness, random_formula, random_nf_sentence
 
 
@@ -683,6 +685,22 @@ def test_to_normal_form_handles_scaled_and_negated_shapes():
     # congruences with clashing residues stay a query, and it is false
     q = to_normal_form(parse("exists x. (p2(x) & p2(x + 1))"))
     assert q is not None and decide_existential_nf(q).truth is False
+
+
+@given(a=st.integers(-60, 60), b=st.integers(-60, 60).filter(bool), c=st.integers(-60, 60),
+       rel=st.sampled_from("<="))
+def test_the_decide_path_clears_a_linear_constraint_as_its_rational_reading_does(a, b, c, rel):
+    # a*x + b*f(x) + c <rel> 0 is cleared with integers only; its integer form
+    # sets the window's zone and, per class, its piece count, so it must be
+    # the one of f(x) <rel'> (-a/b)*x + (-c/b)
+    x = Var("x")
+    term = Add(Add(Scale(a, x), Scale(b, F(x))), Const(c))
+    q = to_normal_form(Exists("x", Cmp(term, rel, Const(0))))
+    expected = LinearConstraint(rel if b > 0 else {"<": ">", "=": "="}[rel],
+                                Fraction(-a, b), Fraction(-c, b))
+    assert q.linear == (expected,)
+    assert q.linear[0].integer_form() == expected.integer_form()
+    assert (q.linear[0].slope, q.linear[0].offset) == (expected.slope, expected.offset)
 
 
 def test_an_unsatisfiable_conjunct_leaves_an_order_window_with_no_integer(monkeypatch):
@@ -1793,6 +1811,32 @@ def test_constructor_contracts():
     for value, field in values:
         with pytest.raises(AttributeError):
             setattr(value, field, getattr(value, field))
+    # every record is a collections.namedtuple with these fields; a
+    # LinearConstraint keeps its cleared integer form, and reads slope and
+    # offset from it
+    fields = {
+        BeattyDecomposition: "kind x", Congruence: "modulus residue",
+        CongruenceSystem: "on_x on_fx lower upper", SolveOutcome: "status witness",
+        BracketInfo: "side index", LinearConstraint: "relation n m c0",
+        Piece: "lo hi mod res", WindowSet: "pieces",
+        AxiomVReport: "slope offset index side checked counterexamples",
+        Var: "name", Const: "value", Add: "left right", Sub: "left right",
+        Scale: "coeff term", F: "arg", Cmp: "left rel right", Div: "modulus term",
+        PPred: "mod_x mod_fx res_x res_fx low high", Not: "body", And: "left right",
+        Or: "left right", Implies: "left right", Exists: "var body", Forall: "var body",
+        Decision: "truth provenance bound certificate reason",
+        NormalFormQuery: "var on_x on_fx lower upper linear",
+        FamilyResult: "name instances failures", AuditReport: "bound families",
+    }
+    for kind, names in fields.items():
+        assert kind._fields == tuple(names.split()), kind
+        # no instance has a __dict__, but WindowSet, which caches its index there
+        assert hasattr(kind._make(names.split()), "__dict__") is (kind is WindowSet), kind
+    assert Decision(True) == (True, EXACT, None, None, None)
+    assert Piece(4, None) == (4, None, 1, 0)
+    assert SolveOutcome("no_solution") == ("no_solution", None)
+    assert SolveOutcome.fallback_used is False and SolveOutcome("witness", 5).fallback_used is False
+    assert LinearConstraint("<", Fraction(3, 2), Fraction(-1, 4)) == ("<", 4, 6, -1)
 
 
 # --- audit ------------------------------------------------------------------
