@@ -11,6 +11,7 @@ import re
 import sys
 from collections import namedtuple
 from collections.abc import Iterator
+from functools import lru_cache
 from itertools import chain, count, islice
 from math import gcd
 from operator import add, eq, lt, mul, sub
@@ -21,8 +22,9 @@ from .windows import (
     LinearConstraint,
     WindowSet,
     axiom_v_check,
+    intersect_streams,
     least_adequate_index,
-    solution_window,
+    window_pieces,
 )
 
 __all__ = [
@@ -494,6 +496,7 @@ def _join(a: Decision, b: Decision, decisive: bool) -> Decision:
 # the operators of generated source, and how each folds ground operands
 _FOLD = {"+": add, "-": sub, "*": mul, "<": lt, "==": eq}
 _OPERATOR = {Add: "+", Sub: "-", And: "and", Or: "or"}
+_COMPILE = lru_cache(compile)  # one compile per source text: its constants are globals c<i>
 
 
 def _scanned(scope: dict[str, int | str]) -> bool:  # some variable is a scan's slot
@@ -535,10 +538,10 @@ class _Compiler:
         return name
 
     def function(self, code, params: str = "env"):
-        """code as a function of params, or env -> code; source is compiled once."""
+        """code as a function of params, or env -> code, over this call's names."""
         if not isinstance(code, str):
             return lambda env: code
-        return eval(f"lambda {params}: {code}", self.names)
+        return eval(_COMPILE(f"lambda {params}: {code}", "<string>", "eval"), self.names)
 
     def decisions(self, code):
         """code as an env -> Decision closure."""
@@ -1035,10 +1038,10 @@ def decide_existential_nf(query: NormalFormQuery) -> Decision:
 
     Pipeline: merge the congruence lists, settle the x <= 0 branch directly,
     intersect the order window (narrowed to x <= |n| when n <= 0 is a
-    witness) with the linear-constraint windows, and run the congruence
-    solver on each surviving piece below the least witness found so far.
-    Pieces may overlap in range, so the witness is the least over every
-    piece: the first in the scan order 0, 1, -1, ... of n."""
+    witness) with each linear constraint's stream of window pieces, and run
+    the congruence solver on each piece, ascending by lo, until one starts at
+    or past the least witness so far.  Pieces may overlap in range, so the
+    witness is the least over every piece: the first in the order 0, 1, -1, ..."""
     mx = crt_combine(list(query.on_x)) if query.on_x else Congruence(1, 0)
     if mx is None:
         return Decision(False)
@@ -1056,14 +1059,13 @@ def decide_existential_nf(query: NormalFormQuery) -> Decision:
             return Decision(True, certificate=0)
         upper = 1 - negative if upper is None else min(upper, 1 - negative)
 
-    window = WindowSet.between(query.lower, upper)
-    for lc in query.linear:
-        if window.pieces:  # else it stays empty, whatever lc's window is
-            window = window.intersect(solution_window(lc))
+    pieces = WindowSet.between(query.lower, upper).pieces
+    for lc in query.linear:  # lazily: no window is read past the first piece from least on
+        pieces = intersect_streams(pieces, window_pieces(lc))
 
     least = None
-    for piece in window.pieces:
-        if least is not None and piece.lo >= least:  # pieces are sorted by lo
+    for piece in pieces:
+        if least is not None and piece.lo >= least:  # pieces ascend by lo
             break
         merged = crt_combine([mx, Congruence(piece.mod, piece.res)])
         if merged is None:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import namedtuple
+from collections.abc import Iterable, Iterator
 from functools import cached_property
 from math import lcm
 
@@ -169,18 +170,6 @@ def _intersect_pieces(a: Piece, b: Piece) -> Piece | None:
     return _make_piece(lo, hi, merged.modulus, merged.residue)
 
 
-def _intersect_runs(a: tuple[Piece, ...], b: tuple[Piece, ...]) -> tuple[Piece, ...]:
-    """Overlaps of two sorted lists of maximal runs, in one sweep."""
-    out, i, j = [], 0, 0
-    while i < len(a) and j < len(b):
-        out.append(_intersect_pieces(a[i], b[j]))
-        if b[j].hi is None or (a[i].hi is not None and a[i].hi < b[j].hi):
-            i += 1
-        else:
-            j += 1
-    return tuple(p for p in out if p is not None)
-
-
 class WindowSet(namedtuple("WindowSet", "pieces")):
     """A finite union of congruence-restricted intervals over x >= 1; its runs
     (modulus-1 pieces) are sorted, disjoint and maximal (see from_pieces).
@@ -239,12 +228,29 @@ class WindowSet(namedtuple("WindowSet", "pieces")):
                    for mod in moduli for p in classes.get((mod, x % mod), ()))
 
     def intersect(self, other: "WindowSet") -> "WindowSet":
-        """A linear merge of two run sets; pairwise otherwise."""
+        """A linear merge of two run sets (intersect_streams); pairwise otherwise."""
         if all(p.mod == 1 for w in (self, other) for p in w.pieces):
-            return WindowSet(_intersect_runs(self.pieces, other.pieces))
-        return WindowSet.from_pieces(
-            [_intersect_pieces(a, b) for a in self.pieces for b in other.pieces]
-        )
+            return WindowSet(tuple(intersect_streams(self.pieces, other.pieces)))
+        pairs = [_intersect_pieces(a, b) for a in self.pieces for b in other.pieces]
+        return WindowSet.from_pieces(pairs)
+
+
+def intersect_streams(a: Iterable[Piece], b: Iterable[Piece]) -> Iterator[Piece]:
+    """The overlaps of two streams ascending by lo, each of runs or of classes only: runs
+    in one sweep that reads each no further than its overlaps are read, classes pairwise."""
+    a, b = iter(a), iter(b)
+    x = next(a, None)
+    y = x and next(b, None)
+    if y and (x.mod > 1 or y.mod > 1):
+        yield from WindowSet((x, *a)).intersect(WindowSet((y, *b))).pieces
+    else:
+        while x and y:
+            if p := _intersect_pieces(x, y):
+                yield p
+            if y.hi is None or x.hi is not None and x.hi < y.hi:
+                x = next(a, None)
+            else:
+                y = next(b, None)
 
 
 def _cut(t: int, gap: tuple[int, int, int], below: bool) -> int:
@@ -260,11 +266,16 @@ def _cut(t: int, gap: tuple[int, int, int], below: bool) -> int:
 
 
 def solution_window(constraint: LinearConstraint) -> WindowSet:
-    """The exact set {x >= 1 : f(x) <relation> slope*x + offset}.
+    """The exact set {x >= 1 : f(x) <relation> slope*x + offset} (window_pieces)."""
+    return WindowSet(tuple(window_pieces(constraint)))
+
+
+def window_pieces(constraint: LinearConstraint) -> Iterator[Piece]:
+    """The pieces of solution_window(constraint), ascending by lo.
 
     Endpoint floors are exact arithmetic in Q(phi), zone points are compared
-    through f_floor, and every piece boundary is re-verified against
-    f_floor.
+    through f_floor, and each piece's boundary is re-verified against f_floor
+    before it is yielded: a run as soon as the scan of the zone closes it.
     """
     n, m, c0 = constraint.integer_form()
     below = phi_sign(m, -n) < 0  # slope < phi (a rational never equals phi)
@@ -282,8 +293,8 @@ def solution_window(constraint: LinearConstraint) -> WindowSet:
         if cls is not None:
             pieces.append(_make_piece(lo, hi, cls.modulus, cls.residue))
     elif hi - max(lo, 1) + 1 <= CLASS_CROSSOVER * n:
-        sign = 1 if rel == ">" else -1
-        pieces += _zone_runs(sign * n, sign * m, sign * c0, lo, hi, before)
+        yield from _zone_runs(constraint, lo, hi, before)
+        return
     else:
         # Per class r, n*f(x) <= m*x + c0 - 1 reads gap*x < t and
         # n*f(x) >= m*x + c0 + 1 reads gap*x >= t, with t below, so the
@@ -297,38 +308,45 @@ def solution_window(constraint: LinearConstraint) -> WindowSet:
             pieces.append(_make_piece(1, cut - 1, n, r) if before else _make_piece(cut, None, n, r))
 
     window = WindowSet.from_pieces(pieces)
-    _verify_boundaries(constraint, window)
-    return window
+    yield from _verify_boundaries(constraint, window.pieces, window.__contains__)
 
 
-def _zone_runs(n: int, m: int, c0: int, lo: int, hi: int, before: bool) -> list[Piece | None]:
-    """Maximal runs (None where empty) of {x >= 1 : n*f(x) > m*x + c0}, given
-    that the comparison is `before` on x < lo and the opposite on x > hi."""
-    edges = [1] if before else []  # where runs start and end, alternately
-    for x in range(max(lo, 1), hi + 1):
-        if (n * f_floor(x) > m * x + c0) is not (len(edges) % 2 == 1):
-            edges.append(x)
-    if (len(edges) % 2 == 1) is before:
-        edges.append(max(hi + 1, 1))
-    edges.append(None)
-    return [_make_piece(a, None if b is None else b - 1) for a, b in zip(edges[::2], edges[1::2])]
+def _zone_runs(constraint: LinearConstraint, lo: int, hi: int, before: bool) -> Iterator[Piece]:
+    """The maximal runs of constraint's set, signed to read n*f(x) > m*x + c0,
+    given that it holds on x < lo when `before` and on x > hi when not; each is
+    yielded once the zone's scan closes it and its ends are probed."""
+    n, m, c0 = (v if constraint.relation == ">" else -v for v in constraint.integer_form())
+
+    def edges() -> Iterator[int | None]:  # where runs start and end, alternately
+        inside = before
+        if before:
+            yield 1
+        for x in range(max(lo, 1), hi + 1):
+            if (n * f_floor(x) > m * x + c0) is not inside:
+                inside = not inside
+                yield x
+        yield from (max(hi + 1, 1), None) if inside is before else (None,)
+
+    last = -1  # the probes count x <= last as in the window: runs stay two or more apart
+    for a, b in zip(*[edges()] * 2):  # each start with its end
+        if run := _make_piece(a, None if b is None else b - 1):
+            yield from _verify_boundaries(constraint, (run,), lambda x: x <= last or x in run[:2])
+            last = run.hi
 
 
-def _verify_boundaries(constraint: LinearConstraint, window: WindowSet) -> None:
-    """Probe every piece end, and the class point past it, in O(P log P)."""
-    for p in window.pieces:
+def _verify_boundaries(constraint: LinearConstraint, pieces: tuple, member) -> Iterator[Piece]:
+    """Each piece once its ends, and the class point past each, are probed
+    against member (membership in the window) and constraint.holds."""
+    for p in pieces:
         probes = {p.lo: True, p.lo - p.mod: False}
         if p.hi is not None:
             probes |= {p.hi: True, p.hi + p.mod: False}
         for x, expected in probes.items():
-            if x >= 1 and (x in window) is not expected:
-                raise AssertionError(
-                    f"window boundary check failed at x={x} for {constraint}"
-                )
+            if x >= 1 and member(x) is not expected:
+                raise AssertionError(f"window boundary check failed at x={x} for {constraint}")
             if x >= 1 and constraint.holds(x) is not expected:
-                raise AssertionError(
-                    f"exact endpoint check failed at x={x} for {constraint}"
-                )
+                raise AssertionError(f"exact endpoint check failed at x={x} for {constraint}")
+        yield p
 
 
 class AxiomVReport(namedtuple("AxiomVReport", "slope offset index side checked counterexamples")):

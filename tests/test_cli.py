@@ -88,6 +88,9 @@ GOLDEN = [
     (["decide", "exists x. (-50 < x & x < 10 & p7(x - 3))"], 0, "True (exact); witness 3\n"),
     (["decide", "forall x. (f(f(x)) = f(x) + x - 1 | x < 1)"], 0, "True (exact)\n"),
     (["decide", "forall x. (f(x + f(x)) = x + 2*f(x) | x < 1)"], 0, "True (exact)\n"),
+    # a zone of about 71,500 points, read only up to the least witness
+    (["decide", "exists x. (100000*f(x) > 161802*x & x > 0 & p7(f(x)))"], 0,
+     "True (exact); witness 610\n"),
     (["decide", "exists x. (f(x+1) = f(x) + 2 & x > 100000 & p7(x))"], 1,
      "False (bounded to 10000)\n"),
     (["decide", "forall x. x < x + 1"], 0, "True (exact)\n"),

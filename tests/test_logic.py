@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beatty import logic
+from beatty import logic, windows
 from beatty.congruence import Congruence, CongruenceSystem, SolveOutcome, solve_system
 from beatty.golden import BeattyDecomposition, f_floor, f_inverse, phi_sign
 from beatty.logic import (
@@ -703,11 +703,16 @@ def test_the_decide_path_clears_a_linear_constraint_as_its_rational_reading_does
     assert (q.linear[0].slope, q.linear[0].offset) == (expected.slope, expected.offset)
 
 
+def _unread_window(lc):
+    """A stream of lc's window pieces that fails the test once a piece is read."""
+    return (pytest.fail(f"read {lc}") for _ in [lc])
+
+
 def test_an_unsatisfiable_conjunct_leaves_an_order_window_with_no_integer(monkeypatch):
     # an unsolvable divisibility or order atom empties lower < x < upper,
     # and what the other conjuncts add keeps it empty; the decision reads no
     # linear constraint's window then (the near-phi slope's takes seconds)
-    monkeypatch.setattr(logic, "solution_window", lambda lc: pytest.fail(f"read {lc}"))
+    monkeypatch.setattr(logic, "window_pieces", _unread_window)
     for text, on_x, on_fx in [("exists x. p2(2 * x + 1)", (), ()),
                               ("exists x. (p3(x) & 9 < x & x < 5)", ((3, 0),), ()),
                               ("exists x. (p2(2 * x + 1) & 3 < x & p3(f(x)))", (), ((3, 0),)),
@@ -722,7 +727,7 @@ def test_an_unsatisfiable_conjunct_leaves_an_order_window_with_no_integer(monkey
 def test_no_linear_constraint_window_is_read_where_no_positive_x_is_left(monkeypatch):
     # the witness -1 settles x <= 0, and x < 1 leaves no x >= 1 for this
     # near-phi slope's window, which takes seconds to build
-    monkeypatch.setattr(logic, "solution_window", lambda lc: pytest.fail(f"read {lc}"))
+    monkeypatch.setattr(logic, "window_pieces", _unread_window)
     sentence = parse("exists x. (x < 1 & 1000003 * f(x) > 1618038 * x)")
     assert decide(sentence) == Decision(True, certificate=-1)
 
@@ -830,6 +835,59 @@ def test_decide_near_phi_witness_is_the_first_in_the_scan_order(linear, on_x, on
         assert d.truth is True and d.witness == first
     else:
         assert not (d.truth and abs(d.witness) <= 400)
+
+
+_PHI = (1 + 5 ** 0.5) / 2
+_F = [f_floor(x) for x in range(3001)]
+_ORDER = [0] + [x for k in range(1, 3001) for x in (k, -k)]
+_congruences = st.lists(st.builds(Congruence, st.integers(1, 12), st.integers(0, 11)), max_size=2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists((st.integers(1, 60) | st.sampled_from([5, 8, 13, 21, 34, 55])).flatmap(
+        lambda n: st.tuples(
+            st.sampled_from("<=>"), st.just(n),
+            st.just(round(n * _PHI)) | st.integers(-3, 3).map(lambda d: round(n * _PHI) + d)
+            | st.integers(-2 * n, 3 * n),
+            st.integers(-n, 2 * n))), max_size=2),
+    _congruences, _congruences, st.integers(-3000, 3000), st.integers(-3000, 3000),
+)
+def test_nf_least_witness_matches_a_scan_of_its_window(linear, on_x, on_fx, lower, upper):
+    # every query has lower < x < upper inside [-3000, 3000], so a scan of
+    # the window in the order 0, 1, -1, ... finds the decider's witness; near
+    # phi (m = round(n*phi), Fibonacci n) windows are built per class, and
+    # their pieces overlap in range
+    lower, upper = min(lower, upper), max(lower, upper)
+    query = NormalFormQuery("x", tuple(on_x), tuple(on_fx), lower, upper, tuple(
+        LinearConstraint(rel, Fraction(m, n), Fraction(c, n)) for rel, n, m, c in linear))
+
+    def holds(x):
+        fx = _F[x] if x > 0 else 0
+        return (all(x % cg.modulus == cg.residue for cg in on_x)
+                and all(fx % cg.modulus == cg.residue for cg in on_fx)
+                and all({"<": n * fx < m * x + c, "=": n * fx == m * x + c,
+                         ">": n * fx > m * x + c}[rel] for rel, n, m, c in linear))
+
+    first = next((x for x in _ORDER if lower < x < upper and holds(x)), None)
+    assert decide_existential_nf(query) == (
+        Decision(False) if first is None else Decision(True, certificate=first))
+
+
+def test_nf_decider_stops_at_its_least_witness(monkeypatch):
+    # the zone of 1.61802 holds about 71,500 points, but the least witness
+    # is 610, and the decider reads no window piece after the first that
+    # starts past it
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return f_floor(x)
+
+    monkeypatch.setattr(windows, "f_floor", counted)
+    d = decide(parse("exists x. (100000*f(x) > 161802*x & x > 0 & p7(f(x)))"))
+    assert d == Decision(True, certificate=610)
+    assert len(calls) < 2000, len(calls)
 
 
 # --- decide ----------------------------------------------------------------

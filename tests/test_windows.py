@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from beatty.golden import f_floor, phi_sign
@@ -15,6 +15,7 @@ from beatty.windows import (
     least_adequate_index,
     locate_slope,
     solution_window,
+    window_pieces,
 )
 
 GRID_SLOPES = [Fraction(0, 1), Fraction(1, 1), Fraction(3, 2), Fraction(8, 5),
@@ -409,6 +410,39 @@ def test_windowset_intersection_with_runs_is_setwise(runs, other, probe):
     assert merged == other.intersect(runs)
     if all(p.mod == 1 for p in other.pieces):
         _assert_canonical_runs(merged)
+
+
+# n <= 60, half of them Fibonacci numbers, with m = round(n*phi) (where that
+# is near n*phi, as for Fibonacci n, the set is built per class), m within 3
+# of it, or m/n anywhere in [-2, 3]: all three shapes occur
+_stream_constraints = (st.integers(1, 60) | st.sampled_from([5, 8, 13, 21, 34, 55])).flatmap(
+    lambda n: st.builds(
+        lambda rel, m, c: LinearConstraint(rel, Fraction(m, n), Fraction(c, n)),
+        st.sampled_from("<=>"),
+        st.just(round(n * PHI)) | st.integers(-3, 3).map(lambda d: round(n * PHI) + d)
+        | st.integers(-2 * n, 3 * n),
+        st.integers(-n, 2 * n)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_stream_constraints)
+@example(LinearConstraint(">", Fraction(162, 100), 7))  # runs
+@example(LinearConstraint("<", Fraction(55, 34), 1))  # one piece per class
+@example(LinearConstraint("=", Fraction(13, 8), 0))  # one class
+def test_window_stream_matches_the_eager_window(constraint):
+    stream = list(window_pieces(constraint))
+    window = solution_window(constraint)
+    assert tuple(stream) == window.pieces == WindowSet.from_pieces(stream).pieces
+    limit = _zone_end(constraint) + 2 * constraint.n
+    assert _members(window, limit) == _brute_members(constraint, limit), constraint
+    runs = all(p.mod == 1 for p in stream) and constraint.relation != "="
+    event("=" if constraint.relation == "=" else "runs" if runs else "per class")
+    for before, p in zip([None, *stream], stream):
+        # each end holds, and the class point past it does not
+        assert constraint.holds(p.lo) and (p.lo - p.mod < 1 or not constraint.holds(p.lo - p.mod))
+        assert p.hi is None or constraint.holds(p.hi) and not constraint.holds(p.hi + p.mod)
+        if runs and before is not None:  # the neighbour test
+            assert before.hi is not None and p.lo >= before.hi + 2, (before, p)
 
 
 def _nf_sentences(seed):
