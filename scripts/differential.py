@@ -11,7 +11,12 @@ run as ``decide <sentence> --bound 100``.  Then each sentence is run once
 more, made malformed by one edit drawn from the same generator: one token
 deleted, one duplicated, two neighbours swapped, or one of ``( ) & ! . ,``
 inserted, so that parse errors (message, offset, exit code) are compared
-too; the variant's tokens are joined by single spaces.  Every argv goes through
+too; the variant's tokens are joined by single spaces.  Last, 2,000 of the
+seed's corpus ``solve``, ``window``, ``decide`` and ``f`` argv are drawn from
+the same generator and run with one edit to their argv grammar: an option
+written ``--name=value``, cut to a unique or ambiguous prefix, repeated, or
+moved before the positionals; ``--json`` or ``--`` inserted; or a value
+replaced by an option or a negative number.  Every argv goes through
 ``beatty.cli.run`` in one fresh interpreter per tree: once for the working
 tree, and once for REV's ``src``, exported with ``git archive`` into a
 temporary directory that is removed afterwards.  The ``elapsed_s`` value of ``--json`` output
@@ -82,20 +87,57 @@ def malformed(rng: random.Random, text: str) -> str:
     return " ".join(tokens)
 
 
+def grammar_variant(rng: random.Random, argv: list[str]) -> list[str]:
+    """argv with one edit drawn from rng: an option written --name=value, cut
+    to a prefix, repeated with a value drawn from rng (before or after it),
+    or moved before the positionals; --json or -- inserted; or a value
+    replaced by an option or a negative number.  Where argv has nothing the
+    edit needs, --json or -- is inserted."""
+    argv = list(argv)
+    options = [k for k in range(1, len(argv)) if argv[k].startswith("--") and len(argv[k]) > 3]
+    valued = [k for k in options if argv[k] != "--json" and k + 1 < len(argv)]
+    values = [k for k in range(1, len(argv)) if k not in options]
+    edit = rng.randrange(6)
+    if edit == 0 and valued:
+        k = rng.choice(valued)
+        argv[k:k + 2] = [f"{argv[k]}={argv[k + 1]}"]
+    elif edit == 1 and options:
+        k = rng.choice(options)
+        argv[k] = argv[k][:rng.randrange(3, len(argv[k]))]
+    elif edit == 2 and valued:
+        k = rng.choice(valued)
+        argv[rng.choice([1, len(argv)]):0] = [argv[k], str(rng.randrange(100))]
+    elif edit == 3 and options:
+        k = rng.choice(options)
+        moved = argv[k:k + 1 + (k in valued)]
+        del argv[k:k + len(moved)]
+        argv[1:1] = moved
+    elif edit == 4 and values:
+        others = [argv[k] for k in options] + ["--json", "--help", "-h", "--", "-0"]
+        argv[rng.choice(values)] = rng.choice(others + [f"-{rng.randrange(1, 100)}"])
+    else:
+        argv.insert(rng.randrange(1, len(argv) + 1), rng.choice(["--json", "--"]))
+    return argv
+
+
 def argvs(seeds: list[int]) -> list[list[str]]:
     """Every argv of every workload's corpus, warm-up first, then those of
-    the seed's 2,000 random sentences and of their malformed variants, seed
-    by seed."""
+    the seed's 2,000 random sentences and of their malformed variants, then
+    2,000 grammar variants of the corpus argv, seed by seed."""
     out = []
     for seed in seeds:
+        commands = []
         for workload in corpus.WORKLOADS:
             warmup, queries = corpus.build(workload, seed, run.run_size(workload, SECONDS),
                                            run.WARMUP[workload])
-            out += [q["argv"] for q in warmup + queries]
+            commands += [q["argv"] for q in warmup + queries]
         rng = random.Random(seed)
         sentences = [format_formula(random_formula(rng, 5)) for _ in range(2000)]
-        out += [["decide", text, "--bound", "100"]
-                for text in sentences + [malformed(rng, text) for text in sentences]]
+        commands += [["decide", text, "--bound", "100"]
+                     for text in sentences + [malformed(rng, text) for text in sentences]]
+        varied = [argv for argv in commands[:-4000]
+                  if argv[0] in ("solve", "window", "decide", "f")]
+        out += commands + [grammar_variant(rng, argv) for argv in rng.sample(varied, 2000)]
     return out
 
 

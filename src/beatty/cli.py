@@ -49,7 +49,7 @@ def _too_long(text: str) -> bool:
 
 def _integer(text: str) -> int:
     """Converter of every integer argument."""
-    if _too_long(text):
+    if len(text) > MAX_LITERAL_DIGITS and _too_long(text):
         raise ValueError(f"integer longer than {MAX_LITERAL_DIGITS} digits")
     try:
         return int(text)
@@ -174,9 +174,9 @@ def _cmd_audit(n: int) -> tuple[dict, str, str, int]:
 
 _REQUIRED = object()  # the default of an option that must be given
 
-# The whole command-line grammar, read by _read() and _help(): each command's
-# handler, its positionals in order as (name, converter), and its options as
-# name -> (converter, default or _REQUIRED).  Each value reaches the handler as
+# The whole command-line grammar, read by _help() and, compiled once at import (_compile), by
+# _read(): each command's handler, its positionals in order as (name, converter), and its
+# options as name -> (converter, default or _REQUIRED).  Each value reaches the handler as
 # the keyword argument of its name.  Every command also takes --json and -h.
 _COMMANDS = {
     "f": (_cmd_f, (("x", _integer),), {}),
@@ -213,6 +213,17 @@ def _option(token: str, names: tuple[str, ...]) -> tuple[list[str], str | None] 
     return None if _NEGATIVE.match(token) or " " in token else ([], None)
 
 
+def _compile(handler: Callable, positionals: tuple, options: dict) -> tuple:
+    """A row of _COMMANDS as _read takes it: its option names, what _option gives for each
+    exact token (--name, -h), looked up in its place, and the values before any is read."""
+    names = ("help", "json", *options)
+    exact = {f"--{name}": ([name], None) for name in names} | {"-h": (["help"], None)}
+    return handler, positionals, options, names, exact, {o: d for o, (_, d) in options.items()}
+
+
+_COMPILED = {command: _compile(*row) for command, row in _COMMANDS.items()}
+
+
 def _read(argv: list[str]) -> tuple[Callable, dict, bool]:
     """(handler, its keyword values, whether --json was given) from one pass
     over argv, left to right; -h/--help selects _help().  After the command come
@@ -220,26 +231,25 @@ def _read(argv: list[str]) -> tuple[Callable, dict, bool]:
     --name value or --name=value; a repeated option keeps its last value."""
     if not argv:
         raise _UsageError("the following arguments are required: command")
-    if argv[0] not in _COMMANDS:
+    if argv[0] not in _COMPILED:
         if _option(argv[0], ("help",)) == (["help"], None):
             return _help, {}, False
         raise _UsageError(f"argument command: invalid choice: {argv[0]!r} "
                           f"(choose from {', '.join(map(repr, _COMMANDS))})")
-    handler, positionals, options = _COMMANDS[argv[0]]
-    names = ("help", "json", *options)
-    values = {name: default for name, (_, default) in options.items()}
+    handler, positionals, options, names, exact, values = _COMPILED[argv[0]]
+    values = values.copy()
     positionals, tokens, extras = iter(positionals), iter(argv[1:]), []
     as_json = ended = loose = was_positional = False
     for token in tokens:
         if token == "--" and not ended:  # kept only beside a positional, as argparse does
             ended, loose = True, not was_positional
             continue
-        option = None if ended else _option(token, names)
+        option = None if ended or token[:1] != "-" else exact.get(token) or _option(token, names)
         if was_positional := option is None:
             if (slot := next(positionals, None)) is None:
                 extras.append(token)
                 continue
-            (name, convert), label, value, loose = slot, slot[0], token, False
+            (name, convert), value, loose = slot, token, False
         else:
             matches, value = option
             if not matches:
@@ -248,23 +258,23 @@ def _read(argv: list[str]) -> tuple[Callable, dict, bool]:
             if len(matches) > 1:
                 raise _UsageError(f"ambiguous option: {token} could match "
                                   + ", ".join(f"--{m}" for m in matches))
-            name, label = matches[0], f"--{matches[0]}"
+            name = matches[0]
             if name in ("help", "json"):
                 if value is not None:
-                    raise _UsageError(f"argument {label}: ignored explicit argument {value!r}")
+                    raise _UsageError(f"argument --{name}: ignored explicit argument {value!r}")
                 if name == "help":
                     return _help, {}, False
                 as_json = True
                 continue
             if value is None:
                 value = next(tokens, None)
-                if value in (None, "--") or _option(value, names) is not None:
-                    raise _UsageError(f"argument {label}: expected one argument")
+                if value in (None, "--") or value[:1] == "-" and _option(value, names) is not None:
+                    raise _UsageError(f"argument --{name}: expected one argument")
             convert = options[name][0]
         try:
             values[name] = convert(value)
         except ValueError as exc:
-            raise _UsageError(f"argument {label}: {exc}") from None
+            raise _UsageError(f"argument {'' if was_positional else '--'}{name}: {exc}") from None
     missing = [name for name, _ in positionals]
     missing += [f"--{name}" for name, value in values.items() if value is _REQUIRED]
     if missing:

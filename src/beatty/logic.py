@@ -1061,7 +1061,7 @@ def decide_existential_nf(query: NormalFormQuery) -> Decision:
 
     pieces = WindowSet.between(query.lower, upper).pieces
     for lc in query.linear:  # lazily: no window is read past the first piece from least on
-        pieces = intersect_streams(pieces, window_pieces(lc))
+        pieces = intersect_streams(pieces, window_pieces(lc, (query.lower or 0) + 1))
 
     least = None
     for piece in pieces:

@@ -270,13 +270,15 @@ def solution_window(constraint: LinearConstraint) -> WindowSet:
     return WindowSet(tuple(window_pieces(constraint)))
 
 
-def window_pieces(constraint: LinearConstraint) -> Iterator[Piece]:
-    """The pieces of solution_window(constraint), ascending by lo.
+def window_pieces(constraint: LinearConstraint, start: int = 1) -> Iterator[Piece]:
+    """The pieces of solution_window(constraint), ascending by lo, cut to x >= start,
+    where the scan of the zone begins.
 
     Endpoint floors are exact arithmetic in Q(phi), zone points are compared
     through f_floor, and each piece's boundary is re-verified against f_floor
-    before it is yielded: a run as soon as the scan of the zone closes it.
+    from start on before it is yielded: a run as soon as the scan of the zone closes it.
     """
+    start = max(start, 1)
     n, m, c0 = constraint.integer_form()
     below = phi_sign(m, -n) < 0  # slope < phi (a rational never equals phi)
     rel = constraint.relation
@@ -291,9 +293,9 @@ def window_pieces(constraint: LinearConstraint) -> Iterator[Piece]:
         # n*f(x) = m*x + c0 at the zone points with n | m*x + c0: one class
         cls = solve_linear(m, c0, n)
         if cls is not None:
-            pieces.append(_make_piece(lo, hi, cls.modulus, cls.residue))
+            pieces.append(_make_piece(max(lo, start), hi, cls.modulus, cls.residue))
     elif hi - max(lo, 1) + 1 <= CLASS_CROSSOVER * n:
-        yield from _zone_runs(constraint, lo, hi, before)
+        yield from _zone_runs(constraint, lo, hi, before, start)
         return
     else:
         # Per class r, n*f(x) <= m*x + c0 - 1 reads gap*x < t and
@@ -305,14 +307,16 @@ def window_pieces(constraint: LinearConstraint) -> Iterator[Piece]:
             else:
                 t = c0 + 1 + (-(m * r + c0 + 1)) % n
             cut = _cut(t, gap, below)
-            pieces.append(_make_piece(1, cut - 1, n, r) if before else _make_piece(cut, None, n, r))
+            pieces.append(_make_piece(start, cut - 1, n, r) if before
+                          else _make_piece(max(cut, start), None, n, r))
 
     window = WindowSet.from_pieces(pieces)
-    yield from _verify_boundaries(constraint, window.pieces, window.__contains__)
+    yield from _verify_boundaries(constraint, window.pieces, window.__contains__, start)
 
 
-def _zone_runs(constraint: LinearConstraint, lo: int, hi: int, before: bool) -> Iterator[Piece]:
-    """The maximal runs of constraint's set, signed to read n*f(x) > m*x + c0,
+def _zone_runs(constraint: LinearConstraint, lo: int, hi: int, before: bool,
+               start: int) -> Iterator[Piece]:
+    """The maximal runs of constraint's set from start on, signed to read n*f(x) > m*x + c0,
     given that it holds on x < lo when `before` and on x > hi when not; each is
     yielded once the zone's scan closes it and its ends are probed."""
     n, m, c0 = (v if constraint.relation == ">" else -v for v in constraint.integer_form())
@@ -320,31 +324,33 @@ def _zone_runs(constraint: LinearConstraint, lo: int, hi: int, before: bool) -> 
     def edges() -> Iterator[int | None]:  # where runs start and end, alternately
         inside = before
         if before:
-            yield 1
-        for x in range(max(lo, 1), hi + 1):
+            yield start
+        for x in range(max(lo, start), hi + 1):
             if (n * f_floor(x) > m * x + c0) is not inside:
                 inside = not inside
                 yield x
-        yield from (max(hi + 1, 1), None) if inside is before else (None,)
+        yield from (max(hi + 1, start), None) if inside is before else (None,)
 
     last = -1  # the probes count x <= last as in the window: runs stay two or more apart
     for a, b in zip(*[edges()] * 2):  # each start with its end
         if run := _make_piece(a, None if b is None else b - 1):
-            yield from _verify_boundaries(constraint, (run,), lambda x: x <= last or x in run[:2])
+            yield from _verify_boundaries(constraint, (run,), lambda x: x <= last or x in run[:2],
+                                          start)
             last = run.hi
 
 
-def _verify_boundaries(constraint: LinearConstraint, pieces: tuple, member) -> Iterator[Piece]:
-    """Each piece once its ends, and the class point past each, are probed
-    against member (membership in the window) and constraint.holds."""
+def _verify_boundaries(constraint: LinearConstraint, pieces: tuple, member,
+                       start: int) -> Iterator[Piece]:
+    """Each piece once its ends, and the class point past each, are probed from start
+    on against member (membership in the window) and constraint.holds."""
     for p in pieces:
         probes = {p.lo: True, p.lo - p.mod: False}
         if p.hi is not None:
             probes |= {p.hi: True, p.hi + p.mod: False}
         for x, expected in probes.items():
-            if x >= 1 and member(x) is not expected:
+            if x >= start and member(x) is not expected:
                 raise AssertionError(f"window boundary check failed at x={x} for {constraint}")
-            if x >= 1 and constraint.holds(x) is not expected:
+            if x >= start and constraint.holds(x) is not expected:
                 raise AssertionError(f"exact endpoint check failed at x={x} for {constraint}")
         yield p
 

@@ -1,10 +1,14 @@
+import io
 import json
 import os
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beatty import cli
 from beatty.cli import run
@@ -91,6 +95,9 @@ GOLDEN = [
     # a zone of about 71,500 points, read only up to the least witness
     (["decide", "exists x. (100000*f(x) > 161802*x & x > 0 & p7(f(x)))"], 0,
      "True (exact); witness 610\n"),
+    # a zone that ends near 1,011,000, below the order window: none of it is scanned
+    (["decide", "exists x. (1000000*f(x) < 1618033*x & x > 2000000 & p7(f(x)))"], 1,
+     "False (exact)\n"),
     (["decide", "exists x. (f(x+1) = f(x) + 2 & x > 100000 & p7(x))"], 1,
      "False (bounded to 10000)\n"),
     (["decide", "forall x. x < x + 1"], 0, "True (exact)\n"),
@@ -287,10 +294,10 @@ def _parses(text: str) -> bool:
 
 
 def test_unexpected_exception_exits_70(monkeypatch, capsys):
-    def broken(**values):
+    def broken(x):
         raise RuntimeError("boom")
 
-    monkeypatch.setitem(cli._COMMANDS, "f", (broken, *cli._COMMANDS["f"][1:]))
+    monkeypatch.setattr(cli, "f_floor", broken)  # what the f command calls
     assert run(["f", "7"]) == 70
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -456,6 +463,17 @@ GRAMMAR = [
     (["window", "<=", "1", "0"], 64, ""),
     ([], 64, ""),
     (["--json", "f", "7"], 64, ""),
+    # exact option tokens (one lookup each) beside values and other tokens
+    # that start with "-", which _option reads
+    (["solve", "--xn", "2", *SOLVE, "--lo", "-5"], 0, "witness 5\n"),
+    (["solve", "--xn", "2", *SOLVE, "--lo=-5"], 0, "witness 5\n"),
+    (["f", "7", "-hi"], 64, ""),  # -h with the explicit argument "i"
+    (["solve", "--xn=", *SOLVE], 64, ""),
+    (["solve", "--xn", *SOLVE], 64, ""),  # --xm is an option, not --xn's value
+    (["f", "7", "--json", "--json"], 0, {"command": ["f", "7", "--json", "--json"],
+                                         "provenance": "exact", "result": {"value": "11"}}),
+    (["solve", "--xn", "2", "--help", *SOLVE], 0, cli._help()[1] + "\n"),
+    (["solve", "--xn", "2", *SOLVE, "--lo", "--"], 64, ""),
 ]
 
 
@@ -471,6 +489,27 @@ def test_argv_grammar(argv, code, out, capsys):
         assert captured.out == out
     if code == 64:
         assert captured.err.startswith("usage error: ")
+
+
+# commands, options whole, as prefixes and with =value, values, and odd tokens
+_TOKENS = st.sampled_from([
+    *cli._COMMANDS, "--xn", "--xm", "--fn", "--fm", "--lo", "--hi", "--bound", "--json",
+    "--help", "-h", "--x", "--f", "--j", "--b", "--he", "--xn=2", "--lo=-5", "--json=1", "-x",
+    "--", "-", "", "2", "-3", "0", "7", "3/2", "-.5", "<", "=", ">", "x", "-1 < 0",
+    "exists x. x = 1", "f(x) > 0", "--=", "---", "-hx", "1_000", " 5 "])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.builds(lambda head, rest: [head, *rest],
+                 st.sampled_from([*cli._COMMANDS, "--help", "-hx", "--="]),
+                 st.lists(_TOKENS, max_size=10)))
+def test_no_token_soup_escapes_run_or_exits_70(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(argv)
+    assert code != 70, (argv, err.getvalue())
+    if code == 64:
+        assert err.getvalue().startswith(("usage error: ", "error: ", "parse error: ")), argv
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["solve", "--help"], ["f", "7", "--he"]])

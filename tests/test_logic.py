@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beatty import logic, windows
+from beatty import congruence, logic, windows
 from beatty.congruence import Congruence, CongruenceSystem, SolveOutcome, solve_system
 from beatty.golden import BeattyDecomposition, f_floor, f_inverse, phi_sign
 from beatty.logic import (
@@ -703,8 +703,9 @@ def test_the_decide_path_clears_a_linear_constraint_as_its_rational_reading_does
     assert (q.linear[0].slope, q.linear[0].offset) == (expected.slope, expected.offset)
 
 
-def _unread_window(lc):
-    """A stream of lc's window pieces that fails the test once a piece is read."""
+def _unread_window(lc, start=1):
+    """A stream of lc's window pieces from start on that fails the test once
+    a piece is read."""
     return (pytest.fail(f"read {lc}") for _ in [lc])
 
 
@@ -888,6 +889,23 @@ def test_nf_decider_stops_at_its_least_witness(monkeypatch):
     d = decide(parse("exists x. (100000*f(x) > 161802*x & x > 0 & p7(f(x)))"))
     assert d == Decision(True, certificate=610)
     assert len(calls) < 2000, len(calls)
+
+
+def test_nf_decider_scans_no_zone_below_its_order_window(monkeypatch):
+    # the zone of 1.618033 ends near x = 1,011,000, below the order window
+    # x > 2000000, so no zone point is compared and no probe falls below it
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return f_floor(x)
+
+    for module in (windows, logic, congruence):
+        monkeypatch.setattr(module, "f_floor", counted)
+    d = decide(parse("exists x. (1000000*f(x) < 1618033*x & x > 2000000 & p7(f(x)))"))
+    assert d == Decision(False)
+    assert len(calls) <= 100, len(calls)
+    assert all(x > 2000000 for x in calls), min(calls)
 
 
 # --- decide ----------------------------------------------------------------

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import event, example, given, settings
@@ -443,6 +444,33 @@ def test_window_stream_matches_the_eager_window(constraint):
         assert p.hi is None or constraint.holds(p.hi) and not constraint.holds(p.hi + p.mod)
         if runs and before is not None:  # the neighbour test
             assert before.hi is not None and p.lo >= before.hi + 2, (before, p)
+
+
+def _cut(piece, start):
+    """piece cut to x >= start, or None where nothing of it is left."""
+    lo = max(piece.lo, start + (piece.res - start) % piece.mod)
+    return None if piece.hi is not None and piece.hi < lo else piece._replace(lo=lo)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_stream_constraints, st.integers(-5, 400))
+@example(LinearConstraint(">", Fraction(162, 100), 7), 20)  # runs, one cut at 20
+@example(LinearConstraint("<", Fraction(162, 100), 0), 400)  # runs, the zone all below 400
+@example(LinearConstraint("<", Fraction(55, 34), 1), 50)  # one piece per class
+@example(LinearConstraint("=", Fraction(13, 8), 0), 9)  # one class
+def test_a_stream_from_start_is_the_whole_stream_cut_there(constraint, start):
+    probes = []
+    holds = LinearConstraint.holds
+    with patch.object(LinearConstraint, "holds", lambda c, x: probes.append(x) or holds(c, x)):
+        stream = list(window_pieces(constraint, start))
+    start = max(start, 1)
+    whole = window_pieces(constraint)
+    assert stream == list(WindowSet.from_pieces([_cut(p, start) for p in whole]).pieces)
+    # each end of each piece, and the class point past it, is probed from start on
+    ends = set()
+    for p in stream:
+        ends |= {p.lo, p.lo - p.mod} | (set() if p.hi is None else {p.hi, p.hi + p.mod})
+    assert set(probes) == {x for x in ends if x >= start}, constraint
 
 
 def _nf_sentences(seed):
