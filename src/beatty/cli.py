@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import errno
 import os
-import re
 import sys
 import time
 from collections.abc import Callable
@@ -21,11 +20,11 @@ from contextlib import suppress
 
 from .congruence import Congruence, CongruenceSystem, solve_system
 from .golden import f_floor, f_inverse
-from .logic import (BOUNDED, DEFAULT_EVAL_BOUND, MAX_LITERAL_DIGITS, ParseError, axiom_audit,
-                    decide, parse)
 from .numeration import c as word_bit
 from .numeration import Unfactored, fib_word_prefix, pisano, zeckendorf
-from .windows import LinearConstraint, solution_window
+
+# beatty.logic and beatty.windows: each is imported by the first command that needs it
+_logic = _windows = None
 
 __all__ = ["main", "run"]
 
@@ -42,15 +41,17 @@ class _UsageError(Exception):
 
 
 def _too_long(text: str) -> bool:
-    """More digits than a formula literal may have: decimal conversion is
-    quadratic in the number of digits, so such arguments are refused."""
-    return len(text) > MAX_LITERAL_DIGITS and sum(map(str.isdigit, text)) > MAX_LITERAL_DIGITS
+    """More digits than a formula literal may have (logic.MAX_LITERAL_DIGITS, the
+    interpreter's default limit): decimal conversion is quadratic in the number
+    of digits, so such arguments are refused."""
+    limit = sys.int_info.default_max_str_digits
+    return len(text) > limit and sum(map(str.isdigit, text)) > limit
 
 
 def _integer(text: str) -> int:
     """Converter of every integer argument."""
-    if len(text) > MAX_LITERAL_DIGITS and _too_long(text):
-        raise ValueError(f"integer longer than {MAX_LITERAL_DIGITS} digits")
+    if len(text) > (limit := sys.int_info.default_max_str_digits) and _too_long(text):
+        raise ValueError(f"integer longer than {limit} digits")
     try:
         return int(text)
     except ValueError:
@@ -122,11 +123,15 @@ def _cmd_window(relation: str, slope: str, offset: int) -> tuple[dict, str, str,
 
     try:
         if _too_long(slope) or "e" in slope.lower():  # 10**exponent is unbounded
-            raise ValueError(f"at most {MAX_LITERAL_DIGITS} digits and no exponent")
+            raise ValueError(f"at most {sys.int_info.default_max_str_digits} digits"
+                             " and no exponent")
         ratio = Fraction(slope)
     except (ValueError, ZeroDivisionError) as exc:
         raise _UsageError(f"bad slope {slope!r}: {exc}") from None
-    window = solution_window(LinearConstraint(relation, ratio, offset))
+    global _windows
+    if _windows is None:
+        from . import windows as _windows
+    window = _windows.solution_window(_windows.LinearConstraint(relation, ratio, offset))
     pieces = [{"lo": str(p.lo), "hi": None if p.hi is None else str(p.hi), "mod": str(p.mod),
                "res": str(p.res)} for p in window.pieces]
     result = {"kind": window.kind, "pieces": pieces}
@@ -141,9 +146,13 @@ def _cmd_window(relation: str, slope: str, offset: int) -> tuple[dict, str, str,
     return result, f"{window.kind}: " + "; ".join(described), "exact", EXIT_OK
 
 
-def _cmd_decide(formula: str, bound: int) -> tuple[dict, str, str, int]:
+def _cmd_decide(formula: str, bound: int | None) -> tuple[dict, str, str, int]:
     """decide a sentence of the formula language"""
-    decision = decide(parse(formula), bound)
+    global _logic
+    if _logic is None:
+        from . import logic as _logic
+    decision = _logic.decide(_logic.parse(formula),
+                             _logic.DEFAULT_EVAL_BOUND if bound is None else bound)
     provenance = decision.provenance
     result = {"truth": {True: "true", False: "false", None: "unknown"}[decision.truth]}
     for field in ("bound", "witness", "counterexample", "reason"):
@@ -152,7 +161,8 @@ def _cmd_decide(formula: str, bound: int) -> tuple[dict, str, str, int]:
     if decision.truth is None:
         return result, f"unknown: {decision.reason}", provenance, EXIT_UNKNOWN
     text = "True" if decision.truth else "False"
-    text += f" ({provenance}" + (f" to {decision.bound}" if provenance == BOUNDED else "") + ")"
+    text += (f" ({provenance} to {decision.bound})" if provenance == _logic.BOUNDED
+             else f" ({provenance})")
     if decision.witness is not None:
         text += f"; witness {decision.witness}"
     if decision.counterexample is not None:
@@ -162,7 +172,10 @@ def _cmd_decide(formula: str, bound: int) -> tuple[dict, str, str, int]:
 
 def _cmd_audit(n: int) -> tuple[dict, str, str, int]:
     """check the defining axiom families on [-N, N]"""
-    report = axiom_audit(n)
+    global _logic
+    if _logic is None:
+        from . import logic as _logic
+    report = _logic.axiom_audit(n)
     families = {fam.name: {"instances": str(fam.instances), "failures": list(fam.failures),
                            "passed": fam.passed} for fam in report.families}
     lines = [f"{fam.name}: {'PASS' if fam.passed else 'FAIL ' + '; '.join(fam.failures)}"
@@ -189,11 +202,17 @@ _COMMANDS = {
         "xn": (_integer, _REQUIRED), "xm": (_integer, _REQUIRED), "fn": (_integer, _REQUIRED),
         "fm": (_integer, _REQUIRED), "lo": (_integer, None), "hi": (_integer, None)}),
     "window": (_cmd_window, (("relation", _relation), ("slope", str), ("offset", _integer)), {}),
-    "decide": (_cmd_decide, (("formula", str),), {"bound": (_integer, DEFAULT_EVAL_BOUND)}),
+    "decide": (_cmd_decide, (("formula", str),), {"bound": (_integer, None)}),
     "audit": (_cmd_audit, (("n", _integer),), {}),
 }
 
-_NEGATIVE = re.compile(r"-\d+$|-\d*\.\d+$")
+
+def _negative(token: str) -> bool:
+    r"""Whether token is "-" and digits, or "-", digits or none, "." and digits,
+    with one "\n" or none after them, as re's -\d+$|-\d*\.\d+$ matches it: a
+    digit is any Unicode decimal digit."""
+    whole, dot, fraction = token[1:].removesuffix("\n").partition(".")
+    return token[:1] == "-" and (whole + fraction).isdecimal() and (not dot or fraction != "")
 
 
 def _option(token: str, names: tuple[str, ...]) -> tuple[list[str], str | None] | None:
@@ -210,7 +229,7 @@ def _option(token: str, names: tuple[str, ...]) -> tuple[list[str], str | None] 
             return matches, value if equals else None
     elif token[1] == "h":
         return ["help"], token[2:] if token[2:].strip("h") else None
-    return None if _NEGATIVE.match(token) or " " in token else ([], None)
+    return None if _negative(token) or " " in token else ([], None)
 
 
 def _compile(handler: Callable, positionals: tuple, options: dict) -> tuple:
@@ -322,7 +341,7 @@ def _run(argv: list[str]) -> int:
     except _UsageError as exc:
         _report(f"usage error: {exc}")
         return EXIT_USAGE
-    except ParseError as exc:
+    except (_logic.ParseError if _logic else ()) as exc:  # decide imports logic, then parses
         _report(f"parse error: {exc}")
         return EXIT_USAGE
     except ValueError as exc:

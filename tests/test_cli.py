@@ -1,15 +1,18 @@
+import importlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import beatty
 from beatty import cli
 from beatty.cli import run
 from beatty.golden import f_floor
@@ -512,6 +515,22 @@ def test_no_token_soup_escapes_run_or_exits_70(argv):
         assert err.getvalue().startswith(("usage error: ", "error: ", "parse error: ")), argv
 
 
+_NEGATIVE = re.compile(r"-\d+$|-\d*\.\d+$")  # what _negative decides without importing re
+_NUMERIC = st.text(st.sampled_from("-.07\n\u0663\u07c0\uff10\u00b2\u00b9\u2460xe"), max_size=6)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.one_of(_NUMERIC, _NUMERIC.map("-".__add__)))
+@example("-5\n")
+@example("-5\n\n")
+@example("-.5\n")
+@example("-5.")
+@example("-\u0663.\u07c0")
+@example("-\u00b2")
+def test_negative_numbers_are_read_as_the_regex_reads_them(token):
+    assert cli._negative(token) == bool(_NEGATIVE.match(token))
+
+
 @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["solve", "--help"], ["f", "7", "--he"]])
 def test_help_lists_every_command_and_returns_0(argv, capsys):
     assert run(argv) == 0
@@ -592,6 +611,67 @@ def test_importing_the_cli_loads_no_dataclasses_inspect_or_json():
                          env=env)
     assert out.stdout.splitlines() == ["True (exact); witness 4", "witness 5",
                                        "True (exact); witness 76", "11", "[]"], out.stderr
+
+
+_LAZY = {"beatty.logic", "beatty.windows", "re"}
+
+
+# (argv, exit code, stdout, which of _LAZY it loads; window's re is not pinned, since
+# fractions imports it)
+@pytest.mark.parametrize("argv, code, out, loaded", [
+    (["f", "7"], 0, "11\n", set()),
+    (["inv", "11"], 0, "7\n", set()),
+    (["zeck", "100"], 0, "3 5 10\n", set()),
+    (["word", "20"], 0, "10110101101101011010\n", set()),
+    (["c", "5"], 0, "0\n", set()),
+    (["pisano", "10"], 0, "60\n", set()),
+    (["solve", "--xn", "2", "--xm", "1", "--fn", "3", "--fm", "2"], 0, "witness 5\n", set()),
+    (["window", "<", "3/2", "1"], 0, "union: [1, 9]; [11, 11]\n", {"beatty.windows"}),
+    (["decide", "exists x. x > 3"], 0, "True (exact); witness 4\n", _LAZY),
+    (["decide", "exists x. x >"], 64, "", _LAZY),
+], ids=["f", "inv", "zeck", "word", "c", "pisano", "solve", "window", "decide", "malformed"])
+def test_each_command_loads_logic_and_windows_only_if_it_needs_them(argv, code, out, loaded):
+    """In a fresh interpreter under -S, where site imports nothing (re included)."""
+    script = (f"import sys\nfrom beatty.cli import run\ncode = run({argv!r})\n"
+              f"print(code, *sorted({sorted(_LAZY)!r} & sys.modules.keys()))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True,
+                          env=env)
+    *lines, last = proc.stdout.splitlines(keepends=True)
+    got_code, *got_loaded = last.split()
+    if argv[0] == "window":
+        got_loaded.remove("re")
+    assert ("".join(lines), int(got_code), set(got_loaded)) == (out, code, loaded)
+    assert proc.stderr == ("parse error: unexpected end of input at offset 13\n" if code else "")
+
+
+# beatty's public names by home module, as the package bound them when it imported all five
+PUBLIC = {
+    "congruence": ["Congruence", "CongruenceSystem", "SolveOutcome", "crt_combine", "solve_image",
+                   "solve_system"],
+    "golden": ["additivity_defect", "decompose", "f_floor", "f_inverse", "f_zeck",
+               "linear_defect", "phi_ceil", "phi_floor", "phi_mul", "phi_norm", "phi_sign"],
+    "logic": ["Decision", "axiom_audit", "decide", "decide_existential_nf", "evaluate",
+              "format_formula", "parse", "to_normal_form"],
+    "numeration": ["c", "fib", "fib_word_prefix", "pisano", "unzeckendorf", "zeckendorf"],
+    "windows": ["LinearConstraint", "WindowSet", "axiom_v_check", "convergent_d", "convergent_u",
+                "locate_slope", "solution_window"],
+}
+
+
+def test_package_names_resolve_to_their_home_modules():
+    namespace = {}
+    exec("from beatty import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted([*PUBLIC, *(n for names in PUBLIC.values() for n in names)])
+    for module, names in PUBLIC.items():
+        home = importlib.import_module(f"beatty.{module}")
+        assert namespace[module] is home
+        for name in names:
+            assert name in dir(beatty)
+            assert getattr(beatty, name) is getattr(home, name) is namespace[name]
+    with pytest.raises(AttributeError):
+        beatty.no_such_name  # noqa: B018
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
