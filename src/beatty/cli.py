@@ -16,7 +16,6 @@ import os
 import sys
 import time
 from collections.abc import Callable
-from contextlib import suppress
 
 from .congruence import Congruence, CongruenceSystem, solve_system
 from .golden import f_floor, f_inverse
@@ -317,8 +316,10 @@ def _help() -> tuple[dict, str, str, int]:
 
 def _report(message: str) -> None:
     """Print message on stderr; an unwritable stderr leaves the exit code as it is."""
-    with suppress(OSError):
+    try:
         print(message, file=sys.stderr)
+    except OSError:
+        pass
 
 
 def run(argv: list[str]) -> int:

@@ -11,7 +11,7 @@ import re
 import sys
 from collections import namedtuple
 from collections.abc import Iterator
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import chain, count, islice
 from math import gcd
 from operator import add, eq, lt, mul, sub
@@ -20,7 +20,7 @@ from .congruence import Congruence, CongruenceSystem, crt_combine, solve_linear,
 from .golden import decompose, f_floor, phi_ceil, phi_floor, phi_mul, phi_norm, phi_sign
 from .windows import (
     LinearConstraint,
-    WindowSet,
+    Piece,
     axiom_v_check,
     intersect_streams,
     least_adequate_index,
@@ -1037,11 +1037,12 @@ def decide_existential_nf(query: NormalFormQuery) -> Decision:
     """Exact decision of a normal-form query over the integers.
 
     Pipeline: merge the congruence lists, settle the x <= 0 branch directly,
-    intersect the order window (narrowed to x <= |n| when n <= 0 is a
-    witness) with each linear constraint's stream of window pieces, and run
-    the congruence solver on each piece, ascending by lo, until one starts at
-    or past the least witness so far.  Pieces may overlap in range, so the
-    witness is the least over every piece: the first in the order 0, 1, -1, ..."""
+    then run the congruence solver on each piece of the linear constraints'
+    intersected window streams, ascending by lo, from the order window's lower
+    end until one starts at or past stop: the window's upper end, narrowed to
+    1 - n by a witness n <= 0 and to each positive witness found.  Pieces may
+    overlap in range, so the witness is the least over every piece: the first
+    in the order 0, 1, -1, ..."""
     mx = crt_combine(list(query.on_x)) if query.on_x else Congruence(1, 0)
     if mx is None:
         return Decision(False)
@@ -1051,36 +1052,30 @@ def decide_existential_nf(query: NormalFormQuery) -> Decision:
 
     # a positive witness comes first in the scan order 0, 1, -1, ... unless
     # it is above the nonpositive one's |x|
-    upper, negative = query.upper, _negative_branch(query, mx, mf)
-    if negative is not None:
-        if not _query_holds(query, negative):
-            raise AssertionError(f"witness check failed at x={negative} for {query}")
-        if negative == 0:
-            return Decision(True, certificate=0)
-        upper = 1 - negative if upper is None else min(upper, 1 - negative)
-
-    pieces = WindowSet.between(query.lower, upper).pieces
-    for lc in query.linear:  # lazily: no window is read past the first piece from least on
-        pieces = intersect_streams(pieces, window_pieces(lc, (query.lower or 0) + 1))
-
-    least = None
-    for piece in pieces:
-        if least is not None and piece.lo >= least:  # pieces ascend by lo
-            break
-        merged = crt_combine([mx, Congruence(piece.mod, piece.res)])
-        if merged is None:
-            continue
-        top = None if piece.hi is None else piece.hi + 1
-        if least is not None:
-            top = least if top is None else min(top, least)
-        out = solve_system(CongruenceSystem(merged, mf, lower=piece.lo - 1, upper=top))
-        if out.is_witness:
-            least = out.witness
-    if least is not None:
-        if not _query_holds(query, least):
-            raise AssertionError(f"witness check failed at x={least} for {query}")
-        return Decision(True, certificate=least)
-    return Decision(False) if negative is None else Decision(True, certificate=negative)
+    stop, best = query.upper, _negative_branch(query, mx, mf)
+    if best is not None:
+        stop = 1 - best if stop is None else min(stop, 1 - best)
+    start = 1 if query.lower is None else max(query.lower + 1, 1)
+    if stop is None or start < stop:  # lazily: no piece is read from stop on
+        streams = [window_pieces(lc, start) for lc in query.linear]
+        pieces = reduce(intersect_streams, streams) if streams else [Piece(start, None)]
+        for piece in pieces:
+            if stop is not None and piece.lo >= stop:  # pieces ascend by lo
+                break
+            merged = crt_combine([mx, Congruence(piece.mod, piece.res)])
+            if merged is None:
+                continue
+            top = None if piece.hi is None else piece.hi + 1
+            if stop is not None:
+                top = stop if top is None else min(top, stop)
+            out = solve_system(CongruenceSystem(merged, mf, lower=piece.lo - 1, upper=top))
+            if out.is_witness:
+                best = stop = out.witness
+    if best is None:
+        return Decision(False)
+    if not _query_holds(query, best):
+        raise AssertionError(f"witness check failed at x={best} for {query}")
+    return Decision(True, certificate=best)
 
 
 def decide(sentence: Formula, bound: int = DEFAULT_EVAL_BOUND) -> Decision:

@@ -599,14 +599,15 @@ def test_importing_the_cli_loads_no_dataclasses_inspect_or_json():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert out.stdout == "[]\n"
     # Nor do decide, solve and f commands load typing or fractions (with
-    # decimal and numbers), under -S, where site loads none of them either.
+    # decimal and numbers) or contextlib, under -S, where site loads none of
+    # them either.
     # window and audit import fractions on first use.
     commands = [["decide", "exists x. 0 < x & p9(x + 5) & 502*f(x) < 784*x + 857"],
                 ["solve", "--xn", "2", "--xm", "1", "--fn", "3", "--fm", "2"],
                 ["decide", "P[3,5,1,2](0, 100)"], ["f", "7"]]
     code = (f"import sys, beatty.cli\nfor argv in {commands!r}:\n    beatty.cli.run(argv)\n"
             "print(sorted({'argparse', 'dataclasses', 'inspect', 'json', 'typing', 'fractions',"
-            " 'decimal', 'numbers'} & set(sys.modules)))")
+            " 'decimal', 'numbers', 'contextlib'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                          env=env)
     assert out.stdout.splitlines() == ["True (exact); witness 4", "witness 5",

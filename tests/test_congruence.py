@@ -19,7 +19,6 @@ from beatty.congruence import (
     solve_image,
     solve_linear,
     solve_system,
-    solve_system_bounded,
 )
 from beatty.golden import f_floor
 from beatty.numeration import fib, pisano, zeckendorf
@@ -212,11 +211,11 @@ def test_solve_system_grid_constructive():
 
 
 def test_solve_system_bounded_examples():
-    out = solve_system_bounded(CongruenceSystem(Congruence(2, 1), Congruence(3, 2), 0, 10))
+    out = solve_system(CongruenceSystem(Congruence(2, 1), Congruence(3, 2), 0, 10))
     assert out.is_witness and out.witness == 5
-    out = solve_system_bounded(CongruenceSystem(Congruence(2, 0), Congruence(2, 1), 2, 4))
+    out = solve_system(CongruenceSystem(Congruence(2, 0), Congruence(2, 1), 2, 4))
     assert out.status == "no_solution"
-    out = solve_system_bounded(CongruenceSystem(Congruence(1, 0), Congruence(1, 0), 7, 9))
+    out = solve_system(CongruenceSystem(Congruence(1, 0), Congruence(1, 0), 7, 9))
     assert out.is_witness and out.witness == 8
 
 
@@ -226,7 +225,7 @@ def test_solve_system_bounded_examples():
 def test_bounded_agrees_with_enumeration(n, m, n2, m2, low, width):
     system = CongruenceSystem(Congruence(n, m), Congruence(n2, m2),
                               lower=low, upper=low + width)
-    out = solve_system_bounded(system)
+    out = solve_system(system)
     expected = [x for x in range(low + 1, low + width)
                 if x % n == m % n and f_floor(x) % n2 == m2 % n2]
     if expected:
@@ -242,20 +241,20 @@ def test_bounded_half_line_up_pumps_above():
         m, m2 = rng.randrange(n), rng.randrange(n2)
         low = rng.randint(10**6, 10**9)
         system = CongruenceSystem(Congruence(n, m), Congruence(n2, m2), lower=low)
-        out = solve_system_bounded(system)
+        out = solve_system(system)
         assert out.is_witness and out.witness > low
         assert satisfies(system, out.witness)
 
 
 def test_bounded_half_line_down():
     system = CongruenceSystem(Congruence(5, 2), Congruence(3, 0), upper=-100)
-    out = solve_system_bounded(system)
+    out = solve_system(system)
     assert out.is_witness and out.witness < -100 and out.witness % 5 == 2
     # nonzero f-residue forces positive witnesses, which the window excludes
     system = CongruenceSystem(Congruence(5, 2), Congruence(3, 1), upper=10)
-    assert solve_system_bounded(system).status == "no_solution"
+    assert solve_system(system).status == "no_solution"
     system = CongruenceSystem(Congruence(5, 2), Congruence(3, 2), upper=100)
-    out = solve_system_bounded(system)
+    out = solve_system(system)
     assert out.is_witness and satisfies(system, out.witness)
 
 

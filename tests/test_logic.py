@@ -6,7 +6,7 @@ from fractions import Fraction
 from operator import eq, ge, lt, ne
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from beatty import congruence, logic, windows
@@ -852,27 +852,39 @@ _congruences = st.lists(st.builds(Congruence, st.integers(1, 12), st.integers(0,
             st.just(round(n * _PHI)) | st.integers(-3, 3).map(lambda d: round(n * _PHI) + d)
             | st.integers(-2 * n, 3 * n),
             st.integers(-n, 2 * n))), max_size=2),
-    _congruences, _congruences, st.integers(-3000, 3000), st.integers(-3000, 3000),
+    _congruences, _congruences, st.none() | st.integers(-3000, 3000),
+    st.none() | st.integers(-3000, 3000),
 )
+@example(linear=[], on_x=[], on_fx=[], lower=None, upper=0)  # -1, and no x >= 1
+@example(linear=[], on_x=[Congruence(5, 2)], on_fx=[], lower=None, upper=1)  # -3
+@example(linear=[("<", 1, 2, 1)], on_x=[], on_fx=[], lower=-5, upper=9)  # 0, not 1
+@example(linear=[], on_x=[Congruence(4, 2)], on_fx=[], lower=None, upper=None)  # 2, not -2
+@example(linear=[(">", 5, 8, 0)], on_x=[Congruence(7, 3)], on_fx=[], lower=None,
+         upper=-5)  # -11
 def test_nf_least_witness_matches_a_scan_of_its_window(linear, on_x, on_fx, lower, upper):
-    # every query has lower < x < upper inside [-3000, 3000], so a scan of
-    # the window in the order 0, 1, -1, ... finds the decider's witness; near
+    # a scan in the order 0, 1, -1, ... of |x| <= 3000 finds the decider's
+    # witness when one is there, and no witness is nearer 0 otherwise; near
     # phi (m = round(n*phi), Fibonacci n) windows are built per class, and
     # their pieces overlap in range
-    lower, upper = min(lower, upper), max(lower, upper)
+    if lower is not None and upper is not None:
+        lower, upper = min(lower, upper), max(lower, upper)
     query = NormalFormQuery("x", tuple(on_x), tuple(on_fx), lower, upper, tuple(
         LinearConstraint(rel, Fraction(m, n), Fraction(c, n)) for rel, n, m, c in linear))
 
     def holds(x):
-        fx = _F[x] if x > 0 else 0
-        return (all(x % cg.modulus == cg.residue for cg in on_x)
+        fx = 0 if x <= 0 else _F[x] if x <= 3000 else f_floor(x)
+        return ((lower is None or lower < x) and (upper is None or x < upper)
+                and all(x % cg.modulus == cg.residue for cg in on_x)
                 and all(fx % cg.modulus == cg.residue for cg in on_fx)
                 and all({"<": n * fx < m * x + c, "=": n * fx == m * x + c,
                          ">": n * fx > m * x + c}[rel] for rel, n, m, c in linear))
 
-    first = next((x for x in _ORDER if lower < x < upper and holds(x)), None)
-    assert decide_existential_nf(query) == (
-        Decision(False) if first is None else Decision(True, certificate=first))
+    first = next((x for x in _ORDER if holds(x)), None)
+    d = decide_existential_nf(query)
+    if first is not None:
+        assert d == Decision(True, certificate=first)
+    else:
+        assert d == Decision(False) or abs(d.witness) > 3000 and holds(d.witness), d
 
 
 def test_nf_decider_stops_at_its_least_witness(monkeypatch):
