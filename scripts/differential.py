@@ -11,16 +11,22 @@ run as ``decide <sentence> --bound 100``.  Then each sentence is run once
 more, made malformed by one edit drawn from the same generator: one token
 deleted, one duplicated, two neighbours swapped, or one of ``( ) & ! . ,``
 inserted, so that parse errors (message, offset, exit code) are compared
-too; the variant's tokens are joined by single spaces.  Last, 2,000 of the
+too; the variant's tokens are joined by single spaces.  Then 2,000 of the
 seed's corpus ``solve``, ``window``, ``decide`` and ``f`` argv are drawn from
 the same generator and run with one edit to their argv grammar: an option
 written ``--name=value``, cut to a unique or ambiguous prefix, repeated, or
 moved before the positionals; ``--json`` or ``--`` inserted; or a value
-replaced by an option or a negative number.  Every argv goes through
-``beatty.cli.run`` in one fresh interpreter per tree: once for the working
-tree, and once for REV's ``src``, exported with ``git archive`` into a
-temporary directory that is removed afterwards.  The ``elapsed_s`` value of ``--json`` output
-is masked.  The argv of each command whose stdout, stderr or exit code
+replaced by an option or a negative number.  Last, two more variants of
+each random sentence are drawn from a second generator,
+``random.Random(f"windows {seed}")``, so that the commands above stay the
+same: its tokens joined by runs of spaces, more than 800 characters in all,
+so that the parser's scan windows (256 characters, then twice the last) end
+inside it; and, where it has an integer, its tokens joined by single spaces
+with one integer replaced by ``MAX_LITERAL_DIGITS + 1`` digits.  Every argv
+goes through ``beatty.cli.run`` in one fresh interpreter per tree: once for
+the working tree, and once for REV's ``src``, exported with ``git archive``
+into a temporary directory that is removed afterwards.  The ``elapsed_s``
+value of ``--json`` output is masked.  The argv of each command whose stdout, stderr or exit code
 differs is printed, then one summary line; the exit status is 1 if any
 command differs, and 0 if none does.
 """
@@ -44,7 +50,7 @@ import corpus  # noqa: E402
 import run  # noqa: E402
 from formula_gen import random_formula  # noqa: E402
 
-from beatty.logic import format_formula  # noqa: E402
+from beatty.logic import MAX_LITERAL_DIGITS, format_formula  # noqa: E402
 
 # Runs in the fresh interpreter: argv lists on stdin, [exit code, stdout,
 # stderr] per argv on stdout; an exception that escapes run() is named in
@@ -87,6 +93,26 @@ def malformed(rng: random.Random, text: str) -> str:
     return " ".join(tokens)
 
 
+def spaced(rng: random.Random, text: str) -> str:
+    """text's tokens, each followed by a run of spaces drawn from rng, more
+    than 800 characters in all."""
+    tokens = TOKEN.findall(text)
+    gaps = [rng.randint(1, 40) for _ in tokens]
+    gaps[rng.randrange(len(gaps))] += max(0, 801 - sum(map(len, tokens)) - sum(gaps))
+    return "".join(token + " " * gap for token, gap in zip(tokens, gaps))
+
+
+def long_literal(rng: random.Random, text: str) -> str | None:
+    """text with one of its integers, drawn from rng, replaced by
+    MAX_LITERAL_DIGITS + 1 digits; None where it has no integer."""
+    tokens = TOKEN.findall(text)
+    integers = [k for k, token in enumerate(tokens) if token.isdigit()]
+    if not integers:
+        return None
+    tokens[rng.choice(integers)] = "".join(rng.choices("0123456789", k=MAX_LITERAL_DIGITS + 1))
+    return " ".join(tokens)
+
+
 def grammar_variant(rng: random.Random, argv: list[str]) -> list[str]:
     """argv with one edit drawn from rng: an option written --name=value, cut
     to a prefix, repeated with a value drawn from rng (before or after it),
@@ -123,7 +149,8 @@ def grammar_variant(rng: random.Random, argv: list[str]) -> list[str]:
 def argvs(seeds: list[int]) -> list[list[str]]:
     """Every argv of every workload's corpus, warm-up first, then those of
     the seed's 2,000 random sentences and of their malformed variants, then
-    2,000 grammar variants of the corpus argv, seed by seed."""
+    2,000 grammar variants of the corpus argv, then the sentences spaced out
+    and with a long literal, seed by seed."""
     out = []
     for seed in seeds:
         commands = []
@@ -138,6 +165,10 @@ def argvs(seeds: list[int]) -> list[list[str]]:
         varied = [argv for argv in commands[:-4000]
                   if argv[0] in ("solve", "window", "decide", "f")]
         out += commands + [grammar_variant(rng, argv) for argv in rng.sample(varied, 2000)]
+        windowed = random.Random(f"windows {seed}")
+        texts = [spaced(windowed, text) for text in sentences]
+        texts += filter(None, [long_literal(windowed, text) for text in sentences])
+        out += [["decide", text, "--bound", "100"] for text in texts]
     return out
 
 

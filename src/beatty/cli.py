@@ -22,8 +22,8 @@ from .golden import f_floor, f_inverse
 from .numeration import c as word_bit
 from .numeration import Unfactored, fib_word_prefix, pisano, zeckendorf
 
-# beatty.logic and beatty.windows: each is imported by the first command that needs it
-_logic = _windows = None
+# beatty.logic, beatty.windows, fractions.Fraction: each imported by the first command needing it
+_logic = _windows = _Fraction = None
 
 __all__ = ["main", "run"]
 
@@ -118,16 +118,16 @@ def _cmd_solve(xn: int, xm: int, fn: int, fm: int, lo: int | None,
 
 def _cmd_window(relation: str, slope: str, offset: int) -> tuple[dict, str, str, int]:
     """solution set of f(x) <rel> slope*x + k over x >= 1"""
-    from fractions import Fraction  # only window needs it; importing costs set-up time
-
+    global _Fraction, _windows
+    if _Fraction is None:  # only window needs fractions; importing it costs set-up time
+        from fractions import Fraction as _Fraction
     try:
         if _too_long(slope) or "e" in slope.lower():  # 10**exponent is unbounded
             raise ValueError(f"at most {sys.int_info.default_max_str_digits} digits"
                              " and no exponent")
-        ratio = Fraction(slope)
+        ratio = _Fraction(slope)
     except (ValueError, ZeroDivisionError) as exc:
         raise _UsageError(f"bad slope {slope!r}: {exc}") from None
-    global _windows
     if _windows is None:
         from . import windows as _windows
     window = _windows.solution_window(_windows.LinearConstraint(relation, ratio, offset))

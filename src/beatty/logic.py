@@ -12,7 +12,7 @@ import sys
 from collections import namedtuple
 from collections.abc import Iterator
 from functools import lru_cache, reduce
-from itertools import chain, count, islice
+from itertools import chain, count
 from math import gcd
 from operator import add, eq, lt, mul, sub
 
@@ -151,10 +151,6 @@ class _Error(Exception):
     """ParseError's arguments, with a token's index in place of its offset."""
 
 
-class _TooDeep(Exception):
-    """Nesting past MAX_NESTING, as _Error; never turned into another error."""
-
-
 # Bounds the depth of every tree the parser builds, so that the recursive
 # passes over it (nnf, free_vars, the printer, evaluation) stay far inside
 # the interpreter's recursion limit.
@@ -165,14 +161,17 @@ MAX_NESTING = 100
 MAX_LITERAL_DIGITS = sys.int_info.default_max_str_digits
 
 
-# a token, or else (\S) a character no token holds, which findall gives as ""
-_TOKEN = re.compile(r"(->|<=|>=|!=|[()\[\],.+\-*<>=!&|]|\d+|[A-Za-z_][A-Za-z0-9_]*)|\S")
+_TOKEN = re.compile(r"[()\[\],.+*&|]|!=?|[A-Za-z_][A-Za-z0-9_]*|\d+|[<>]=?|->?|=")
+_BAD = re.compile(r"[^\s()\[\],.+\-*<>=!&|\dA-Za-z_]")  # a character no token starts with
 _CUT = re.compile(r"[^\w>=]")  # no token goes on with it: a window may end before it
+_SPACES = re.compile(r"\s*")
 # each relation as (primitive relation, operands swapped, negated)
 _RELS = {"<": ("<", False, False), "<=": ("<", True, True), "=": ("=", False, False),
          "!=": ("=", False, True), ">": ("<", True, False), ">=": ("<", False, True)}
-_CHAINED = {"|": Or, "&": And, "+": Add, "-": Sub}
+_RUN = {"(": "(", "!": Not, "exists": Exists, "forall": Forall}  # what opens an operand
 _END = " "  # the token at and past the end of the text, which no other token is
+_DEEP = f"nesting deeper than {MAX_NESTING}"  # the one error a group never turns into another
+_new = tuple.__new__  # builds a node whose fields the parser has checked
 
 
 def _unexpected(token: str, unexpected: str = "unexpected") -> str:
@@ -180,36 +179,51 @@ def _unexpected(token: str, unexpected: str = "unexpected") -> str:
     return "unexpected end of input" if token == _END else f"{unexpected} {token!r}"
 
 
+def _name(tok: str, k: int, unexpected: str = "unexpected", expected=("a term",)) -> str:
+    """tok, token k, as a variable; another token is unexpected."""
+    if not tok.isidentifier():
+        raise _Error(_unexpected(tok, unexpected), k, () if tok == _END else expected)
+    if tok in _RESERVED or tok[0] == "p" and _P_DIGITS.match(tok):
+        raise _Error(f"{tok!r} is reserved", k)
+    return tok
+
+
 class _Parser:
     """One pass over toks, the tokens scanned so far and then None (or _END),
     by index.  Nesting: each open ( ! f( quantifier -> and k* is one level, and
-    each &, |, + or - one more for everything on its left (chains build
-    left-deep trees).  depth is the nesting at the current token, peak the
-    deepest in the current operand (depth where an atom starts)."""
+    each &, |, + or - one more for everything on its left (chains build left-deep
+    trees).  depth is the nesting at token i, peak the deepest in the operand."""
 
     def __init__(self, text: str):
         self.text, self.toks, self.window, self.bad = text, [None, None], 256, ""
-        self.n = self.scanned = self.i = self.depth = self.peak = 0
+        self.scanned = self.i = self.depth = self.peak = 0
 
     def _more(self, k: int) -> str:
         """Token k, where toks holds None: scanning a window of the text,
         twice the last, so the first error met is the one raised."""
         if self.bad:
-            raise _Error(self.bad, self.n)
-        cut = _CUT.search(text := self.text, (start := self.scanned) + self.window)
-        end, self.window = cut.start() if cut else len(text), 2 * self.window
-        if "" in (toks := _TOKEN.findall(text, start, end)):
-            bad = next(islice(_TOKEN.finditer(text, start), j := toks.index(""), None)).group()
-            del toks[j:]
-            self.bad = f"unexpected character {bad!r}"
-        for j, tok in enumerate(toks if end - start > MAX_LITERAL_DIGITS else ()):
+            raise _Error(self.bad, len(self.toks) - 2)
+        text, toks, start = self.text, self.toks, self.scanned
+        cut, self.window = _CUT.search(text, start + self.window), 2 * self.window
+        end = self.scanned = cut.start() if cut else len(text)
+        if bad := _BAD.search(text, start, end):
+            end, self.bad = bad.start(), f"unexpected character {bad.group()!r}"
+        toks[-2:] = new = _TOKEN.findall(text, start, end)
+        for j, tok in enumerate(new if end - start > MAX_LITERAL_DIGITS else ()):
             if len(lit := tok.removeprefix("p")) > MAX_LITERAL_DIGITS and lit.isdigit():
-                del toks[j:]
+                del toks[j - len(new):]
                 self.bad = f"integer literal longer than {MAX_LITERAL_DIGITS} digits"
                 break
-        self.toks[self.n:] = toks + [None if self.bad or end < len(text) else _END] * 2
-        self.n, self.scanned = self.n + len(toks), end
-        return self.toks[k] or self._more(k)
+        toks += (None, None) if self.bad or end < len(text) else (_END, _END)
+        return toks[k] or self._more(k)
+
+    def _offset(self, k: int) -> int:
+        """The offset of token k: past as many characters other than spaces
+        as the tokens before it hold, and the spaces after them."""
+        text, end, short = self.text, 0, len("".join(self.toks[:k]))
+        while short:
+            end, short = end + short, short - sum(map(len, text[end:end + short].split()))
+        return _SPACES.match(text, end).end()
 
     def _expect(self, *tokens: str) -> None:
         for token in tokens:
@@ -217,176 +231,162 @@ class _Parser:
                 raise _Error(_unexpected(got), i, (repr(token),))
             self.i = i + 1
 
-    def _enter(self, k: int) -> None:
-        """Open a construct that starts at token k; step past the current token."""
-        self.depth = depth = self.depth + 1
-        self.peak = max(self.peak, depth)
-        if depth > MAX_NESTING:
-            raise _TooDeep(f"nesting deeper than {MAX_NESTING}", k)
-        self.i += 1
-
-    def _chain(self, operand, operators: tuple[str, ...], node=None):
-        """operand (operator operand)*, built left-deep: each operator puts
-        everything on its left one level deeper (each operand is read with
-        peak reset to depth).  node is the first operand, if read already."""
-        outer = self.peak
-        if node is None:
-            self.peak = self.depth
-            node = operand()
-        toks, peak = self.toks, self.peak
-        while (op := toks[i := self.i] or self._more(i)) in operators:
-            self.i, self.peak = i + 1, self.depth
-            right = operand()
-            if (peak := max(peak, self.peak) + 1) > MAX_NESTING:
-                raise _TooDeep(f"nesting deeper than {MAX_NESTING}", i)
-            node = _CHAINED[op](node, right)
-        self.peak = max(outer, peak)
-        return node
-
-    def _literal(self) -> int | None:
-        """An optional - and digits, read as an int; None if they do not come next."""
-        toks, i = self.toks, self.i
-        if negative := (toks[i] or self._more(i)) == "-":
-            i += 1
-        if not (digits := toks[i] or self._more(i)).isdigit():
-            return None
-        self.i = i + 1
-        return -int(digits) if negative else int(digits)
-
-    def _variable(self, unexpected: str, expected: tuple[str, ...] = ()) -> str:
-        """Read the variable the current token names; another token is unexpected."""
-        if not (tok := self.toks[i := self.i] or self._more(i)).isidentifier():
-            raise _Error(_unexpected(tok, unexpected), i, () if tok == _END else expected)
-        if tok in _RESERVED or tok[0] == "p" and _P_DIGITS.match(tok):
-            raise _Error(f"{tok!r} is reserved", i)
-        self.i = i + 1
-        return tok
-
-    # formulas; precedence ! > & > | > ->, quantifiers extend maximally right
     def formula(self, node: Formula | None = None) -> Formula:
-        """A formula, or the rest of one whose first operand is node."""
-        node = node and self._chain(self.unary, ("&",), node)
-        node = self._chain(lambda: self._chain(self.unary, ("&",)), ("|",), node)
-        if (self.toks[i := self.i] or self._more(i)) != "->":
-            return node
-        self._enter(i)
-        node = Implies(node, self.formula())
-        self.depth -= 1
+        """A formula, or the rest of one whose first operand is node.  ! > & >
+        | > ->: each & and | chain is read in one loop; -> takes a formula."""
+        toks, depth, outer = self.toks, self.depth, self.peak
+        if node is None:
+            self.peak = depth
+            node = self.unary()
+        peak, left = self.peak, None  # left: the | chain before node, lpeak its peak
+        while True:
+            if (op := toks[i := self.i] or self._more(i)) != "&" and left is not None:
+                if (peak := (lpeak if lpeak > peak else peak) + 1) > MAX_NESTING:
+                    raise _Error(_DEEP, at)
+                node, left = _new(Or, (left, node)), None
+            if op != "&" and op != "|":
+                break
+            self.i, self.peak = i + 1, depth
+            right, p = self.unary(), self.peak
+            if op == "|":
+                left, lpeak, at, node, peak = node, peak, i, right, p
+            elif (peak := (peak if peak > p else p) + 1) > MAX_NESTING:
+                raise _Error(_DEEP, i)
+            else:
+                node = _new(And, (node, right))
+        self.peak = outer if outer > peak else peak
+        if op == "->":
+            if (depth := depth + 1) > MAX_NESTING:
+                raise _Error(_DEEP, i)
+            self.i, self.depth = i + 1, depth
+            node, self.depth = _new(Implies, (node, self.formula())), depth - 1
         return node
 
-    def unary(self, inside: bool = False) -> Formula | Term:
-        """A run of ! and quantifiers, read in one loop, then an atom (see
-        atom for inside); each quantifier's body is the rest of the formula."""
-        toks, run = self.toks, []
-        while (tok := toks[i := self.i] or self._more(i)) in ("!", "exists", "forall"):
-            self._enter(i)
-            if tok != "!":
-                tok = Exists if tok == "exists" else Forall, self._variable("invalid variable name")
-                self._expect(".")
-            run.append(tok)
-        node = self.atom(inside and not run)
-        for tok in reversed(run):
-            node = Not(node) if tok == "!" else tok[0](tok[1], self.formula(node))
-            self.depth -= 1
-        return node
-
-    def atom(self, inside: bool = False) -> Formula | Term:
-        """An atom or, inside a group, a term that a ) ends: then the formula
-        reading of the group expects a relation at that ) (self.leaf)."""
-        toks, i = self.toks, self.i
-        if (tok := toks[i] or self._more(i)) == "(":
-            return self._group(inside)
+    def unary(self) -> Formula:
+        """A run of (, ! and quantifiers read in one loop, an atom, then the run
+        closed from the inside out.  A ( is read once: a term that ends at its )
+        goes on after it, and a group neither term nor formula fails at that )."""
+        toks, i, depth, run, leaf = self.toks, self.i, self.depth, None, None
+        while (tag := _RUN.get(tok := toks[i] or self._more(i))) is not None:
+            if (depth := depth + 1) > MAX_NESTING:
+                raise _Error(_DEEP, i)
+            if tag is Exists or tag is Forall:
+                tag = tag, _name(toks[i := i + 1] or self._more(i), i, "invalid variable name", ())
+                if (dot := toks[i := i + 1] or self._more(i)) != ".":
+                    raise _Error(_unexpected(dot), i, ("'.'",))
+            run, i = (tag, run), i + 1
+        self.i, self.depth, self.peak = i, depth, depth
         if tok == "P":
             self.i, nums = i + 1, []
-            for separator in "[,,,":  # then an integer
+            for separator in "[,,,":
                 self._expect(separator)
-                if (value := self._literal()) is None:
-                    got = toks[j := self.i + (toks[self.i] == "-")]
-                    at = j if got == _END else self.i
-                    raise _Error(_unexpected(got, "expected integer, got"), at)
-                nums.append(value)
+                negative = (toks[j := self.i] or self._more(j)) == "-"
+                if not (got := toks[k := j + negative] or self._more(k)).isdigit():
+                    raise _Error(_unexpected(got, "expected integer, got"), k if got == _END else j)
+                nums.append(-int(got) if negative else int(got))
+                self.i = k + 1
             self._expect("]", "(")
             low, high = self.term(), self._expect(",") or self.term()
             self._expect(")")
-            if nums[0] < 1 or nums[1] < 1:
+            if (mod_x := nums[0]) < 1 or (mod_fx := nums[1]) < 1:
                 raise _Error("window predicate moduli must be >= 1", i)
-            return PPred(*nums, low, high)
-        if tok[0] == "p" and _P_DIGITS.match(tok) and (toks[i + 1] or self._more(i + 1)) == "(":
+            node = _new(PPred, (mod_x, mod_fx, nums[2] % mod_x, nums[3] % mod_fx, low, high))
+        elif tok[0] == "p" and _P_DIGITS.match(tok) and (toks[i + 1] or self._more(i + 1)) == "(":
             if (modulus := int(tok[1:])) < 1:
                 raise _Error("divisibility modulus must be >= 1", i)
-            self.i += 2
-            term = self.term()
+            self.i = i + 2
+            node = _new(Div, (modulus, self.term()))
             self._expect(")")
-            return Div(modulus, term)
-        node = self.term()
-        if inside and (toks[i := self.i] or self._more(i)) == ")":
-            self.leaf = i
-            return node
-        return self._comparison(node)
-
-    def _comparison(self, left: Term) -> Formula:
-        if (rel := self.toks[i := self.i] or self._more(i)) not in _RELS:
-            raise _Error(_unexpected(rel), i, tuple(_RELS))
-        self.i = i + 1
-        right = self.term()
-        primitive, swapped, negated = _RELS[rel]
-        atom = Cmp(right, primitive, left) if swapped else Cmp(left, primitive, right)
-        return Not(atom) if negated else atom
-
-    def _group(self, inside: bool) -> Formula | Term:
-        """A ( at an atom, read once: ( formula ), or ( term ) and the rest of
-        a comparison or, inside a group, of a term a ) ends.  Where that rest
-        fails, the error is the one reading a formula meets (see atom)."""
-        self._enter(self.i)
-        first = self.toks[i := self.i] or self._more(i)
-        node = self._group(True) if first == "(" else self.unary(True)  # one frame a group
-        if not isinstance(node, Term):
-            node = self.formula(node)
-            self._expect(")")
-            self.depth -= 1
-            return node
-        leaf, self.i, self.depth = self.leaf, self.i + 1, self.depth - 1
-        try:
-            node = self._chain(self.product, ("+", "-"), node)
-            if inside and (self.toks[i := self.i] or self._more(i)) == ")":
-                return node
-            return self._comparison(node)
-        except _Error:
-            raise _Error(_unexpected(")"), leaf, tuple(_RELS)) from None
-
-    # terms; '*' binds tighter than '+'/'-', sums associate left
-    def term(self) -> Term:
-        return self._chain(self.product, ("+", "-"))
-
-    def product(self) -> Term:
-        if (tok := self.toks[i := self.i] or self._more(i)) == "(" or tok == "f":
-            self._enter(i)
-            if tok == "f":
-                self._expect("(")
-            node = self._chain(self.product, ("+", "-"))  # the term, with no frame for term()
-            self._expect(")")
-        elif (value := self._literal()) is None:
-            return Var(self._variable("unexpected", ("a term",)))
-        elif (self.toks[j := self.i] or self._more(j)) != "*":
-            return Const(value)
         else:
-            self._enter(i)
-            node = Scale(value, self.product())
-        self.depth -= 1
-        return F(node) if tok == "f" else node
+            node = self.term()
+            try:
+                while run and run[0] == "(" and (toks[j := self.i] or self._more(j)) == ")":
+                    leaf, run, depth = j if leaf is None else leaf, run[1], depth - 1
+                    self.i, self.depth = j + 1, depth
+                    node = self.term(node)
+                if (rel := _RELS.get(tok := toks[j := self.i] or self._more(j))) is None:
+                    raise _Error(_unexpected(tok), j, tuple(_RELS))
+                self.i, (primitive, swapped, negated) = j + 1, rel
+                right = self.term()
+            except _Error as error:
+                if leaf is None or error.args[0] == _DEEP:
+                    raise
+                raise _Error(_unexpected(")"), leaf, tuple(_RELS)) from None
+            node = _new(Cmp, (right, primitive, node) if swapped else (node, primitive, right))
+            if negated:
+                node = _new(Not, (node,))
+        while run:
+            (tag, run), self.depth, depth = run, depth, depth - 1
+            if tag is Not:
+                node = _new(Not, (node,))
+            elif tag == "(":
+                node = self.formula(node)
+                self._expect(")")
+            else:
+                node = _new(tag[0], (tag[1], self.formula(node)))
+        self.depth = depth
+        return node
+
+    def term(self, node: Term | None = None) -> Term:
+        """Products joined by + and -, left-deep; node is the first if read.  A
+        product: a run of k *, ( and f( read in one loop, then a name or integer;
+        ( and f( close where the sum in them ends, and the sum on stack goes on."""
+        toks, i, depth, outer = self.toks, self.i, self.depth, self.peak
+        stack, right, at, peak = None, None, None, outer  # at: the + or - read last
+        while True:
+            if right is None and (node is None or at is not None):
+                top, scales = depth, None  # scales: (coefficient, scales), innermost first
+                while True:
+                    if (tok := toks[i] or self._more(i)) == "(" or tok == "f":
+                        if (top := top + 1) > MAX_NESTING:
+                            raise _Error(_DEEP, i)
+                        if tok == "f" and (got := toks[i := i + 1] or self._more(i)) != "(":
+                            raise _Error(_unexpected(got), i, ("'('",))
+                        stack = tok, scales, node, peak, at, depth, stack
+                        node, scales, at, depth, i = None, None, None, top, i + 1
+                    elif (lit := toks[i + 1] or self._more(i + 1) if tok == "-" else tok).isdigit():
+                        value = -int(lit) if tok == "-" else int(lit)
+                        if (toks[j := i + 1 + (tok == "-")] or self._more(j)) != "*":
+                            right, p, i = _new(Const, (value,)), top, j
+                            break
+                        if (top := top + 1) > MAX_NESTING:
+                            raise _Error(_DEEP, i)
+                        scales, i = (value, scales), j + 1
+                    else:
+                        right, p, i = _new(Var, (_name(tok, i),)), top, i + 1
+                        break
+            if right is not None:
+                while scales:
+                    right, scales = _new(Scale, (scales[0], right)), scales[1]
+                if at is None:
+                    node, peak, right = right, p, None
+                elif (peak := (peak if peak > p else p) + 1) > MAX_NESTING:
+                    raise _Error(_DEEP, at)
+                else:
+                    node, right = _new(Add if toks[at] == "+" else Sub, (node, right)), None
+            if (op := toks[i] or self._more(i)) == "+" or op == "-":
+                at, i = i, i + 1
+            elif not stack:
+                break
+            elif op != ")":
+                raise _Error(_unexpected(op), i, ("')'",))
+            else:
+                right, p, i = _new(F, (node,)) if stack[0] == "f" else node, peak, i + 1
+                _, scales, node, peak, at, depth, stack = stack
+        self.i, self.peak = i, outer if outer > peak else peak
+        return node
 
 
 def _whole(text: str, rule) -> Formula | Term:
     """rule over the whole of text."""
+    parser = _Parser(text)
     try:
-        node = rule(parser := _Parser(text))
+        node = rule(parser)
         if (tok := parser.toks[i := parser.i] or parser._more(i)) != _END:
             raise _Error(f"unexpected trailing {tok!r}", i)
         return node
-    except (_Error, _TooDeep) as error:
-        message, k, *expected = error.args
-        token = next(islice(_TOKEN.finditer(text), k, None), None)
-        raise ParseError(message, token.start() if token else len(text), *expected) from None
+    except _Error as error:
+        raise ParseError(error.args[0], parser._offset(error.args[1]), *error.args[2:]) from None
 
 
 def parse(text: str) -> Formula:

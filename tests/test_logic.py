@@ -147,6 +147,28 @@ def test_parse_reports_the_first_error_met():
     assert err.value.position == MAX_NESTING
 
 
+@pytest.mark.parametrize("text", [
+    lambda k: "(" * k + "$",
+    lambda k: "f(" * k + "x",
+    lambda k: "!" * k + "0 < 1",
+    lambda k: "2 * " * k + "x < 1",
+    lambda k: "x < ) " + "0 < 1 & " * (k // 8),
+], ids=["(", "f(", "!", "2 *", "x < )"])
+def test_a_refusal_costs_the_same_whatever_the_length_of_the_text(text):
+    # the text is scanned in windows as the parser reaches them: a refusal
+    # near its start never tokenizes the rest of it
+    def refusals(source):
+        def run():
+            for _ in range(20):
+                with pytest.raises(ParseError):
+                    parse(source)
+        return run
+
+    short, _ = _least_time(refusals(text(4_000)))
+    long, _ = _least_time(refusals(text(400_000)))
+    assert long < 3 * short
+
+
 def test_parse_is_linear_in_the_nesting_of_groups():
     # each ( is read once, whether the group holds a formula or a term; a
     # parser that tries the term first and backtracks walks the formula's
@@ -222,14 +244,44 @@ PARSE_ERRORS = [
 ]
 
 
-@pytest.mark.parametrize("text,offset,message", PARSE_ERRORS,
-                         ids=[f"{i}:{row[0][:24]}" for i, row in enumerate(PARSE_ERRORS)])
-def test_each_parse_error_keeps_its_message_and_offset(text, offset, message):
+# one malformed text per error the term entry point raises: (text, offset, message)
+PARSE_TERM_ERRORS = [
+    ("2 *", 3, "unexpected end of input"),
+    ("f(x", 3, "unexpected end of input at offset 3 (expected ')')"),
+    ("x +", 3, "unexpected end of input"),
+    ("(x", 2, "unexpected end of input at offset 2 (expected ')')"),
+    ("x < 1", 2, "unexpected trailing '<'"),
+    ("-x", 0, "unexpected '-' at offset 0 (expected a term)"),
+    ("x - -", 4, "unexpected '-' at offset 4 (expected a term)"),
+    ("P", 0, "'P' is reserved"),
+    ("exists", 0, "'exists' is reserved"),
+    ("x $", 2, "unexpected character '$'"),
+    # one level past the cap: the 101st f(, (, 3 * and +
+    ("f(" * 101 + "x" + ")" * 101, 200, "nesting deeper than 100"),
+    ("(" * 101 + "x" + ")" * 101, 100, "nesting deeper than 100"),
+    ("3 * " * 101 + "x", 400, "nesting deeper than 100"),
+    (" + ".join(["x"] * 102), 402, "nesting deeper than 100"),
+]
+
+
+def _assert_parse_error(entry, text, offset, message):
     with pytest.raises(ParseError) as err:
-        parse(text)
+        entry(text)
     assert err.value.position == offset
     expected = message if " at offset " in message else f"{message} at offset {offset}"
     assert str(err.value) == expected
+
+
+@pytest.mark.parametrize("text,offset,message", PARSE_ERRORS,
+                         ids=[f"{i}:{row[0][:24]}" for i, row in enumerate(PARSE_ERRORS)])
+def test_each_parse_error_keeps_its_message_and_offset(text, offset, message):
+    _assert_parse_error(parse, text, offset, message)
+
+
+@pytest.mark.parametrize("text,offset,message", PARSE_TERM_ERRORS,
+                         ids=[f"{i}:{row[0][:24]}" for i, row in enumerate(PARSE_TERM_ERRORS)])
+def test_each_parse_term_error_keeps_its_message_and_offset(text, offset, message):
+    _assert_parse_error(parse_term, text, offset, message)
 
 
 def test_print_parse_identity_random():
