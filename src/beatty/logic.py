@@ -1038,11 +1038,11 @@ def decide_existential_nf(query: NormalFormQuery) -> Decision:
 
     Pipeline: merge the congruence lists, settle the x <= 0 branch directly,
     then run the congruence solver on each piece of the linear constraints'
-    intersected window streams, ascending by lo, from the order window's lower
-    end until one starts at or past stop: the window's upper end, narrowed to
-    1 - n by a witness n <= 0 and to each positive witness found.  Pieces may
-    overlap in range, so the witness is the least over every piece: the first
-    in the order 0, 1, -1, ..."""
+    window streams, met in one lazy sweep (intersect_streams), ascending by lo,
+    from the order window's lower end until one starts at or past stop: the
+    window's upper end, narrowed to 1 - n by a witness n <= 0 and to each
+    positive witness found.  Pieces may overlap in range, so the witness is
+    the least over every piece: the first in the order 0, 1, -1, ..."""
     mx = crt_combine(list(query.on_x)) if query.on_x else Congruence(1, 0)
     if mx is None:
         return Decision(False)

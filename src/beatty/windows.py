@@ -16,6 +16,7 @@ from bisect import bisect_right
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from functools import cached_property
+from heapq import heappop, heappush
 from math import lcm
 
 from .congruence import Congruence, crt_combine, solve_linear
@@ -176,7 +177,7 @@ class WindowSet(namedtuple("WindowSet", "pieces")):
     Unlike the other records it has a __dict__, where _index is cached."""
 
     @classmethod
-    def from_pieces(cls, pieces: list[Piece | None]) -> "WindowSet":
+    def from_pieces(cls, pieces: Iterable[Piece | None]) -> "WindowSet":
         runs, classes = [], set()
         for p in sorted(filter(None, pieces), key=_piece_key):
             if p.mod > 1:
@@ -187,12 +188,6 @@ class WindowSet(namedtuple("WindowSet", "pieces")):
             else:
                 runs.append(p)
         return cls(tuple(sorted(runs + list(classes), key=_piece_key)))
-
-    @classmethod
-    def between(cls, lower: int | None, upper: int | None) -> "WindowSet":
-        """The open window lower < x < upper over x >= 1 (None = unbounded)."""
-        return cls.from_pieces([_make_piece(1 if lower is None else lower + 1,
-                                            None if upper is None else upper - 1)])
 
     @property
     def kind(self) -> str:
@@ -228,29 +223,33 @@ class WindowSet(namedtuple("WindowSet", "pieces")):
                    for mod in moduli for p in classes.get((mod, x % mod), ()))
 
     def intersect(self, other: "WindowSet") -> "WindowSet":
-        """A linear merge of two run sets (intersect_streams); pairwise otherwise."""
-        if all(p.mod == 1 for w in (self, other) for p in w.pieces):
-            return WindowSet(tuple(intersect_streams(self.pieces, other.pieces)))
-        pairs = [_intersect_pieces(a, b) for a in self.pieces for b in other.pieces]
-        return WindowSet.from_pieces(pairs)
+        """The set both windows hold: from_pieces of their overlaps (intersect_streams)."""
+        return WindowSet.from_pieces(intersect_streams(self.pieces, other.pieces))
 
 
 def intersect_streams(a: Iterable[Piece], b: Iterable[Piece]) -> Iterator[Piece]:
-    """The overlaps of two streams ascending by lo, each of runs or of classes only: runs
-    in one sweep that reads each no further than its overlaps are read, classes pairwise."""
-    a, b = iter(a), iter(b)
-    x = next(a, None)
-    y = x and next(b, None)
-    if y and (x.mod > 1 or y.mod > 1):
-        yield from WindowSet((x, *a)).intersect(WindowSet((y, *b))).pieces
-    else:
-        while x and y:
-            if p := _intersect_pieces(x, y):
-                yield p
-            if y.hi is None or x.hi is not None and x.hi < y.hi:
-                x = next(a, None)
-            else:
-                y = next(b, None)
+    """The overlaps of two streams ascending by lo, ascending by lo themselves: one sweep,
+    for runs, classes or both, meets each arriving piece of their merge by lo with the
+    other stream's pieces still open at its lo, and yields each overlap once no later
+    arrival can start below it: each stream is read up to its first piece past those taken."""
+    streams = iter(a), iter(b)
+    heads = [next(s, None) for s in streams]
+    opened = [], []  # the pieces of each stream that arrived and may meet later arrivals
+    ready = []  # the overlaps met, by _piece_key
+    while heads[0] or heads[1]:
+        i = 0 if heads[1] is None or heads[0] and heads[0].lo <= heads[1].lo else 1
+        p, heads[i] = heads[i], next(streams[i], None)
+        other = opened[1 - i]
+        other[:] = [q for q in other if q.hi is None or q.hi >= p.lo]
+        if not (other or heads[1 - i]):  # nothing of the other stream is left
+            heads = [None, None]
+        for q in other:
+            if r := _intersect_pieces(p, q):
+                heappush(ready, (_piece_key(r), r))
+        opened[i].append(p)
+        ahead = [h.lo for h in heads if h]  # where the next arrival starts
+        while ready and (not ahead or ready[0][0][0] < min(ahead)):
+            yield heappop(ready)[1]
 
 
 def _cut(t: int, gap: tuple[int, int, int], below: bool) -> int:

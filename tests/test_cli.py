@@ -101,6 +101,11 @@ GOLDEN = [
     # a zone that ends near 1,011,000, below the order window: none of it is scanned
     (["decide", "exists x. (1000000*f(x) < 1618033*x & x > 2000000 & p7(f(x)))"], 1,
      "False (exact)\n"),
+    # a run stream that meets a class stream: the true one stops at its least witness
+    (["decide", "exists x. (1001*f(x) > 1619*x & 1005*f(x) < 1626*x & x > 0)"], 0,
+     "True (exact); witness 34\n"),
+    (["decide", "exists x. (1001*f(x) < 1619*x & 1005*f(x) > 1626*x & x > 0)"], 1,
+     "False (exact)\n"),
     (["decide", "exists x. (f(x+1) = f(x) + 2 & x > 100000 & p7(x))"], 1,
      "False (bounded to 10000)\n"),
     (["decide", "forall x. x < x + 1"], 0, "True (exact)\n"),

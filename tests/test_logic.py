@@ -51,7 +51,14 @@ from beatty.logic import (
     parse_term,
     to_normal_form,
 )
-from beatty.windows import AxiomVReport, BracketInfo, LinearConstraint, Piece, WindowSet
+from beatty.windows import (
+    AxiomVReport,
+    BracketInfo,
+    LinearConstraint,
+    Piece,
+    WindowSet,
+    _make_piece,
+)
 from formula_gen import nf_brute_holds, nf_brute_witness, random_formula, random_nf_sentence
 
 
@@ -773,7 +780,8 @@ def test_an_unsatisfiable_conjunct_leaves_an_order_window_with_no_integer(monkey
         q = to_normal_form(parse(text))
         assert q.on_x == tuple(Congruence(*c) for c in on_x), text
         assert q.on_fx == tuple(Congruence(*c) for c in on_fx), text
-        assert q.upper - q.lower < 2 and WindowSet.between(q.lower, q.upper).is_empty, text
+        assert q.upper - q.lower < 2, text
+        assert WindowSet.from_pieces([_make_piece(q.lower + 1, q.upper - 1)]).is_empty, text
         assert decide_existential_nf(q) == Decision(False)
 
 
@@ -939,17 +947,24 @@ def test_nf_least_witness_matches_a_scan_of_its_window(linear, on_x, on_fx, lowe
         assert d == Decision(False) or abs(d.witness) > 3000 and holds(d.witness), d
 
 
-def test_nf_decider_stops_at_its_least_witness(monkeypatch):
-    # the zone of 1.61802 holds about 71,500 points, but the least witness
-    # is 610, and the decider reads no window piece after the first that
-    # starts past it
+def _counted_f_floor(monkeypatch, modules=(windows, logic, congruence)):
+    """The arguments of every f_floor call that modules make from now on."""
     calls = []
 
     def counted(x):
         calls.append(x)
         return f_floor(x)
 
-    monkeypatch.setattr(windows, "f_floor", counted)
+    for module in modules:
+        monkeypatch.setattr(module, "f_floor", counted)
+    return calls
+
+
+def test_nf_decider_stops_at_its_least_witness(monkeypatch):
+    # the zone of 1.61802 holds about 71,500 points, but the least witness
+    # is 610, and the decider reads no window piece after the first that
+    # starts past it
+    calls = _counted_f_floor(monkeypatch, [windows])
     d = decide(parse("exists x. (100000*f(x) > 161802*x & x > 0 & p7(f(x)))"))
     assert d == Decision(True, certificate=610)
     assert len(calls) < 2000, len(calls)
@@ -958,18 +973,20 @@ def test_nf_decider_stops_at_its_least_witness(monkeypatch):
 def test_nf_decider_scans_no_zone_below_its_order_window(monkeypatch):
     # the zone of 1.618033 ends near x = 1,011,000, below the order window
     # x > 2000000, so no zone point is compared and no probe falls below it
-    calls = []
-
-    def counted(x):
-        calls.append(x)
-        return f_floor(x)
-
-    for module in (windows, logic, congruence):
-        monkeypatch.setattr(module, "f_floor", counted)
+    calls = _counted_f_floor(monkeypatch)
     d = decide(parse("exists x. (1000000*f(x) < 1618033*x & x > 2000000 & p7(f(x)))"))
     assert d == Decision(False)
     assert len(calls) <= 100, len(calls)
     assert all(x > 2000000 for x in calls), min(calls)
+
+
+def test_nf_decider_reads_a_class_stream_no_further_than_its_least_witness(monkeypatch):
+    # the second constraint's zone is built per class (1,005 of them); the
+    # sweep that meets them with the first's runs stops at the witness 34
+    calls = _counted_f_floor(monkeypatch)
+    d = decide(parse("exists x. (1001*f(x) > 1619*x & 1005*f(x) < 1626*x & x > 0)"))
+    assert d == Decision(True, certificate=34)
+    assert len(calls) <= 500, len(calls)
 
 
 # --- decide ----------------------------------------------------------------

@@ -9,10 +9,13 @@ from hypothesis import strategies as st
 from beatty.golden import f_floor, phi_sign
 from beatty.windows import (
     LinearConstraint,
+    Piece,
     WindowSet,
+    _make_piece,
     axiom_v_check,
     convergent_d,
     convergent_u,
+    intersect_streams,
     least_adequate_index,
     locate_slope,
     solution_window,
@@ -142,18 +145,23 @@ def test_trichotomy():
                 assert sum(x in w for w in windows) == 1
 
 
+def _run(lo, hi):
+    """The window lo <= x <= hi over x >= 1 (hi None: unbounded above)."""
+    return WindowSet.from_pieces([_make_piece(lo, hi)])
+
+
 def test_windowset_operations():
-    a = WindowSet.between(4, 41)
-    b = WindowSet.between(19, None)
+    a = _run(5, 40)
+    b = _run(20, None)
     assert (a.kind, b.kind) == ("finite_interval", "half_line_up")
     inter = a.intersect(b)
     assert _members(inter, 100) == list(range(20, 41))
-    assert _members(a.intersect(WindowSet.between(10, 15)), 100) == list(range(11, 15))
-    assert a.intersect(WindowSet.between(None, 3)).is_empty
-    assert _members(WindowSet.between(None, 5), 10) == [1, 2, 3, 4]
-    assert WindowSet.between(None, 5).kind == "half_line_down"
-    assert WindowSet.between(-7, None) == WindowSet.between(None, None)
-    assert WindowSet.between(3, 4).is_empty and WindowSet.between(4, 3).kind == "empty"
+    assert _members(a.intersect(_run(11, 14)), 100) == list(range(11, 15))
+    assert a.intersect(_run(1, 2)).is_empty
+    assert _members(_run(1, 4), 10) == [1, 2, 3, 4]
+    assert _run(-5, 4).kind == "half_line_down" and _run(-5, 4) == _run(1, 4)
+    assert _run(-6, None) == WindowSet((Piece(1, None),))
+    assert _run(4, 3).is_empty and _run(5, 2).kind == "empty" and _run(-3, 0).is_empty
     assert b.pieces[-1].hi is None and 10**9 in b
 
 
@@ -161,10 +169,9 @@ def test_windowset_operations():
 @given(st.integers(1, 60), st.integers(1, 60), st.integers(1, 6), st.integers(0, 5),
        st.integers(1, 80))
 def test_windowset_intersection_is_setwise(lo, hi, mod, res, probe):
-    from beatty.windows import _make_piece
     piece = _make_piece(lo, hi, mod, res)
     window = WindowSet.from_pieces([piece])
-    other = WindowSet.between(9, 51)
+    other = _run(10, 50)
     merged = window.intersect(other)
     assert (probe in merged) == ((probe in window) and (probe in other))
 
@@ -375,21 +382,19 @@ def _assert_canonical_runs(window):
 def test_window_far_from_phi_is_one_half_line():
     window = solution_window(LinearConstraint(">", Fraction(1, 1_000_000), 0))
     assert window.kind == "half_line_up"
-    assert window == WindowSet.between(None, None) == WindowSet.between(0, None)
+    assert window == WindowSet((Piece(1, None),)) == _run(0, None)
 
 
 def test_equal_sets_have_equal_pieces():
     window = solution_window(LinearConstraint(">", Fraction(3, 2), 0))
     _assert_canonical_runs(window)
     tail = window.pieces[-1].lo
-    points = [WindowSet.between(x - 1, x + 1) for x in _members(window, tail - 1)]
-    rebuilt = WindowSet.from_pieces([p for w in points for p in w.pieces]
-                                    + list(WindowSet.between(tail - 1, None).pieces))
+    points = [Piece(x, x) for x in _members(window, tail - 1)]
+    rebuilt = WindowSet.from_pieces(points + [Piece(tail, None)])
     assert rebuilt == window
-    assert WindowSet.between(None, None).intersect(window) == window == window.intersect(window)
-    split = WindowSet.from_pieces(list(WindowSet.between(0, 6).pieces)
-                                  + list(WindowSet.between(5, 10).pieces))
-    assert split == WindowSet.between(None, 10)
+    assert _run(1, None).intersect(window) == window == window.intersect(window)
+    split = WindowSet.from_pieces([_make_piece(0, 5), _make_piece(6, 9)])
+    assert split == _run(1, 9)
     assert split.kind == "half_line_down"
 
 
@@ -404,13 +409,19 @@ _class_windows = st.builds(
 
 
 @settings(max_examples=150, deadline=None)
-@given(_run_windows, st.one_of(_run_windows, _class_windows), st.integers(1, 3000))
-def test_windowset_intersection_with_runs_is_setwise(runs, other, probe):
-    merged = runs.intersect(other)
-    assert (probe in merged) == ((probe in runs) and (probe in other))
-    assert merged == other.intersect(runs)
-    if all(p.mod == 1 for p in other.pieces):
+@given(_run_windows | _class_windows, _run_windows | _class_windows, st.integers(1, 3000))
+def test_windowset_intersection_with_runs_is_setwise(a, b, probe):
+    merged = a.intersect(b)
+    both = (probe in a) and (probe in b)
+    assert (probe in merged) == both
+    assert merged == b.intersect(a)
+    if all(p.mod == 1 for w in (a, b) for p in w.pieces):
         _assert_canonical_runs(merged)
+    # the sweep itself, for runs, classes and both: ascending by lo, and the same set
+    stream = list(intersect_streams(a.pieces, b.pieces))
+    assert all(p.lo <= q.lo for p, q in zip(stream, stream[1:])), stream
+    assert any(p.lo <= probe and (p.hi is None or probe <= p.hi) and probe % p.mod == p.res
+               for p in stream) == both
 
 
 # n <= 60, half of them Fibonacci numbers, with m = round(n*phi) (where that
