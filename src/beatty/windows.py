@@ -3,8 +3,9 @@ constraints f(x) <op> slope*x + offset over x >= 1.
 
 As n*f(x) <op> m*x + c0, f(x) = phi*x - {phi*x} settles the comparison outside
 a zone of about 1/|phi - slope| integers: a < or > set is a settled interval
-plus the zone points that hold, as runs, or per residue class of x mod n
-near phi, where that is smaller.  An = set is one residue class.
+plus the zone points that hold, as maximal runs, or per residue class of x mod n
+where the zone holds more than CLASS_CROSSOVER points per class.  An = set is
+one residue class.
 
 Every integer end is one cut (_cut): the integer where gap*x < t switches,
 for the exact gap n*phi - m or a convergent's rational gap w - s.
@@ -17,7 +18,7 @@ from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from functools import cached_property
 from heapq import heappop, heappush
-from math import lcm
+from math import gcd, lcm
 
 from .congruence import Congruence, crt_combine, solve_linear
 from .golden import f_floor, phi_ceil, phi_floor, phi_sign
@@ -38,7 +39,8 @@ __all__ = [
 ]
 
 # A < or > set is built per class when its zone has more points than this
-# many per class: measured fastest for deciding near-phi sentences.
+# many per class: near a convergent of phi the zone holds about sqrt(5)*n**2
+# points and its runs about as many pieces, where the classes are n.
 CLASS_CROSSOVER = 8
 
 
@@ -155,10 +157,9 @@ def _piece_key(p: Piece) -> tuple:
 
 
 def _intersect_pieces(a: Piece, b: Piece) -> Piece | None:
+    """The piece a and b both hold, or None; their ranges overlap (the sweep meets no others)."""
     lo = max(a.lo, b.lo)
     hi = b.hi if a.hi is None else a.hi if b.hi is None else min(a.hi, b.hi)
-    if hi is not None and hi < lo:
-        return None
     if b.mod == 1 and (lo, hi) == (a.lo, a.hi):
         return a
     if a.mod == 1 and (lo, hi) == (b.lo, b.hi):
@@ -231,22 +232,55 @@ def intersect_streams(a: Iterable[Piece], b: Iterable[Piece]) -> Iterator[Piece]
     """The overlaps of two streams ascending by lo, ascending by lo themselves: one sweep,
     for runs, classes or both, meets each arriving piece of their merge by lo with the
     other stream's pieces still open at its lo, and yields each overlap once no later
-    arrival can start below it: each stream is read up to its first piece past those taken."""
+    arrival can start below it: each stream is read up to its first piece past those taken.
+    Open classes are kept by modulus and residue, so per modulus an arriving piece meets
+    only the classes that its points up to the furthest end of the other stream's classes
+    reach, when they are fewer than the open ones."""
     streams = iter(a), iter(b)
     heads = [next(s, None) for s in streams]
-    opened = [], []  # the pieces of each stream that arrived and may meet later arrivals
+    runs = [], []  # per stream, the runs that arrived and may meet later arrivals
+    classes = {}, {}  # per stream, the same for its classes: {mod: {res: [piece]}}
+    ends = [], []  # per stream, (hi, piece) of its bounded open classes, by hi
+    tops = [0, 0]  # per stream, the furthest hi of its classes; None once one is unbounded
     ready = []  # the overlaps met, by _piece_key
     while heads[0] or heads[1]:
         i = 0 if heads[1] is None or heads[0] and heads[0].lo <= heads[1].lo else 1
         p, heads[i] = heads[i], next(streams[i], None)
-        other = opened[1 - i]
-        other[:] = [q for q in other if q.hi is None or q.hi >= p.lo]
-        if not (other or heads[1 - i]):  # nothing of the other stream is left
+        j = 1 - i
+        runs[j][:] = [q for q in runs[j] if q.hi is None or q.hi >= p.lo]
+        while ends[j] and ends[j][0][0] < p.lo:  # q ends before p starts: it meets no later arrival
+            q = heappop(ends[j])[1]
+            by_res = classes[j][q.mod]
+            by_res[q.res].remove(q)
+            if not by_res[q.res]:
+                del by_res[q.res]
+                if not by_res:
+                    del classes[j][q.mod]
+        if not (runs[j] or classes[j] or heads[j]):  # nothing of the other stream is left
             heads = [None, None]
-        for q in other:
+        met = runs[j]
+        if classes[j]:
+            met = met[:]
+            top = p.hi if tops[j] is None else tops[j] if p.hi is None else min(p.hi, tops[j])
+            for mod, by_res in classes[j].items():
+                reach = mod // gcd(mod, p.mod)  # the residues mod `mod` that p's points reach
+                if top is not None:
+                    reach = min(reach, (top - p.lo) // p.mod + 1)
+                if reach < len(by_res):
+                    met += [q for k in range(reach)
+                            for q in by_res.get((p.lo + k * p.mod) % mod, ())]
+                else:
+                    met += [q for qs in by_res.values() for q in qs]
+        for q in met:
             if r := _intersect_pieces(p, q):
                 heappush(ready, (_piece_key(r), r))
-        opened[i].append(p)
+        if p.mod == 1:
+            runs[i].append(p)
+        else:
+            classes[i].setdefault(p.mod, {}).setdefault(p.res, []).append(p)
+            if p.hi is not None:
+                heappush(ends[i], (p.hi, p))
+            tops[i] = None if p.hi is None or tops[i] is None else max(tops[i], p.hi)
         ahead = [h.lo for h in heads if h]  # where the next arrival starts
         while ready and (not ahead or ready[0][0][0] < min(ahead)):
             yield heappop(ready)[1]
@@ -280,37 +314,21 @@ def window_pieces(constraint: LinearConstraint, start: int = 1) -> Iterator[Piec
     start = max(start, 1)
     n, m, c0 = constraint.integer_form()
     below = phi_sign(m, -n) < 0  # slope < phi (a rational never equals phi)
-    rel = constraint.relation
     gap = (-m, n, 1)  # n*phi - m, positive exactly when slope < phi
     # The zone c0 < gap*x < c0 + n is [lo, hi] over x >= 1.
     a, b = (c0, c0 + n) if below else (c0 + n, c0)
     lo, hi = _cut(a, gap, below), _cut(b, gap, below) - 1
-    pieces: list[Piece | None] = []
-
-    before = (rel == "<") == below  # the comparison holds before the zone
-    if rel == "=":
-        # n*f(x) = m*x + c0 at the zone points with n | m*x + c0: one class
-        cls = solve_linear(m, c0, n)
-        if cls is not None:
-            pieces.append(_make_piece(max(lo, start), hi, cls.modulus, cls.residue))
-    elif hi - max(lo, 1) + 1 <= CLASS_CROSSOVER * n:
-        yield from _zone_runs(constraint, lo, hi, before, start)
+    if constraint.relation != "=":
+        before = (constraint.relation == "<") == below  # the comparison holds before the zone
+        if hi - max(lo, 1) + 1 <= CLASS_CROSSOVER * n:
+            yield from _zone_runs(constraint, lo, hi, before, start)
+        else:
+            yield from _class_pieces(constraint, gap, below, before, start)
         return
-    else:
-        # Per class r, n*f(x) <= m*x + c0 - 1 reads gap*x < t and
-        # n*f(x) >= m*x + c0 + 1 reads gap*x >= t, with t below, so the
-        # class holds before or after the cut.
-        for r in range(n):
-            if rel == "<":
-                t = c0 + n - 1 - (m * r + c0 - 1) % n
-            else:
-                t = c0 + 1 + (-(m * r + c0 + 1)) % n
-            cut = _cut(t, gap, below)
-            pieces.append(_make_piece(start, cut - 1, n, r) if before
-                          else _make_piece(max(cut, start), None, n, r))
-
-    window = WindowSet.from_pieces(pieces)
-    yield from _verify_boundaries(constraint, window.pieces, window.__contains__, start)
+    # n*f(x) = m*x + c0 at the zone points with n | m*x + c0: one class
+    cls = solve_linear(m, c0, n)
+    if cls and (piece := _make_piece(max(lo, start), hi, cls.modulus, cls.residue)):
+        yield _verified(constraint, piece, -1, start)
 
 
 def _zone_runs(constraint: LinearConstraint, lo: int, hi: int, before: bool,
@@ -330,28 +348,54 @@ def _zone_runs(constraint: LinearConstraint, lo: int, hi: int, before: bool,
                 yield x
         yield from (max(hi + 1, start), None) if inside is before else (None,)
 
-    last = -1  # the probes count x <= last as in the window: runs stay two or more apart
+    last = -1  # where the last run yielded ends
     for a, b in zip(*[edges()] * 2):  # each start with its end
         if run := _make_piece(a, None if b is None else b - 1):
-            yield from _verify_boundaries(constraint, (run,), lambda x: x <= last or x in run[:2],
-                                          start)
+            yield _verified(constraint, run, last, start)
             last = run.hi
 
 
-def _verify_boundaries(constraint: LinearConstraint, pieces: tuple, member,
-                       start: int) -> Iterator[Piece]:
-    """Each piece once its ends, and the class point past each, are probed from start
-    on against member (membership in the window) and constraint.holds."""
-    for p in pieces:
-        probes = {p.lo: True, p.lo - p.mod: False}
-        if p.hi is not None:
-            probes |= {p.hi: True, p.hi + p.mod: False}
-        for x, expected in probes.items():
-            if x >= start and member(x) is not expected:
-                raise AssertionError(f"window boundary check failed at x={x} for {constraint}")
-            if x >= start and constraint.holds(x) is not expected:
-                raise AssertionError(f"exact endpoint check failed at x={x} for {constraint}")
-        yield p
+def _class_pieces(constraint: LinearConstraint, gap: tuple[int, int, int], below: bool,
+                  before: bool, start: int) -> Iterator[Piece]:
+    """The window one piece per residue class r mod n, ascending by lo from start on, each
+    probed as it is yielded.  Per class, n*f(x) <= m*x + c0 - 1 reads gap*x < t and
+    n*f(x) >= m*x + c0 + 1 reads gap*x >= t, for the t in [t0, t0 + n) with
+    m*r + t = 0 (mod n), so the class holds before or after the cut of its t."""
+    n, m, c0 = constraint.integer_form()
+    t0 = c0 if constraint.relation == "<" else c0 + 1
+    if before:  # the class of x starts at x, for the first n x from start on
+        for x in range(start, start + n):
+            if piece := _make_piece(x, _cut(t0 + (-m * x - t0) % n, gap, below) - 1, n, x):
+                yield _verified(constraint, piece, -1, start)
+        return
+    # The cut grows with t below phi and falls with it above; a piece is yielded
+    # once the cut of the next t passes its lo.
+    waiting: list[tuple[int, Piece]] = []
+    for t in range(t0, t0 + n) if below else range(t0 + n - 1, t0 - 1, -1):
+        cut = max(_cut(t, gap, below), start)
+        while waiting and waiting[0][0] < cut:
+            yield _verified(constraint, heappop(waiting)[1], -1, start)
+        if cls := solve_linear(m, t, n):
+            for r in range(cls.residue, n, cls.modulus):
+                piece = _make_piece(cut, None, n, r)
+                heappush(waiting, (piece.lo, piece))
+    while waiting:
+        yield _verified(constraint, heappop(waiting)[1], -1, start)
+
+
+def _verified(constraint: LinearConstraint, p: Piece, last: int, start: int) -> Piece:
+    """p once its ends, and the class point past each, are probed from start on against
+    the window (the runs before p end at last; a class window holds each class in one
+    piece, so last is -1) and against constraint.holds."""
+    probes = {p.lo: True, p.lo - p.mod: False}
+    if p.hi is not None:
+        probes |= {p.hi: True, p.hi + p.mod: False}
+    for x, expected in probes.items():
+        if x >= start and (x <= last or x in p[:2]) is not expected:
+            raise AssertionError(f"window boundary check failed at x={x} for {constraint}")
+        if x >= start and constraint.holds(x) is not expected:
+            raise AssertionError(f"exact endpoint check failed at x={x} for {constraint}")
+    return p
 
 
 class AxiomVReport(namedtuple("AxiomVReport", "slope offset index side checked counterexamples")):

@@ -106,6 +106,15 @@ GOLDEN = [
      "True (exact); witness 34\n"),
     (["decide", "exists x. (1001*f(x) < 1619*x & 1005*f(x) > 1626*x & x > 0)"], 1,
      "False (exact)\n"),
+    # 59,184 runs against 100,001 classes, each run meeting the classes of its points
+    (["decide", "exists x. (100000*f(x) < 161803*x & 100001*f(x) > 161805*x & x > 0)"], 1,
+     "False (exact)\n"),
+    # two windows of the same 4,181 classes near a convergent, each class meeting its own
+    (["decide", "exists x. (x > 0 & 4181*f(x) > 6765*x + 3 & 4181*f(x) < 6765*x + 2)"], 1,
+     "False (exact)\n"),
+    # 500,000 classes, read only up to the least witness
+    (["decide", "exists x. (1000000*f(x) > 1618034*x - 2000000 & x > 0 & p7(f(x)))"], 0,
+     "True (exact); witness 9\n"),
     (["decide", "exists x. (f(x+1) = f(x) + 2 & x > 100000 & p7(x))"], 1,
      "False (bounded to 10000)\n"),
     (["decide", "forall x. x < x + 1"], 0, "True (exact)\n"),

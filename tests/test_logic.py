@@ -989,6 +989,37 @@ def test_nf_decider_reads_a_class_stream_no_further_than_its_least_witness(monke
     assert len(calls) <= 500, len(calls)
 
 
+def _counted_meetings(monkeypatch, cap):
+    """The pairs of pieces windows._intersect_pieces meets from now on; past cap it raises."""
+    met = []
+
+    def counted(a, b):
+        met.append((a, b))
+        if len(met) > cap:
+            raise AssertionError(f"more than {cap} pairs of pieces met")
+        return intersect_pieces(a, b)
+
+    intersect_pieces = windows._intersect_pieces
+    monkeypatch.setattr(windows, "_intersect_pieces", counted)
+    return met
+
+
+@pytest.mark.parametrize("sentence, cap", [
+    # 500 classes against 5,003 classes: each arrival meets only the classes
+    # its points reach below the other stream's furthest end (145,199 pairs
+    # when every open piece was met)
+    ("exists x. (10000*f(x) < 16180*x & 10006*f(x) > 16190*x & x > 0)", 2000),
+    # two windows of the same 610 classes near a convergent: a class meets
+    # only its own (184,528 pairs when every open piece was met)
+    ("exists x. (x > 0 & 610*f(x) > 987*x + 3 & 610*f(x) < 987*x + 2)", 610),
+    # 59,184 runs against 100,001 classes: a run meets the classes of its points
+    ("exists x. (100000*f(x) < 161803*x & 100001*f(x) > 161805*x & x > 0)", 5000),
+])
+def test_nf_decider_meets_class_streams_by_residue(monkeypatch, sentence, cap):
+    _counted_meetings(monkeypatch, cap)
+    assert decide(parse(sentence)) == Decision(False)
+
+
 # --- decide ----------------------------------------------------------------
 
 def test_decide_examples():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import reduce
 from unittest.mock import patch
 
 import pytest
@@ -11,7 +12,9 @@ from beatty.windows import (
     LinearConstraint,
     Piece,
     WindowSet,
+    _intersect_pieces,
     _make_piece,
+    _piece_key,
     axiom_v_check,
     convergent_d,
     convergent_u,
@@ -373,6 +376,18 @@ def test_both_shapes_are_built():
     assert per_class.pieces and all(p.mod == 89 for p in per_class.pieces)
 
 
+def test_a_convergent_window_is_one_piece_per_class():
+    # near 987/610 the zone holds about sqrt(5)*610**2 points, and about as
+    # many runs; per class the set is 610 pieces
+    constraint = LinearConstraint(">", Fraction(987, 610), 3)
+    pieces = list(window_pieces(constraint))
+    assert 0 < len(pieces) <= 610 and all(p.mod == 610 for p in pieces)
+    assert all(p.lo <= q.lo for p, q in zip(pieces, pieces[1:]))
+    window = WindowSet(tuple(pieces))
+    for x in [*range(1, 3000), *range(2497000, 2520000, 7)]:
+        assert (x in window) == constraint.holds(x), x
+
+
 def _assert_canonical_runs(window):
     runs = [p for p in window.pieces if p.mod == 1]
     for a, b in zip(runs, runs[1:]):
@@ -424,6 +439,29 @@ def test_windowset_intersection_with_runs_is_setwise(a, b, probe):
                for p in stream) == both
 
 
+def _overlaps(a, b):
+    """Every piece that a pair of pieces of a and b with overlapping ranges holds, by key."""
+    return sorted((r for p in a for q in b
+                   if (p.hi is None or q.lo <= p.hi) and (q.hi is None or p.lo <= q.hi)
+                   if (r := _intersect_pieces(p, q))), key=_piece_key)
+
+
+_windows = _run_windows | _class_windows
+# streams of up to three windows met, so that one stream holds several moduli
+_streams = st.lists(_windows, min_size=1, max_size=3).map(
+    lambda ws: list(reduce(intersect_streams, [w.pieces for w in ws])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_streams, _streams)
+@example([Piece(1, 40)], [_make_piece(c, None, 8, c) for c in range(2, 10)])  # a run, 8 classes
+@example([_make_piece(c, None, 5, c) for c in range(1, 6)],
+         [_make_piece(c, c + 40, 8, c) for c in range(1, 9)])  # classes of two moduli
+def test_the_sweep_meets_every_pair_whose_ranges_overlap(a, b):
+    # keeping open pieces by class skips only pairs that hold no common point
+    assert list(intersect_streams(a, b)) == _overlaps(a, b)
+
+
 # n <= 60, half of them Fibonacci numbers, with m = round(n*phi) (where that
 # is near n*phi, as for Fibonacci n, the set is built per class), m within 3
 # of it, or m/n anywhere in [-2, 3]: all three shapes occur
@@ -440,6 +478,7 @@ _stream_constraints = (st.integers(1, 60) | st.sampled_from([5, 8, 13, 21, 34, 5
 @given(_stream_constraints)
 @example(LinearConstraint(">", Fraction(162, 100), 7))  # runs
 @example(LinearConstraint("<", Fraction(55, 34), 1))  # one piece per class
+@example(LinearConstraint("<", Fraction(89, 55), -3))  # per class above phi, after the cuts
 @example(LinearConstraint("=", Fraction(13, 8), 0))  # one class
 def test_window_stream_matches_the_eager_window(constraint):
     stream = list(window_pieces(constraint))
@@ -468,6 +507,7 @@ def _cut(piece, start):
 @example(LinearConstraint(">", Fraction(162, 100), 7), 20)  # runs, one cut at 20
 @example(LinearConstraint("<", Fraction(162, 100), 0), 400)  # runs, the zone all below 400
 @example(LinearConstraint("<", Fraction(55, 34), 1), 50)  # one piece per class
+@example(LinearConstraint("<", Fraction(89, 55), -3), 13700)  # per class above phi, cut
 @example(LinearConstraint("=", Fraction(13, 8), 0), 9)  # one class
 def test_a_stream_from_start_is_the_whole_stream_cut_there(constraint, start):
     probes = []
