@@ -15,6 +15,7 @@ window.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterable
 from math import gcd
 
 from .golden import f_floor
@@ -97,13 +98,12 @@ def solve_linear(a: int, c: int, n: int) -> Congruence | None:
     return Congruence(reduced, -(c // g) * pow(a // g, -1, reduced))
 
 
-def crt_combine(congruences: list[Congruence]) -> Congruence | None:
+def crt_combine(congruences: Iterable[Congruence]) -> Congruence | None:
     """Single congruence equivalent to the conjunction, or None if
-    inconsistent.  Moduli need not be coprime."""
-    if not congruences:
-        raise ValueError("empty conjunction")
-    n, m = congruences[0].modulus, congruences[0].residue
-    for cg in congruences[1:]:
+    inconsistent; the empty conjunction is x = 0 (mod 1).  Moduli need not
+    be coprime."""
+    n, m = 1, 0
+    for cg in congruences:
         # x = m + n*t meets cg where n*t + m - residue = 0 (mod modulus)
         step = solve_linear(n, m - cg.residue, cg.modulus)
         if step is None:

@@ -1015,11 +1015,9 @@ def _query_holds(query: NormalFormQuery, x: int) -> bool:
 
 
 def _negative_branch(query: NormalFormQuery, mx: Congruence, mf: Congruence) -> int | None:
-    """The witness <= 0 nearest 0, if there is one: f vanishes there, so the
-    f-congruence needs residue 0 and each linear constraint 0 <rel> m*x + c0
-    narrows the order window on x."""
-    if mf.residue != 0:
-        return None
+    """The witness <= 0 nearest 0, if there is one: f vanishes there, so each
+    linear constraint 0 <rel> m*x + c0 narrows the order window on x, and
+    solve_system gives the greatest witness below its upper end."""
     window = (query.lower, 1 if query.upper is None else min(query.upper, 1))
     for lc in query.linear:
         _, m, c0 = lc.integer_form()
@@ -1029,25 +1027,24 @@ def _negative_branch(query: NormalFormQuery, mx: Congruence, mf: Congruence) -> 
         if window is None:
             return None
     lower, upper = window
-    x = upper - 1 - (upper - 1 - mx.residue) % mx.modulus
-    return None if lower is not None and x <= lower else x
+    x = solve_system(CongruenceSystem(mx, mf, None, upper)).witness
+    return None if x is None or lower is not None and x <= lower else x
 
 
 def decide_existential_nf(query: NormalFormQuery) -> Decision:
     """Exact decision of a normal-form query over the integers.
 
-    Pipeline: merge the congruence lists, settle the x <= 0 branch directly,
-    then run the congruence solver on each piece of the linear constraints'
-    window streams, met in one lazy sweep (intersect_streams), ascending by lo,
-    from the order window's lower end until one starts at or past stop: the
-    window's upper end, narrowed to 1 - n by a witness n <= 0 and to each
-    positive witness found.  Pieces may overlap in range, so the witness is
-    the least over every piece: the first in the order 0, 1, -1, ..."""
-    mx = crt_combine(list(query.on_x)) if query.on_x else Congruence(1, 0)
-    if mx is None:
-        return Decision(False)
-    mf = crt_combine(list(query.on_fx)) if query.on_fx else Congruence(1, 0)
-    if mf is None:
+    Pipeline: merge the congruence lists, take the witness x <= 0 nearest 0
+    from solve_system once the linear constraints narrow the order window at
+    f = 0, then run the congruence solver on each piece of the linear
+    constraints' window streams, met in one lazy sweep (intersect_streams),
+    ascending by lo, from the order window's lower end until one starts at
+    or past stop: the window's upper end, narrowed to 1 - n by a witness
+    n <= 0 and to each positive witness found.  Pieces may overlap in range,
+    so the witness is the least over every piece: the first in the order
+    0, 1, -1, ..."""
+    mx, mf = crt_combine(query.on_x), crt_combine(query.on_fx)
+    if mx is None or mf is None:
         return Decision(False)
 
     # a positive witness comes first in the scan order 0, 1, -1, ... unless
@@ -1079,7 +1076,7 @@ def decide_existential_nf(query: NormalFormQuery) -> Decision:
 
 
 def decide(sentence: Formula, bound: int = DEFAULT_EVAL_BOUND) -> Decision:
-    """Decide a sentence, miniscoped if quantifiers nest: quantifier-free
+    """Decide a sentence once it is miniscoped: quantifier-free
     parts exactly, single-quantifier sentences whose body is a Boolean
     combination of normal-form atoms disjunct by disjunct through the
     window/congruence pipeline (universal ones via their negation), a true
@@ -1094,9 +1091,7 @@ def decide(sentence: Formula, bound: int = DEFAULT_EVAL_BOUND) -> Decision:
         raise ValueError("decide requires a sentence (no free variables)")
     if bound < 0:
         raise ValueError(f"bound must be >= 0, got {bound}")
-    sentence = nnf(sentence)
-    return _decide(_miniscope(sentence) if _depth(sentence) > 1 else sentence, bound,
-                   iter(range(MAX_DISJUNCTS)))
+    return _decide(_miniscope(nnf(sentence)), bound, iter(range(MAX_DISJUNCTS)))
 
 
 def _decide(sentence: Formula, bound: int | None, tries: Iterator) -> Decision | None:

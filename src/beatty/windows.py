@@ -13,10 +13,8 @@ for the exact gap n*phi - m or a convergent's rational gap w - s.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
-from functools import cached_property
 from heapq import heappop, heappush
 from math import gcd, lcm
 
@@ -174,8 +172,9 @@ def _intersect_pieces(a: Piece, b: Piece) -> Piece | None:
 
 class WindowSet(namedtuple("WindowSet", "pieces")):
     """A finite union of congruence-restricted intervals over x >= 1; its runs
-    (modulus-1 pieces) are sorted, disjoint and maximal (see from_pieces).
-    Unlike the other records it has a __dict__, where _index is cached."""
+    (modulus-1 pieces) are sorted, disjoint and maximal (see from_pieces)."""
+
+    __slots__ = ()
 
     @classmethod
     def from_pieces(cls, pieces: Iterable[Piece | None]) -> "WindowSet":
@@ -207,21 +206,9 @@ class WindowSet(namedtuple("WindowSet", "pieces")):
     def is_empty(self) -> bool:
         return not self.pieces
 
-    @cached_property
-    def _index(self) -> tuple[list[int], list[Piece], dict, set[int]]:
-        classes: dict[tuple[int, int], list[Piece]] = {}
-        for p in self.pieces:
-            classes.setdefault((p.mod, p.res), []).append(p)
-        runs = classes.pop((1, 0), [])
-        return [p.lo for p in runs], runs, classes, {mod for mod, _ in classes}
-
     def __contains__(self, x: int) -> bool:
-        starts, runs, classes, moduli = self._index
-        i = bisect_right(starts, x) - 1
-        if i >= 0 and (runs[i].hi is None or x <= runs[i].hi):
-            return True
-        return any(p.lo <= x and (p.hi is None or x <= p.hi)
-                   for mod in moduli for p in classes.get((mod, x % mod), ()))
+        return any(p.lo <= x and (p.hi is None or x <= p.hi) and x % p.mod == p.res
+                   for p in self.pieces)
 
     def intersect(self, other: "WindowSet") -> "WindowSet":
         """The set both windows hold: from_pieces of their overlaps (intersect_streams)."""

@@ -78,7 +78,10 @@ def test_locate_slope_brackets(p, q):
 
 
 def _members(window, limit):
-    return [x for x in range(1, limit + 1) if x in window]
+    # each piece's members listed by its stride (a piece's lo lies in its class),
+    # not x in window for each x: membership scans every piece
+    return sorted({x for p in window.pieces
+                   for x in range(p.lo, (limit if p.hi is None else min(p.hi, limit)) + 1, p.mod)})
 
 
 def test_solution_window_examples():
