@@ -9,21 +9,19 @@ All numbers print in decimal, however many digits they have; --json emits
 one structured object per run with every numeric field as a decimal string.
 """
 
-from __future__ import annotations
-
 import errno
 import os
 import sys
 import time
 from collections.abc import Callable
 
-from .congruence import Congruence, CongruenceSystem, solve_system
 from .golden import f_floor, f_inverse
 from .numeration import c as word_bit
 from .numeration import Unfactored, fib_word_prefix, pisano, zeckendorf
 
-# beatty.logic, beatty.windows, fractions.Fraction: each imported by the first command needing it
-_logic = _windows = _Fraction = None
+# beatty.congruence, beatty.logic, beatty.windows, fractions.Fraction: each imported by the
+# first command needing it
+_congruence = _logic = _windows = _Fraction = None
 
 __all__ = ["main", "run"]
 
@@ -108,8 +106,11 @@ def _cmd_pisano(n: int) -> tuple[dict, str, str, int]:
 def _cmd_solve(xn: int, xm: int, fn: int, fm: int, lo: int | None,
                hi: int | None) -> tuple[dict, str, str, int]:
     """solve x = xm (mod xn), f(x) = fm (mod fn) [, lo < x < hi]"""
-    system = CongruenceSystem(Congruence(xn, xm), Congruence(fn, fm), lower=lo, upper=hi)
-    out = solve_system(system)
+    global _congruence
+    if _congruence is None:
+        from . import congruence as _congruence
+    out = _congruence.solve_system(_congruence.CongruenceSystem(
+        _congruence.Congruence(xn, xm), _congruence.Congruence(fn, fm), lower=lo, upper=hi))
     if out.is_witness:
         witness = str(out.witness)
         return {"status": "witness", "witness": witness}, f"witness {witness}", "exact", EXIT_OK

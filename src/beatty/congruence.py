@@ -12,8 +12,6 @@ and k grows until the least t lands below fib(k) or fib(k) passes the
 window.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from collections.abc import Iterable
 from math import gcd
@@ -67,7 +65,8 @@ class SolveOutcome(namedtuple("SolveOutcome", "status witness", defaults=(None,)
 
     __slots__ = ()
     # There is one search, so no outcome comes from a fallback; the flag
-    # stays only because perfbench/tracing.py reads it.
+    # stays because criterion 05 (tests/test_acceptance.py),
+    # tests/test_congruence.py and perfbench/tracing.py read it.
     fallback_used = False
 
     @property

@@ -4,8 +4,6 @@ numbers (p + q*phi)/d of Q(phi): their sign, floor and ceiling (phi_sign,
 phi_floor, phi_ceil), the product and the norm of numbers p + q*phi of
 Z[phi] (phi_mul, phi_norm), which every other module uses."""
 
-from __future__ import annotations
-
 from collections import namedtuple
 from math import isqrt
 

@@ -5,8 +5,6 @@ route for two-variable universals, bounded model checking for everything
 else, and an audit of the defining axioms.
 """
 
-from __future__ import annotations
-
 import re
 import sys
 from collections import namedtuple
@@ -1096,15 +1094,19 @@ def decide(sentence: Formula, bound: int = DEFAULT_EVAL_BOUND) -> Decision:
 
 def _decide(sentence: Formula, bound: int | None, tries: Iterator) -> Decision | None:
     """decide() of an NNF sentence; with bound None by the exact routes
-    alone, and None where one of them declines.  tries is the budget of
-    eliminations, one item each."""
+    alone, and None where one of them declines.  A bounded certificate is
+    dropped where the exact routes decide the body at it with the other
+    truth.  tries is the budget of eliminations, one item each."""
     depth = _depth(sentence)
     if depth == 0:
         return evaluate(sentence, {}, bound or 0)
     if isinstance(sentence, (Exists, Forall)):
         decision = _decide_exactly(sentence, depth, tries)
         if decision is None and bound is not None:
-            return evaluate(sentence, {}, bound)
+            decision = evaluate(sentence, {}, bound)
+            if (decision.provenance == BOUNDED and decision.certificate is not None
+                    and _certified(sentence, _negate(decision), tries)):
+                return decision._replace(certificate=None)  # an exact route refutes it
         return decision
     decisive, a = isinstance(sentence, Or), _decide(sentence.left, bound, tries)  # an & or a |
     if a is None or a.truth is decisive and a.provenance == EXACT:

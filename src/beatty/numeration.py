@@ -1,8 +1,6 @@
 """Fibonacci numeration: Fibonacci numbers, Zeckendorf representations,
 Pisano periods, and the infinite Fibonacci word."""
 
-from __future__ import annotations
-
 from functools import lru_cache
 from math import lcm
 

@@ -11,8 +11,6 @@ Every integer end is one cut (_cut): the integer where gap*x < t switches,
 for the exact gap n*phi - m or a convergent's rational gap w - s.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from heapq import heappop, heappush
@@ -42,7 +40,7 @@ __all__ = [
 CLASS_CROSSOVER = 8
 
 
-def convergent_d(i: int) -> Fraction:
+def convergent_d(i: int) -> "Fraction":
     """fib(2i+1)/fib(2i): the increasing ladder of approximants below phi."""
     from fractions import Fraction  # only the rational paths need it; importing costs set-up time
 
@@ -51,7 +49,7 @@ def convergent_d(i: int) -> Fraction:
     return Fraction(fib(2 * i + 1), fib(2 * i))
 
 
-def convergent_u(i: int) -> Fraction:
+def convergent_u(i: int) -> "Fraction":
     """fib(2i+2)/fib(2i+1): the decreasing ladder of approximants above phi."""
     from fractions import Fraction
 
@@ -63,12 +61,12 @@ def convergent_u(i: int) -> Fraction:
 BracketInfo = namedtuple("BracketInfo", "side index")  # side "below" or "above" phi
 
 
-def _ladder(side: str, i: int) -> Fraction:
+def _ladder(side: str, i: int) -> "Fraction":
     """The side's convergent at index i: d_i below phi, u_i above."""
     return convergent_d(i) if side == "below" else convergent_u(i)
 
 
-def locate_slope(slope: Fraction | int) -> BracketInfo:
+def locate_slope(slope: "Fraction | int") -> BracketInfo:
     """Bracket a non-negative rational slope between consecutive convergents.
 
     Below phi: the unique j with d_j <= slope < d_{j+1}; slopes under
@@ -99,8 +97,8 @@ class LinearConstraint(namedtuple("LinearConstraint", "relation n m c0")):
 
     __slots__ = ()
 
-    def __new__(cls, relation: str, slope: Fraction | int,
-                offset: Fraction | int) -> "LinearConstraint":
+    def __new__(cls, relation: str, slope: "Fraction | int",
+                offset: "Fraction | int") -> "LinearConstraint":
         if relation not in ("<", "=", ">"):
             raise ValueError(f"relation must be one of < = >, got {relation!r}")
         n = lcm(slope.denominator, offset.denominator)
@@ -108,13 +106,13 @@ class LinearConstraint(namedtuple("LinearConstraint", "relation n m c0")):
                                    offset.numerator * (n // offset.denominator)))
 
     @property
-    def slope(self) -> Fraction:
+    def slope(self) -> "Fraction":
         from fractions import Fraction
 
         return Fraction(self.m, self.n)
 
     @property
-    def offset(self) -> Fraction:
+    def offset(self) -> "Fraction":
         from fractions import Fraction
 
         return Fraction(self.c0, self.n)
@@ -394,7 +392,7 @@ class AxiomVReport(namedtuple("AxiomVReport", "slope offset index side checked c
 
 
 def axiom_v_check(
-    slope: Fraction | int,
+    slope: "Fraction | int",
     offset: int,
     index: int,
     x_range: int,
@@ -434,7 +432,7 @@ def axiom_v_check(
     return AxiomVReport(s, offset, index, bracket.side, len(xs), counterexamples)
 
 
-def least_adequate_index(slope: Fraction | int, offset: int) -> int:
+def least_adequate_index(slope: "Fraction | int", offset: int) -> int:
     """Smallest i >= bracket.index + 1 whose substituted thresholds k/(w-s)
     and (k+1)/(w-s) enclose exactly the same integers as the exact-phi ones.
 

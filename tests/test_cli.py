@@ -117,6 +117,16 @@ GOLDEN = [
      "True (exact); witness 9\n"),
     (["decide", "exists x. (f(x+1) = f(x) + 2 & x > 100000 & p7(x))"], 1,
      "False (bounded to 10000)\n"),
+    # a bounded certificate that an exact route refutes is dropped: y = 51 serves x = 48,
+    # and y = 21 refutes x = 15
+    (["decide", "--bound", "50", "forall x. exists y. y > x & p3(y)"], 1,
+     "False (bounded to 50)\n"),
+    (["decide", "--json", "--bound", "50", "forall x. exists y. y > x & p3(y)"], 1,
+     '"result": {"bound": "50", "truth": "false"}}'),
+    (["decide", "--bound", "20", "exists x. forall y. y < x | y > x + 30 | !p7(y)"], 0,
+     "True (bounded to 20)\n"),
+    (["decide", "--json", "--bound", "20", "exists x. forall y. y < x | y > x + 30 | !p7(y)"], 0,
+     '"result": {"bound": "20", "truth": "true"}}'),
     (["decide", "forall x. x < x + 1"], 0, "True (exact)\n"),
     (["decide", "P[1,1000000,0,3](0, 100000000)"], 0, "True (exact); witness 2\n"),
     (["decide", "P[3,5,1,2](0, 1000000000000)"], 0, "True (exact); witness 76\n"),
@@ -628,7 +638,8 @@ def test_importing_the_cli_loads_no_dataclasses_inspect_or_json():
                                        "True (exact); witness 76", "11", "[]"], out.stderr
 
 
-_LAZY = {"beatty.logic", "beatty.windows", "re"}
+_LAZY = {"beatty.congruence", "beatty.logic", "beatty.windows", "re", "__future__"}
+_DECIDE = _LAZY - {"__future__"}  # no module imports __future__
 
 
 # (argv, exit code, stdout, which of _LAZY it loads; window's re is not pinned, since
@@ -640,10 +651,12 @@ _LAZY = {"beatty.logic", "beatty.windows", "re"}
     (["word", "20"], 0, "10110101101101011010\n", set()),
     (["c", "5"], 0, "0\n", set()),
     (["pisano", "10"], 0, "60\n", set()),
-    (["solve", "--xn", "2", "--xm", "1", "--fn", "3", "--fm", "2"], 0, "witness 5\n", set()),
-    (["window", "<", "3/2", "1"], 0, "union: [1, 9]; [11, 11]\n", {"beatty.windows"}),
-    (["decide", "exists x. x > 3"], 0, "True (exact); witness 4\n", _LAZY),
-    (["decide", "exists x. x >"], 64, "", _LAZY),
+    (["solve", "--xn", "2", "--xm", "1", "--fn", "3", "--fm", "2"], 0, "witness 5\n",
+     {"beatty.congruence"}),
+    (["window", "<", "3/2", "1"], 0, "union: [1, 9]; [11, 11]\n",
+     {"beatty.windows", "beatty.congruence"}),
+    (["decide", "exists x. x > 3"], 0, "True (exact); witness 4\n", _DECIDE),
+    (["decide", "exists x. x >"], 64, "", _DECIDE),
 ], ids=["f", "inv", "zeck", "word", "c", "pisano", "solve", "window", "decide", "malformed"])
 def test_each_command_loads_logic_and_windows_only_if_it_needs_them(argv, code, out, loaded):
     """In a fresh interpreter under -S, where site imports nothing (re included)."""
@@ -658,6 +671,15 @@ def test_each_command_loads_logic_and_windows_only_if_it_needs_them(argv, code, 
         got_loaded.remove("re")
     assert ("".join(lines), int(got_code), set(got_loaded)) == (out, code, loaded)
     assert proc.stderr == ("parse error: unexpected end of input at offset 13\n" if code else "")
+
+
+def test_importing_the_cli_loads_four_modules_of_the_package():
+    """In a fresh interpreter under -S: congruence, logic and windows wait for their commands."""
+    script = "import sys, beatty.cli\nprint(*sorted(m for m in sys.modules if 'beatty' in m))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True,
+                          env=env)
+    assert proc.stdout == "beatty beatty.cli beatty.golden beatty.numeration\n", proc.stderr
 
 
 # beatty's public names by home module, as the package bound them when it imported all five
