@@ -151,8 +151,12 @@ def _cmd_decide(formula: str, bound: int | None) -> tuple[dict, str, str, int]:
     global _logic
     if _logic is None:
         from . import logic as _logic
-    decision = _logic.decide(_logic.parse(formula),
-                             _logic.DEFAULT_EVAL_BOUND if bound is None else bound)
+    return _answer(_logic.decide(_logic.parse(formula),
+                                 _logic.DEFAULT_EVAL_BOUND if bound is None else bound))
+
+
+def _answer(decision) -> tuple[dict, str, str, int]:
+    """A logic.Decision as decide prints it, which the audit prints for each sentence too."""
     provenance = decision.provenance
     result = {"truth": {True: "true", False: "false", None: "unknown"}[decision.truth]}
     for field in ("bound", "witness", "counterexample", "reason"):
@@ -176,10 +180,17 @@ def _cmd_audit(n: int) -> tuple[dict, str, str, int]:
     if _logic is None:
         from . import logic as _logic
     report = _logic.axiom_audit(n)
-    families = {fam.name: {"instances": str(fam.instances), "failures": list(fam.failures),
-                           "passed": fam.passed} for fam in report.families}
-    lines = [f"{fam.name}: {'PASS' if fam.passed else 'FAIL ' + '; '.join(fam.failures)}"
-             f" ({fam.instances} instances)" for fam in report.families]
+    families, lines = {}, []
+    for fam in report.families:
+        lines.append(f"{fam.name}: {'PASS' if fam.passed else 'FAIL ' + '; '.join(fam.failures)}"
+                     f" ({len(fam.decisions)} sentences, {fam.instances} instances)")
+        sentences = []
+        for text, decision in fam.decisions:
+            result, answer, provenance, _ = _answer(decision)
+            sentences.append({"sentence": text, "provenance": provenance, **result})
+            lines.append(f"  {text}: {answer}")
+        families[fam.name] = {"instances": str(fam.instances), "failures": list(fam.failures),
+                              "passed": fam.passed, "sentences": sentences}
     lines.append("all families pass" if report.passed else "some families FAIL")
     result = {"bound": str(report.bound), "families": families, "passed": report.passed}
     return result, "\n".join(lines), "exact", EXIT_OK if report.passed else EXIT_NEGATIVE

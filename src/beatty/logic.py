@@ -2,7 +2,7 @@
 with f(x) = floor(phi * x): parser, printer, exact evaluation over the
 integers, a normal-form decider for single-quantifier sentences, an exact
 route for two-variable universals, bounded model checking for everything
-else, and an audit of the defining axioms.
+else, and an audit that decides the defining axioms by the exact routes.
 """
 
 import re
@@ -19,9 +19,11 @@ from .golden import decompose, f_floor, phi_ceil, phi_floor, phi_mul, phi_norm, 
 from .windows import (
     LinearConstraint,
     Piece,
-    axiom_v_check,
+    convergent_d,
+    convergent_u,
     intersect_streams,
     least_adequate_index,
+    locate_slope,
     window_pieces,
 )
 
@@ -446,8 +448,8 @@ class Decision(namedtuple("Decision", "truth provenance bound certificate reason
                           defaults=(EXACT, None, None, None))):
     """Outcome of evaluation or decision.
 
-    truth None means unknown: a quantifier scan ran out of the evaluation
-    budget before it was decisive, and reason says so.  provenance "exact"
+    truth None means unknown, and reason says why: a quantifier scan spent
+    its budget, or (in the audit) the exact routes declined.  provenance "exact"
     marks a sound answer over the integers; "bounded" marks truth over the
     model with every quantifier relativized to [-bound, bound].  certificate
     is a witness of a true answer or a counterexample of a false one.
@@ -1702,7 +1704,10 @@ def _rays(constraints: set) -> list[tuple[int, int]]:
 
 # --- axiom audit ------------------------------------------------------------
 
-class FamilyResult(namedtuple("FamilyResult", "name instances failures")):
+class FamilyResult(namedtuple("FamilyResult", "name decisions instances failures")):
+    """One axiom family: each of its sentences with its Decision by the exact
+    routes, the instances enumerated beside them, and the first failures."""
+
     __slots__ = ()
 
     @property
@@ -1718,37 +1723,61 @@ class AuditReport(namedtuple("AuditReport", "bound families")):
         return all(f.passed for f in self.families)
 
 
-def _audit_minimum(n: int) -> FamilyResult:
-    """f(x) is the least natural number not hit by {f(t), f(t)+t : t < x},
-    f vanishes on nonpositives, and f(1) = 1."""
-    failures: list[str] = []
-    instances = 0
-    for x in range(-n, 1):
-        instances += 1
-        if f_floor(x) != 0:
-            failures.append(f"f({x}) != 0")
-    if f_floor(1) != 1:
-        failures.append("f(1) != 1")
-    instances += 1
-    limit = f_floor(n) + n + 2
+def axiom_audit(n: int) -> AuditReport:
+    """Decide the axiom families' sentences by the exact routes; enumerate
+    [-n, n] beside f-minimum and the partition, which elimination proves by
+    Wythoff's identities (_folds), _negative_branch assumes, or no route
+    decides.  The cell route proves the f-identities, and the one-variable
+    route the convergent implications, reading neither."""
+    if n < 2:
+        raise ValueError(f"audit range must be >= 2, got {n}")
+    families = (
+        ("f-minimum", _minimum, "forall x. x > 0 | f(x) = 0", "f(1) = 1",
+         "forall x. forall t. x < 1 | t < 1 | t >= x | (f(t) != f(x) & f(t) + t != f(x))",
+         "forall x. forall m. x < 1 | m < 1 | m >= f(x)"
+         " | (exists t. t > 0 & t < x & (f(t) = m | f(t) + t = m))"),
+        ("beatty-partition", _partition,
+         "forall n. n < 1 | (exists x. x > 0 & f(x) = n) | (exists x. x > 0 & f(x) + x = n)",
+         "forall n. n < 1 | !(exists x. x > 0 & f(x) = n) | !(exists y. y > 0 & f(y) + y = n)"),
+        ("window-predicate", _window_predicate),
+        ("convergent-implications", None, *_convergent_implications()),
+        ("f-identities", None, "forall x. x < 1 | f(f(x)) = f(x) + x - 1",
+         "forall x. x < 1 | f(f(x) + x) = 2*f(x) + x"),
+    )
+    return AuditReport(n, tuple(_family(n, *row) for row in families))
+
+
+def _family(n: int, name: str, enumeration, *sentences: str) -> FamilyResult:
+    """A family fails on a refuted sentence or an enumerated failure, and with no enumeration on
+    one not True (exact).  Only the exact routes decide: a bounded scan proves no axiom."""
+    decisions = tuple((text, _decide(_miniscope(nnf(parse(text))), None, iter(range(MAX_DISJUNCTS)))
+                       or Decision(None, reason="no exact route decides it"))
+                      for text in sentences)
+    instances, failures = enumeration(n) if enumeration else (0, [])
+    failures += [f"not True (exact): {text}" for text, d in decisions
+                 if d.truth is False or enumeration is None and d[:2] != (True, EXACT)]
+    return FamilyResult(name, decisions, instances, tuple(failures[:5]))
+
+
+def _minimum(n: int) -> tuple[int, list[str]]:
+    """f vanishes on nonpositives, and f(x) is the least natural number not
+    hit by {f(t), f(t)+t : t < x}."""
+    failures = [f"f({x}) != 0" for x in range(-n, 1) if f_floor(x) != 0]
+    limit = f_floor(n) + n + 2  # past every f(x) + x with x <= n
     hit = bytearray(limit + 2)
     hit[0] = 1
     cursor = 1
     for x in range(1, n + 1):
         while cursor <= limit and hit[cursor]:
             cursor += 1
-        instances += 1
         fx = f_floor(x)
         if fx != cursor:
             failures.append(f"x={x}: least unhit is {cursor}, f(x)={fx}")
-        if fx <= limit:
-            hit[fx] = 1
-        if fx + x <= limit:
-            hit[fx + x] = 1
-    return FamilyResult("f-minimum", instances, tuple(failures[:5]))
+        hit[fx] = hit[fx + x] = 1
+    return 2 * n + 1, failures
 
 
-def _audit_partition(n: int) -> FamilyResult:
+def _partition(n: int) -> tuple[int, list[str]]:
     """Every positive integer is f(x) or f(x)+x for exactly one branch."""
     failures: list[str] = []
     counts = bytearray(n + 1)
@@ -1760,87 +1789,43 @@ def _audit_partition(n: int) -> FamilyResult:
     for m in range(1, n + 1):
         if counts[m] != 1:
             failures.append(f"n={m} covered {counts[m]} times")
-    for m in range(1, n + 1):
         d = decompose(m)
-        value = f_floor(d.x) if d.kind == "F" else f_floor(d.x) + d.x
-        if value != m:
+        if f_floor(d.x) + (0 if d.kind == "F" else d.x) != m:
             failures.append(f"decompose({m}) -> {d} does not verify")
-    return FamilyResult("beatty-partition", 2 * n, tuple(failures[:5]))
+    return 2 * n, failures
 
 
-def _audit_window_predicate(n: int) -> FamilyResult:
+def _window_predicate(n: int) -> tuple[int, list[str]]:
     """Solver agreement with enumeration for the window predicate."""
-    failures: list[str] = []
-    instances = 0
     windows = [(-7, 23), (0, 50), (-3, 4), (-min(n, 60), min(n, 60))]
-    for n_x in range(1, 5):
-        for n_fx in range(1, 5):
-            for m_x in range(n_x):
-                for m_fx in range(n_fx):
-                    for low, high in windows:
-                        instances += 1
-                        system = CongruenceSystem(
-                            Congruence(n_x, m_x), Congruence(n_fx, m_fx),
-                            lower=low, upper=high,
-                        )
-                        got = solve_system(system).is_witness
-                        want = any(
-                            x % n_x == m_x and f_floor(x) % n_fx == m_fx
-                            for x in range(low + 1, high)
-                        )
-                        if got != want:
-                            failures.append(
-                                f"P[{n_x},{n_fx},{m_x},{m_fx}]({low},{high}): "
-                                f"solver={got} enumeration={want}"
-                            )
-    return FamilyResult("window-predicate", instances, tuple(failures[:5]))
+    cases = [(n_x, n_fx, m_x, m_fx, low, high) for n_x in range(1, 5) for n_fx in range(1, 5)
+             for m_x in range(n_x) for m_fx in range(n_fx) for low, high in windows]
+    failures = []
+    for n_x, n_fx, m_x, m_fx, low, high in cases:
+        system = CongruenceSystem(Congruence(n_x, m_x), Congruence(n_fx, m_fx), low, high)
+        got = solve_system(system).is_witness
+        want = any(x % n_x == m_x and f_floor(x) % n_fx == m_fx for x in range(low + 1, high))
+        if got != want:
+            failures.append(f"P[{n_x},{n_fx},{m_x},{m_fx}]({low},{high}): "
+                            f"solver={got} enumeration={want}")
+    return len(cases), failures
 
 
-def _audit_convergents(n: int) -> FamilyResult:
-    """Convergent-substituted implications, in the form that holds: x
-    restricted to integer right-hand sides, convergent index at the least
-    adequate value (the literal any-index form is false; see axiom_v_check)."""
+def _convergent_implications() -> Iterator[str]:
+    """f(x) <rel> s*x + k read off where (w - s)*x lies against k and k+1,
+    for w the convergent of phi on the slope's side, in the form that holds:
+    x with s*x + k an integer, and w at least_adequate_index (the literal
+    any-index form is false; see axiom_v_check)."""
     from fractions import Fraction  # only the audit needs it; importing costs set-up time
 
-    failures: list[str] = []
-    instances = 0
-    x_range = min(n, 2000)
-    slopes = [Fraction(0), Fraction(1), Fraction(3, 2),
-              Fraction(8, 5), Fraction(5, 3), Fraction(2)]
-    for slope in slopes:
-        for offset in range(-3, 4):
-            index = least_adequate_index(slope, offset)
-            report = axiom_v_check(slope, offset, index, x_range, only_integer_rhs=True)
-            instances += report.checked
-            if not report.passed:
-                failures.append(
-                    f"slope={slope} offset={offset} i={index}: "
-                    f"x={report.counterexamples[0]}"
-                )
-    return FamilyResult("convergent-implications", instances, tuple(failures[:5]))
-
-
-def _audit_f_identities(n: int) -> FamilyResult:
-    """f(f(x)) = f(x) + x - 1 and f(f(x) + x) = 2 f(x) + x on [1, n]."""
-    failures: list[str] = []
-    for x in range(1, n + 1):
-        fx = f_floor(x)
-        if f_floor(fx) != fx + x - 1:
-            failures.append(f"f(f({x})) != f({x}) + {x} - 1")
-        if f_floor(fx + x) != 2 * fx + x:
-            failures.append(f"f(f({x})+{x}) != 2f({x}) + {x}")
-    return FamilyResult("f-identities", 2 * n, tuple(failures[:5]))
-
-
-def axiom_audit(n: int) -> AuditReport:
-    """Check the five defining axiom families on [-n, n]."""
-    if n < 2:
-        raise ValueError(f"audit range must be >= 2, got {n}")
-    families = (
-        _audit_minimum(n),
-        _audit_partition(n),
-        _audit_window_predicate(n),
-        _audit_convergents(n),
-        _audit_f_identities(n),
-    )
-    return AuditReport(n, families)
+    for s in map(Fraction, ("0", "1", "3/2", "8/5", "5/3", "2")):
+        ladder = convergent_d if locate_slope(s).side == "below" else convergent_u
+        for k in range(-3, 4):
+            gap = ladder(least_adequate_index(s, k)) - s
+            g, d = gap.numerator, gap.denominator
+            for rel, then in (("<", f"{g}*x < {k * d}"),
+                              ("=", f"{k * d} <= {g}*x & {g}*x < {(k + 1) * d}"),
+                              (">", f"{g}*x >= {(k + 1) * d}")):
+                yield (f"forall x. x < 1 | !p{s.denominator}(x)"
+                       f" | !({s.denominator}*f(x) {rel} {s.numerator}*x + {k * s.denominator})"
+                       f" | {then}")

@@ -137,6 +137,9 @@ GOLDEN = [
     (["decide", "forall x. p5(x) | p5(x+1) | p5(x+2) | p5(x+3) | p5(x+4)"], 0, "True (exact)\n"),
     (["decide", "exists x. !p1(x)"], 1, "False (exact)\n"),
     (["decide", "forall x. p3(f(x)) | p3(f(x) + 1)"], 1, "False (exact); counterexample 1\n"),
+    # criterion 07's literal claim, false in the standard model
+    (["decide", "forall x. x < 1 | !(f(x) > 7) | 3*x >= 16"], 1,
+     "False (exact); counterexample 5\n"),
     (["audit", "50"], 0, "all families pass"),
     (["audit", "2"], 0, "all families pass"),
 ]
@@ -229,6 +232,28 @@ def test_json_output_round_trips(argv, capsys):
         return not isinstance(node, (int, float)) or isinstance(node, bool)
 
     assert all_numbers_are_strings(record["result"])
+
+
+def test_audit_prints_each_sentence_with_its_answer(capsys):
+    assert run(["audit", "50"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    answers = [line.split(": ", 1)[1] for line in lines if line.startswith("  ")]
+    assert len(answers) == 134 and answers.count("True (exact)") == 133
+    assert ("  forall x. forall m. x < 1 | m < 1 | m >= f(x) | (exists t. t > 0 & t < x"
+            " & (f(t) = m | f(t) + t = m)): unknown: no exact route decides it") in lines
+    assert lines[-1] == "all families pass"
+
+
+def test_json_audit_fields(capsys):
+    run(["audit", "20", "--json"])
+    families = json.loads(capsys.readouterr().out)["result"]["families"]
+    sentences = [s for family in families.values() for s in family["sentences"]]
+    assert len(sentences) == 134
+    assert {(s["truth"], s["provenance"]) for s in sentences} == {
+        ("true", "exact"), ("unknown", "exact")}
+    assert families["f-identities"]["sentences"][0] == {
+        "sentence": "forall x. x < 1 | f(f(x)) = f(x) + x - 1", "truth": "true",
+        "provenance": "exact"}
 
 
 def test_json_decide_fields(capsys):

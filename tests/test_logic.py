@@ -1850,6 +1850,22 @@ def test_range_over_a_cell_bounds_its_grid_points(cuts, alpha, beta):
         assert phi_sign(16 * most[0] - p * most[2], 16 * most[1] - q * most[2]) >= 0, cuts
 
 
+def test_the_one_variable_and_cell_routes_agree_where_both_answer():
+    # Every closed one-quantifier subsentence of a seeded draw, after NNF and
+    # miniscoping, that both exact routes decide gets one truth from both.  A
+    # conflict is a defect of a route: the draw stays as it is.
+    rng = random.Random(1)
+    pairs = 0
+    for _ in range(1500):
+        for q in logic._quantifiers(logic._miniscope(nnf(random_formula(rng, 5)))):
+            if logic._depth(q.body) == 0 and not free_vars(q):
+                one, cell = logic._decide_one_variable(q), logic._decide_two_variables(q)
+                if one is not None and cell is not None:
+                    pairs += 1
+                    assert one.truth is cell.truth, format_formula(q)
+    assert pairs >= 100  # 114 when written: the draw keeps comparing the routes
+
+
 def test_f_over_f_tries_the_two_variable_route_first(monkeypatch):
     # a one-variable sentence with f over a term that holds f goes to the
     # cell route first when it is given directly too, not only when an
@@ -2026,7 +2042,7 @@ def test_constructor_contracts():
         Or: "left right", Implies: "left right", Exists: "var body", Forall: "var body",
         Decision: "truth provenance bound certificate reason",
         NormalFormQuery: "var on_x on_fx lower upper linear",
-        FamilyResult: "name instances failures", AuditReport: "bound families",
+        FamilyResult: "name decisions instances failures", AuditReport: "bound families",
     }
     for kind, names in fields.items():
         assert kind._fields == tuple(names.split()), kind
@@ -2040,11 +2056,55 @@ def test_constructor_contracts():
 
 # --- audit ------------------------------------------------------------------
 
+COVERING = ("forall x. forall m. x < 1 | m < 1 | m >= f(x)"
+            " | (exists t. t > 0 & t < x & (f(t) = m | f(t) + t = m))")
+
+
 def test_axiom_audit_small():
     report = axiom_audit(100)
     assert report.passed
-    names = [fam.name for fam in report.families]
-    assert len(names) == 5 and len(set(names)) == 5
+    assert [fam.name for fam in report.families] == [
+        "f-minimum", "beatty-partition", "window-predicate", "convergent-implications",
+        "f-identities"]
+    assert [len(fam.decisions) for fam in report.families] == [4, 2, 0, 126, 2]
+    # enumeration only beside the families whose proof reads what it proves, or is declined
+    assert [fam.instances for fam in report.families] == [201, 200, 400, 0, 0]
+    # every sentence is True (exact) but the covering half of f-minimum, which no route decides
+    decisions = dict(d for fam in report.families for d in fam.decisions)
+    assert decisions.pop(COVERING) == Decision(None, reason="no exact route decides it")
+    assert set(decisions.values()) == {Decision(True)}
+
+
+def test_an_audit_family_fails_on_a_refutation_and_without_enumeration_on_an_unknown():
+    refuted = "forall x. x < 1 | !(f(x) > 7) | 3*x >= 16"  # criterion 07's literal claim
+    enumerated = lambda n: (n, [])  # noqa: E731
+    assert not logic._family(2, "refuted", None, refuted).passed
+    assert not logic._family(2, "refuted", enumerated, refuted).passed
+    assert not logic._family(2, "declined", None, COVERING).passed
+    assert logic._family(2, "declined", enumerated, COVERING).passed
+    failing = lambda n: (n, ["x=1: a failure"])  # noqa: E731
+    assert logic._family(2, "enumerated", failing).failures == ("x=1: a failure",)
+
+
+class _ReadsWythoff(Exception):
+    pass
+
+
+def test_families_without_enumeration_are_proved_without_wythoffs_identity(monkeypatch):
+    # A proof that reads the identity it proves checks nothing.  With _folds (the rewrite by
+    # Wythoff's identities) raising, the two families with no enumeration still pass, and each
+    # partition and "no earlier hit" sentence reaches _folds: why those keep their enumeration.
+    families = {fam.name: [text for text, _ in fam.decisions] for fam in axiom_audit(2).families}
+
+    def folds(*args):
+        raise _ReadsWythoff
+
+    monkeypatch.setattr(logic, "_folds", folds)
+    for name in ("f-identities", "convergent-implications"):
+        assert logic._family(2, name, None, *families[name]).passed
+    for text in [*families["beatty-partition"], families["f-minimum"][2]]:
+        with pytest.raises(_ReadsWythoff):
+            logic._family(2, "reads _folds", None, text)
 
 
 def test_axiom_audit_degenerate_range():
