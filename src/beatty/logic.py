@@ -829,20 +829,19 @@ def _linearize(term: Term, var: str) -> tuple[int, int, int] | None:
     return None if any(form.values()) else (a, b, c)
 
 
-def _dnf(formula: Formula, var: str | None = None,
-         whole: bool = False) -> list[list[Formula]] | None:
+def _dnf(formula: Formula, var: str | None = None) -> list[list[Formula]] | None:
     """An NNF formula as a disjunction of conjunct lists, where !(s = t) is
-    s < t | t < s (with whole, only where s and t hold no f), !(s < t) is
-    t < s + 1 and !pN(t) is the disjuncts pN(t + k) for 0 < k < N (none
-    when N is 1); None past MAX_DISJUNCTS disjuncts.  Given var, each
+    s < t | t < s (_unequal) where s and t hold no f, else one literal,
+    !(s < t) is t < s + 1 and !pN(t) is the disjuncts pN(t + k) for 0 < k < N
+    (none when N is 1); None past MAX_DISJUNCTS disjuncts.  Given var, each
     conjunction merges its divisibilities (see _conjoin)."""
     if isinstance(formula, Or):
-        left, right = _dnf(formula.left, var, whole), _dnf(formula.right, var, whole)
+        left, right = _dnf(formula.left, var), _dnf(formula.right, var)
         if left is None or right is None or len(left) + len(right) > MAX_DISJUNCTS:
             return None
         return left + right
     if isinstance(formula, And):
-        left, right = _dnf(formula.left, var, whole), _dnf(formula.right, var, whole)
+        left, right = _dnf(formula.left, var), _dnf(formula.right, var)
         if left is None or right is None:
             return None
         if len(left) * len(right) > MAX_DISJUNCTS and not (var and all(
@@ -852,18 +851,24 @@ def _dnf(formula: Formula, var: str | None = None,
         return None if len(product) > MAX_DISJUNCTS else product
     atom = formula.body if isinstance(formula, Not) else None
     if type(atom) is Cmp:
-        s, t = atom.left, atom.right
-        if atom.rel == "=":
-            if whole and any(type(node) is F for node in _nodes(atom)):
-                return [[formula]]
-            return [[Cmp(s, "<", t)], [Cmp(t, "<", s)]]
-        return [[Cmp(t, "<", Add(s, Const(1)))]]
+        if atom.rel != "=":
+            return [[Cmp(atom.right, "<", Add(atom.left, Const(1)))]]
+        return [[formula]] if any(type(node) is F for node in _nodes(atom)) else _unequal([formula])
     if type(atom) is Div:
         n = atom.modulus
         if n - 1 > MAX_DISJUNCTS:
             return None
         return [[Div(n, Add(atom.term, Const(k)))] for k in range(1, n)]
     return [[formula]]
+
+
+def _unequal(conjuncts: list[Formula]) -> list[list[Formula]] | None:
+    """The conjuncts with their first !(s = t) as s < t, and as t < s; None without one."""
+    for e in conjuncts:
+        if type(e) is Not and type(e.body) is Cmp:
+            rest, (s, _, t) = [c for c in conjuncts if c is not e], e.body
+            return [[*rest, Cmp(s, "<", t)], [*rest, Cmp(t, "<", s)]]
+    return None
 
 
 def _conjoin(a: list[Formula], b: list[Formula], var: str | None) -> list[Formula] | None:
@@ -1077,10 +1082,11 @@ def decide_existential_nf(query: NormalFormQuery) -> Decision:
 
 def decide(sentence: Formula, bound: int = DEFAULT_EVAL_BOUND) -> Decision:
     """Decide a sentence once it is miniscoped: quantifier-free
-    parts exactly, single-quantifier sentences whose body is a Boolean
-    combination of normal-form atoms disjunct by disjunct through the
-    window/congruence pipeline (universal ones via their negation), a true
-    forall x (. forall y) or false exists x (. exists y) that
+    parts exactly, a single-quantifier sentence by _decide_one_variable,
+    disjunct by disjunct of its body's DNF (its negation's for forall):
+    through the window/congruence pipeline where a disjunct is in the normal
+    form or splits into it, and dropped where _no_point proves that no x
+    satisfies it; a true forall x. forall y or false exists x. exists y that
     _decide_two_variables proves, a nested sentence by what is left once
     _eliminations removes a quantifier that an equality pins (at most
     MAX_DISJUNCTS such sentences in one call, since each can be tried in
@@ -1124,35 +1130,17 @@ def _decide_exactly(sentence: Exists | Forall, depth: int, tries: Iterator) -> D
     pair, only a true universal or a false existential: a certificate
     would be one of the other variable), with its certificate _certified
     against the sentence's own body, so that every elimination on the way
-    is checked; else _decide_one_variable at depth 1,
-    and _decide_two_variables at depth 1 or 2.  A sentence with f over a
-    term that holds f (as what an elimination leaves has) tries
-    _decide_two_variables first: there the one-variable route splits slabs
-    or declines, and where both answer they give the same decision, a true
-    universal or a false existential with no certificate."""
+    is checked; else _decide_one_variable at depth 1 and
+    _decide_two_variables at depth 2."""
     for (left, pair), _ in zip(_eliminations(sentence) if depth > 1 else (), tries):
         decision = _decide(left, None, tries)
         if decision is None or pair and decision.truth is isinstance(sentence, Exists):
             continue
         if decision.certificate is None or _certified(sentence, decision, tries):
             return decision
-    routes = [_decide_one_variable] * (depth == 1) + [_decide_two_variables] * (depth <= 2)
-    if depth == 1 and _nests_f(sentence):
-        routes.reverse()
-    for route in routes:
-        if (decision := route(sentence)) is not None:
-            return decision
-    return None
-
-
-def _nests_f(node: Formula | Term, inside: bool = False) -> bool:
-    """Whether node holds f of a term that holds f; inside: node is in one's argument."""
-    if (is_f := type(node) is F) and inside:
-        return True
-    for child in node:
-        if isinstance(child, tuple) and _nests_f(child, inside or is_f):
-            return True
-    return False
+    if depth == 1:
+        return _decide_one_variable(sentence)
+    return _decide_two_variables(sentence) if depth == 2 else None
 
 
 def _certified(sentence: Exists | Forall, decision: Decision, tries: Iterator) -> bool:
@@ -1170,21 +1158,27 @@ def _certified(sentence: Exists | Forall, decision: Decision, tries: Iterator) -
 def _decide_one_variable(sentence: Exists | Forall) -> Decision | None:
     """Exact decision of an NNF one-quantifier sentence with a quantifier-free
     body, by exists x (A | B) == exists x A | exists x B over the DNF of the
-    body (of its negation for forall), split by _slab_cases into the normal
-    form; None when some disjunct is not, or past MAX_DISJUNCTS.  Each gives
-    its witness first in the scan order 0, 1, -1, ...: the least positive
-    one if it is at most the |x| of the nonpositive one nearest 0, else that
-    one; the certificate is the first of those in that order, checked
-    against the whole body.  An empty DNF (that of !p1) has no disjunct to
-    satisfy."""
-    existential = isinstance(sentence, Exists)
-    todo = _dnf(sentence.body if existential else nnf(sentence.body, negated=True), sentence.var)
+    body (of its negation for forall).  Each disjunct takes the first step
+    that holds: the normal form (_conjunction_query); the cell step, where
+    _no_point proves it has no point (MAX_CELLS cells in all) and it is
+    dropped, before the split, which would double its work; the split of
+    its first !(s = t) (_unequal); _slab_cases.  None when none holds, or
+    past MAX_DISJUNCTS.  Each query gives its witness first in the scan
+    order 0, 1, -1, ...: the least positive one if it is at most the |x| of
+    the nonpositive one nearest 0, else that one; the certificate is the
+    first of those in that order, checked against the whole body.  An empty
+    DNF (that of !p1) has no disjunct to satisfy."""
+    existential, var = isinstance(sentence, Exists), sentence.var
+    todo = _dnf(sentence.body if existential else nnf(sentence.body, negated=True), var)
     queries: list[NormalFormQuery] = []
+    cells = iter(range(MAX_CELLS))  # the budget, one item per case and cell
     while todo and len(queries) + len(todo) <= MAX_DISJUNCTS:
         conjuncts = todo.pop()
-        if query := _conjunction_query(sentence.var, conjuncts):
+        if query := _conjunction_query(var, conjuncts):
             queries.append(query)
-        elif (cases := _slab_cases(sentence.var, conjuncts)) is not None:
+        elif None not in (atoms := [_atom(e, var) for e in conjuncts]) and _no_point(atoms, cells):
+            continue
+        elif (cases := _unequal(conjuncts) or _slab_cases(var, conjuncts)) is not None:
             todo += cases
         else:
             return None
@@ -1194,8 +1188,8 @@ def _decide_one_variable(sentence: Exists | Forall) -> Decision | None:
     if not found:
         return Decision(not existential)
     x = min(found, key=lambda v: (abs(v), -v))  # the scan's order 0, 1, -1, ...
-    if evaluate(sentence.body, {sentence.var: x}).truth is not existential:
-        raise AssertionError(f"certificate check failed at {sentence.var}={x}")
+    if evaluate(sentence.body, {var: x}).truth is not existential:
+        raise AssertionError(f"certificate check failed at {var}={x}")
     return Decision(existential, certificate=x)
 
 
@@ -1357,8 +1351,8 @@ def _either(disjuncts: list[list[Formula]]) -> Formula:
 # Z[phi]; and a convex polygon is its list of (vertex, line of the edge to
 # the next one).  _range reads the least and greatest of a form over each.
 
-# Cells the two-variable route may cut in one decision before it declines:
-# about 0.1 s on a 2-vCPU VM.
+# Cells one call of _decide_two_variables, or the cell step of one of
+# _decide_one_variable, may cut before it declines: about 0.1 s on a 2-vCPU VM.
 MAX_CELLS = 4096
 # the unit square of (u, v), with its edges v = 0, u = 1, v = 1 and u = 0
 _SQUARE = [((0, 0, 0, 0, 1), ((0, 0), (1, 0), (0, 0))), ((1, 0, 0, 0, 1), ((1, 0), (0, 0), (1, 0))),
@@ -1377,7 +1371,7 @@ def _decide_two_variables(sentence: Exists | Forall) -> Decision | None:
         return None
     x, y, body = pair
     existential = isinstance(sentence, Exists)
-    disjuncts = _dnf(body if existential else nnf(body, negated=True), whole=True)
+    disjuncts = _dnf(body if existential else nnf(body, negated=True))
     if disjuncts is None:
         return None
     atoms = {}
@@ -1413,7 +1407,7 @@ def _prenex_pair(sentence: Exists | Forall) -> tuple[str, str | None, Formula] |
     return names[0], names[1] if len(names) == 2 else None, body
 
 
-def _atom(e: Formula, x: str, y: str | None) -> tuple | None:
+def _atom(e: Formula, x: str, y: str | None = None) -> tuple | None:
     """s < t as E = s - t + 1 <= 0, s = t as E = s - t = 0 and !(s = t) as
     E = s - t != 0, kept as (the relation of E to 0, E's coefficients of x
     and y, its constant, ((a, b, c, d, e), w) for each
@@ -1723,14 +1717,19 @@ class AuditReport(namedtuple("AuditReport", "bound families")):
         return all(f.passed for f in self.families)
 
 
+# The widest range the audit enumerates: about 2 s and 23 MiB on a 2-vCPU VM.
+MAX_AUDIT_RANGE = 10 ** 6
+
+
 def axiom_audit(n: int) -> AuditReport:
     """Decide the axiom families' sentences by the exact routes; enumerate
-    [-n, n] beside f-minimum and the partition, which elimination proves by
-    Wythoff's identities (_folds), _negative_branch assumes, or no route
-    decides.  The cell route proves the f-identities, and the one-variable
-    route the convergent implications, reading neither."""
-    if n < 2:
-        raise ValueError(f"audit range must be >= 2, got {n}")
+    [-n, n], 2 <= n <= MAX_AUDIT_RANGE, beside f-minimum and the partition,
+    which elimination proves by Wythoff's identities (_folds),
+    _negative_branch assumes, or no route decides.  The one-variable route
+    proves the f-identities by its cell step and the convergent implications
+    in the normal form, reading neither."""
+    if not 2 <= n <= MAX_AUDIT_RANGE:
+        raise ValueError(f"audit range must be in [2, {MAX_AUDIT_RANGE}], got {n}")
     families = (
         ("f-minimum", _minimum, "forall x. x > 0 | f(x) = 0", "f(1) = 1",
          "forall x. forall t. x < 1 | t < 1 | t >= x | (f(t) != f(x) & f(t) + t != f(x))",

@@ -140,6 +140,9 @@ GOLDEN = [
     # criterion 07's literal claim, false in the standard model
     (["decide", "forall x. x < 1 | !(f(x) > 7) | 3*x >= 16"], 1,
      "False (exact); counterexample 5\n"),
+    # the cell step of the one-variable route drops the disjunct f(x + 16) < x of the
+    # negation, which no x satisfies, and p7(68) is false
+    (["decide", "forall x. f(x + 16) >= x & !p7(68)"], 0, "True (exact)\n"),
     (["audit", "50"], 0, "all families pass"),
     (["audit", "2"], 0, "all families pass"),
 ]
@@ -192,6 +195,8 @@ def test_usage_errors_exit_64(capsys):
     capsys.readouterr()
     assert run(["word", "-1"]) == 64
     assert capsys.readouterr().err == "error: length must be non-negative\n"
+    assert run(["audit", "1000001"]) == 64
+    assert capsys.readouterr().err == "error: audit range must be in [2, 1000000], got 1000001\n"
 
 
 def test_negative_bound_is_a_usage_error(capsys):

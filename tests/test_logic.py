@@ -1323,15 +1323,20 @@ def test_single_slab_rewrite_declines_to_bounded_evaluation(text, decision):
 @pytest.mark.parametrize("terms,provenance", [(6, EXACT), (7, BOUNDED)])
 def test_single_slab_cases_respect_the_disjunct_cap(terms, provenance):
     # each f(x + f(x) + k) here takes one slab and splits every disjunct in
-    # two, so past six of them the one-variable route declines, to what was
-    # bounded evaluation; the cell route, which reads f(x + f(x) + k), then
-    # proves the sentence false
+    # two, and p2(x) keeps the cell step from reading any of them, so past
+    # six of them the one-variable route declines, to bounded evaluation,
+    # which finds the witness
     shifts = [0, 1, 2, 4, 5, -1, 7][:terms]
-    text = "exists x. (0 < x & " + " & ".join(f"f(x + f(x) + {k}) < 0" for k in shifts) + ")"
+    text = "exists x. (0 < x & p2(x) & " + " & ".join(
+        f"f(x + f(x) + {k}) >= 0" for k in shifts) + ")"
     assert 2 ** 6 == MAX_DISJUNCTS
     one_variable = logic._decide_one_variable(nnf(parse(text)))
     assert (EXACT if one_variable else BOUNDED) == provenance
-    assert decide(parse(text), bound=30) == Decision(False)
+    assert decide(parse(text), bound=30) == Decision(True, certificate=2)
+    # with f(...) < 0 in place of f(...) >= 0 and no p2(x), the cell step
+    # drops the disjunct before any slab splits it, at either size
+    text = "exists x. (0 < x & " + " & ".join(f"f(x + f(x) + {k}) < 0" for k in shifts) + ")"
+    assert logic._decide_one_variable(nnf(parse(text))) == Decision(False)
 
 
 @pytest.mark.parametrize("text,scoped", [
@@ -1853,9 +1858,11 @@ def test_range_over_a_cell_bounds_its_grid_points(cuts, alpha, beta):
 def test_the_one_variable_and_cell_routes_agree_where_both_answer():
     # Every closed one-quantifier subsentence of a seeded draw, after NNF and
     # miniscoping, that both exact routes decide gets one truth from both.  A
-    # conflict is a defect of a route: the draw stays as it is.
+    # conflict is a defect of a route: the draw stays as it is.  And the cell
+    # route answers none that the one-variable route, the only exact route
+    # _decide_exactly takes at depth 1, declines.
     rng = random.Random(1)
-    pairs = 0
+    pairs, cell_alone = 0, []
     for _ in range(1500):
         for q in logic._quantifiers(logic._miniscope(nnf(random_formula(rng, 5)))):
             if logic._depth(q.body) == 0 and not free_vars(q):
@@ -1863,23 +1870,31 @@ def test_the_one_variable_and_cell_routes_agree_where_both_answer():
                 if one is not None and cell is not None:
                     pairs += 1
                     assert one.truth is cell.truth, format_formula(q)
-    assert pairs >= 100  # 114 when written: the draw keeps comparing the routes
+                elif cell is not None:
+                    cell_alone.append(format_formula(q))
+    assert pairs >= 100  # 122 when written: the draw keeps comparing the routes
+    assert cell_alone == []
 
 
-def test_f_over_f_tries_the_two_variable_route_first(monkeypatch):
-    # a one-variable sentence with f over a term that holds f goes to the
-    # cell route first when it is given directly too, not only when an
-    # elimination leaves it; one without goes to the one-variable route first
+def test_each_disjunct_takes_the_first_of_the_four_steps_in_order(monkeypatch):
+    # the normal form, the cell step (_no_point), the split of a !(s = t)
+    # (_unequal), the slabs (_slab_cases, which reads _folds): a disjunct
+    # that the cell step drops is never split, and one it does not drop
+    # goes on to the split or the slabs
     calls = []
-    for name in ("_decide_one_variable", "_decide_two_variables"):
-        route = getattr(logic, name)
-        monkeypatch.setattr(logic, name, lambda s, route=route, name=name: (
-            calls.append(name), route(s))[1])
+    for name in ("_no_point", "_unequal", "_slab_cases", "_folds"):
+        step = getattr(logic, name)
+        monkeypatch.setattr(logic, name, lambda *args, step=step, name=name: (
+            calls.append(name), step(*args))[1])
     assert decide(parse("forall x. x < 37 | f(f(x)) = f(x) + x - 1")) == Decision(True)
-    assert calls == ["_decide_two_variables"]
+    assert calls == ["_no_point"]
     calls.clear()
-    assert decide(parse("forall x. x < 1 | f(x) < 2 * x")) == Decision(True)
-    assert calls == ["_decide_one_variable"]
+    assert decide(parse("forall x. x < 37 | f(f(x)) != f(x) + x - 1")) == Decision(
+        False, certificate=37)
+    assert calls == ["_no_point", "_unequal", "_slab_cases", "_folds"]
+    calls.clear()
+    assert decide(parse("exists x. x > 0 & f(x) != 2*x")) == Decision(True, certificate=1)
+    assert calls == ["_no_point", "_unequal"]  # then each half is in the normal form
 
 
 # --- elimination ------------------------------------------------------------
@@ -2111,3 +2126,12 @@ def test_axiom_audit_degenerate_range():
     assert axiom_audit(2).passed
     with pytest.raises(ValueError):
         axiom_audit(1)
+
+
+def test_axiom_audit_refuses_a_range_past_its_cap_before_it_enumerates(monkeypatch):
+    def enumerate_(n):
+        raise AssertionError("enumerated")
+
+    monkeypatch.setattr(logic, "_minimum", enumerate_)
+    with pytest.raises(ValueError, match=r"in \[2, 1000000\]"):
+        axiom_audit(logic.MAX_AUDIT_RANGE + 1)
