@@ -1,8 +1,10 @@
 """First-order language over (Z, +, -, <, f, p_n, window predicates, 0, 1)
 with f(x) = floor(phi * x): parser, printer, exact evaluation over the
-integers, a normal-form decider for single-quantifier sentences, an exact
-route for two-variable universals, bounded model checking for everything
-else, and an audit that decides the defining axioms by the exact routes.
+integers, one exact route for a block of one or two like quantifiers (the
+normal form, the cell exclusion and the single slab, disjunct by
+disjunct), elimination of pinned quantifiers, bounded model checking for
+everything else, and an audit that decides the defining axioms by the
+exact routes.
 """
 
 import re
@@ -968,7 +970,7 @@ def _slab_cases(var: str, conjuncts: list[Formula]) -> list[list[Formula]] | Non
     reads f(t) as one slab, the case x >= 1 and t >= 1 with that value, and
     the case t <= 0 with 0; None where it does not."""
     term = next((node for e in conjuncts for node in _nodes(e) if isinstance(node, F)
-                 and _linearize(node, var) is None and _linearize(node.arg, var)), None)
+                 and _linearize(node.arg, var) and _linearize(node, var) is None), None)
     if term is None:
         return None
     guards, value = _folds(term.arg, conjuncts)
@@ -1082,15 +1084,14 @@ def decide_existential_nf(query: NormalFormQuery) -> Decision:
 
 def decide(sentence: Formula, bound: int = DEFAULT_EVAL_BOUND) -> Decision:
     """Decide a sentence once it is miniscoped: quantifier-free
-    parts exactly, a single-quantifier sentence by _decide_one_variable,
-    disjunct by disjunct of its body's DNF (its negation's for forall):
-    through the window/congruence pipeline where a disjunct is in the normal
-    form or splits into it, and dropped where _no_point proves that no x
-    satisfies it; a true forall x. forall y or false exists x. exists y that
-    _decide_two_variables proves, a nested sentence by what is left once
-    _eliminations removes a quantifier that an equality pins (at most
-    MAX_DISJUNCTS such sentences in one call, since each can be tried in
-    more than one order), everything else by bounded evaluation.  A
+    parts exactly; a nested sentence by what is left once _eliminations
+    removes a quantifier that an equality pins (at most MAX_DISJUNCTS such
+    sentences in one call, since each can be tried in more than one order);
+    Q x. body or Q x. Q y. body by _decide_block, disjunct by disjunct of
+    the body's DNF (its negation's for forall): through the
+    window/congruence pipeline where a disjunct free of y is in the normal
+    form or splits into it, and dropped where _no_point proves that no
+    point satisfies it; everything else by bounded evaluation.  A
     top-level & or | decides its right side only when the left is not an
     exact answer that settles it.  Raises ValueError for a negative bound."""
     if free_vars(sentence):
@@ -1130,17 +1131,14 @@ def _decide_exactly(sentence: Exists | Forall, depth: int, tries: Iterator) -> D
     pair, only a true universal or a false existential: a certificate
     would be one of the other variable), with its certificate _certified
     against the sentence's own body, so that every elimination on the way
-    is checked; else _decide_one_variable at depth 1 and
-    _decide_two_variables at depth 2."""
+    is checked; else _decide_block at depth 1 or 2."""
     for (left, pair), _ in zip(_eliminations(sentence) if depth > 1 else (), tries):
         decision = _decide(left, None, tries)
         if decision is None or pair and decision.truth is isinstance(sentence, Exists):
             continue
         if decision.certificate is None or _certified(sentence, decision, tries):
             return decision
-    if depth == 1:
-        return _decide_one_variable(sentence)
-    return _decide_two_variables(sentence) if depth == 2 else None
+    return _decide_block(sentence, depth) if depth <= 2 else None
 
 
 def _certified(sentence: Exists | Forall, decision: Decision, tries: Iterator) -> bool:
@@ -1155,30 +1153,36 @@ def _certified(sentence: Exists | Forall, decision: Decision, tries: Iterator) -
     return check is not None and check.truth is decision.truth
 
 
-def _decide_one_variable(sentence: Exists | Forall) -> Decision | None:
-    """Exact decision of an NNF one-quantifier sentence with a quantifier-free
-    body, by exists x (A | B) == exists x A | exists x B over the DNF of the
-    body (of its negation for forall).  Each disjunct takes the first step
-    that holds: the normal form (_conjunction_query); the cell step, where
-    _no_point proves it has no point (MAX_CELLS cells in all) and it is
-    dropped, before the split, which would double its work; the split of
-    its first !(s = t) (_unequal); _slab_cases.  None when none holds, or
-    past MAX_DISJUNCTS.  Each query gives its witness first in the scan
-    order 0, 1, -1, ...: the least positive one if it is at most the |x| of
-    the nonpositive one nearest 0, else that one; the certificate is the
-    first of those in that order, checked against the whole body.  An empty
-    DNF (that of !p1) has no disjunct to satisfy."""
-    existential, var = isinstance(sentence, Exists), sentence.var
-    todo = _dnf(sentence.body if existential else nnf(sentence.body, negated=True), var)
+def _decide_block(sentence: Exists | Forall, depth: int) -> Decision | None:
+    """Exact decision of an NNF sentence Q x. body or Q x. Q y. body with
+    depth quantifiers on a path (see _prenex_pair, whose walk depth 1 skips:
+    then y is None and the body is the sentence's), by exists x (A | B) ==
+    exists x A | exists x B over the DNF of the body (of its negation for
+    forall).  Each disjunct takes the first step that holds: the normal form
+    in x (_conjunction_query, which refuses a literal that holds y); the
+    cell step, where _no_point proves it has no point (MAX_CELLS cells in
+    all) and it is dropped, before the split, which would double its work;
+    the split of its first !(s = t) (_unequal); _slab_cases.  None when none
+    holds, or past MAX_DISJUNCTS.  Each query gives its witness first in the
+    scan order 0, 1, -1, ...: the least positive one if it is at most the
+    |x| of the nonpositive one nearest 0, else that one; the certificate, a
+    value of x, is the first of those in that order, checked against the
+    whole body at y = 0 (its disjunct is free of y).  An empty DNF (that of
+    !p1) has no disjunct to satisfy."""
+    pair = (sentence.var, None, sentence.body) if depth == 1 else _prenex_pair(sentence)
+    if pair is None:
+        return None
+    (x, y, body), existential = pair, isinstance(sentence, Exists)
+    todo = _dnf(body if existential else nnf(body, negated=True), x)
     queries: list[NormalFormQuery] = []
     cells = iter(range(MAX_CELLS))  # the budget, one item per case and cell
     while todo and len(queries) + len(todo) <= MAX_DISJUNCTS:
         conjuncts = todo.pop()
-        if query := _conjunction_query(var, conjuncts):
+        if query := _conjunction_query(x, conjuncts):
             queries.append(query)
-        elif None not in (atoms := [_atom(e, var) for e in conjuncts]) and _no_point(atoms, cells):
+        elif None not in (atoms := [_atom(e, x, y) for e in conjuncts]) and _no_point(atoms, cells):
             continue
-        elif (cases := _unequal(conjuncts) or _slab_cases(var, conjuncts)) is not None:
+        elif (cases := _unequal(conjuncts) or _slab_cases(x, conjuncts)) is not None:
             todo += cases
         else:
             return None
@@ -1187,10 +1191,10 @@ def _decide_one_variable(sentence: Exists | Forall) -> Decision | None:
     found = [d.certificate for d in map(decide_existential_nf, queries) if d.truth]
     if not found:
         return Decision(not existential)
-    x = min(found, key=lambda v: (abs(v), -v))  # the scan's order 0, 1, -1, ...
-    if evaluate(sentence.body, {var: x}).truth is not existential:
-        raise AssertionError(f"certificate check failed at {var}={x}")
-    return Decision(existential, certificate=x)
+    value = min(found, key=lambda v: (abs(v), -v))  # the scan's order 0, 1, -1, ...
+    if evaluate(sentence.body, {x: value}, 0).truth is not existential:
+        raise AssertionError(f"certificate check failed at {x}={value}")
+    return Decision(existential, certificate=value)
 
 
 # --- elimination ------------------------------------------------------------
@@ -1215,8 +1219,7 @@ def _eliminations(sentence: Exists | Forall) -> Iterator[tuple[Formula, bool]]:
             out = _either(free + [[Exists(node.var, _either(kept))]] * bool(kept))
             yield _replace(sentence, node, out if inner else nnf(out, negated=True)), False
     existential, pair = type(sentence) is Exists, _prenex_pair(sentence)
-    if pair is not None and pair[1] is not None and (
-            parts := _pinned(pair[2], pair[0], existential)) is not None:
+    if pair is not None and (parts := _pinned(pair[2], pair[0], existential)) is not None:
         (x, y, _), (free, kept) = pair, parts
         out = _either([[Exists(y, _either(free))]] * bool(free)
                       + [[Exists(x, Exists(y, _either(kept)))]] * bool(kept))
@@ -1341,7 +1344,7 @@ def _either(disjuncts: list[list[Formula]]) -> Formula:
     return Cmp(Const(0), "<", Const(0)) if out is None else out
 
 
-# --- two-variable route -----------------------------------------------------
+# --- cell step --------------------------------------------------------------
 #
 # A number of Z[phi] is a pair (p, q) for p + q*phi, and one of Q(phi) is
 # (p, q, d) for (p + q*phi)/d with d > 0.  A point of the (u, v) square is
@@ -1351,46 +1354,21 @@ def _either(disjuncts: list[list[Formula]]) -> Formula:
 # Z[phi]; and a convex polygon is its list of (vertex, line of the edge to
 # the next one).  _range reads the least and greatest of a form over each.
 
-# Cells one call of _decide_two_variables, or the cell step of one of
-# _decide_one_variable, may cut before it declines: about 0.1 s on a 2-vCPU VM.
+# Cells the cell steps of one _decide_block call may cut in all before it
+# declines: about 0.1 s on a 2-vCPU VM.
 MAX_CELLS = 4096
 # the unit square of (u, v), with its edges v = 0, u = 1, v = 1 and u = 0
 _SQUARE = [((0, 0, 0, 0, 1), ((0, 0), (1, 0), (0, 0))), ((1, 0, 0, 0, 1), ((1, 0), (0, 0), (1, 0))),
            ((1, 0, 1, 0, 1), ((0, 0), (1, 0), (1, 0))), ((0, 0, 1, 0, 1), ((1, 0), (0, 0), (0, 0)))]
 
 
-def _decide_two_variables(sentence: Exists | Forall) -> Decision | None:
-    """Exact decision of an NNF sentence Q x. body or Q x. Q y. body (see
-    _prenex_pair):
-    True for a universal, False for an existential, when _no_point proves
-    every disjunct of the DNF of the body (of its negation for forall) empty
-    within MAX_CELLS cells in all.  None otherwise, and always for a
-    true existential or a false universal."""
-    pair = _prenex_pair(sentence)
-    if pair is None:
-        return None
-    x, y, body = pair
-    existential = isinstance(sentence, Exists)
-    disjuncts = _dnf(body if existential else nnf(body, negated=True))
-    if disjuncts is None:
-        return None
-    atoms = {}
-    for e in chain.from_iterable(disjuncts):
-        if id(e) not in atoms:
-            atoms[id(e)] = _atom(e, x, y)
-    cells = iter(range(MAX_CELLS))  # the budget, one item per case and cell
-    if None in atoms.values() or not all(
-            _no_point([atoms[id(e)] for e in conjuncts], cells) for conjuncts in disjuncts):
-        return None
-    return Decision(not existential)
-
-
 def _prenex_pair(sentence: Exists | Forall) -> tuple[str, str | None, Formula] | None:
     """(x, y, body) when the NNF sentence's only quantifiers are itself, over
     x, and at most one more of its kind over another name y (None when there
-    is none), and body is the sentence without them: the & and | around the
-    inner one do not bind y, which is free nowhere else, so the sentence is
-    Q x. Q y. body."""
+    is none: always so at depth 1), and body is the sentence without them:
+    the & and | around the inner one do not bind y, which is free nowhere
+    else, so the sentence is Q x. Q y. body, the block _decide_block
+    decides."""
     kind, names = type(sentence), []
 
     def strip(node: Formula) -> Formula:

@@ -140,9 +140,15 @@ GOLDEN = [
     # criterion 07's literal claim, false in the standard model
     (["decide", "forall x. x < 1 | !(f(x) > 7) | 3*x >= 16"], 1,
      "False (exact); counterexample 5\n"),
-    # the cell step of the one-variable route drops the disjunct f(x + 16) < x of the
+    # the cell step of the exact route drops the disjunct f(x + 16) < x of the
     # negation, which no x satisfies, and p7(68) is false
     (["decide", "forall x. f(x + 16) >= x & !p7(68)"], 0, "True (exact)\n"),
+    # two quantifiers of one kind: the normal form takes the disjunct free of y, and
+    # the cell step drops the other, which no point satisfies
+    (["decide", "exists x. exists y. x = f(1000) | (y > 0 & f(y) < 0)"], 0,
+     "True (exact); witness 1618\n"),
+    (["decide", "forall x. forall y. !(x = f(1000)) & (y < 1 | f(y) > 0)"], 1,
+     "False (exact); counterexample 1618\n"),
     (["audit", "50"], 0, "all families pass"),
     (["audit", "2"], 0, "all families pass"),
 ]

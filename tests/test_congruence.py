@@ -368,7 +368,7 @@ checks = [
     (logic, "_query_holds", lambda query, x: False,
      lambda: logic.decide_existential_nf(query("exists x. x = -3"))),
     (logic, "evaluate", lambda *args: logic.Decision(False),
-     lambda: logic._decide_one_variable(logic.nnf(logic.parse("exists x. x = 3")))),
+     lambda: logic._decide_block(logic.nnf(logic.parse("exists x. x = 3")), 1)),
 ]
 for number, (module, name, refuse, check) in enumerate(checks):
     kept = getattr(module, name)

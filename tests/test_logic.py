@@ -1324,19 +1324,19 @@ def test_single_slab_rewrite_declines_to_bounded_evaluation(text, decision):
 def test_single_slab_cases_respect_the_disjunct_cap(terms, provenance):
     # each f(x + f(x) + k) here takes one slab and splits every disjunct in
     # two, and p2(x) keeps the cell step from reading any of them, so past
-    # six of them the one-variable route declines, to bounded evaluation,
+    # six of them the exact route declines, to bounded evaluation,
     # which finds the witness
     shifts = [0, 1, 2, 4, 5, -1, 7][:terms]
     text = "exists x. (0 < x & p2(x) & " + " & ".join(
         f"f(x + f(x) + {k}) >= 0" for k in shifts) + ")"
     assert 2 ** 6 == MAX_DISJUNCTS
-    one_variable = logic._decide_one_variable(nnf(parse(text)))
-    assert (EXACT if one_variable else BOUNDED) == provenance
+    exact = logic._decide_block(nnf(parse(text)), 1)
+    assert (EXACT if exact else BOUNDED) == provenance
     assert decide(parse(text), bound=30) == Decision(True, certificate=2)
     # with f(...) < 0 in place of f(...) >= 0 and no p2(x), the cell step
     # drops the disjunct before any slab splits it, at either size
     text = "exists x. (0 < x & " + " & ".join(f"f(x + f(x) + {k}) < 0" for k in shifts) + ")"
-    assert logic._decide_one_variable(nnf(parse(text))) == Decision(False)
+    assert logic._decide_block(nnf(parse(text)), 1) == Decision(False)
 
 
 @pytest.mark.parametrize("text,scoped", [
@@ -1654,17 +1654,23 @@ def _route_sentence(rng, existential: bool, alone: bool):
 @settings(max_examples=200, deadline=None)
 @given(st.randoms(use_true_random=False), st.booleans(), st.booleans())
 def test_two_variable_route_answers_have_no_counterexample_in_a_box(rng, existential, alone):
-    # The route only proves a universal true or an existential false; a
-    # brute force with f_floor over [-25, 25]^2 must find no counterexample
-    # (no witness), and decide() must give the same answer, also when y is
+    # An answer without a certificate, a true universal or a false
+    # existential, must meet no counterexample (no witness) in a brute force
+    # with f_floor over [-25, 25]^2.  A certificate, a value of x, comes from
+    # a disjunct free of y, so the body must take its truth at it for every
+    # y of the box.  decide() must give the same answer, also when y is
     # missing and miniscoping drops its quantifier.
     text, holds = _route_sentence(rng, existential, alone)
-    d = logic._decide_two_variables(nnf(parse(text)))
+    d = logic._decide_block(nnf(parse(text)), 1 if alone else 2)
     if d is None:
         return
-    assert d == Decision(not existential), text
     box = range(-25, 26)
-    assert all(holds(x, y) is not existential for x in box for y in box), text
+    if d.certificate is None:
+        assert d == Decision(not existential), text
+        assert all(holds(x, y) is not existential for x in box for y in box), text
+    else:
+        assert d == Decision(existential, certificate=d.certificate), text
+        assert all(holds(d.certificate, y) is existential for y in box), text
     assert decide(parse(text), bound=3) == d, text
 
 
@@ -1788,7 +1794,7 @@ def test_two_variable_route_declines_to_the_scan(text, want):
     # rank-2 atoms (Rayleigh's f(x) = f(y) + y), a met cell and p2 decline,
     # and the bounded scan answers with its certificate as before the route;
     # Rayleigh's sentence is decided once its x is eliminated
-    assert logic._decide_two_variables(nnf(parse(text))) is None
+    assert logic._decide_block(nnf(parse(text)), 2) is None
     assert decide(parse(text), bound=40) == want
 
 
@@ -1796,10 +1802,10 @@ def test_two_variable_route_stops_at_its_cell_budget(monkeypatch):
     # true, but its floors cut the square into more than MAX_CELLS cells
     sentence = nnf(parse("forall x. forall y. f(100*x + 99*y + 3) < f(100*x) + f(99*y + 3) + 2"))
     started = time.perf_counter()
-    assert logic._decide_two_variables(sentence) is None
+    assert logic._decide_block(sentence, 2) is None
     assert time.perf_counter() - started < 1
     monkeypatch.setattr(logic, "MAX_CELLS", 100 * logic.MAX_CELLS)
-    assert logic._decide_two_variables(sentence) == Decision(True)
+    assert logic._decide_block(sentence, 2) == Decision(True)
 
 
 _Z_PHI = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
@@ -1855,23 +1861,26 @@ def test_range_over_a_cell_bounds_its_grid_points(cuts, alpha, beta):
         assert phi_sign(16 * most[0] - p * most[2], 16 * most[1] - q * most[2]) >= 0, cuts
 
 
-def test_the_one_variable_and_cell_routes_agree_where_both_answer():
+def test_the_one_variable_and_cell_routes_agree_where_both_answer(monkeypatch):
     # Every closed one-quantifier subsentence of a seeded draw, after NNF and
-    # miniscoping, that both exact routes decide gets one truth from both.  A
-    # conflict is a defect of a route: the draw stays as it is.  And the cell
-    # route answers none that the one-variable route, the only exact route
-    # _decide_exactly takes at depth 1, declines.
+    # miniscoping, that _decide_block decides both as it is and with no
+    # normal form (so that each disjunct must be dropped by the cell step)
+    # gets one truth from both.  A conflict is a defect of a step: the draw
+    # stays as it is.  And the cell step answers none alone.
     rng = random.Random(1)
+    sentences = [q for _ in range(1500)
+                 for q in logic._quantifiers(logic._miniscope(nnf(random_formula(rng, 5))))
+                 if logic._depth(q.body) == 0 and not free_vars(q)]
+    answers = [logic._decide_block(q, 1) for q in sentences]
+    monkeypatch.setattr(logic, "_conjunction_query", lambda var, conjuncts: None)
     pairs, cell_alone = 0, []
-    for _ in range(1500):
-        for q in logic._quantifiers(logic._miniscope(nnf(random_formula(rng, 5)))):
-            if logic._depth(q.body) == 0 and not free_vars(q):
-                one, cell = logic._decide_one_variable(q), logic._decide_two_variables(q)
-                if one is not None and cell is not None:
-                    pairs += 1
-                    assert one.truth is cell.truth, format_formula(q)
-                elif cell is not None:
-                    cell_alone.append(format_formula(q))
+    for q, one in zip(sentences, answers):
+        cell = logic._decide_block(q, 1)
+        if one is not None and cell is not None:
+            pairs += 1
+            assert one.truth is cell.truth, format_formula(q)
+        elif cell is not None:
+            cell_alone.append(format_formula(q))
     assert pairs >= 100  # 122 when written: the draw keeps comparing the routes
     assert cell_alone == []
 
