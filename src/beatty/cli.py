@@ -19,9 +19,8 @@ from .golden import f_floor, f_inverse
 from .numeration import c as word_bit
 from .numeration import Unfactored, fib_word_prefix, pisano, zeckendorf
 
-# beatty.congruence, beatty.logic, beatty.windows, fractions.Fraction: each imported by the
-# first command needing it
-_congruence = _logic = _windows = _Fraction = None
+# beatty.congruence, beatty.logic, beatty.windows: each imported by the first command needing it
+_congruence = _logic = _windows = None
 
 __all__ = ["main", "run"]
 
@@ -119,18 +118,16 @@ def _cmd_solve(xn: int, xm: int, fn: int, fm: int, lo: int | None,
 
 def _cmd_window(relation: str, slope: str, offset: int) -> tuple[dict, str, str, int]:
     """solution set of f(x) <rel> slope*x + k over x >= 1"""
-    global _Fraction, _windows
-    if _Fraction is None:  # only window needs fractions; importing it costs set-up time
-        from fractions import Fraction as _Fraction
+    global _windows
+    if _windows is None:
+        from . import windows as _windows
     try:
         if _too_long(slope) or "e" in slope.lower():  # 10**exponent is unbounded
             raise ValueError(f"at most {sys.int_info.default_max_str_digits} digits"
                              " and no exponent")
-        ratio = _Fraction(slope)
+        ratio = _windows._fraction(slope)
     except (ValueError, ZeroDivisionError) as exc:
         raise _UsageError(f"bad slope {slope!r}: {exc}") from None
-    if _windows is None:
-        from . import windows as _windows
     window = _windows.solution_window(_windows.LinearConstraint(relation, ratio, offset))
     pieces = [{"lo": str(p.lo), "hi": None if p.hi is None else str(p.hi), "mod": str(p.mod),
                "res": str(p.res)} for p in window.pieces]

@@ -21,6 +21,7 @@ from .golden import decompose, f_floor, phi_ceil, phi_floor, phi_mul, phi_norm, 
 from .windows import (
     LinearConstraint,
     Piece,
+    _fraction,
     convergent_d,
     convergent_u,
     intersect_streams,
@@ -1161,7 +1162,8 @@ def _decide_block(sentence: Exists | Forall, depth: int) -> Decision | None:
     forall).  Each disjunct takes the first step that holds: the normal form
     in x (_conjunction_query, which refuses a literal that holds y); the
     cell step, where _no_point proves it has no point (MAX_CELLS cells in
-    all) and it is dropped, before the split, which would double its work;
+    all) and it is dropped, before the split, which would double its work
+    (a point _probe meets ends the step at once, with no cell spent);
     the split of its first !(s = t) (_unequal); _slab_cases.  None when none
     holds, or past MAX_DISJUNCTS.  Each query gives its witness first in the
     scan order 0, 1, -1, ...: the least positive one if it is at most the
@@ -1326,7 +1328,7 @@ def _folds(t: Term, conjuncts: list[Formula]) -> tuple[list[Formula], Term]:
     names = free_vars(t)
     if len(names) == 1 and (lin := _linearize(t, *names)) not in (None, (1, 0, 0)):
         (a, b, c), w = lin, Var(*names)
-        k, high = _floors(_SQUARE, ((a + b, -b), (0, 0), c))
+        k, high = _square_floors(((a + b, -b), (0, 0), c))
         if high == k + 1 and (a >= 0 and c <= 0 or (window := _order_query(w.name, conjuncts))
                               is None or window[0] is not None and window[0] >= 0):
             return [Cmp(Const(0), "<", w)], _form(k, (b, w), (a + b, F(w)))
@@ -1355,11 +1357,16 @@ def _either(disjuncts: list[list[Formula]]) -> Formula:
 # the next one).  _range reads the least and greatest of a form over each.
 
 # Cells the cell steps of one _decide_block call may cut in all before it
-# declines: about 0.1 s on a 2-vCPU VM.
+# declines, about 0.1 s on a 2-vCPU VM; a disjunct _probe meets spends none.
 MAX_CELLS = 4096
+# Points _probe tries from each corner of P: six meet one in 63 of 72 f_additive
+# and every e_additive and f_double_f query of the decide_bounded corpora of
+# seeds 7-9, and twelve meet no more; a miss costs about 10 µs on a 2-vCPU VM.
+PROBE_POINTS = 6
 # the unit square of (u, v), with its edges v = 0, u = 1, v = 1 and u = 0
 _SQUARE = [((0, 0, 0, 0, 1), ((0, 0), (1, 0), (0, 0))), ((1, 0, 0, 0, 1), ((1, 0), (0, 0), (1, 0))),
            ((1, 0, 1, 0, 1), ((0, 0), (1, 0), (1, 0))), ((0, 0, 1, 0, 1), ((1, 0), (0, 0), (0, 0)))]
+_square_floors = lru_cache(maxsize=1024)(lambda line: _floors(_SQUARE, line))  # once per line
 
 
 def _prenex_pair(sentence: Exists | Forall) -> tuple[str, str | None, Formula] | None:
@@ -1408,18 +1415,47 @@ def _atom(e: Formula, x: str, y: str | None = None) -> tuple | None:
 
 def _no_point(atoms: list[tuple], cells: Iterator) -> bool:
     """True when no integers x, y satisfy all the atoms (see _atom); False
-    when that is not proved.  The atoms without f, but for E != 0, bound the
-    polyhedron P of (x, y) from the start."""
+    when that is not proved, at once where _probe meets such a point.  The
+    atoms without f, but for E != 0, bound the polyhedron P of (x, y) from
+    the start."""
     order = set().union(*(_half_planes(*atom[:4]) for atom in atoms
                           if not atom[4] and atom[0] != "!="))
+    along_y = any(atom[2] or any(key[1] or key[4] for key, _ in atom[4]) for atom in atoms)
     atoms = [atom for atom in atoms if atom[4] or atom[0] == "!="]
+    polyhedron = _polyhedron(order)
+    if polyhedron is not None and _probe(atoms, polyhedron, along_y) is not None:
+        return False
     keys = {key for atom in atoms for key, _ in atom[4]}
     nested = sorted(key for key in keys if key[3] or key[4])
     # f(x) and f(y) take their signs before the f terms over them
     keys.update(inner for *_, d, e in nested
                 for inner, w in (((1, 0, 0, 0, 0), d), ((0, 1, 0, 0, 0), e)) if w)
     terms = sorted(keys.difference(nested)) + nested
-    return _signs_excluded(atoms, terms, {}, _polyhedron(order), cells, {})
+    return _signs_excluded(atoms, terms, {}, polyhedron, cells)
+
+
+def _probe(atoms: list, polyhedron: tuple, along_y: bool) -> tuple[int, int] | None:
+    """The first point (x, y) where every atom holds, f read by f_floor, of
+    the PROBE_POINTS integer points of P from each corner of P rounded, in
+    the scan order 0, 1, -1, ... along y (x where no atom reads y); or None."""
+    constraints, corners, _ = polyhedron
+    for px, _, py, _, scale in corners:
+        x0, y0 = (2 * px + scale) // (2 * scale), (2 * py + scale) // (2 * scale)
+        for step in range(PROBE_POINTS):
+            offset = (step + 1) // 2 * (1 if step % 2 else -1)
+            x, y = (x0, y0 + offset) if along_y else (x0 + offset, y0)
+            if any(a * x + b * y > c for a, b, c in constraints):
+                continue
+            fx, fy = f_floor(x), f_floor(y)
+            for rel, lx, ly, k, terms in atoms:
+                value = lx * x + ly * y + k
+                for (a, b, c, d, e), w in terms:
+                    value += w * f_floor(a * x + b * y + c + d * fx + e * fy)
+                if value > 0 if rel == "<" else (value == 0) is (rel == "!="):
+                    break
+            else:
+                return x, y
+    return None
 
 
 def _half_planes(rel: str, lx: int, ly: int, k: int) -> set[tuple[int, int, int]]:
@@ -1434,7 +1470,7 @@ def _polyhedron(constraints: set) -> tuple | None:
 
 
 def _signs_excluded(atoms: list, terms: list, positive: dict, polyhedron: tuple | None,
-                    cells: Iterator, square: dict) -> bool:
+                    cells: Iterator) -> bool:
     """_no_point over each case of the signs of the f arguments not yet in
     positive: t = a*x + b*y + c + d*f(x) + e*f(y) is <= 0, where f(t) = 0,
     or >= 1.  A sign that P already fixes makes one case, and one that
@@ -1444,7 +1480,7 @@ def _signs_excluded(atoms: list, terms: list, positive: dict, polyhedron: tuple 
     if polyhedron is None:
         return True
     if len(positive) == len(terms):
-        return _case_excluded(atoms, positive, polyhedron, cells, square)
+        return _case_excluded(atoms, positive, polyhedron, cells)
     a, b, c, d, e = term = terms[len(positive)]
     if d or e:
         d, e = d * positive.get((1, 0, 0, 0, 0), 0), e * positive.get((0, 1, 0, 0, 0), 0)
@@ -1457,7 +1493,7 @@ def _signs_excluded(atoms: list, terms: list, positive: dict, polyhedron: tuple 
             up = False
         else:
             return False
-        return _signs_excluded(atoms, terms, {**positive, term: up}, polyhedron, cells, square)
+        return _signs_excluded(atoms, terms, {**positive, term: up}, polyhedron, cells)
     least, most = _range(*polyhedron[1:], (a, 0), (b, 0))  # of a*x + b*y over P
     up = least is not None and least[0] >= (1 - c) * least[2]
     if up or most is not None and most[0] <= -c * most[2]:
@@ -1465,12 +1501,11 @@ def _signs_excluded(atoms: list, terms: list, positive: dict, polyhedron: tuple 
     else:
         cases = ((up, _polyhedron(polyhedron[0] | {cut}))
                  for up, cut in ((True, (-a, -b, c - 1)), (False, (a, b, -c))))
-    return all(_signs_excluded(atoms, terms, {**positive, term: up}, case, cells, square)
+    return all(_signs_excluded(atoms, terms, {**positive, term: up}, case, cells)
                for up, case in cases)
 
 
-def _case_excluded(atoms: list, positive: dict, polyhedron: tuple, cells: Iterator,
-                   square: dict) -> bool:
+def _case_excluded(atoms: list, positive: dict, polyhedron: tuple, cells: Iterator) -> bool:
     """_no_point in one case of signs, where each f argument
     t = a*x + b*y + c + d*f(x) + e*f(y) is <= 0 (f(t) = 0) or, when
     positive[(a, b, c, d, e)], >= 1, where
@@ -1490,8 +1525,7 @@ def _case_excluded(atoms: list, positive: dict, polyhedron: tuple, cells: Iterat
     at x, y in P with t >= 1, L = phi*t less an integer is never an
     integer, so (u, v) is in the closure of a cell of positive area with its
     own floors.  A cell of zero area is dropped, and a cell no atom excludes
-    is met: False.  square keeps each line's floor range over the unit
-    square, for every case of one _no_point call."""
+    is met: False."""
     if next(cells, None) is None:
         return False
     fx, fy = positive.get((1, 0, 0, 0, 0), False), positive.get((0, 1, 0, 0, 0), False)
@@ -1524,8 +1558,7 @@ def _case_excluded(atoms: list, positive: dict, polyhedron: tuple, cells: Iterat
                             [(index[line], w) for line, w in floors]))
     if not bounded:
         return False
-    square.update((line, _floors(_SQUARE, line)) for line in lines if line not in square)
-    return _cells_excluded(_SQUARE, [square[line] for line in lines], lines, bounded, cells)
+    return _cells_excluded(_SQUARE, [_square_floors(line) for line in lines], lines, bounded, cells)
 
 
 def _cells_excluded(polygon: list, ranges: list, lines: list, atoms: list,
@@ -1658,8 +1691,9 @@ def _corners(constraints: set) -> list[tuple[int, int, int, int, int]]:
     points = [(0, 0, 0, 0, 1)] + [(d * a, 0, d * b, 0, a * a + b * b) for a, b, d in lines]
     for i, (a1, b1, d1) in enumerate(lines):
         for a2, b2, d2 in lines[i + 1:]:
-            if a1 * b2 != a2 * b1:
-                points.append(_meet(((a1, 0), (b1, 0), (d1, 0)), ((a2, 0), (b2, 0), (d2, 0))))
+            if det := a1 * b2 - a2 * b1:  # Cramer's rule: the point _meet gives
+                s = 1 if det > 0 else -1
+                points.append((s * (d1 * b2 - d2 * b1), 0, s * (a1 * d2 - a2 * d1), 0, s * det))
     return [point for point in points
             if all(a * point[0] + b * point[2] <= d * point[4] for a, b, d in constraints)]
 
@@ -1793,9 +1827,7 @@ def _convergent_implications() -> Iterator[str]:
     for w the convergent of phi on the slope's side, in the form that holds:
     x with s*x + k an integer, and w at least_adequate_index (the literal
     any-index form is false; see axiom_v_check)."""
-    from fractions import Fraction  # only the audit needs it; importing costs set-up time
-
-    for s in map(Fraction, ("0", "1", "3/2", "8/5", "5/3", "2")):
+    for s in map(_fraction, ("0", "1", "3/2", "8/5", "5/3", "2")):
         ladder = convergent_d if locate_slope(s).side == "below" else convergent_u
         for k in range(-3, 4):
             gap = ladder(least_adequate_index(s, k)) - s

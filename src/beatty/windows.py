@@ -40,22 +40,30 @@ __all__ = [
 CLASS_CROSSOVER = 8
 
 
+_Fraction = None  # fractions.Fraction, bound on first use
+
+
+def _fraction(*args) -> "Fraction":
+    """Fraction(*args).  Only the rational paths need fractions, and
+    importing it costs set-up time, so it is imported on the first call."""
+    global _Fraction
+    if _Fraction is None:
+        from fractions import Fraction as _Fraction
+    return _Fraction(*args)
+
+
 def convergent_d(i: int) -> "Fraction":
     """fib(2i+1)/fib(2i): the increasing ladder of approximants below phi."""
-    from fractions import Fraction  # only the rational paths need it; importing costs set-up time
-
     if i < 0:
         raise ValueError("index must be non-negative")
-    return Fraction(fib(2 * i + 1), fib(2 * i))
+    return _fraction(fib(2 * i + 1), fib(2 * i))
 
 
 def convergent_u(i: int) -> "Fraction":
     """fib(2i+2)/fib(2i+1): the decreasing ladder of approximants above phi."""
-    from fractions import Fraction
-
     if i < 0:
         raise ValueError("index must be non-negative")
-    return Fraction(fib(2 * i + 2), fib(2 * i + 1))
+    return _fraction(fib(2 * i + 2), fib(2 * i + 1))
 
 
 BracketInfo = namedtuple("BracketInfo", "side index")  # side "below" or "above" phi
@@ -74,9 +82,7 @@ def locate_slope(slope: "Fraction | int") -> BracketInfo:
     Above phi: the unique j with u_{j+1} < slope <= u_j, with the mirrored
     j = 0 convention for slopes above u_0 = 2.
     """
-    from fractions import Fraction
-
-    s = Fraction(slope)
+    s = _fraction(slope)
     if s < 0:
         raise ValueError(f"slope must be non-negative, got {s}")
     side, sign = ("below", 1) if phi_sign(s.numerator, -s.denominator) < 0 else ("above", -1)
@@ -107,15 +113,11 @@ class LinearConstraint(namedtuple("LinearConstraint", "relation n m c0")):
 
     @property
     def slope(self) -> "Fraction":
-        from fractions import Fraction
-
-        return Fraction(self.m, self.n)
+        return _fraction(self.m, self.n)
 
     @property
     def offset(self) -> "Fraction":
-        from fractions import Fraction
-
-        return Fraction(self.c0, self.n)
+        return _fraction(self.c0, self.n)
 
     def integer_form(self) -> tuple[int, int, int]:
         return self[1:]
@@ -416,9 +418,7 @@ def axiom_v_check(
     fractional slopes); see least_adequate_index for the index threshold
     beyond which they provably do.
     """
-    from fractions import Fraction
-
-    s = Fraction(slope)
+    s = _fraction(slope)
     bracket = locate_slope(s)
     if index < bracket.index + 1:
         raise ValueError(f"index must be >= {bracket.index + 1}, got {index}")
@@ -441,9 +441,7 @@ def least_adequate_index(slope: "Fraction | int", offset: int) -> int:
     offset 2, index 1 fails at x = 5).  Convergence of w to phi guarantees
     termination.
     """
-    from fractions import Fraction
-
-    s = Fraction(slope)
+    s = _fraction(slope)
     bracket = locate_slope(s)
     below = bracket.side == "below"
     num, den = s.numerator, s.denominator

@@ -4,9 +4,10 @@ import sys
 import time
 from fractions import Fraction
 from operator import eq, ge, lt, ne
+from unittest.mock import patch
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from beatty import congruence, logic, windows
@@ -1808,7 +1809,101 @@ def test_two_variable_route_stops_at_its_cell_budget(monkeypatch):
     assert logic._decide_block(sentence, 2) == Decision(True)
 
 
+@pytest.mark.parametrize("text, want", [
+    ("forall x. forall y. (x < 7 | f(x + y) < f(x) + f(y) + 1)", Decision(False, certificate=7)),
+    ("exists x. exists y. (x > 5 & y > 5 & f(x + y) = f(x) + f(y) + 1)",
+     Decision(True, certificate=6)),
+    ("forall x. x < 7719 | f(f(x)) != f(x) + x - 1", Decision(False, certificate=7719)),
+], ids=["false universal", "true existential", "f_double_f"])
+def test_the_probe_meets_a_point_before_any_sign_case(monkeypatch, text, want):
+    # each disjunct the cell step cannot drop has a point near a corner of
+    # P, so the step ends there, with no sign case built
+    def raising(*args):
+        raise AssertionError("a sign case was built")
+
+    monkeypatch.setattr(logic, "_signs_excluded", raising)
+    assert decide(parse(text), bound=40) == want
+
+
+def _literal(draw, names: tuple[str, ...]):
+    """s < t, s = t or !(s = t), each side a linear form over the names with
+    at most one f of a linear form plus f of a name."""
+    def linear():
+        term = Const(draw(st.integers(-8, 8)))
+        for name in names:
+            term = Add(term, Scale(draw(st.integers(-3, 3)), Var(name)))
+        return term
+
+    def side():
+        if not draw(st.booleans()):
+            return linear()
+        inner = linear()
+        for name in names:
+            inner = Add(inner, Scale(draw(st.integers(0, 1)), F(Var(name))))
+        return Add(linear(), Scale(draw(st.sampled_from([-1, 1, 2])), F(inner)))
+
+    s, rel, t = side(), draw(st.sampled_from(["<", "=", "!="])), side()
+    return Not(Cmp(s, "=", t)) if rel == "!=" else Cmp(s, rel, t)
+
+
+@st.composite
+def _disjuncts(draw) -> tuple[tuple[str, ...], list]:
+    names = draw(st.sampled_from([("x",), ("x", "y")]))
+    return names, [_literal(draw, names) for _ in range(draw(st.integers(1, 3)))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_disjuncts())
+def test_a_probed_point_satisfies_its_disjunct_and_the_cell_step_agrees(drawn):
+    # the probe's point satisfies the conjunction (evaluate reads it at x
+    # and y), and the cell step without the probe does not drop a disjunct
+    # that has it
+    names, conjuncts = drawn
+    atoms = [logic._atom(e, *names) for e in conjuncts]
+    if None in atoms:
+        return
+    points, probe = [], logic._probe
+    with patch.object(logic, "_probe", lambda *args: points.append(probe(*args)) or points[-1]):
+        dropped = logic._no_point(atoms, iter(range(logic.MAX_CELLS)))
+    met = "P empty" if not points else "no point" if points[0] is None else "a point"
+    event(f"{len(names)} names: {met}")
+    if not points or points[0] is None:
+        return
+    x, y = points[0]
+    assert not dropped
+    assert evaluate(logic._either([conjuncts]), {"x": x, "y": y}, 0).truth, (x, y)
+    with patch.object(logic, "_probe", lambda *args: None):
+        assert not logic._no_point(atoms, iter(range(logic.MAX_CELLS))), (x, y)
+
+
+def _corners_by_meet(constraints: set) -> list[tuple]:
+    """_corners with each vertex solved by _meet over Z[phi]."""
+    lines = [(a, b, d) for a, b, d in constraints if a or b]
+    points = [(0, 0, 0, 0, 1)] + [(d * a, 0, d * b, 0, a * a + b * b) for a, b, d in lines]
+    points += [logic._meet(((a1, 0), (b1, 0), (d1, 0)), ((a2, 0), (b2, 0), (d2, 0)))
+               for i, (a1, b1, d1) in enumerate(lines) for a2, b2, d2 in lines[i + 1:]
+               if a1 * b2 != a2 * b1]
+    return [point for point in points
+            if all(a * point[0] + b * point[2] <= d * point[4] for a, b, d in constraints)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sets(st.tuples(st.integers(-9, 9), st.integers(-9, 9), st.integers(-30, 30)),
+               min_size=1, max_size=5))
+def test_integer_corners_are_the_points_meet_gives(constraints):
+    assert logic._corners(constraints) == _corners_by_meet(constraints)
+
+
 _Z_PHI = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_Z_PHI, _Z_PHI, st.integers(-20, 20))
+def test_the_square_floor_memo_is_floors_over_the_square(alpha, beta, c):
+    line = (alpha, beta, c)
+    want = logic._floors(logic._SQUARE, line)
+    assert logic._square_floors(line) == want
+    assert logic._square_floors(line) == want  # again, from the memo
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from functools import reduce
 from unittest.mock import patch
@@ -39,6 +42,17 @@ def test_convergent_examples():
     for convergent in (convergent_d, convergent_u):
         with pytest.raises(ValueError):
             convergent(-1)
+
+
+def test_fractions_is_imported_on_the_first_rational_call_and_bound_once():
+    """In a fresh interpreter under -S, where site imports nothing."""
+    script = ("import sys, beatty.windows as w\nbefore = 'fractions' in sys.modules\n"
+              "w.convergent_d(1), w.locate_slope(2), w.LinearConstraint('<', 1, 0).slope\n"
+              "print(before, w._Fraction is sys.modules['fractions'].Fraction)")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True,
+                          env=env)
+    assert proc.stdout == "False True\n", proc.stderr
 
 
 def test_convergent_ladders_bracket_phi():
