@@ -589,18 +589,14 @@ class _Compiler:
                 return memo[0]
 
             return once
-        if kind is Not or kind is Implies:
-            # L -> R is (not L or R)
-            body = self.source(node.body if kind is Not else node.left, scope)
+        if kind is Implies:
+            return self.source(Or(Not(node.left), node.right), scope)
+        if kind is Not:
+            body = self.source(node.body, scope)
             if callable(body):
-                def negated(env: list[int]) -> Decision:
-                    return _negate(body(env))
-            else:
-                negated = f"not {body}" if isinstance(body, str) else not body
-            if kind is Not:
-                return negated
-            op, left, right = "or", negated, self.source(node.right, scope)
-        elif kind is Scale:
+                return lambda env: _negate(body(env))
+            return f"not {body}" if isinstance(body, str) else not body
+        if kind is Scale:
             op, left, right = "*", node.coeff, self.source(node.term, scope)
         elif kind is Cmp:
             op = "<" if node.rel == "<" else "=="
@@ -833,11 +829,11 @@ def _linearize(term: Term, var: str) -> tuple[int, int, int] | None:
 
 
 def _dnf(formula: Formula, var: str | None = None) -> list[list[Formula]] | None:
-    """An NNF formula as a disjunction of conjunct lists, where !(s = t) is
-    s < t | t < s (_unequal) where s and t hold no f, else one literal,
-    !(s < t) is t < s + 1 and !pN(t) is the disjuncts pN(t + k) for 0 < k < N
-    (none when N is 1); None past MAX_DISJUNCTS disjuncts.  Given var, each
-    conjunction merges its divisibilities (see _conjoin)."""
+    """An NNF formula as a disjunction of conjunct lists, where !(s = t)
+    stays one literal (_unequal splits it), !(s < t) is t < s + 1 and !pN(t)
+    is the disjuncts pN(t + k) for 0 < k < N (none when N is 1); None past
+    MAX_DISJUNCTS disjuncts.  Given var, each conjunction merges its
+    divisibilities (see _conjoin)."""
     if isinstance(formula, Or):
         left, right = _dnf(formula.left, var), _dnf(formula.right, var)
         if left is None or right is None or len(left) + len(right) > MAX_DISJUNCTS:
@@ -853,10 +849,8 @@ def _dnf(formula: Formula, var: str | None = None) -> list[list[Formula]] | None
         product = [c for a in left for b in right if (c := _conjoin(a, b, var)) is not None]
         return None if len(product) > MAX_DISJUNCTS else product
     atom = formula.body if isinstance(formula, Not) else None
-    if type(atom) is Cmp:
-        if atom.rel != "=":
-            return [[Cmp(atom.right, "<", Add(atom.left, Const(1)))]]
-        return [[formula]] if any(type(node) is F for node in _nodes(atom)) else _unequal([formula])
+    if type(atom) is Cmp and atom.rel != "=":
+        return [[Cmp(atom.right, "<", Add(atom.left, Const(1)))]]
     if type(atom) is Div:
         n = atom.modulus
         if n - 1 > MAX_DISJUNCTS:
@@ -1132,14 +1126,16 @@ def _decide_exactly(sentence: Exists | Forall, depth: int, tries: Iterator) -> D
     pair, only a true universal or a false existential: a certificate
     would be one of the other variable), with its certificate _certified
     against the sentence's own body, so that every elimination on the way
-    is checked; else _decide_block at depth 1 or 2."""
-    for (left, pair), _ in zip(_eliminations(sentence) if depth > 1 else (), tries):
+    is checked; else _decide_block's.  Both take the block as read once:
+    (x, None, body) at depth 1, with no walk, else by _prenex_pair."""
+    pair = (sentence.var, None, sentence.body) if depth == 1 else _prenex_pair(sentence)
+    for (left, outer), _ in zip(_eliminations(sentence, pair) if depth > 1 else (), tries):
         decision = _decide(left, None, tries)
-        if decision is None or pair and decision.truth is isinstance(sentence, Exists):
+        if decision is None or outer and decision.truth is isinstance(sentence, Exists):
             continue
         if decision.certificate is None or _certified(sentence, decision, tries):
             return decision
-    return _decide_block(sentence, depth) if depth <= 2 else None
+    return _decide_block(sentence, pair)
 
 
 def _certified(sentence: Exists | Forall, decision: Decision, tries: Iterator) -> bool:
@@ -1154,24 +1150,23 @@ def _certified(sentence: Exists | Forall, decision: Decision, tries: Iterator) -
     return check is not None and check.truth is decision.truth
 
 
-def _decide_block(sentence: Exists | Forall, depth: int) -> Decision | None:
-    """Exact decision of an NNF sentence Q x. body or Q x. Q y. body with
-    depth quantifiers on a path (see _prenex_pair, whose walk depth 1 skips:
-    then y is None and the body is the sentence's), by exists x (A | B) ==
-    exists x A | exists x B over the DNF of the body (of its negation for
-    forall).  Each disjunct takes the first step that holds: the normal form
-    in x (_conjunction_query, which refuses a literal that holds y); the
-    cell step, where _no_point proves it has no point (MAX_CELLS cells in
-    all) and it is dropped, before the split, which would double its work
-    (a point _probe meets ends the step at once, with no cell spent);
-    the split of its first !(s = t) (_unequal); _slab_cases.  None when none
-    holds, or past MAX_DISJUNCTS.  Each query gives its witness first in the
-    scan order 0, 1, -1, ...: the least positive one if it is at most the
-    |x| of the nonpositive one nearest 0, else that one; the certificate, a
-    value of x, is the first of those in that order, checked against the
-    whole body at y = 0 (its disjunct is free of y).  An empty DNF (that of
-    !p1) has no disjunct to satisfy."""
-    pair = (sentence.var, None, sentence.body) if depth == 1 else _prenex_pair(sentence)
+def _decide_block(sentence: Exists | Forall, pair: tuple | None) -> Decision | None:
+    """Exact decision of an NNF sentence Q x. body or Q x. Q y. body that
+    pair reads as (x, y, body) (see _prenex_pair; y is None at depth 1, and
+    a pair of None declines), by exists x (A | B) == exists x A | exists x B
+    over the DNF of the body (of its negation for forall).  Each disjunct
+    takes the first step that holds: the normal form in x
+    (_conjunction_query, which refuses a literal that holds y); the cell
+    step, where _no_point proves it has no point (MAX_CELLS cells in all)
+    and it is dropped, before the split, which would double its work (a
+    point _probe meets ends the step at once, with no cell spent); the
+    split of its first !(s = t) (_unequal, the one split of a !=);
+    _slab_cases.  None when none holds, or past MAX_DISJUNCTS.  Each query
+    gives its witness first in the scan order 0, 1, -1, ...: the least
+    positive one if it is at most the |x| of the nonpositive one nearest 0,
+    else that one; the certificate, a value of x, is the first of those in
+    that order, checked against the whole body at y = 0 (its disjunct is
+    free of y).  An empty DNF (that of !p1) has no disjunct to satisfy."""
     if pair is None:
         return None
     (x, y, body), existential = pair, isinstance(sentence, Exists)
@@ -1206,12 +1201,12 @@ def _decide_block(sentence: Exists | Forall, depth: int) -> Decision | None:
 # Z[phi] ((a, b) = (1, 0), (0, 1) or (1, 1)) and t free of x, x is a term
 # in t.
 
-def _eliminations(sentence: Exists | Forall) -> Iterator[tuple[Formula, bool]]:
+def _eliminations(sentence: Exists | Forall, pair: tuple | None) -> Iterator[tuple[Formula, bool]]:
     """Each (sentence equivalent to the NNF sentence with one quantifier
     removed by _pinned, whether it was the outer one of a pair).  First each
     quantifier inside, innermost first, whose body is quantifier-free, in
-    place, as free | exists v. kept; then the x of a pair Q x. Q y. body of
-    _prenex_pair, with exists x commuted past exists y:
+    place, as free | exists v. kept; then the x of the block Q x. Q y. body
+    that pair reads (see _prenex_pair), with exists x commuted past exists y:
         exists y. free | exists x. exists y. kept,
     whose certificate would be one of y."""
     for node in _quantifiers(sentence.body):
@@ -1220,7 +1215,7 @@ def _eliminations(sentence: Exists | Forall) -> Iterator[tuple[Formula, bool]]:
             free, kept = parts
             out = _either(free + [[Exists(node.var, _either(kept))]] * bool(kept))
             yield _replace(sentence, node, out if inner else nnf(out, negated=True)), False
-    existential, pair = type(sentence) is Exists, _prenex_pair(sentence)
+    existential = type(sentence) is Exists
     if pair is not None and (parts := _pinned(pair[2], pair[0], existential)) is not None:
         (x, y, _), (free, kept) = pair, parts
         out = _either([[Exists(y, _either(free))]] * bool(free)
@@ -1309,9 +1304,8 @@ def _form(c: int, *parts: tuple[int, Term]) -> Term:
     out = None
     for k, s in parts:
         if k:
-            s = s if k == 1 else Scale(k, s)
-            out = s if out is None else Add(out, s)
-    return Const(c) if out is None else Add(out, Const(c)) if c else out
+            out = _joined(Add, out, s if k == 1 else Scale(k, s))
+    return _joined(Add, out, Const(c) if c else None) or Const(0)
 
 
 def _folds(t: Term, conjuncts: list[Formula]) -> tuple[list[Formula], Term]:
@@ -1336,14 +1330,11 @@ def _folds(t: Term, conjuncts: list[Formula]) -> tuple[list[Formula], Term]:
 
 
 def _either(disjuncts: list[list[Formula]]) -> Formula:
-    """The disjunction of the conjunctions of the lists; 0 < 0 for none."""
+    """The disjunction of the conjunctions of the nonempty lists; 0 < 0 for none."""
     out = None
     for conjuncts in disjuncts:
-        conjunction = conjuncts[0]
-        for e in conjuncts[1:]:
-            conjunction = And(conjunction, e)
-        out = conjunction if out is None else Or(out, conjunction)
-    return Cmp(Const(0), "<", Const(0)) if out is None else out
+        out = _joined(Or, out, reduce(And, conjuncts))
+    return out or Cmp(Const(0), "<", Const(0))
 
 
 # --- cell step --------------------------------------------------------------
@@ -1396,21 +1387,18 @@ def _atom(e: Formula, x: str, y: str | None = None) -> tuple | None:
     """s < t as E = s - t + 1 <= 0, s = t as E = s - t = 0 and !(s = t) as
     E = s - t != 0, kept as (the relation of E to 0, E's coefficients of x
     and y, its constant, ((a, b, c, d, e), w) for each
-    w*f(a*x + b*y + c + d*f(x) + e*f(y)) in it); None for any other atom, or
-    one with f of a term that holds a name other than x and y."""
+    w*f(a*x + b*y + c + d*f(x) + e*f(y)) in it), from one _affine walk of
+    s - t; None for any other atom, or one with f of a term that holds a
+    name other than x and y."""
     rel = "!=" if type(e) is Not and type(e.body) is Cmp else e.rel if type(e) is Cmp else None
     if rel is None:
         return None
     e = e.body if rel == "!=" else e
-    left, right = _affine(e.left, x, y), _affine(e.right, x, y)
-    if left is None or right is None:
+    form = _affine(Sub(e.left, e.right), x, y)
+    if form is None or any(type(key) is F and w for key, w in form.items()):
         return None
-    for key, v in right.items():
-        left[key] = left.get(key, 0) - v
-    if any(type(key) is F and w for key, w in left.items()):
-        return None
-    terms = tuple((key, w) for key, w in left.items() if type(key) is tuple and w)
-    return rel, left.get(x, 0), left.get(y, 0), left.get(1, 0) + (rel == "<"), terms
+    terms = tuple((key, w) for key, w in form.items() if type(key) is tuple and w)
+    return rel, form.get(x, 0), form.get(y, 0), form.get(1, 0) + (rel == "<"), terms
 
 
 def _no_point(atoms: list[tuple], cells: Iterator) -> bool:

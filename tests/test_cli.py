@@ -76,6 +76,8 @@ GOLDEN = [
     (["decide", "exists x. (f(x) = 3*x & 0 < x | f(x) = 4*x + 1 & 0 < x)"], 1,
      "False (exact)\n"),
     (["decide", "exists x. (0 < x & f(x) != x + 1)"], 0, "True (exact); witness 1\n"),
+    # an f-free != stays one literal until the exact route's one split of it
+    (["decide", "exists x. x > 0 & x != 1"], 0, "True (exact); witness 2\n"),
     (["decide", "forall x. (x < 1 | f(x) = x + 1 | f(x) = x + 2)"], 1,
      "False (exact); counterexample 1\n"),
     (["decide", "forall x. forall y. 0 < 1"], 0, "True (exact)\n"),

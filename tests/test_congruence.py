@@ -368,7 +368,8 @@ checks = [
     (logic, "_query_holds", lambda query, x: False,
      lambda: logic.decide_existential_nf(query("exists x. x = -3"))),
     (logic, "evaluate", lambda *args: logic.Decision(False),
-     lambda: logic._decide_block(logic.nnf(logic.parse("exists x. x = 3")), 1)),
+     lambda: logic._decide_block(logic.nnf(logic.parse("exists x. x = 3")),
+                                 ("x", None, logic.parse("x = 3")))),
 ]
 for number, (module, name, refuse, check) in enumerate(checks):
     kept = getattr(module, name)
