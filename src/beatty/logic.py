@@ -1126,16 +1126,19 @@ def _decide_exactly(sentence: Exists | Forall, depth: int, tries: Iterator) -> D
     pair, only a true universal or a false existential: a certificate
     would be one of the other variable), with its certificate _certified
     against the sentence's own body, so that every elimination on the way
-    is checked; else _decide_block's.  Both take the block as read once:
-    (x, None, body) at depth 1, with no walk, else by _prenex_pair."""
+    is checked; else _decide_block's (None with no pair).  Both take the
+    block as read once, (x, None, body) at depth 1 with no walk, else by
+    _prenex_pair, and the one DNF of its body (of its negation for forall)."""
     pair = (sentence.var, None, sentence.body) if depth == 1 else _prenex_pair(sentence)
-    for (left, outer), _ in zip(_eliminations(sentence, pair) if depth > 1 else (), tries):
+    body = pair and (pair[2] if type(sentence) is Exists else nnf(pair[2], negated=True))
+    todo = pair and _dnf(body, pair[0])
+    for (left, outer), _ in zip(_eliminations(sentence, pair, todo) if depth > 1 else (), tries):
         decision = _decide(left, None, tries)
         if decision is None or outer and decision.truth is isinstance(sentence, Exists):
             continue
         if decision.certificate is None or _certified(sentence, decision, tries):
             return decision
-    return _decide_block(sentence, pair)
+    return pair and _decide_block(sentence, pair, todo)
 
 
 def _certified(sentence: Exists | Forall, decision: Decision, tries: Iterator) -> bool:
@@ -1150,11 +1153,11 @@ def _certified(sentence: Exists | Forall, decision: Decision, tries: Iterator) -
     return check is not None and check.truth is decision.truth
 
 
-def _decide_block(sentence: Exists | Forall, pair: tuple | None) -> Decision | None:
+def _decide_block(sentence: Exists | Forall, pair: tuple, todo: list | None) -> Decision | None:
     """Exact decision of an NNF sentence Q x. body or Q x. Q y. body that
-    pair reads as (x, y, body) (see _prenex_pair; y is None at depth 1, and
-    a pair of None declines), by exists x (A | B) == exists x A | exists x B
-    over the DNF of the body (of its negation for forall).  Each disjunct
+    pair reads as (x, y, body) (see _prenex_pair; y is None at depth 1), by
+    exists x (A | B) == exists x A | exists x B over todo, the DNF of the
+    body (of its negation for forall), which it consumes.  Each disjunct
     takes the first step that holds: the normal form in x
     (_conjunction_query, which refuses a literal that holds y); the cell
     step, where _no_point proves it has no point (MAX_CELLS cells in all)
@@ -1167,10 +1170,7 @@ def _decide_block(sentence: Exists | Forall, pair: tuple | None) -> Decision | N
     else that one; the certificate, a value of x, is the first of those in
     that order, checked against the whole body at y = 0 (its disjunct is
     free of y).  An empty DNF (that of !p1) has no disjunct to satisfy."""
-    if pair is None:
-        return None
-    (x, y, body), existential = pair, isinstance(sentence, Exists)
-    todo = _dnf(body if existential else nnf(body, negated=True), x)
+    (x, y, _), existential = pair, isinstance(sentence, Exists)
     queries: list[NormalFormQuery] = []
     cells = iter(range(MAX_CELLS))  # the budget, one item per case and cell
     while todo and len(queries) + len(todo) <= MAX_DISJUNCTS:
@@ -1201,26 +1201,27 @@ def _decide_block(sentence: Exists | Forall, pair: tuple | None) -> Decision | N
 # Z[phi] ((a, b) = (1, 0), (0, 1) or (1, 1)) and t free of x, x is a term
 # in t.
 
-def _eliminations(sentence: Exists | Forall, pair: tuple | None) -> Iterator[tuple[Formula, bool]]:
+def _eliminations(sentence: Exists | Forall, pair: tuple | None,
+                  disjuncts: list | None) -> Iterator[tuple[Formula, bool]]:
     """Each (sentence equivalent to the NNF sentence with one quantifier
-    removed by _pinned, whether it was the outer one of a pair).  First each
-    quantifier inside, innermost first, whose body is quantifier-free, in
-    place, as free | exists v. kept; then the x of the block Q x. Q y. body
-    that pair reads (see _prenex_pair), with exists x commuted past exists y:
-        exists y. free | exists x. exists y. kept,
-    whose certificate would be one of y."""
+    removed by _pinned, whether it was the outer one of a pair).  Where pair
+    reads the block Q x. Q y. body (see _prenex_pair), disjuncts is the DNF
+    of the body (of its negation for forall), and y goes first, in place,
+    then x, commuted past y, as exists y. (free | exists x. kept), whose
+    certificate would be one of y.  Else each quantifier inside, innermost
+    first, whose body is quantifier-free, in place."""
+    if pair is not None:
+        x, y, _ = pair
+        for v, w in ((y, x), (x, y)):
+            if (out := _pinned(v, disjuncts)) is not None:
+                out = Exists(w, out)
+                yield (out if type(sentence) is Exists else nnf(out, negated=True)), v == x
+        return
     for node in _quantifiers(sentence.body):
         inner = type(node) is Exists
-        if not _depth(node.body) and (parts := _pinned(node.body, node.var, inner)) is not None:
-            free, kept = parts
-            out = _either(free + [[Exists(node.var, _either(kept))]] * bool(kept))
+        if not _depth(node.body) and (out := _pinned(node.var, _dnf(
+                node.body if inner else nnf(node.body, negated=True)))) is not None:
             yield _replace(sentence, node, out if inner else nnf(out, negated=True)), False
-    existential = type(sentence) is Exists
-    if pair is not None and (parts := _pinned(pair[2], pair[0], existential)) is not None:
-        (x, y, _), (free, kept) = pair, parts
-        out = _either([[Exists(y, _either(free))]] * bool(free)
-                      + [[Exists(x, Exists(y, _either(kept)))]] * bool(kept))
-        yield (out if existential else nnf(out, negated=True)), True
 
 
 def _quantifiers(formula: Formula) -> Iterator[Exists | Forall]:
@@ -1233,21 +1234,12 @@ def _quantifiers(formula: Formula) -> Iterator[Exists | Forall]:
         yield formula
 
 
-def _may_pin(body: Formula, x: str, existential: bool) -> bool:
-    """Whether an equality that pins x (_pin) is among the literals of the
-    NNF body, or, for forall, of its negation: the test before its DNF."""
-    if type(body) in (And, Or):
-        return _may_pin(body.left, x, existential) or _may_pin(body.right, x, existential)
-    atom = body if existential else body.body if type(body) is Not else None
-    return atom is not None and _pin(atom, x) is not None
-
-
-def _pinned(body: Formula, x: str, existential: bool) -> tuple[list, list] | None:
-    """exists x. body, over the DNF of the NNF body (of its negation for
-    forall), as (conjunct lists free of x, conjunct lists that keep x), when
-    each list holds an equality that pins x (_pin); None when one does not,
-    or past MAX_DISJUNCTS.  A list goes over at each value x can take, with
-    the equality kept, since it says whether that value is a solution:
+def _pinned(x: str, disjuncts: list[list[Formula]] | None) -> Formula | None:
+    """exists x. D, for the DNF D of conjunct lists, as free | exists x.
+    kept, two such DNFs, when each list holds an equality that pins x
+    (_pin); None when one does not, or for a D of None (past MAX_DISJUNCTS).
+    A list goes over at each value x can take, with the equality kept, since
+    it says whether that value is a solution:
       x = t: x := t;
       f(x) = t: x := f(t) - t + 1, the one solution where t >= 1.  Where
         t <= 0 the solutions are every x <= 0 when t = 0, so the list
@@ -1255,10 +1247,7 @@ def _pinned(body: Formula, x: str, existential: bool) -> tuple[list, list] | Non
         (dropped when its order atoms over x alone leave no integer);
       f(x) + x = t: x := 2t - f(t), the one solution where t >= 1, and
         x := t, the one where t <= 0.
-    f(t) is taken as _folds gives it."""
-    if not _may_pin(body, x, existential):
-        return None
-    disjuncts = _dnf(body if existential else nnf(body, negated=True))
+    f(t) is taken as _folds gives it.  An empty D (that of !p1) is 0 < 0."""
     if disjuncts is None:
         return None
     free, kept, var = [], [], Var(x)
@@ -1280,7 +1269,7 @@ def _pinned(body: Formula, x: str, existential: bool) -> tuple[list, list] | Non
             rest.append(Cmp(var, "<", Const(1)))
             if _order_query(x, rest) is not None:  # else they leave no integer
                 kept.append([Cmp(t, "=", Const(0)), *rest])
-    return free, kept
+    return _either(free + [[Exists(x, _either(kept))]] * bool(kept))
 
 
 def _pin(e: Formula, x: str) -> tuple[tuple[int, int], Term] | None:

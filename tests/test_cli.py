@@ -97,6 +97,9 @@ GOLDEN = [
     (["decide", "exists x. (-50 < x & x < 10 & p7(x - 3))"], 0, "True (exact); witness 3\n"),
     (["decide", "forall x. (f(f(x)) = f(x) + x - 1 | x < 1)"], 0, "True (exact)\n"),
     (["decide", "forall x. (f(x + f(x)) = x + 2*f(x) | x < 1)"], 0, "True (exact)\n"),
+    # f nested twice in a pair: _slab_cases rewrites f(f(x)), and the cell step drops both cases
+    (["decide", "forall x. forall y. x < 1 | y < 1 | f(f(f(x)) + y) >= f(f(f(x))) + f(y)"], 0,
+     "True (exact)\n"),
     # a zone of about 71,500 points, read only up to the least witness
     (["decide", "exists x. (100000*f(x) > 161802*x & x > 0 & p7(f(x)))"], 0,
      "True (exact); witness 610\n"),
@@ -138,6 +141,9 @@ GOLDEN = [
     # a conjunction keeps one residue per divisibility on x + k: 4^5 products, none left
     (["decide", "forall x. p5(x) | p5(x+1) | p5(x+2) | p5(x+3) | p5(x+4)"], 0, "True (exact)\n"),
     (["decide", "exists x. !p1(x)"], 1, "False (exact)\n"),
+    # an inner exists z whose body holds !p1(z) has an empty DNF: z is eliminated to 0 < 0
+    (["decide", "forall x. !(forall y. forall z. p1(z) | !(y = f(-90)))"], 1,
+     "False (exact); counterexample 0\n"),
     (["decide", "forall x. p3(f(x)) | p3(f(x) + 1)"], 1, "False (exact); counterexample 1\n"),
     # criterion 07's literal claim, false in the standard model
     (["decide", "forall x. x < 1 | !(f(x) > 7) | 3*x >= 16"], 1,

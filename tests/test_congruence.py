@@ -369,7 +369,7 @@ checks = [
      lambda: logic.decide_existential_nf(query("exists x. x = -3"))),
     (logic, "evaluate", lambda *args: logic.Decision(False),
      lambda: logic._decide_block(logic.nnf(logic.parse("exists x. x = 3")),
-                                 ("x", None, logic.parse("x = 3")))),
+                                 ("x", None, logic.parse("x = 3")), [[logic.parse("x = 3")]])),
 ]
 for number, (module, name, refuse, check) in enumerate(checks):
     kept = getattr(module, name)

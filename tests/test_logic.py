@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 import sys
@@ -1348,9 +1349,18 @@ def test_single_slab_rewrite_declines_to_bounded_evaluation(text, decision):
     assert decide(parse(text), bound=30) == decision
 
 
+def _read(sentence):
+    """(pair, DNF) of the NNF sentence's block as _decide_exactly reads them:
+    by _prenex_pair, and the DNF of its body (of its negation for forall)."""
+    pair = logic._prenex_pair(sentence)
+    body = pair and (pair[2] if type(sentence) is Exists else nnf(pair[2], negated=True))
+    return pair, pair and logic._dnf(body, pair[0])
+
+
 def _block(sentence):
-    """_decide_block of the NNF sentence, with its block read by _prenex_pair."""
-    return logic._decide_block(sentence, logic._prenex_pair(sentence))
+    """_decide_block of the NNF sentence, with its block read by _read."""
+    pair, todo = _read(sentence)
+    return pair and logic._decide_block(sentence, pair, todo)
 
 
 @pytest.mark.parametrize("terms,provenance", [(6, EXACT), (7, BOUNDED)])
@@ -2027,6 +2037,50 @@ def test_a_sentence_and_its_negation_get_two_truths_where_both_are_exact():
     assert pairs >= 400  # 421 when written: the draw keeps asking both
 
 
+def _commuted(node):
+    """The formula with the two sides of every & and | swapped."""
+    if type(node) in (And, Or):
+        return type(node)(_commuted(node.right), _commuted(node.left))
+    return node._make(_commuted(c) if isinstance(c, tuple) else c for c in node)
+
+
+def test_a_sentence_with_every_and_and_or_commuted_gets_its_truth_where_both_are_exact():
+    # Every closed draw of seed 1 whose decide and whose commuted copy's
+    # decide are both exact: the truths agree.  A conflict is a defect of
+    # the decider: the draw stays as it is.
+    rng = random.Random(1)
+    pairs = 0
+    for _ in range(500):
+        sentence = random_formula(rng, 5)
+        one, other = decide(sentence, 100), decide(_commuted(sentence), 100)
+        if EXACT == one.provenance == other.provenance and None not in (one.truth, other.truth):
+            pairs += 1
+            assert one.truth is other.truth, format_formula(sentence)
+    assert pairs >= 400  # 421 when written: the draw keeps asking both
+
+
+def _renamed(node, names, fresh):
+    """The formula with each bound variable given the next name of fresh."""
+    if type(node) is Var:
+        return Var(names.get(node.name, node.name))
+    if type(node) in (Exists, Forall):
+        name = next(fresh)
+        return type(node)(name, _renamed(node.body, {**names, node.var: name}, fresh))
+    return node._make(_renamed(c, names, fresh) if isinstance(c, tuple) else c for c in node)
+
+
+def test_a_sentence_with_its_bound_variables_renamed_gets_the_same_decision():
+    # Every closed draw of seed 1, with each quantifier's variable renamed
+    # to one no other quantifier uses, gets the same Decision, certificate
+    # and provenance included.  A difference is a defect of the decider:
+    # the draw stays as it is.
+    rng = random.Random(1)
+    for _ in range(500):
+        sentence = random_formula(rng, 5)
+        renamed = _renamed(sentence, {}, (f"r{k}" for k in itertools.count()))
+        assert decide(renamed, 100) == decide(sentence, 100), format_formula(sentence)
+
+
 def test_each_disjunct_takes_the_first_of_the_four_steps_in_order(monkeypatch):
     # the normal form, the cell step (_no_point), the split of a !(s = t)
     # (_unequal), the slabs (_slab_cases, which reads _folds): a disjunct
@@ -2061,6 +2115,19 @@ def test_a_block_is_read_once_per_decision(monkeypatch):
     text = "forall x. forall y. f(x + y + 3) < f(x + 3) + f(y) + 2"
     assert decide(parse(text)) == Decision(True)
     assert len(calls) == 1
+
+
+def test_a_block_has_one_dnf_per_decision(monkeypatch):
+    # both eliminations of the pair read the DNF that _decide_exactly builds
+    # for _decide_block: one _dnf call, from outside _dnf, per block decided
+    # (the pair, what is left once y is pinned, and the certificate's check)
+    callers = []
+    dnf = logic._dnf
+    monkeypatch.setattr(logic, "_dnf", lambda *args: (
+        callers.append(sys._getframe(1).f_code.co_name), dnf(*args))[1])
+    text = "exists x. exists y. y = x + 1 & P[2,3,1,1](x, y + 5)"
+    assert decide(parse(text)) == Decision(True, certificate=0)
+    assert [name for name in callers if name != "_dnf"] == ["_decide_exactly"] * 3
 
 
 def _atom_of_two_readings(e, x, y=None):
@@ -2122,7 +2189,7 @@ def test_elimination_agrees_with_a_scan_of_x(rng, existential):
     inner = f"exists x. ({body})" if existential else f"forall x. !({body})"
     outer = "forall" if existential else "exists"  # of the other kind: no pair
     sentence = nnf(parse(f"{outer} n. {inner}"))
-    residual, was_outer = next(logic._eliminations(sentence, logic._prenex_pair(sentence)))
+    residual, was_outer = next(logic._eliminations(sentence, *_read(sentence)))
     assert not was_outer and logic._depth(residual.body) <= 1, inner
     for n in range(-12, 13):
         t = p * n + q * f_floor(n) + c
@@ -2157,10 +2224,10 @@ def test_eliminations_take_an_inner_quantifier_in_place_before_a_pair():
     sentence = logic._miniscope(nnf(parse(
         "exists n. n > 0 & (exists x. f(x) = n) & (exists y. f(y) + y = n)")))
     names = lambda formula: [q.var for q in logic._quantifiers(formula)]
-    left, outer = next(logic._eliminations(sentence, logic._prenex_pair(sentence)))
+    left, outer = next(logic._eliminations(sentence, *_read(sentence)))
     assert not outer and names(left) == ["y", "n"]
     assert logic._prenex_pair(left)[:2] == ("n", "y")
-    left, outer = next(logic._eliminations(left, logic._prenex_pair(left)))
+    left, outer = next(logic._eliminations(left, *_read(left)))
     assert not outer and names(left) == ["n"] and not _f_nested_twice(left)
     assert logic._decide(left, None, iter(range(MAX_DISJUNCTS))) == Decision(False)
 
@@ -2180,7 +2247,7 @@ def test_a_certificate_from_an_elimination_is_checked_against_the_body(text, che
     sentence = nnf(parse(text))
     bogus = parse("exists x. x = 7")
     monkeypatch.setattr(logic, "_eliminations",
-                        lambda s, pair: iter([(bogus, False)] if s == sentence else []))
+                        lambda s, pair, todo: iter([(bogus, False)] if s == sentence else []))
     at_seven = logic._replace(sentence.body, Var("x"), Const(7))
     assert logic._decide(at_seven, None, iter(range(MAX_DISJUNCTS))) == check
     assert logic._decide(bogus, None, iter(range(1))) == Decision(True, certificate=7)
@@ -2197,10 +2264,9 @@ def test_a_certificate_is_not_checked_where_the_body_binds_its_variable_again():
 
 def test_a_pinned_quantifier_whose_dnf_passes_the_disjunct_cap_is_not_eliminated():
     # x = n pins x, but !p70(x) is 69 disjuncts, past MAX_DISJUNCTS
-    body = nnf(parse("x = n & !p70(x)"))
-    assert logic._may_pin(body, "x", True) and logic._pinned(body, "x", True) is None
+    assert logic._dnf(nnf(parse("x = n & !p70(x)"))) is None and logic._pinned("x", None) is None
     sentence = nnf(parse("forall n. n < 1 | exists x. (x = n & !p70(x))"))
-    assert list(logic._eliminations(sentence, logic._prenex_pair(sentence))) == []
+    assert list(logic._eliminations(sentence, *_read(sentence))) == []
     assert decide(sentence, bound=80) == Decision(False, BOUNDED, bound=80, certificate=70)
 
 
