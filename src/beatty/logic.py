@@ -1237,9 +1237,10 @@ def _quantifiers(formula: Formula) -> Iterator[Exists | Forall]:
 def _pinned(x: str, disjuncts: list[list[Formula]] | None) -> Formula | None:
     """exists x. D, for the DNF D of conjunct lists, as free | exists x.
     kept, two such DNFs, when each list holds an equality that pins x
-    (_pin); None when one does not, or for a D of None (past MAX_DISJUNCTS).
-    A list goes over at each value x can take, with the equality kept, since
-    it says whether that value is a solution:
+    (_pin) or is free of x (and goes over as it is, by x := x); None when
+    one does not, or for a D of None (past MAX_DISJUNCTS).  A list goes over
+    at each value x can take, with the equality kept, since it says whether
+    that value is a solution:
       x = t: x := t;
       f(x) = t: x := f(t) - t + 1, the one solution where t >= 1.  Where
         t <= 0 the solutions are every x <= 0 when t = 0, so the list
@@ -1252,8 +1253,8 @@ def _pinned(x: str, disjuncts: list[list[Formula]] | None) -> Formula | None:
         return None
     free, kept, var = [], [], Var(x)
     for conjuncts in disjuncts:
-        e, shape, t = next(((e, *p) for e in conjuncts if (p := _pin(e, x))), (None,) * 3)
-        if e is None:
+        e, shape, t = next(((e, *p) for e in conjuncts if (p := _pin(e, x))), (None, (1, 0), var))
+        if e is None and any(x in free_vars(c) for c in conjuncts):
             return None
         values = [] if shape == (0, 1) else [([], t)]
         if shape != (1, 0):

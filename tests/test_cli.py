@@ -144,6 +144,11 @@ GOLDEN = [
     # an inner exists z whose body holds !p1(z) has an empty DNF: z is eliminated to 0 < 0
     (["decide", "forall x. !(forall y. forall z. p1(z) | !(y = f(-90)))"], 1,
      "False (exact); counterexample 0\n"),
+    # a pair whose DNF has a disjunct free of y: it goes over as it is while y is pinned
+    (["decide", "exists x. x > 0 & (x < 0 | exists y. (y = 2*x & p2(y + 1)))"], 1,
+     "False (exact)\n"),
+    (["decide", "forall x. x < 1 | (x > 0 & forall y. (!(y = 2*x) | p2(y)))"], 0,
+     "True (exact)\n"),
     (["decide", "forall x. p3(f(x)) | p3(f(x) + 1)"], 1, "False (exact); counterexample 1\n"),
     # criterion 07's literal claim, false in the standard model
     (["decide", "forall x. x < 1 | !(f(x) > 7) | 3*x >= 16"], 1,

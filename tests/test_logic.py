@@ -1350,11 +1350,15 @@ def test_single_slab_rewrite_declines_to_bounded_evaluation(text, decision):
 
 
 def _read(sentence):
-    """(pair, DNF) of the NNF sentence's block as _decide_exactly reads them:
-    by _prenex_pair, and the DNF of its body (of its negation for forall)."""
-    pair = logic._prenex_pair(sentence)
-    body = pair and (pair[2] if type(sentence) is Exists else nnf(pair[2], negated=True))
-    return pair, pair and logic._dnf(body, pair[0])
+    """(pair, DNF) of the NNF sentence's block, (None, None) where it has no
+    pair: taken from _decide_exactly itself, as it hands them to
+    _decide_block, with no elimination tried."""
+    read = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(logic, "_eliminations", lambda *args: iter(()))
+        patch.setattr(logic, "_decide_block", lambda s, *args: read.append(args))
+        logic._decide_exactly(sentence, logic._depth(sentence), iter(range(MAX_DISJUNCTS)))
+    return read[0] if read else (None, None)
 
 
 def _block(sentence):
@@ -2262,9 +2266,27 @@ def test_a_certificate_is_not_checked_where_the_body_binds_its_variable_again():
     assert decide(sentence) == Decision(True, certificate=3)
 
 
+@pytest.mark.parametrize("text,decision", [
+    ("exists x. (x < 0 | exists y. (y = f(x) & p3(y)))", Decision(True, certificate=0)),
+    ("exists x. x > 3 & (x < 0 | exists y. (y = f(x) & p3(y)))", Decision(True, certificate=4)),
+    ("exists x. x > 0 & (x < 0 | exists y. (y = 2*x & p2(y + 1)))", Decision(False)),
+    ("forall x. x < 1 | (x > 0 & forall y. (!(y = 2*x) | p2(y)))", Decision(True)),
+    ("forall x. 3 < x | (x < 0 & forall y. (!(y = f(x)) | p3(y)))", Decision(False, certificate=0)),
+])
+def test_a_disjunct_free_of_the_pinned_variable_goes_over_as_it_is(text, decision):
+    # exists y. D == D where y is not free in D: the pair's y is pinned from
+    # the block's DNF though one disjunct has no y, and the rest is exact
+    sentence = logic._miniscope(nnf(parse(text)))
+    left, outer = next(logic._eliminations(sentence, *_read(sentence)))
+    assert not outer and logic._depth(left) == 1
+    assert logic._decide(sentence, None, iter(range(MAX_DISJUNCTS))) == decision
+
+
 def test_a_pinned_quantifier_whose_dnf_passes_the_disjunct_cap_is_not_eliminated():
-    # x = n pins x, but !p70(x) is 69 disjuncts, past MAX_DISJUNCTS
+    # x = n pins x, but !p70(x) is 69 disjuncts, past MAX_DISJUNCTS; !p65(x)
+    # is 64, under it, so the cap, not a missing pin, is why x stays
     assert logic._dnf(nnf(parse("x = n & !p70(x)"))) is None and logic._pinned("x", None) is None
+    assert logic._pinned("x", logic._dnf(nnf(parse("x = n & !p65(x)")))) is not None
     sentence = nnf(parse("forall n. n < 1 | exists x. (x = n & !p70(x))"))
     assert list(logic._eliminations(sentence, *_read(sentence))) == []
     assert decide(sentence, bound=80) == Decision(False, BOUNDED, bound=80, certificate=70)
