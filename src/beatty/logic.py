@@ -734,13 +734,13 @@ def nnf(formula: Formula, negated: bool = False) -> Formula:
     raise TypeError(f"not a formula: {formula!r}")
 
 
-def _depth(formula: Formula) -> int:
-    """The most quantifiers on one path down the NNF formula."""
-    if isinstance(formula, (And, Or)):
-        return max(_depth(formula.left), _depth(formula.right))
-    if isinstance(formula, (Exists, Forall)):
-        return 1 + _depth(formula.body)
-    return 0
+def _quantifiers(formula: Formula) -> list[Exists | Forall]:
+    """The quantifiers of the NNF formula, inner ones first."""
+    if type(formula) in (And, Or):
+        return _quantifiers(formula.left) + _quantifiers(formula.right)
+    if type(formula) in (Exists, Forall):
+        return _quantifiers(formula.body) + [formula]
+    return []
 
 
 def _miniscope(formula: Formula, top: bool = True) -> Formula:
@@ -1101,11 +1101,11 @@ def _decide(sentence: Formula, bound: int | None, tries: Iterator) -> Decision |
     alone, and None where one of them declines.  A bounded certificate is
     dropped where the exact routes decide the body at it with the other
     truth.  tries is the budget of eliminations, one item each."""
-    depth = _depth(sentence)
-    if depth == 0:
+    quantifiers = _quantifiers(sentence)
+    if not quantifiers:
         return evaluate(sentence, {}, bound or 0)
     if isinstance(sentence, (Exists, Forall)):
-        decision = _decide_exactly(sentence, depth, tries)
+        decision = _decide_exactly(sentence, quantifiers[:-1], tries)
         if decision is None and bound is not None:
             decision = evaluate(sentence, {}, bound)
             if (decision.provenance == BOUNDED and decision.certificate is not None
@@ -1119,20 +1119,20 @@ def _decide(sentence: Formula, bound: int | None, tries: Iterator) -> Decision |
     return None if b is None else _join(a, b, decisive)
 
 
-def _decide_exactly(sentence: Exists | Forall, depth: int, tries: Iterator) -> Decision | None:
-    """The exact decision of an NNF sentence with depth quantifiers on a
-    path, or None: at depth 2 or more, that of the first sentence left by
-    _eliminations that the exact routes decide (after the outer step of a
-    pair, only a true universal or a false existential: a certificate
-    would be one of the other variable), with its certificate _certified
-    against the sentence's own body, so that every elimination on the way
-    is checked; else _decide_block's (None with no pair).  Both take the
-    block as read once, (x, None, body) at depth 1 with no walk, else by
-    _prenex_pair, and the one DNF of its body (of its negation for forall)."""
-    pair = (sentence.var, None, sentence.body) if depth == 1 else _prenex_pair(sentence)
+def _decide_exactly(sentence: Exists | Forall, inner: list, tries: Iterator) -> Decision | None:
+    """The exact decision of an NNF sentence whose body has the quantifiers
+    inner (see _quantifiers), or None: where there are some, that of the
+    first sentence left by _eliminations that the exact routes decide
+    (after the outer step of a pair, only a true universal or a false
+    existential: a certificate would be one of the other variable), with
+    its certificate _certified against the sentence's own body, so that
+    every elimination on the way is checked; else _decide_block's (None
+    with no pair).  Both take the block as _prenex_pair reads it once, and
+    the one DNF of its body (of its negation for forall)."""
+    pair = _prenex_pair(sentence, inner)
     body = pair and (pair[2] if type(sentence) is Exists else nnf(pair[2], negated=True))
     todo = pair and _dnf(body, pair[0])
-    for (left, outer), _ in zip(_eliminations(sentence, pair, todo) if depth > 1 else (), tries):
+    for (left, outer), _ in zip(_eliminations(sentence, pair, todo) if inner else (), tries):
         decision = _decide(left, None, tries)
         if decision is None or outer and decision.truth is isinstance(sentence, Exists):
             continue
@@ -1155,7 +1155,7 @@ def _certified(sentence: Exists | Forall, decision: Decision, tries: Iterator) -
 
 def _decide_block(sentence: Exists | Forall, pair: tuple, todo: list | None) -> Decision | None:
     """Exact decision of an NNF sentence Q x. body or Q x. Q y. body that
-    pair reads as (x, y, body) (see _prenex_pair; y is None at depth 1), by
+    pair reads as (x, y, body) (see _prenex_pair; y None for Q x. body), by
     exists x (A | B) == exists x A | exists x B over todo, the DNF of the
     body (of its negation for forall), which it consumes.  Each disjunct
     takes the first step that holds: the normal form in x
@@ -1219,19 +1219,9 @@ def _eliminations(sentence: Exists | Forall, pair: tuple | None,
         return
     for node in _quantifiers(sentence.body):
         inner = type(node) is Exists
-        if not _depth(node.body) and (out := _pinned(node.var, _dnf(
+        if not _quantifiers(node.body) and (out := _pinned(node.var, _dnf(
                 node.body if inner else nnf(node.body, negated=True)))) is not None:
             yield _replace(sentence, node, out if inner else nnf(out, negated=True)), False
-
-
-def _quantifiers(formula: Formula) -> Iterator[Exists | Forall]:
-    """The quantifiers of the NNF formula, inner ones first."""
-    if type(formula) in (And, Or):
-        yield from _quantifiers(formula.left)
-        yield from _quantifiers(formula.right)
-    elif type(formula) in (Exists, Forall):
-        yield from _quantifiers(formula.body)
-        yield formula
 
 
 def _pinned(x: str, disjuncts: list[list[Formula]] | None) -> Formula | None:
@@ -1350,27 +1340,24 @@ _SQUARE = [((0, 0, 0, 0, 1), ((0, 0), (1, 0), (0, 0))), ((1, 0, 0, 0, 1), ((1, 0
 _square_floors = lru_cache(maxsize=1024)(lambda line: _floors(_SQUARE, line))  # once per line
 
 
-def _prenex_pair(sentence: Exists | Forall) -> tuple[str, str | None, Formula] | None:
-    """(x, y, body) when the NNF sentence's only quantifiers are itself, over
-    x, and at most one more of its kind over another name y (None when there
-    is none: always so at depth 1), and body is the sentence without them:
-    the & and | around the inner one do not bind y, which is free nowhere
-    else, so the sentence is Q x. Q y. body, the block _decide_block
-    decides."""
-    kind, names = type(sentence), []
-
-    def strip(node: Formula) -> Formula:
-        if type(node) in (Exists, Forall):
-            names.append(node.var if type(node) is kind else None)
-            return strip(node.body)
-        if type(node) in (And, Or):
-            return type(node)(strip(node.left), strip(node.right))
-        return node
-
-    body = strip(sentence)
-    if len(names) > 2 or None in names or names[0] in names[1:]:
+def _prenex_pair(sentence: Exists | Forall, inner: list) -> tuple[str, str | None, Formula] | None:
+    """(x, y, body) when the NNF sentence is over x and inner, the
+    quantifiers of its body, is empty (y None, body the sentence's) or one
+    of its kind over another name y, lifted out of the & and | around it
+    (which do not bind y, free nowhere else): the sentence is then Q x. Q y.
+    body, the block _decide_block decides.  None for any other inner."""
+    if not inner:
+        return sentence.var, None, sentence.body
+    node = inner[0]
+    if len(inner) > 1 or type(node) is not type(sentence) or node.var == sentence.var:
         return None
-    return names[0], names[1] if len(names) == 2 else None, body
+
+    def lift(formula: Formula) -> Formula:
+        if type(formula) in (And, Or):
+            return type(formula)(lift(formula.left), lift(formula.right))
+        return node.body if formula is node else formula
+
+    return sentence.var, node.var, lift(sentence.body)
 
 
 def _atom(e: Formula, x: str, y: str | None = None) -> tuple | None:

@@ -1357,8 +1357,15 @@ def _read(sentence):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(logic, "_eliminations", lambda *args: iter(()))
         patch.setattr(logic, "_decide_block", lambda s, *args: read.append(args))
-        logic._decide_exactly(sentence, logic._depth(sentence), iter(range(MAX_DISJUNCTS)))
+        logic._decide_exactly(sentence, logic._quantifiers(sentence.body),
+                              iter(range(MAX_DISJUNCTS)))
     return read[0] if read else (None, None)
+
+
+def _one_deep(formula) -> bool:
+    """Whether the NNF formula has quantifiers, none holding another."""
+    quantifiers = logic._quantifiers(formula)
+    return bool(quantifiers) and not any(logic._quantifiers(q.body) for q in quantifiers)
 
 
 def _block(sentence):
@@ -1406,13 +1413,13 @@ def test_miniscope_narrows_inner_scopes_and_keeps_the_outermost(text, scoped):
 def test_miniscope_keeps_a_sentence_without_nested_quantifiers():
     # decide miniscopes every sentence, which leaves one with at most one
     # quantifier on each path as it is
-    rng, depths = random.Random(1), []
+    rng, one_deep = random.Random(1), 0
     for _ in range(3000):
         sentence = nnf(random_formula(rng, depth=rng.randint(0, 4), variables=[]))
-        depths.append(logic._depth(sentence))
-        if depths[-1] <= 1:
+        one_deep += _one_deep(sentence)
+        if _one_deep(sentence) or not logic._quantifiers(sentence):
             assert logic._miniscope(sentence) == sentence, format_formula(sentence)
-    assert depths.count(1) > 500
+    assert one_deep > 500
 
 
 def _top_parts(formula):
@@ -2011,7 +2018,7 @@ def test_the_one_variable_and_cell_routes_agree_where_both_answer(monkeypatch):
     rng = random.Random(1)
     sentences = [q for _ in range(1500)
                  for q in logic._quantifiers(logic._miniscope(nnf(random_formula(rng, 5))))
-                 if logic._depth(q.body) == 0 and not free_vars(q)]
+                 if not logic._quantifiers(q.body) and not free_vars(q)]
     answers = [_block(q) for q in sentences]
     monkeypatch.setattr(logic, "_conjunction_query", lambda var, conjuncts: None)
     pairs, cell_alone = 0, []
@@ -2111,13 +2118,17 @@ def test_each_disjunct_takes_the_first_of_the_four_steps_in_order(monkeypatch):
 
 
 def test_a_block_is_read_once_per_decision(monkeypatch):
-    # _eliminations' pair step and _decide_block take the one reading
+    # _eliminations' pair step and _decide_block take the one reading, and a
+    # block of one quantifier is read by it too
     calls = []
     read = logic._prenex_pair
-    monkeypatch.setattr(logic, "_prenex_pair", lambda sentence: (
-        calls.append(sentence), read(sentence))[1])
+    monkeypatch.setattr(logic, "_prenex_pair", lambda sentence, inner: (
+        calls.append(sentence), read(sentence, inner))[1])
     text = "forall x. forall y. f(x + y + 3) < f(x + 3) + f(y) + 2"
     assert decide(parse(text)) == Decision(True)
+    assert len(calls) == 1
+    calls.clear()
+    assert decide(parse("exists x. x > 3")) == Decision(True, certificate=4)
     assert len(calls) == 1
 
 
@@ -2194,7 +2205,8 @@ def test_elimination_agrees_with_a_scan_of_x(rng, existential):
     outer = "forall" if existential else "exists"  # of the other kind: no pair
     sentence = nnf(parse(f"{outer} n. {inner}"))
     residual, was_outer = next(logic._eliminations(sentence, *_read(sentence)))
-    assert not was_outer and logic._depth(residual.body) <= 1, inner
+    assert not was_outer, inner
+    assert _one_deep(residual.body) or not logic._quantifiers(residual.body), inner
     for n in range(-12, 13):
         t = p * n + q * f_floor(n) + c
         reach = abs(t) + 1 + abs(n) + max(abs(g) for _, _, g in atoms) + 1
@@ -2230,7 +2242,7 @@ def test_eliminations_take_an_inner_quantifier_in_place_before_a_pair():
     names = lambda formula: [q.var for q in logic._quantifiers(formula)]
     left, outer = next(logic._eliminations(sentence, *_read(sentence)))
     assert not outer and names(left) == ["y", "n"]
-    assert logic._prenex_pair(left)[:2] == ("n", "y")
+    assert logic._prenex_pair(left, logic._quantifiers(left.body))[:2] == ("n", "y")
     left, outer = next(logic._eliminations(left, *_read(left)))
     assert not outer and names(left) == ["n"] and not _f_nested_twice(left)
     assert logic._decide(left, None, iter(range(MAX_DISJUNCTS))) == Decision(False)
@@ -2278,7 +2290,7 @@ def test_a_disjunct_free_of_the_pinned_variable_goes_over_as_it_is(text, decisio
     # the block's DNF though one disjunct has no y, and the rest is exact
     sentence = logic._miniscope(nnf(parse(text)))
     left, outer = next(logic._eliminations(sentence, *_read(sentence)))
-    assert not outer and logic._depth(left) == 1
+    assert not outer and _one_deep(left)
     assert logic._decide(sentence, None, iter(range(MAX_DISJUNCTS))) == decision
 
 
