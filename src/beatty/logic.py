@@ -1078,15 +1078,17 @@ def decide_existential_nf(query: NormalFormQuery) -> Decision:
 
 
 def decide(sentence: Formula, bound: int = DEFAULT_EVAL_BOUND) -> Decision:
-    """Decide a sentence once it is miniscoped: quantifier-free
-    parts exactly; a nested sentence by what is left once _eliminations
-    removes a quantifier that an equality pins (at most MAX_DISJUNCTS such
-    sentences in one call, since each can be tried in more than one order);
-    Q x. body or Q x. Q y. body by _decide_block, disjunct by disjunct of
-    the body's DNF (its negation's for forall): through the
+    """Decide a sentence once it is miniscoped: quantifier-free parts
+    exactly; a nested sentence by what is left once _eliminations removes
+    a quantifier that an equality pins (at most MAX_DISJUNCTS such
+    sentences in one call, since each can be tried in more than one
+    order); Q x. body or Q x. Q y. body by _decide_block, disjunct by
+    disjunct of the body's DNF (its negation's for forall): through the
     window/congruence pipeline where a disjunct free of y is in the normal
     form or splits into it, and dropped where _no_point proves that no
-    point satisfies it; everything else by bounded evaluation.  A
+    point satisfies it; else Q x. S, x not free in S, as S where that is
+    exact, with 0 (the scan's first point) the certificate of a true
+    exists or a false forall; everything else by bounded evaluation.  A
     top-level & or | decides its right side only when the left is not an
     exact answer that settles it.  Raises ValueError for a negative bound."""
     if free_vars(sentence):
@@ -1107,6 +1109,10 @@ def _decide(sentence: Formula, bound: int | None, tries: Iterator) -> Decision |
     if isinstance(sentence, (Exists, Forall)):
         decision = _decide_exactly(sentence, quantifiers[:-1], tries)
         if decision is None and bound is not None:
+            if sentence.var not in free_vars(sentence.body) and (  # Q x. S is S
+                    inside := _decide(sentence.body, bound, tries)).provenance == EXACT:
+                decisive = inside.truth is isinstance(sentence, Exists)  # so 0 is a certificate
+                return Decision(inside.truth, certificate=0 if decisive else None)
             decision = evaluate(sentence, {}, bound)
             if (decision.provenance == BOUNDED and decision.certificate is not None
                     and _certified(sentence, _negate(decision), tries)):
@@ -1121,14 +1127,14 @@ def _decide(sentence: Formula, bound: int | None, tries: Iterator) -> Decision |
 
 def _decide_exactly(sentence: Exists | Forall, inner: list, tries: Iterator) -> Decision | None:
     """The exact decision of an NNF sentence whose body has the quantifiers
-    inner (see _quantifiers), or None: where there are some, that of the
-    first sentence left by _eliminations that the exact routes decide
-    (after the outer step of a pair, only a true universal or a false
-    existential: a certificate would be one of the other variable), with
-    its certificate _certified against the sentence's own body, so that
-    every elimination on the way is checked; else _decide_block's (None
-    with no pair).  Both take the block as _prenex_pair reads it once, and
-    the one DNF of its body (of its negation for forall)."""
+    inner, or None: where there are some, that of the first sentence left
+    by _eliminations that the exact routes decide (after the outer step of
+    a pair, only a true universal or a false existential: a certificate
+    would be one of the other variable), with its certificate _certified
+    against the sentence's own body, so that every elimination on the way
+    is checked; else _decide_block's (None with no pair).  Both take the
+    block as _prenex_pair reads it, and the one DNF of its body (of its
+    negation for forall)."""
     pair = _prenex_pair(sentence, inner)
     body = pair and (pair[2] if type(sentence) is Exists else nnf(pair[2], negated=True))
     todo = pair and _dnf(body, pair[0])
@@ -1343,9 +1349,8 @@ _square_floors = lru_cache(maxsize=1024)(lambda line: _floors(_SQUARE, line))  #
 def _prenex_pair(sentence: Exists | Forall, inner: list) -> tuple[str, str | None, Formula] | None:
     """(x, y, body) when the NNF sentence is over x and inner, the
     quantifiers of its body, is empty (y None, body the sentence's) or one
-    of its kind over another name y, lifted out of the & and | around it
-    (which do not bind y, free nowhere else): the sentence is then Q x. Q y.
-    body, the block _decide_block decides.  None for any other inner."""
+    of its kind over another name y, lifted out of the & and | around it:
+    the sentence is Q x. Q y. body, the block _decide_block decides."""
     if not inner:
         return sentence.var, None, sentence.body
     node = inner[0]

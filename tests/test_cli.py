@@ -162,6 +162,13 @@ GOLDEN = [
      "True (exact); witness 1618\n"),
     (["decide", "forall x. forall y. !(x = f(1000)) & (y < 1 | f(y) > 0)"], 1,
      "False (exact); counterexample 1618\n"),
+    # a quantifier whose body lacks its variable is its body, decided exactly; 0,
+    # the scan's first point, is its certificate where one is due
+    (["decide", "forall x. exists y. p5(y)"], 0, "True (exact)\n"),
+    (["decide", "exists x. forall y. p9(y)"], 1, "False (exact)\n"),
+    (["decide", "forall x. forall y. forall z. y < 1 | z < 1 | f(y+z) >= f(y) + f(z)"], 0,
+     "True (exact)\n"),
+    (["decide", "exists x. exists y. p5(y)"], 0, "True (exact); witness 0\n"),
     (["audit", "50"], 0, "all families pass"),
     (["audit", "2"], 0, "all families pass"),
 ]

@@ -2092,6 +2092,22 @@ def test_a_sentence_with_its_bound_variables_renamed_gets_the_same_decision():
         assert decide(renamed, 100) == decide(sentence, 100), format_formula(sentence)
 
 
+def test_a_sentence_gets_one_truth_at_every_bound_where_it_is_exact():
+    # Every closed draw of seed 1, decided at bounds 0, 10 and 100: wherever
+    # two or more of the answers are exact, their truths agree.  A conflict
+    # is a defect of the decider: the draw stays as it is.
+    rng = random.Random(1)
+    compared = 0
+    for _ in range(500):
+        sentence = random_formula(rng, 5)
+        truths = [d.truth for bound in (0, 10, 100) if (d := decide(sentence, bound)).provenance
+                  == EXACT and d.truth is not None]
+        if len(truths) >= 2:
+            compared += 1
+            assert len(set(truths)) == 1, format_formula(sentence)
+    assert compared >= 350  # 415 when written: the draw keeps comparing bounds
+
+
 def test_each_disjunct_takes_the_first_of_the_four_steps_in_order(monkeypatch):
     # the normal form, the cell step (_no_point), the split of a !(s = t)
     # (_unequal), the slabs (_slab_cases, which reads _folds): a disjunct
