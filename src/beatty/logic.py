@@ -1078,12 +1078,12 @@ def decide_existential_nf(query: NormalFormQuery) -> Decision:
 
 
 def decide(sentence: Formula, bound: int = DEFAULT_EVAL_BOUND) -> Decision:
-    """Decide a sentence once it is miniscoped: quantifier-free parts
-    exactly; a nested sentence by what is left once _eliminations removes
-    a quantifier that an equality pins (at most MAX_DISJUNCTS such
-    sentences in one call, since each can be tried in more than one
-    order); Q x. body or Q x. Q y. body by _decide_block, disjunct by
-    disjunct of the body's DNF (its negation's for forall): through the
+    """Decide a sentence once it is miniscoped: quantifier-free
+    parts exactly; a nested sentence by what is left once _eliminations
+    removes a quantifier that an equality pins (at most MAX_DISJUNCTS such
+    sentences in one call, since each can be tried in more than one order);
+    Q x. body or Q x. Q y. body by _decide_block, disjunct by disjunct of
+    the body's DNF (its negation's for forall): through the
     window/congruence pipeline where a disjunct free of y is in the normal
     form or splits into it, and dropped where _no_point proves that no
     point satisfies it; else Q x. S, x not free in S, as S where that is
