@@ -1085,9 +1085,10 @@ def decide(sentence: Formula, bound: int = DEFAULT_EVAL_BOUND) -> Decision:
     Q x. body or Q x. Q y. body by _decide_block, disjunct by disjunct of
     the body's DNF (its negation's for forall): through the
     window/congruence pipeline where a disjunct free of y is in the normal
-    form or splits into it, and dropped where _no_point proves that no
-    point satisfies it; else Q x. S, x not free in S, as S where that is
-    exact, with 0 (the scan's first point) the certificate of a true
+    form or splits into it, dropped where _no_point proves that no point
+    satisfies it, and met where _probe finds a point at the first x of its
+    order polyhedron in the scan order; else Q x. S, x not free in S, as S,
+    exact or not, with 0 (the scan's first point) the certificate of a true
     exists or a false forall; everything else by bounded evaluation.  A
     top-level & or | decides its right side only when the left is not an
     exact answer that settles it.  Raises ValueError for a negative bound."""
@@ -1109,10 +1110,10 @@ def _decide(sentence: Formula, bound: int | None, tries: Iterator) -> Decision |
     if isinstance(sentence, (Exists, Forall)):
         decision = _decide_exactly(sentence, quantifiers[:-1], tries)
         if decision is None and bound is not None:
-            if sentence.var not in free_vars(sentence.body) and (  # Q x. S is S
-                    inside := _decide(sentence.body, bound, tries)).provenance == EXACT:
+            if sentence.var not in free_vars(sentence.body):  # Q x. S is S
+                inside = _decide(sentence.body, bound, tries)
                 decisive = inside.truth is isinstance(sentence, Exists)  # so 0 is a certificate
-                return Decision(inside.truth, certificate=0 if decisive else None)
+                return inside._replace(certificate=0 if decisive else None)
             decision = evaluate(sentence, {}, bound)
             if (decision.provenance == BOUNDED and decision.certificate is not None
                     and _certified(sentence, _negate(decision), tries)):
@@ -1167,37 +1168,41 @@ def _decide_block(sentence: Exists | Forall, pair: tuple, todo: list | None) -> 
     takes the first step that holds: the normal form in x
     (_conjunction_query, which refuses a literal that holds y); the cell
     step, where _no_point proves it has no point (MAX_CELLS cells in all)
-    and it is dropped, before the split, which would double its work (a
-    point _probe meets ends the step at once, with no cell spent); the
+    and it is dropped, before the split, which would double its work, or
+    meets a point (x0, y0) at the first x of its order polyhedron (a point
+    _probe meets elsewhere ends the step at once, with no cell spent); the
     split of its first !(s = t) (_unequal, the one split of a !=);
-    _slab_cases.  None when none holds, or past MAX_DISJUNCTS.  Each query
-    gives its witness first in the scan order 0, 1, -1, ...: the least
-    positive one if it is at most the |x| of the nonpositive one nearest 0,
-    else that one; the certificate, a value of x, is the first of those in
-    that order, checked against the whole body at y = 0 (its disjunct is
-    free of y).  An empty DNF (that of !p1) has no disjunct to satisfy."""
-    (x, y, _), existential = pair, isinstance(sentence, Exists)
+    _slab_cases.  None when none holds, or past MAX_DISJUNCTS.  A met x0
+    and each query's witness are first in the scan order 0, 1, -1, ... of
+    their disjunct's x: a query's is the least positive one if it is at
+    most the |x| of the nonpositive one nearest 0, else that one, at y0 = 0
+    (its disjunct is free of y).  The certificate, a value of x, is the
+    first of them in that order, checked against the body at (x0, y0).  An
+    empty DNF (that of !p1) has no disjunct to satisfy."""
+    (x, y, body), existential = pair, isinstance(sentence, Exists)
     queries: list[NormalFormQuery] = []
+    found = []  # each disjunct's least witness (x, y) in the scan order of x
     cells = iter(range(MAX_CELLS))  # the budget, one item per case and cell
     while todo and len(queries) + len(todo) <= MAX_DISJUNCTS:
         conjuncts = todo.pop()
         if query := _conjunction_query(x, conjuncts):
             queries.append(query)
-        elif None not in (atoms := [_atom(e, x, y) for e in conjuncts]) and _no_point(atoms, cells):
-            continue
+        elif None not in (atoms := [_atom(e, x, y) for e in conjuncts]) and (
+                met := _no_point(atoms, cells)):
+            found += [] if met is True else [met]
         elif (cases := _unequal(conjuncts) or _slab_cases(x, conjuncts)) is not None:
             todo += cases
         else:
             return None
     if todo != []:  # None, or cases left past MAX_DISJUNCTS
         return None
-    found = [d.certificate for d in map(decide_existential_nf, queries) if d.truth]
+    found += [(d.certificate, 0) for d in map(decide_existential_nf, queries) if d.truth]
     if not found:
         return Decision(not existential)
-    value = min(found, key=lambda v: (abs(v), -v))  # the scan's order 0, 1, -1, ...
-    if evaluate(sentence.body, {x: value}, 0).truth is not existential:
-        raise AssertionError(f"certificate check failed at {x}={value}")
-    return Decision(existential, certificate=value)
+    point = min(found, key=lambda p: (abs(p[0]), -p[0]))  # the scan's order 0, 1, -1, ...
+    if evaluate(body, dict(zip((x, y), point)), 0).truth is not existential:
+        raise AssertionError(f"certificate check failed at ({x}, {y}) = {point}")
+    return Decision(existential, certificate=point[0])
 
 
 # --- elimination ------------------------------------------------------------
@@ -1383,18 +1388,23 @@ def _atom(e: Formula, x: str, y: str | None = None) -> tuple | None:
     return rel, form.get(x, 0), form.get(y, 0), form.get(1, 0) + (rel == "<"), terms
 
 
-def _no_point(atoms: list[tuple], cells: Iterator) -> bool:
-    """True when no integers x, y satisfy all the atoms (see _atom); False
-    when that is not proved, at once where _probe meets such a point.  The
-    atoms without f, but for E != 0, bound the polyhedron P of (x, y) from
-    the start."""
+def _no_point(atoms: list[tuple], cells: Iterator) -> bool | tuple[int, int]:
+    """True when no integers x, y satisfy all the atoms (see _atom); the
+    point (x, y) _probe meets where x is the first integer of P's x-range
+    in the scan order 0, 1, -1, ..., so that no point has an earlier x;
+    False when neither is proved, at once where _probe meets another point.
+    The atoms without f, but for E != 0, bound the polyhedron P of (x, y)
+    from the start."""
     order = set().union(*(_half_planes(*atom[:4]) for atom in atoms
                           if not atom[4] and atom[0] != "!="))
     along_y = any(atom[2] or any(key[1] or key[4] for key, _ in atom[4]) for atom in atoms)
     atoms = [atom for atom in atoms if atom[4] or atom[0] == "!="]
     polyhedron = _polyhedron(order)
-    if polyhedron is not None and _probe(atoms, polyhedron, along_y) is not None:
-        return False
+    if polyhedron is not None and (point := _probe(atoms, polyhedron, along_y)) is not None:
+        least, most = _range(*polyhedron[1:], (1, 0), (0, 0))  # of x over P
+        first = 0 if least is None else max(0, -(-least[0] // least[2]))  # 0 clamped to P's x
+        first = first if most is None else min(first, most[0] // most[2])
+        return point if point[0] == first else False
     keys = {key for atom in atoms for key, _ in atom[4]}
     nested = sorted(key for key in keys if key[3] or key[4])
     # f(x) and f(y) take their signs before the f terms over them
@@ -1407,7 +1417,8 @@ def _no_point(atoms: list[tuple], cells: Iterator) -> bool:
 def _probe(atoms: list, polyhedron: tuple, along_y: bool) -> tuple[int, int] | None:
     """The first point (x, y) where every atom holds, f read by f_floor, of
     the PROBE_POINTS integer points of P from each corner of P rounded, in
-    the scan order 0, 1, -1, ... along y (x where no atom reads y); or None."""
+    the scan order 0, 1, -1, ... along y (x where no atom reads y); or None.
+    Its x is a least witness only where _no_point finds it P's first x."""
     constraints, corners, _ = polyhedron
     for px, _, py, _, scale in corners:
         x0, y0 = (2 * px + scale) // (2 * scale), (2 * py + scale) // (2 * scale)

@@ -18,6 +18,13 @@ from beatty.cli import run
 from beatty.golden import f_floor
 from beatty.logic import MAX_NESTING, ParseError, decide, evaluate, parse
 
+# answered at a point the cell step's probe meets, far past the default bound
+MET_POINTS = [
+    "exists x. x > 1000000 & f(2*x) = 2*f(x) + 1",
+    "exists x. exists y. x > 1000000 & y > 1000000 & f(x+y) = f(x) + f(y) + 1",
+    "forall x. forall y. x < 1000000 | y < 1 | f(x+y) < f(x) + f(y) + 1",
+]
+
 # golden suite: (argv, expected exit code, substring expected on stdout)
 GOLDEN = [
     (["f", "7"], 0, "11"),
@@ -122,6 +129,11 @@ GOLDEN = [
      "True (exact); witness 9\n"),
     (["decide", "exists x. (f(x+1) = f(x) + 2 & x > 100000 & p7(x))"], 1,
      "False (bounded to 10000)\n"),
+    # a point the probe meets at the first x of P, past the bound, is its
+    # disjunct's least witness, checked by evaluation
+    (["decide", MET_POINTS[0]], 0, "True (exact); witness 1000001\n"),
+    (["decide", MET_POINTS[1]], 0, "True (exact); witness 1000001\n"),
+    (["decide", MET_POINTS[2]], 1, "False (exact); counterexample 1000000\n"),
     # a bounded certificate that an exact route refutes is dropped: y = 51 serves x = 48,
     # and y = 21 refutes x = 15
     (["decide", "--bound", "50", "forall x. exists y. y > x & p3(y)"], 1,
@@ -452,6 +464,15 @@ def test_eliminated_quantifiers_answer_exactly_in_milliseconds(text, code, capsy
         assert run(["decide", text, *bound]) == code
         assert time.perf_counter() - started < 0.05
         assert capsys.readouterr().out.endswith("(exact)\n")
+
+
+@pytest.mark.parametrize("text", MET_POINTS, ids=["one variable", "exists pair", "forall pair"])
+def test_met_points_answer_exactly_in_milliseconds(text, capsys):
+    run(["decide", text])  # a first run, so that the timed one finds everything loaded
+    started = time.perf_counter()
+    assert run(["decide", text]) in (0, 1)
+    assert time.perf_counter() - started < 0.05
+    assert "(exact); " in capsys.readouterr().out
 
 
 # three variables: no exact route takes them, and the scan of [-B, B]^3 is long

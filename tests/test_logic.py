@@ -3,6 +3,7 @@ import random
 import re
 import sys
 import time
+from collections.abc import Iterator
 from fractions import Fraction
 from operator import eq, ge, lt, ne
 from unittest.mock import patch
@@ -1710,10 +1711,11 @@ def _route_sentence(rng, existential: bool, alone: bool):
 def test_two_variable_route_answers_have_no_counterexample_in_a_box(rng, existential, alone):
     # An answer without a certificate, a true universal or a false
     # existential, must meet no counterexample (no witness) in a brute force
-    # with f_floor over [-25, 25]^2.  A certificate, a value of x, comes from
-    # a disjunct free of y, so the body must take its truth at it for every
-    # y of the box.  decide() must give the same answer, also when y is
-    # missing and miniscoping drops its quantifier.
+    # with f_floor over [-25, 25]^2.  A certificate, a value of x, is the
+    # least witness in the scan order 0, 1, -1, ...: some y of the box gives
+    # the body its truth at it, and none does at an x of the box before it.
+    # decide() must give the same answer, also when y is missing and
+    # miniscoping drops its quantifier.
     text, holds = _route_sentence(rng, existential, alone)
     d = _block(nnf(parse(text)))
     if d is None:
@@ -1724,7 +1726,9 @@ def test_two_variable_route_answers_have_no_counterexample_in_a_box(rng, existen
         assert all(holds(x, y) is not existential for x in box for y in box), text
     else:
         assert d == Decision(existential, certificate=d.certificate), text
-        assert all(holds(d.certificate, y) is existential for y in box), text
+        at = lambda x: any(holds(x, y) is existential for y in box)
+        assert at(d.certificate), text
+        assert not any(at(x) for x in box if (abs(x), -x) < (abs(d.certificate), -d.certificate)), text
     assert decide(parse(text), bound=3) == d, text
 
 
@@ -1836,20 +1840,31 @@ def test_pin_reads_its_equality_through_the_one_term_reader(rng, under_f):
     assert len(signs) <= 1, (e, t)
 
 
-@pytest.mark.parametrize("text, want", [
-    ("forall x. forall y. (x < 7 | y < 1 | f(x) != f(y) + y)", Decision(True)),
-    ("forall x. forall y. (x < 7 | f(x + y) < f(x) + f(y) + 1)", Decision(False, certificate=7)),
+@pytest.mark.parametrize("text, want, met", [
+    ("forall x. forall y. (x < 7 | y < 1 | f(x) != f(y) + y)", Decision(True), False),
+    # the probe meets (7, 3) and (6, 6) at P's first x: each is its
+    # disjunct's least witness, and the route answers with it
+    ("forall x. forall y. (x < 7 | f(x + y) < f(x) + f(y) + 1)", Decision(False, certificate=7),
+     True),
     ("exists x. exists y. (x > 5 & y > 5 & f(x + y) = f(x) + f(y) + 1)",
-     Decision(True, certificate=6)),
+     Decision(True, certificate=6), True),
     ("forall x. forall y. (x < 1 | p2(f(x) + y) | p2(f(x) + y + 1))",
-     Decision(True, BOUNDED, bound=40)),
-], ids=["rank 2", "false universal", "true existential", "divisibility"])
-def test_two_variable_route_declines_to_the_scan(text, want):
-    # rank-2 atoms (Rayleigh's f(x) = f(y) + y), a met cell and p2 decline,
-    # and the bounded scan answers with its certificate as before the route;
-    # Rayleigh's sentence is decided once its x is eliminated
-    assert _block(nnf(parse(text))) is None
+     Decision(True, BOUNDED, bound=40), False),
+    # the probe meets (49, 6), but x = 7 holds with y = 7: a point past P's
+    # first x (6) is no least witness
+    ("exists x. exists y. (x > 5 & x < 50 & y > 5 & y < 8 & f(x + y) = f(x) + f(y))",
+     Decision(True, certificate=7), False),
+], ids=["rank 2", "false universal", "true existential", "divisibility", "past the first x"])
+def test_two_variable_route_declines_to_the_scan(text, want, met):
+    # rank-2 atoms (Rayleigh's f(x) = f(y) + y), p2 and a point met past
+    # P's first x decline, and the bounded scan answers with its certificate
+    # as before the route; Rayleigh's sentence is decided once its x is
+    # eliminated.  A point met at P's first x is the route's answer, the
+    # one decide() prints at every bound.
+    assert _block(nnf(parse(text))) == (want if met else None)
     assert decide(parse(text), bound=40) == want
+    if met:
+        assert decide(parse(text), bound=0) == want
 
 
 def test_two_variable_route_stops_at_its_cell_budget(monkeypatch):
@@ -1905,12 +1920,39 @@ def _disjuncts(draw) -> tuple[tuple[str, ...], list]:
     return names, [_literal(draw, names) for _ in range(draw(st.integers(1, 3)))]
 
 
+def _scan_before(x: int) -> Iterator[int]:
+    """The integers before x in the scan order 0, 1, -1, 2, -2, ..."""
+    order = itertools.chain([0], itertools.chain.from_iterable((k, -k) for k in itertools.count(1)))
+    return itertools.takewhile(lambda c: (abs(c), -c) < (abs(x), -x), order)
+
+
+def _meets_p(atoms: list, x: int) -> bool:
+    """Whether the order atoms (without f, but for E != 0) leave some real y
+    at x: the line of x meets the polyhedron P they bound."""
+    low = high = None
+    for rel, lx, ly, k, terms in atoms:
+        if terms or rel == "!=":
+            continue
+        rest = lx * x + k  # ly*y + rest is <= 0, or = 0
+        if not ly:
+            if rest > 0 or rel == "=" and rest:
+                return False
+            continue
+        at = Fraction(-rest, ly)
+        if ly > 0 or rel == "=":
+            high = at if high is None else min(high, at)
+        if ly < 0 or rel == "=":
+            low = at if low is None else max(low, at)
+    return low is None or high is None or low <= high
+
+
 @settings(max_examples=300, deadline=None)
 @given(_disjuncts())
 def test_a_probed_point_satisfies_its_disjunct_and_the_cell_step_agrees(drawn):
     # the probe's point satisfies the conjunction (evaluate reads it at x
     # and y), and the cell step without the probe does not drop a disjunct
-    # that has it
+    # that has it; _no_point gives the point back exactly where its x is
+    # the first of P's x-range in the scan order (no x before it meets P)
     names, conjuncts = drawn
     atoms = [logic._atom(e, *names) for e in conjuncts]
     if None in atoms:
@@ -1919,14 +1961,49 @@ def test_a_probed_point_satisfies_its_disjunct_and_the_cell_step_agrees(drawn):
     with patch.object(logic, "_probe", lambda *args: points.append(probe(*args)) or points[-1]):
         dropped = logic._no_point(atoms, iter(range(logic.MAX_CELLS)))
     met = "P empty" if not points else "no point" if points[0] is None else "a point"
-    event(f"{len(names)} names: {met}")
-    if not points or points[0] is None:
+    x, y = points[0] if met == "a point" else (0, 0)
+    first = met == "a point" and not any(_meets_p(atoms, c) for c in _scan_before(x))
+    event(f"{len(names)} names: {met}{' at the first x' * first}")
+    if met != "a point":
         return
-    x, y = points[0]
-    assert not dropped
+    assert dropped == ((x, y) if first else False), (x, y)
     assert evaluate(logic._either([conjuncts]), {"x": x, "y": y}, 0).truth, (x, y)
     with patch.object(logic, "_probe", lambda *args: None):
         assert not logic._no_point(atoms, iter(range(logic.MAX_CELLS))), (x, y)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.booleans(), st.booleans(), st.integers(10**4, 10**6), st.integers(-10**6, 10**6),
+       st.integers(1, 3), st.integers(1, 2), st.integers(-3, 3), st.integers(-1, 2),
+       st.sampled_from(["=", "<", ">=", "!="]))
+def test_a_point_met_past_the_bound_is_a_checked_least_witness(existential, alone, c, g, a, b,
+                                                               k, j, rel):
+    # The order guards put P's first x, c + 1 (x > c) or c (the negation of
+    # x < c), past any bound a scan reaches.  Each point the block route
+    # meets takes the body's truth for the sentence's answer (evaluate reads
+    # f by f_floor) and lies at P's first x, which is then the certificate;
+    # decide() prints the same answer at --bound 0.
+    if alone:
+        names, atom = "x", f"f({a}*x + {k}) {rel} {a}*f(x) + {j}"
+    else:
+        names, atom = "xy", f"f({a}*x + {b}*y + {k}) {rel} f({a}*x) + f({b}*y) + {j}"
+    guards = [f"{v} {'>' if existential else '<'} {bound}" for v, bound in zip(names, (c, g))]
+    body = (" & " if existential else " | ").join(guards + [atom])
+    q = "exists" if existential else "forall"
+    text = " ".join(f"{q} {v}." for v in names) + f" ({body})"
+    met, no_point = [], logic._no_point
+    with patch.object(logic, "_no_point", lambda *args: (met.append(r := no_point(*args)), r)[1]):
+        d = _block(nnf(parse(text)))
+    points = [point for point in met if type(point) is tuple]
+    event("declined" if d is None else "met" if points else "answered otherwise")
+    if d is None or not points:
+        return
+    first = c + 1 if existential else c
+    for x, y in points:
+        assert evaluate(parse(body), {"x": x, "y": y}, 0).truth is existential, (text, x, y)
+        assert x == first, (text, x, y)
+    assert d == Decision(existential, certificate=first), text
+    assert decide(parse(text), bound=0) == d, text
 
 
 def _corners_by_meet(constraints: set) -> list[tuple]:
@@ -2092,6 +2169,28 @@ def test_a_sentence_with_its_bound_variables_renamed_gets_the_same_decision():
         assert decide(renamed, 100) == decide(sentence, 100), format_formula(sentence)
 
 
+@pytest.mark.parametrize("text, bound, want", [
+    ("exists w. forall x. exists y. y > x & p3(y)", 20, Decision(False, BOUNDED, bound=20)),
+    ("forall w. forall x. exists y. y > x & p3(y)", 20,
+     Decision(False, BOUNDED, bound=20, certificate=0)),
+    ("forall w. exists x. forall y. y < x | y > x + 30 | !p7(y)", 20,
+     Decision(True, BOUNDED, bound=20)),
+    ("exists w. exists x. forall y. y < x | y > x + 30 | !p7(y)", 20,
+     Decision(True, BOUNDED, bound=20, certificate=0)),
+    ("exists w. forall x. exists y. y > x & p3(y)", logic.DEFAULT_EVAL_BOUND, logic._SPENT),
+])
+def test_a_vacuous_quantifier_over_an_inexact_sentence_is_decided_once(text, bound, want,
+                                                                       monkeypatch):
+    # Q w. S is S: S's own bounded or unknown answer, with the certificate 0
+    # (w's first point) for a true exists or a false forall, and no scan of
+    # the whole sentence after S's
+    scanned, scan = [], logic.evaluate
+    monkeypatch.setattr(logic, "evaluate", lambda formula, *args: (
+        scanned.append(formula), scan(formula, *args))[1])
+    assert decide(parse(text), bound) == want
+    assert not any(type(formula) in (Exists, Forall) and formula.var == "w" for formula in scanned)
+
+
 def test_a_sentence_gets_one_truth_at_every_bound_where_it_is_exact():
     # Every closed draw of seed 1, decided at bounds 0, 10 and 100: wherever
     # two or more of the answers are exact, their truths agree.  A conflict
@@ -2121,11 +2220,21 @@ def test_each_disjunct_takes_the_first_of_the_four_steps_in_order(monkeypatch):
     assert decide(parse("forall x. x < 37 | f(f(x)) = f(x) + x - 1")) == Decision(True)
     assert calls == ["_no_point"]
     calls.clear()
+    # the probe meets (37, 0) at P's first x: a least witness of the negation
     assert decide(parse("forall x. x < 37 | f(f(x)) != f(x) + x - 1")) == Decision(
         False, certificate=37)
+    assert calls == ["_no_point"]
+    calls.clear()
+    # f(37) = 59: the probe meets (38, 0), past P's first x, and the step declines
+    assert decide(parse("forall x. x < 37 | f(x) < 60 | f(f(x)) != f(x) + x - 1")) == Decision(
+        False, certificate=38)
     assert calls == ["_no_point", "_unequal", "_slab_cases", "_folds"]
     calls.clear()
     assert decide(parse("exists x. x > 0 & f(x) != 2*x")) == Decision(True, certificate=1)
+    assert calls == ["_no_point"]  # the probe meets (1, 0) at P's first x
+    calls.clear()
+    # f(1) = 1: the probe meets (2, 0), past P's first x, and the step declines
+    assert decide(parse("exists x. x > 0 & f(x) != 1")) == Decision(True, certificate=2)
     assert calls == ["_no_point", "_unequal"]  # then each half is in the normal form
     calls.clear()
     # an f-free !(s = t) is one literal of the DNF too: the loop splits it
@@ -2268,9 +2377,12 @@ def test_eliminations_take_an_inner_quantifier_in_place_before_a_pair():
     # the body at x = 7 is forall y. (7 = 7 & y < 3): the one-variable route
     # refutes it
     ("exists x. forall y. (x = 7 & y < 3)", Decision(False, certificate=3)),
-    # the body at x = 7 has two quantifiers left, which the exact routes decline
-    ("exists x. forall y. forall z. (x = 7 & y < z)", None),
-], ids=["refuted", "unchecked"])
+    # the body at x = 7 is forall y. forall z. (7 = 7 & y < z): the probe
+    # meets (0, 0) at the first y of the negation's polyhedron
+    ("exists x. forall y. forall z. (x = 7 & y < z)", Decision(False, certificate=0)),
+    # the body at x = 7 has three quantifiers left, which the exact routes decline
+    ("exists x. forall y. forall z. forall w. (x = 7 & y < z + w)", None),
+], ids=["refuted", "refuted at a met point", "unchecked"])
 def test_a_certificate_from_an_elimination_is_checked_against_the_body(text, check,
                                                                       monkeypatch):
     # an elimination that leaves exists x. x = 7, which is not the sentence:
